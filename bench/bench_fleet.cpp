@@ -24,6 +24,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
 #include "interp/FleetExecutor.h"
@@ -245,16 +246,18 @@ int main(int Argc, char **Argv) {
   unsigned Instances = 128;
   bool WithCEmit = true;
   std::string JsonPath;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json" && I + 1 < Argc)
-      JsonPath = Argv[++I];
-    else if (Arg == "--instants" && I + 1 < Argc)
-      Instants = static_cast<unsigned>(std::stoul(Argv[++I]));
-    else if (Arg == "--instances" && I + 1 < Argc)
-      Instances = static_cast<unsigned>(std::stoul(Argv[++I]));
-    else if (Arg == "--no-cemit")
+  BenchArgs Args("bench_fleet", Argc, Argv);
+  while (Args.next()) {
+    if (Args.is("--json"))
+      JsonPath = Args.value();
+    else if (Args.is("--instants"))
+      Instants = Args.number();
+    else if (Args.is("--instances"))
+      Instances = Args.number();
+    else if (Args.is("--no-cemit"))
       WithCEmit = false;
+    else
+      Args.unknown();
   }
   if (WithCEmit && hostCCompilerCommand().empty()) {
     std::fprintf(stderr, "no host C compiler: skipping the cemit leg\n");

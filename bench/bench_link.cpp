@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "driver/Driver.h"
 #include "interp/Environment.h"
 #include "interp/LinkedExecutor.h"
@@ -62,25 +63,16 @@ int main(int Argc, char **Argv) {
   std::vector<unsigned> StageCounts = {8, 16, 32, 64};
   unsigned Instants = 4096;
   std::string JsonPath;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json" && I + 1 < Argc) {
-      JsonPath = Argv[++I];
-    } else if (Arg == "--stages" && I + 1 < Argc) {
-      StageCounts.clear();
-      std::string List = Argv[++I], Cur;
-      for (char C : List + ",")
-        if (C == ',') {
-          if (!Cur.empty())
-            StageCounts.push_back(
-                static_cast<unsigned>(std::stoul(Cur)));
-          Cur.clear();
-        } else {
-          Cur += C;
-        }
-    } else if (Arg == "--instants" && I + 1 < Argc) {
-      Instants = static_cast<unsigned>(std::stoul(Argv[++I]));
-    }
+  BenchArgs Args("bench_link", Argc, Argv);
+  while (Args.next()) {
+    if (Args.is("--json"))
+      JsonPath = Args.value();
+    else if (Args.is("--stages"))
+      StageCounts = Args.numberList();
+    else if (Args.is("--instants"))
+      Instants = Args.number();
+    else
+      Args.unknown();
   }
 
   std::printf("Separate compilation + linking on generated pipelines\n\n");

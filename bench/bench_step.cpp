@@ -27,6 +27,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
 #include "interp/StepExecutor.h"
@@ -231,20 +232,22 @@ int main(int Argc, char **Argv) {
   unsigned Batch = 64;
   bool Builtins = true, WithCEmit = true;
   std::string JsonPath, JsonCemitPath;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json" && I + 1 < Argc)
-      JsonPath = Argv[++I];
-    else if (Arg == "--json-cemit" && I + 1 < Argc)
-      JsonCemitPath = Argv[++I];
-    else if (Arg == "--instants" && I + 1 < Argc)
-      Instants = static_cast<unsigned>(std::stoul(Argv[++I]));
-    else if (Arg == "--batch" && I + 1 < Argc)
-      Batch = static_cast<unsigned>(std::stoul(Argv[++I]));
-    else if (Arg == "--no-builtins")
+  BenchArgs Args("bench_step", Argc, Argv);
+  while (Args.next()) {
+    if (Args.is("--json"))
+      JsonPath = Args.value();
+    else if (Args.is("--json-cemit"))
+      JsonCemitPath = Args.value();
+    else if (Args.is("--instants"))
+      Instants = Args.number();
+    else if (Args.is("--batch"))
+      Batch = Args.number();
+    else if (Args.is("--no-builtins"))
       Builtins = false;
-    else if (Arg == "--no-cemit")
+    else if (Args.is("--no-cemit"))
       WithCEmit = false;
+    else
+      Args.unknown();
   }
   if (WithCEmit && hostCC().empty()) {
     std::fprintf(stderr, "no host C compiler: skipping the cemit leg\n");

@@ -23,6 +23,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "driver/Driver.h"
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
@@ -176,12 +177,14 @@ double mbPerSec(const Row &R, double InstantsPerSec, unsigned Instants) {
 int main(int Argc, char **Argv) {
   unsigned Instants = 1u << 16;
   std::string JsonPath;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json" && I + 1 < Argc)
-      JsonPath = Argv[++I];
-    else if (Arg == "--instants" && I + 1 < Argc)
-      Instants = static_cast<unsigned>(std::stoul(Argv[++I]));
+  BenchArgs Args("bench_stream", Argc, Argv);
+  while (Args.next()) {
+    if (Args.is("--json"))
+      JsonPath = Args.value();
+    else if (Args.is("--instants"))
+      Instants = Args.number();
+    else
+      Args.unknown();
   }
 
   std::printf("Trace streaming throughput (instants/sec, %u instants)\n\n",

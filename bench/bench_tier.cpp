@@ -25,6 +25,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchArgs.h"
 #include "interp/VmExecutor.h"
 #include "native/CcRunner.h"
 #include "native/NativeCache.h"
@@ -190,12 +191,14 @@ Row benchProgram(const std::string &Name, const std::string &Source,
 int main(int Argc, char **Argv) {
   unsigned Instants = 1u << 18;
   std::string JsonPath;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json" && I + 1 < Argc)
-      JsonPath = Argv[++I];
-    else if (Arg == "--instants" && I + 1 < Argc)
-      Instants = static_cast<unsigned>(std::stoul(Argv[++I]));
+  BenchArgs Args("bench_tier", Argc, Argv);
+  while (Args.next()) {
+    if (Args.is("--json"))
+      JsonPath = Args.value();
+    else if (Args.is("--instants"))
+      Instants = Args.number();
+    else
+      Args.unknown();
   }
   bool WithNative = !hostCCompilerCommand().empty();
   if (!WithNative)

@@ -191,10 +191,6 @@ private:
   void emitFleetBody(std::string &Out) const;
   void emitDriver(std::string &Out) const;
 
-  /// Deepest SkipIfAbsent nesting: one predicate-mask array per level in
-  /// the fleet sweep.
-  unsigned maxGuardDepth() const;
-
   const CompiledStep &CS;
   std::string Proc;
   CEmitOptions Options;
@@ -592,20 +588,6 @@ void Emitter::emitBody(std::string &Out) const {
   flushExec();
 }
 
-unsigned Emitter::maxGuardDepth() const {
-  std::vector<int32_t> Close;
-  unsigned Max = 0;
-  for (int32_t PC = 0; PC < static_cast<int32_t>(CS.Code.size()); ++PC) {
-    while (!Close.empty() && Close.back() == PC)
-      Close.pop_back();
-    if (CS.Code[PC].Op == VmOp::SkipIfAbsent) {
-      Close.push_back(CS.Code[PC].Aux);
-      Max = std::max(Max, static_cast<unsigned>(Close.size()));
-    }
-  }
-  return Max;
-}
-
 void Emitter::emitFleetBody(std::string &Out) const {
   // Predication instead of branching: the scalar step's if-nesting
   // becomes one 0/1 mask array per nesting level. A guard at depth d
@@ -687,7 +669,8 @@ void Emitter::emitFleet(std::string &Out) {
          Proc + "_in_t *in, " + Proc + "_out_t *out, unsigned n_instances, "
          "unsigned n_instants) {\n";
   Out += "  unsigned i0, i, l, nb;\n";
-  unsigned Depth = maxGuardDepth();
+  // One predicate-mask array per guard nesting level.
+  unsigned Depth = CS.guardShape().MaxDepth;
   for (unsigned D = 1; D <= Depth; ++D)
     Out += "  int m" + std::to_string(D) + "[SIGC_FLEET_BLOCK];\n";
   if (CS.NumClockSlots)

@@ -37,7 +37,38 @@ public:
     SlotComputed[SlotOfNode.at(Node)] = true;
   }
 
+  /// Collapses guard chains so each nested block tests its clock once
+  /// (Figure 9, code a). Re-opening a root-to-leaf path leaves blocks
+  /// whose only item is a sub-block; such a block buys a guard test and
+  /// nothing else, so it is replaced by its innermost single-item
+  /// descendant. Sound because every engine zeroes the clock slots at
+  /// the start of each instant and a block's guard is only tested once
+  /// computed (or skipped under an absent ancestor, leaving it zero):
+  /// by tree inclusion the innermost clock is absent whenever any
+  /// ancestor on the chain is. Blocks no longer reachable from the root
+  /// are dropped, the survivors renumbered in preorder.
+  void finish() {
+    std::vector<StepBlock> Old = std::move(Prog.Blocks);
+    Prog.Blocks.clear();
+    Prog.RootBlock = copyBlock(Old, 0);
+  }
+
 private:
+  int copyBlock(const std::vector<StepBlock> &Old, int BlockIdx) {
+    int NewIdx = static_cast<int>(Prog.Blocks.size());
+    Prog.Blocks.push_back({Old[BlockIdx].GuardSlot, {}});
+    for (StepBlock::Item It : Old[BlockIdx].Items) {
+      if (It.IsBlock) {
+        int Inner = It.Index;
+        while (Old[Inner].Items.size() == 1 && Old[Inner].Items[0].IsBlock)
+          Inner = Old[Inner].Items[0].Index;
+        It.Index = copyBlock(Old, Inner);
+      }
+      Prog.Blocks[NewIdx].Items.push_back(It);
+    }
+    return NewIdx;
+  }
+
   struct Frame {
     ForestNodeId Node;
     int Block;
@@ -144,7 +175,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
   for (int ActIdx : Graph.schedule()) {
     const Action &A = Graph.actions()[ActIdx];
     StepInstr In;
-    ForestNodeId GuardNode = InvalidForestNode;
 
     switch (A.Kind) {
     case ActionKind::ClockInput: {
@@ -165,10 +195,7 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
         In.Op = StepOp::EvalClockLiteral;
         In.A = SP.SignalValueSlot[Node.CondSignal];
         In.Positive = Node.Positive;
-        ForestNodeId CondClock =
-            Forest.nodeOf(Sys.signalClock(Node.CondSignal));
-        In.Guard = SlotOfNode.at(CondClock);
-        GuardNode = CondClock;
+        In.Guard = SlotOfNode.at(A.Guard);
       } else {
         // Derived/residual presence is a cheap boolean over already
         // computed slots; it runs unguarded because its operands may sit
@@ -187,7 +214,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.Target = SP.SignalValueSlot[A.Sig];
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       In.Desc = static_cast<int>(SP.Inputs.size());
       SP.Inputs.push_back({A.Sig, In.Target, In.Guard,
                            Prog.Signals[A.Sig].Type, sigName(A.Sig)});
@@ -199,7 +225,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.EqIndex = A.EqIndex;
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       switch (Eq.Kind) {
       case KernelEqKind::Func:
         In.Op = StepOp::EvalFunc;
@@ -227,7 +252,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.A = StateSlotOfEq.at(A.EqIndex);
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       break;
     }
     case ActionKind::StoreDelay: {
@@ -237,7 +261,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.A = SP.SignalValueSlot[Eq.DelaySource];
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       break;
     }
     case ActionKind::WriteOutput: {
@@ -246,7 +269,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.Target = In.A;
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       In.Desc = static_cast<int>(SP.Outputs.size());
       SP.Outputs.push_back({A.Sig, In.A, In.Guard, Prog.Signals[A.Sig].Type,
                             sigName(A.Sig)});
@@ -256,13 +278,14 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
 
     int InstrIdx = static_cast<int>(SP.Instrs.size());
     SP.Instrs.push_back(In);
-    Nest.append(InstrIdx, GuardNode);
+    Nest.append(InstrIdx, A.Guard);
     // From here on the action's clock slot holds its final value (a
     // literal skipped by an absent condition clock correctly stays 0),
     // so later instructions may nest under it.
     if (A.Kind == ActionKind::ClockInput || A.Kind == ActionKind::ClockEval)
       Nest.markComputed(A.Clock);
   }
+  Nest.finish();
 
   return SP;
 }

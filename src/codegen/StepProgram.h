@@ -13,8 +13,11 @@
 ///   * flat:   every instruction tests its own guard (code b of Figure 9),
 ///   * nested: instructions are grouped into blocks that follow the clock
 ///     tree, so an absent clock skips its whole subtree (code a of
-///     Figure 9 — the optimization the clock hierarchy enables).
-/// Both execute identically; the nested one does strictly less guard work.
+///     Figure 9 — the optimization the clock hierarchy enables). Each
+///     block tests its clock once: a block holding nothing but a
+///     sub-block is collapsed into its innermost descendant.
+/// Both execute identically. The nested one tests far fewer guards on
+/// every builtin (STOPWATCH: ~180 per instant against flat's ~1,460).
 ///
 //===----------------------------------------------------------------------===//
 

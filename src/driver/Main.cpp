@@ -136,6 +136,16 @@ void printStats(const std::string &Mode, unsigned Instants,
                static_cast<double>(Executed) / Instants);
 }
 
+/// The --stats compile report: the shape of the generated guard
+/// structure (Figure 9 wants few, shallow, distinct guards).
+void printCompileStats(const Compilation &C) {
+  GuardShape G = C.Compiled.guardShape();
+  std::fprintf(stderr,
+               "stats: compile step_instrs=%zu guards=%u distinct_guards=%u "
+               "max_guard_depth=%u\n",
+               C.Step.Instrs.size(), G.Guards, G.DistinctGuards, G.MaxDepth);
+}
+
 const char *nativeModeName(NativeMode M) {
   switch (M) {
   case NativeMode::Off:
@@ -510,6 +520,8 @@ int main(int Argc, char **Argv) {
                C->Clocks.numVars(),
                static_cast<unsigned>(C->Forest->dfsOrder().size()),
                static_cast<unsigned>(C->Forest->freeClocks().size()));
+  if (Stats)
+    printCompileStats(*C);
 
   if (DumpKernel)
     std::printf("kernel:\n%s", C->Kernel->dump(Names).c_str());

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 #include <unordered_map>
 
 using namespace sigc;
@@ -67,6 +66,8 @@ bool CondDepGraph::build(const KernelProgram &Prog, const ClockSystem &Sys,
     A.Kind = (Node.Def == ClockDefKind::Root) ? ActionKind::ClockInput
                                               : ActionKind::ClockEval;
     A.Clock = N;
+    if (Node.Def == ClockDefKind::Literal)
+      A.Guard = Forest.nodeOf(Sys.signalClock(Node.CondSignal));
     ClockAction[N] = addAction(A);
   }
 
@@ -80,7 +81,7 @@ bool CondDepGraph::build(const KernelProgram &Prog, const ClockSystem &Sys,
     const KernelEq *Def = Prog.definition(S);
     Action A;
     A.Sig = S;
-    A.Clock = ClockNodeId;
+    A.Clock = A.Guard = ClockNodeId;
     if (!Def) {
       // Inputs and free locals are read from the environment.
       A.Kind = ActionKind::SignalInput;
@@ -105,7 +106,7 @@ bool CondDepGraph::build(const KernelProgram &Prog, const ClockSystem &Sys,
     A.Kind = ActionKind::StoreDelay;
     A.Sig = Eq.Target;
     A.EqIndex = static_cast<int>(EqI);
-    A.Clock = Actions[ValueAction[Eq.Target]].Clock;
+    A.Clock = A.Guard = Actions[ValueAction[Eq.Target]].Clock;
     StoreAction[Eq.Target] = addAction(A);
   }
 
@@ -116,7 +117,7 @@ bool CondDepGraph::build(const KernelProgram &Prog, const ClockSystem &Sys,
     Action A;
     A.Kind = ActionKind::WriteOutput;
     A.Sig = S;
-    A.Clock = Actions[ValueAction[S]].Clock;
+    A.Clock = A.Guard = Actions[ValueAction[S]].Clock;
     addAction(A);
     addEdge(ValueAction[S], static_cast<int>(Actions.size()) - 1);
   }
@@ -201,25 +202,60 @@ bool CondDepGraph::build(const KernelProgram &Prog, const ClockSystem &Sys,
     addEdge(ClockAction.at(Actions[Store].Clock), Store);
   }
 
-  // --- Topological sort (Kahn, smallest action index first for
-  // determinism) -----------------------------------------------------------
+  // --- Topological sort (Kahn) with clock affinity ----------------------
+  // The step compiler nests each action in the block path of its guard
+  // clock and re-opens that path whenever the schedule returns to it.
+  // Among ready actions, prefer the one whose guard keeps the longest
+  // prefix of the path the previous action left open (Figure 9: test
+  // each clock once), then the smallest action index for determinism.
   std::vector<unsigned> InDegree(Actions.size(), 0);
   for (const auto &S : Succs)
     for (int T : S)
       ++InDegree[T];
 
-  std::priority_queue<int, std::vector<int>, std::greater<int>> Ready;
+  // Depth (root = 1) of each node on the open guard path, 0 elsewhere.
+  std::vector<unsigned> OpenDepth(Forest.numNodes(), 0);
+  std::vector<ForestNodeId> OpenPath; // Innermost first.
+  auto keptDepth = [&](int I) {
+    for (ForestNodeId N = Actions[I].Guard; N != InvalidForestNode;
+         N = Forest.node(N).Parent)
+      if (OpenDepth[N])
+        return OpenDepth[N];
+    return 0u;
+  };
+
+  std::vector<int> Ready;
   for (unsigned I = 0; I < Actions.size(); ++I)
     if (InDegree[I] == 0)
-      Ready.push(static_cast<int>(I));
+      Ready.push_back(static_cast<int>(I));
 
   while (!Ready.empty()) {
-    int A = Ready.top();
-    Ready.pop();
+    size_t Best = 0;
+    unsigned BestKept = keptDepth(Ready[0]);
+    for (size_t K = 1; K < Ready.size(); ++K) {
+      unsigned Kept = keptDepth(Ready[K]);
+      if (Kept > BestKept || (Kept == BestKept && Ready[K] < Ready[Best])) {
+        Best = K;
+        BestKept = Kept;
+      }
+    }
+    int A = Ready[Best];
+    Ready[Best] = Ready.back();
+    Ready.pop_back();
     Schedule.push_back(A);
+
+    for (ForestNodeId N : OpenPath)
+      OpenDepth[N] = 0;
+    OpenPath.clear();
+    for (ForestNodeId N = Actions[A].Guard; N != InvalidForestNode;
+         N = Forest.node(N).Parent)
+      OpenPath.push_back(N);
+    for (size_t K = 0; K < OpenPath.size(); ++K)
+      OpenDepth[OpenPath[K]] = static_cast<unsigned>(OpenPath.size() - K);
+
     for (int T : Succs[A])
       if (--InDegree[T] == 0)
-        Ready.push(T);
+        Ready.push_back(T);
   }
 
   if (Schedule.size() != Actions.size()) {

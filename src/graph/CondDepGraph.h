@@ -51,6 +51,10 @@ const char *actionKindName(ActionKind K);
 struct Action {
   ActionKind Kind = ActionKind::ClockEval;
   ForestNodeId Clock = InvalidForestNode; ///< Clock computed / guard clock.
+  /// Clock the step code nests the action under (InvalidForestNode:
+  /// unguarded). Clock inputs and derived clocks run unguarded, a literal
+  /// clock under its condition's clock, everything else under Clock.
+  ForestNodeId Guard = InvalidForestNode;
   SignalId Sig = InvalidSignal;           ///< Signal read/evaluated/output.
   int EqIndex = -1;                       ///< Kernel equation, if any.
 };
@@ -59,7 +63,8 @@ struct Action {
 class CondDepGraph {
 public:
   /// Builds the graph for \p Prog whose clocks were resolved into
-  /// \p Forest, then topologically sorts it.
+  /// \p Forest, then topologically sorts it, keeping actions under the
+  /// same guard clock together (clock affinity).
   /// \returns false on a causality cycle (diagnosed).
   bool build(const KernelProgram &Prog, const ClockSystem &Sys,
              ClockForest &Forest, const StringInterner &Names,

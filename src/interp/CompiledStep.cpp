@@ -2,6 +2,7 @@
 
 #include "interp/CompiledStep.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -338,4 +339,25 @@ std::string CompiledStep::dump() const {
                 StateInit.size());
   Out += Buf;
   return Out;
+}
+
+GuardShape CompiledStep::guardShape() const {
+  GuardShape S;
+  std::vector<char> Seen(NumClockSlots, 0);
+  std::vector<int32_t> Close;
+  for (int32_t PC = 0; PC < static_cast<int32_t>(Code.size()); ++PC) {
+    while (!Close.empty() && Close.back() == PC)
+      Close.pop_back();
+    const VmInstr &In = Code[PC];
+    if (In.Op != VmOp::SkipIfAbsent)
+      continue;
+    ++S.Guards;
+    if (!Seen[In.A]) {
+      Seen[In.A] = 1;
+      ++S.DistinctGuards;
+    }
+    Close.push_back(In.Aux);
+    S.MaxDepth = std::max(S.MaxDepth, static_cast<unsigned>(Close.size()));
+  }
+  return S;
 }

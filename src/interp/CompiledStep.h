@@ -20,7 +20,8 @@
 ///     hot loop never re-derives them.
 ///
 /// The guard economics are preserved exactly: one SkipIfAbsent per nested
-/// block, instructions inside run unguarded. VmExecutor's GuardTests and
+/// block (guard chains are already collapsed in the block tree),
+/// instructions inside run unguarded. VmExecutor's GuardTests and
 /// Executed counters therefore match nested StepExecutor runs bit for bit
 /// — the regression tests pin that equality.
 ///
@@ -79,6 +80,13 @@ struct VmInstr {
   int32_t Aux = -1;
 };
 
+/// Shape of a step's guard structure (the --stats compile report).
+struct GuardShape {
+  unsigned Guards = 0;         ///< SkipIfAbsent instructions.
+  unsigned DistinctGuards = 0; ///< Distinct clock slots they test.
+  unsigned MaxDepth = 0;       ///< Deepest SkipIfAbsent nesting.
+};
+
 /// A slot-resolved, allocation-free compiled reactive step.
 struct CompiledStep {
   unsigned NumClockSlots = 0;
@@ -116,6 +124,9 @@ struct CompiledStep {
 
   /// Renders the instruction listing (tests, --dump-vm).
   std::string dump() const;
+
+  /// Counts the guards of Code and measures their nesting.
+  GuardShape guardShape() const;
 };
 
 } // namespace sigc

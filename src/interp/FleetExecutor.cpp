@@ -20,28 +20,12 @@ inline char blendClock(char Old, char New, unsigned char Act) {
   return static_cast<char>((New & Act) | (Old & (Act ^ 1)));
 }
 
-/// Deepest SkipIfAbsent nesting in \p Code: the mask stack is sized once
-/// from this, so the predicated walk never allocates.
-unsigned maxGuardDepth(const std::vector<VmInstr> &Code) {
-  std::vector<int32_t> Close;
-  unsigned Max = 0;
-  for (int32_t PC = 0; PC < static_cast<int32_t>(Code.size()); ++PC) {
-    while (!Close.empty() && Close.back() == PC)
-      Close.pop_back();
-    if (Code[PC].Op == VmOp::SkipIfAbsent) {
-      Close.push_back(Code[PC].Aux);
-      Max = std::max(Max, static_cast<unsigned>(Close.size()));
-    }
-  }
-  return Max;
-}
-
 } // namespace
 
 FleetExecutor::FleetExecutor(const CompiledStep &CS, unsigned Instances,
                              Config Cfg)
     : CS(CS), NumInstances(Instances), K(std::max(1u, Cfg.LaneBlock)),
-      Cfg(Cfg), MaxDepth(maxGuardDepth(CS.Code)) {
+      Cfg(Cfg), MaxDepth(CS.guardShape().MaxDepth) {
   this->Cfg.LaneBlock = K;
   if (this->Cfg.Threads == 0)
     this->Cfg.Threads = 1;

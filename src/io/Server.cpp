@@ -731,6 +731,16 @@ int Server::pollTimeout(bool Runnable, int64_t Now) const {
 }
 
 int Server::run() {
+  // SIGTERM/SIGINT drive the drain state machine; no SA_RESTART, so the
+  // poll below wakes immediately. Installed before the socket exists: a
+  // signal that lands once a client can connect must drain, not kill.
+  DrainSignals = 0;
+  struct sigaction SA;
+  std::memset(&SA, 0, sizeof(SA));
+  SA.sa_handler = drainSignalHandler;
+  ::sigemptyset(&SA.sa_mask);
+  ::sigaction(SIGTERM, &SA, nullptr);
+  ::sigaction(SIGINT, &SA, nullptr);
   if (Opts.Tier.Mode != NativeMode::Off) {
     Tier = std::make_unique<TierController>(CS, Opts.Tier);
     if (!Tier->start()) {
@@ -763,15 +773,6 @@ int Server::run() {
     ::close(ListenFd);
     return 2;
   }
-  // SIGTERM/SIGINT drive the drain state machine; no SA_RESTART, so the
-  // poll below wakes immediately.
-  DrainSignals = 0;
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = drainSignalHandler;
-  ::sigemptyset(&SA.sa_mask);
-  ::sigaction(SIGTERM, &SA, nullptr);
-  ::sigaction(SIGINT, &SA, nullptr);
   std::fprintf(stderr,
                "serving %s on %s (max %u sessions, batch %u)\n",
                Expected.ProcName.c_str(), Opts.SocketPath.c_str(),

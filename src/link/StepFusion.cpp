@@ -593,6 +593,31 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   }
   closeTo(0);
 
+  // Interleaving can leave a re-opened guard whose only content is the
+  // next guard of the same unit's path (a same-target chain). Keep only
+  // the innermost test, as the step compiler does in the block tree: the
+  // inner clock is included in the outer one, and every engine zeroes
+  // clock slots per instant, so the inner test alone decides the skip.
+  {
+    std::vector<int32_t> NewPC(F.Code.size() + 1);
+    std::vector<VmInstr> Kept;
+    Kept.reserve(F.Code.size());
+    for (size_t PC = 0; PC < F.Code.size(); ++PC) {
+      NewPC[PC] = static_cast<int32_t>(Kept.size());
+      const VmInstr &In = F.Code[PC];
+      bool Chained = In.Op == VmOp::SkipIfAbsent && PC + 1 < F.Code.size() &&
+                     F.Code[PC + 1].Op == VmOp::SkipIfAbsent &&
+                     F.Code[PC + 1].Aux == In.Aux;
+      if (!Chained)
+        Kept.push_back(In);
+    }
+    NewPC[F.Code.size()] = static_cast<int32_t>(Kept.size());
+    for (VmInstr &In : Kept)
+      if (In.Op == VmOp::SkipIfAbsent)
+        In.Aux = NewPC[In.Aux];
+    F.Code = std::move(Kept);
+  }
+
   // --- Flush order: first appearance of each WriteOutput -----------------
   std::vector<char> Seen(F.Outputs.size(), 0);
   for (const VmInstr &In : F.Code)

@@ -4,6 +4,7 @@
 #define SIGNALC_TESTS_TESTUTIL_H
 
 #include "driver/Driver.h"
+#include "link/Linker.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace sigc::test {
 
@@ -84,6 +86,83 @@ inline void expectMatchesGolden(const std::string &Actual,
   EXPECT_EQ(normalizeDump(Actual), normalizeDump(Golden))
       << "output differs from golden file " << RelPath
       << " (regenerate it if the change is intentional)";
+}
+
+/// LINKED_PIPELINE: the sensor/monitor producer-consumer composition the
+/// golden tests pin.
+inline std::vector<LinkInput> linkedPipelineInputs() {
+  return {{"SENSOR", R"(
+process SENSOR =
+  ( ? integer RAW;
+    ! integer KEPT, SUM; )
+  (| EVENFLAG := (RAW mod 2) = 0
+   | KEPT := RAW when EVENFLAG
+   | SUM := KEPT + (SUM $ 1 init 0)
+  |)
+  where
+    boolean EVENFLAG;
+  end;
+)"},
+          {"MONITOR", R"(
+process MONITOR =
+  ( ? integer KEPT, SUM;
+    ! integer TOTAL; boolean ALERT; )
+  (| synchro {KEPT, SUM}
+   | TOTAL := KEPT + (TOTAL $ 1 init 0)
+   | ALERT := SUM > 20
+  |);
+)"}};
+}
+
+/// LINKED_FEEDBACK: a unit-level cycle whose fused schedule interleaves
+/// LOOPA's producer half, all of LOOPB, then LOOPA's consumer half.
+inline std::vector<LinkInput> linkedFeedbackInputs() {
+  return {{"LOOPA",
+           "process LOOPA = ( ? integer FX, FB; ! integer FA, FC; )"
+           " (| FA := (FX + 1) mod 97 | FC := (FB * 2 + 3) mod 97 |);"},
+          {"LOOPB", "process LOOPB = ( ? integer FA; ! integer FB; )"
+                    " (| FB := (FA * 4 + 5) mod 97 |);"}};
+}
+
+/// A feedback system whose fusion splits a nested block: SPLITA's
+/// [C1]-block runs partly before SPLITB (FA) and partly after it (FE
+/// reads FB), so the re-synthesized guards re-open the block path in
+/// the second half — the same-target guard chain fusion must collapse.
+inline std::vector<LinkInput> linkedSplitBlockInputs() {
+  return {{"SPLITA", R"(
+process SPLITA =
+  ( ? integer FX, FB; boolean C1;
+    ! integer FA, FE; )
+  (| synchro {FX, C1}
+   | T := FX when C1
+   | synchro {FB, T}
+   | FA := T + 1
+   | FE := FB + T
+  |)
+  where
+    integer T;
+  end;
+)"},
+          {"SPLITB", "process SPLITB = ( ? integer FA; ! integer FB; )"
+                     " (| FB := (FA * 4 + 5) mod 97 |);"}};
+}
+
+/// The monolithic composition of linkedSplitBlockInputs().
+inline const char *linkedSplitBlockComposed() {
+  return R"(
+process SPLIT =
+  ( ? integer FX; boolean C1;
+    ! integer FE; )
+  (| synchro {FX, C1}
+   | T := FX when C1
+   | FA := T + 1
+   | FB := (FA * 4 + 5) mod 97
+   | FE := FB + T
+  |)
+  where
+    integer T, FA, FB;
+  end;
+)";
 }
 
 } // namespace sigc::test

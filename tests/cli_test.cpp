@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <regex>
 #include <string>
 
 #include <sys/wait.h>
@@ -146,6 +147,22 @@ TEST(Cli, FleetInstanceReplaysTheScalarSeed) {
       S.Output.substr(S.Output.find('\n', Hdr) + 1);
 
   EXPECT_EQ(FleetTrace, ScalarTrace);
+}
+
+TEST(Cli, StatsReportsGuardShape) {
+  CliResult R =
+      runSignalc("--builtin FIG5_ALARM --simulate 16 --seed 9 --stats");
+  ASSERT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("stats: compile step_instrs=33 guards=7 "
+                          "distinct_guards=6 max_guard_depth=3\n"),
+            std::string::npos)
+      << R.Output;
+  // The run line keeps its exact shape: benchmark scripts parse it.
+  EXPECT_TRUE(std::regex_search(
+      R.Output, std::regex("\nstats: mode=vm instants=16 executed=[0-9]+ "
+                           "guard_tests=[0-9]+ instrs_per_instant="
+                           "[0-9]+\\.[0-9]{2}\n")))
+      << R.Output;
 }
 
 TEST(Cli, FleetStatsSumCountersAcrossInstances) {

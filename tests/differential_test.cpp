@@ -101,7 +101,7 @@ TEST(DifferentialBuiltins, Figure5Alarm) {
   O.EnvSeed = 7;
   OracleReport R = checkDifferential("FIG5_ALARM", alarmFigure5Source(), O);
   EXPECT_TRUE(R.Ok) << R.Error;
-  EXPECT_LE(R.GuardTestsNested, R.GuardTestsFlat);
+  EXPECT_LT(R.GuardTestsNested, R.GuardTestsFlat);
 }
 
 namespace {
@@ -110,6 +110,14 @@ class Figure13Differential
     : public ::testing::TestWithParam<Figure13Program> {};
 
 } // namespace
+
+namespace sigc {
+// Print the row by name: GoogleTest's default byte dump embeds heap
+// addresses, so the listed test names would change from run to run.
+void PrintTo(const Figure13Program &P, std::ostream *OS) {
+  *OS << '"' << P.Name << '"';
+}
+} // namespace sigc
 
 TEST_P(Figure13Differential, AllPathsAgree) {
   const Figure13Program &P = GetParam();
@@ -121,10 +129,9 @@ TEST_P(Figure13Differential, AllPathsAgree) {
   O.EmitCRoundTrip = true;
   OracleReport R = checkDifferential(P.Name, P.Source, O);
   EXPECT_TRUE(R.Ok) << R.Error;
-  // Note: nested mode is not universally cheaper in *tests* — a deep tree
-  // with few instructions per block can test more block guards than the
-  // flat program tests instruction guards (STOPWATCH does). Equality of
-  // traces is the invariant; the guard economics are the benchmarks' job.
+  // Figure 9's economy: with guard chains collapsed, the nested
+  // structure tests fewer guards than flat on every builtin.
+  EXPECT_LT(R.GuardTestsNested, R.GuardTestsFlat) << P.Name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, Figure13Differential,

@@ -99,37 +99,6 @@ INSTANTIATE_TEST_SUITE_P(Pinned, GoldenFigure13,
 
 namespace {
 
-const char *GoldenSensorSource = R"(
-process SENSOR =
-  ( ? integer RAW;
-    ! integer KEPT, SUM; )
-  (| EVENFLAG := (RAW mod 2) = 0
-   | KEPT := RAW when EVENFLAG
-   | SUM := KEPT + (SUM $ 1 init 0)
-  |)
-  where
-    boolean EVENFLAG;
-  end;
-)";
-
-const char *GoldenMonitorSource = R"(
-process MONITOR =
-  ( ? integer KEPT, SUM;
-    ! integer TOTAL; boolean ALERT; )
-  (| synchro {KEPT, SUM}
-   | TOTAL := KEPT + (TOTAL $ 1 init 0)
-   | ALERT := SUM > 20
-  |);
-)";
-
-const char *GoldenLoopASource =
-    "process LOOPA = ( ? integer FX, FB; ! integer FA, FC; )"
-    " (| FA := (FX + 1) mod 97 | FC := (FB * 2 + 3) mod 97 |);";
-
-const char *GoldenLoopBSource =
-    "process LOOPB = ( ? integer FA; ! integer FB; )"
-    " (| FB := (FA * 4 + 5) mod 97 |);";
-
 void checkLinkedGolden(const std::string &Name,
                        const std::vector<LinkInput> &Inputs) {
   LinkResult R = compileAndLinkSources(Inputs);
@@ -144,11 +113,9 @@ void checkLinkedGolden(const std::string &Name,
 } // namespace
 
 TEST(GoldenLinked, PipelineFusedScheduleAndC) {
-  checkLinkedGolden("LINKED_PIPELINE", {{"SENSOR", GoldenSensorSource},
-                                        {"MONITOR", GoldenMonitorSource}});
+  checkLinkedGolden("LINKED_PIPELINE", linkedPipelineInputs());
 }
 
 TEST(GoldenLinked, FeedbackFusedScheduleAndC) {
-  checkLinkedGolden("LINKED_FEEDBACK", {{"LOOPA", GoldenLoopASource},
-                                        {"LOOPB", GoldenLoopBSource}});
+  checkLinkedGolden("LINKED_FEEDBACK", linkedFeedbackInputs());
 }

@@ -10,12 +10,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "testing/Oracle.h"
 #include "testing/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
 using namespace sigc;
+using namespace sigc::test;
 
 namespace {
 
@@ -272,6 +274,18 @@ TEST(FeedbackDifferential, SparseTicks) {
         O);
     EXPECT_TRUE(R.Ok) << R.Error;
   }
+}
+
+TEST(FeedbackDifferential, SplitBlockMatchesMonolithic) {
+  // Fusion re-opens SPLITA's [C1]-block after SPLITB runs; the collapsed
+  // guard chain must keep the fused step equal to the monolithic one.
+  OracleOptions O;
+  O.Instants = 96;
+  O.EnvSeed = 5;
+  O.EmitCRoundTrip = true;
+  OracleReport R = checkLinkedDifferential(
+      "split-block", linkedSplitBlockInputs(), linkedSplitBlockComposed(), O);
+  EXPECT_TRUE(R.Ok) << R.Error;
 }
 
 TEST(FeedbackDifferential, EmittedC) {

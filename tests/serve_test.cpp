@@ -34,6 +34,7 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -1133,6 +1134,24 @@ TEST(ServeDrain, SigtermFinishesResidentFramesAndExitsZero) {
   EXPECT_EQ(Stats[0].Instants, 16u) << Log;
   EXPECT_NE(Log.find("served 1 session(s) (drained)"), std::string::npos)
       << Log;
+}
+
+TEST(ServeDrain, SigtermOnceTheSocketExistsDrainsInsteadOfKilling) {
+  // The drain handler is installed before bind(): from the moment a
+  // client could connect, SIGTERM must drain (exit 0), never kill.
+  ScopedServer Server;
+  Server.spawn(/*MaxSessions=*/1, /*Limit=*/0);
+  ASSERT_GT(Server.Pid, 0);
+  struct stat SB;
+  for (int Try = 0; Try < 30000 && ::stat(Server.Sock.c_str(), &SB) != 0;
+       ++Try)
+    ::usleep(100);
+  ASSERT_EQ(::stat(Server.Sock.c_str(), &SB), 0) << Server.log();
+  ASSERT_EQ(::kill(Server.Pid, SIGTERM), 0);
+  EXPECT_EQ(Server.wait(), 0) << Server.log();
+  EXPECT_NE(Server.log().find("draining: finishing 0 session(s)"),
+            std::string::npos)
+      << Server.log();
 }
 
 TEST(ServeDrain, SecondSignalForcesExitOne) {

@@ -6,10 +6,12 @@
 ///   * trace equivalence against the nested StepExecutor on scripted and
 ///     random programs (the differential oracle re-checks this at scale;
 ///     here the failures localize),
-///   * the guard-economics regression pin: the VM must do exactly the
+///   * the guard-economics regression pins: the VM must do exactly the
 ///     nested structure's guard work — never regress to flat-level — and
 ///     its Executed counter stays comparable across the multi-instruction
-///     expression lowering (Weight accounting).
+///     expression lowering (Weight accounting),
+///   * Figure-9 nesting: no guard block holds nothing but another guard
+///     block (a same-target chain), in compiled and in fused steps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "programs/Programs.h"
+#include "testing/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -287,6 +290,74 @@ TEST(VmExecutor, GuardWorkNeverRegressesToFlatLevel) {
   EXPECT_LT(Vm.guardTests(), Flat.guardTests() / 2)
       << "VM guard work regressed toward flat-level scanning";
   EXPECT_LE(Nested.executed(), Flat.executed());
+}
+
+TEST(VmExecutor, StopwatchGuardTestsPerInstantBounded) {
+  // The deepest builtin: flat tests ~1,460 guards per instant. A nesting
+  // that re-opens whole root-to-leaf block paths tests ~1,990.
+  for (const Figure13Program &P : figure13Suite()) {
+    if (P.Name != "STOPWATCH")
+      continue;
+    auto C = compileSource("<economics:STOPWATCH>", P.Source);
+    ASSERT_TRUE(C->Ok);
+    const unsigned Instants = 2000;
+    RandomEnvironment Env(7);
+    VmExecutor Vm(C->Compiled);
+    Vm.run(Env, Instants);
+    EXPECT_LE(Vm.guardTests(), 400ull * Instants);
+    return;
+  }
+  FAIL() << "STOPWATCH missing from the builtin suite";
+}
+
+//===----------------------------------------------------------------------===//
+// Figure-9 nesting: each nested block tests its clock once.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Fails when a guard's block holds nothing but the next guard's block:
+/// a SkipIfAbsent immediately followed by another with the same target.
+void expectNoGuardChains(const CompiledStep &CS, const std::string &What) {
+  for (size_t PC = 0; PC + 1 < CS.Code.size(); ++PC) {
+    const VmInstr &A = CS.Code[PC], &B = CS.Code[PC + 1];
+    if (A.Op == VmOp::SkipIfAbsent && B.Op == VmOp::SkipIfAbsent) {
+      EXPECT_NE(A.Aux, B.Aux) << What << ": guard chain at pc " << PC;
+    }
+  }
+}
+
+} // namespace
+
+TEST(GuardChains, NoneOnBuiltins) {
+  auto Fig5 = compileOk(alarmFigure5Source());
+  expectNoGuardChains(Fig5->Compiled, "FIG5_ALARM");
+  for (const Figure13Program &P : figure13Suite()) {
+    auto C = compileSource("<chains:" + P.Name + ">", P.Source);
+    ASSERT_TRUE(C->Ok) << P.Name;
+    expectNoGuardChains(C->Compiled, P.Name);
+  }
+}
+
+TEST(GuardChains, NoneOnRandomSweep) {
+  RandomProgramOptions Gen;
+  Gen.Equations = 24;
+  for (uint64_t Seed = 0; Seed < 64; ++Seed) {
+    auto C = compileSource("<chains>", generateRandomProgram("R", Seed, Gen));
+    ASSERT_TRUE(C->Ok) << "seed " << Seed << "\n" << C->Diags.render();
+    expectNoGuardChains(C->Compiled, "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(GuardChains, NoneInFusedLinkedSystems) {
+  for (const auto &[Name, Inputs] :
+       {std::make_pair("LINKED_PIPELINE", linkedPipelineInputs()),
+        std::make_pair("LINKED_FEEDBACK", linkedFeedbackInputs()),
+        std::make_pair("split-block feedback", linkedSplitBlockInputs())}) {
+    LinkResult R = compileAndLinkSources(Inputs);
+    ASSERT_TRUE(R.Sys) << Name << ": " << R.Error;
+    expectNoGuardChains(R.Sys->Fused, Name);
+  }
 }
 
 //===----------------------------------------------------------------------===//
