@@ -106,9 +106,12 @@ void BM_PerClockGrid(benchmark::State &State) {
 }
 
 /// The forest's hot operation: inclusion tests between per-clock BDDs
-/// (ClockForest::findDeepestParent probes every candidate parent). The
-/// rework made implies() an ITE-to-constant check: nodes_allocated counts
-/// BDD nodes created across all timed queries and must stay 0.
+/// (ClockForest::findDeepestParent probes every candidate parent). implies()
+/// is an ITE-to-constant check: nodes_allocated counts BDD nodes created
+/// across all timed queries and must stay 0. These clocks are conjunctions
+/// of disjunctions, so both cofactor pairs stay open at every other level:
+/// the queries run through the memoized branch points, and warm repeats
+/// are answered by the op cache at the top pair.
 void BM_ImpliesWarm(benchmark::State &State) {
   unsigned N = static_cast<unsigned>(State.range(0));
   BddManager M;

@@ -431,49 +431,97 @@ BddRef BddManager::iteRec(BddRef F, BddRef G, BddRef H) {
 // Implication: ITE-to-constant, no allocation
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// True when no terminal rule decides "F ⇒ G": both operands are
+/// non-terminal and they are neither equal nor complementary.
+bool isOpenPair(BddRef F, BddRef G) {
+  return !F.isTerminal() & !G.isTerminal() &
+         (F.nodeIndex() != G.nodeIndex());
+}
+
+/// The terminal rules' verdict on "F ⇒ G" for a pair that is not open:
+/// 0 ⇒ G, F ⇒ 1 and F ⇒ F hold; 1 ⇒ G (G ≠ 1), F ⇒ 0 (F ≠ 0) and
+/// F ⇒ ¬F (F ≠ 0) do not.
+bool closedPairHolds(BddRef F, BddRef G) {
+  return F.isFalse() || G.isTrue() || F == G;
+}
+
+} // namespace
+
 bool BddManager::implies(BddRef F, BddRef G) {
   assert(F.isValid() && G.isValid() && "implies() on invalid refs");
-  return impliesRec(F, G);
+  return isOpenPair(F, G) ? impliesRec(F, G) : closedPairHolds(F, G);
 }
 
 bool BddManager::impliesRec(BddRef F, BddRef G) {
-  if (F.isFalse() || G.isTrue() || F == G)
-    return true;
-  // F ⇒ ¬F only when F = 0, handled above; likewise the constant cases.
-  if (F.isTrue() || G.isFalse() || F == !G)
-    return false;
-
-  // No node budget to poll (nothing allocates here), but a pathological
-  // query over cache-thrashing operands must still honor the time budget
-  // instead of running unboundedly. On exhaustion the answer degrades to
-  // a conservative "not proved"; callers read the verdict off the Budget.
-  if (Bud) {
-    if (Bud->exhausted())
-      return false;
-    if (++AllocsSincePoll >= 4096) {
-      AllocsSincePoll = 0;
-      if (!Bud->checkTime())
+  // (F, G) is an open pair. Each step splits it on the top variable into
+  // two cofactor pairs. Clock BDDs are mostly cubes, so usually one pair is
+  // closed by a terminal rule and the walk goes on down the other one: a
+  // linear chain, which the op cache cannot shorten. Only a step that
+  // leaves both pairs open is a branch point, where the memo stops shared
+  // sub-pairs from being re-walked exponentially often — so only there is
+  // the cache probed and stored.
+  for (;;) {
+    // No node budget to poll (nothing allocates here), but a pathological
+    // query must still honor the time budget instead of running
+    // unboundedly; one poll per step. On exhaustion the answer degrades to
+    // a conservative "not proved"; callers read the verdict off the Budget.
+    if (Bud) {
+      if (Bud->exhausted())
         return false;
+      if (++AllocsSincePoll >= 4096) {
+        AllocsSincePoll = 0;
+        if (!Bud->checkTime())
+          return false;
+      }
     }
+
+    // Cofactors are existing edges only — this never calls mkNode. Both
+    // operands of an open pair are non-terminal, so each node is read once.
+    const Node &NF = Nodes[F.nodeIndex()];
+    const Node &NG = Nodes[G.nodeIndex()];
+    BddVar Top = std::min(NF.Var, NG.Var);
+    BddRef F1 = F, F0 = F, G1 = G, G0 = G;
+    if (NF.Var == Top) {
+      F1 = withComplement(BddRef(NF.High), F.isComplement());
+      F0 = withComplement(BddRef(NF.Low), F.isComplement());
+    }
+    if (NG.Var == Top) {
+      G1 = withComplement(BddRef(NG.High), G.isComplement());
+      G0 = withComplement(BddRef(NG.Low), G.isComplement());
+    }
+    bool HighOpen = isOpenPair(F1, G1), LowOpen = isOpenPair(F0, G0);
+    if (!HighOpen) {
+      if (!closedPairHolds(F1, G1))
+        return false;
+      if (!LowOpen)
+        return closedPairHolds(F0, G0);
+      F = F0;
+      G = G0;
+      continue;
+    }
+    if (!LowOpen) {
+      if (!closedPairHolds(F0, G0))
+        return false;
+      F = F1;
+      G = G1;
+      continue;
+    }
+
+    uint64_t Key;
+    const CacheEntry *Hit =
+        cacheLookup(OpCache, CacheOp::Implies, F.index(), G.index(), 0, Key);
+    if (Hit)
+      return Hit->Result != 0;
+    bool R = impliesRec(F1, G1) && impliesRec(F0, G0);
+    // A sub-query cut short by the budget must not poison the cache with a
+    // conservative false.
+    if (!budgetExhausted())
+      cacheStore(OpCache, Key, CacheOp::Implies, F.index(), G.index(), 0,
+                 R ? 1 : 0);
+    return R;
   }
-
-  uint64_t Key;
-  const CacheEntry *Hit =
-      cacheLookup(OpCache, CacheOp::Implies, F.index(), G.index(), 0, Key);
-  if (Hit)
-    return Hit->Result != 0;
-
-  // Both operands are non-terminal here; recurse on existing cofactor
-  // edges only — this never calls mkNode.
-  BddVar Top = std::min(topVar(F), topVar(G));
-  bool R = impliesRec(cofactor(F, Top, true), cofactor(G, Top, true)) &&
-           impliesRec(cofactor(F, Top, false), cofactor(G, Top, false));
-  // A sub-query cut short by the budget must not poison the cache with a
-  // conservative false.
-  if (!budgetExhausted())
-    cacheStore(OpCache, Key, CacheOp::Implies, F.index(), G.index(), 0,
-               R ? 1 : 0);
-  return R;
 }
 
 //===----------------------------------------------------------------------===//

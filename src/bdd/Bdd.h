@@ -161,11 +161,15 @@ public:
 
   /// \returns true iff F ⇒ G is a tautology, i.e. F ∧ ¬G = 0.
   /// For clocks this is the inclusion test F ⊆ G. This is an ITE-to-constant
-  /// check: it recurses over existing nodes and allocates nothing, so it
-  /// can never trip the node budget (the forest's hot loops call it per
-  /// candidate parent). It does poll the time budget; once that trips it
-  /// conservatively answers false — check budgetExhausted() to tell a
-  /// refutation from an abort.
+  /// check over existing nodes that allocates nothing, so it can never trip
+  /// the node budget (the forest's hot loops call it per candidate parent).
+  /// It walks cofactor pairs down the variable order: where a terminal rule
+  /// settles one of the two pairs it loops on the other without touching
+  /// the op cache (the common case — clock BDDs are mostly cubes), and it
+  /// memoizes only the branch points where both pairs stay open. It does
+  /// poll the time budget; once that trips it conservatively answers false
+  /// and caches nothing — check budgetExhausted() to tell a refutation from
+  /// an abort.
   bool implies(BddRef F, BddRef G);
 
   /// \returns true iff F and G denote the same function (trivial, since

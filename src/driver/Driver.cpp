@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 
 using namespace sigc;
@@ -135,12 +136,23 @@ std::unique_ptr<Compilation> sigc::compileSource(std::string BufferName,
                                                  std::string Source,
                                                  const CompileOptions &Options) {
   auto C = std::make_unique<Compilation>();
+  // Lap() returns the milliseconds since the previous lap (or since here).
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point LapStart = Clock::now();
+  auto Lap = [&LapStart] {
+    Clock::time_point Now = Clock::now();
+    double Ms = std::chrono::duration<double, std::milli>(Now - LapStart)
+                    .count();
+    LapStart = Now;
+    return Ms;
+  };
   SourceLoc Start = C->SM.addBuffer(BufferName, Source);
   std::string_view Text = C->SM.bufferText(Start);
 
   // Parse.
   Parser P(Text, Start, C->Ctx, C->Diags);
   C->Ast = P.parseProgram();
+  C->Times.ParseMs = Lap();
   if (!C->Ast || C->Diags.hasErrors()) {
     C->FailedStage = CompileStage::Parse;
     return C;
@@ -169,6 +181,7 @@ std::unique_ptr<Compilation> sigc::compileSource(std::string BufferName,
   // Sema + kernel lowering.
   Sema S(C->Ctx, C->Diags);
   C->Kernel = S.analyze(*C->Decl);
+  C->Times.SemaMs = Lap();
   if (!C->Kernel || C->Diags.hasErrors()) {
     C->FailedStage = CompileStage::Sema;
     return C;
@@ -180,15 +193,19 @@ std::unique_ptr<Compilation> sigc::compileSource(std::string BufferName,
   C->ForestBudget.start();
   C->Bdds.setBudget(&C->ForestBudget);
   C->Forest = std::make_unique<ClockForest>(C->Bdds);
-  if (!C->Forest->build(C->Clocks, *C->Kernel, C->Ctx.interner(),
-                        C->Diags)) {
+  bool ForestOk =
+      C->Forest->build(C->Clocks, *C->Kernel, C->Ctx.interner(), C->Diags);
+  C->Times.ClockMs = Lap();
+  if (!ForestOk) {
     C->FailedStage = CompileStage::ClockCalculus;
     return C;
   }
 
   // Dependency graph + schedule.
-  if (!C->Graph.build(*C->Kernel, C->Clocks, *C->Forest, C->Ctx.interner(),
-                      C->Diags)) {
+  bool GraphOk = C->Graph.build(*C->Kernel, C->Clocks, *C->Forest,
+                                C->Ctx.interner(), C->Diags);
+  C->Times.GraphMs = Lap();
+  if (!GraphOk) {
     C->FailedStage = CompileStage::Graph;
     return C;
   }
@@ -198,6 +215,7 @@ std::unique_ptr<Compilation> sigc::compileSource(std::string BufferName,
   C->Step = compileStep(*C->Kernel, C->Clocks, *C->Forest, C->Graph,
                         C->Ctx.interner());
   C->Compiled = CompiledStep::build(*C->Kernel, C->Step);
+  C->Times.StepMs = Lap();
   C->Ok = true;
   return C;
 }

@@ -99,6 +99,16 @@ bool parseCliUnsigned(const std::string &Flag, const char *Text, uint64_t Max,
 std::string suggestNearestFlag(const std::string &Arg,
                                const std::vector<std::string> &Known);
 
+/// Wall time of each pipeline stage, in milliseconds (the `--stats` stage
+/// report). A stage that did not run stays at 0.
+struct CompileStageTimes {
+  double ParseMs = 0;
+  double SemaMs = 0;  ///< Process selection, sema and kernel lowering.
+  double ClockMs = 0; ///< Clock extraction and arborescent resolution.
+  double GraphMs = 0; ///< Conditional dependency graph and schedule.
+  double StepMs = 0;  ///< Step program and its bytecode.
+};
+
 /// Every artifact of one compilation, stage by stage.
 class Compilation {
 public:
@@ -123,6 +133,8 @@ public:
   bool Ok = false;
   /// The stage that failed; CompileStage::None when Ok.
   CompileStage FailedStage = CompileStage::None;
+  /// Per-stage wall time of this compilation.
+  CompileStageTimes Times;
 
   /// The canonical name of the failed stage ("parse", "sema", ...).
   const char *failedStageName() const { return to_string(FailedStage); }

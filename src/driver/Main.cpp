@@ -69,9 +69,11 @@
 ///                      (default: $XDG_CACHE_HOME/signalc)
 ///   --tier-after N     minimum interpreted instants before an auto
 ///                      promotion (warm-up threshold)
-///   --stats            after --simulate, print per-run instruction and
-///                      guard-test counters to stderr (and the per-tier
-///                      instant split when --native is on)
+///   --stats            print the compile report (guard shape, per-stage
+///                      wall time, clock-calculus work) to stderr and,
+///                      after --simulate, per-run instruction and
+///                      guard-test counters (and the per-tier instant
+///                      split when --native is on)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,13 +139,28 @@ void printStats(const std::string &Mode, unsigned Instants,
 }
 
 /// The --stats compile report: the shape of the generated guard
-/// structure (Figure 9 wants few, shallow, distinct guards).
+/// structure (Figure 9 wants few, shallow, distinct guards), the wall
+/// time of each stage, and the work of the clock calculus. The clock
+/// counters are deterministic; only the stage times vary run to run.
 void printCompileStats(const Compilation &C) {
   GuardShape G = C.Compiled.guardShape();
   std::fprintf(stderr,
                "stats: compile step_instrs=%zu guards=%u distinct_guards=%u "
                "max_guard_depth=%u\n",
                C.Step.Instrs.size(), G.Guards, G.DistinctGuards, G.MaxDepth);
+  const CompileStageTimes &T = C.Times;
+  std::fprintf(stderr,
+               "stats: stages parse_ms=%.3f sema_ms=%.3f clock_ms=%.3f "
+               "graph_ms=%.3f step_ms=%.3f\n",
+               T.ParseMs, T.SemaMs, T.ClockMs, T.GraphMs, T.StepMs);
+  const ForestBuildStats &F = C.Forest->stats();
+  std::fprintf(stderr,
+               "stats: clock inclusion_tests=%llu bdd_nodes=%llu "
+               "bdd_cache_probes=%llu\n",
+               static_cast<unsigned long long>(F.InclusionTests),
+               static_cast<unsigned long long>(F.BddNodes),
+               static_cast<unsigned long long>(C.Bdds.cacheHits() +
+                                               C.Bdds.cacheMisses()));
 }
 
 const char *nativeModeName(NativeMode M) {

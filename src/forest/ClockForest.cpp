@@ -11,6 +11,11 @@ using namespace sigc;
 // Small helpers
 //===----------------------------------------------------------------------===//
 
+bool ClockForest::includes(BddRef Sub, BddRef Sup) {
+  ++Stats.InclusionTests;
+  return Mgr.implies(Sub, Sup);
+}
+
 ForestNodeId ClockForest::rootOf(ForestNodeId N) const {
   while (Nodes[N].Parent != InvalidForestNode)
     N = Nodes[N].Parent;
@@ -158,7 +163,7 @@ ForestNodeId ClockForest::findDeepestParent(ForestNodeId Root, BddRef Target,
       BestDepth = I.Depth;
     }
     for (ForestNodeId C : N.Children)
-      if (Nodes[C].Alive && Mgr.implies(Target, Nodes[C].Bdd))
+      if (Nodes[C].Alive && includes(Target, Nodes[C].Bdd))
         Stack.push_back({C, I.Depth + 1});
   }
   return Best;
@@ -210,7 +215,7 @@ bool ClockForest::mergeInto(ForestNodeId From, ForestNodeId Into,
     for (size_t I = 0; I < Sibs.size();) {
       ForestNodeId S = Sibs[I];
       if (S != C && Nodes[S].Bdd != Nodes[C].Bdd &&
-          Mgr.implies(Nodes[S].Bdd, Nodes[C].Bdd)) {
+          includes(Nodes[S].Bdd, Nodes[C].Bdd)) {
         Sibs.erase(Sibs.begin() + static_cast<long>(I));
         Nodes[S].Parent = C;
         Nodes[C].Children.push_back(S);
@@ -259,7 +264,7 @@ bool ClockForest::attachSubtree(ForestNodeId Sub, ForestNodeId TargetRoot,
   for (size_t I = 0; I < Sibs.size();) {
     ForestNodeId S = Sibs[I];
     if (S != Sub && Nodes[S].Bdd != NewBdd &&
-        Mgr.implies(Nodes[S].Bdd, NewBdd)) {
+        includes(Nodes[S].Bdd, NewBdd)) {
       Sibs.erase(Sibs.begin() + static_cast<long>(I));
       Nodes[S].Parent = Sub;
       Nodes[Sub].Children.push_back(S);
@@ -292,8 +297,9 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
 
   // One BDD variable per condition: size the manager's unique table and
   // operation caches for this program before the hot loops start. The
-  // inclusion tests below (Mgr.implies) are ITE-to-constant checks that
-  // allocate no nodes, so their cost is pure cache-probe time.
+  // inclusion tests below (Mgr.implies) allocate no nodes: they walk the
+  // cube chains of the clock BDDs and probe the op cache only at branch
+  // points, so their cost is mostly pointer chasing down the variable order.
   Mgr.presize(static_cast<unsigned>(Sys.conditions().size()));
 
   // Step 0: equalities via union-find ("choose one variable which will
@@ -622,7 +628,7 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
       return false;
     ForestNodeId Sub = SubIt->second, Sup = SupIt->second;
     if (rootOf(Sub) == rootOf(Sup))
-      return Mgr.implies(Nodes[Sub].Bdd, Nodes[Sup].Bdd);
+      return includes(Nodes[Sub].Bdd, Nodes[Sup].Bdd);
     // sup := x ∨ y with sub ∈ {x, y}.
     const ClockNode &SupNode = Nodes[Sup];
     if ((SupNode.Def == ClockDefKind::Derived ||

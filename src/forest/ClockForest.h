@@ -89,6 +89,7 @@ struct ForestBuildStats {
   unsigned NullClocks = 0;       ///< Classes proved empty.
   unsigned Iterations = 0;       ///< Fixpoint rounds.
   uint64_t BddNodes = 0;         ///< Manager size after the run.
+  uint64_t InclusionTests = 0;   ///< BDD implies() calls (clock ⊆ clock).
 };
 
 /// The forest of clock trees of one program.
@@ -160,6 +161,8 @@ private:
     BddRef Bdd;
   };
 
+  /// The inclusion test Sub ⊆ Sup on relative BDDs; counted in Stats.
+  bool includes(BddRef Sub, BddRef Sup);
   ForestNodeId rootOf(ForestNodeId N) const;
   ForestNodeId newNode(ClockVarId Rep);
   void markNullSubtree(ForestNodeId N);

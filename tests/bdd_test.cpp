@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <random>
 #include <set>
+#include <thread>
 
 using namespace sigc;
 
@@ -654,6 +656,121 @@ TEST_P(BddOpsCrossCheckTest, EveryOpMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomOpSuites, BddOpsCrossCheckTest,
                          ::testing::Range(0u, 16u));
+
+//===----------------------------------------------------------------------===//
+// Deep implies cross-check (64-256 variables, beyond truth tables): the
+// chain walk against the ITE-built difference, on the shapes the clock
+// forest produces — cubes, nested cubes sharing a prefix, and cube ∨ cube
+// mixes whose two cofactor pairs stay open (the memoized branch points).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A random cube over variables [First, Last): each variable appears with
+/// probability \p Percent/100, positive or negative with equal odds.
+BddRef randomCube(BddManager &M, std::mt19937 &Rng, BddVar First,
+                  BddVar Last, unsigned Percent) {
+  BddRef C = M.top();
+  for (BddVar V = First; V < Last; ++V)
+    if (Rng() % 100 < Percent)
+      C = M.apply_and(C, (Rng() & 1) ? M.var(V) : M.nvar(V));
+  return C;
+}
+
+class BddDeepImpliesTest : public ::testing::TestWithParam<unsigned> {};
+
+} // namespace
+
+TEST_P(BddDeepImpliesTest, ImpliesMatchesEmptyDifference) {
+  std::mt19937 Rng(GetParam() * 2246822519u + 3);
+  const BddVar NumVars = 64 + Rng() % 193; // 64..256
+  BddManager M;
+  std::vector<BddRef> Pool;
+  for (unsigned I = 0; I < 8; ++I)
+    Pool.push_back(randomCube(M, Rng, 0, NumVars, I % 2 ? 15 : 70));
+  // Nested cubes: a shared prefix refined segment by segment, like the
+  // clocks down one branch of a tree.
+  const BddVar Half = NumVars / 2, Segment = (NumVars - Half) / 6;
+  BddRef Nested = randomCube(M, Rng, 0, Half, 60);
+  Pool.push_back(Nested);
+  for (BddVar S = 0; S < 6; ++S) {
+    BddVar First = Half + S * Segment;
+    Nested = M.apply_and(Nested,
+                         randomCube(M, Rng, First, First + Segment, 50));
+    Pool.push_back(Nested);
+  }
+  // Cube ∨ cube mixes, then complemented refs of anything so far.
+  size_t Cubes = Pool.size();
+  for (unsigned I = 0; I < 8; ++I)
+    Pool.push_back(M.apply_or(Pool[Rng() % Cubes], Pool[Rng() % Cubes]));
+  for (unsigned I = 0; I < 6; ++I)
+    Pool.push_back(!Pool[Rng() % Pool.size()]);
+
+  unsigned Proved = 0, Refuted = 0;
+  for (BddRef F : Pool)
+    for (BddRef G : Pool) {
+      bool Want = M.apply_diff(F, G).isFalse();
+      ASSERT_EQ(M.implies(F, G), Want)
+          << "seed " << GetParam() << " vars " << NumVars;
+      ++(Want ? Proved : Refuted);
+    }
+  // Both verdicts are exercised well beyond the reflexive pairs.
+  EXPECT_GT(Proved, Pool.size());
+  EXPECT_GT(Refuted, Pool.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomDeepCubes, BddDeepImpliesTest,
+                         ::testing::Range(0u, 12u));
+
+TEST(BddBudgetTest, ImpliesCutMidChainCachesNothing) {
+  // Queries F_i ⇒ G_i that are true, split at x0 into two open pairs (a
+  // branch point, memoized) over ~150-step cube chains (not memoized).
+  // The time budget is polled once every 4096 steps, so the first poll
+  // after the deadline lands inside some query's chain.
+  BddManager M;
+  auto prefix = [&M](BddVar From, BddVar To) {
+    BddRef C = M.top();
+    for (BddVar V = From; V < To; ++V)
+      C = M.apply_and(C, M.var(V));
+    return C;
+  };
+  std::vector<BddRef> Fs, Gs;
+  for (BddVar I = 0; I < 64; ++I) {
+    BddRef Hi = prefix(1, 150), Lo = prefix(1, 140);
+    Fs.push_back(M.ite(M.var(0), M.apply_and(Hi, prefix(150, 151 + I)),
+                       M.apply_and(Lo, prefix(140, 141 + I))));
+    Gs.push_back(M.ite(M.var(0), Hi, Lo));
+  }
+  uint64_t Nodes = M.numNodes();
+
+  Budget Bud(1, 0);
+  Bud.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  M.setBudget(&Bud);
+  size_t Cut = Fs.size();
+  for (size_t I = 0; I < Fs.size(); ++I) {
+    bool R = M.implies(Fs[I], Gs[I]);
+    if (M.budgetExhausted()) {
+      EXPECT_FALSE(R) << "a cut query answers a conservative false";
+      Cut = I;
+      break;
+    }
+    EXPECT_TRUE(R) << I;
+  }
+  ASSERT_LT(Cut, Fs.size()) << "the time budget never tripped";
+  EXPECT_GT(Cut, 0u) << "the budget should trip mid-sequence, not at once";
+  EXPECT_EQ(Bud.verdict(), BudgetVerdict::UnableCpu);
+
+  // Without the budget the same query is proved: the cut stored no
+  // conservative false at its branch point.
+  M.setBudget(nullptr);
+  EXPECT_TRUE(M.implies(Fs[Cut], Gs[Cut]));
+  for (size_t I = 0; I < Fs.size(); ++I) {
+    EXPECT_TRUE(M.implies(Fs[I], Gs[I])) << I;
+    EXPECT_FALSE(M.implies(Gs[I], Fs[I])) << I;
+  }
+  EXPECT_EQ(M.numNodes(), Nodes);
+}
 
 //===----------------------------------------------------------------------===//
 // Garbage collection: the linker's joint clock space opts in, promises

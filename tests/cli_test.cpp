@@ -157,6 +157,20 @@ TEST(Cli, StatsReportsGuardShape) {
                           "distinct_guards=6 max_guard_depth=3\n"),
             std::string::npos)
       << R.Output;
+  // Stage times vary run to run: pin their shape only.
+  EXPECT_TRUE(std::regex_search(
+      R.Output, std::regex("\nstats: stages parse_ms=[0-9]+\\.[0-9]{3} "
+                           "sema_ms=[0-9]+\\.[0-9]{3} "
+                           "clock_ms=[0-9]+\\.[0-9]{3} "
+                           "graph_ms=[0-9]+\\.[0-9]{3} "
+                           "step_ms=[0-9]+\\.[0-9]{3}\n")))
+      << R.Output;
+  // The clock-calculus counters are deterministic (BDD cache probes are
+  // hits plus misses, which depend only on node indices).
+  EXPECT_NE(R.Output.find("\nstats: clock inclusion_tests=90 bdd_nodes=36 "
+                          "bdd_cache_probes=36\n"),
+            std::string::npos)
+      << R.Output;
   // The run line keeps its exact shape: benchmark scripts parse it.
   EXPECT_TRUE(std::regex_search(
       R.Output, std::regex("\nstats: mode=vm instants=16 executed=[0-9]+ "
