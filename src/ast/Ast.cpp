@@ -2,7 +2,6 @@
 
 #include "ast/Ast.h"
 
-#include <cassert>
 #include <cmath>
 
 using namespace sigc;
@@ -90,46 +89,6 @@ bool sigc::isLogicalOp(BinaryOp Op) {
   default:
     return false;
   }
-}
-
-bool Value::asBool() const {
-  assert(isBoolish() && "asBool() on non-boolean value");
-  return Bool;
-}
-
-double Value::asReal() const {
-  switch (Kind) {
-  case TypeKind::Integer:
-    return static_cast<double>(Int);
-  case TypeKind::Real:
-    return Real;
-  default:
-    assert(false && "asReal() on non-numeric value");
-    return 0.0;
-  }
-}
-
-bool Value::operator==(const Value &RHS) const {
-  if (Kind != RHS.Kind) {
-    // Allow numeric cross-kind comparison (integer vs real).
-    if ((Kind == TypeKind::Integer || Kind == TypeKind::Real) &&
-        (RHS.Kind == TypeKind::Integer || RHS.Kind == TypeKind::Real))
-      return asReal() == RHS.asReal();
-    return false;
-  }
-  switch (Kind) {
-  case TypeKind::Unknown:
-    return true;
-  case TypeKind::Event:
-    return true;
-  case TypeKind::Boolean:
-    return Bool == RHS.Bool;
-  case TypeKind::Integer:
-    return Int == RHS.Int;
-  case TypeKind::Real:
-    return Real == RHS.Real;
-  }
-  return false;
 }
 
 std::string Value::str() const {

@@ -10,6 +10,7 @@
 #ifndef SIGNALC_AST_VALUE_H
 #define SIGNALC_AST_VALUE_H
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -66,11 +67,49 @@ struct Value {
   }
 
   /// Truthiness for boolean/event values; asserts on other kinds.
-  bool asBool() const;
-  /// Numeric view (integer widened to double for mixed arithmetic).
-  double asReal() const;
+  bool asBool() const {
+    assert(isBoolish() && "asBool() on non-boolean value");
+    return Bool;
+  }
 
-  bool operator==(const Value &RHS) const;
+  /// Numeric view (integer widened to double for mixed arithmetic).
+  double asReal() const {
+    switch (Kind) {
+    case TypeKind::Integer:
+      return static_cast<double>(Int);
+    case TypeKind::Real:
+      return Real;
+    default:
+      assert(false && "asReal() on non-numeric value");
+      return 0.0;
+    }
+  }
+
+  /// Structural equality, used by traces and the constant pool: kinds
+  /// must match, except that integers and reals compare numerically. The
+  /// SIGNAL `=` operator compares a boolean and an event by truth instead
+  /// (see evalBinaryValue).
+  bool operator==(const Value &RHS) const {
+    if (Kind != RHS.Kind) {
+      // Allow numeric cross-kind comparison (integer vs real).
+      if ((Kind == TypeKind::Integer || Kind == TypeKind::Real) &&
+          (RHS.Kind == TypeKind::Integer || RHS.Kind == TypeKind::Real))
+        return asReal() == RHS.asReal();
+      return false;
+    }
+    switch (Kind) {
+    case TypeKind::Unknown:
+    case TypeKind::Event:
+      return true;
+    case TypeKind::Boolean:
+      return Bool == RHS.Bool;
+    case TypeKind::Integer:
+      return Int == RHS.Int;
+    case TypeKind::Real:
+      return Real == RHS.Real;
+    }
+    return false;
+  }
   bool operator!=(const Value &RHS) const { return !(*this == RHS); }
 
   /// Renders the value as SIGNAL literal text.

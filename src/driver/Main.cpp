@@ -70,7 +70,8 @@
 ///   --tier-after N     minimum interpreted instants before an auto
 ///                      promotion (warm-up threshold)
 ///   --stats            print the compile report (guard shape, per-stage
-///                      wall time, clock-calculus work) to stderr and,
+///                      wall time, clock-calculus work, VM decode
+///                      coverage and slot-file size) to stderr and,
 ///                      after --simulate, per-run instruction and
 ///                      guard-test counters (and the per-tier instant
 ///                      split when --native is on)
@@ -140,8 +141,11 @@ void printStats(const std::string &Mode, unsigned Instants,
 
 /// The --stats compile report: the shape of the generated guard
 /// structure (Figure 9 wants few, shallow, distinct guards), the wall
-/// time of each stage, and the work of the clock calculus. The clock
-/// counters are deterministic; only the stage times vary run to run.
+/// time of each stage, the work of the clock calculus, and how the VM
+/// decodes the step (instructions with a typed handler, those left to
+/// the generic Value handler, fused clock-literal/skip pairs, and the
+/// bytes of its 8-byte slots). Everything but the stage times is
+/// deterministic.
 void printCompileStats(const Compilation &C) {
   GuardShape G = C.Compiled.guardShape();
   std::fprintf(stderr,
@@ -161,6 +165,11 @@ void printCompileStats(const Compilation &C) {
                static_cast<unsigned long long>(F.BddNodes),
                static_cast<unsigned long long>(C.Bdds.cacheHits() +
                                                C.Bdds.cacheMisses()));
+  VmDecodeStats V = VmExecutor(C.Compiled).decodeStats();
+  std::fprintf(stderr,
+               "stats: vm decoded=%u typed=%u generic=%u fused=%u "
+               "slot_bytes=%zu\n",
+               V.Decoded, V.Typed, V.Generic, V.Fused, V.SlotBytes);
 }
 
 const char *nativeModeName(NativeMode M) {

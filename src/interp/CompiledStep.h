@@ -25,6 +25,12 @@
 /// Executed counters therefore match nested StepExecutor runs bit for bit
 /// — the regression tests pin that equality.
 ///
+/// The operand kinds are static. kinds() derives, per instruction, the
+/// kind it writes and the kinds it reads, in one linear walk; it is the
+/// only kind analysis. The C emitter types its locals by it, and
+/// VmExecutor decodes each instruction into a handler specialized by it
+/// and lays its 8-byte untagged slots out without tags.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIGNALC_INTERP_COMPILEDSTEP_H
@@ -80,6 +86,22 @@ struct VmInstr {
   int32_t Aux = -1;
 };
 
+/// The statically computed Value kinds of one instruction: the kind it
+/// writes and the kinds of its value operands at that program point
+/// (a constant operand has its pool entry's kind). Unknown where the
+/// instruction has no such operand.
+struct InstrKinds {
+  TypeKind Res = TypeKind::Unknown;
+  TypeKind A = TypeKind::Unknown;
+  TypeKind B = TypeKind::Unknown;
+};
+
+/// Result kind of \p Op on operands of kinds \p L and \p R, as
+/// evalBinaryValue computes it.
+TypeKind binaryResultKind(BinaryOp Op, TypeKind L, TypeKind R);
+/// Result kind of \p Op on an operand of kind \p A (evalUnaryValue).
+TypeKind unaryResultKind(UnaryOp Op, TypeKind A);
+
 /// Shape of a step's guard structure (the --stats compile report).
 struct GuardShape {
   unsigned Guards = 0;         ///< SkipIfAbsent instructions.
@@ -127,6 +149,14 @@ struct CompiledStep {
 
   /// Counts the guards of Code and measures their nesting.
   GuardShape guardShape() const;
+
+  /// The kind flow of Code: per instruction, the kind it writes and the
+  /// kinds of its operands. A pure function of Code, Consts,
+  /// ValueSlotType, Inputs and StateInit, computed by one linear walk
+  /// that tracks the kind each slot currently holds. Guards only skip
+  /// code, so the walk sees the kinds every execution sees. The C emitter
+  /// types its locals from it and VmExecutor picks typed handlers by it.
+  std::vector<InstrKinds> kinds() const;
 };
 
 } // namespace sigc

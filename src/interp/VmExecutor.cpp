@@ -10,6 +10,11 @@
 // Both dispatchers execute identical semantics and counters; bench_tier
 // measures them against each other.
 //
+// The op list is the quickened instruction set (Brunthaler, "Efficient
+// interpretation using quickening", DLS 2010): decode() rewrites each
+// CompiledStep instruction once into a handler specialized by the static
+// operand kinds, plus one superinstruction (clock literal + skip).
+//
 //===----------------------------------------------------------------------===//
 
 #include "interp/VmExecutor.h"
@@ -29,6 +34,46 @@
 using namespace sigc;
 
 namespace {
+
+TypeKind kindOf(uint8_t K) { return static_cast<TypeKind>(K); }
+
+bool isRealSlot(TypeKind K) { return K == TypeKind::Real; }
+
+/// The slot of a Value of kind \p K. Numbers convert: an integer for a
+/// real slot widens, a real for an integer slot truncates as the emitted
+/// C's conversion does (out of range, x86's answer INT64_MIN, defined).
+VmSlot toSlot(const Value &V, TypeKind K) {
+  VmSlot S;
+  if (K == TypeKind::Real) {
+    S.R = V.Kind == TypeKind::Integer ? static_cast<double>(V.Int) : V.Real;
+  } else if (V.Kind == TypeKind::Real) {
+    bool InRange =
+        V.Real >= -9223372036854775808.0 && V.Real < 9223372036854775808.0;
+    S.I = InRange ? static_cast<int64_t>(V.Real) : INT64_MIN;
+  } else {
+    S.I = V.isBoolish() ? V.Bool : V.Int;
+  }
+  return S;
+}
+
+/// The Value a slot of static kind \p K holds.
+Value fromSlot(VmSlot S, TypeKind K) {
+  switch (K) {
+  case TypeKind::Real:
+    return Value::makeReal(S.R);
+  case TypeKind::Boolean:
+    return Value::makeBool(S.I != 0);
+  case TypeKind::Event: {
+    Value V = Value::makeEvent();
+    V.Bool = S.I != 0;
+    return V;
+  }
+  case TypeKind::Integer:
+  case TypeKind::Unknown:
+    break;
+  }
+  return Value::makeInt(S.I);
+}
 
 /// Unbatched port: every query crosses the environment boundary.
 struct DirectPort {
@@ -72,6 +117,355 @@ struct BatchPort {
 
 } // namespace
 
+//===--- The op bodies, shared by both dispatchers ------------------------===//
+//
+// Every body runs after `In = Code[PC++]` and `Exec += In.Weight`, in a
+// scope that also sees the slot file S, the delay states State, the
+// clock slots Clock, the port P, the instant, and the guard counter
+// Guards. Jumps assign PC. Bodies may contain commas — the macro is
+// variadic. The handler ids are positional in this list.
+//
+// The typed handlers come from two tables, X(Y, Name, Operator, operand
+// class, result field, expression over the operand slots a and b). Each
+// computes exactly what evalUnaryValue/evalBinaryValue compute for its
+// kinds, including integer orderings compared through double and the
+// wrapping Div/Mod/Neg escapes; vm_test checks every entry against them.
+
+#define SIGC_VM_UNARY_OPS(Y, X)                                                \
+  Y(X, NotB, Not, Bool, I, a.I == 0)                                           \
+  Y(X, NegI, Neg, Int, I, wrapNeg(a.I))                                        \
+  Y(X, NegR, Neg, Real, R, -a.R)
+
+#define SIGC_VM_BINARY_OPS(Y, X)                                               \
+  Y(X, AddI, Add, Int, I, wrapAdd(a.I, b.I))                                   \
+  Y(X, AddR, Add, Real, R, a.R + b.R)                                          \
+  Y(X, SubI, Sub, Int, I, wrapSub(a.I, b.I))                                   \
+  Y(X, SubR, Sub, Real, R, a.R - b.R)                                          \
+  Y(X, MulI, Mul, Int, I, wrapMul(a.I, b.I))                                   \
+  Y(X, MulR, Mul, Real, R, a.R * b.R)                                          \
+  Y(X, DivI, Div, Int, I,                                                      \
+    b.I == 0 ? 0 : b.I == -1 ? wrapNeg(a.I) : a.I / b.I)                       \
+  Y(X, DivR, Div, Real, R, b.R == 0.0 ? 0.0 : a.R / b.R)                       \
+  Y(X, ModI, Mod, Int, I,                                                      \
+    (b.I == 0 || b.I == -1) ? 0 : ((a.I % b.I) + b.I) % b.I)                   \
+  Y(X, AndB, And, Bool, I, (a.I != 0) && (b.I != 0))                           \
+  Y(X, OrB, Or, Bool, I, (a.I != 0) || (b.I != 0))                             \
+  Y(X, XorB, Xor, Bool, I, (a.I != 0) != (b.I != 0))                           \
+  Y(X, EqI, Eq, Int, I, a.I == b.I)                                            \
+  Y(X, EqR, Eq, Real, I, a.R == b.R)                                           \
+  Y(X, EqB, Eq, Bool, I, (a.I != 0) == (b.I != 0))                             \
+  Y(X, NeI, Ne, Int, I, a.I != b.I)                                            \
+  Y(X, NeR, Ne, Real, I, !(a.R == b.R))                                        \
+  Y(X, NeB, Ne, Bool, I, (a.I != 0) != (b.I != 0))                             \
+  Y(X, LtI, Lt, Int, I, static_cast<double>(a.I) < static_cast<double>(b.I))   \
+  Y(X, LtR, Lt, Real, I, a.R < b.R)                                            \
+  Y(X, LeI, Le, Int, I, static_cast<double>(a.I) <= static_cast<double>(b.I))  \
+  Y(X, LeR, Le, Real, I, a.R <= b.R)                                           \
+  Y(X, GtI, Gt, Int, I, static_cast<double>(a.I) > static_cast<double>(b.I))   \
+  Y(X, GtR, Gt, Real, I, a.R > b.R)                                            \
+  Y(X, GeI, Ge, Int, I, static_cast<double>(a.I) >= static_cast<double>(b.I))  \
+  Y(X, GeR, Ge, Real, I, a.R >= b.R)
+
+// The ops that often repeat back to back, Y(X, Name, statement over the
+// instruction R). Each gets a single handler and a run handler. A run
+// head's Weight is its run length (each element weighs 1), and the run
+// handler executes the whole run in one dispatch; decode makes every
+// element the head of its own suffix, so a jump into a run still works.
+#define SIGC_VM_RUN_OPS(Y, X)                                                  \
+  Y(X, EvalClockAnd, Clock[R->Target] = Clock[R->A] & Clock[R->B];)            \
+  Y(X, EvalClockOr, Clock[R->Target] = Clock[R->A] | Clock[R->B];)             \
+  Y(X, Select, S[R->Target] = Clock[R->Aux] ? S[R->A] : S[R->B];)              \
+  Y(X, StoreDelay, State[R->Target] = S[R->A];)
+
+#define SIGC_VM_RUN_BODIES(X, Name, Stmt)                                      \
+  X(Name, const Instr *R = &In; Stmt)                                          \
+  X(Name##Run, const Instr *R = &In;                                           \
+    for (const Instr *E = R + In.Weight; R != E; ++R) { Stmt }                 \
+    PC += In.Weight - 1;)
+
+#define SIGC_VM_UNARY_BODY(X, Name, Op, Class, F, Expr)                        \
+  X(Name, const VmSlot &a = S[In.A]; S[In.Target].F = (Expr);)
+#define SIGC_VM_BINARY_BODY(X, Name, Op, Class, F, Expr)                       \
+  X(Name, const VmSlot &a = S[In.A]; const VmSlot &b = S[In.B];               \
+    S[In.Target].F = (Expr);)
+
+#define SIGC_VM_OPS(X)                                                         \
+  X(Halt, GuardTests = Guards; Executed = Exec; return;)                       \
+  X(SkipIfAbsent, ++Guards; if (!Clock[In.A]) PC = In.Aux;)                    \
+  X(ClockLiteralT, Clock[In.Target] = S[In.A].I != 0;)                         \
+  X(ClockLiteralF, Clock[In.Target] = S[In.A].I == 0;)                         \
+  X(ClockLiteralSkipT, ++Guards; Clock[In.Target] = S[In.A].I != 0;          \
+    PC = Clock[In.B] ? PC + 1 : In.Aux;)                                       \
+  X(ClockLiteralSkipF, ++Guards; Clock[In.Target] = S[In.A].I == 0;          \
+    PC = Clock[In.B] ? PC + 1 : In.Aux;)                                       \
+  X(ReadClockInput, Clock[In.Target] = P.tick(In.Aux, Instant) ? 1 : 0;)       \
+  X(EvalClockDiff,                                                             \
+    Clock[In.Target] = static_cast<char>(Clock[In.A] & (Clock[In.B] ^ 1));)    \
+  X(CopyClock, Clock[In.Target] = Clock[In.A];)                                \
+  X(SetClockFalse, Clock[In.Target] = 0;)                                      \
+  X(ReadSignal,                                                                \
+    S[In.Target] = toSlot(P.input(In.Aux, Instant), kindOf(In.KA));)           \
+  X(Copy, S[In.Target] = S[In.A];)                                             \
+  X(LoadDelay, S[In.Target] = State[In.A];)                                    \
+  X(WriteOutput, P.output(In.Aux, Instant, fromSlot(S[In.A], kindOf(In.KA)));) \
+  SIGC_VM_RUN_OPS(SIGC_VM_RUN_BODIES, X)                                       \
+  SIGC_VM_UNARY_OPS(SIGC_VM_UNARY_BODY, X)                                     \
+  SIGC_VM_BINARY_OPS(SIGC_VM_BINARY_BODY, X)                                   \
+  SIGC_VM_GENERIC_OPS(X)
+
+// The generic handlers: Values materialized by the static kinds, one
+// definition of the operators. Mixed integer/real arithmetic lands here,
+// and so does a default whose arms are stored differently (sema rules
+// that out) or a delay storing an integer into a real memory (an integer
+// signal with a real init). The conversions are the emitted C's.
+#define SIGC_VM_GENERIC_OPS(X)                                                 \
+  X(UnaryGeneric,                                                              \
+    Value V = evalUnaryValue(static_cast<UnaryOp>(In.Aux),                     \
+                             fromSlot(S[In.A], kindOf(In.KA)));                \
+    S[In.Target] = toSlot(V, V.Kind);)                                         \
+  X(BinaryGeneric,                                                             \
+    Value V = evalBinaryValue(static_cast<BinaryOp>(In.Aux),                   \
+                              fromSlot(S[In.A], kindOf(In.KA)),                \
+                              fromSlot(S[In.B], kindOf(In.KB)));               \
+    S[In.Target] = toSlot(V, V.Kind);)                                         \
+  X(SelectGeneric,                                                             \
+    S[In.Target] = toSlot(Clock[In.Aux] ? fromSlot(S[In.A], kindOf(In.KA))     \
+                                        : fromSlot(S[In.B], kindOf(In.KB)),    \
+                          TypeKind::Real);)                                    \
+  X(StoreDelayGeneric,                                                         \
+    State[In.Target] = toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB));)
+
+namespace {
+
+/// Handler ids, positional in SIGC_VM_OPS.
+enum Handler : uint8_t {
+#define SIGC_VM_ENUM(Name, ...) H_##Name,
+  SIGC_VM_OPS(SIGC_VM_ENUM)
+#undef SIGC_VM_ENUM
+};
+
+static_assert(H_Halt == 0, "a default Instr must be the Halt sentinel");
+
+const char *const HandlerNames[] = {
+#define SIGC_VM_NAME(Name, ...) #Name,
+    SIGC_VM_OPS(SIGC_VM_NAME)
+#undef SIGC_VM_NAME
+};
+
+/// The operand class \p K is specialized as, if any.
+bool vmKindOf(TypeKind K, VmKind &Out) {
+  switch (K) {
+  case TypeKind::Integer:
+    Out = VmKind::Int;
+    return true;
+  case TypeKind::Real:
+    Out = VmKind::Real;
+    return true;
+  case TypeKind::Boolean:
+  case TypeKind::Event:
+    Out = VmKind::Bool;
+    return true;
+  case TypeKind::Unknown:
+    break;
+  }
+  return false;
+}
+
+/// The typed handler of \p Op on a \p A operand, or H_UnaryGeneric.
+Handler unaryHandler(UnaryOp Op, TypeKind A) {
+  VmKind K;
+  if (!vmKindOf(A, K))
+    return H_UnaryGeneric;
+#define SIGC_VM_PICK(X, Name, O, C, F, Expr)                                   \
+  if (Op == UnaryOp::O && K == VmKind::C)                                      \
+    return H_##Name;
+  SIGC_VM_UNARY_OPS(SIGC_VM_PICK, _)
+#undef SIGC_VM_PICK
+  return H_UnaryGeneric;
+}
+
+/// The typed handler of \p Op on operands of kinds \p L and \p R, or
+/// H_BinaryGeneric. Any boolean/event pair shares the Bool class.
+Handler binaryHandler(BinaryOp Op, TypeKind L, TypeKind R) {
+  VmKind KL, KR;
+  if (!vmKindOf(L, KL) || !vmKindOf(R, KR) || KL != KR)
+    return H_BinaryGeneric;
+#define SIGC_VM_PICK(X, Name, O, C, F, Expr)                                   \
+  if (Op == BinaryOp::O && KL == VmKind::C)                                    \
+    return H_##Name;
+  SIGC_VM_BINARY_OPS(SIGC_VM_PICK, _)
+#undef SIGC_VM_PICK
+  return H_BinaryGeneric;
+}
+
+/// The run handler of \p H, or \p H when it has none.
+uint8_t runHandler(uint8_t H) {
+  switch (H) {
+#define SIGC_VM_RUN_OF(X, Name, Stmt)                                          \
+  case H_##Name:                                                               \
+    return H_##Name##Run;
+    SIGC_VM_RUN_OPS(SIGC_VM_RUN_OF, _)
+#undef SIGC_VM_RUN_OF
+  default:
+    return H;
+  }
+}
+
+bool isGeneric(uint8_t H) {
+  return H == H_UnaryGeneric || H == H_BinaryGeneric || H == H_SelectGeneric ||
+         H == H_StoreDelayGeneric;
+}
+
+} // namespace
+
+const std::vector<VmTypedHandler> &VmExecutor::typedHandlers() {
+  static const std::vector<VmTypedHandler> Table = {
+#define SIGC_VM_ROW_UNARY(X, Name, O, C, F, Expr)                              \
+  {#Name, true, static_cast<uint8_t>(UnaryOp::O), VmKind::C},
+#define SIGC_VM_ROW_BINARY(X, Name, O, C, F, Expr)                             \
+  {#Name, false, static_cast<uint8_t>(BinaryOp::O), VmKind::C},
+      SIGC_VM_UNARY_OPS(SIGC_VM_ROW_UNARY, _)
+      SIGC_VM_BINARY_OPS(SIGC_VM_ROW_BINARY, _)
+#undef SIGC_VM_ROW_UNARY
+#undef SIGC_VM_ROW_BINARY
+  };
+  return Table;
+}
+
+VmExecutor::VmExecutor(const CompiledStep &CS) : CS(CS) {
+  decode();
+  reset();
+}
+
+const char *VmExecutor::decodedOpName(size_t PC) const {
+  return HandlerNames[Code[PC].Op];
+}
+
+void VmExecutor::decode() {
+  const std::vector<InstrKinds> Kinds = CS.kinds();
+  const int32_t ConstBase =
+      static_cast<int32_t>(CS.NumValueSlots + CS.NumTempSlots);
+  const size_t N = CS.Code.size();
+  Stats = VmDecodeStats();
+  Code.assign(N + 1, Instr()); // The last entry stays the Halt sentinel.
+  for (size_t PC = 0; PC < N; ++PC) {
+    const VmInstr &V = CS.Code[PC];
+    const InstrKinds &K = Kinds[PC];
+    Instr &D = Code[PC];
+    D.Weight = V.Weight;
+    D.Target = V.Target;
+    D.A = V.A;
+    D.B = V.B;
+    D.Aux = V.Aux;
+    D.KA = static_cast<uint8_t>(K.A);
+    D.KB = static_cast<uint8_t>(K.B);
+    switch (V.Op) {
+    case VmOp::SkipIfAbsent:
+      D.Op = H_SkipIfAbsent;
+      break;
+    case VmOp::EvalClockLiteral: {
+      bool Positive = V.Aux != 0;
+      if (PC + 1 < N && CS.Code[PC + 1].Op == VmOp::SkipIfAbsent) {
+        // The superinstruction takes over the skip's clock and target
+        // (the skip may test the clock just written or another one); the
+        // skip itself stays in place for jumps that land on it.
+        D.Op = Positive ? H_ClockLiteralSkipT : H_ClockLiteralSkipF;
+        D.B = CS.Code[PC + 1].A;
+        D.Aux = CS.Code[PC + 1].Aux;
+        ++Stats.Fused;
+      } else {
+        D.Op = Positive ? H_ClockLiteralT : H_ClockLiteralF;
+      }
+      break;
+    }
+    case VmOp::ReadClockInput:
+      D.Op = H_ReadClockInput;
+      break;
+    case VmOp::EvalClockAnd:
+      D.Op = H_EvalClockAnd;
+      break;
+    case VmOp::EvalClockOr:
+      D.Op = H_EvalClockOr;
+      break;
+    case VmOp::EvalClockDiff:
+      D.Op = H_EvalClockDiff;
+      break;
+    case VmOp::CopyClock:
+      D.Op = H_CopyClock;
+      break;
+    case VmOp::SetClockFalse:
+      D.Op = H_SetClockFalse;
+      break;
+    case VmOp::ReadSignal:
+      D.Op = H_ReadSignal;
+      D.KA = static_cast<uint8_t>(K.Res);
+      break;
+    case VmOp::UnarySlot:
+      D.Op = unaryHandler(static_cast<UnaryOp>(V.Aux), K.A);
+      break;
+    case VmOp::BinarySS:
+    case VmOp::BinarySC:
+    case VmOp::BinaryCS:
+      // Constants live in the slot file: all three forms become one.
+      if (V.Op == VmOp::BinaryCS)
+        D.A = ConstBase + V.A;
+      if (V.Op == VmOp::BinarySC)
+        D.B = ConstBase + V.B;
+      D.Op = binaryHandler(static_cast<BinaryOp>(V.Aux), K.A, K.B);
+      break;
+    case VmOp::CopyValue:
+      D.Op = H_Copy;
+      break;
+    case VmOp::LoadConst:
+      D.Op = H_Copy;
+      D.A = ConstBase + V.Aux;
+      break;
+    case VmOp::Select:
+      D.Op = isRealSlot(K.A) == isRealSlot(K.Res) &&
+                     isRealSlot(K.B) == isRealSlot(K.Res)
+                 ? H_Select
+                 : H_SelectGeneric;
+      break;
+    case VmOp::LoadDelay:
+      D.Op = H_LoadDelay;
+      break;
+    case VmOp::StoreDelay: {
+      TypeKind StateKind = CS.StateInit[V.Target].Kind;
+      D.KB = static_cast<uint8_t>(StateKind);
+      D.Op = isRealSlot(K.A) == isRealSlot(StateKind) ? H_StoreDelay
+                                                       : H_StoreDelayGeneric;
+      break;
+    }
+    case VmOp::WriteOutput:
+      D.Op = H_WriteOutput;
+      break;
+    }
+    if (isGeneric(D.Op))
+      ++Stats.Generic;
+    else
+      ++Stats.Typed;
+  }
+  // Runs of one runnable handler, found back to front so each element
+  // heads its own suffix; a head's weight becomes the run length.
+  for (size_t PC = N; PC-- > 0;) {
+    Instr &D = Code[PC];
+    uint8_t Run = runHandler(D.Op);
+    if (Run == D.Op || D.Weight != 1)
+      continue;
+    const Instr &Next = Code[PC + 1];
+    if (Next.Op == Run && Next.Weight < INT8_MAX) {
+      D.Op = Run;
+      D.Weight = static_cast<int8_t>(Next.Weight + 1);
+    } else if (Next.Op == D.Op && Next.Weight == 1) {
+      D.Op = Run;
+      D.Weight = 2;
+    }
+  }
+  Stats.Decoded = static_cast<unsigned>(N);
+  Stats.SlotBytes = sizeof(VmSlot) * (static_cast<size_t>(ConstBase) +
+                                      CS.Consts.size() + CS.StateInit.size());
+}
+
 bool VmExecutor::computedGotoAvailable() {
   return SIGC_VM_COMPUTED_GOTO != 0;
 }
@@ -82,15 +476,28 @@ void VmExecutor::setDispatch(VmDispatch D) {
 
 void VmExecutor::reset() {
   ClockSlots.assign(CS.NumClockSlots, 0);
-  // Scratch slots for interior expression results live after the values.
-  ValueSlots.assign(CS.NumValueSlots + CS.NumTempSlots, Value());
-  StateSlots = CS.StateInit;
+  // Scratch slots for interior expression results live after the values,
+  // the constant pool after the scratch slots.
+  const size_t ConstBase = CS.NumValueSlots + CS.NumTempSlots;
+  Slots.assign(ConstBase + CS.Consts.size(), VmSlot{0});
+  for (size_t I = 0; I < CS.Consts.size(); ++I)
+    Slots[ConstBase + I] = toSlot(CS.Consts[I], CS.Consts[I].Kind);
+  setStateSlots(CS.StateInit);
+}
+
+std::vector<Value> VmExecutor::stateSlots() const {
+  std::vector<Value> Out(StateSlots.size());
+  for (size_t I = 0; I < StateSlots.size(); ++I)
+    Out[I] = fromSlot(StateSlots[I], CS.StateInit[I].Kind);
+  return Out;
 }
 
 void VmExecutor::setStateSlots(const std::vector<Value> &S) {
-  assert(S.size() == StateSlots.size() &&
+  assert(S.size() == CS.StateInit.size() &&
          "state snapshot does not match the compiled step");
-  StateSlots = S;
+  StateSlots.resize(S.size());
+  for (size_t I = 0; I < S.size(); ++I)
+    StateSlots[I] = toSlot(S[I], CS.StateInit[I].Kind);
 }
 
 void VmExecutor::bind(Environment &Env) {
@@ -107,67 +514,24 @@ void VmExecutor::bind(Environment &Env) {
   }
 }
 
-//===--- The op bodies, shared by both dispatchers ------------------------===//
-//
-// X(Name, Body...) per opcode, listed in VmOp declaration order (the
-// computed-goto table is built positionally from this list). SkipIfAbsent
-// is not in the list: it is the one op that moves the PC non-linearly and
-// bumps GuardTests instead of Executed, so each dispatcher hand-rolls it.
-// Bodies may contain commas — the macro is variadic.
-
-#define SIGC_VM_OPS(X)                                                         \
-  X(ReadClockInput, Clock[In.Target] = P.tick(In.Aux, Instant) ? 1 : 0;)       \
-  X(EvalClockLiteral, bool V = Vals[In.A].asBool();                            \
-    Clock[In.Target] = (V == (In.Aux != 0)) ? 1 : 0;)                          \
-  X(EvalClockAnd, Clock[In.Target] = Clock[In.A] & Clock[In.B];)               \
-  X(EvalClockOr, Clock[In.Target] = Clock[In.A] | Clock[In.B];)                \
-  X(EvalClockDiff,                                                             \
-    Clock[In.Target] = static_cast<char>(Clock[In.A] & (Clock[In.B] ^ 1));)    \
-  X(CopyClock, Clock[In.Target] = Clock[In.A];)                                \
-  X(SetClockFalse, Clock[In.Target] = 0;)                                      \
-  X(ReadSignal, Vals[In.Target] = P.input(In.Aux, Instant);)                   \
-  X(UnarySlot, Vals[In.Target] =                                               \
-        evalUnaryValue(static_cast<UnaryOp>(In.Aux), Vals[In.A]);)             \
-  X(BinarySS, Vals[In.Target] = evalBinaryValue(static_cast<BinaryOp>(In.Aux), \
-                                                Vals[In.A], Vals[In.B]);)      \
-  X(BinarySC, Vals[In.Target] = evalBinaryValue(static_cast<BinaryOp>(In.Aux), \
-                                                Vals[In.A], Consts[In.B]);)    \
-  X(BinaryCS, Vals[In.Target] = evalBinaryValue(static_cast<BinaryOp>(In.Aux), \
-                                                Consts[In.A], Vals[In.B]);)    \
-  X(CopyValue, Vals[In.Target] = Vals[In.A];)                                  \
-  X(LoadConst, Vals[In.Target] = Consts[In.Aux];)                              \
-  X(Select, Vals[In.Target] = Clock[In.Aux] ? Vals[In.A] : Vals[In.B];)        \
-  X(LoadDelay, Vals[In.Target] = State[In.A];)                                 \
-  X(StoreDelay, State[In.Target] = Vals[In.A];)                                \
-  X(WriteOutput, P.output(In.Aux, Instant, Vals[In.A]);)
-
 template <typename Port>
 void VmExecutor::execInstantSwitch(Port &P, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
-  const VmInstr *Code = CS.Code.data();
-  const int32_t End = static_cast<int32_t>(CS.Code.size());
+  const Instr *Code = this->Code.data();
   char *Clock = ClockSlots.data();
-  Value *Vals = ValueSlots.data();
-  Value *State = StateSlots.data();
-  const Value *Consts = CS.Consts.data();
+  VmSlot *S = Slots.data();
+  VmSlot *State = StateSlots.data();
+  uint64_t Guards = GuardTests, Exec = Executed;
 
   int32_t PC = 0;
-  while (PC < End) {
-    const VmInstr &In = Code[PC];
-    if (In.Op == VmOp::SkipIfAbsent) {
-      ++GuardTests;
-      PC = Clock[In.A] ? PC + 1 : In.Aux;
-      continue;
-    }
-    ++PC;
-    Executed += In.Weight;
+  for (;;) {
+    const Instr &In = Code[PC++];
+    Exec += In.Weight;
     switch (In.Op) {
-    case VmOp::SkipIfAbsent:
-      break; // handled above
 #define SIGC_VM_CASE(Name, ...)                                                \
-  case VmOp::Name: {                                                           \
+  case H_##Name: {                                                             \
     __VA_ARGS__                                                                \
     break;                                                                     \
   }
@@ -183,41 +547,28 @@ void VmExecutor::execInstantGoto(Port &P, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
-  const VmInstr *Code = CS.Code.data();
-  const int32_t End = static_cast<int32_t>(CS.Code.size());
+  const Instr *Code = this->Code.data();
   char *Clock = ClockSlots.data();
-  Value *Vals = ValueSlots.data();
-  Value *State = StateSlots.data();
-  const Value *Consts = CS.Consts.data();
+  VmSlot *S = Slots.data();
+  VmSlot *State = StateSlots.data();
+  uint64_t Guards = GuardTests, Exec = Executed;
 
-  // Positional dispatch table: one label per VmOp, in declaration order.
+  // Positional dispatch table: one label per handler, in SIGC_VM_OPS
+  // order.
 #define SIGC_VM_TABLE_ENTRY(Name, ...) &&L_##Name,
-  static const void *const Table[] = {&&L_SkipIfAbsent,
-                                      SIGC_VM_OPS(SIGC_VM_TABLE_ENTRY)};
+  static const void *const Table[] = {SIGC_VM_OPS(SIGC_VM_TABLE_ENTRY)};
 #undef SIGC_VM_TABLE_ENTRY
 
+  // No bounds test: the stream ends in the Halt sentinel.
   int32_t PC = 0;
-#define SIGC_VM_DISPATCH()                                                     \
-  do {                                                                         \
-    if (PC >= End)                                                             \
-      return;                                                                  \
-    goto *Table[static_cast<uint8_t>(Code[PC].Op)];                            \
-  } while (0)
+#define SIGC_VM_DISPATCH() goto *Table[Code[PC].Op]
 
   SIGC_VM_DISPATCH();
-
-L_SkipIfAbsent: {
-  const VmInstr &In = Code[PC];
-  ++GuardTests;
-  PC = Clock[In.A] ? PC + 1 : In.Aux;
-  SIGC_VM_DISPATCH();
-}
 
 #define SIGC_VM_LABEL(Name, ...)                                               \
   L_##Name: {                                                                  \
-    const VmInstr &In = Code[PC];                                              \
-    ++PC;                                                                      \
-    Executed += In.Weight;                                                     \
+    const Instr &In = Code[PC++];                                              \
+    Exec += In.Weight;                                                         \
     __VA_ARGS__                                                                \
     SIGC_VM_DISPATCH();                                                        \
   }

@@ -9,6 +9,31 @@
 /// environment) pair. In the steady state one instant performs zero heap
 /// allocations (pinned by the counting-allocator test).
 ///
+/// Slot layout. Values, scratch results, constants and delay states are
+/// 8-byte untagged VmSlots: integers in I, reals in R, booleans and
+/// events as 0/1 in I. One slot file holds the signal values, then the
+/// scratch slots, then a copy of the constant pool, so a constant
+/// operand is just another slot. The kind of every operand is static
+/// (CompiledStep::kinds()); tagged Values appear only at the boundaries:
+/// environment inputs are converted by the input descriptor's type,
+/// outputs by the operand's static kind, and stateSlots()/setStateSlots()
+/// materialize the delay state for a tier swap.
+///
+/// Decode. The constructor decodes CompiledStep::Code once into the
+/// executor's own instruction array, index for index, so skip offsets
+/// carry over unchanged. Each unary/binary instruction is quickened to a
+/// handler specialized by operator and operand kinds (AddI, AddR, LtI,
+/// EqB, NotB, ...); a kind combination without one (mixed integer/real
+/// arithmetic, say) gets the generic handler, which calls
+/// evalBinaryValue/evalUnaryValue, so the operators keep one definition.
+/// An EvalClockLiteral directly followed by a SkipIfAbsent (on the clock
+/// it writes or on another one) decodes to one fused instruction that
+/// writes the clock, tests the skip's clock, counts both instructions
+/// and jumps; the original skip stays in the array for any skip offset
+/// that lands on it. A run of back-to-back clock and/or instructions,
+/// default selects or delay stores executes in one dispatch. A Halt
+/// sentinel ends the array, so the dispatch needs no bounds test.
+///
 /// stepN() runs a whole batch of instants with one environment crossing
 /// per descriptor: free-clock ticks and input values are fetched up
 /// front through the bulk exchange API, outputs are buffered and flushed
@@ -42,10 +67,50 @@ enum class VmDispatch : uint8_t {
   Goto,   ///< Direct-threaded computed-goto dispatch.
 };
 
+/// One untagged 8-byte value slot.
+union VmSlot {
+  int64_t I; ///< Integers; booleans and events as 0/1.
+  double R;  ///< Reals.
+};
+
+/// Operand class a typed handler is specialized for.
+enum class VmKind : uint8_t {
+  Int,  ///< Integer.
+  Real, ///< Real.
+  Bool, ///< Boolean or event (any pair of them).
+};
+
+/// One entry of the typed handler table: the handler's name and the
+/// operator and operand class it implements. Both operands of a binary
+/// handler share the class.
+struct VmTypedHandler {
+  const char *Name;
+  bool Unary;
+  uint8_t Op; ///< A UnaryOp when Unary, else a BinaryOp.
+  VmKind Kind;
+};
+
+/// Decode summary (the --stats vm line).
+struct VmDecodeStats {
+  unsigned Decoded = 0; ///< Instructions decoded (CompiledStep::Code).
+  unsigned Typed = 0;   ///< Decoded to a handler on untagged slots.
+  unsigned Generic = 0; ///< Decoded to a generic handler on Values.
+  unsigned Fused = 0;   ///< Clock-literal/skip pairs fused.
+  size_t SlotBytes = 0; ///< Value, scratch, constant and state slots.
+};
+
 /// Interprets a CompiledStep.
 class VmExecutor {
 public:
-  explicit VmExecutor(const CompiledStep &CS) : CS(CS) { reset(); }
+  explicit VmExecutor(const CompiledStep &CS);
+
+  /// The typed unary/binary handlers decode can select.
+  static const std::vector<VmTypedHandler> &typedHandlers();
+
+  /// How the constructor decoded the step.
+  const VmDecodeStats &decodeStats() const { return Stats; }
+  /// Name of the handler instruction \p PC of the step decoded to.
+  const char *decodedOpName(size_t PC) const;
 
   /// True when this build carries the computed-goto dispatcher
   /// (GCC/Clang; disable with -DSIGC_VM_NO_COMPUTED_GOTO).
@@ -107,19 +172,19 @@ public:
     Executed = 0;
   }
 
-  /// Post-step inspection (testing, linked dynamic checks).
+  /// Post-step inspection (linked dynamic checks).
   bool clockPresent(int Slot) const { return ClockSlots[Slot] != 0; }
-  const Value &value(int Slot) const { return ValueSlots[Slot]; }
 
   /// The environment binding of the last bind() (linked wiring reads it).
   const StepBindings &bindings() const { return Bind; }
 
   //===--- State exchange (tier hot-swap, tests) --------------------------===//
 
-  /// The delay-state slots as they stand now. Taken at a batch boundary
-  /// this is the complete execution state beyond the stimulus itself —
-  /// what the native tier imports on a VM->native hot swap.
-  const std::vector<Value> &stateSlots() const { return StateSlots; }
+  /// The delay-state slots as they stand now, as Values of the state
+  /// kinds. Taken at a batch boundary this is the complete execution
+  /// state beyond the stimulus itself — what the native tier imports on a
+  /// VM->native hot swap.
+  std::vector<Value> stateSlots() const;
 
   /// Restores delay state captured by stateSlots() (a native->VM swap or
   /// a checkpoint restore). Sizes must match the compiled step.
@@ -140,13 +205,33 @@ private:
   template <typename Port> void execInstantSwitch(Port &P, unsigned Instant);
   template <typename Port> void execInstantGoto(Port &P, unsigned Instant);
 
+  /// Fills Code from CS.Code (see the file comment).
+  void decode();
+
+  /// One decoded instruction. Fields keep their VmInstr meanings, except
+  /// that constant operands are remapped into the slot file and the
+  /// kinds are the static operand kinds the boundary and generic
+  /// handlers convert by.
+  struct Instr {
+    uint8_t Op = 0;    ///< Handler, in SIGC_VM_OPS order.
+    int8_t Weight = 0; ///< VmInstr's; a run head's: the run length.
+    uint8_t KA = 0; ///< TypeKind of operand A (ReadSignal: of the input).
+    uint8_t KB = 0; ///< TypeKind of operand B (StoreDelay: of the state).
+    int32_t Target = -1;
+    int32_t A = -1;
+    int32_t B = -1;
+    int32_t Aux = -1;
+  };
+
   const CompiledStep &CS;
+  std::vector<Instr> Code; ///< Decoded CS.Code plus a Halt sentinel.
+  VmDecodeStats Stats;
   bool UseGoto = computedGotoAvailable();
   uint64_t BoundIdentity = 0; ///< identity() of the bound environment.
   StepBindings Bind;
   std::vector<char> ClockSlots;
-  std::vector<Value> ValueSlots; ///< Values, then scratch slots.
-  std::vector<Value> StateSlots;
+  std::vector<VmSlot> Slots; ///< Values, then scratch, then constants.
+  std::vector<VmSlot> StateSlots;
   uint64_t GuardTests = 0;
   uint64_t Executed = 0;
 

@@ -23,10 +23,12 @@
 
 namespace sigc {
 
-/// Bumped whenever the generated shim ABI or the hashed serialization
-/// changes; stale cache entries from older binaries then miss instead of
-/// loading with a wrong shape.
-constexpr int NativeFormatVersion = 1;
+/// Bumped whenever the generated shim ABI, the hashed serialization or
+/// the C meaning of the bytecode changes; stale cache entries from older
+/// binaries then miss instead of loading with a wrong shape or an old
+/// semantics. Version 2: `=`/`/=` between an event and a boolean compare
+/// truth values instead of folding to unequal.
+constexpr int NativeFormatVersion = 2;
 
 /// The flags every cached artifact is compiled with (part of the hash, so
 /// changing them invalidates the cache).

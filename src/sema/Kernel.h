@@ -225,9 +225,14 @@ inline Value evalBinaryValue(BinaryOp Op, const Value &L, const Value &R) {
   case BinaryOp::Xor:
     return Value::makeBool(L.asBool() != R.asBool());
   case BinaryOp::Eq:
-    return Value::makeBool(L == R);
-  case BinaryOp::Ne:
-    return Value::makeBool(!(L == R));
+  case BinaryOp::Ne: {
+    // Boolish operands compare by truth: sema accepts `=` between any
+    // boolean/event pair, an event being an always-true boolean.
+    // Value::operator== would call a boolean and an event unequal.
+    bool Equal = L.isBoolish() && R.isBoolish() ? L.asBool() == R.asBool()
+                                                : L == R;
+    return Value::makeBool(Op == BinaryOp::Eq ? Equal : !Equal);
+  }
   case BinaryOp::Lt:
     return Value::makeBool(L.asReal() < R.asReal());
   case BinaryOp::Le:

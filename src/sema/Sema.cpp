@@ -130,8 +130,9 @@ TypeKind Sema::checkExpr(const ProcessDecl &D, Expr *E) {
       Diags.error(E->loc(), "'$' cannot be applied to an event signal");
       return TypeKind::Unknown;
     }
-    if (!typesCompatible(T, Dl->init().Kind) &&
-        !typesCompatible(Dl->init().Kind, T)) {
+    // As for 'cell': the initial value must be one the signal can hold
+    // (an integer for a real signal, not a real for an integer one).
+    if (!typesCompatible(T, Dl->init().Kind)) {
       Diags.error(E->loc(),
                   std::string("'init' value type ") +
                       typeName(Dl->init().Kind) +

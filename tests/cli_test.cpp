@@ -171,6 +171,13 @@ TEST(Cli, StatsReportsGuardShape) {
                           "bdd_cache_probes=36\n"),
             std::string::npos)
       << R.Output;
+  // The VM decode is deterministic: every instruction of FIG5_ALARM gets
+  // a typed handler, three clock literals fuse with the skip after them,
+  // and the slot file (values, scratch, constants, states) is 16 slots.
+  EXPECT_NE(R.Output.find("\nstats: vm decoded=41 typed=41 generic=0 "
+                          "fused=3 slot_bytes=128\n"),
+            std::string::npos)
+      << R.Output;
   // The run line keeps its exact shape: benchmark scripts parse it.
   EXPECT_TRUE(std::regex_search(
       R.Output, std::regex("\nstats: mode=vm instants=16 executed=[0-9]+ "

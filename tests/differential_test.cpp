@@ -11,6 +11,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Driver.h"
+#include "interp/KernelInterp.h"
+#include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 #include "testing/Oracle.h"
 #include "testing/RandomProgram.h"
@@ -199,13 +202,12 @@ TEST(DifferentialEmitC, AlarmLargeBatchWindow) {
 }
 
 TEST(DifferentialEmitC, BooleanVsEventComparisonMatchesValueSemantics) {
-  // Sema accepts `=` between any boolish pair, and Value::operator==
-  // makes a boolean and an event compare unequal regardless of payload;
-  // the emitted C must fold the comparison the same way the VM
-  // evaluates it (historically it compared the int representations and
-  // answered true).
-  if (!hostCCompilerAvailable())
-    GTEST_SKIP() << "no host C compiler";
+  // Sema accepts `=` between any boolish pair, an event being an
+  // always-true boolean, so B = E is B and B /= E is not B. Every engine
+  // must answer that: the VM and the fixpoint interpreter (checked
+  // directly below), and the step executors and the emitted C (checked
+  // equal to them by the oracle). Value::operator== would call a boolean
+  // and an event unequal whatever the payload.
   const char *Source =
       "process P =\n"
       "  ( ? boolean B; event E; ! boolean Y, N; )\n"
@@ -213,13 +215,102 @@ TEST(DifferentialEmitC, BooleanVsEventComparisonMatchesValueSemantics) {
       "   | N := B /= E\n"
       "   | synchro {B, E}\n"
       "  |);\n";
+  const unsigned Instants = 24;
+  auto C = compileSource("bool-vs-event", Source);
+  ASSERT_TRUE(C->Ok);
+  RandomEnvironment EnvVm(13), EnvRef(13);
+  VmExecutor Vm(C->Compiled);
+  Vm.run(EnvVm, Instants);
+  KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
+  ASSERT_TRUE(Ref.run(EnvRef, Instants));
+  for (RandomEnvironment *Env : {&EnvVm, &EnvRef}) {
+    unsigned Trues = 0, Falses = 0;
+    for (const OutputEvent &Ev : Env->outputs()) {
+      bool B = Env->inputValue("B", TypeKind::Boolean, Ev.Instant).asBool();
+      ASSERT_EQ(Ev.Val.Kind, TypeKind::Boolean) << Ev.Signal;
+      EXPECT_EQ(Ev.Val.Bool, Ev.Signal == "Y" ? B : !B)
+          << Ev.Signal << " at instant " << Ev.Instant;
+      (B ? Trues : Falses) += Ev.Signal == "Y";
+    }
+    EXPECT_GT(Trues, 0u) << "the stimulus must exercise B = true";
+    EXPECT_GT(Falses, 0u) << "the stimulus must exercise B = false";
+  }
+
+  if (!hostCCompilerAvailable())
+    GTEST_SKIP() << "no host C compiler";
   OracleOptions O;
-  O.Instants = 24;
+  O.Instants = Instants;
   O.EnvSeed = 13;
   O.EmitCRoundTrip = true;
   OracleReport R = checkDifferential("bool-vs-event", Source, O);
   EXPECT_TRUE(R.Ok) << R.Error;
   EXPECT_TRUE(R.CRoundTripRan);
+}
+
+TEST(DifferentialEmitC, RealDelayWithIntegerInitStaysReal) {
+  // `init 1` on a real signal whose memory stores reals: the compiled
+  // step widens the initial value, so the VM and the emitted C (which
+  // used to declare the memory long and truncate) hold a real throughout.
+  // The step executors start from the integer; the value is the same.
+  const char *Source =
+      "process P =\n"
+      "  ( ? real X; ! real Y; )\n"
+      "  (| Y := X $ 1 init 1 |);\n";
+  auto C = compileSource("real-delay", Source);
+  ASSERT_TRUE(C->Ok);
+  ASSERT_EQ(C->Compiled.StateInit.size(), 1u);
+  EXPECT_EQ(C->Compiled.StateInit[0].Kind, TypeKind::Real);
+  VmExecutor Vm(C->Compiled);
+  EXPECT_EQ(Vm.decodeStats().Generic, 0u);
+  RandomEnvironment Env(3);
+  Vm.run(Env, 16);
+  // Y ticks with X and carries X's value from X's previous tick.
+  const std::vector<OutputEvent> &Out = Env.outputs();
+  ASSERT_GE(Out.size(), 2u);
+  EXPECT_EQ(Out[0].Val.Kind, TypeKind::Real);
+  EXPECT_EQ(Out[0].Val.Real, 1.0);
+  for (size_t K = 1; K < Out.size(); ++K) {
+    EXPECT_EQ(Out[K].Val.Kind, TypeKind::Real);
+    EXPECT_EQ(Out[K].Val.Real,
+              Env.inputValue("X", TypeKind::Real, Out[K - 1].Instant).Real);
+  }
+
+  OracleOptions O;
+  O.Instants = 32;
+  O.EnvSeed = 3;
+  O.EmitCRoundTrip = hostCCompilerAvailable();
+  OracleReport R = checkDifferential("real-delay", Source, O);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.CRoundTripRan, O.EmitCRoundTrip);
+}
+
+TEST(DifferentialEmitC, RealSignalCarryingIntegersKeepsIntegerDelay) {
+  // X is declared real but computed by integer arithmetic, so its values
+  // are integers in every engine, and so are the delay memory's: Y / 2
+  // divides integers, and E tells whether it truncated. The memory must
+  // not widen.
+  const char *Source =
+      "process P =\n"
+      "  ( ? integer I; ! boolean E; )\n"
+      "  (| X := I + 1 | Y := X $ 1 init 7 | E := (Y / 2) * 2 = Y |)\n"
+      "  where real X, Y; end;\n";
+  auto C = compileSource("real-carrying-integers", Source);
+  ASSERT_TRUE(C->Ok);
+  ASSERT_EQ(C->Compiled.StateInit.size(), 1u);
+  EXPECT_EQ(C->Compiled.StateInit[0].Kind, TypeKind::Integer);
+  RandomEnvironment Env(2);
+  VmExecutor Vm(C->Compiled);
+  Vm.run(Env, 16);
+  ASSERT_FALSE(Env.outputs().empty());
+  EXPECT_EQ(Env.outputs()[0].Val.str(), Value::makeBool(false).str())
+      << "7 / 2 * 2 is 6 in integers";
+
+  OracleOptions O;
+  O.Instants = 32;
+  O.EnvSeed = 2;
+  O.EmitCRoundTrip = hostCCompilerAvailable();
+  OracleReport R = checkDifferential("real-carrying-integers", Source, O);
+  EXPECT_TRUE(R.Ok) << R.Error;
 }
 
 TEST(DifferentialEmitC, RandomPrograms) {

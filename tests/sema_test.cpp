@@ -140,6 +140,10 @@ TEST(Sema, DelayOfConstantRejected) {
 TEST(Sema, DelayInitTypeMismatch) {
   compileErr(proc("? integer A; ! integer Y;", "   Y := A $ 1 init true"),
              CompileStage::Sema);
+  // As for 'cell': an integer may start a real signal's memory, a real
+  // may not start an integer's.
+  compileErr(proc("? integer A; ! integer Y;", "   Y := A $ 1 init 0.5"),
+             CompileStage::Sema);
 }
 
 TEST(Sema, DeepDelayExpandsToChain) {

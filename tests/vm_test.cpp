@@ -11,7 +11,11 @@
 ///     its Executed counter stays comparable across the multi-instruction
 ///     expression lowering (Weight accounting),
 ///   * Figure-9 nesting: no guard block holds nothing but another guard
-///     block (a same-target chain), in compiled and in fused steps.
+///     block (a same-target chain), in compiled and in fused steps,
+///   * quickening: every typed handler agrees with evalUnaryValue/
+///     evalBinaryValue on edge values, the generic handler still agrees
+///     with the other engines, and the fused clock-literal/skip keeps the
+///     counters exact under batch windows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +23,15 @@
 #include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "programs/Programs.h"
+#include "testing/Oracle.h"
 #include "testing/RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
 
 using namespace sigc;
 using namespace sigc::test;
@@ -412,4 +422,249 @@ TEST(VmDispatch, SwitchOverrideSurvivesResetAndRebind) {
   RandomEnvironment E2(7, 1000);
   Exec.run(E2, 8);
   EXPECT_EQ(formatEvents(E2.outputs()), formatEvents(E1.outputs()));
+}
+
+//===----------------------------------------------------------------------===//
+// Quickening: typed handlers, the generic handler, the fused superinstruction.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A hand-built step probing one operator: value slots 0 and 1 read
+/// inputs A and B of kinds \p L and \p R, slot 2 receives the result
+/// (BinarySS, or UnarySlot over slot 0) and is written to output Y.
+CompiledStep probeStep(const VmTypedHandler &H, TypeKind L, TypeKind R) {
+  TypeKind Res = H.Unary ? unaryResultKind(static_cast<UnaryOp>(H.Op), L)
+                         : binaryResultKind(static_cast<BinaryOp>(H.Op), L, R);
+  CompiledStep CS;
+  CS.NumValueSlots = 3;
+  CS.ValueSlotType = {L, R, Res};
+  for (int I = 0; I < 2; ++I) {
+    StepProgram::SignalIODesc In;
+    In.ValueSlot = I;
+    In.Type = I == 0 ? L : R;
+    In.Name = I == 0 ? "A" : "B";
+    CS.Inputs.push_back(In);
+  }
+  StepProgram::SignalIODesc Out;
+  Out.ValueSlot = 2;
+  Out.Type = Res;
+  Out.Name = "Y";
+  CS.Outputs.push_back(Out);
+  CS.OutputFlushOrder = {0};
+
+  VmInstr Read;
+  Read.Op = VmOp::ReadSignal;
+  for (int I = 0; I < 2; ++I) {
+    Read.Target = I;
+    Read.Aux = I;
+    CS.Code.push_back(Read);
+  }
+  VmInstr Op;
+  Op.Op = H.Unary ? VmOp::UnarySlot : VmOp::BinarySS;
+  Op.Target = 2;
+  Op.A = 0;
+  Op.B = H.Unary ? -1 : 1;
+  Op.Aux = H.Op;
+  CS.Code.push_back(Op);
+  VmInstr Write;
+  Write.Op = VmOp::WriteOutput;
+  Write.A = 2;
+  Write.Aux = 0;
+  CS.Code.push_back(Write);
+  return CS;
+}
+
+/// The edge values of one operand class.
+std::vector<Value> edgeValues(VmKind K) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  switch (K) {
+  case VmKind::Int:
+    // 2^53 and 2^53 + 1 are one double apart as integers and equal as
+    // doubles: orderings must compare them through double.
+    return {Value::makeInt(std::numeric_limits<int64_t>::min()),
+            Value::makeInt(-1), Value::makeInt(0),
+            Value::makeInt(int64_t(1) << 53),
+            Value::makeInt((int64_t(1) << 53) + 1)};
+  case VmKind::Real:
+    return {Value::makeReal(0.0), Value::makeReal(-0.0), Value::makeReal(Inf),
+            Value::makeReal(-Inf),
+            Value::makeReal(std::numeric_limits<double>::quiet_NaN())};
+  case VmKind::Bool:
+    return {Value::makeEvent(), Value::makeBool(true), Value::makeBool(false)};
+  }
+  return {};
+}
+
+/// Same kind and same payload; reals bit for bit, any NaN matching any.
+bool sameValue(const Value &A, const Value &B) {
+  if (A.Kind != B.Kind)
+    return false;
+  switch (A.Kind) {
+  case TypeKind::Real:
+    if (std::isnan(A.Real) || std::isnan(B.Real))
+      return std::isnan(A.Real) && std::isnan(B.Real);
+    return std::memcmp(&A.Real, &B.Real, sizeof(double)) == 0;
+  case TypeKind::Integer:
+    return A.Int == B.Int;
+  case TypeKind::Boolean:
+  case TypeKind::Event:
+    return A.Bool == B.Bool;
+  case TypeKind::Unknown:
+    return true;
+  }
+  return false;
+}
+
+} // namespace
+
+TEST(VmQuickening, TypedHandlersMatchValueSemanticsOnEdgeValues) {
+  const auto &Table = VmExecutor::typedHandlers();
+  ASSERT_FALSE(Table.empty());
+  unsigned Checked = 0;
+  for (const VmTypedHandler &H : Table) {
+    std::vector<Value> Ls = edgeValues(H.Kind);
+    std::vector<Value> Rs = H.Unary ? std::vector<Value>{Value::makeInt(0)}
+                                    : edgeValues(H.Kind);
+    for (const Value &L : Ls)
+      for (const Value &R : Rs) {
+        // (L mod R) + R overflows for R = INT64_MIN and a negative L: the
+        // operator's definition itself is undefined there.
+        if (!H.Unary && static_cast<BinaryOp>(H.Op) == BinaryOp::Mod &&
+            R.Int == std::numeric_limits<int64_t>::min())
+          continue;
+        CompiledStep CS = probeStep(H, L.Kind, R.Kind);
+        VmExecutor Vm(CS);
+        ASSERT_STREQ(Vm.decodedOpName(2), H.Name)
+            << "kinds " << typeName(L.Kind) << ", " << typeName(R.Kind);
+        EXPECT_EQ(Vm.decodeStats().Generic, 0u) << H.Name;
+        ScriptedEnvironment Env;
+        Env.set("A", 0, L);
+        Env.set("B", 0, R);
+        Vm.step(Env, 0);
+        ASSERT_EQ(Env.outputs().size(), 1u) << H.Name;
+        Value Want =
+            H.Unary ? evalUnaryValue(static_cast<UnaryOp>(H.Op), L)
+                    : evalBinaryValue(static_cast<BinaryOp>(H.Op), L, R);
+        const Value &Got = Env.outputs()[0].Val;
+        EXPECT_TRUE(sameValue(Got, Want))
+            << H.Name << "(" << L.str() << ", " << R.str()
+            << "): vm " << Got.str() << ", evalValue " << Want.str();
+        ++Checked;
+      }
+  }
+  EXPECT_GT(Checked, 300u);
+}
+
+TEST(VmQuickening, MixedIntegerRealReachesTheGenericHandlers) {
+  // Integer against real has no typed handler: the generic handler
+  // evaluates it through evalBinaryValue. J is declared real but carries
+  // the integers it is computed from, so a default of J and a real, and
+  // a real memory fed from J, convert too. Every engine still agrees
+  // (the oracle runs the interpreter, both step executors, the stepped
+  // and batched VM, and the emitted C when a compiler is present).
+  const std::string Source =
+      proc("? integer I; real X; ! real R, S, T; boolean L;",
+           "   R := I + X\n"
+           "   | L := I < X\n"
+           "   | J := I + 1\n"
+           "   | S := J default X\n"
+           "   | T := J $ 1 init 0.5\n"
+           "   | synchro {I, X}",
+           "real J;");
+  auto C = compileOk(Source);
+  VmExecutor Vm(C->Compiled);
+  EXPECT_EQ(Vm.decodeStats().Generic, 4u);
+  std::multiset<std::string> Generic;
+  for (size_t PC = 0; PC < C->Compiled.Code.size(); ++PC)
+    if (std::strstr(Vm.decodedOpName(PC), "Generic"))
+      Generic.insert(Vm.decodedOpName(PC));
+  EXPECT_EQ(Generic, (std::multiset<std::string>{
+                         "BinaryGeneric", "BinaryGeneric", "SelectGeneric",
+                         "StoreDelayGeneric"}));
+
+  OracleOptions O;
+  O.Instants = 48;
+  O.EnvSeed = 5;
+  O.EmitCRoundTrip = hostCCompilerAvailable();
+  OracleReport R = checkDifferential("mixed-int-real", Source, O);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.CRoundTripRan, O.EmitCRoundTrip);
+  EXPECT_EQ(R.GuardTestsVm, R.GuardTestsNested);
+  EXPECT_EQ(R.ExecutedVm, R.ExecutedNested);
+}
+
+namespace {
+
+/// Runs \p C stepped, nested and in batch windows; the VM's counters and
+/// trace must not depend on the window and must equal the nested
+/// executor's.
+void expectCountersUnderBatchWindows(const Compilation &C,
+                                     const std::string &What) {
+  const unsigned Instants = 300;
+  RandomEnvironment EnvStepped(23), EnvNested(23);
+  VmExecutor Stepped(C.Compiled);
+  Stepped.run(EnvStepped, Instants);
+  StepExecutor Nested(*C.Kernel, C.Step);
+  Nested.run(EnvNested, Instants, ExecMode::Nested);
+  EXPECT_EQ(Stepped.guardTests(), Nested.guardTests()) << What;
+  EXPECT_EQ(Stepped.executed(), Nested.executed()) << What;
+  for (unsigned Window : {1u, 3u, 7u, 64u, 300u}) {
+    RandomEnvironment Env(23);
+    VmExecutor Batched(C.Compiled);
+    Batched.runBatched(Env, Instants, Window);
+    EXPECT_EQ(Batched.guardTests(), Stepped.guardTests()) << What << Window;
+    EXPECT_EQ(Batched.executed(), Stepped.executed()) << What << Window;
+    EXPECT_EQ(formatEvents(Env.outputs()), formatEvents(EnvStepped.outputs()))
+        << What << Window;
+  }
+}
+
+/// Number of instructions of \p C the VM decodes to handler \p Name.
+unsigned countDecoded(const Compilation &C, const char *Name) {
+  VmExecutor Vm(C.Compiled);
+  unsigned N = 0;
+  for (size_t PC = 0; PC < C.Compiled.Code.size(); ++PC)
+    N += std::strcmp(Vm.decodedOpName(PC), Name) == 0;
+  return N;
+}
+
+} // namespace
+
+TEST(VmQuickening, FusedClockLiteralSkipKeepsCountersUnderBatchWindows) {
+  // STOPWATCH fuses negative literals (a boolean's [not C] usually
+  // follows its [C]); generated program 688 also fuses a positive one.
+  auto Random = compileOk(generateRandomProgram("R688", 688));
+  ASSERT_GT(countDecoded(*Random, "ClockLiteralSkipT"), 0u);
+  expectCountersUnderBatchWindows(*Random, "random 688");
+
+  for (const Figure13Program &P : figure13Suite()) {
+    if (P.Name != "STOPWATCH")
+      continue;
+    auto C = compileSource("<fused:STOPWATCH>", P.Source);
+    ASSERT_TRUE(C->Ok);
+    ASSERT_GT(countDecoded(*C, "ClockLiteralSkipF"), 0u);
+
+    // Some fused pair's skip is also the target of another skip: the
+    // original skip must stay decoded in place for that jump.
+    const CompiledStep &CS = C->Compiled;
+    VmExecutor Vm(CS);
+    std::vector<char> IsTarget(CS.Code.size() + 1, 0);
+    for (const VmInstr &In : CS.Code)
+      if (In.Op == VmOp::SkipIfAbsent)
+        IsTarget[In.Aux] = 1;
+    unsigned Landing = 0;
+    for (size_t PC = 0; PC + 1 < CS.Code.size(); ++PC)
+      if (CS.Code[PC].Op == VmOp::EvalClockLiteral &&
+          CS.Code[PC + 1].Op == VmOp::SkipIfAbsent && IsTarget[PC + 1]) {
+        ++Landing;
+        EXPECT_EQ(std::strncmp(Vm.decodedOpName(PC), "ClockLiteralSkip", 16),
+                  0);
+        EXPECT_STREQ(Vm.decodedOpName(PC + 1), "SkipIfAbsent");
+      }
+    EXPECT_GT(Landing, 0u);
+    expectCountersUnderBatchWindows(*C, "STOPWATCH");
+    return;
+  }
+  FAIL() << "STOPWATCH missing from the builtin suite";
 }
