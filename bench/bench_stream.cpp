@@ -15,7 +15,7 @@
 ///                    sessions and `--replay-buffered` use).
 ///
 /// Workloads: the Figure-5 alarm and a divider chain, at dense and
-/// sparse stimulus — the same shapes bench_step and bench_fleet time, so
+/// sparse stimulus — the same shapes bench_step times, so
 /// the reports compose.
 ///
 /// Usage: bench_stream [--json FILE] [--instants K]

@@ -144,22 +144,9 @@ private:
   void annotate();
 
   std::string clockVar(int32_t Slot) const {
-    if (FleetMode)
-      return "ck[" + std::to_string(Slot) + "][l]";
     return "c" + std::to_string(Slot);
   }
   std::string valueVar(int32_t Slot, TypeKind K) const;
-
-  /// Struct references of the current entry point: the scalar step takes
-  /// single st/in/out pointers; the fleet sweep indexes lane l of block
-  /// i0 into the instance arrays ([instance][instant] layout).
-  std::string stRef() const { return FleetMode ? "st[i0 + l]." : "st->"; }
-  std::string inRef() const {
-    return FleetMode ? "in[(size_t)(i0 + l) * n_instants + i]." : "in->";
-  }
-  std::string outRef() const {
-    return FleetMode ? "out[(size_t)(i0 + l) * n_instants + i]." : "out->";
-  }
 
   Operand operandA(const VmInstr &In, const InstrKinds &IK) const;
   Operand operandB(const VmInstr &In, const InstrKinds &IK) const;
@@ -169,14 +156,11 @@ private:
   std::string instrStmt(size_t PC) const;
 
   void emitBody(std::string &Out) const;
-  void emitFleet(std::string &Out);
-  void emitFleetBody(std::string &Out) const;
   void emitDriver(std::string &Out) const;
 
   const CompiledStep &CS;
   std::string Proc;
   CEmitOptions Options;
-  bool FleetMode = false; ///< Emitting the lane-swept fleet entry point.
 
   std::vector<InstrKinds> Kinds;     ///< Per instruction, from annotate().
   std::vector<unsigned> SlotClasses; ///< Bitmask of CClass per slot.
@@ -231,7 +215,7 @@ std::string Emitter::valueVar(int32_t Slot, TypeKind K) const {
   // One C variable per (slot, storage class): scratch slots are reused
   // across expression trees of different types, so a multi-class slot
   // splits into suffixed locals; the common single-class slot keeps the
-  // bare name. In the fleet sweep each variable is a lane array.
+  // bare name.
   unsigned Mask = SlotClasses[Slot];
   if ((Mask & (Mask - 1)) != 0) {
     switch (classOf(K)) {
@@ -246,7 +230,7 @@ std::string Emitter::valueVar(int32_t Slot, TypeKind K) const {
       break;
     }
   }
-  return FleetMode ? Name + "[l]" : Name;
+  return Name;
 }
 
 Operand Emitter::operandA(const VmInstr &In, const InstrKinds &IK) const {
@@ -374,7 +358,7 @@ std::string Emitter::instrStmt(size_t PC) const {
     assert(false && "structured control handled by emitBody");
     return "";
   case VmOp::ReadClockInput:
-    return clockVar(In.Target) + " = " + inRef() + "tick_" +
+    return clockVar(In.Target) + " = in->tick_" +
            sanitizeIdent(CS.ClockInputs[In.Aux].Name) + ";";
   case VmOp::EvalClockLiteral:
     return clockVar(In.Target) + " = " + (In.Aux != 0 ? "" : "!") +
@@ -393,7 +377,7 @@ std::string Emitter::instrStmt(size_t PC) const {
   case VmOp::SetClockFalse:
     return clockVar(In.Target) + " = 0;";
   case VmOp::ReadSignal:
-    return valueVar(In.Target, IK.Res) + " = " + inRef() +
+    return valueVar(In.Target, IK.Res) + " = in->" +
            sanitizeIdent(CS.Inputs[In.Aux].Name) + ";";
   case VmOp::UnarySlot: {
     std::string A = valueVar(In.A, IK.A);
@@ -422,14 +406,14 @@ std::string Emitter::instrStmt(size_t PC) const {
     return valueVar(In.Target, IK.Res) + " = " + clockVar(In.Aux) + " ? " +
            valueVar(In.A, IK.A) + " : " + valueVar(In.B, IK.B) + ";";
   case VmOp::LoadDelay:
-    return valueVar(In.Target, IK.Res) + " = " + stRef() + "s" +
+    return valueVar(In.Target, IK.Res) + " = st->s" +
            std::to_string(In.A) + ";";
   case VmOp::StoreDelay:
-    return stRef() + "s" + std::to_string(In.Target) + " = " +
+    return "st->s" + std::to_string(In.Target) + " = " +
            valueVar(In.A, IK.A) + ";";
   case VmOp::WriteOutput: {
     std::string Id = sanitizeIdent(CS.Outputs[In.Aux].Name);
-    return outRef() + Id + "_present = 1; " + outRef() + Id + " = " +
+    return "out->" + Id + "_present = 1; out->" + Id + " = " +
            valueVar(In.A, IK.A) + ";";
   }
   }
@@ -477,145 +461,6 @@ void Emitter::emitBody(std::string &Out) const {
     Out += pad() + instrStmt(static_cast<size_t>(PC)) + "\n";
   }
   flushExec();
-}
-
-void Emitter::emitFleetBody(std::string &Out) const {
-  // Predication instead of branching: the scalar step's if-nesting
-  // becomes one 0/1 mask array per nesting level. A guard at depth d
-  // charges one guard test to every lane whose depth-d mask is set (those
-  // are exactly the lanes that reach the guard in a scalar run) and
-  // computes the depth-(d+1) mask; straight-line regions collect into a
-  // single lane loop predicated on the region's mask, with the region's
-  // instruction weight folded into one executed-counter update.
-  const std::string Pad(6, ' ');
-  std::vector<int32_t> CloseAt; // Depth == CloseAt.size().
-  std::vector<std::string> Region;
-  int64_t PendingExec = 0;
-
-  auto mask = [&](unsigned Depth) { return "m" + std::to_string(Depth); };
-  auto flushRegion = [&]() {
-    if (Region.empty() && PendingExec == 0)
-      return;
-    unsigned Depth = static_cast<unsigned>(CloseAt.size());
-    Out += Pad + "for (l = 0; l < nb; ++l) ";
-    if (Depth)
-      Out += "if (" + mask(Depth) + "[l]) ";
-    Out += "{\n";
-    for (const std::string &Stmt : Region)
-      Out += Pad + "  " + Stmt + "\n";
-    if (PendingExec > 0)
-      Out += Pad + "  st[i0 + l].executed += " + std::to_string(PendingExec) +
-             "ULL;\n";
-    Out += Pad + "}\n";
-    Region.clear();
-    PendingExec = 0;
-  };
-
-  const int32_t End = static_cast<int32_t>(CS.Code.size());
-  for (int32_t PC = 0; PC <= End; ++PC) {
-    while (!CloseAt.empty() && CloseAt.back() == PC) {
-      flushRegion();
-      CloseAt.pop_back();
-    }
-    if (PC == End)
-      break;
-    const VmInstr &In = CS.Code[PC];
-    if (In.Op == VmOp::SkipIfAbsent) {
-      flushRegion();
-      unsigned Depth = static_cast<unsigned>(CloseAt.size());
-      std::string Guard = clockVar(In.A);
-      Out += Pad + "for (l = 0; l < nb; ++l) {\n";
-      if (Depth == 0) {
-        Out += Pad + "  st[i0 + l].guard_tests += 1ULL;\n";
-        Out += Pad + "  " + mask(1) + "[l] = " + Guard + " != 0;\n";
-      } else {
-        Out += Pad + "  st[i0 + l].guard_tests += (unsigned long long)" +
-               mask(Depth) + "[l];\n";
-        Out += Pad + "  " + mask(Depth + 1) + "[l] = " + mask(Depth) +
-               "[l] && " + Guard + ";\n";
-      }
-      Out += Pad + "}\n";
-      CloseAt.push_back(In.Aux);
-      continue;
-    }
-    PendingExec += In.Weight;
-    Region.push_back(instrStmt(static_cast<size_t>(PC)));
-  }
-  flushRegion();
-}
-
-void Emitter::emitFleet(std::string &Out) {
-  FleetMode = true;
-
-  // Fleet entry point: n_instances independent sessions of this process,
-  // n_instants reactions each, in one call. st is one state struct per
-  // instance; in/out are [instance][instant] arrays. The bytecode is
-  // swept instruction by instruction across lane blocks of
-  // SIGC_FLEET_BLOCK instances (override at compile time), so dispatch
-  // cost is paid once per block and the lane loops vectorize.
-  Out += "#ifndef SIGC_FLEET_BLOCK\n";
-  Out += "#define SIGC_FLEET_BLOCK 64\n";
-  Out += "#endif\n\n";
-  Out += "void " + Proc + "_step_fleet(" + Proc + "_state_t *st, const " +
-         Proc + "_in_t *in, " + Proc + "_out_t *out, unsigned n_instances, "
-         "unsigned n_instants) {\n";
-  Out += "  unsigned i0, i, l, nb;\n";
-  // One predicate-mask array per guard nesting level.
-  unsigned Depth = CS.guardShape().MaxDepth;
-  for (unsigned D = 1; D <= Depth; ++D)
-    Out += "  int m" + std::to_string(D) + "[SIGC_FLEET_BLOCK];\n";
-  if (CS.NumClockSlots)
-    Out += "  int ck[" + std::to_string(CS.NumClockSlots) +
-           "][SIGC_FLEET_BLOCK];\n";
-  // Lane arrays for the value slots; like the VM's slot file they are
-  // zeroed once and persist across instants (any executed read follows a
-  // same-instant executed write — the schedule guarantees it).
-  std::vector<std::string> SlotArrays;
-  for (unsigned S = 0; S < numSlots(); ++S) {
-    unsigned Mask = SlotClasses[S];
-    if (!Mask)
-      continue;
-    for (CClass C : {CClass::Int, CClass::Long, CClass::Double}) {
-      if (!(Mask & classBit(C)))
-        continue;
-      TypeKind K = C == CClass::Int      ? TypeKind::Boolean
-                   : C == CClass::Long   ? TypeKind::Integer
-                                         : TypeKind::Real;
-      // valueVar appends the lane index in fleet mode; strip it for the
-      // declaration.
-      std::string Name = valueVar(static_cast<int32_t>(S), K);
-      Name.resize(Name.size() - 3);
-      SlotArrays.push_back(Name);
-      Out += "  " + std::string(cTypeOf(C)) + " " + Name +
-             "[SIGC_FLEET_BLOCK] = {0};\n";
-    }
-  }
-  if (CS.Code.empty()) {
-    Out += "  (void)l;\n";
-    Out += "  (void)nb;\n";
-  }
-  Out += "  if (n_instances == 0 || n_instants == 0)\n";
-  Out += "    return;\n";
-  Out += "  memset(out, 0, sizeof(*out) * (size_t)n_instances * "
-         "n_instants);\n";
-  Out += "  for (i0 = 0; i0 < n_instances; i0 += SIGC_FLEET_BLOCK) {\n";
-  Out += "    nb = n_instances - i0;\n";
-  Out += "    if (nb > SIGC_FLEET_BLOCK)\n";
-  Out += "      nb = SIGC_FLEET_BLOCK;\n";
-  Out += "    for (i = 0; i < n_instants; ++i) {\n";
-  if (CS.NumClockSlots)
-    Out += "      memset(ck, 0, sizeof ck);\n";
-  emitFleetBody(Out);
-  Out += "    }\n";
-  Out += "  }\n";
-  // Silence unused-variable warnings for slot arrays only written.
-  for (const std::string &V : SlotArrays)
-    Out += "  (void)" + V + ";";
-  if (!SlotArrays.empty())
-    Out += "\n";
-  Out += "}\n";
-
-  FleetMode = false;
 }
 
 std::string Emitter::run() {
@@ -714,8 +559,6 @@ std::string Emitter::run() {
   Out += "  for (i = 0; i < n; ++i)\n";
   Out += "    " + Proc + "_step(st, &in[i], &out[i]);\n";
   Out += "}\n\n";
-
-  emitFleet(Out);
 
   if (Options.WithDriver)
     emitDriver(Out);

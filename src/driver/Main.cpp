@@ -37,7 +37,7 @@
 ///                      (the pipe/socket-shaped path)
 ///   --serve SOCK       serve trace-stream sessions over the Unix domain
 ///                      socket SOCK; each client session runs on its own
-///                      fleet lane
+///                      scalar executor
 ///   --max-sessions N   concurrent-session capacity for --serve
 ///   --serve-limit K    exit after K sessions have ended (bounded serve)
 ///   --resume N         park up to N disconnected sessions for resume
@@ -54,9 +54,9 @@
 ///                      has not finished within MS milliseconds
 ///   --sndbuf BYTES     SO_SNDBUF for accepted connections (ops knob)
 ///   --fleet N          run --simulate over a fleet of N instances of the
-///                      process (SoA lane-block sweep; instance j draws
-///                      from seed S + j)
-///   --threads T        shard the fleet across T worker threads
+///                      process (instance j is the scalar run of seed
+///                      S + j)
+///   --threads T        shard the fleet's instances across T threads
 ///   --mode M           execution engine for --simulate: vm (default,
 ///                      the slot-resolved bytecode VM), nested or flat
 ///   --native M         tiered native execution: off (default), auto
@@ -74,13 +74,14 @@
 ///                      coverage and slot-file size) to stderr and,
 ///                      after --simulate, per-run instruction and
 ///                      guard-test counters (and the per-tier instant
-///                      split when --native is on)
+///                      split when --native is on, plus the size of the
+///                      emitted C and the host cc time on a cache miss)
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
-#include "interp/FleetExecutor.h"
+#include "driver/Simulation.h"
 #include "interp/LinkedExecutor.h"
 #include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
@@ -88,7 +89,6 @@
 #include "io/TraceEnvironment.h"
 #include "link/LinkEmitter.h"
 #include "link/Linker.h"
-#include "native/NativeExecutor.h"
 #include "native/TierController.h"
 #include "programs/Programs.h"
 
@@ -185,7 +185,8 @@ const char *nativeModeName(NativeMode M) {
 }
 
 /// The --stats tier split: which tier executed how many instants, plus
-/// the cache outcome the run observed.
+/// the cache outcome the run observed and, when the run compiled the
+/// module itself, what the compile cost.
 void printTierStats(const TierController &TC) {
   TierStats S = TC.stats();
   std::fprintf(stderr,
@@ -196,6 +197,9 @@ void printTierStats(const TierController &TC) {
                static_cast<unsigned long long>(S.NativeInstants),
                S.Hash.c_str(), S.Error.empty() ? "" : " error=",
                S.Error.c_str());
+  if (S.Compiled)
+    std::fprintf(stderr, "stats: native c_lines=%zu c_bytes=%zu cc_ms=%.3f\n",
+                 S.Build.CLines, S.Build.CBytes, S.Build.CcMs);
 }
 
 std::vector<std::string> splitCommas(const std::string &List) {
@@ -579,7 +583,7 @@ int main(int Argc, char **Argv) {
 
   if (!ServeSock.empty()) {
     // Serving front end: each client connection is a trace-stream
-    // session on its own fleet lane.
+    // session on its own scalar executor.
     ServeOptions SO;
     SO.SocketPath = ServeSock;
     SO.MaxSessions = MaxSessions;
@@ -678,11 +682,8 @@ int main(int Argc, char **Argv) {
                                            FrameInstants));
     RandomEnvironment Rnd(Seed);
     RecordingEnvironment Env(Rnd, Writer);
-    VmExecutor Exec(C->Compiled);
-    if (Batch > 1)
-      Exec.runBatched(Env, Simulate, Batch);
-    else
-      Exec.run(Env, Simulate);
+    SimulationTotals T =
+        simulateFleet(C->Compiled, {&Env}, Simulate, Batch, /*Threads=*/1);
     if (!Writer.finish(Simulate)) {
       // The sink latched the first failure with its byte position.
       std::fprintf(stderr, "signalc: write failed on '%s' %s\n",
@@ -695,134 +696,87 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Seed),
                 formatEvents(Rnd.outputs()).c_str());
     if (Stats)
-      printStats("vm", Simulate, Exec.executed(), Exec.guardTests());
+      printStats("vm", Simulate, T.Executed, T.GuardTests);
     return 0;
   }
   if (!RecordFile.empty())
     std::fprintf(stderr, "signalc: warning: --record needs --simulate N "
                          "(and no --fleet); nothing recorded\n");
 
-  if (Simulate && Fleet) {
-    // Fleet simulation: N instances of the compiled process, each with
-    // its own deterministic environment (seed S + j), swept in SoA
-    // lane blocks and sharded over --threads workers. Traces print per
-    // instance in instance order; counters are fleet-wide sums.
-    if (Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --fleet always runs the "
-                           "slot-VM fleet engine; --mode ignored\n");
+  if (Simulate) {
+    // A fleet simulation is N instances of the compiled process, each
+    // with its own deterministic environment (seed S + j) and each run
+    // exactly like a scalar simulation of that seed, sharded over
+    // --threads workers. Traces print per instance in instance order;
+    // counters are sums over the instances.
+    if (Fleet && Mode != EngineMode::Vm)
+      std::fprintf(stderr, "signalc: warning: --fleet always runs the vm "
+                           "engine; --mode ignored\n");
+    if (!Fleet && Batch > 1 && Mode != EngineMode::Vm)
+      std::fprintf(stderr, "signalc: warning: --batch needs the vm engine; "
+                           "running unbatched\n");
+    if (!Fleet && Tier.Mode != NativeMode::Off && Mode != EngineMode::Vm)
+      std::fprintf(stderr, "signalc: warning: --native needs the vm engine; "
+                           "running interpreted\n");
+    if (!Fleet && Mode != EngineMode::Vm) {
+      RandomEnvironment Env(Seed);
+      StepExecutor Exec(*C->Kernel, C->Step);
+      Exec.run(Env, Simulate,
+               Mode == EngineMode::Flat ? ExecMode::Flat : ExecMode::Nested);
+      std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
+                  static_cast<unsigned long long>(Seed),
+                  formatEvents(Env.outputs()).c_str());
+      if (Stats)
+        printStats(ModeName, Simulate, Exec.executed(), Exec.guardTests());
+      return 0;
+    }
+
+    unsigned Instances = Fleet ? Fleet : 1;
+    unsigned Threads = Fleet && FleetThreads ? FleetThreads : 1;
     std::vector<std::unique_ptr<RandomEnvironment>> Owned;
     std::vector<Environment *> Envs;
-    for (unsigned J = 0; J < Fleet; ++J) {
+    for (unsigned J = 0; J < Instances; ++J) {
       Owned.push_back(std::make_unique<RandomEnvironment>(Seed + J));
       Envs.push_back(Owned.back().get());
     }
-    FleetExecutor::Config Cfg;
-    Cfg.Threads = FleetThreads;
-    FleetExecutor Exec(C->Compiled, Fleet, Cfg);
-    if (Tier.Mode == NativeMode::Off) {
-      if (Batch > 1)
-        Exec.runBatched(Envs, Simulate, Batch);
-      else
-        Exec.run(Envs, Simulate);
-    } else {
-      // Tiered fleet: poll the controller at window boundaries and swap
-      // the whole sweep onto the native _step_fleet entry when ready.
-      TierController TC(C->Compiled, Tier);
-      if (!TC.start()) {
+    // Tiered run: each instance starts on the VM and hot-swaps onto the
+    // native step at a batch boundary once the cache hit or background
+    // compile is ready (a pure state copy: the emitted C maintains the
+    // counters VM-exactly).
+    std::unique_ptr<TierController> TC;
+    if (Tier.Mode != NativeMode::Off) {
+      TC = std::make_unique<TierController>(C->Compiled, Tier);
+      if (!TC->start()) {
         std::fprintf(stderr, "signalc: --native force failed: %s\n",
-                     TC.error().c_str());
+                     TC->error().c_str());
         return 1;
       }
-      unsigned Window = Batch > 1 ? Batch : 8;
-      for (unsigned At = 0; At < Simulate;) {
-        if (!Exec.nativeActive() && TC.shouldPromote(At))
-          Exec.setNative(TC.module());
-        unsigned N = std::min(Window, Simulate - At);
-        Exec.stepN(Envs, At, N);
-        if (Exec.nativeActive())
-          TC.noteNativeInstants(N);
-        else
-          TC.noteVmInstants(N);
-        At += N;
-      }
+    }
+    SimulationTotals T =
+        simulateFleet(C->Compiled, Envs, Simulate, Batch, Threads, TC.get());
+    if (TC) {
+      TC->noteVmInstants(T.VmInstants);
+      TC->noteNativeInstants(T.NativeInstants);
       if (Stats)
-        printTierStats(TC);
+        printTierStats(*TC);
+    }
+    if (!Fleet) {
+      std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
+                  static_cast<unsigned long long>(Seed),
+                  formatEvents(Owned[0]->outputs()).c_str());
+      if (Stats)
+        printStats(ModeName, Simulate, T.Executed, T.GuardTests);
+      return 0;
     }
     std::printf("fleet simulation (%u instances, %u instants, seed %llu, "
                 "%u thread(s)):\n",
                 Fleet, Simulate, static_cast<unsigned long long>(Seed),
-                Exec.threads());
+                Threads);
     for (unsigned J = 0; J < Fleet; ++J)
       std::printf("instance %u:\n%s", J,
                   formatEvents(Owned[J]->outputs()).c_str());
     if (Stats)
-      printStats("fleet", Simulate * Fleet, Exec.executed(),
-                 Exec.guardTests());
-    return 0;
-  }
-
-  if (Simulate) {
-    if (Batch > 1 && Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --batch needs the vm engine; "
-                           "running unbatched\n");
-    if (Tier.Mode != NativeMode::Off && Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --native needs the vm engine; "
-                           "running interpreted\n");
-    RandomEnvironment Env(Seed);
-    uint64_t Executed = 0, GuardTests = 0;
-    if (Mode == EngineMode::Vm && Tier.Mode != NativeMode::Off) {
-      // Tiered scalar run: the VM carries the session until the cache
-      // hit / background compile is ready, then the session hot-swaps
-      // onto the native step at a batch boundary (a pure state copy —
-      // the emitted C maintains the counters VM-exactly).
-      TierController TC(C->Compiled, Tier);
-      if (!TC.start()) {
-        std::fprintf(stderr, "signalc: --native force failed: %s\n",
-                     TC.error().c_str());
-        return 1;
-      }
-      VmExecutor Vm(C->Compiled);
-      std::unique_ptr<NativeExecutor> NX;
-      unsigned Window = Batch > 1 ? Batch : 8;
-      for (unsigned At = 0; At < Simulate;) {
-        if (!NX && TC.shouldPromote(At)) {
-          NX = std::make_unique<NativeExecutor>(C->Compiled, *TC.module());
-          NX->importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-        }
-        unsigned N = std::min(Window, Simulate - At);
-        if (NX) {
-          NX->stepN(Env, At, N);
-          TC.noteNativeInstants(N);
-        } else {
-          Vm.stepN(Env, At, N);
-          TC.noteVmInstants(N);
-        }
-        At += N;
-      }
-      Executed = NX ? NX->executed() : Vm.executed();
-      GuardTests = NX ? NX->guardTests() : Vm.guardTests();
-      if (Stats)
-        printTierStats(TC);
-    } else if (Mode == EngineMode::Vm) {
-      VmExecutor Exec(C->Compiled);
-      if (Batch > 1)
-        Exec.runBatched(Env, Simulate, Batch);
-      else
-        Exec.run(Env, Simulate);
-      Executed = Exec.executed();
-      GuardTests = Exec.guardTests();
-    } else {
-      StepExecutor Exec(*C->Kernel, C->Step);
-      Exec.run(Env, Simulate,
-               Mode == EngineMode::Flat ? ExecMode::Flat : ExecMode::Nested);
-      Executed = Exec.executed();
-      GuardTests = Exec.guardTests();
-    }
-    std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
-                static_cast<unsigned long long>(Seed),
-                formatEvents(Env.outputs()).c_str());
-    if (Stats)
-      printStats(ModeName, Simulate, Executed, GuardTests);
+      printStats("fleet", Simulate * Fleet, T.Executed, T.GuardTests);
   }
   return 0;
 }

@@ -1,0 +1,127 @@
+//===--- Simulation.cpp ---------------------------------------------------===//
+
+#include "driver/Simulation.h"
+
+#include "interp/VmExecutor.h"
+#include "native/NativeExecutor.h"
+
+#include <algorithm>
+#include <atomic>
+#include <future>
+#include <memory>
+
+using namespace sigc;
+
+namespace {
+
+/// Shares the native module among a run's threads: the polling thread
+/// asks the controller, the others read what it published.
+class TierGate {
+public:
+  explicit TierGate(const TierController *TC) : TC(TC) { poll(); }
+
+  bool enabled() const { return TC != nullptr; }
+
+  /// Publishes the module once the controller has loaded it.
+  void poll() {
+    if (TC && !Published)
+      Published = TC->module();
+  }
+
+  /// The module an instance at instant \p At swaps onto, or null.
+  const NativeModule *promotion(unsigned At) const {
+    return At >= TC->tierAfter() ? Published.load() : nullptr;
+  }
+
+private:
+  const TierController *TC;
+  std::atomic<const NativeModule *> Published{nullptr};
+};
+
+/// Runs instances [First, End) one after another on this thread's
+/// executors.
+SimulationTotals runShard(const CompiledStep &CS,
+                          const std::vector<Environment *> &Envs,
+                          unsigned First, unsigned End, unsigned Instants,
+                          unsigned Batch, TierGate &Gate, bool Polls) {
+  SimulationTotals T;
+  VmExecutor Vm(CS);
+  std::unique_ptr<NativeExecutor> NX;
+  const unsigned Window = Batch > 1 ? Batch : 8;
+  for (unsigned J = First; J < End; ++J) {
+    Environment &Env = *Envs[J];
+    Vm.reset();
+    Vm.resetCounters();
+    if (!Gate.enabled()) {
+      if (Batch > 1)
+        Vm.runBatched(Env, Instants, Batch);
+      else
+        Vm.run(Env, Instants);
+      T.Executed += Vm.executed();
+      T.GuardTests += Vm.guardTests();
+      continue;
+    }
+    bool Native = false;
+    for (unsigned At = 0; At < Instants;) {
+      if (Polls)
+        Gate.poll();
+      if (!Native)
+        if (const NativeModule *M = Gate.promotion(At)) {
+          if (!NX)
+            NX = std::make_unique<NativeExecutor>(CS, *M);
+          NX->importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
+          Native = true;
+        }
+      unsigned N = std::min(Window, Instants - At);
+      if (Native) {
+        NX->stepN(Env, At, N);
+        T.NativeInstants += N;
+      } else {
+        Vm.stepN(Env, At, N);
+        T.VmInstants += N;
+      }
+      At += N;
+    }
+    T.Executed += Native ? NX->executed() : Vm.executed();
+    T.GuardTests += Native ? NX->guardTests() : Vm.guardTests();
+  }
+  return T;
+}
+
+} // namespace
+
+SimulationTotals sigc::simulateFleet(const CompiledStep &CS,
+                                     const std::vector<Environment *> &Envs,
+                                     unsigned Instants, unsigned Batch,
+                                     unsigned Threads,
+                                     const TierController *Tier) {
+  const unsigned Instances = static_cast<unsigned>(Envs.size());
+  const unsigned Shards =
+      std::max(1u, std::min(std::max(Threads, 1u), Instances));
+  TierGate Gate(Tier);
+  // Contiguous shards, the first Instances % Shards one instance longer.
+  auto First = [&](unsigned S) {
+    return S * (Instances / Shards) + std::min(S, Instances % Shards);
+  };
+  // A std::async future joins its thread when destroyed, on every path.
+  std::vector<std::future<SimulationTotals>> Workers;
+  for (unsigned S = 1; S < Shards; ++S)
+    Workers.push_back(std::async(std::launch::async, [&, S] {
+      return runShard(CS, Envs, First(S), First(S + 1), Instants, Batch, Gate,
+                      /*Polls=*/false);
+    }));
+  std::vector<SimulationTotals> Totals;
+  Totals.push_back(runShard(CS, Envs, First(0), First(1), Instants, Batch,
+                            Gate, /*Polls=*/true));
+  for (std::future<SimulationTotals> &W : Workers)
+    Totals.push_back(W.get());
+
+  SimulationTotals Sum;
+  for (const SimulationTotals &T : Totals) {
+    Sum.Executed += T.Executed;
+    Sum.GuardTests += T.GuardTests;
+    Sum.VmInstants += T.VmInstants;
+    Sum.NativeInstants += T.NativeInstants;
+  }
+  return Sum;
+}

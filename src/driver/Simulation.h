@@ -1,0 +1,55 @@
+//===--- Simulation.h - Scalar and fleet --simulate runs --------*- C++-*-===//
+///
+/// \file
+/// The run loop behind `signalc --simulate`, for one instance or a fleet.
+/// A fleet of N instances is N independent scalar runs of one
+/// CompiledStep: instance j runs exactly the loop a scalar run of its
+/// environment runs, so its trace and counters are that run's. Instances
+/// are sharded contiguously over the worker threads, which are spawned
+/// once per run; each thread owns its executors and reuses them from one
+/// instance to the next, and the counters are summed after the join.
+///
+/// With a tier controller the loop runs in windows of the batch size (8
+/// when unbatched). Each instance starts on the VM and, once the native
+/// module is loaded, swaps onto it at its first window boundary at or
+/// past the controller's warm-up threshold, carrying delay state and
+/// counters across. Only the calling thread polls the controller; it
+/// publishes the loaded module to the other threads.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef SIGNALC_DRIVER_SIMULATION_H
+#define SIGNALC_DRIVER_SIMULATION_H
+
+#include "interp/CompiledStep.h"
+#include "interp/Environment.h"
+#include "native/TierController.h"
+
+#include <cstdint>
+#include <vector>
+
+namespace sigc {
+
+/// Counters of a run, summed over its instances.
+struct SimulationTotals {
+  uint64_t Executed = 0;
+  uint64_t GuardTests = 0;
+  uint64_t VmInstants = 0;     ///< Instants run on the VM (tiered runs).
+  uint64_t NativeInstants = 0; ///< Instants run natively (tiered runs).
+};
+
+/// Runs \p Instants instants of \p CS against each of \p Envs (one
+/// instance per environment) on \p Threads threads. \p Batch > 1 runs
+/// stepN windows of that many instants. \p Tier, when non-null, must be
+/// started; the run then promotes instances to its native module (see
+/// the file comment). The caller folds the per-tier counts into the
+/// controller's statistics.
+SimulationTotals simulateFleet(const CompiledStep &CS,
+                               const std::vector<Environment *> &Envs,
+                               unsigned Instants, unsigned Batch,
+                               unsigned Threads,
+                               const TierController *Tier = nullptr);
+
+} // namespace sigc
+
+#endif // SIGNALC_DRIVER_SIMULATION_H

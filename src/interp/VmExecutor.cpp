@@ -6,7 +6,8 @@
 // threaded loop replaces the switch's single shared indirect branch with
 // one `goto *` per op body, so the predictor learns each opcode's actual
 // successor distribution — the classic direct-threading win, which
-// matters here because fleets and cache-miss tiers keep this loop hot.
+// matters here because serve lanes and cache-miss tiers keep this loop
+// hot.
 // Both dispatchers execute identical semantics and counters; bench_tier
 // measures them against each other.
 //

@@ -2,8 +2,9 @@
 
 #include "io/Server.h"
 
-#include "interp/FleetExecutor.h"
+#include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
+#include "native/NativeExecutor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -33,8 +34,10 @@ namespace {
 constexpr size_t MaxHeaderBytes = 16u << 20;
 
 /// Signals received (SIGTERM/SIGINT). The first starts a drain, the
-/// second forces exit; sigaction installs the handler without SA_RESTART
-/// so poll() wakes with EINTR the moment one arrives.
+/// second forces exit. Both stay blocked except inside ppoll(), which
+/// unblocks them atomically: one that lands while the loop is busy is
+/// delivered when the next wait begins, which then fails with EINTR, so
+/// no signal slips between the drain check and the wait.
 volatile sig_atomic_t DrainSignals = 0;
 
 void drainSignalHandler(int) { ++DrainSignals; }
@@ -60,7 +63,7 @@ struct QueueSink : TraceSink {
   }
 };
 
-/// A lane-state snapshot at a frame boundary.
+/// A lane's delay state at a frame boundary.
 struct Checkpoint {
   unsigned Instant = 0;
   std::vector<Value> State;
@@ -74,10 +77,65 @@ struct Parked {
   std::deque<Checkpoint> Checkpoints;
 };
 
+/// One session lane: a scalar executor over the served CompiledStep,
+/// built once at server start. A lane runs the VM until the tier swap
+/// and the native step from then on; either way its delay state is a
+/// vector of Values, so checkpoints do not depend on the tier.
+class Lane {
+public:
+  explicit Lane(const CompiledStep &CS) : Vm(CS) {}
+
+  /// Hands the lane to a new session: initial delay state, zero counters.
+  void claim() {
+    if (Native) {
+      Native->reset();
+    } else {
+      Vm.reset();
+      Vm.resetCounters();
+    }
+  }
+
+  void stepN(Environment &Env, unsigned Start, unsigned Count) {
+    if (Native)
+      Native->stepN(Env, Start, Count);
+    else
+      Vm.stepN(Env, Start, Count);
+  }
+
+  uint64_t guardTests() const {
+    return Native ? Native->guardTests() : Vm.guardTests();
+  }
+  uint64_t executed() const {
+    return Native ? Native->executed() : Vm.executed();
+  }
+
+  std::vector<Value> state() const {
+    return Native ? Native->exportState() : Vm.stateSlots();
+  }
+  /// Restores a checkpoint's delay state; the counters are kept.
+  void restore(const std::vector<Value> &State) {
+    if (Native)
+      Native->importState(State, Native->guardTests(), Native->executed());
+    else
+      Vm.setStateSlots(State);
+  }
+
+  /// The tier swap: the lane continues on \p M from the VM's state and
+  /// counters.
+  void promote(const CompiledStep &CS, const NativeModule &M) {
+    Native = std::make_unique<NativeExecutor>(CS, M);
+    Native->importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
+  }
+
+private:
+  VmExecutor Vm;
+  std::unique_ptr<NativeExecutor> Native;
+};
+
 struct Session {
   int Fd = -1;
   unsigned Id = 0;   ///< Monotone session number (diagnostics).
-  unsigned Lane = 0; ///< Fleet instance this session owns.
+  unsigned Lane = 0; ///< Executor lane this session owns.
   uint64_t Token = 0;
 
   // Inbound stream.
@@ -117,13 +175,16 @@ struct Session {
 
 class Server {
 public:
+  /// \p WaitMask is the signal mask in force while the server waits.
   Server(const CompiledStep &CS, const std::string &ProcName,
-         const ServeOptions &Opts)
+         const ServeOptions &Opts, const sigset_t &WaitMask)
       : CS(CS), Opts(Opts), Expected(TraceSpec::fromStep(CS, ProcName)),
-        Exec(CS, Opts.MaxSessions), Envs(Opts.MaxSessions, nullptr),
-        Slots(Opts.MaxSessions) {
-    for (unsigned L = 0; L < Opts.MaxSessions; ++L)
+        WaitMask(WaitMask), Slots(Opts.MaxSessions) {
+    Lanes.reserve(Opts.MaxSessions);
+    for (unsigned L = 0; L < Opts.MaxSessions; ++L) {
+      Lanes.emplace_back(CS);
       FreeLanes.push_back(Opts.MaxSessions - 1 - L);
+    }
   }
 
   int run();
@@ -180,8 +241,8 @@ private:
   const CompiledStep &CS;
   const ServeOptions &Opts;
   TraceSpec Expected;
-  FleetExecutor Exec;
-  std::vector<Environment *> Envs;
+  sigset_t WaitMask;
+  std::vector<Lane> Lanes;
   std::vector<std::unique_ptr<Session>> Slots; ///< Indexed by lane.
   std::vector<unsigned> FreeLanes;
   std::deque<Parked> ParkedSessions; ///< Oldest first.
@@ -196,8 +257,8 @@ private:
   size_t RR = 0; ///< Round-robin scan start.
   // Tiered native execution: the controller compiles/loads off the
   // serving thread; the swap lands at a wakeup boundary (between
-  // stepLanes windows), so every session crosses tiers at a batch
-  // boundary and checkpoints stay tier-agnostic.
+  // batches), so every session crosses tiers at a batch boundary and
+  // checkpoints stay tier-agnostic.
   std::unique_ptr<TierController> Tier;
   bool TierSwapped = false;
   uint64_t TierVm = 0, TierNative = 0; ///< Instants stepped per tier.
@@ -233,7 +294,6 @@ void Server::teardown(Session &S, const char *How) {
     ParkedSessions.push_back(std::move(P));
   }
   ::close(S.Fd);
-  Envs[S.Lane] = nullptr;
   FreeLanes.push_back(S.Lane);
   Slots[S.Lane].reset();
   ++Ended;
@@ -520,12 +580,11 @@ bool Server::parseHeader(Session &S, bool &Progress) {
   S.Echo = std::make_unique<TraceWriter>(S.Sink, Spec.outputsOnly(), R0,
                                          /*EmitHeader=*/!S.Resume);
   S.Env->setEcho(S.Echo.get());
-  Exec.resetLanes(S.Lane, 1);
-  Envs[S.Lane] = S.Env.get();
+  Lanes[S.Lane].claim();
   S.StartInstant = S.Executed = R0;
   if (S.Resume) {
     S.Env->rebase(R0);
-    Exec.restoreLaneState(S.Lane, S.Resume->Checkpoints.back().State);
+    Lanes[S.Lane].restore(S.Resume->Checkpoints.back().State);
     S.Checkpoints = std::move(S.Resume->Checkpoints);
     S.Resume.reset();
   } else if (resumeEnabled()) {
@@ -535,14 +594,9 @@ bool Server::parseHeader(Session &S, bool &Progress) {
 }
 
 void Server::pushCheckpoint(Session &S) {
-  Checkpoint K;
-  if (S.Checkpoints.size() >= std::max(Opts.ResumeCheckpoints, 1u)) {
-    K = std::move(S.Checkpoints.front()); // Recycle the state buffer.
+  if (S.Checkpoints.size() >= std::max(Opts.ResumeCheckpoints, 1u))
     S.Checkpoints.pop_front();
-  }
-  K.Instant = S.Executed;
-  Exec.saveLaneState(S.Lane, K.State);
-  S.Checkpoints.push_back(std::move(K));
+  S.Checkpoints.push_back({S.Executed, Lanes[S.Lane].state()});
 }
 
 bool Server::parseSession(Session &S) {
@@ -620,10 +674,10 @@ bool Server::stepSession(Session &S) {
       unsigned W = S.Env->streamSpec().FrameInstants;
       N = std::min(N, W - S.Executed % W);
     }
-    uint64_t G0 = Exec.guardTests(), E0 = Exec.executed();
-    Exec.stepLanes(Envs, S.Lane, 1, S.Executed, N);
-    S.GuardTests += Exec.guardTests() - G0;
-    S.Instrs += Exec.executed() - E0;
+    Lane &L = Lanes[S.Lane];
+    L.stepN(*S.Env, S.Executed, N);
+    S.GuardTests = L.guardTests();
+    S.Instrs = L.executed();
     if (Tier)
       (TierSwapped ? TierNative : TierVm) += N;
     S.Executed += N;
@@ -731,9 +785,9 @@ int Server::pollTimeout(bool Runnable, int64_t Now) const {
 }
 
 int Server::run() {
-  // SIGTERM/SIGINT drive the drain state machine; no SA_RESTART, so the
-  // poll below wakes immediately. Installed before the socket exists: a
-  // signal that lands once a client can connect must drain, not kill.
+  // SIGTERM/SIGINT drive the drain state machine. Installed before the
+  // socket exists: a signal that lands once a client can connect must
+  // drain, not kill.
   DrainSignals = 0;
   struct sigaction SA;
   std::memset(&SA, 0, sizeof(SA));
@@ -818,11 +872,12 @@ int Server::run() {
     }
 
     // Tier promotion lands here, at a wakeup boundary: every session is
-    // between batches, so the fleet-wide swap is a batch-boundary
+    // between batches, so swapping every lane is a batch-boundary
     // handoff for each of them and resume checkpoints stay
     // tier-agnostic.
     if (Tier && !TierSwapped && Tier->shouldPromote(TierVm)) {
-      Exec.setNative(Tier->module());
+      for (Lane &L : Lanes)
+        L.promote(CS, *Tier->module());
       TierSwapped = true;
       std::fprintf(stderr, "tier: sessions now run native (%s, hash %s)\n",
                    Tier->cacheHit() ? "cache hit" : "background compile",
@@ -866,13 +921,14 @@ int Server::run() {
         Runnable = true;
     }
 
-    int64_t Now = nowMs();
-    int Ready = ::poll(Polls.data(), Polls.size(),
-                       pollTimeout(Runnable, Now));
+    int Timeout = pollTimeout(Runnable, nowMs());
+    timespec Wait = {Timeout / 1000, (Timeout % 1000) * 1000000L};
+    int Ready = ::ppoll(Polls.data(), Polls.size(),
+                        Timeout < 0 ? nullptr : &Wait, &WaitMask);
     if (Ready < 0) {
       if (errno == EINTR)
         continue; // A signal: the loop top reevaluates the drain state.
-      std::fprintf(stderr, "signalc: poll: %s\n", std::strerror(errno));
+      std::fprintf(stderr, "signalc: ppoll: %s\n", std::strerror(errno));
       break;
     }
     checkDeadlines(nowMs());
@@ -942,5 +998,12 @@ int Server::run() {
 
 int sigc::runTraceServer(const CompiledStep &CS, const std::string &ProcName,
                          const ServeOptions &Opts) {
-  return Server(CS, ProcName, Opts).run();
+  sigset_t Drain, Unblocked;
+  ::sigemptyset(&Drain);
+  ::sigaddset(&Drain, SIGTERM);
+  ::sigaddset(&Drain, SIGINT);
+  ::pthread_sigmask(SIG_BLOCK, &Drain, &Unblocked);
+  int Exit = Server(CS, ProcName, Opts, Unblocked).run();
+  ::pthread_sigmask(SIG_SETMASK, &Unblocked, nullptr);
+  return Exit;
 }

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// `signalc --serve`: a Unix-domain-socket front end that runs compiled
-/// reactive sessions over the fleet executor. Each client connection is
-/// one session speaking the binary trace format in both directions:
+/// reactive sessions, each on its own scalar executor. Each client
+/// connection is one session speaking the binary trace format in both
+/// directions:
 ///
 ///   client -> server   an optional Resume control frame, then a full
 ///                      trace stream (header, stimulus frames, trailer)
@@ -17,7 +18,7 @@
 ///
 /// Fault tolerance is part of the protocol. A session that disconnects
 /// (or stalls past a deadline) mid-stream is parked: its trace spec and
-/// a ring of lane-state checkpoints, one per executed frame boundary,
+/// a ring of delay-state checkpoints, one per executed frame boundary,
 /// survive the connection. A client reconnecting with Resume(token,
 /// interface hash, instant k) is rebound onto a fresh lane whose delay
 /// state is restored from the checkpoint at k; it re-sends its header
@@ -30,12 +31,14 @@
 /// and the server exits 0; a second signal — or the drain grace
 /// deadline — forces exit with per-session teardown counters.
 ///
-/// Sessions map onto fleet lanes: the server owns one FleetExecutor of
-/// --max-sessions instances, a joining session claims a free lane
-/// (resetting only that lane's delay state), and each scheduler wakeup
-/// advances runnable sessions by up to one instant-batch via stepLanes —
-/// sessions at different instants coexist because lane ranges advance
-/// independently.
+/// Sessions map onto lanes: the server builds --max-sessions executors
+/// over the one shared CompiledStep at start, a joining session claims a
+/// free lane (resetting that executor's delay state and counters), and
+/// each scheduler wakeup advances runnable sessions by up to one
+/// instant-batch through their lane's stepN. A checkpoint is a copy of
+/// the lane's delay-state vector. Lanes run the bytecode VM until the
+/// native tier is ready; then every lane swaps onto a NativeExecutor that
+/// imports its VM's state and counters.
 ///
 /// Flow control is explicit in both directions: a session whose
 /// un-drained response bytes exceed the queue bound stops being stepped
@@ -64,7 +67,8 @@ namespace sigc {
 
 struct ServeOptions {
   std::string SocketPath;
-  /// Concurrent-session capacity — the fleet's instance count.
+  /// Concurrent-session capacity: the number of lanes, one scalar
+  /// executor each.
   unsigned MaxSessions = 4;
   /// Instants a runnable session advances per scheduler wakeup.
   unsigned BatchInstants = 64;
@@ -83,7 +87,7 @@ struct ServeOptions {
   /// entirely. While resume is enabled, execution batches are clamped
   /// to frame boundaries so every boundary has a lane checkpoint.
   unsigned MaxParkedSessions = 0;
-  /// Lane-state checkpoints retained per session (the resume window:
+  /// Delay-state checkpoints retained per session (the resume window:
   /// a client may resume at any of the last this-many frame
   /// boundaries).
   unsigned ResumeCheckpoints = 8;
@@ -109,9 +113,9 @@ struct ServeOptions {
   /// — reachable with small streams; an ops/testing knob.
   unsigned SendBufBytes = 0;
   /// Tiered native execution (--native/--cache-dir/--tier-after). When
-  /// the module is ready the whole fleet swaps at a wakeup boundary —
-  /// between stepLanes windows, so every session sees the handoff at a
-  /// batch boundary and lane checkpoints keep resuming identically.
+  /// the module is ready every lane swaps at a wakeup boundary —
+  /// between batches, so every session sees the handoff at a batch
+  /// boundary and checkpoints keep resuming identically.
   TierOptions Tier;
 };
 

@@ -244,7 +244,7 @@ void StreamEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
       Divergence = "instant " + std::to_string(Instant) + ": output " +
                    outputBindingName(Output) +
                    " produced but absent in the trace";
-    else if (F.OutVals[FAt] != V)
+    else if (!sameTraceValue(Spec.Outputs[S].Type, F.OutVals[FAt], V))
       Divergence = "instant " + std::to_string(Instant) + ": output " +
                    outputBindingName(Output) + " = " + V.str() +
                    ", trace recorded " + F.OutVals[FAt].str();
@@ -315,7 +315,8 @@ void StreamEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
                        outputBindingName(Ids[C]) +
                        (Produced ? " produced but absent in the trace"
                                  : " recorded in the trace but not produced");
-        else if (Produced && F.OutVals[FAt] != Vals[At])
+        else if (Produced && !sameTraceValue(Spec.Outputs[S].Type,
+                                             F.OutVals[FAt], Vals[At]))
           Divergence = "instant " + std::to_string(Start + I) + ": output " +
                        outputBindingName(Ids[C]) + " = " + Vals[At].str() +
                        ", trace recorded " + F.OutVals[FAt].str();

@@ -90,21 +90,27 @@ size_t valueBytes(TypeKind T, size_t N) {
   }
 }
 
+/// The 8 bytes a value of declared type \p T (integer or real) records
+/// as, by the declared type: an integer-kinded value of a real slot is
+/// widened first.
+uint64_t valueBits(TypeKind T, const Value &V) {
+  if (T != TypeKind::Real)
+    return static_cast<uint64_t>(V.Int);
+  double D = V.Kind == TypeKind::Integer ? static_cast<double>(V.Int) : V.Real;
+  uint64_t Bits = 0;
+  static_assert(sizeof(double) == 8, "IEEE-754 binary64 expected");
+  std::memcpy(&Bits, &D, 8);
+  return Bits;
+}
+
 void packValue(std::vector<uint8_t> &Out, TypeKind T, const Value &V) {
   switch (T) {
   case TypeKind::Event:
     return;
   case TypeKind::Boolean:
     return; // Booleans are bit-packed by the caller.
-  case TypeKind::Real: {
-    uint64_t Bits = 0;
-    static_assert(sizeof(double) == 8, "IEEE-754 binary64 expected");
-    std::memcpy(&Bits, &V.Real, 8);
-    putU64(Out, Bits);
-    return;
-  }
   default:
-    putU64(Out, static_cast<uint64_t>(V.Int));
+    putU64(Out, valueBits(T, V));
     return;
   }
 }
@@ -139,6 +145,17 @@ bool bitmapBit(const uint8_t *Bits, size_t I) {
 }
 
 } // namespace
+
+bool sigc::sameTraceValue(TypeKind T, const Value &A, const Value &B) {
+  switch (T) {
+  case TypeKind::Event:
+    return true;
+  case TypeKind::Boolean:
+    return A.Bool == B.Bool;
+  default:
+    return valueBits(T, A) == valueBits(T, B);
+  }
+}
 
 uint64_t sigc::traceFnv64(const uint8_t *Data, size_t Len) {
   uint64_t H = 14695981039346656037ull;

@@ -205,6 +205,13 @@ TraceFrameStatus decodeTraceFrame(const TraceSpec &Spec, const uint8_t *Data,
                                   TraceFrame &F, size_t &Consumed,
                                   unsigned &TotalInstants, TraceError &Err);
 
+/// True when \p A and \p B record as the same bytes in a trace slot of
+/// declared type \p T — the rule replay verification compares by. An
+/// integer-kinded value in a real slot records widened to a real (an
+/// output declared real can carry the integers of `I + 1`); reals
+/// compare by their IEEE-754 bits.
+bool sameTraceValue(TypeKind T, const Value &A, const Value &B);
+
 /// FNV-1a over \p Data (the format's hash/checksum primitive).
 uint64_t traceFnv64(const uint8_t *Data, size_t Len);
 uint32_t traceFnv32(const uint8_t *Data, size_t Len);

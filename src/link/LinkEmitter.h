@@ -14,8 +14,7 @@
 ///                       (channel-bound ticks and values do not appear),
 ///   <sys>_out_t         the external outputs,
 ///   <sys>_step()        one fused reaction,
-///   <sys>_step_batch()  N instants over input/output arrays,
-///   <sys>_step_fleet()  the lane-blocked many-instance entry point.
+///   <sys>_step_batch()  N instants over input/output arrays.
 ///
 /// External fields are deduplicated by name, mirroring the
 /// interpreter's name-keyed environment: two units importing the same

@@ -33,8 +33,8 @@
 /// ordinary slot VM — LinkedExecutor in src/interp/ is a thin shim over
 /// VmExecutor that adds the dynamic clock checks for consumer-derived
 /// import clocks, and emitLinkedC in LinkEmitter.h emits the fused
-/// bytecode through the single CEmitter lowering (so batch and fleet
-/// entry points come for free).
+/// bytecode through the single CEmitter lowering (so the batch entry
+/// point comes for free).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -26,8 +26,7 @@
 /// graph is acyclic — a true cycle is diagnosed with the channel path
 /// around it. SkipIfAbsent guards are re-synthesized over the interleaved
 /// stream from each instruction's original guard path, preserving the
-/// proper nesting the VM, the C emitter and the fleet executor's mask
-/// stack all rely on.
+/// proper nesting the VM and the C emitter rely on.
 ///
 //===----------------------------------------------------------------------===//
 

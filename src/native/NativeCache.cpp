@@ -5,7 +5,9 @@
 #include "native/CcRunner.h"
 #include "native/StepHash.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -71,12 +73,22 @@ NativeCache::tryLoad(const std::string &Hash, std::string &Error) const {
 
 std::unique_ptr<NativeModule>
 NativeCache::compileAndPublish(const CompiledStep &CS, const std::string &Hash,
-                               std::string &Error) const {
+                               std::string &Error,
+                               NativeBuildStats *Build) const {
   std::string Source = NativeModule::buildSource(CS, Hash);
   std::string Tmp = Dir + "/tmp." + std::to_string(::getpid()) + "." +
                     std::to_string(TmpCounter.fetch_add(1)) + ".so";
+  auto T0 = std::chrono::steady_clock::now();
   if (!compileSharedObject(Source, Tmp, Error))
     return nullptr;
+  if (Build) {
+    Build->CLines = static_cast<size_t>(
+        std::count(Source.begin(), Source.end(), '\n'));
+    Build->CBytes = Source.size();
+    Build->CcMs = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
+  }
   std::string Final = soPath(Hash);
   if (::rename(Tmp.c_str(), Final.c_str()) != 0) {
     std::remove(Tmp.c_str());

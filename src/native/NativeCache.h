@@ -31,6 +31,13 @@
 
 namespace sigc {
 
+/// What one compileAndPublish cost: the `--stats` native line.
+struct NativeBuildStats {
+  size_t CLines = 0; ///< Lines of the generated C unit.
+  size_t CBytes = 0; ///< Bytes of the generated C unit.
+  double CcMs = 0;   ///< Wall time of the host cc run.
+};
+
 class NativeCache {
 public:
   /// The default cache directory for this user (see file comment).
@@ -52,10 +59,12 @@ public:
                                         std::string &Error) const;
 
   /// Compiles \p CS, publishes the artifact under \p Hash via atomic
-  /// rename, and loads it. Null with \p Error set on failure.
-  std::unique_ptr<NativeModule> compileAndPublish(const CompiledStep &CS,
-                                                  const std::string &Hash,
-                                                  std::string &Error) const;
+  /// rename, and loads it. Null with \p Error set on failure. \p Build,
+  /// when given, receives the size of the C unit and the cc time.
+  std::unique_ptr<NativeModule>
+  compileAndPublish(const CompiledStep &CS, const std::string &Hash,
+                    std::string &Error,
+                    NativeBuildStats *Build = nullptr) const;
 
 private:
   std::string Dir;

@@ -39,8 +39,6 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
   EO.WithDriver = false;
   std::string Out = emitC(CS, UnitName, EO);
 
-  const std::string NClk = std::to_string(CS.ClockInputs.size());
-  const std::string NIn = std::to_string(CS.Inputs.size());
   const std::string NOut = std::to_string(CS.Outputs.size());
   const std::string NState = std::to_string(CS.StateInit.size());
 
@@ -126,79 +124,7 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
     Out += "    outv[" + At + "]." + fieldOf(SO.Type) + " = out_s." + Id +
            ";\n";
   }
-  Out += "  }\n}\n\n";
-
-  // Fleet entry: dense instance-major stimulus/output rows; the emitted
-  // AoS state/in/out arrays live in host-provided scratch. Regions are
-  // 16-byte aligned within the (malloc-aligned) scratch block.
-  Out += "unsigned long sigc_native_fleet_bytes(unsigned n_instances, "
-         "unsigned n_instants) {\n"
-         "  unsigned long cells = (unsigned long)n_instances * n_instants;\n"
-         "  unsigned long b = 0;\n"
-         "  b += ((unsigned long)n_instances * sizeof(sigc_unit_state_t) + "
-         "15ul) & ~15ul;\n"
-         "  b += (cells * sizeof(sigc_unit_in_t) + 15ul) & ~15ul;\n"
-         "  b += (cells * sizeof(sigc_unit_out_t) + 15ul) & ~15ul;\n"
-         "  return b;\n}\n\n";
-  Out += "void sigc_native_run_fleet(unsigned char *scratch, "
-         "sigc_native_value_t *states, unsigned long long *guards, "
-         "unsigned long long *execs, const unsigned char *ticks, "
-         "const sigc_native_value_t *ins, unsigned char *outp, "
-         "sigc_native_value_t *outv, unsigned n_instances, "
-         "unsigned n_instants) {\n"
-         "  unsigned long cells = (unsigned long)n_instances * n_instants;\n"
-         "  sigc_unit_state_t *st = (sigc_unit_state_t *)scratch;\n"
-         "  sigc_unit_in_t *in = (sigc_unit_in_t *)(scratch + (((unsigned "
-         "long)n_instances * sizeof(sigc_unit_state_t) + 15ul) & ~15ul));\n"
-         "  sigc_unit_out_t *out = (sigc_unit_out_t *)((unsigned char *)in + "
-         "((cells * sizeof(sigc_unit_in_t) + 15ul) & ~15ul));\n"
-         "  unsigned k, t;\n"
-         "  unsigned long r;\n"
-         "  (void)states; (void)ticks; (void)ins; (void)outv; (void)r;\n"
-         "  for (k = 0; k < n_instances; ++k) {\n"
-         "    sigc_native_set_state(&st[k], &states[(unsigned long)k * " +
-         NState + "ul]);\n"
-         "    st[k].guard_tests = guards[k];\n"
-         "    st[k].executed = execs[k];\n"
-         "  }\n"
-         "  memset(out, 0, cells * sizeof(sigc_unit_out_t));\n"
-         "  for (k = 0; k < n_instances; ++k)\n"
-         "    for (t = 0; t < n_instants; ++t) {\n"
-         "      r = (unsigned long)k * n_instants + t;\n";
-  for (size_t D = 0; D < CS.ClockInputs.size(); ++D)
-    Out += "      in[r].tick_" + sanitizeIdent(CS.ClockInputs[D].Name) +
-           " = ticks[r * " + NClk + "ul + " + std::to_string(D) + "ul];\n";
-  for (size_t D = 0; D < CS.Inputs.size(); ++D) {
-    const auto &SI = CS.Inputs[D];
-    Out += "      in[r]." + sanitizeIdent(SI.Name) + " = ins[r * " + NIn +
-           "ul + " + std::to_string(D) + "ul]." + fieldOf(SI.Type) + ";\n";
-  }
-  if (CS.ClockInputs.empty() && CS.Inputs.empty())
-    Out += "      in[r].unused = 0;\n";
-  Out += "    }\n"
-         "  sigc_unit_step_fleet(st, in, out, n_instances, n_instants);\n"
-         "  for (k = 0; k < n_instances; ++k)\n"
-         "    for (t = 0; t < n_instants; ++t) {\n"
-         "      r = (unsigned long)k * n_instants + t;\n";
-  for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos) {
-    const auto &SO = CS.Outputs[CS.OutputFlushOrder[Pos]];
-    std::string Id = sanitizeIdent(SO.Name);
-    std::string At = "r * " + NOut + "ul + " + std::to_string(Pos) + "ul";
-    Out += "      outp[" + At + "] = (unsigned char)out[r]." + Id +
-           "_present;\n";
-    Out += "      outv[" + At + "]." + fieldOf(SO.Type) + " = out[r]." + Id +
-           ";\n";
-  }
-  if (CS.Outputs.empty())
-    Out += "      (void)outp;\n";
-  Out += "    }\n"
-         "  for (k = 0; k < n_instances; ++k) {\n"
-         "    sigc_native_get_state(&st[k], &states[(unsigned long)k * " +
-         NState + "ul]);\n"
-         "    guards[k] = st[k].guard_tests;\n"
-         "    execs[k] = st[k].executed;\n"
-         "  }\n"
-         "}\n";
+  Out += "  }\n}\n";
   return Out;
 }
 
@@ -240,8 +166,6 @@ bool NativeModule::load(const std::string &SoPath,
   Resolve("sigc_native_get_counters", GetCountersFn);
   Resolve("sigc_native_set_counters", SetCountersFn);
   Resolve("sigc_native_run", RunFn);
-  Resolve("sigc_native_fleet_bytes", FleetBytesFn);
-  Resolve("sigc_native_run_fleet", RunFleetFn);
   if (!Error.empty()) {
     close();
     return false;

@@ -13,9 +13,6 @@
 ///   * `sigc_native_run` marshals columnar, strided tick/input buffers
 ///     (exactly the VmExecutor batch layout) through `sigc_unit_step`
 ///     and writes presence/value output rows in flush order,
-///   * `sigc_native_run_fleet` unpacks dense instance-major lane buffers
-///     into the emitted AoS arrays inside host-provided scratch and runs
-///     `sigc_unit_step_fleet`,
 ///   * state accessors move delay slots and the guard/executed counters
 ///     across the VM<->native boundary, which is what makes hot swap at
 ///     a batch boundary a plain state copy.
@@ -100,26 +97,6 @@ public:
     RunFn(State, Ticks, TickStride, Ins, InStride, OutPresent, OutVals, Count);
   }
 
-  /// Scratch bytes sigc_native_run_fleet needs for the emitted AoS
-  /// state/input/output arrays.
-  unsigned long fleetScratchBytes(unsigned NInstances,
-                                  unsigned NInstants) const {
-    return FleetBytesFn(NInstances, NInstants);
-  }
-
-  /// Runs a lane block through the emitted `_step_fleet`. States is
-  /// [instance * numStateSlots + slot] (in/out), Guards/Executed are per
-  /// instance (in/out), Ticks/Ins/OutPresent/OutVals are dense
-  /// instance-major: [((instance * NInstants) + t) * NumDescs + d].
-  void runFleet(unsigned char *Scratch, NativeValue *States,
-                unsigned long long *Guards, unsigned long long *Executed,
-                const unsigned char *Ticks, const NativeValue *Ins,
-                unsigned char *OutPresent, NativeValue *OutVals,
-                unsigned NInstances, unsigned NInstants) const {
-    RunFleetFn(Scratch, States, Guards, Executed, Ticks, Ins, OutPresent,
-               OutVals, NInstances, NInstants);
-  }
-
 private:
   void close();
 
@@ -141,11 +118,6 @@ private:
   void (*RunFn)(void *, const unsigned char *, unsigned long,
                 const NativeValue *, unsigned long, unsigned char *,
                 NativeValue *, unsigned) = nullptr;
-  unsigned long (*FleetBytesFn)(unsigned, unsigned) = nullptr;
-  void (*RunFleetFn)(unsigned char *, NativeValue *, unsigned long long *,
-                     unsigned long long *, const unsigned char *,
-                     const NativeValue *, unsigned char *, NativeValue *,
-                     unsigned, unsigned) = nullptr;
 };
 
 } // namespace sigc

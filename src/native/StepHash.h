@@ -27,8 +27,9 @@ namespace sigc {
 /// the C meaning of the bytecode changes; stale cache entries from older
 /// binaries then miss instead of loading with a wrong shape or an old
 /// semantics. Version 2: `=`/`/=` between an event and a boolean compare
-/// truth values instead of folding to unequal.
-constexpr int NativeFormatVersion = 2;
+/// truth values instead of folding to unequal. Version 3: the lane-swept
+/// fleet entry points are gone from the shim.
+constexpr int NativeFormatVersion = 3;
 
 /// The flags every cached artifact is compiled with (part of the hash, so
 /// changing them invalidates the cache).

@@ -39,8 +39,9 @@ bool TierController::start() {
   }
 
   if (Opts.Mode == NativeMode::Force) {
-    if (auto M = Cache.compileAndPublish(CS, Hash, E)) {
+    if (auto M = Cache.compileAndPublish(CS, Hash, E, &Build)) {
       Mod = std::move(M);
+      Compiled = true;
       Ready.store(true, std::memory_order_release);
       return true;
     }
@@ -61,7 +62,8 @@ bool TierController::start() {
 
 void TierController::backgroundCompile() {
   std::string E;
-  auto M = Cache.compileAndPublish(CS, Hash, E);
+  auto M = Cache.compileAndPublish(CS, Hash, E, &Build);
+  Compiled = M != nullptr;
   if (!M) {
     // Maybe a concurrent process published while our cc failed.
     M = Cache.tryLoad(Hash, E);
@@ -83,5 +85,11 @@ TierStats TierController::stats() const {
   S.NativeLoaded = nativeReady();
   S.Hash = Hash;
   S.Error = error();
+  // The compile's cost is only read once the module it built is
+  // published: a background compile may still be writing it.
+  if (S.NativeLoaded && Compiled) {
+    S.Compiled = true;
+    S.Build = Build;
+  }
   return S;
 }

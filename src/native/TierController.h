@@ -57,6 +57,10 @@ struct TierStats {
   bool NativeLoaded = false;
   std::string Hash;
   std::string Error; ///< Last compile/load failure (Auto keeps going).
+  /// True when this controller compiled the loaded module itself (a
+  /// cache miss whose compile finished); Build then holds its cost.
+  bool Compiled = false;
+  NativeBuildStats Build;
 };
 
 class TierController {
@@ -69,6 +73,8 @@ public:
   bool start();
 
   NativeMode mode() const { return Opts.Mode; }
+  /// The warm-up threshold (--tier-after) shouldPromote applies.
+  unsigned tierAfter() const { return Opts.TierAfter; }
   const std::string &hash() const { return Hash; }
 
   /// True once a validated module is loaded (cache hit or compile done).
@@ -103,6 +109,8 @@ private:
   std::unique_ptr<NativeModule> Mod;
   std::atomic<bool> Ready{false};
   bool Hit = false;
+  bool Compiled = false;  ///< Written before Ready is released.
+  NativeBuildStats Build; ///< Written before Ready is released.
   std::thread Worker;
   mutable std::mutex ErrMutex;
   std::string Err;

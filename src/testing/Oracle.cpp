@@ -5,7 +5,6 @@
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
 #include "interp/Environment.h"
-#include "interp/FleetExecutor.h"
 #include "interp/KernelInterp.h"
 #include "interp/LinkedExecutor.h"
 #include "interp/StepExecutor.h"
@@ -89,20 +88,11 @@ std::string cInputLiteral(const Value &V) {
 /// Instants run through the batched entry point over input/output
 /// arrays, exercising the same boundary the VM's stepN amortizes; the
 /// generated counters print as one trailing #counters line.
-///
-/// When Options.FleetInstances > 0, the harness also self-checks the
-/// emitted `<proc>_step_fleet`: per-instance input arrays (instance j
-/// seeded EnvSeed+j, mirroring the in-process fleet leg) run once through
-/// the fleet sweep and once per instance through `_step_batch`; every
-/// present flag, value and per-instance counter must agree, and a
-/// trailing "#fleet ok" line reports success (mismatch exits 1).
 std::string buildHarness(const Compilation &C, const std::string &Proc,
                          const OracleOptions &Options) {
   const CompiledStep &Step = C.Compiled;
   RandomEnvironment Env(Options.EnvSeed, Options.TickPermille);
   unsigned N = Options.Instants;
-  unsigned M = Options.FleetInstances;
-  std::string NS = std::to_string(N), MS = std::to_string(M);
 
   std::string Out = "\n#include <stdio.h>\n\n";
 
@@ -124,46 +114,8 @@ std::string buildHarness(const Compilation &C, const std::string &Proc,
     Out += "};\n";
   }
 
-  // The fleet's per-instance replay scripts, one row per instance.
-  if (M) {
-    for (const auto &CI : Step.ClockInputs) {
-      Out += "static const int ftick_" + sanitizeIdent(CI.Name) + "_v[" + MS +
-             "][" + NS + "] = {";
-      for (unsigned J = 0; J < M; ++J) {
-        RandomEnvironment EnvJ(Options.EnvSeed + J, Options.TickPermille);
-        Out += "{";
-        for (unsigned I = 0; I < N; ++I)
-          Out += std::string(EnvJ.clockTick(CI.Name, I) ? "1" : "0") + ",";
-        Out += "},";
-      }
-      Out += "};\n";
-    }
-    for (const auto &SI : Step.Inputs) {
-      const char *CType = SI.Type == TypeKind::Integer ? "long"
-                          : SI.Type == TypeKind::Real  ? "double"
-                                                       : "int";
-      Out += std::string("static const ") + CType + " fin_" +
-             sanitizeIdent(SI.Name) + "_v[" + MS + "][" + NS + "] = {";
-      for (unsigned J = 0; J < M; ++J) {
-        RandomEnvironment EnvJ(Options.EnvSeed + J, Options.TickPermille);
-        Out += "{";
-        for (unsigned I = 0; I < N; ++I)
-          Out += cInputLiteral(EnvJ.inputValue(SI.Name, SI.Type, I)) + ",";
-        Out += "},";
-      }
-      Out += "};\n";
-    }
-  }
-
   Out += "\nstatic " + Proc + "_in_t in_v[" + std::to_string(N) + "];\n";
   Out += "static " + Proc + "_out_t out_v[" + std::to_string(N) + "];\n";
-  if (M) {
-    Out += "static " + Proc + "_in_t fin_v[" + MS + " * " + NS + "];\n";
-    Out += "static " + Proc + "_out_t fout_v[" + MS + " * " + NS + "];\n";
-    Out += "static " + Proc + "_out_t fref_v[" + MS + " * " + NS + "];\n";
-    Out += "static " + Proc + "_state_t fst_v[" + MS + "];\n";
-    Out += "static " + Proc + "_state_t fref_st_v[" + MS + "];\n";
-  }
   Out += "\nint main(void) {\n";
   Out += "  " + Proc + "_state_t st;\n";
   Out += "  unsigned i;\n";
@@ -192,71 +144,14 @@ std::string buildHarness(const Compilation &C, const std::string &Proc,
   Out += "  }\n";
   Out += "  printf(\"#counters guards=%llu executed=%llu\\n\", "
          "st.guard_tests, st.executed);\n";
-  if (M) {
-    Out += "  {\n";
-    Out += "    unsigned j;\n";
-    Out += "    for (j = 0; j < " + MS + "; ++j)\n";
-    Out += "      for (i = 0; i < " + NS + "; ++i) {\n";
-    for (const auto &CI : Step.ClockInputs) {
-      std::string Id = sanitizeIdent(CI.Name);
-      Out += "        fin_v[j * " + NS + " + i].tick_" + Id + " = ftick_" +
-             Id + "_v[j][i];\n";
-    }
-    for (const auto &SI : Step.Inputs) {
-      std::string Id = sanitizeIdent(SI.Name);
-      Out += "        fin_v[j * " + NS + " + i]." + Id + " = fin_" + Id +
-             "_v[j][i];\n";
-    }
-    Out += "      }\n";
-    Out += "    for (j = 0; j < " + MS + "; ++j)\n";
-    Out += "      " + Proc + "_init(&fst_v[j]);\n";
-    Out += "    " + Proc + "_step_fleet(fst_v, fin_v, fout_v, " + MS + ", " +
-           NS + ");\n";
-    Out += "    for (j = 0; j < " + MS + "; ++j) {\n";
-    Out += "      " + Proc + "_init(&fref_st_v[j]);\n";
-    Out += "      " + Proc + "_step_batch(&fref_st_v[j], &fin_v[j * " + NS +
-           "], &fref_v[j * " + NS + "], " + NS + ");\n";
-    Out += "    }\n";
-    Out += "    for (j = 0; j < " + MS + "; ++j) {\n";
-    Out += "      if (fst_v[j].guard_tests != fref_st_v[j].guard_tests ||\n";
-    Out += "          fst_v[j].executed != fref_st_v[j].executed) {\n";
-    Out += "        printf(\"#fleet counter mismatch instance=%u\\n\", j);\n";
-    Out += "        return 1;\n";
-    Out += "      }\n";
-    Out += "      for (i = 0; i < " + NS + "; ++i) {\n";
-    for (const auto &SO : Step.Outputs) {
-      std::string Id = sanitizeIdent(SO.Name);
-      std::string A = "fout_v[j * " + NS + " + i]." + Id;
-      std::string B = "fref_v[j * " + NS + " + i]." + Id;
-      // NaN-safe value compare for reals; exact otherwise. (The self-
-      // comparison form is only emitted for doubles — on integer types
-      // it would trip -Wtautological-compare under -Werror.)
-      std::string Eq = A + " == " + B;
-      if (SO.Type == TypeKind::Real)
-        Eq = "(" + Eq + " || (" + A + " != " + A + " && " + B + " != " + B +
-             "))";
-      Out += "        if (" + A + "_present != " + B + "_present ||\n";
-      Out += "            (" + A + "_present && !(" + Eq + "))) {\n";
-      Out += "          printf(\"#fleet output mismatch instance=%u "
-             "instant=%u signal=" + Id + "\\n\", j, i);\n";
-      Out += "          return 1;\n";
-      Out += "        }\n";
-    }
-    Out += "      }\n";
-    Out += "    }\n";
-    Out += "    printf(\"#fleet ok instances=%u\\n\", " + MS + ");\n";
-    Out += "  }\n";
-  }
   Out += "  return 0;\n}\n";
   return Out;
 }
 
 /// One classified line of a harness' stdout: a trailing "#counters
-/// guards=G executed=E" line, a "#fleet ok" self-check verdict, or an
-/// "INSTANT IDENT=VALUE" event line.
+/// guards=G executed=E" line or an "INSTANT IDENT=VALUE" event line.
 struct HarnessLine {
   bool IsCounters = false;
-  bool IsFleetOk = false;
   unsigned Instant = 0;
   std::string Ident;
   std::string Val;
@@ -270,12 +165,6 @@ bool splitHarnessLine(const std::string &Line, HarnessLine &Out,
                       uint64_t &CGuards, uint64_t &CExecuted,
                       std::string &Error) {
   if (Line[0] == '#') {
-    unsigned Instances = 0;
-    if (std::sscanf(Line.c_str(), "#fleet ok instances=%u", &Instances) ==
-        1) {
-      Out.IsFleetOk = true;
-      return true;
-    }
     unsigned long long G = 0, E = 0;
     if (std::sscanf(Line.c_str(), "#counters guards=%llu executed=%llu", &G,
                     &E) != 2) {
@@ -324,12 +213,10 @@ bool parseTypedValue(TypeKind Type, const std::string &Text, Value &V) {
 }
 
 /// Parses the harness' stdout back into output events plus the generated
-/// program's own guard/executed counters; \p FleetOk records whether the
-/// in-C fleet self-check printed its success line.
+/// program's own guard/executed counters.
 bool parseHarnessTrace(const std::string &Text, const CompiledStep &Step,
                        std::vector<OutputEvent> &Events, uint64_t &CGuards,
-                       uint64_t &CExecuted, bool &FleetOk,
-                       std::string &Error) {
+                       uint64_t &CExecuted, std::string &Error) {
   std::istringstream In(Text);
   std::string Line;
   while (std::getline(In, Line)) {
@@ -338,10 +225,6 @@ bool parseHarnessTrace(const std::string &Text, const CompiledStep &Step,
     HarnessLine HL;
     if (!splitHarnessLine(Line, HL, CGuards, CExecuted, Error))
       return false;
-    if (HL.IsFleetOk) {
-      FleetOk = true;
-      continue;
-    }
     if (HL.IsCounters)
       continue;
 
@@ -368,10 +251,9 @@ bool parseHarnessTrace(const std::string &Text, const CompiledStep &Step,
 /// warning-free strict C99 (CI's "every oracle-emitted C file compiles
 /// -std=c99 -Wall -Werror" gate runs right here, on every oracle run).
 std::string ccCommand(const std::string &Bin, const std::string &CPath,
-                      const std::string &LogPath,
-                      const std::string &Extra = std::string()) {
-  return hostCC() + " -std=c99 -Wall -Werror -O1" + Extra + " -o " + Bin +
-         " " + CPath + " > " + LogPath + " 2>&1";
+                      const std::string &LogPath) {
+  return hostCC() + " -std=c99 -Wall -Werror -O1 -o " + Bin + " " + CPath +
+         " > " + LogPath + " 2>&1";
 }
 
 /// Compiles and runs the emitted C; fills \p Events with the subprocess
@@ -380,7 +262,7 @@ std::string ccCommand(const std::string &Bin, const std::string &CPath,
 bool runCRoundTrip(Compilation &C, const std::string &ProcName,
                    const OracleOptions &Options,
                    std::vector<OutputEvent> &Events, uint64_t &CGuards,
-                   uint64_t &CExecuted, bool &FleetOk, std::string &Error) {
+                   uint64_t &CExecuted, std::string &Error) {
   const std::string &CC = hostCC();
   if (CC.empty()) {
     Error = "no host C compiler";
@@ -408,11 +290,7 @@ bool runCRoundTrip(Compilation &C, const std::string &ProcName,
     std::ofstream OutFile(CPath);
     OutFile << CSource;
   }
-  // A small lane-block forces the fleet self-check to span several sweep
-  // blocks even for a handful of instances.
-  std::string Extra =
-      Options.FleetInstances ? " -DSIGC_FLEET_BLOCK=2" : "";
-  if (std::system(ccCommand(Bin, CPath, LogPath, Extra).c_str()) != 0) {
+  if (std::system(ccCommand(Bin, CPath, LogPath).c_str()) != 0) {
     Error = "host C compilation failed:\n" + readFile(LogPath) +
             "--- emitted C ---\n" + CSource;
   } else if (std::system((Bin + " > " + OutPath + " 2>/dev/null").c_str()) !=
@@ -420,7 +298,7 @@ bool runCRoundTrip(Compilation &C, const std::string &ProcName,
     Error = "emitted program exited non-zero:\n" + readFile(OutPath);
   } else {
     Ok = parseHarnessTrace(readFile(OutPath), C.Compiled, Events, CGuards,
-                           CExecuted, FleetOk, Error);
+                           CExecuted, Error);
   }
 
   for (const std::string &F : {CPath, Bin, OutPath, LogPath})
@@ -603,61 +481,6 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     }
   }
 
-  // Path 4c: the fleet executor — FleetInstances instances of the same
-  // bytecode swept in SoA lane blocks across shard threads, batched
-  // through the same stepN windows as 4b. Instance j is seeded
-  // EnvSeed+j (instance 0 thus replays the scalar legs' inputs); every
-  // instance's trace must equal a scalar VM run of that instance alone,
-  // and the fleet's counters must be exactly the per-instance sums.
-  if (Options.FleetInstances) {
-    unsigned M = Options.FleetInstances;
-    std::vector<std::unique_ptr<RandomEnvironment>> FleetOwned;
-    std::vector<Environment *> FleetEnvs;
-    for (unsigned J = 0; J < M; ++J) {
-      FleetOwned.push_back(std::make_unique<RandomEnvironment>(
-          Options.EnvSeed + J, Options.TickPermille));
-      FleetEnvs.push_back(FleetOwned.back().get());
-    }
-    FleetExecutor::Config FC;
-    FC.LaneBlock = Options.FleetLaneBlock ? Options.FleetLaneBlock : 1;
-    FC.Threads = Options.FleetThreads ? Options.FleetThreads : 1;
-    FleetExecutor Fleet(C->Compiled, M, FC);
-    Fleet.runBatched(FleetEnvs, Options.Instants,
-                     Options.BatchSize ? Options.BatchSize : 1);
-    R.GuardTestsFleet = Fleet.guardTests();
-    R.ExecutedFleet = Fleet.executed();
-
-    uint64_t SumGuards = 0, SumExecuted = 0;
-    for (unsigned J = 0; J < M; ++J) {
-      RandomEnvironment EnvJ(Options.EnvSeed + J, Options.TickPermille);
-      VmExecutor ExecJ(C->Compiled);
-      ExecJ.run(EnvJ, Options.Instants);
-      SumGuards += ExecJ.guardTests();
-      SumExecuted += ExecJ.executed();
-      TraceDiff FD = compareTraces("scalar-vm", EnvJ.outputs(), "fleet",
-                                   FleetOwned[J]->outputs());
-      if (!FD.Equal) {
-        R.Error = failure(Name,
-                          "fleet instance " + std::to_string(J) +
-                              " diverges from the scalar VM (lane block " +
-                              std::to_string(FC.LaneBlock) + ", " +
-                              std::to_string(FC.Threads) + " threads)",
-                          FD.Report, Source);
-        return R;
-      }
-    }
-    if (R.GuardTestsFleet != SumGuards || R.ExecutedFleet != SumExecuted) {
-      R.Error = failure(
-          Name, "fleet counters diverge from per-instance scalar sums",
-          "scalar sum: guards=" + std::to_string(SumGuards) +
-              " executed=" + std::to_string(SumExecuted) +
-              "\nfleet:      guards=" + std::to_string(R.GuardTestsFleet) +
-              " executed=" + std::to_string(R.ExecutedFleet) + "\n",
-          Source);
-      return R;
-    }
-  }
-
   TraceDiff D = compareTraces("interp", EnvRef.outputs(), "step-flat",
                               EnvFlat.outputs());
   if (!D.Equal) {
@@ -701,19 +524,11 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     std::vector<OutputEvent> CEvents;
     std::string Error;
     if (!runCRoundTrip(*C, ProcName, Options, CEvents, R.GuardTestsC,
-                       R.ExecutedC, R.CFleetChecked, Error)) {
+                       R.ExecutedC, Error)) {
       R.Error = failure(Name, "emitted-C round-trip failed", Error, Source);
       return R;
     }
     R.CRoundTripRan = true;
-    // The harness only prints "#fleet ok" after its in-C self-check of
-    // _step_fleet against per-instance _step_batch passed; a missing
-    // line means the check never ran.
-    if (Options.FleetInstances && !R.CFleetChecked) {
-      R.Error = failure(Name, "emitted-C fleet self-check did not run", "",
-                        Source);
-      return R;
-    }
     D = compareTraces("step-nested", EnvNested.outputs(), "emitted-c",
                       CEvents);
     if (!D.Equal) {
@@ -999,7 +814,7 @@ bool parseLinkedTrace(const std::string &Text, const LinkedCInterface &CI,
     HarnessLine HL;
     if (!splitHarnessLine(Line, HL, CGuards, CExecuted, Error))
       return false;
-    if (HL.IsCounters || HL.IsFleetOk)
+    if (HL.IsCounters)
       continue;
 
     const LinkedCInterface::ValueField *Desc = nullptr;
@@ -1189,66 +1004,6 @@ OracleReport sigc::checkLinkedDifferential(
             " executed=" + std::to_string(LinkedB.executed()) + "\n",
         AllSources);
     return R;
-  }
-
-  // Path 2c: the fleet executor over the fused step — FleetInstances
-  // instances swept in SoA lane blocks across shard threads. Instance j
-  // is seeded EnvSeed+j; every instance's trace must equal a linked run
-  // of that instance alone, and the fleet's counters must be exactly
-  // the per-instance sums.
-  if (Options.FleetInstances) {
-    unsigned M = Options.FleetInstances;
-    std::vector<std::unique_ptr<RandomEnvironment>> FleetOwned;
-    std::vector<Environment *> FleetEnvs;
-    for (unsigned J = 0; J < M; ++J) {
-      FleetOwned.push_back(std::make_unique<RandomEnvironment>(
-          Options.EnvSeed + J, Options.TickPermille));
-      FleetEnvs.push_back(FleetOwned.back().get());
-    }
-    FleetExecutor::Config FC;
-    FC.LaneBlock = Options.FleetLaneBlock ? Options.FleetLaneBlock : 1;
-    FC.Threads = Options.FleetThreads ? Options.FleetThreads : 1;
-    FleetExecutor Fleet(Sys.Fused, M, FC);
-    Fleet.runBatched(FleetEnvs, Options.Instants,
-                     Options.BatchSize ? Options.BatchSize : 1);
-    R.GuardTestsFleet = Fleet.guardTests();
-    R.ExecutedFleet = Fleet.executed();
-
-    uint64_t SumGuards = 0, SumExecuted = 0;
-    for (unsigned J = 0; J < M; ++J) {
-      RandomEnvironment EnvJ(Options.EnvSeed + J, Options.TickPermille);
-      LinkedExecutor ExecJ(Sys);
-      if (!ExecJ.run(EnvJ, Options.Instants)) {
-        R.Error = failure(Name,
-                          "linked execution stopped for fleet instance " +
-                              std::to_string(J),
-                          ExecJ.error() + "\n", AllSources);
-        return R;
-      }
-      SumGuards += ExecJ.guardTests();
-      SumExecuted += ExecJ.executed();
-      TraceDiff FD = compareTraces("linked-vm", EnvJ.outputs(),
-                                   "linked-fleet", FleetOwned[J]->outputs());
-      if (!FD.Equal) {
-        R.Error = failure(Name,
-                          "linked fleet instance " + std::to_string(J) +
-                              " diverges from the linked VM (lane block " +
-                              std::to_string(FC.LaneBlock) + ", " +
-                              std::to_string(FC.Threads) + " threads)",
-                          FD.Report, AllSources);
-        return R;
-      }
-    }
-    if (R.GuardTestsFleet != SumGuards || R.ExecutedFleet != SumExecuted) {
-      R.Error = failure(
-          Name, "linked fleet counters diverge from per-instance sums",
-          "linked sum: guards=" + std::to_string(SumGuards) +
-              " executed=" + std::to_string(SumExecuted) +
-              "\nfleet:      guards=" + std::to_string(R.GuardTestsFleet) +
-              " executed=" + std::to_string(R.ExecutedFleet) + "\n",
-          AllSources);
-      return R;
-    }
   }
 
   // Path 3: the linked C emission, through the host compiler; the fused

@@ -10,15 +10,13 @@
 ///   3. the compiled step program, nested control structure,
 ///   4. the slot-resolved VM (CompiledStep through VmExecutor), both
 ///      instant by instant and batched through the bulk environment
-///      exchange (stepN windows),
-///   5. the FleetExecutor — N instances of the same bytecode swept in
-///      SoA lane blocks across shard threads, each instance pinned
-///      trace- and counter-identical to a scalar VM run,
-///   6. optionally, the emitted C — lowered from the same CompiledStep
+///      exchange (stepN windows), plus a record -> replay round trip
+///      through the binary trace format,
+///   5. optionally, the emitted C — lowered from the same CompiledStep
 ///      bytecode — round-tripped through the host C compiler (-std=c99
 ///      -Wall -Werror) and executed as a subprocess, its generated
 ///      guard/executed counters pinned equal to the VM's,
-///   7. optionally, the native tier's hot swap: the same bytecode
+///   6. optionally, the native tier's hot swap: the same bytecode
 ///      compiled to a shared object through the production cache path
 ///      and, at every batch boundary k, a run that interprets k
 ///      instants then finishes on the dlopen'd step function — pinned
@@ -64,18 +62,6 @@ struct OracleOptions {
   /// must equal the pure-VM trace bit for bit, final counters included.
   /// Skipped (not failed) when no host C compiler is found.
   bool NativeSwap = false;
-  /// Instances of the fleet leg (0 disables it): a FleetExecutor sweeps
-  /// this many per-instance environments (instance j seeded EnvSeed+j,
-  /// instance 0 thus replaying the scalar legs' trace) and every
-  /// instance's trace — plus the summed guard/executed counters — must
-  /// equal a scalar VM run of that instance alone. When the C round-trip
-  /// also runs, the harness self-checks `<proc>_step_fleet` against
-  /// per-instance `<proc>_step_batch` over the same baked inputs.
-  unsigned FleetInstances = 5;
-  /// Lane-block size of the fleet leg (instances per SoA sweep block).
-  unsigned FleetLaneBlock = 2;
-  /// Shard threads of the fleet leg.
-  unsigned FleetThreads = 2;
 };
 
 /// Outcome of one oracle run.
@@ -102,18 +88,10 @@ struct OracleReport {
   /// system (sum over units). Zero for single-process reports.
   uint64_t GuardTestsMono = 0;
   uint64_t GuardTestsLinked = 0;
-  /// Counters of the fleet leg: totals over all fleet instances, pinned
-  /// inside the oracle to the sum of per-instance scalar VM runs.
-  uint64_t GuardTestsFleet = 0;
-  uint64_t ExecutedFleet = 0;
   /// True when the C round-trip actually ran (compiler available).
   bool CRoundTripRan = false;
   /// True when the native hot-swap leg ran (compiler available).
   bool NativeSwapRan = false;
-  /// True when the C harness's in-C fleet self-check ran and passed
-  /// (the harness compares `_step_fleet` against per-instance
-  /// `_step_batch` and prints a #fleet line the oracle demands).
-  bool CFleetChecked = false;
 };
 
 /// Runs the differential oracle on \p Source (named \p Name in reports).

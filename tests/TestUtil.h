@@ -4,6 +4,7 @@
 #define SIGNALC_TESTS_TESTUTIL_H
 
 #include "driver/Driver.h"
+#include "driver/Simulation.h"
 #include "link/Linker.h"
 
 #include <gtest/gtest.h>
@@ -164,6 +165,28 @@ process SPLIT =
   end;
 )";
 }
+
+/// One simulateFleet run: instance j against its own RandomEnvironment
+/// seeded Base + 1000003 * j (distinct but deterministic).
+struct FleetRun {
+  std::vector<std::unique_ptr<RandomEnvironment>> Owned;
+  SimulationTotals Totals;
+
+  static uint64_t seed(uint64_t Base, unsigned Instance) {
+    return Base + 1000003ull * Instance;
+  }
+
+  FleetRun(const CompiledStep &CS, unsigned Instances, uint64_t BaseSeed,
+           unsigned Instants, unsigned Batch, unsigned Threads,
+           const TierController *Tier = nullptr) {
+    std::vector<Environment *> Envs;
+    for (unsigned J = 0; J < Instances; ++J) {
+      Owned.push_back(std::make_unique<RandomEnvironment>(seed(BaseSeed, J)));
+      Envs.push_back(Owned.back().get());
+    }
+    Totals = simulateFleet(CS, Envs, Instants, Batch, Threads, Tier);
+  }
+};
 
 } // namespace sigc::test
 

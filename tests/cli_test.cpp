@@ -26,10 +26,12 @@ struct CliResult {
   std::string Output; ///< stdout and stderr, interleaved.
 };
 
-/// Runs `signalc <Args>` and captures exit code plus combined output.
-CliResult runSignalc(const std::string &Args) {
+/// Runs `signalc <Args>` and captures exit code plus combined output
+/// (stdout only when \p StdoutOnly).
+CliResult runSignalc(const std::string &Args, bool StdoutOnly = false) {
   CliResult R;
-  std::string Cmd = std::string(SIGNALC_BIN) + " " + Args + " 2>&1";
+  std::string Cmd = std::string(SIGNALC_BIN) + " " + Args +
+                    (StdoutOnly ? " 2>/dev/null" : " 2>&1");
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
     return R;
@@ -322,6 +324,33 @@ TEST(Cli, ReplayAgainstTheWrongProcessIsAnInterfaceMismatch) {
   std::remove(Path.c_str());
 }
 
+TEST(Cli, RealOutputCarryingIntegersRecordsAndReplays) {
+  // X is declared real but defined by integer arithmetic, so the VM's
+  // values of X are integer-kinded. The trace records X by its declared
+  // type (widened to a real), and replay verifies by the same rule:
+  // recording 0.0 for every X made this replay diverge.
+  std::string Src = ::testing::TempDir() + "sigc_cli_real_" +
+                    std::to_string(::getpid()) + ".sig";
+  FILE *F = fopen(Src.c_str(), "w");
+  ASSERT_NE(F, nullptr);
+  fputs("process P = ( ? integer I; ! real X; ) (| X := I + 1 |);\n", F);
+  fclose(F);
+  std::string Path = tempTracePath("real");
+  CliResult Rec =
+      runSignalc(Src + " --simulate 5 --seed 2 --record " + Path);
+  ASSERT_EQ(Rec.Exit, 0) << Rec.Output;
+  for (const char *Extra : {"", " --replay-buffered"}) {
+    CliResult R = runSignalc(Src + " --replay " + Path + Extra);
+    EXPECT_EQ(R.Exit, 0) << R.Output;
+    EXPECT_NE(R.Output.find("replay (5 instants"), std::string::npos)
+        << R.Output;
+    EXPECT_NE(R.Output.find("match the trace"), std::string::npos)
+        << R.Output;
+  }
+  std::remove(Path.c_str());
+  std::remove(Src.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Serving flags ride the same checked numeric parse, and a dead output
 // pipe is a diagnosed exit, not death by SIGPIPE.
@@ -568,4 +597,69 @@ TEST(Cli, FleetNativeMatchesInterpretedFleet) {
                  Cache.Path);
   ASSERT_EQ(Nat.Exit, 0) << Nat.Output;
   EXPECT_EQ(Off.Output, Nat.Output);
+}
+
+TEST(Cli, FleetThreadCountDoesNotChangeStdout) {
+  // Instances shard over the threads, each run exactly as a scalar run:
+  // every instance's trace is the same for any thread count. Only the
+  // header line names the thread count.
+  auto Body = [](const CliResult &R) {
+    return R.Output.substr(R.Output.find('\n') + 1);
+  };
+  std::string Run = "--builtin STOPWATCH --simulate 64 --seed 3 --fleet 4";
+  CliResult One = runSignalc(Run + " --threads 1", /*StdoutOnly=*/true);
+  CliResult Two = runSignalc(Run + " --threads 2", /*StdoutOnly=*/true);
+  ASSERT_EQ(One.Exit, 0) << One.Output;
+  ASSERT_EQ(Two.Exit, 0) << Two.Output;
+  EXPECT_EQ(One.Output.rfind("fleet simulation (4 instances, 64 instants, "
+                             "seed 3, 1 thread(s)):\n",
+                             0),
+            0u)
+      << One.Output;
+  EXPECT_EQ(Two.Output.rfind("fleet simulation (4 instances, 64 instants, "
+                             "seed 3, 2 thread(s)):\n",
+                             0),
+            0u)
+      << Two.Output;
+  EXPECT_EQ(Body(One), Body(Two));
+  if (!cliHostCcAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  TempCacheDirCli Cache;
+  std::string Native = " --native force --cache-dir " + Cache.Path;
+  CliResult NatOne =
+      runSignalc(Run + " --threads 1" + Native, /*StdoutOnly=*/true);
+  CliResult NatTwo =
+      runSignalc(Run + " --threads 2" + Native, /*StdoutOnly=*/true);
+  ASSERT_EQ(NatOne.Exit, 0) << NatOne.Output;
+  ASSERT_EQ(NatTwo.Exit, 0) << NatTwo.Output;
+  EXPECT_EQ(NatOne.Output, One.Output);
+  EXPECT_EQ(NatTwo.Output, Two.Output);
+}
+
+TEST(Cli, NativeCacheMissReportsEmittedCSizeAndCcTime) {
+  if (!cliHostCcAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  TempCacheDirCli Cache;
+  std::string Run = "--builtin FIG5_ALARM --simulate 16 --seed 9 --stats "
+                    "--native force --cache-dir " +
+                    Cache.Path;
+  // A cold start compiles: one more line after the tier split, with the
+  // size of the emitted C unit and the host cc wall time.
+  CliResult Cold = runSignalc(Run);
+  ASSERT_EQ(Cold.Exit, 0) << Cold.Output;
+  EXPECT_TRUE(std::regex_search(
+      Cold.Output,
+      std::regex("\nstats: tier native=force cache=miss vm_instants=0 "
+                 "native_instants=16 hash=[0-9a-f]+\n"
+                 "stats: native c_lines=[1-9][0-9]* c_bytes=[1-9][0-9]* "
+                 "cc_ms=[0-9]+\\.[0-9]{3}\n")))
+      << Cold.Output;
+  // A warm hit compiles nothing and prints no such line.
+  CliResult Warm = runSignalc(Run);
+  ASSERT_EQ(Warm.Exit, 0) << Warm.Output;
+  EXPECT_NE(Warm.Output.find("stats: tier native=force cache=hit"),
+            std::string::npos)
+      << Warm.Output;
+  EXPECT_EQ(Warm.Output.find("stats: native "), std::string::npos)
+      << Warm.Output;
 }

@@ -165,26 +165,6 @@ TEST(DifferentialEmitC, Alarm) {
   EXPECT_EQ(R.ExecutedC, R.ExecutedVm);
   EXPECT_GT(R.GuardTestsC, 0u);
   EXPECT_GT(R.ExecutedC, 0u);
-  // The harness also self-checked the emitted _step_fleet against
-  // per-instance _step_batch runs and reported success.
-  EXPECT_TRUE(R.CFleetChecked);
-}
-
-TEST(DifferentialFleet, CountersSumOverInstancesAndInstanceZeroIsTheVm) {
-  // The fleet leg runs inside every oracle call; this pins the exposed
-  // report fields: the fleet totals are per-instance scalar sums, and
-  // instance 0 (seeded EnvSeed) contributes exactly the VM leg's
-  // counters, so the totals strictly dominate them for >1 instances.
-  OracleOptions O;
-  O.Instants = 96;
-  O.EnvSeed = 7;
-  O.FleetInstances = 4;
-  O.FleetLaneBlock = 2;
-  O.FleetThreads = 2;
-  OracleReport R = checkDifferential("FIG5_ALARM", alarmFigure5Source(), O);
-  EXPECT_TRUE(R.Ok) << R.Error;
-  EXPECT_GT(R.GuardTestsFleet, R.GuardTestsVm);
-  EXPECT_GT(R.ExecutedFleet, R.ExecutedVm);
 }
 
 TEST(DifferentialEmitC, AlarmLargeBatchWindow) {
@@ -375,11 +355,6 @@ TEST_P(RandomDifferential, AllPathsAgree) {
     // Vary the batched leg's window so the sweep covers every
     // batch/instant-count phase, not just one.
     O.BatchSize = 1 + static_cast<unsigned>(Seed % 9);
-    // Vary the fleet leg's lane grouping and sharding the same way, so
-    // the sweep covers single-lane blocks, partial tail blocks, and
-    // both the inline and the threaded execution paths.
-    O.FleetLaneBlock = 1 + static_cast<unsigned>(Seed % 5);
-    O.FleetThreads = 1 + static_cast<unsigned>(Seed % 3);
     OracleReport R = checkRandomDifferential(Seed, Gen, O);
     EXPECT_TRUE(R.Ok) << R.Error;
   }

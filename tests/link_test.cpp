@@ -376,7 +376,6 @@ TEST(LinkEmitter, EmitsTheFusedStepWithAllEntryPoints) {
   EXPECT_NE(C.find("void sys_step("), std::string::npos);
   EXPECT_NE(C.find("void sys_init("), std::string::npos);
   EXPECT_NE(C.find("void sys_step_batch("), std::string::npos);
-  EXPECT_NE(C.find("void sys_step_fleet("), std::string::npos);
   EXPECT_EQ(C.find("void SENSOR_step("), std::string::npos);
   EXPECT_EQ(C.find("void MONITOR_step("), std::string::npos);
   // Channels were resolved into slot copies at link time: no channel

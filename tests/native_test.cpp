@@ -9,7 +9,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "interp/FleetExecutor.h"
 #include "interp/VmExecutor.h"
 #include "native/CcRunner.h"
 #include "native/NativeCache.h"
@@ -440,34 +439,15 @@ TEST(NativeCache, ConcurrentPublishersRaceSafely) {
 
 namespace {
 
-uint64_t instanceSeed(uint64_t Base, unsigned Instance) {
-  return Base + 1000003ull * Instance;
-}
-
-/// Per-instance environments plus a FleetExecutor, as in fleet_test.
-struct Fleet {
-  std::vector<std::unique_ptr<RandomEnvironment>> Owned;
-  std::vector<Environment *> Envs;
-  std::unique_ptr<FleetExecutor> Exec;
-
-  Fleet(const CompiledStep &CS, unsigned Instances, uint64_t BaseSeed,
-        FleetExecutor::Config Cfg) {
-    for (unsigned J = 0; J < Instances; ++J) {
-      Owned.push_back(
-          std::make_unique<RandomEnvironment>(instanceSeed(BaseSeed, J)));
-      Envs.push_back(Owned.back().get());
-    }
-    Exec = std::make_unique<FleetExecutor>(CS, Instances, Cfg);
+void expectSameFleet(const FleetRun &A, const FleetRun &B,
+                     const std::string &What) {
+  for (size_t J = 0; J < A.Owned.size(); ++J) {
+    TraceDiff D = compareTraces("interp", A.Owned[J]->outputs(), "native",
+                                B.Owned[J]->outputs());
+    EXPECT_TRUE(D.Equal) << What << ", instance " << J << "\n" << D.Report;
   }
-};
-
-std::unique_ptr<NativeModule> buildModule(const CompiledStep &CS,
-                                          const std::string &CacheDir) {
-  NativeCache Cache(CacheDir);
-  std::string Err;
-  auto M = Cache.compileAndPublish(CS, hashCompiledStep(CS), Err);
-  EXPECT_TRUE(M) << Err;
-  return M;
+  EXPECT_EQ(A.Totals.GuardTests, B.Totals.GuardTests) << What;
+  EXPECT_EQ(A.Totals.Executed, B.Totals.Executed) << What;
 }
 
 } // namespace
@@ -477,33 +457,28 @@ TEST(FleetNative, MatchesInterpretedFleetAcrossShapes) {
     GTEST_SKIP() << "no host C compiler";
   auto C = compileOk(sampleSource());
   TempCacheDir Dir;
-  auto M = buildModule(C->Compiled, Dir.Path);
-  ASSERT_TRUE(M);
+  TierOptions Opts;
+  Opts.Mode = NativeMode::Force;
+  Opts.CacheDir = Dir.Path;
+  TierController TC(C->Compiled, Opts);
+  ASSERT_TRUE(TC.start()) << TC.error();
 
   const unsigned Instances = 7, Instants = 48;
   struct {
-    unsigned LaneBlock, Threads, Window;
-  } Shapes[] = {{1, 1, 48}, {4, 1, 8}, {4, 2, 16}, {64, 3, 7}};
+    unsigned Threads, Batch;
+  } Shapes[] = {{1, 48}, {1, 8}, {2, 16}, {3, 7}, {3, 0}};
   for (auto Sh : Shapes) {
-    FleetExecutor::Config Cfg;
-    Cfg.LaneBlock = Sh.LaneBlock;
-    Cfg.Threads = Sh.Threads;
-    Fleet Interp(C->Compiled, Instances, 0xF1EE7, Cfg);
-    Interp.Exec->runBatched(Interp.Envs, Instants, Sh.Window);
-
-    Fleet Nat(C->Compiled, Instances, 0xF1EE7, Cfg);
-    Nat.Exec->setNative(M.get());
-    Nat.Exec->runBatched(Nat.Envs, Instants, Sh.Window);
-
-    for (unsigned J = 0; J < Instances; ++J) {
-      TraceDiff D = compareTraces("interp", Interp.Owned[J]->outputs(),
-                                  "native", Nat.Owned[J]->outputs());
-      EXPECT_TRUE(D.Equal) << "lane block " << Sh.LaneBlock << ", threads "
-                           << Sh.Threads << ", instance " << J << "\n"
-                           << D.Report;
-    }
-    EXPECT_EQ(Interp.Exec->guardTests(), Nat.Exec->guardTests());
-    EXPECT_EQ(Interp.Exec->executed(), Nat.Exec->executed());
+    std::string What = "threads " + std::to_string(Sh.Threads) +
+                       ", batch " + std::to_string(Sh.Batch);
+    FleetRun Interp(C->Compiled, Instances, 0xF1EE7, Instants, Sh.Batch,
+                    Sh.Threads);
+    FleetRun Nat(C->Compiled, Instances, 0xF1EE7, Instants, Sh.Batch,
+                 Sh.Threads, &TC);
+    expectSameFleet(Interp, Nat, What);
+    // Force mode: every instance ran native from instant 0.
+    EXPECT_EQ(Nat.Totals.VmInstants, 0u) << What;
+    EXPECT_EQ(Nat.Totals.NativeInstants, uint64_t{Instances} * Instants)
+        << What;
   }
 }
 
@@ -512,74 +487,73 @@ TEST(FleetNative, SwapAtWindowBoundaryIsInvisible) {
     GTEST_SKIP() << "no host C compiler";
   auto C = compileOk(sampleSource());
   TempCacheDir Dir;
-  auto M = buildModule(C->Compiled, Dir.Path);
-  ASSERT_TRUE(M);
+  std::string Err;
+  ASSERT_TRUE(NativeCache(Dir.Path).compileAndPublish(
+      C->Compiled, hashCompiledStep(C->Compiled), Err))
+      << Err;
 
   const unsigned Instances = 5, Total = 48, Window = 8;
-  FleetExecutor::Config Cfg;
-  Cfg.LaneBlock = 4;
+  FleetRun Ref(C->Compiled, Instances, 0x5A4B, Total, Window, 2);
 
-  Fleet Ref(C->Compiled, Instances, 0x5A4B, Cfg);
-  Ref.Exec->runBatched(Ref.Envs, Total, Window);
-
-  // Swap to native at every window boundary k, and back to the
-  // interpreter one window later: StateSoA is canonical across the
-  // swap, so neither handoff may be observable.
+  // A warm hit with --tier-after K: every instance interprets K instants,
+  // then swaps onto the native step at that window boundary. Neither the
+  // traces nor the counters may show the handoff.
   for (unsigned K = Window; K < Total; K += Window) {
-    Fleet F(C->Compiled, Instances, 0x5A4B, Cfg);
-    F.Exec->runBatched(F.Envs, K, Window);
-    F.Exec->setNative(M.get());
-    unsigned Back = std::min(K + Window, Total);
-    F.Exec->stepN(F.Envs, K, Back - K);
-    F.Exec->setNative(nullptr);
-    for (unsigned At = Back; At < Total; At += Window)
-      F.Exec->stepN(F.Envs, At, std::min(Window, Total - At));
-
-    for (unsigned J = 0; J < Instances; ++J) {
-      TraceDiff D = compareTraces("uninterrupted", Ref.Owned[J]->outputs(),
-                                  "swapped", F.Owned[J]->outputs());
-      EXPECT_TRUE(D.Equal) << "swap at " << K << ", instance " << J << "\n"
-                           << D.Report;
-    }
-    EXPECT_EQ(Ref.Exec->guardTests(), F.Exec->guardTests()) << "swap at " << K;
-    EXPECT_EQ(Ref.Exec->executed(), F.Exec->executed()) << "swap at " << K;
+    TierOptions Opts;
+    Opts.Mode = NativeMode::Auto;
+    Opts.CacheDir = Dir.Path;
+    Opts.TierAfter = K;
+    TierController TC(C->Compiled, Opts);
+    ASSERT_TRUE(TC.start()) << TC.error();
+    ASSERT_TRUE(TC.cacheHit());
+    FleetRun F(C->Compiled, Instances, 0x5A4B, Total, Window, 2, &TC);
+    expectSameFleet(Ref, F, "swap at " + std::to_string(K));
+    EXPECT_EQ(F.Totals.VmInstants, uint64_t{Instances} * K);
+    EXPECT_EQ(F.Totals.NativeInstants, uint64_t{Instances} * (Total - K));
   }
 }
 
 TEST(FleetNative, LaneCheckpointsSurviveNativeWindows) {
+  // A serve lane's checkpoint is its delay-state vector, whichever tier
+  // took it: restoring a native checkpoint into a fresh VM, or a VM
+  // checkpoint into a fresh native executor, and continuing must give
+  // the trace and counters of an uninterrupted run.
   if (!nativeCompileAvailable())
     GTEST_SKIP() << "no host C compiler";
   auto C = compileOk(sampleSource());
   TempCacheDir Dir;
-  auto M = buildModule(C->Compiled, Dir.Path);
-  ASSERT_TRUE(M);
+  NativeCache Cache(Dir.Path);
+  std::string Err;
+  auto M = Cache.compileAndPublish(C->Compiled, hashCompiledStep(C->Compiled),
+                                   Err);
+  ASSERT_TRUE(M) << Err;
 
-  // A checkpoint taken after a native window restores onto a fresh
-  // interpreted executor — serve resume must not care which tier ran.
-  FleetExecutor::Config Cfg;
-  Cfg.LaneBlock = 4;
-  Fleet F(C->Compiled, 3, 0xC4EC, Cfg);
-  F.Exec->setNative(M.get());
-  F.Exec->stepN(F.Envs, 0, 24);
-  std::vector<Value> Snap;
-  F.Exec->saveLaneState(1, Snap);
+  const unsigned Total = 48, Cut = 24, Batch = 8;
+  TraceRun Base = runVm(C->Compiled, 0xC4EC, Total, Batch);
 
-  Fleet G(C->Compiled, 3, 0xC4EC, Cfg);
-  G.Exec->stepN(G.Envs, 0, 24);
-  std::vector<Value> Ref;
-  G.Exec->saveLaneState(1, Ref);
-
-  ASSERT_EQ(Snap.size(), Ref.size());
-  for (size_t S = 0; S < Snap.size(); ++S)
-    EXPECT_EQ(Snap[S].Kind, Ref[S].Kind) << "slot " << S;
-
-  // Restoring the native-tier checkpoint into the interpreted fleet and
-  // continuing matches the all-interpreted continuation.
-  G.Exec->restoreLaneState(1, Snap);
-  F.Exec->setNative(nullptr);
-  F.Exec->stepN(F.Envs, 24, 24);
-  G.Exec->stepN(G.Envs, 24, 24);
-  TraceDiff D = compareTraces("native-checkpoint", F.Owned[1]->outputs(),
-                              "interp-checkpoint", G.Owned[1]->outputs());
-  EXPECT_TRUE(D.Equal) << D.Report;
+  {
+    RandomEnvironment Env(0xC4EC);
+    NativeExecutor NX(C->Compiled, *M);
+    NX.runBatched(Env, Cut, Batch);
+    VmExecutor Vm(C->Compiled);
+    Vm.setStateSlots(NX.exportState());
+    Vm.setCounters(NX.guardTests(), NX.executed());
+    for (unsigned S = Cut; S < Total; S += Batch)
+      Vm.stepN(Env, S, Batch);
+    expectSameRun(Base, "vm-uninterrupted",
+                  {Env.outputs(), Vm.guardTests(), Vm.executed()},
+                  "native-checkpoint-into-vm");
+  }
+  {
+    RandomEnvironment Env(0xC4EC);
+    VmExecutor Vm(C->Compiled);
+    Vm.runBatched(Env, Cut, Batch);
+    NativeExecutor NX(C->Compiled, *M);
+    NX.importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
+    for (unsigned S = Cut; S < Total; S += Batch)
+      NX.stepN(Env, S, Batch);
+    expectSameRun(Base, "vm-uninterrupted",
+                  {Env.outputs(), NX.guardTests(), NX.executed()},
+                  "vm-checkpoint-into-native");
+  }
 }

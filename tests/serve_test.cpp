@@ -826,6 +826,74 @@ TEST(ServeResume, BadTokenHashAndInstantAreTypedRejects) {
   EXPECT_EQ(Server.wait(), 0) << Server.log();
 }
 
+namespace {
+
+/// Serves \p St in one session to a server running \p Program, and
+/// replays the same stimulus with `signalc <Program> --replay --stats`:
+/// the session's teardown counters must be the replay's run counters.
+void checkTeardownCountersMatchReplay(const std::vector<std::string> &Program,
+                                      const Stimulus &St) {
+  std::string Trace = ::testing::TempDir() + "sigc_serve_replay_" +
+                      std::to_string(::getpid()) + ".sgtr";
+  {
+    std::ofstream Out(Trace, std::ios::binary);
+    Out.write(reinterpret_cast<const char *>(St.Bytes.data()),
+              static_cast<std::streamsize>(St.Bytes.size()));
+  }
+  std::string Cmd = SIGNALC_BIN;
+  for (const std::string &A : Program)
+    Cmd += " " + A;
+  Cmd += " --replay " + Trace + " --stats 2>&1";
+  std::string Replay;
+  FILE *P = ::popen(Cmd.c_str(), "r");
+  ASSERT_NE(P, nullptr);
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof Buf, P)) > 0)
+    Replay.append(Buf, N);
+  EXPECT_EQ(::pclose(P), 0) << Replay;
+  ::unlink(Trace.c_str());
+  unsigned Instants = 0;
+  unsigned long long Executed = 0, Guards = 0;
+  size_t At = Replay.find("stats: mode=vm ");
+  ASSERT_NE(At, std::string::npos) << Replay;
+  ASSERT_EQ(std::sscanf(Replay.c_str() + At,
+                        "stats: mode=vm instants=%u executed=%llu "
+                        "guard_tests=%llu",
+                        &Instants, &Executed, &Guards),
+            3)
+      << Replay;
+
+  ScopedServer Server;
+  Server.spawnArgs({"--max-sessions", "1", "--serve-limit", "1"}, Program);
+  ASSERT_GT(Server.Pid, 0);
+  int Fd = connectClient(Server.Sock);
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(sendAll(Fd, St.Bytes.data(), St.Bytes.size()));
+  recvAll(Fd);
+  ::close(Fd);
+  EXPECT_EQ(Server.wait(), 0) << Server.log();
+  std::vector<SessionStats> Stats = parseSessionLines(Server.log());
+  ASSERT_EQ(Stats.size(), 1u) << Server.log();
+  EXPECT_EQ(Stats[0].How, "clean") << Server.log();
+  EXPECT_EQ(Stats[0].Instants, Instants) << Server.log();
+  EXPECT_EQ(Stats[0].GuardTests, Guards) << Server.log() << Replay;
+  EXPECT_EQ(Stats[0].Executed, Executed) << Server.log() << Replay;
+}
+
+} // namespace
+
+TEST(Serve, TeardownCountersEqualReplayStats) {
+  auto C = compileOk(alarmFigure5Source());
+  checkTeardownCountersMatchReplay({"--builtin", "FIG5_ALARM"},
+                                   recordStimulus(*C, 200, 41));
+  std::string Source = generateRandomProgram("RND", 303);
+  auto G = compileOk(Source);
+  std::string File = writeProgramFile(Source);
+  checkTeardownCountersMatchReplay({File}, recordStimulus(*G, 96, 303, "RND"));
+  ::unlink(File.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Tiered native execution under --serve
 //===----------------------------------------------------------------------===//
@@ -845,9 +913,9 @@ struct ServeCacheDir {
 } // namespace
 
 TEST(ServeTier, ForceNativeKillResumeIsByteIdentical) {
-  // The resume oracle with the whole fleet running native from instant
-  // 0: lane checkpoints are taken from the canonical state the native
-  // windows write back, so parking and resuming must stay byte-exact.
+  // The resume oracle with every lane running native from instant 0:
+  // checkpoints are the delay state the native executor exports, so
+  // parking and resuming must stay byte-exact.
   if (!hostCCompilerAvailable())
     GTEST_SKIP() << "no host C compiler";
   ServeCacheDir Cache;
@@ -859,8 +927,8 @@ TEST(ServeTier, ForceNativeKillResumeIsByteIdentical) {
 }
 
 TEST(ServeTier, AutoWarmSwapMidStreamResumesByteIdentical) {
-  // Warm cache + --tier-after 16: sessions start on the VM and the whole
-  // fleet hot-swaps to native at a wakeup boundary mid-stream. The kill
+  // Warm cache + --tier-after 16: sessions start on the VM and every
+  // lane hot-swaps to native at a wakeup boundary mid-stream. The kill
   // points straddle the swap (before at 8, after at 40); both must
   // resume byte-identically — the swap is invisible to the protocol.
   if (!hostCCompilerAvailable())
@@ -881,7 +949,7 @@ TEST(ServeTier, AutoWarmSwapMidStreamResumesByteIdentical) {
 
 TEST(ServeTier, AutoSwapIsLoggedAndResponseIsExact) {
   // One clean session across the swap: the response equals the VM-only
-  // run byte for byte, the server logs the fleet-wide swap, and the tier
+  // run byte for byte, the server logs the swap of every lane, and the tier
   // summary reports a warm cache hit (which also pins that the served
   // builtin hashes identically to the in-process compile).
   if (!hostCCompilerAvailable())

@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "interp/FleetExecutor.h"
 #include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "programs/Programs.h"
@@ -24,9 +23,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <new>
-#include <vector>
 
 namespace {
 
@@ -147,43 +144,6 @@ TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
       << "stepN allocated on the hot path; batch buffers must be "
          "preallocated and reused";
   EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
-}
-
-TEST(VmAllocation, FleetSweepIsZeroAllocInSteadyState) {
-  // The fleet's SoA lane-block sweep inherits the VM's contract: state,
-  // scratch, mask stacks, prefetch and flush buffers are all sized up
-  // front (or grown during warm-up), and warm windows run allocation-
-  // free. Measured on the inline single-shard path — spawning worker
-  // threads allocates by nature, so the Threads>1 path is exempt.
-  ProgramShape Shape;
-  Shape.DividerStages = 24;
-  auto C = compileOk(generateProgram("CHAIN", Shape));
-
-  std::vector<std::unique_ptr<DiscardEnvironment>> Owned;
-  std::vector<Environment *> Envs;
-  for (unsigned J = 0; J < 6; ++J) {
-    Owned.push_back(std::make_unique<DiscardEnvironment>(42 + J, 800));
-    Envs.push_back(Owned.back().get());
-  }
-  FleetExecutor::Config Cfg;
-  Cfg.LaneBlock = 4; // 6 instances: one full block plus a partial tail.
-  Cfg.Threads = 1;
-  FleetExecutor Exec(C->Compiled, 6, Cfg);
-
-  // Warm up: binding, window-buffer growth and lazy setup happen here.
-  Exec.runBatched(Envs, 64, 32);
-
-  uint64_t Allocs = allocsDuring([&] {
-    for (unsigned Round = 0; Round < 8; ++Round)
-      Exec.runBatched(Envs, 512, 32);
-  });
-  EXPECT_EQ(Allocs, 0u)
-      << "the fleet sweep allocated on the hot path; SoA state, masks "
-         "and exchange buffers must be preallocated and reused";
-  uint64_t Events = 0;
-  for (const auto &E : Owned)
-    Events += E->Events;
-  EXPECT_GT(Events, 0u) << "the run must actually produce outputs";
 }
 
 TEST(VmAllocation, LegacyStepExecutorAllocatesWhatTheVmEliminated) {
