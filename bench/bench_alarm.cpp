@@ -6,12 +6,13 @@
 ///     inclusion rewriting (VerifiedEquations ≥ 1),
 ///   * shows the Figure-7 hierarchy and the exhibited free variable ĉ,
 ///   * then measures the run-time effect of the clock-tree nesting on a
-///     long random simulation (guard tests + wall time, nested vs flat).
+///     long random simulation (guard tests + wall time of the VM running
+///     the nested vs the flat lowering).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 
 #include <chrono>
@@ -38,15 +39,17 @@ int main() {
               C->Forest->dump(C->Clocks, *C->Kernel, C->names()).c_str());
 
   constexpr unsigned Steps = 200000;
+  const CompiledStep Lowered[2] = {
+      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat),
+      C->Compiled};
   for (unsigned Permille : {900, 500, 100}) {
     double Times[2];
     uint64_t Guards[2];
     for (int ModeIdx = 0; ModeIdx < 2; ++ModeIdx) {
-      ExecMode Mode = ModeIdx ? ExecMode::Nested : ExecMode::Flat;
-      StepExecutor Exec(*C->Kernel, C->Step);
+      VmExecutor Exec(Lowered[ModeIdx]);
       RandomEnvironment Env(7, Permille);
       auto T0 = std::chrono::steady_clock::now();
-      Exec.run(Env, Steps, Mode);
+      Exec.run(Env, Steps);
       auto T1 = std::chrono::steady_clock::now();
       Times[ModeIdx] =
           std::chrono::duration<double, std::milli>(T1 - T0).count();

@@ -23,7 +23,6 @@
 #include "driver/Driver.h"
 #include "interp/Environment.h"
 #include "interp/LinkedExecutor.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "link/Linker.h"
 #include "testing/RandomProgram.h"
@@ -159,9 +158,9 @@ int main(int Argc, char **Argv) {
     }
     {
       RandomEnvironment Env(7);
-      StepExecutor Exec(*Mono->Kernel, Mono->Step);
+      VmExecutor Exec(Mono->Compiled);
       T0 = std::chrono::steady_clock::now();
-      Exec.run(Env, Instants, ExecMode::Nested);
+      Exec.run(Env, Instants);
       double Ms = msSince(T0);
       R.MonoStepsPerSec = Ms > 0 ? 1000.0 * Instants / Ms : 0;
     }

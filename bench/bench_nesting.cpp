@@ -3,8 +3,9 @@
 /// The paper (Section 3.4, "Code optimization", Figure 9) credits the
 /// nesting of if-then-else control structures along the clock inclusion
 /// tree with making generated code up to 300 % faster. This benchmark
-/// executes the *same* scheduled step program in both control structures
-/// over random traces and sweeps
+/// runs the *same* scheduled step program in both control structures —
+/// its flat and its nested lowering, on the one VM — over random traces
+/// and sweeps
 ///
 ///   * the depth of the divider chain (deeper tree = more skippable work),
 ///   * the tick density of the root clock (sparser = more skipping).
@@ -15,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 
 #include <benchmark/benchmark.h>
@@ -33,16 +34,17 @@ std::unique_ptr<Compilation> compileChain(unsigned Stages) {
   return C;
 }
 
-void runBench(benchmark::State &State, ExecMode Mode) {
+void runBench(benchmark::State &State, GuardLowering L) {
   unsigned Stages = static_cast<unsigned>(State.range(0));
   unsigned TickPermille = static_cast<unsigned>(State.range(1));
   auto C = compileChain(Stages);
-  StepExecutor Exec(*C->Kernel, C->Step);
+  CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step, L);
+  VmExecutor Exec(CS);
   RandomEnvironment Env(42, TickPermille);
 
   unsigned Instant = 0;
   for (auto _ : State) {
-    Exec.step(Env, Instant++, Mode);
+    Exec.step(Env, Instant++);
     benchmark::DoNotOptimize(Instant);
   }
   State.counters["guard_tests_per_step"] = benchmark::Counter(
@@ -54,11 +56,11 @@ void runBench(benchmark::State &State, ExecMode Mode) {
 }
 
 void BM_StepFlat(benchmark::State &State) {
-  runBench(State, ExecMode::Flat);
+  runBench(State, GuardLowering::Flat);
 }
 
 void BM_StepNested(benchmark::State &State) {
-  runBench(State, ExecMode::Nested);
+  runBench(State, GuardLowering::Nested);
 }
 
 void sweep(benchmark::internal::Benchmark *B) {

@@ -1,14 +1,15 @@
 //===--- bench_step.cpp - Execution-engine throughput ---------------------===//
 ///
 /// Measures interpreter throughput (instants per second) of the
-/// execution engines over identical random traces:
+/// execution engine over identical random traces:
 ///
-///   * flat     — StepExecutor, every instruction tests its own guard,
-///   * nested   — StepExecutor, block guards along the clock tree,
-///   * vm       — VmExecutor over the slot-resolved CompiledStep bytecode
-///                (pre-resolved descriptor indices, three-address
-///                expression bytecode over scratch slots, skip-offset
-///                block linearization; zero per-instant heap allocation),
+///   * flat     — VmExecutor over the flat lowering of the step: every
+///                instruction tests its own guard (code b of Figure 9),
+///   * vm       — VmExecutor over the nested lowering, the slot-resolved
+///                CompiledStep bytecode every backend runs (pre-resolved
+///                descriptor indices, three-address expression bytecode
+///                over scratch slots, skip-offset block linearization;
+///                zero per-instant heap allocation),
 ///   * vm-batch — the same VM through stepN windows: the virtual
 ///                environment boundary is crossed once per descriptor
 ///                per batch instead of once per query per instant,
@@ -30,7 +31,6 @@
 #include "BenchArgs.h"
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 #include "testing/Oracle.h"
@@ -65,14 +65,14 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 struct Row {
   std::string Name;
   unsigned TickPermille = 800;
-  double FlatPerSec = 0, NestedPerSec = 0, VmPerSec = 0, VmBatchPerSec = 0;
+  double FlatPerSec = 0, VmPerSec = 0, VmBatchPerSec = 0;
   double CEmitPerSec = 0; ///< 0 when the cemit leg did not run.
-  double GuardsFlat = 0, GuardsNested = 0, GuardsVm = 0;
-  double InstrsNested = 0, InstrsVm = 0;
+  double GuardsFlat = 0, GuardsVm = 0;
+  double InstrsVm = 0;
 };
 
-template <typename Exec, typename Run>
-double throughput(Exec &E, unsigned TickPermille, unsigned Instants,
+template <typename Run>
+double throughput(VmExecutor &E, unsigned TickPermille, unsigned Instants,
                   Run RunFn) {
   // Warm up and time the same environment instance, so the one-time
   // binding resolution stays outside the measured window. Random
@@ -185,23 +185,13 @@ Row benchProgram(const std::string &Name, const std::string &Source,
   R.TickPermille = TickPermille;
 
   {
-    StepExecutor Exec(*C->Kernel, C->Step);
+    CompiledStep Flat =
+        CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+    VmExecutor Exec(Flat);
     R.FlatPerSec = throughput(Exec, TickPermille, Instants,
-                              [](StepExecutor &E, Environment &Env,
-                                 unsigned N) {
-                                E.run(Env, N, ExecMode::Flat);
-                              });
+                              [](VmExecutor &E, Environment &Env,
+                                 unsigned N) { E.run(Env, N); });
     R.GuardsFlat = static_cast<double>(Exec.guardTests()) / Instants;
-  }
-  {
-    StepExecutor Exec(*C->Kernel, C->Step);
-    R.NestedPerSec = throughput(Exec, TickPermille, Instants,
-                                [](StepExecutor &E, Environment &Env,
-                                   unsigned N) {
-                                  E.run(Env, N, ExecMode::Nested);
-                                });
-    R.GuardsNested = static_cast<double>(Exec.guardTests()) / Instants;
-    R.InstrsNested = static_cast<double>(Exec.executed()) / Instants;
   }
   {
     VmExecutor Exec(C->Compiled);
@@ -257,17 +247,16 @@ int main(int Argc, char **Argv) {
   std::printf("Execution-engine throughput (instants/sec, %u instants, "
               "batch %u)\n\n",
               Instants, Batch);
-  std::printf("%-14s %6s %11s %11s %11s %11s %12s %8s %8s\n", "program",
-              "tick", "flat", "nested", "vm", "vm-batch", "cemit", "vm/nest",
+  std::printf("%-14s %6s %11s %11s %11s %12s %8s %8s\n", "program",
+              "tick", "flat", "vm", "vm-batch", "cemit", "vm/flat",
               "cemit/vm");
 
   std::vector<Row> Rows;
   auto Report = [&](const Row &R) {
-    std::printf("%-14s %6u %11.0f %11.0f %11.0f %11.0f %12.0f %7.2fx "
-                "%7.2fx\n",
-                R.Name.c_str(), R.TickPermille, R.FlatPerSec, R.NestedPerSec,
-                R.VmPerSec, R.VmBatchPerSec, R.CEmitPerSec,
-                R.NestedPerSec > 0 ? R.VmPerSec / R.NestedPerSec : 0,
+    std::printf("%-14s %6u %11.0f %11.0f %11.0f %12.0f %7.2fx %7.2fx\n",
+                R.Name.c_str(), R.TickPermille, R.FlatPerSec, R.VmPerSec,
+                R.VmBatchPerSec, R.CEmitPerSec,
+                R.FlatPerSec > 0 ? R.VmPerSec / R.FlatPerSec : 0,
                 R.VmPerSec > 0 ? R.CEmitPerSec / R.VmPerSec : 0);
     Rows.push_back(R);
   };
@@ -295,17 +284,13 @@ int main(int Argc, char **Argv) {
       Out << "    {\"name\": \"step/" << R.Name << "/tick=" << R.TickPermille
           << "\", "
           << "\"flat_steps_per_sec\": " << R.FlatPerSec << ", "
-          << "\"nested_steps_per_sec\": " << R.NestedPerSec << ", "
           << "\"vm_steps_per_sec\": " << R.VmPerSec << ", "
           << "\"vm_batch_steps_per_sec\": " << R.VmBatchPerSec << ", "
           << "\"vm_vs_flat\": "
           << (R.FlatPerSec > 0 ? R.VmPerSec / R.FlatPerSec : 0) << ", "
-          << "\"vm_vs_nested\": "
-          << (R.NestedPerSec > 0 ? R.VmPerSec / R.NestedPerSec : 0) << ", "
           << "\"vm_batch_vs_vm\": "
           << (R.VmPerSec > 0 ? R.VmBatchPerSec / R.VmPerSec : 0) << ", "
           << "\"guards_per_instant_flat\": " << R.GuardsFlat << ", "
-          << "\"guards_per_instant_nested\": " << R.GuardsNested << ", "
           << "\"guards_per_instant_vm\": " << R.GuardsVm << ", "
           << "\"instrs_per_instant_vm\": " << R.InstrsVm << "}"
           << (I + 1 < Rows.size() ? "," : "") << "\n";

@@ -2,8 +2,8 @@
 ///
 /// Measures the tier economics end to end:
 ///
-///   * vm-switch / vm-goto — scalar VM throughput under both dispatch
-///     strategies (the computed-goto gain in isolation),
+///   * vm                 — scalar VM throughput (the tier a run starts
+///     on),
 ///   * native             — the dlopen'd artifact's scalar throughput
 ///     on the same traces (the speedup the tier promotion buys),
 ///   * cold_compile_ms    — content-hash + emit + host cc + atomic
@@ -21,7 +21,7 @@
 ///
 /// Usage: bench_tier [--json FILE] [--instants K]
 /// CI uploads the JSON output as BENCH_tier.json. Without a host C
-/// compiler only the VM dispatch legs run.
+/// compiler only the VM leg runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +64,7 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 struct Row {
   std::string Name;
   unsigned TickPermille = 800;
-  double VmSwitchPerSec = 0;
-  double VmGotoPerSec = 0;
+  double VmPerSec = 0;
   double NativePerSec = 0;     ///< 0 when the native legs did not run.
   double ColdCompileMs = 0;    ///< miss: emit + cc + publish + load.
   double WarmLoadMs = 0;       ///< hit: validate + dlopen only.
@@ -77,11 +76,10 @@ struct Row {
 /// outliers, never fast ones).
 const unsigned Reps = 3;
 
-double vmThroughput(const CompiledStep &CS, VmDispatch D, uint64_t Seed,
+double vmThroughput(const CompiledStep &CS, uint64_t Seed,
                     unsigned TickPermille, unsigned Instants) {
   DiscardEnvironment Env(Seed, TickPermille);
   VmExecutor Vm(CS);
-  Vm.setDispatch(D);
   Vm.runBatched(Env, Instants / 8 + 1, 64); // Bind + warm.
   double Best = 0;
   for (unsigned R = 0; R < Reps; ++R) {
@@ -140,10 +138,7 @@ Row benchProgram(const std::string &Name, const std::string &Source,
   Row R;
   R.Name = Name;
   R.TickPermille = TickPermille;
-  R.VmSwitchPerSec =
-      vmThroughput(CS, VmDispatch::Switch, 42, TickPermille, Instants);
-  R.VmGotoPerSec =
-      vmThroughput(CS, VmDispatch::Goto, 42, TickPermille, Instants);
+  R.VmPerSec = vmThroughput(CS, 42, TickPermille, Instants);
   if (!WithNative)
     return R;
 
@@ -202,24 +197,17 @@ int main(int Argc, char **Argv) {
   }
   bool WithNative = !hostCCompilerCommand().empty();
   if (!WithNative)
-    std::fprintf(stderr, "no host C compiler: vm dispatch legs only\n");
-  if (!VmExecutor::computedGotoAvailable())
-    std::fprintf(stderr,
-                 "computed goto unavailable: vm-goto falls back to switch\n");
+    std::fprintf(stderr, "no host C compiler: vm leg only\n");
 
   std::printf("Tier economics (instants/sec, %u instants)\n\n", Instants);
-  std::printf("%-12s %6s %12s %12s %12s %8s %8s %10s %9s %9s\n", "program",
-              "tick", "vm-switch", "vm-goto", "native", "goto/sw", "nat/vm",
-              "cold(ms)", "warm(ms)", "swap(us)");
+  std::printf("%-12s %6s %12s %12s %8s %10s %9s %9s\n", "program", "tick",
+              "vm", "native", "nat/vm", "cold(ms)", "warm(ms)", "swap(us)");
 
   std::vector<Row> Rows;
   auto Report = [&](const Row &R) {
-    std::printf("%-12s %6u %12.0f %12.0f %12.0f %7.2fx %7.2fx %10.1f %9.2f "
-                "%9.1f\n",
-                R.Name.c_str(), R.TickPermille, R.VmSwitchPerSec,
-                R.VmGotoPerSec, R.NativePerSec,
-                R.VmSwitchPerSec > 0 ? R.VmGotoPerSec / R.VmSwitchPerSec : 0,
-                R.VmGotoPerSec > 0 ? R.NativePerSec / R.VmGotoPerSec : 0,
+    std::printf("%-12s %6u %12.0f %12.0f %7.2fx %10.1f %9.2f %9.1f\n",
+                R.Name.c_str(), R.TickPermille, R.VmPerSec, R.NativePerSec,
+                R.VmPerSec > 0 ? R.NativePerSec / R.VmPerSec : 0,
                 R.ColdCompileMs, R.WarmLoadMs, R.SwapImportUs);
     if (R.CcSpawnsWarm)
       std::printf("  WARNING: warm cache hit spawned %llu compiler(s)\n",
@@ -245,15 +233,10 @@ int main(int Argc, char **Argv) {
       const Row &R = Rows[I];
       Out << "    {\"name\": \"tier/" << R.Name << "/tick=" << R.TickPermille
           << "\", "
-          << "\"vm_switch_per_sec\": " << R.VmSwitchPerSec << ", "
-          << "\"vm_goto_per_sec\": " << R.VmGotoPerSec << ", "
+          << "\"vm_per_sec\": " << R.VmPerSec << ", "
           << "\"native_per_sec\": " << R.NativePerSec << ", "
-          << "\"goto_vs_switch\": "
-          << (R.VmSwitchPerSec > 0 ? R.VmGotoPerSec / R.VmSwitchPerSec : 0)
-          << ", "
-          << "\"native_vs_vm_goto\": "
-          << (R.VmGotoPerSec > 0 ? R.NativePerSec / R.VmGotoPerSec : 0)
-          << ", "
+          << "\"native_vs_vm\": "
+          << (R.VmPerSec > 0 ? R.NativePerSec / R.VmPerSec : 0) << ", "
           << "\"cold_compile_ms\": " << R.ColdCompileMs << ", "
           << "\"warm_load_ms\": " << R.WarmLoadMs << ", "
           << "\"cc_spawns_warm\": " << R.CcSpawnsWarm << ", "

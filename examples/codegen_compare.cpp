@@ -4,14 +4,13 @@
 /// bytecode (skip offsets along the clock tree), the C the emitter
 /// derives from that same bytecode (structured ifs — code a of the
 /// paper's Figure 9), and the guard work the hierarchy saves against the
-/// flat one-guard-per-statement structure (code b) on the same random
-/// trace.
+/// flat one-guard-per-statement lowering (code b), both run on the VM
+/// over the same random trace.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 
 #include <cstdio>
@@ -47,10 +46,12 @@ process FILTERBANK =
               emitC(C->Compiled, "fb", CEmitOptions()).c_str());
 
   constexpr unsigned Steps = 100000;
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
   for (unsigned Permille : {1000, 200}) {
-    StepExecutor FlatExec(*C->Kernel, C->Step);
+    VmExecutor FlatExec(Flat);
     RandomEnvironment E1(3, Permille);
-    FlatExec.run(E1, Steps, ExecMode::Flat);
+    FlatExec.run(E1, Steps);
     VmExecutor Vm(C->Compiled);
     RandomEnvironment E2(3, Permille);
     Vm.run(E2, Steps);

@@ -2,14 +2,14 @@
 ///
 /// Compiles a small SIGNAL process from a string, walks through every
 /// artifact the pipeline produces (kernel equations, boolean clock system,
-/// resolved clock forest, schedule, step program, generated C), then runs
-/// a short simulation. Start here.
+/// resolved clock forest, flat and nested step bytecode, generated C),
+/// then runs a short simulation. Start here.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 
 #include <cstdio>
 
@@ -46,9 +46,13 @@ process HALF =
               C->Clocks.dump(*C->Kernel, C->names()).c_str());
   std::printf("== 3. resolved clock forest ==\n%s\n",
               C->Forest->dump(C->Clocks, *C->Kernel, C->names()).c_str());
-  std::printf("== 4. step program (scheduled, flat view) ==\n%s\n",
-              C->Step.dump().c_str());
-  std::printf("== 5. step bytecode (the single lowered IR) ==\n%s\n",
+  std::printf("== 4. step bytecode, flat lowering (every instruction tests "
+              "its own guard) ==\n%s\n",
+              CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat)
+                  .dump()
+                  .c_str());
+  std::printf("== 5. step bytecode, nested lowering (the single lowered "
+              "IR) ==\n%s\n",
               C->Compiled.dump().c_str());
 
   CEmitOptions Options;
@@ -61,8 +65,8 @@ process HALF =
   Env.tickAlways();
   for (unsigned I = 0; I < 8; ++I)
     Env.set("IN", I, Value::makeInt(static_cast<int>(I) + 1));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 8, ExecMode::Nested);
+  VmExecutor Exec(C->Compiled);
+  Exec.run(Env, 8);
   std::printf("%s", formatEvents(Env.outputs()).c_str());
   std::printf("(OUT fires at instants with even IN: 2, 2+4=6, 6+6=12, "
               "12+8=20)\n");

@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 
 #include <cstdio>
 
@@ -59,11 +59,11 @@ process STOPWATCH =
     Env.set("LAP", I, Value::makeBool(I == 7));
   }
 
-  StepExecutor Exec(*C->Kernel, C->Step);
+  VmExecutor Exec(C->Compiled);
   std::printf("instant | events\n--------+---------------------------\n");
   for (unsigned I = 0; I < 10; ++I) {
     size_t Before = Env.outputs().size();
-    Exec.step(Env, I, ExecMode::Nested);
+    Exec.step(Env, I);
     std::printf("   %2u   |", I);
     for (size_t K = Before; K < Env.outputs().size(); ++K)
       std::printf(" %s=%s", Env.outputs()[K].Signal.c_str(),

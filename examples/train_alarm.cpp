@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 
 #include <cstdio>
@@ -60,10 +60,10 @@ int main() {
     Env.set("LIMIT_REACHED", I, Value::makeBool(Story[I].LimitReached));
   }
 
-  StepExecutor Exec(*C->Kernel, C->Step);
+  VmExecutor Exec(C->Compiled);
   for (unsigned I = 0; I < N; ++I) {
     size_t Before = Env.outputs().size();
-    Exec.step(Env, I, ExecMode::Nested);
+    Exec.step(Env, I);
     std::string AlarmState = "   (alarm silent: not braking)";
     if (Env.outputs().size() > Before) {
       const OutputEvent &E = Env.outputs().back();

@@ -9,7 +9,8 @@
 ///   * value slots  — the current value of each signal,
 ///   * state slots  — the memories of the "$" delays, surviving instants.
 ///
-/// The same instruction list carries two control structures:
+/// The same instruction list carries two control structures, which
+/// CompiledStep lowers for the one VM (GuardLowering):
 ///   * flat:   every instruction tests its own guard (code b of Figure 9),
 ///   * nested: instructions are grouped into blocks that follow the clock
 ///     tree, so an absent clock skips its whole subtree (code a of
@@ -17,7 +18,7 @@
 ///     block tests its clock once: a block holding nothing but a
 ///     sub-block is collapsed into its innermost descendant.
 /// Both execute identically. The nested one tests far fewer guards on
-/// every builtin (STOPWATCH: ~180 per instant against flat's ~1,460).
+/// every builtin (STOPWATCH: ~175 per instant against flat's 1,461).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +47,6 @@ enum class StepOp {
   StoreDelay,       ///< state[Target] := value[A]
   WriteOutput,      ///< environment output := value[A]
 };
-
-const char *stepOpName(StepOp Op);
 
 /// One guarded instruction.
 struct StepInstr {
@@ -115,14 +114,6 @@ struct StepProgram {
   /// Lowerings that materialize slots as typed storage (the C emitter's
   /// locals) read this instead of re-scanning the kernel signal table.
   std::vector<TypeKind> ValueSlotType;
-
-  /// Renders the flat instruction listing (tests, -dump-step).
-  std::string dump() const;
-  /// Renders the nested block structure.
-  std::string dumpNested() const;
-
-private:
-  void dumpBlock(int BlockIdx, unsigned Indent, std::string &Out) const;
 };
 
 } // namespace sigc

@@ -31,14 +31,12 @@ const char *sigc::to_string(CompileStage Stage) {
   return "none";
 }
 
-const char *sigc::engineModeList() { return "vm, nested, flat"; }
+const char *sigc::engineModeList() { return "vm, flat"; }
 
 bool sigc::parseEngineMode(const std::string &Name, EngineMode &Mode,
                            std::string &Diag) {
   if (Name == "vm") {
     Mode = EngineMode::Vm;
-  } else if (Name == "nested") {
-    Mode = EngineMode::Nested;
   } else if (Name == "flat") {
     Mode = EngineMode::Flat;
   } else {

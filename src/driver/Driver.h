@@ -58,10 +58,11 @@ enum class CompileStage {
 /// \returns the canonical lowercase name ("parse", "clock-calculus", ...).
 const char *to_string(CompileStage Stage);
 
-/// Execution engines selectable with `signalc --mode`.
-enum class EngineMode { Vm, Nested, Flat };
+/// The step lowerings `signalc --mode` runs on the VM: vm is the nested
+/// lowering, flat guards every instruction (GuardLowering).
+enum class EngineMode { Vm, Flat };
 
-/// The canonical valid-mode list ("vm, nested, flat") for diagnostics.
+/// The canonical valid-mode list ("vm, flat") for diagnostics.
 const char *engineModeList();
 
 /// Parses a --mode spelling. On an unknown mode returns false and fills

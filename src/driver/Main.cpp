@@ -57,8 +57,10 @@
 ///                      process (instance j is the scalar run of seed
 ///                      S + j)
 ///   --threads T        shard the fleet's instances across T threads
-///   --mode M           execution engine for --simulate: vm (default,
-///                      the slot-resolved bytecode VM), nested or flat
+///   --mode M           guard lowering the VM runs for --simulate: vm
+///                      (default; guards nested along the clock tree) or
+///                      flat (every instruction tests its own guard, code
+///                      b of Figure 9; not with --native)
 ///   --native M         tiered native execution: off (default), auto
 ///                      (cache hit runs native immediately; a miss runs
 ///                      the VM while a background cc compiles, then
@@ -83,7 +85,6 @@
 #include "driver/Driver.h"
 #include "driver/Simulation.h"
 #include "interp/LinkedExecutor.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "io/Server.h"
 #include "io/TraceEnvironment.h"
@@ -99,6 +100,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace sigc;
@@ -117,7 +119,7 @@ void printUsage() {
                "         --emit-c --with-driver\n"
                "         --simulate N --seed S --batch B "
                "--fleet N --threads T\n"
-               "         --mode vm|nested|flat --stats\n"
+               "         --mode vm|flat --stats\n"
                "         --native off|auto|force --cache-dir DIR "
                "--tier-after N\n"
                "         --record FILE --frame W --replay FILE "
@@ -245,20 +247,35 @@ int main(int Argc, char **Argv) {
   std::string ModeName = "vm";
   TierOptions Tier;
 
+  // The flags that take a string operand, and where it goes.
+  const std::pair<const char *, std::string *> StringFlags[] = {
+      {"--builtin", &Builtin},   {"--process", &ProcessName},
+      {"--link", &LinkList},     {"--record", &RecordFile},
+      {"--replay", &ReplayFile}, {"--serve", &ServeSock},
+      {"--mode", &ModeName},     {"--cache-dir", &Tier.CacheDir}};
+
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     auto next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
-    if (Arg == "--builtin") {
-      if (const char *V = next())
-        Builtin = V;
-    } else if (Arg == "--process") {
-      if (const char *V = next())
-        ProcessName = V;
-    } else if (Arg == "--link") {
-      if (const char *V = next())
-        LinkList = V;
+    std::string *StringOperand = nullptr;
+    for (const auto &[Flag, Dest] : StringFlags)
+      if (Arg == Flag)
+        StringOperand = Dest;
+    if (StringOperand) {
+      // A missing operand is diagnosed, like parseCliUnsigned's.
+      const char *V = next();
+      if (!V) {
+        std::fprintf(stderr, "signalc: missing value for %s\n", Arg.c_str());
+        return 2;
+      }
+      *StringOperand = V;
+      std::string Diag;
+      if (Arg == "--mode" && !parseEngineMode(ModeName, Mode, Diag)) {
+        std::fprintf(stderr, "signalc: %s\n", Diag.c_str());
+        return 2;
+      }
     } else if (Arg == "--dump-kernel") {
       DumpKernel = true;
     } else if (Arg == "--dump-clocks") {
@@ -285,17 +302,8 @@ int main(int Argc, char **Argv) {
       return 2;
     } else if (Arg == "--with-driver") {
       WithDriver = true;
-    } else if (Arg == "--record") {
-      if (const char *V = next())
-        RecordFile = V;
-    } else if (Arg == "--replay") {
-      if (const char *V = next())
-        ReplayFile = V;
     } else if (Arg == "--replay-buffered") {
       ReplayBuffered = true;
-    } else if (Arg == "--serve") {
-      if (const char *V = next())
-        ServeSock = V;
     } else if (Arg == "--simulate" || Arg == "--batch" || Arg == "--fleet" ||
                Arg == "--threads" || Arg == "--seed" || Arg == "--frame" ||
                Arg == "--max-sessions" || Arg == "--serve-limit" ||
@@ -360,13 +368,8 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "signalc: %s\n", Diag.c_str());
         return 2;
       }
-    } else if (Arg == "--cache-dir" || Arg.rfind("--cache-dir=", 0) == 0) {
-      if (Arg == "--cache-dir") {
-        if (const char *V = next())
-          Tier.CacheDir = V;
-      } else {
-        Tier.CacheDir = Arg.substr(std::string("--cache-dir=").size());
-      }
+    } else if (Arg.rfind("--cache-dir=", 0) == 0) {
+      Tier.CacheDir = Arg.substr(std::string("--cache-dir=").size());
     } else if (Arg == "--tier-after" || Arg.rfind("--tier-after=", 0) == 0) {
       const char *Text;
       std::string Val;
@@ -383,14 +386,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       Tier.TierAfter = static_cast<unsigned>(V);
-    } else if (Arg == "--mode") {
-      if (const char *V = next())
-        ModeName = V;
-      std::string Diag;
-      if (!parseEngineMode(ModeName, Mode, Diag)) {
-        std::fprintf(stderr, "signalc: %s\n", Diag.c_str());
-        return 2;
-      }
     } else if (Arg == "--stats") {
       Stats = true;
     } else if (Arg == "--help" || Arg == "-h") {
@@ -709,27 +704,20 @@ int main(int Argc, char **Argv) {
     // exactly like a scalar simulation of that seed, sharded over
     // --threads workers. Traces print per instance in instance order;
     // counters are sums over the instances.
-    if (Fleet && Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --fleet always runs the vm "
-                           "engine; --mode ignored\n");
-    if (!Fleet && Batch > 1 && Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --batch needs the vm engine; "
-                           "running unbatched\n");
-    if (!Fleet && Tier.Mode != NativeMode::Off && Mode != EngineMode::Vm)
+    //
+    // --mode flat runs the flat lowering of the same step on the same
+    // VM: identical traces and executed counts, one guard test per
+    // guarded instruction. The native tier compiles only the nested one.
+    if (Tier.Mode != NativeMode::Off && Mode == EngineMode::Flat) {
       std::fprintf(stderr, "signalc: warning: --native needs the vm engine; "
                            "running interpreted\n");
-    if (!Fleet && Mode != EngineMode::Vm) {
-      RandomEnvironment Env(Seed);
-      StepExecutor Exec(*C->Kernel, C->Step);
-      Exec.run(Env, Simulate,
-               Mode == EngineMode::Flat ? ExecMode::Flat : ExecMode::Nested);
-      std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
-                  static_cast<unsigned long long>(Seed),
-                  formatEvents(Env.outputs()).c_str());
-      if (Stats)
-        printStats(ModeName, Simulate, Exec.executed(), Exec.guardTests());
-      return 0;
+      Tier.Mode = NativeMode::Off;
     }
+    CompiledStep FlatStep;
+    if (Mode == EngineMode::Flat)
+      FlatStep = CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+    const CompiledStep &Step =
+        Mode == EngineMode::Flat ? FlatStep : C->Compiled;
 
     unsigned Instances = Fleet ? Fleet : 1;
     unsigned Threads = Fleet && FleetThreads ? FleetThreads : 1;
@@ -753,7 +741,7 @@ int main(int Argc, char **Argv) {
       }
     }
     SimulationTotals T =
-        simulateFleet(C->Compiled, Envs, Simulate, Batch, Threads, TC.get());
+        simulateFleet(Step, Envs, Simulate, Batch, Threads, TC.get());
     if (TC) {
       TC->noteVmInstants(T.VmInstants);
       TC->noteNativeInstants(T.NativeInstants);

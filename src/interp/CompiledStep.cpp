@@ -62,29 +62,50 @@ public:
                CompiledStep &Out)
       : Prog(Prog), Step(Step), Out(Out) {}
 
-  /// Emits \p BlockIdx and its subtree into Out.Code.
+  /// Emits \p BlockIdx and its subtree into Out.Code, one skip per
+  /// guarded block (the nested lowering).
   void emitBlock(int BlockIdx) {
     const StepBlock &B = Step.Blocks[BlockIdx];
-    int SkipAt = -1;
-    if (B.GuardSlot >= 0) {
-      SkipAt = static_cast<int>(Out.Code.size());
-      VmInstr Skip;
-      Skip.Op = VmOp::SkipIfAbsent;
-      Skip.Weight = 0; // Guard tests have their own counter.
-      Skip.A = B.GuardSlot;
-      Out.Code.push_back(Skip);
-    }
+    int SkipAt = openSkip(B.GuardSlot);
     for (const StepBlock::Item &It : B.Items) {
       if (It.IsBlock)
         emitBlock(It.Index);
       else
         emitInstr(Step.Instrs[It.Index]);
     }
+    closeSkip(SkipAt);
+  }
+
+  /// Emits Step.Instrs in schedule order, one skip per guarded
+  /// instruction (the flat lowering).
+  void emitFlat() {
+    for (const StepInstr &In : Step.Instrs) {
+      int SkipAt = openSkip(In.Guard);
+      emitInstr(In);
+      closeSkip(SkipAt);
+    }
+  }
+
+private:
+  /// Emits a skip on clock slot \p Guard and returns its position, or -1
+  /// (and emits nothing) when \p Guard is -1.
+  int openSkip(int Guard) {
+    if (Guard < 0)
+      return -1;
+    VmInstr Skip;
+    Skip.Op = VmOp::SkipIfAbsent;
+    Skip.Weight = 0; // Guard tests have their own counter.
+    Skip.A = Guard;
+    Out.Code.push_back(Skip);
+    return static_cast<int>(Out.Code.size()) - 1;
+  }
+
+  /// Points the skip at \p SkipAt (if any) past the code emitted since.
+  void closeSkip(int SkipAt) {
     if (SkipAt >= 0)
       Out.Code[SkipAt].Aux = static_cast<int32_t>(Out.Code.size());
   }
 
-private:
   /// A flattened operand: a value/scratch slot or a constant-pool entry.
   struct Operand {
     bool IsConst = false;
@@ -291,7 +312,7 @@ private:
 } // namespace
 
 CompiledStep CompiledStep::build(const KernelProgram &Prog,
-                                 const StepProgram &Step) {
+                                 const StepProgram &Step, GuardLowering L) {
   CompiledStep CS;
   CS.NumClockSlots = Step.NumClockSlots;
   CS.NumValueSlots = Step.NumValueSlots;
@@ -303,7 +324,9 @@ CompiledStep CompiledStep::build(const KernelProgram &Prog,
   CS.ValueSlotType = Step.ValueSlotType;
 
   StepLowering Lower(Prog, Step, CS);
-  if (Step.RootBlock >= 0)
+  if (L == GuardLowering::Flat)
+    Lower.emitFlat();
+  else if (Step.RootBlock >= 0)
     Lower.emitBlock(Step.RootBlock);
 
   // A delay memory holds one kind for the whole run. Sema lets an integer

@@ -14,16 +14,23 @@
 ///     per-instant heap allocation in the steady state,
 ///   * the nested block tree is linearized into a single instruction
 ///     stream with skip-offsets: an absent clock advances the PC past its
-///     whole subtree in O(1) instead of recursing through execBlock,
+///     whole subtree in O(1) instead of recursing through a block tree,
 ///   * partially-absent clock operands (slot -1) and constant "when"
 ///     arms are resolved at build time into dedicated opcodes, so the
 ///     hot loop never re-derives them.
 ///
-/// The guard economics are preserved exactly: one SkipIfAbsent per nested
-/// block (guard chains are already collapsed in the block tree),
-/// instructions inside run unguarded. VmExecutor's GuardTests and
-/// Executed counters therefore match nested StepExecutor runs bit for bit
-/// — the regression tests pin that equality.
+/// The guards follow one of Figure 9's two control structures, chosen
+/// at build time (GuardLowering):
+///   * nested (code a, the default): one SkipIfAbsent per block of the
+///     clock tree (guard chains are already collapsed in the block
+///     tree), instructions inside run unguarded,
+///   * flat (code b): the step instructions in schedule order, each
+///     guarded one under its own SkipIfAbsent.
+/// Skips weigh 0 and each step instruction weighs 1, so VmExecutor's
+/// Executed counter is the same under both lowerings and GuardTests
+/// measures the difference: per instant, flat tests every guarded step
+/// instruction once, nested one guard per block it enters. The oracle
+/// checks both counts, and that nested never tests more.
 ///
 /// The operand kinds are static. kinds() derives, per instruction, the
 /// kind it writes and the kinds it reads, in one linear walk; it is the
@@ -77,8 +84,8 @@ struct VmInstr {
   VmOp Op = VmOp::SetClockFalse;
   /// Contribution to the Executed counter. A step instruction lowered to
   /// several VM instructions (a multi-operator Func tree) counts once:
-  /// the root carries 1, interior scratch computations carry 0, keeping
-  /// the counter comparable with the nested StepExecutor's.
+  /// the root carries 1, interior scratch computations carry 0, so the
+  /// counter counts executed step instructions under either lowering.
   int8_t Weight = 1;
   int32_t Target = -1;
   int32_t A = -1;
@@ -109,6 +116,12 @@ struct GuardShape {
   unsigned MaxDepth = 0;       ///< Deepest SkipIfAbsent nesting.
 };
 
+/// Where a lowering puts the guards (Figure 9; see the file comment).
+enum class GuardLowering : uint8_t {
+  Nested, ///< One skip per block of the clock tree.
+  Flat,   ///< One skip per guarded step instruction.
+};
+
 /// A slot-resolved, allocation-free compiled reactive step.
 struct CompiledStep {
   unsigned NumClockSlots = 0;
@@ -116,7 +129,7 @@ struct CompiledStep {
   unsigned NumTempSlots = 0;  ///< Scratch slots appended after the values.
   std::vector<Value> StateInit;
 
-  std::vector<VmInstr> Code; ///< Linearized nested structure.
+  std::vector<VmInstr> Code; ///< Linearized guard structure.
   std::vector<Value> Consts; ///< Constant pool.
 
   /// Environment-facing descriptors, copied from the StepProgram so a
@@ -142,7 +155,8 @@ struct CompiledStep {
 
   /// Builds the slot-resolved step from a compiled StepProgram.
   static CompiledStep build(const KernelProgram &Prog,
-                            const StepProgram &Step);
+                            const StepProgram &Step,
+                            GuardLowering L = GuardLowering::Nested);
 
   /// Renders the instruction listing (tests, --dump-vm).
   std::string dump() const;

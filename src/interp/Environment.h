@@ -231,10 +231,11 @@ StepBindings resolveBindings(Environment &Env, const ClockDescs &Clocks,
 ///
 /// Each answer is a pure function of (seed, name, instant) — *not* of the
 /// query order or the binding order — so the fixpoint interpreter and the
-/// step executors, which interrogate the environment in different orders
-/// and bind different id spaces, observe the same trace. This is what
-/// makes differential testing sound. The per-name hash is computed once
-/// at binding time; the hot path is pure integer mixing.
+/// compiled-step executors, which interrogate the environment in
+/// different orders and bind different id spaces, observe the same
+/// trace. This is what makes differential testing sound. The per-name
+/// hash is computed once at binding time; the hot path is pure integer
+/// mixing.
 class RandomEnvironment : public Environment {
 public:
   using Environment::clockTick;

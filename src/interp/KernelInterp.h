@@ -5,7 +5,7 @@
 /// *independent of the scheduler and code generator*: each instant it
 /// solves presence and values by chaotic fixpoint iteration over the
 /// equations instead of following a precomputed order. Differential tests
-/// run it against the StepExecutor on random traces — any divergence
+/// run it against the compiled step on random traces — any divergence
 /// means the dependency graph, the schedule or the emitted step is wrong.
 ///
 /// Clock presence still comes from the resolved forest (free roots are

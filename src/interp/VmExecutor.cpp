@@ -1,15 +1,15 @@
 //===--- VmExecutor.cpp ---------------------------------------------------===//
 //
-// The interpreter loop exists twice over one set of op bodies (the
-// SIGC_VM_OPS X-macro): a portable switch dispatcher and a
-// direct-threaded computed-goto dispatcher (GNU labels-as-values). The
-// threaded loop replaces the switch's single shared indirect branch with
-// one `goto *` per op body, so the predictor learns each opcode's actual
-// successor distribution — the classic direct-threading win, which
-// matters here because serve lanes and cache-miss tiers keep this loop
-// hot.
-// Both dispatchers execute identical semantics and counters; bench_tier
-// measures them against each other.
+// The interpreter loop expands one set of op bodies (the SIGC_VM_OPS
+// X-macro) into one of two dispatchers, chosen at build time: a
+// direct-threaded computed-goto loop (GNU labels-as-values) wherever the
+// compiler has it, and a portable switch otherwise. The threaded loop
+// replaces the switch's single shared indirect branch with one `goto *`
+// per op body, so the predictor learns each opcode's actual successor
+// distribution — the classic direct-threading win, which matters here
+// because serve lanes and cache-miss tiers keep this loop hot. Measured
+// after quickening, goto ran at 1.03–1.26x the switch; the switch stays
+// as the portability fallback (-DSIGC_VM_NO_COMPUTED_GOTO builds it).
 //
 // The op list is the quickened instruction set (Brunthaler, "Efficient
 // interpretation using quickening", DLS 2010): decode() rewrites each
@@ -467,14 +467,6 @@ void VmExecutor::decode() {
                                       CS.Consts.size() + CS.StateInit.size());
 }
 
-bool VmExecutor::computedGotoAvailable() {
-  return SIGC_VM_COMPUTED_GOTO != 0;
-}
-
-void VmExecutor::setDispatch(VmDispatch D) {
-  UseGoto = D == VmDispatch::Goto && computedGotoAvailable();
-}
-
 void VmExecutor::reset() {
   ClockSlots.assign(CS.NumClockSlots, 0);
   // Scratch slots for interior expression results live after the values,
@@ -516,7 +508,7 @@ void VmExecutor::bind(Environment &Env) {
 }
 
 template <typename Port>
-void VmExecutor::execInstantSwitch(Port &P, unsigned Instant) {
+void VmExecutor::execInstant(Port &P, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
@@ -526,42 +518,14 @@ void VmExecutor::execInstantSwitch(Port &P, unsigned Instant) {
   VmSlot *State = StateSlots.data();
   uint64_t Guards = GuardTests, Exec = Executed;
 
+  // No bounds test: the stream ends in the Halt sentinel.
   int32_t PC = 0;
-  for (;;) {
-    const Instr &In = Code[PC++];
-    Exec += In.Weight;
-    switch (In.Op) {
-#define SIGC_VM_CASE(Name, ...)                                                \
-  case H_##Name: {                                                             \
-    __VA_ARGS__                                                                \
-    break;                                                                     \
-  }
-      SIGC_VM_OPS(SIGC_VM_CASE)
-#undef SIGC_VM_CASE
-    }
-  }
-}
-
-template <typename Port>
-void VmExecutor::execInstantGoto(Port &P, unsigned Instant) {
 #if SIGC_VM_COMPUTED_GOTO
-  // Presence is recomputed from scratch each instant.
-  std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
-
-  const Instr *Code = this->Code.data();
-  char *Clock = ClockSlots.data();
-  VmSlot *S = Slots.data();
-  VmSlot *State = StateSlots.data();
-  uint64_t Guards = GuardTests, Exec = Executed;
-
   // Positional dispatch table: one label per handler, in SIGC_VM_OPS
   // order.
 #define SIGC_VM_TABLE_ENTRY(Name, ...) &&L_##Name,
   static const void *const Table[] = {SIGC_VM_OPS(SIGC_VM_TABLE_ENTRY)};
 #undef SIGC_VM_TABLE_ENTRY
-
-  // No bounds test: the stream ends in the Halt sentinel.
-  int32_t PC = 0;
 #define SIGC_VM_DISPATCH() goto *Table[Code[PC].Op]
 
   SIGC_VM_DISPATCH();
@@ -577,16 +541,20 @@ void VmExecutor::execInstantGoto(Port &P, unsigned Instant) {
 #undef SIGC_VM_LABEL
 #undef SIGC_VM_DISPATCH
 #else
-  execInstantSwitch(P, Instant);
+  for (;;) {
+    const Instr &In = Code[PC++];
+    Exec += In.Weight;
+    switch (In.Op) {
+#define SIGC_VM_CASE(Name, ...)                                                \
+  case H_##Name: {                                                             \
+    __VA_ARGS__                                                                \
+    break;                                                                     \
+  }
+      SIGC_VM_OPS(SIGC_VM_CASE)
+#undef SIGC_VM_CASE
+    }
+  }
 #endif
-}
-
-template <typename Port>
-void VmExecutor::execInstant(Port &P, unsigned Instant) {
-  if (UseGoto)
-    execInstantGoto(P, Instant);
-  else
-    execInstantSwitch(P, Instant);
 }
 
 void VmExecutor::step(Environment &Env, unsigned Instant) {

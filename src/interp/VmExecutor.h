@@ -41,9 +41,15 @@
 /// them. Slots stay hot across the batch; traces and counters are
 /// bit-identical to N calls of step().
 ///
-/// Guard/instruction counters mirror the nested StepExecutor exactly, so
-/// benchmarks and regression tests can compare the two modes' guard
-/// economics number for number.
+/// The guard/instruction counters count what the step's lowering asks
+/// for: one guard test per SkipIfAbsent reached, one executed
+/// instruction per step instruction run. Running the nested and the
+/// flat lowering (GuardLowering) of one step on the same trace therefore
+/// measures Figure 9's guard economics on one engine.
+///
+/// Dispatch is direct-threaded (computed goto) wherever the compiler has
+/// GNU labels-as-values, and a portable switch otherwise or when built
+/// with -DSIGC_VM_NO_COMPUTED_GOTO.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,16 +62,6 @@
 #include <vector>
 
 namespace sigc {
-
-/// Instruction-dispatch strategy of the interpreter loop. Direct-threaded
-/// dispatch (GNU labels-as-values: one indirect `goto *` per instruction,
-/// so the branch predictor keys each opcode's successor separately)
-/// is the default wherever the compiler supports it; the portable switch
-/// loop remains both as the fallback and as a benchmarking baseline.
-enum class VmDispatch : uint8_t {
-  Switch, ///< Portable `switch` dispatch.
-  Goto,   ///< Direct-threaded computed-goto dispatch.
-};
 
 /// One untagged 8-byte value slot.
 union VmSlot {
@@ -112,18 +108,6 @@ public:
   /// Name of the handler instruction \p PC of the step decoded to.
   const char *decodedOpName(size_t PC) const;
 
-  /// True when this build carries the computed-goto dispatcher
-  /// (GCC/Clang; disable with -DSIGC_VM_NO_COMPUTED_GOTO).
-  static bool computedGotoAvailable();
-
-  /// Selects the dispatch strategy. Requests for an unavailable
-  /// dispatcher fall back to the portable switch. Trace and counters are
-  /// dispatch-independent — only the loop's branch structure changes.
-  void setDispatch(VmDispatch D);
-  VmDispatch dispatch() const {
-    return UseGoto ? VmDispatch::Goto : VmDispatch::Switch;
-  }
-
   /// Re-initializes the delay states.
   void reset();
 
@@ -162,8 +146,7 @@ public:
     return WatchBuf[Watch * BatchCap + I] != 0;
   }
 
-  /// Guard tests performed so far; equals the nested StepExecutor's count
-  /// on the same trace (one test per block entry).
+  /// Guard tests performed so far (one per SkipIfAbsent reached).
   uint64_t guardTests() const { return GuardTests; }
   /// Instructions actually executed so far (skip tests excluded).
   uint64_t executed() const { return Executed; }
@@ -201,9 +184,6 @@ private:
   /// One instant's PC walk; \p Port supplies ticks/inputs and receives
   /// outputs (direct environment queries or batch buffers).
   template <typename Port> void execInstant(Port &P, unsigned Instant);
-  /// The two dispatch loops over the same op bodies.
-  template <typename Port> void execInstantSwitch(Port &P, unsigned Instant);
-  template <typename Port> void execInstantGoto(Port &P, unsigned Instant);
 
   /// Fills Code from CS.Code (see the file comment).
   void decode();
@@ -226,7 +206,6 @@ private:
   const CompiledStep &CS;
   std::vector<Instr> Code; ///< Decoded CS.Code plus a Halt sentinel.
   VmDecodeStats Stats;
-  bool UseGoto = computedGotoAvailable();
   uint64_t BoundIdentity = 0; ///< identity() of the bound environment.
   StepBindings Bind;
   std::vector<char> ClockSlots;

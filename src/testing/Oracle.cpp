@@ -7,7 +7,6 @@
 #include "interp/Environment.h"
 #include "interp/KernelInterp.h"
 #include "interp/LinkedExecutor.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
 #include "link/LinkEmitter.h"
@@ -334,28 +333,24 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     return R;
   }
 
-  // Path 2: flat step program.
-  RandomEnvironment EnvFlat(Options.EnvSeed, Options.TickPermille);
-  StepExecutor ExecFlat(*C->Kernel, C->Step);
-  ExecFlat.run(EnvFlat, Options.Instants, ExecMode::Flat);
-
-  // Path 3: nested step program.
-  RandomEnvironment EnvNested(Options.EnvSeed, Options.TickPermille);
-  StepExecutor ExecNested(*C->Kernel, C->Step);
-  ExecNested.run(EnvNested, Options.Instants, ExecMode::Nested);
-  R.GuardTestsNested = ExecNested.guardTests();
-  R.ExecutedNested = ExecNested.executed();
-  R.GuardTestsFlat = ExecFlat.guardTests();
-  R.ExecutedFlat = ExecFlat.executed();
-
-  // Path 4: the slot-resolved VM (the Compilation's single lowered IR).
+  // Path 2: the step program's nested lowering on the VM (the
+  // Compilation's single lowered IR).
   RandomEnvironment EnvVm(Options.EnvSeed, Options.TickPermille);
   VmExecutor ExecVm(C->Compiled);
   ExecVm.run(EnvVm, Options.Instants);
-  R.GuardTestsVm = ExecVm.guardTests();
-  R.ExecutedVm = ExecVm.executed();
+  R.GuardTestsNested = ExecVm.guardTests();
+  R.ExecutedNested = ExecVm.executed();
 
-  // Path 4b: the same VM batched — stepN windows over the bulk
+  // Path 3: the flat lowering of the same step program on the same VM.
+  RandomEnvironment EnvFlat(Options.EnvSeed, Options.TickPermille);
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  VmExecutor ExecFlat(Flat);
+  ExecFlat.run(EnvFlat, Options.Instants);
+  R.GuardTestsFlat = ExecFlat.guardTests();
+  R.ExecutedFlat = ExecFlat.executed();
+
+  // Path 2b: the nested VM batched — stepN windows over the bulk
   // environment exchange must reproduce the unbatched run bit for bit,
   // counters included.
   RandomEnvironment EnvVmB(Options.EnvSeed, Options.TickPermille);
@@ -370,19 +365,19 @@ OracleReport sigc::checkDifferential(const std::string &Name,
                       Source);
     return R;
   }
-  if (ExecVmB.guardTests() != R.GuardTestsVm ||
-      ExecVmB.executed() != R.ExecutedVm) {
+  if (ExecVmB.guardTests() != R.GuardTestsNested ||
+      ExecVmB.executed() != R.ExecutedNested) {
     R.Error = failure(
         Name, "batched VM counters diverge from unbatched",
-        "vm:       guards=" + std::to_string(R.GuardTestsVm) +
-            " executed=" + std::to_string(R.ExecutedVm) +
+        "vm:       guards=" + std::to_string(R.GuardTestsNested) +
+            " executed=" + std::to_string(R.ExecutedNested) +
             "\nvm-batch: guards=" + std::to_string(ExecVmB.guardTests()) +
             " executed=" + std::to_string(ExecVmB.executed()) + "\n",
         Source);
     return R;
   }
 
-  // Path 4t: record -> replay through the trace format. The batched VM
+  // Path 2t: record -> replay through the trace format. The batched VM
   // run is mirrored into an in-memory trace; replaying that trace as the
   // environment — at a *different* batch size — must reproduce the
   // events and counters of the live run, the replayed outputs must match
@@ -457,12 +452,12 @@ OracleReport sigc::checkDifferential(const std::string &Name,
                         Source);
       return R;
     }
-    if (ExecTr.guardTests() != R.GuardTestsVm ||
-        ExecTr.executed() != R.ExecutedVm) {
+    if (ExecTr.guardTests() != R.GuardTestsNested ||
+        ExecTr.executed() != R.ExecutedNested) {
       R.Error = failure(
           Name, "replay counters diverge from the live run",
-          "vm:     guards=" + std::to_string(R.GuardTestsVm) +
-              " executed=" + std::to_string(R.ExecutedVm) +
+          "vm:     guards=" + std::to_string(R.GuardTestsNested) +
+              " executed=" + std::to_string(R.ExecutedNested) +
               "\nreplay: guards=" + std::to_string(ExecTr.guardTests()) +
               " executed=" + std::to_string(ExecTr.executed()) + "\n",
           Source);
@@ -488,34 +483,36 @@ OracleReport sigc::checkDifferential(const std::string &Name,
                       Source);
     return R;
   }
-  D = compareTraces("step-flat", EnvFlat.outputs(), "step-nested",
-                    EnvNested.outputs());
+  D = compareTraces("step-flat", EnvFlat.outputs(), "step-vm",
+                    EnvVm.outputs());
   if (!D.Equal) {
     R.Error =
         failure(Name, "flat vs nested step divergence", D.Report, Source);
     return R;
   }
-  D = compareTraces("step-nested", EnvNested.outputs(), "step-vm",
-                    EnvVm.outputs());
-  if (!D.Equal) {
-    R.Error = failure(Name, "nested vs slot-VM divergence", D.Report, Source);
-    return R;
-  }
-  // The VM linearizes the nested structure: its guard economics must be
-  // exactly the nested executor's, never flat's.
-  if (R.GuardTestsVm != R.GuardTestsNested ||
-      R.ExecutedVm != R.ExecutedNested) {
+  // The counters, checked against the step program rather than against
+  // one lowering: both lowerings execute the same step instructions, the
+  // flat one tests every guarded step instruction once per instant, and
+  // nesting never tests more.
+  uint64_t Guarded = 0;
+  for (const StepInstr &In : C->Step.Instrs)
+    Guarded += In.Guard >= 0;
+  if (R.ExecutedFlat != R.ExecutedNested ||
+      R.GuardTestsFlat != Guarded * Options.Instants ||
+      R.GuardTestsNested > R.GuardTestsFlat) {
     R.Error = failure(
-        Name, "slot-VM guard/instruction counters diverge from nested",
-        "nested: guards=" + std::to_string(R.GuardTestsNested) +
-            " executed=" + std::to_string(R.ExecutedNested) +
-            "\nvm:     guards=" + std::to_string(R.GuardTestsVm) +
-            " executed=" + std::to_string(R.ExecutedVm) + "\n",
+        Name, "guard/instruction counters break the lowering invariants",
+        "flat:   guards=" + std::to_string(R.GuardTestsFlat) +
+            " executed=" + std::to_string(R.ExecutedFlat) +
+            " (guarded step instructions " + std::to_string(Guarded) +
+            " x instants " + std::to_string(Options.Instants) + ")" +
+            "\nnested: guards=" + std::to_string(R.GuardTestsNested) +
+            " executed=" + std::to_string(R.ExecutedNested) + "\n",
         Source);
     return R;
   }
 
-  // Path 5: the emitted C, through the host compiler. Same bytecode,
+  // Path 4: the emitted C, through the host compiler. Same bytecode,
   // same trace, and the generated counters must land exactly on the
   // VM's.
   if (Options.EmitCRoundTrip && hostCCompilerAvailable()) {
@@ -529,18 +526,19 @@ OracleReport sigc::checkDifferential(const std::string &Name,
       return R;
     }
     R.CRoundTripRan = true;
-    D = compareTraces("step-nested", EnvNested.outputs(), "emitted-c",
+    D = compareTraces("step-vm", EnvVm.outputs(), "emitted-c",
                       CEvents);
     if (!D.Equal) {
       R.Error = failure(Name, "in-process vs emitted-C divergence", D.Report,
                         Source);
       return R;
     }
-    if (R.GuardTestsC != R.GuardTestsVm || R.ExecutedC != R.ExecutedVm) {
+    if (R.GuardTestsC != R.GuardTestsNested ||
+        R.ExecutedC != R.ExecutedNested) {
       R.Error = failure(
           Name, "emitted-C guard/instruction counters diverge from the VM",
-          "vm: guards=" + std::to_string(R.GuardTestsVm) +
-              " executed=" + std::to_string(R.ExecutedVm) +
+          "vm: guards=" + std::to_string(R.GuardTestsNested) +
+              " executed=" + std::to_string(R.ExecutedNested) +
               "\nc:  guards=" + std::to_string(R.GuardTestsC) +
               " executed=" + std::to_string(R.ExecutedC) + "\n",
           Source);
@@ -548,7 +546,7 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     }
   }
 
-  // Path 6: the native tier's hot swap, at every batch boundary k. One
+  // Path 5: the native tier's hot swap, at every batch boundary k. One
   // artifact compiled through the production cache path (emit, host cc,
   // atomic publish, dlopen), then for each k: interpret k instants,
   // hand the session's delay state and counters to the native step
@@ -585,13 +583,13 @@ OracleReport sigc::checkDifferential(const std::string &Name,
                       " diverges from the pure VM run\n" + SD.Report;
           break;
         }
-        if (NX.guardTests() != R.GuardTestsVm ||
-            NX.executed() != R.ExecutedVm) {
+        if (NX.guardTests() != R.GuardTestsNested ||
+            NX.executed() != R.ExecutedNested) {
           SwapError =
               "VM -> native swap at instant " + std::to_string(K) +
               ": counters diverge from the pure VM run\n"
-              "vm:     guards=" + std::to_string(R.GuardTestsVm) +
-              " executed=" + std::to_string(R.ExecutedVm) +
+              "vm:     guards=" + std::to_string(R.GuardTestsNested) +
+              " executed=" + std::to_string(R.ExecutedNested) +
               "\nswapped: guards=" + std::to_string(NX.guardTests()) +
               " executed=" + std::to_string(NX.executed()) + "\n";
           break;
@@ -943,11 +941,14 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 1b: monolithic nested step program.
+  // Path 1b: the monolithic step program's flat lowering on the VM (a
+  // structure independent of the units' nested code).
   RandomEnvironment EnvMono(Options.EnvSeed, Options.TickPermille);
   RenamedClockEnvironment EnvMonoRenamed(EnvMono, ClockMap);
-  StepExecutor ExecMono(*Mono->Kernel, Mono->Step);
-  ExecMono.run(EnvMonoRenamed, Options.Instants, ExecMode::Nested);
+  CompiledStep MonoFlat =
+      CompiledStep::build(*Mono->Kernel, Mono->Step, GuardLowering::Flat);
+  VmExecutor ExecMono(MonoFlat);
+  ExecMono.run(EnvMonoRenamed, Options.Instants);
   R.GuardTestsMono = ExecMono.guardTests();
 
   TraceDiff D = compareTraces("mono-interp", EnvRefRenamed.outputs(),

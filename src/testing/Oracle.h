@@ -6,17 +6,21 @@
 /// execution path the compiler has —
 ///
 ///   1. the reference fixpoint interpreter (KernelInterp),
-///   2. the compiled step program, flat control structure,
-///   3. the compiled step program, nested control structure,
-///   4. the slot-resolved VM (CompiledStep through VmExecutor), both
-///      instant by instant and batched through the bulk environment
-///      exchange (stepN windows), plus a record -> replay round trip
-///      through the binary trace format,
-///   5. optionally, the emitted C — lowered from the same CompiledStep
+///   2. the step program's nested lowering on the VM (the Compilation's
+///      CompiledStep through VmExecutor), both instant by instant and
+///      batched through the bulk environment exchange (stepN windows),
+///      plus a record -> replay round trip through the binary trace
+///      format,
+///   3. the step program's flat lowering on the same VM (Figure 9's
+///      code b). Besides the trace, its counters check the nested ones
+///      against the step program itself: both execute the same number
+///      of step instructions, flat tests exactly one guard per guarded
+///      step instruction per instant, and nested never tests more,
+///   4. optionally, the emitted C — lowered from the same CompiledStep
 ///      bytecode — round-tripped through the host C compiler (-std=c99
 ///      -Wall -Werror) and executed as a subprocess, its generated
 ///      guard/executed counters pinned equal to the VM's,
-///   6. optionally, the native tier's hot swap: the same bytecode
+///   5. optionally, the native tier's hot swap: the same bytecode
 ///      compiled to a shared object through the production cache path
 ///      and, at every batch boundary k, a run that interprets k
 ///      instants then finishes on the dlopen'd step function — pinned
@@ -70,21 +74,19 @@ struct OracleReport {
   /// On failure: which paths diverged, the first differing events, and
   /// the program source (empty when Ok).
   std::string Error;
-  /// Guard-test and instruction counters, exposed so tests can assert
-  /// the Figure-9 effect (nested does at most as many tests as flat) and
-  /// pin the VM's guard economics to the nested structure's exactly.
+  /// Guard-test and instruction counters of the VM under the flat and
+  /// the nested lowering, exposed so tests can assert the size of the
+  /// Figure-9 effect (the oracle itself checks nested <= flat).
   uint64_t GuardTestsFlat = 0;
   uint64_t GuardTestsNested = 0;
-  uint64_t GuardTestsVm = 0;
   uint64_t ExecutedFlat = 0;
   uint64_t ExecutedNested = 0;
-  uint64_t ExecutedVm = 0;
   /// Counters of the emitted-C leg, parsed from the generated program's
-  /// own state struct and pinned equal to the VM's (0 until the
+  /// own state struct and pinned equal to the nested VM's (0 until the
   /// round-trip runs).
   uint64_t GuardTestsC = 0;
   uint64_t ExecutedC = 0;
-  /// Linked-oracle counters: the monolithic nested run vs the linked
+  /// Linked-oracle counters: the monolithic flat run vs the linked
   /// system (sum over units). Zero for single-process reports.
   uint64_t GuardTestsMono = 0;
   uint64_t GuardTestsLinked = 0;
@@ -122,8 +124,8 @@ const std::string &hostCCompilerCommand();
 // program — the executable form of the claim that interface matching can
 // replace global clock resolution. Verified paths:
 //
-//   1. the monolithic compilation's nested step program (itself cross-
-//      checked against the fixpoint interpreter),
+//   1. the monolithic compilation's step program, flat lowering, on the
+//      VM (itself cross-checked against the fixpoint interpreter),
 //   2. the LinkedExecutor over the separately compiled units, both
 //      instant by instant and batched per unit (stepN windows),
 //   3. optionally, the linked C emission round-tripped through the host

@@ -5,7 +5,8 @@
 /// --threads) share one checked parse: a malformed, out-of-range or
 /// missing operand must be a diagnosed exit-code-2 failure naming the
 /// flag — historically `--batch abc` was an uncaught std::stoul throw
-/// and a flag given as the last argument was silently dropped.
+/// and a flag given as the last argument was silently dropped. The
+/// string flags diagnose a missing operand the same way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,6 +97,21 @@ TEST(Cli, MissingOperandAsLastArgumentIsDiagnosedPerFlag) {
   // dropped; it must diagnose the missing operand and exit 2.
   for (const char *Flag : numericFlags) {
     CliResult R = runSignalc("--builtin FIG5_ALARM " + std::string(Flag));
+    EXPECT_EQ(R.Exit, 2) << Flag << ": " << R.Output;
+    EXPECT_NE(R.Output.find("missing value for " + std::string(Flag)),
+              std::string::npos)
+        << Flag << ": " << R.Output;
+  }
+}
+
+TEST(Cli, StringFlagMissingOperandIsDiagnosedPerFlag) {
+  // `--replay` or `--serve` as the last argument used to exit 0 having
+  // done nothing, `--record` to write no file, `--mode` to run the vm.
+  for (const char *Flag : {"--record", "--replay", "--serve", "--mode",
+                           "--cache-dir", "--link", "--process",
+                           "--builtin"}) {
+    CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 2 " +
+                             std::string(Flag));
     EXPECT_EQ(R.Exit, 2) << Flag << ": " << R.Output;
     EXPECT_NE(R.Output.find("missing value for " + std::string(Flag)),
               std::string::npos)
@@ -201,6 +217,33 @@ TEST(Cli, FleetStatsSumCountersAcrossInstances) {
   EXPECT_NE(Two.Output.find("stats: mode=fleet instants=32"),
             std::string::npos)
       << Two.Output;
+}
+
+TEST(Cli, FlatModeBatchesLikeUnbatchedFlat) {
+  // --mode flat runs the flat lowering on the VM, so --batch applies: the
+  // batched run prints the unbatched one's trace and counters, and warns
+  // about nothing. The counters are unbatched flat's: each of STOPWATCH's
+  // 1,461 guarded step instructions tests its guard once per instant.
+  const std::string Run = "--builtin STOPWATCH --simulate 2000 --seed 5 "
+                          "--mode flat";
+  CliResult R = runSignalc(Run + " --batch 64 --stats");
+  ASSERT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("stats: mode=flat instants=2000 executed=1616732 "
+                          "guard_tests=2922000 instrs_per_instant=808.37\n"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("warning"), std::string::npos) << R.Output;
+  EXPECT_EQ(runSignalc(Run + " --batch 64", /*StdoutOnly=*/true).Output,
+            runSignalc(Run, /*StdoutOnly=*/true).Output);
+}
+
+TEST(Cli, NestedModeIsRejectedNamingValidModes) {
+  // vm is the nested lowering; there is no separate nested engine.
+  CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 2 --mode nested");
+  EXPECT_EQ(R.Exit, 2) << R.Output;
+  EXPECT_NE(R.Output.find("unknown --mode 'nested'; valid modes: vm, flat"),
+            std::string::npos)
+      << R.Output;
 }
 
 TEST(Cli, UnknownOptionExitsTwo) {

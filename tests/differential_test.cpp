@@ -4,8 +4,9 @@
 ///   * the Figure-13 builtin program suite (plus the Figure-5 alarm),
 ///   * 100+ random well-clocked programs,
 ///   * the emitted-C round-trip, when a host C compiler is present,
-/// asserting that the fixpoint interpreter, the flat step program, the
-/// nested step program and the compiled C all produce identical traces —
+/// asserting that the fixpoint interpreter, the VM on the flat and the
+/// nested lowering of the step program and the compiled C all produce
+/// identical traces —
 /// the executable form of the paper's claim that the hierarchization
 /// preserves the program's semantics (Section 3.4).
 ///
@@ -161,8 +162,8 @@ TEST(DifferentialEmitC, Alarm) {
   EXPECT_TRUE(R.NativeSwapRan);
   // The generated C maintains its own guard/executed counters and the
   // oracle pins them to the VM's; the parsed values surface here.
-  EXPECT_EQ(R.GuardTestsC, R.GuardTestsVm);
-  EXPECT_EQ(R.ExecutedC, R.ExecutedVm);
+  EXPECT_EQ(R.GuardTestsC, R.GuardTestsNested);
+  EXPECT_EQ(R.ExecutedC, R.ExecutedNested);
   EXPECT_GT(R.GuardTestsC, 0u);
   EXPECT_GT(R.ExecutedC, 0u);
 }
@@ -185,7 +186,7 @@ TEST(DifferentialEmitC, BooleanVsEventComparisonMatchesValueSemantics) {
   // Sema accepts `=` between any boolish pair, an event being an
   // always-true boolean, so B = E is B and B /= E is not B. Every engine
   // must answer that: the VM and the fixpoint interpreter (checked
-  // directly below), and the step executors and the emitted C (checked
+  // directly below), and the flat lowering and the emitted C (checked
   // equal to them by the oracle). Value::operator== would call a boolean
   // and an event unequal whatever the payload.
   const char *Source =
@@ -231,7 +232,8 @@ TEST(DifferentialEmitC, RealDelayWithIntegerInitStaysReal) {
   // `init 1` on a real signal whose memory stores reals: the compiled
   // step widens the initial value, so the VM and the emitted C (which
   // used to declare the memory long and truncate) hold a real throughout.
-  // The step executors start from the integer; the value is the same.
+  // The reference interpreter starts from the integer; the value is the
+  // same.
   const char *Source =
       "process P =\n"
       "  ( ? real X; ! real Y; )\n"
@@ -305,8 +307,8 @@ TEST(DifferentialEmitC, RandomPrograms) {
     OracleReport R = checkRandomDifferential(Seed, Gen, O);
     EXPECT_TRUE(R.Ok) << R.Error;
     EXPECT_TRUE(R.CRoundTripRan);
-    EXPECT_EQ(R.GuardTestsC, R.GuardTestsVm);
-    EXPECT_EQ(R.ExecutedC, R.ExecutedVm);
+    EXPECT_EQ(R.GuardTestsC, R.GuardTestsNested);
+    EXPECT_EQ(R.ExecutedC, R.ExecutedNested);
   }
 }
 

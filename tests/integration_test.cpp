@@ -2,7 +2,7 @@
 
 #include "TestUtil.h"
 #include "codegen/CEmitter.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 
 #include <gtest/gtest.h>
 
@@ -49,15 +49,12 @@ TEST(Integration, UnknownEngineModeNamesValidModes) {
   std::string Diag;
   EXPECT_TRUE(parseEngineMode("vm", Mode, Diag));
   EXPECT_EQ(Mode, EngineMode::Vm);
-  EXPECT_TRUE(parseEngineMode("nested", Mode, Diag));
-  EXPECT_EQ(Mode, EngineMode::Nested);
   EXPECT_TRUE(parseEngineMode("flat", Mode, Diag));
   EXPECT_EQ(Mode, EngineMode::Flat);
 
   EXPECT_FALSE(parseEngineMode("vmm", Mode, Diag));
   EXPECT_NE(Diag.find("unknown --mode 'vmm'"), std::string::npos) << Diag;
-  EXPECT_NE(Diag.find("valid modes: vm, nested, flat"), std::string::npos)
-      << Diag;
+  EXPECT_NE(Diag.find("valid modes: vm, flat"), std::string::npos) << Diag;
 }
 
 TEST(Integration, ProcessSelectionByName) {
@@ -90,8 +87,8 @@ TEST(Integration, CounterEndToEnd) {
   Env.tickAlways();
   for (unsigned I = 0; I < 5; ++I)
     Env.set("STEP", I, Value::makeInt(static_cast<int>(I)));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 5, ExecMode::Nested);
+  VmExecutor Exec(C->Compiled);
+  Exec.run(Env, 5);
   EXPECT_EQ(formatEvents(Env.outputs()),
             "0 TOTAL=0\n1 TOTAL=1\n2 TOTAL=3\n3 TOTAL=6\n4 TOTAL=10\n");
 }
@@ -117,8 +114,8 @@ TEST(Integration, WatchdogScenario) {
     Env.set("DO_RELOAD", I, Value::makeBool(Do[I]));
     Env.set("RELOAD", I, Value::makeInt(3));
   }
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 5, ExecMode::Nested);
+  VmExecutor Exec(C->Compiled);
+  Exec.run(Env, 5);
   EXPECT_EQ(formatEvents(Env.outputs()),
             "0 EXPIRED=false\n1 EXPIRED=false\n2 EXPIRED=false\n"
             "3 EXPIRED=true\n4 EXPIRED=false\n");
@@ -126,7 +123,7 @@ TEST(Integration, WatchdogScenario) {
 
 TEST(Integration, EmittedCMatchesInterpreterOnCounter) {
   // Compile the counter, emit C with the deterministic driver, build and
-  // run it, and compare against the StepExecutor fed by the same LCG.
+  // run it, and compare against the sums its LCG inputs imply.
   auto C = compileOk(proc("? integer A; ! integer Y;",
                           "   Y := A + (Y $ 1 init 0)"));
   CEmitOptions O;
@@ -291,8 +288,8 @@ TEST(Integration, MultiOutputProcess) {
   ScriptedEnvironment Env;
   Env.tickAlways();
   Env.set("A", 0, Value::makeInt(5));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 1, ExecMode::Nested);
+  VmExecutor Exec(C->Compiled);
+  Exec.run(Env, 1);
   std::string Out = formatEvents(Env.outputs());
   EXPECT_NE(Out.find("DBL=10"), std::string::npos);
   EXPECT_NE(Out.find("SQR=25"), std::string::npos);
@@ -303,8 +300,8 @@ TEST(Integration, RealArithmetic) {
   ScriptedEnvironment Env;
   Env.tickAlways();
   Env.set("A", 0, Value::makeReal(3.0));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 1, ExecMode::Nested);
+  VmExecutor Exec(C->Compiled);
+  Exec.run(Env, 1);
   ASSERT_EQ(Env.outputs().size(), 1u);
   EXPECT_DOUBLE_EQ(Env.outputs()[0].Val.Real, 1.5);
 }
@@ -316,7 +313,7 @@ TEST(Integration, EventOutput) {
   Env.set("CC", 0, Value::makeBool(true));
   Env.set("CC", 1, Value::makeBool(false));
   Env.set("CC", 2, Value::makeBool(true));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 3, ExecMode::Nested);
+  VmExecutor Exec(C->Compiled);
+  Exec.run(Env, 3);
   EXPECT_EQ(formatEvents(Env.outputs()), "0 T=true\n2 T=true\n");
 }

@@ -2,14 +2,13 @@
 ///
 /// The first group reproduces the timing diagrams of the paper's
 /// Figures 1–4 as scripted traces; the second group runs differential
-/// tests: flat step execution == nested step execution == reference
-/// fixpoint interpretation, on scripted and random programs.
+/// tests: the VM on the flat lowering == the VM on the nested lowering
+/// == reference fixpoint interpretation, on scripted and random programs.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "interp/KernelInterp.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 
 #include <gtest/gtest.h>
@@ -21,12 +20,12 @@ using namespace sigc::test;
 
 namespace {
 
-/// Runs the step executor over a scripted environment and returns the
+/// Runs the compiled step over a scripted environment and returns the
 /// formatted outputs.
 std::string runSteps(Compilation &C, ScriptedEnvironment &Env,
-                     unsigned Instants, ExecMode Mode = ExecMode::Nested) {
-  StepExecutor Exec(*C.Kernel, C.Step);
-  Exec.run(Env, Instants, Mode);
+                     unsigned Instants) {
+  VmExecutor Exec(C.Compiled);
+  Exec.run(Env, Instants);
   return formatEvents(Env.outputs());
 }
 
@@ -167,7 +166,7 @@ process ALARM =
 }
 
 //===----------------------------------------------------------------------===//
-// Differential tests: flat == nested == reference fixpoint.
+// Differential tests: flat lowering == nested lowering == reference.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -179,17 +178,14 @@ void expectAllModesAgree(const std::string &Source, uint64_t Seed,
     return;
 
   RandomEnvironment EnvFlat(Seed);
-  StepExecutor ExecFlat(*C->Kernel, C->Step);
-  ExecFlat.run(EnvFlat, Instants, ExecMode::Flat);
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  VmExecutor ExecFlat(Flat);
+  ExecFlat.run(EnvFlat, Instants);
 
   RandomEnvironment EnvNested(Seed);
-  StepExecutor ExecNested(*C->Kernel, C->Step);
-  ExecNested.run(EnvNested, Instants, ExecMode::Nested);
-
-  RandomEnvironment EnvVm(Seed);
-  CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step);
-  VmExecutor ExecVm(CS);
-  ExecVm.run(EnvVm, Instants);
+  VmExecutor ExecNested(C->Compiled);
+  ExecNested.run(EnvNested, Instants);
 
   RandomEnvironment EnvRef(Seed);
   KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
@@ -199,14 +195,11 @@ void expectAllModesAgree(const std::string &Source, uint64_t Seed,
             formatEvents(EnvNested.outputs()))
       << "flat vs nested divergence\n"
       << Source;
-  EXPECT_EQ(formatEvents(EnvNested.outputs()), formatEvents(EnvVm.outputs()))
-      << "nested vs slot-VM divergence\n"
+  EXPECT_LE(ExecNested.guardTests(), ExecFlat.guardTests())
+      << "nesting tested more guards than the flat lowering\n"
       << Source;
-  EXPECT_EQ(ExecVm.guardTests(), ExecNested.guardTests())
-      << "slot-VM guard economics diverged from nested\n"
-      << Source;
-  EXPECT_EQ(ExecVm.executed(), ExecNested.executed())
-      << "slot-VM Executed counter diverged from nested\n"
+  EXPECT_EQ(ExecNested.executed(), ExecFlat.executed())
+      << "the lowerings executed different step instructions\n"
       << Source;
   EXPECT_EQ(formatEvents(EnvFlat.outputs()), formatEvents(EnvRef.outputs()))
       << "step vs reference divergence\n"
@@ -322,7 +315,7 @@ INSTANTIATE_TEST_SUITE_P(RandomPrograms, DifferentialTest,
 // Executor details
 //===----------------------------------------------------------------------===//
 
-TEST(StepExecutor, NestedDoesFewerGuardTests) {
+TEST(GuardLowering, NestedDoesFewerGuardTests) {
   auto C = compileOk(proc("? integer A; boolean C1, C2; ! integer Y;",
                           "   T1 := A when C1\n"
                           "   | T2 := T1 when C2\n"
@@ -330,28 +323,32 @@ TEST(StepExecutor, NestedDoesFewerGuardTests) {
                           "integer T1, T2;"));
   // Environment where the root rarely ticks: nesting skips whole subtrees.
   RandomEnvironment Env(1, /*TickPermille=*/100);
-  StepExecutor Flat(*C->Kernel, C->Step);
-  Flat.run(Env, 256, ExecMode::Flat);
+  CompiledStep FlatStep =
+      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  VmExecutor Flat(FlatStep);
+  Flat.run(Env, 256);
   RandomEnvironment Env2(1, 100);
-  StepExecutor Nested(*C->Kernel, C->Step);
-  Nested.run(Env2, 256, ExecMode::Nested);
+  VmExecutor Nested(C->Compiled);
+  Nested.run(Env2, 256);
   EXPECT_LT(Nested.guardTests(), Flat.guardTests());
   EXPECT_LE(Nested.executed(), Flat.executed());
 }
 
-TEST(StepExecutor, ResetRestoresInitialState) {
+TEST(GuardLowering, FlatResetRestoresInitialState) {
   auto C = compileOk(proc("? integer A; ! integer Y;",
                           "   Y := A + (Y $ 1 init 100)"));
   ScriptedEnvironment Env;
   Env.tickAlways();
   for (unsigned I = 0; I < 3; ++I)
     Env.set("A", I, Value::makeInt(1));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 3, ExecMode::Nested);
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  VmExecutor Exec(Flat);
+  Exec.run(Env, 3);
   std::string First = formatEvents(Env.outputs());
   Env.clearOutputs();
   Exec.reset();
-  Exec.run(Env, 3, ExecMode::Nested);
+  Exec.run(Env, 3);
   EXPECT_EQ(formatEvents(Env.outputs()), First);
 }
 

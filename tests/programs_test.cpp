@@ -1,8 +1,8 @@
 //===--- programs_test.cpp - Figure-13 suite sanity ------------------------===//
 
 #include "TestUtil.h"
-#include "interp/StepExecutor.h"
 #include "programs/Programs.h"
+#include "testing/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -38,15 +38,11 @@ TEST_P(SuiteTest, CompilesAndMatchesPaperVariableCount) {
 
 TEST_P(SuiteTest, SimulatesWithoutDivergence) {
   Figure13Program P = figure13Suite()[GetParam()];
-  auto C = compileOk(P.Source);
-  ASSERT_TRUE(C->Ok);
-  RandomEnvironment EnvFlat(11), EnvNested(11);
-  StepExecutor A(*C->Kernel, C->Step), B(*C->Kernel, C->Step);
-  A.run(EnvFlat, 16, ExecMode::Flat);
-  B.run(EnvNested, 16, ExecMode::Nested);
-  EXPECT_EQ(formatEvents(EnvFlat.outputs()),
-            formatEvents(EnvNested.outputs()))
-      << P.Name;
+  OracleOptions O;
+  O.Instants = 16;
+  O.EnvSeed = 11;
+  OracleReport R = checkDifferential(P.Name, P.Source, O);
+  EXPECT_TRUE(R.Ok) << R.Error;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSeven, SuiteTest, ::testing::Range(0u, 7u));

@@ -5,16 +5,12 @@
 /// bindings are all set up front, and the per-instant loop only indexes
 /// into them. This test pins the contract with a counting allocator: the
 /// whole test binary's operator new/delete tally every allocation, and a
-/// measured window of VM instants after warm-up must tally zero.
-///
-/// The legacy StepExecutor is measured alongside, documenting what the VM
-/// fixes (its EvalFunc path allocates argument and result vectors per
-/// instruction per instant).
+/// measured window of VM instants after warm-up must tally zero, under
+/// the nested and the flat lowering alike.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 
@@ -107,18 +103,20 @@ TEST(VmAllocation, ZeroHeapAllocationsPerInstantInSteadyState) {
   Shape.DividerStages = 24;
   auto C = compileOk(generateProgram("CHAIN", Shape));
 
-  CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step);
-  VmExecutor Exec(CS);
-  DiscardEnvironment Env(42, 800);
+  for (GuardLowering L : {GuardLowering::Nested, GuardLowering::Flat}) {
+    CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step, L);
+    VmExecutor Exec(CS);
+    DiscardEnvironment Env(42, 800);
 
-  // Warm up: binding resolution and any lazy one-time setup happen here.
-  Exec.run(Env, 8);
+    // Warm up: binding resolution and any lazy one-time setup happen here.
+    Exec.run(Env, 8);
 
-  uint64_t Allocs = allocsDuring([&] { Exec.run(Env, 512); });
-  EXPECT_EQ(Allocs, 0u)
-      << "the slot-VM allocated on the hot path; the CompiledStep "
-         "contract is zero per-instant heap allocation";
-  EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
+    uint64_t Allocs = allocsDuring([&] { Exec.run(Env, 512); });
+    EXPECT_EQ(Allocs, 0u)
+        << "the slot-VM allocated on the hot path; the CompiledStep "
+           "contract is zero per-instant heap allocation";
+    EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
+  }
 }
 
 TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
@@ -144,22 +142,6 @@ TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
       << "stepN allocated on the hot path; batch buffers must be "
          "preallocated and reused";
   EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
-}
-
-TEST(VmAllocation, LegacyStepExecutorAllocatesWhatTheVmEliminated) {
-  ProgramShape Shape;
-  Shape.DividerStages = 24;
-  auto C = compileOk(generateProgram("CHAIN", Shape));
-
-  StepExecutor Exec(*C->Kernel, C->Step);
-  DiscardEnvironment Env(42, 800);
-  Exec.run(Env, 8, ExecMode::Nested);
-
-  uint64_t Allocs = allocsDuring([&] { Exec.run(Env, 512, ExecMode::Nested); });
-  EXPECT_GT(Allocs, 0u)
-      << "the legacy executor's EvalFunc path allocates per instant; if "
-         "this ever reaches zero, retire the VM's advantage note in the "
-         "README";
 }
 
 TEST(VmAllocation, ScriptedAdapterStillWorksUnderCountingAllocator) {

@@ -3,13 +3,13 @@
 /// Tests of the CompiledStep/VmExecutor execution engine:
 ///   * structural invariants of the lowered bytecode (resolved descriptor
 ///     indices, well-formed skip offsets, folded constants),
-///   * trace equivalence against the nested StepExecutor on scripted and
-///     random programs (the differential oracle re-checks this at scale;
-///     here the failures localize),
-///   * the guard-economics regression pins: the VM must do exactly the
-///     nested structure's guard work — never regress to flat-level — and
-///     its Executed counter stays comparable across the multi-instruction
-///     expression lowering (Weight accounting),
+///   * trace equivalence of the nested and the flat lowering on scripted
+///     and builtin programs (the differential oracle checks this at
+///     scale),
+///   * the guard-economics regression pins: the nested lowering must
+///     never regress to flat-level guard work, and the Executed counter
+///     stays comparable across the multi-instruction expression lowering
+///     (Weight accounting),
 ///   * Figure-9 nesting: no guard block holds nothing but another guard
 ///     block (a same-target chain), in compiled and in fused steps,
 ///   * quickening: every typed handler agrees with evalUnaryValue/
@@ -20,7 +20,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 #include "testing/Oracle.h"
@@ -120,7 +119,7 @@ TEST(CompiledStep, ConstantSubtreesFoldAtBuildTime) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trace equivalence with the step executor.
+// Trace equivalence of the two lowerings.
 //===----------------------------------------------------------------------===//
 
 TEST(VmExecutor, MatchesNestedOnScriptedTrace) {
@@ -134,28 +133,25 @@ TEST(VmExecutor, MatchesNestedOnScriptedTrace) {
       E->set("X2", I, Value::makeInt(10 - static_cast<int>(I)));
     }
   }
-  StepExecutor Nested(*C->Kernel, C->Step);
-  Nested.run(EnvA, 4, ExecMode::Nested);
-  CompiledStep CS = buildVm(*C);
-  VmExecutor Vm(CS);
+  VmExecutor Nested(C->Compiled);
+  Nested.run(EnvA, 4);
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  VmExecutor Vm(Flat);
   Vm.run(EnvB, 4);
-  EXPECT_EQ(formatEvents(EnvA.outputs()), formatEvents(EnvB.outputs()));
+  EXPECT_EQ(formatEvents(EnvA.outputs()), "0 X=11\n1 X=11\n2 X=11\n3 X=11\n");
+  EXPECT_EQ(formatEvents(EnvB.outputs()), formatEvents(EnvA.outputs()));
 }
 
 TEST(VmExecutor, MatchesNestedOnBuiltinSuite) {
+  // The oracle runs both lowerings against the reference interpreter and
+  // checks their counters against the step program.
+  OracleOptions O;
+  O.Instants = 48;
+  O.EnvSeed = 17;
   for (const Figure13Program &P : figure13Suite()) {
-    auto C = compileSource("<vm:" + P.Name + ">", P.Source);
-    ASSERT_TRUE(C->Ok) << P.Name;
-    RandomEnvironment EnvNested(17), EnvVm(17);
-    StepExecutor Nested(*C->Kernel, C->Step);
-    Nested.run(EnvNested, 48, ExecMode::Nested);
-    CompiledStep CS = buildVm(*C);
-    VmExecutor Vm(CS);
-    Vm.run(EnvVm, 48);
-    EXPECT_EQ(formatEvents(EnvNested.outputs()), formatEvents(EnvVm.outputs()))
-        << P.Name;
-    EXPECT_EQ(Vm.guardTests(), Nested.guardTests()) << P.Name;
-    EXPECT_EQ(Vm.executed(), Nested.executed()) << P.Name;
+    OracleReport R = checkDifferential(P.Name, P.Source, O);
+    EXPECT_TRUE(R.Ok) << R.Error;
   }
 }
 
@@ -273,33 +269,21 @@ TEST(VmExecutor, BatchedOutputOrderWithinInstantIsUnbatchedOrder) {
 
 TEST(VmExecutor, GuardWorkNeverRegressesToFlatLevel) {
   // A deep divider chain with a sparse root: the whole point of the
-  // clock hierarchy is that nested/VM skip absent subtrees wholesale.
+  // clock hierarchy is that the nested lowering skips absent subtrees
+  // wholesale.
   ProgramShape Shape;
   Shape.DividerStages = 24;
-  auto C = compileOk(generateProgram("CHAIN", Shape));
-  const unsigned Instants = 256;
-
-  RandomEnvironment EnvFlat(5, 200), EnvNested(5, 200), EnvVm(5, 200);
-  StepExecutor Flat(*C->Kernel, C->Step);
-  Flat.run(EnvFlat, Instants, ExecMode::Flat);
-  StepExecutor Nested(*C->Kernel, C->Step);
-  Nested.run(EnvNested, Instants, ExecMode::Nested);
-  CompiledStep CS = buildVm(*C);
-  VmExecutor Vm(CS);
-  Vm.run(EnvVm, Instants);
-
-  // Identical traces first — the economics are meaningless otherwise.
-  EXPECT_EQ(formatEvents(EnvNested.outputs()), formatEvents(EnvFlat.outputs()));
-  EXPECT_EQ(formatEvents(EnvVm.outputs()), formatEvents(EnvNested.outputs()));
-
-  // The pins: VM == nested exactly; both well below flat on this shape.
-  EXPECT_EQ(Vm.guardTests(), Nested.guardTests());
-  EXPECT_EQ(Vm.executed(), Nested.executed());
-  EXPECT_LT(Nested.guardTests(), Flat.guardTests() / 2)
+  OracleOptions O;
+  O.Instants = 256;
+  O.EnvSeed = 5;
+  O.TickPermille = 200;
+  // Identical traces and consistent counters first (the oracle checks
+  // them) — the economics are meaningless otherwise.
+  OracleReport R =
+      checkDifferential("CHAIN", generateProgram("CHAIN", Shape), O);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_LT(R.GuardTestsNested, R.GuardTestsFlat / 2)
       << "nested guard work regressed toward flat-level scanning";
-  EXPECT_LT(Vm.guardTests(), Flat.guardTests() / 2)
-      << "VM guard work regressed toward flat-level scanning";
-  EXPECT_LE(Nested.executed(), Flat.executed());
 }
 
 TEST(VmExecutor, StopwatchGuardTestsPerInstantBounded) {
@@ -368,60 +352,6 @@ TEST(GuardChains, NoneInFusedLinkedSystems) {
     ASSERT_TRUE(R.Sys) << Name << ": " << R.Error;
     expectNoGuardChains(R.Sys->Fused, Name);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatch strategy: computed goto must be execution-invisible.
-//===----------------------------------------------------------------------===//
-
-TEST(VmDispatch, GotoMatchesSwitchOnBuiltinSuite) {
-  // Identical raw event sequences AND counters across dispatchers, on
-  // both the stepped and the batched path — the direct-threaded loop is
-  // a branch-structure change only.
-  for (const Figure13Program &P : figure13Suite()) {
-    auto C = compileSource("<vmdispatch:" + P.Name + ">", P.Source);
-    ASSERT_TRUE(C->Ok) << P.Name;
-    RandomEnvironment EnvSwitch(31), EnvGoto(31);
-    VmExecutor Sw(C->Compiled), Go(C->Compiled);
-    Sw.setDispatch(VmDispatch::Switch);
-    Go.setDispatch(VmDispatch::Goto);
-    ASSERT_EQ(Sw.dispatch(), VmDispatch::Switch);
-    if (VmExecutor::computedGotoAvailable()) {
-      ASSERT_EQ(Go.dispatch(), VmDispatch::Goto) << P.Name;
-    }
-    Sw.run(EnvSwitch, 48);
-    Go.run(EnvGoto, 48);
-    EXPECT_EQ(formatEvents(EnvGoto.outputs()), formatEvents(EnvSwitch.outputs()))
-        << P.Name;
-    EXPECT_EQ(Go.guardTests(), Sw.guardTests()) << P.Name;
-    EXPECT_EQ(Go.executed(), Sw.executed()) << P.Name;
-
-    RandomEnvironment BatchSwitch(31), BatchGoto(31);
-    VmExecutor BSw(C->Compiled), BGo(C->Compiled);
-    BSw.setDispatch(VmDispatch::Switch);
-    BGo.setDispatch(VmDispatch::Goto);
-    BSw.runBatched(BatchSwitch, 48, 7);
-    BGo.runBatched(BatchGoto, 48, 7);
-    EXPECT_EQ(formatEvents(BatchGoto.outputs()),
-              formatEvents(BatchSwitch.outputs()))
-        << P.Name << " (batched)";
-    EXPECT_EQ(BGo.guardTests(), BSw.guardTests()) << P.Name;
-  }
-}
-
-TEST(VmDispatch, SwitchOverrideSurvivesResetAndRebind) {
-  auto C = compileOk(proc("? integer A; ! integer Y;",
-                          "   Y := A + (Y $ 1 init 0)"));
-  VmExecutor Exec(C->Compiled);
-  Exec.setDispatch(VmDispatch::Switch);
-  RandomEnvironment E1(7, 1000);
-  Exec.run(E1, 8);
-  Exec.reset();
-  EXPECT_EQ(Exec.dispatch(), VmDispatch::Switch)
-      << "reset() must not reconsider the dispatch choice";
-  RandomEnvironment E2(7, 1000);
-  Exec.run(E2, 8);
-  EXPECT_EQ(formatEvents(E2.outputs()), formatEvents(E1.outputs()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -561,8 +491,8 @@ TEST(VmQuickening, MixedIntegerRealReachesTheGenericHandlers) {
   // evaluates it through evalBinaryValue. J is declared real but carries
   // the integers it is computed from, so a default of J and a real, and
   // a real memory fed from J, convert too. Every engine still agrees
-  // (the oracle runs the interpreter, both step executors, the stepped
-  // and batched VM, and the emitted C when a compiler is present).
+  // (the oracle runs the interpreter, the stepped and batched VM on both
+  // lowerings, and the emitted C when a compiler is present).
   const std::string Source =
       proc("? integer I; real X; ! real R, S, T; boolean L;",
            "   R := I + X\n"
@@ -590,25 +520,25 @@ TEST(VmQuickening, MixedIntegerRealReachesTheGenericHandlers) {
   OracleReport R = checkDifferential("mixed-int-real", Source, O);
   EXPECT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.CRoundTripRan, O.EmitCRoundTrip);
-  EXPECT_EQ(R.GuardTestsVm, R.GuardTestsNested);
-  EXPECT_EQ(R.ExecutedVm, R.ExecutedNested);
 }
 
 namespace {
 
-/// Runs \p C stepped, nested and in batch windows; the VM's counters and
-/// trace must not depend on the window and must equal the nested
-/// executor's.
+/// Runs \p C stepped and in batch windows; the VM's counters and trace
+/// must not depend on the window, and its executed count must equal the
+/// flat lowering's.
 void expectCountersUnderBatchWindows(const Compilation &C,
                                      const std::string &What) {
   const unsigned Instants = 300;
-  RandomEnvironment EnvStepped(23), EnvNested(23);
+  RandomEnvironment EnvStepped(23), EnvFlat(23);
   VmExecutor Stepped(C.Compiled);
   Stepped.run(EnvStepped, Instants);
-  StepExecutor Nested(*C.Kernel, C.Step);
-  Nested.run(EnvNested, Instants, ExecMode::Nested);
-  EXPECT_EQ(Stepped.guardTests(), Nested.guardTests()) << What;
-  EXPECT_EQ(Stepped.executed(), Nested.executed()) << What;
+  CompiledStep FlatStep =
+      CompiledStep::build(*C.Kernel, C.Step, GuardLowering::Flat);
+  VmExecutor Flat(FlatStep);
+  Flat.run(EnvFlat, Instants);
+  EXPECT_LE(Stepped.guardTests(), Flat.guardTests()) << What;
+  EXPECT_EQ(Stepped.executed(), Flat.executed()) << What;
   for (unsigned Window : {1u, 3u, 7u, 64u, 300u}) {
     RandomEnvironment Env(23);
     VmExecutor Batched(C.Compiled);
