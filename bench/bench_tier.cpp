@@ -4,16 +4,17 @@
 ///
 ///   * vm                 — scalar VM throughput (the tier a run starts
 ///     on),
-///   * native             — the dlopen'd artifact's scalar throughput
+///   * native             — the VM with the dlopen'd artifact attached,
 ///     on the same traces (the speedup the tier promotion buys),
 ///   * cold_compile_ms    — content-hash + emit + host cc + atomic
 ///     publish + load, i.e. how long the background thread works on a
 ///     cache miss,
 ///   * warm_load_ms       — loading the published artifact on a later
 ///     run; the report also asserts the warm path spawned no compiler
-///     (cc_spawns_warm must be 0 — the cache-hit acceptance criterion),
-///   * swap_import_us     — one VM -> native state handoff (the hot
-///     part of a promotion; module load is counted under warm_load_ms).
+///     (cc_spawns_warm must be 0 — the cache-hit acceptance criterion).
+///
+/// A promotion itself copies nothing (both tiers run on the VM's state
+/// block), so beyond the module load there is no handoff to time.
 ///
 /// Workloads: the Figure-5 alarm plus deep divider chains at dense and
 /// sparse root activity — the shapes where the clock hierarchy's guard
@@ -29,7 +30,6 @@
 #include "interp/VmExecutor.h"
 #include "native/CcRunner.h"
 #include "native/NativeCache.h"
-#include "native/NativeExecutor.h"
 #include "native/StepHash.h"
 #include "programs/Programs.h"
 #include "testing/Oracle.h"
@@ -69,41 +69,24 @@ struct Row {
   double ColdCompileMs = 0;    ///< miss: emit + cc + publish + load.
   double WarmLoadMs = 0;       ///< hit: validate + dlopen only.
   uint64_t CcSpawnsWarm = 0;   ///< must stay 0 — hit spawns no compiler.
-  double SwapImportUs = 0;     ///< one VM -> native state handoff.
 };
 
 /// Best of three timed repetitions (scheduler noise shows up as slow
 /// outliers, never fast ones).
 const unsigned Reps = 3;
 
-double vmThroughput(const CompiledStep &CS, uint64_t Seed,
-                    unsigned TickPermille, unsigned Instants) {
+/// Best-of-Reps throughput of the VM, with \p M attached when non-null.
+double throughput(const CompiledStep &CS, const NativeModule *M,
+                  uint64_t Seed, unsigned TickPermille, unsigned Instants) {
   DiscardEnvironment Env(Seed, TickPermille);
   VmExecutor Vm(CS);
+  Vm.setNative(M);
   Vm.runBatched(Env, Instants / 8 + 1, 64); // Bind + warm.
   double Best = 0;
   for (unsigned R = 0; R < Reps; ++R) {
     Vm.reset();
     auto T0 = std::chrono::steady_clock::now();
     Vm.runBatched(Env, Instants, 64);
-    double S = secondsSince(T0);
-    if (S > 0 && Instants / S > Best)
-      Best = Instants / S;
-  }
-  return Best;
-}
-
-double nativeThroughput(const CompiledStep &CS, const NativeModule &M,
-                        uint64_t Seed, unsigned TickPermille,
-                        unsigned Instants) {
-  DiscardEnvironment Env(Seed, TickPermille);
-  NativeExecutor NX(CS, M);
-  NX.runBatched(Env, Instants / 8 + 1, 64); // Bind + warm.
-  double Best = 0;
-  for (unsigned R = 0; R < Reps; ++R) {
-    NX.reset();
-    auto T0 = std::chrono::steady_clock::now();
-    NX.runBatched(Env, Instants, 64);
     double S = secondsSince(T0);
     if (S > 0 && Instants / S > Best)
       Best = Instants / S;
@@ -138,7 +121,7 @@ Row benchProgram(const std::string &Name, const std::string &Source,
   Row R;
   R.Name = Name;
   R.TickPermille = TickPermille;
-  R.VmPerSec = vmThroughput(CS, 42, TickPermille, Instants);
+  R.VmPerSec = throughput(CS, nullptr, 42, TickPermille, Instants);
   if (!WithNative)
     return R;
 
@@ -166,18 +149,7 @@ Row benchProgram(const std::string &Name, const std::string &Source,
   R.CcSpawnsWarm = ccSpawnCount() - Spawns0;
   const NativeModule &M = Warm ? *Warm : *Cold;
 
-  // One promotion handoff: export the VM's state into the native unit.
-  {
-    DiscardEnvironment Env(42, TickPermille);
-    VmExecutor Vm(CS);
-    Vm.runBatched(Env, 64, 64);
-    NativeExecutor NX(CS, M);
-    T0 = std::chrono::steady_clock::now();
-    NX.importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-    R.SwapImportUs = secondsSince(T0) * 1e6;
-  }
-
-  R.NativePerSec = nativeThroughput(CS, M, 42, TickPermille, Instants);
+  R.NativePerSec = throughput(CS, &M, 42, TickPermille, Instants);
   return R;
 }
 
@@ -200,15 +172,15 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "no host C compiler: vm leg only\n");
 
   std::printf("Tier economics (instants/sec, %u instants)\n\n", Instants);
-  std::printf("%-12s %6s %12s %12s %8s %10s %9s %9s\n", "program", "tick",
-              "vm", "native", "nat/vm", "cold(ms)", "warm(ms)", "swap(us)");
+  std::printf("%-12s %6s %12s %12s %8s %10s %9s\n", "program", "tick", "vm",
+              "native", "nat/vm", "cold(ms)", "warm(ms)");
 
   std::vector<Row> Rows;
   auto Report = [&](const Row &R) {
-    std::printf("%-12s %6u %12.0f %12.0f %7.2fx %10.1f %9.2f %9.1f\n",
+    std::printf("%-12s %6u %12.0f %12.0f %7.2fx %10.1f %9.2f\n",
                 R.Name.c_str(), R.TickPermille, R.VmPerSec, R.NativePerSec,
                 R.VmPerSec > 0 ? R.NativePerSec / R.VmPerSec : 0,
-                R.ColdCompileMs, R.WarmLoadMs, R.SwapImportUs);
+                R.ColdCompileMs, R.WarmLoadMs);
     if (R.CcSpawnsWarm)
       std::printf("  WARNING: warm cache hit spawned %llu compiler(s)\n",
                   static_cast<unsigned long long>(R.CcSpawnsWarm));
@@ -239,8 +211,7 @@ int main(int Argc, char **Argv) {
           << (R.VmPerSec > 0 ? R.NativePerSec / R.VmPerSec : 0) << ", "
           << "\"cold_compile_ms\": " << R.ColdCompileMs << ", "
           << "\"warm_load_ms\": " << R.WarmLoadMs << ", "
-          << "\"cc_spawns_warm\": " << R.CcSpawnsWarm << ", "
-          << "\"swap_import_us\": " << R.SwapImportUs << "}"
+          << "\"cc_spawns_warm\": " << R.CcSpawnsWarm << "}"
           << (I + 1 < Rows.size() ? "," : "") << "\n";
     }
     Out << "  ]\n}\n";

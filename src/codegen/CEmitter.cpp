@@ -147,6 +147,11 @@ private:
     return "c" + std::to_string(Slot);
   }
   std::string valueVar(int32_t Slot, TypeKind K) const;
+  /// The state block slot of delay \p Index, by its member.
+  std::string stateSlot(int32_t Index) const {
+    return "st->s[" + std::to_string(Index) + "]." +
+           slotMember(CS.StateInit[Index].Kind);
+  }
 
   Operand operandA(const VmInstr &In, const InstrKinds &IK) const;
   Operand operandB(const VmInstr &In, const InstrKinds &IK) const;
@@ -406,11 +411,9 @@ std::string Emitter::instrStmt(size_t PC) const {
     return valueVar(In.Target, IK.Res) + " = " + clockVar(In.Aux) + " ? " +
            valueVar(In.A, IK.A) + " : " + valueVar(In.B, IK.B) + ";";
   case VmOp::LoadDelay:
-    return valueVar(In.Target, IK.Res) + " = st->s" +
-           std::to_string(In.A) + ";";
+    return valueVar(In.Target, IK.Res) + " = " + stateSlot(In.A) + ";";
   case VmOp::StoreDelay:
-    return "st->s" + std::to_string(In.Target) + " = " +
-           valueVar(In.A, IK.A) + ";";
+    return stateSlot(In.Target) + " = " + valueVar(In.A, IK.A) + ";";
   case VmOp::WriteOutput: {
     std::string Id = sanitizeIdent(CS.Outputs[In.Aux].Name);
     return "out->" + Id + "_present = 1; out->" + Id + " = " +
@@ -476,13 +479,15 @@ std::string Emitter::run() {
     Out += "#include <stdio.h>\n";
   Out += "\n";
 
-  // State struct: delay memories plus the VM-pinned counters.
+  // State struct: the VM-pinned counters, then the delay memories in
+  // 8-byte slots, the byte layout of VmExecutor's state block.
+  Out += "typedef union { long i; double d; } " + Proc + "_slot_t;\n\n";
   Out += "typedef struct {\n";
-  for (unsigned I = 0; I < CS.StateInit.size(); ++I)
-    Out += "  " + std::string(cTypeOf(CS.StateInit[I].Kind)) + " s" +
-           std::to_string(I) + ";\n";
   Out += "  unsigned long long guard_tests;\n";
   Out += "  unsigned long long executed;\n";
+  if (!CS.StateInit.empty())
+    Out += "  " + Proc + "_slot_t s[" + std::to_string(CS.StateInit.size()) +
+           "];\n";
   Out += "} " + Proc + "_state_t;\n\n";
 
   // Input struct.
@@ -510,7 +515,7 @@ std::string Emitter::run() {
   // Init.
   Out += "void " + Proc + "_init(" + Proc + "_state_t *st) {\n";
   for (unsigned I = 0; I < CS.StateInit.size(); ++I)
-    Out += "  st->s" + std::to_string(I) + " = " +
+    Out += "  " + stateSlot(static_cast<int32_t>(I)) + " = " +
            cLiteral(CS.StateInit[I]) + ";\n";
   Out += "  st->guard_tests = 0ULL;\n";
   Out += "  st->executed = 0ULL;\n";

@@ -57,6 +57,13 @@ std::string emitC(const CompiledStep &Step, const std::string &ProcName,
 /// Makes an arbitrary string a valid C identifier fragment.
 std::string sanitizeIdent(const std::string &Name);
 
+/// The member of the emitted slot union (`union { long i; double d; }`,
+/// the C twin of VmSlot) that holds a value of kind \p K: reals in `d`,
+/// everything else (booleans and events as 0/1) in `i`.
+inline const char *slotMember(TypeKind K) {
+  return K == TypeKind::Real ? "d" : "i";
+}
+
 } // namespace sigc
 
 #endif // SIGNALC_CODEGEN_CEMITTER_H

@@ -57,10 +57,11 @@
 ///                      process (instance j is the scalar run of seed
 ///                      S + j)
 ///   --threads T        shard the fleet's instances across T threads
-///   --mode M           guard lowering the VM runs for --simulate: vm
-///                      (default; guards nested along the clock tree) or
-///                      flat (every instruction tests its own guard, code
-///                      b of Figure 9; not with --native)
+///   --mode M           guard lowering the VM runs for --simulate,
+///                      --record, --replay and --serve, and that --stats
+///                      describes: vm (default; guards nested along the
+///                      clock tree) or flat (every instruction tests its
+///                      own guard, code b of Figure 9; not with --native)
 ///   --native M         tiered native execution: off (default), auto
 ///                      (cache hit runs native immediately; a miss runs
 ///                      the VM while a background cc compiles, then
@@ -146,10 +147,10 @@ void printStats(const std::string &Mode, unsigned Instants,
 /// time of each stage, the work of the clock calculus, and how the VM
 /// decodes the step (instructions with a typed handler, those left to
 /// the generic Value handler, fused clock-literal/skip pairs, and the
-/// bytes of its 8-byte slots). Everything but the stage times is
-/// deterministic.
-void printCompileStats(const Compilation &C) {
-  GuardShape G = C.Compiled.guardShape();
+/// bytes of its 8-byte slots), all of the lowering \p Step the run
+/// executes. Everything but the stage times is deterministic.
+void printCompileStats(const Compilation &C, const CompiledStep &Step) {
+  GuardShape G = Step.guardShape();
   std::fprintf(stderr,
                "stats: compile step_instrs=%zu guards=%u distinct_guards=%u "
                "max_guard_depth=%u\n",
@@ -167,7 +168,7 @@ void printCompileStats(const Compilation &C) {
                static_cast<unsigned long long>(F.BddNodes),
                static_cast<unsigned long long>(C.Bdds.cacheHits() +
                                                C.Bdds.cacheMisses()));
-  VmDecodeStats V = VmExecutor(C.Compiled).decodeStats();
+  VmDecodeStats V = VmExecutor(Step).decodeStats();
   std::fprintf(stderr,
                "stats: vm decoded=%u typed=%u generic=%u fused=%u "
                "slot_bytes=%zu\n",
@@ -264,9 +265,10 @@ int main(int Argc, char **Argv) {
       if (Arg == Flag)
         StringOperand = Dest;
     if (StringOperand) {
-      // A missing operand is diagnosed, like parseCliUnsigned's.
+      // A missing operand is diagnosed, like parseCliUnsigned's; so is a
+      // flag in its place (a file named like one can be given as ./--x).
       const char *V = next();
-      if (!V) {
+      if (!V || std::string(V).rfind("--", 0) == 0) {
         std::fprintf(stderr, "signalc: missing value for %s\n", Arg.c_str());
         return 2;
       }
@@ -545,8 +547,23 @@ int main(int Argc, char **Argv) {
                C->Clocks.numVars(),
                static_cast<unsigned>(C->Forest->dfsOrder().size()),
                static_cast<unsigned>(C->Forest->freeClocks().size()));
+  // The guard lowering every run executes, picked once: --mode flat is
+  // Figure 9's flat code on the same VM, with the nested run's trace,
+  // identical executed counts and one guard test per guarded
+  // instruction. The native tier compiles only the nested lowering.
+  CompiledStep FlatStep;
+  if (Mode == EngineMode::Flat) {
+    FlatStep = CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+    if (Tier.Mode != NativeMode::Off) {
+      std::fprintf(stderr, "signalc: warning: --native needs the vm engine; "
+                           "running interpreted\n");
+      Tier.Mode = NativeMode::Off;
+    }
+  }
+  const CompiledStep &Step =
+      Mode == EngineMode::Flat ? FlatStep : C->Compiled;
   if (Stats)
-    printCompileStats(*C);
+    printCompileStats(*C, Step);
 
   if (DumpKernel)
     std::printf("kernel:\n%s", C->Kernel->dump(Names).c_str());
@@ -592,7 +609,7 @@ int main(int Argc, char **Argv) {
     SO.DrainGraceMs = DrainGraceMs;
     SO.SendBufBytes = SendBufBytes;
     SO.Tier = Tier;
-    return runTraceServer(C->Compiled, ProcName, SO);
+    return runTraceServer(Step, ProcName, SO);
   }
 
   if (!ReplayFile.empty()) {
@@ -619,14 +636,14 @@ int main(int Argc, char **Argv) {
       Src = std::move(M);
     }
     TraceReader Reader(*Src);
-    if (!Reader.readHeader() || !Reader.matchesStep(C->Compiled)) {
+    if (!Reader.readHeader() || !Reader.matchesStep(Step)) {
       std::fprintf(stderr, "signalc: %s: %s\n", ReplayFile.c_str(),
                    Reader.error().str().c_str());
       return 2;
     }
     TraceEnvironment Env(Reader);
     Env.setVerifyOutputs(true);
-    VmExecutor Exec(C->Compiled);
+    VmExecutor Exec(Step);
     unsigned Window = Batch > 1 ? Batch : Reader.spec().FrameInstants;
     unsigned At = 0;
     for (;;) {
@@ -650,17 +667,13 @@ int main(int Argc, char **Argv) {
                 At, ReplayBuffered ? "buffered" : "mmap",
                 static_cast<unsigned long long>(Env.outputCount()));
     if (Stats && At)
-      printStats("vm", At, Exec.executed(), Exec.guardTests());
+      printStats(ModeName, At, Exec.executed(), Exec.guardTests());
     return 0;
   }
 
   if (Simulate && !RecordFile.empty() && !Fleet) {
     // Record: a normal random simulation whose exchanged windows are
-    // mirrored into a trace file. Always the batched VM — recording
-    // frames flush as bulk windows complete.
-    if (Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --record always runs the "
-                           "batched vm engine; --mode ignored\n");
+    // mirrored into a trace file (the same trace under either lowering).
     if (Tier.Mode != NativeMode::Off)
       std::fprintf(stderr, "signalc: warning: --native is ignored while "
                            "recording (the recorder runs the vm)\n");
@@ -673,12 +686,11 @@ int main(int Argc, char **Argv) {
     }
     FdSink Sink(Fd, /*OwnsFd=*/true);
     TraceWriter Writer(Sink,
-                       TraceSpec::fromStep(C->Compiled, ProcName,
-                                           FrameInstants));
+                       TraceSpec::fromStep(Step, ProcName, FrameInstants));
     RandomEnvironment Rnd(Seed);
     RecordingEnvironment Env(Rnd, Writer);
     SimulationTotals T =
-        simulateFleet(C->Compiled, {&Env}, Simulate, Batch, /*Threads=*/1);
+        simulateFleet(Step, {&Env}, Simulate, Batch, /*Threads=*/1);
     if (!Writer.finish(Simulate)) {
       // The sink latched the first failure with its byte position.
       std::fprintf(stderr, "signalc: write failed on '%s' %s\n",
@@ -691,7 +703,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Seed),
                 formatEvents(Rnd.outputs()).c_str());
     if (Stats)
-      printStats("vm", Simulate, T.Executed, T.GuardTests);
+      printStats(ModeName, Simulate, T.Executed, T.GuardTests);
     return 0;
   }
   if (!RecordFile.empty())
@@ -704,21 +716,6 @@ int main(int Argc, char **Argv) {
     // exactly like a scalar simulation of that seed, sharded over
     // --threads workers. Traces print per instance in instance order;
     // counters are sums over the instances.
-    //
-    // --mode flat runs the flat lowering of the same step on the same
-    // VM: identical traces and executed counts, one guard test per
-    // guarded instruction. The native tier compiles only the nested one.
-    if (Tier.Mode != NativeMode::Off && Mode == EngineMode::Flat) {
-      std::fprintf(stderr, "signalc: warning: --native needs the vm engine; "
-                           "running interpreted\n");
-      Tier.Mode = NativeMode::Off;
-    }
-    CompiledStep FlatStep;
-    if (Mode == EngineMode::Flat)
-      FlatStep = CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
-    const CompiledStep &Step =
-        Mode == EngineMode::Flat ? FlatStep : C->Compiled;
-
     unsigned Instances = Fleet ? Fleet : 1;
     unsigned Threads = Fleet && FleetThreads ? FleetThreads : 1;
     std::vector<std::unique_ptr<RandomEnvironment>> Owned;
@@ -727,10 +724,10 @@ int main(int Argc, char **Argv) {
       Owned.push_back(std::make_unique<RandomEnvironment>(Seed + J));
       Envs.push_back(Owned.back().get());
     }
-    // Tiered run: each instance starts on the VM and hot-swaps onto the
-    // native step at a batch boundary once the cache hit or background
-    // compile is ready (a pure state copy: the emitted C maintains the
-    // counters VM-exactly).
+    // Tiered run: each instance starts on the VM and attaches the native
+    // step at a batch boundary once the cache hit or background compile
+    // is ready. Nothing is copied: the native step runs on the VM's own
+    // state block and maintains the counters VM-exactly.
     std::unique_ptr<TierController> TC;
     if (Tier.Mode != NativeMode::Off) {
       TC = std::make_unique<TierController>(C->Compiled, Tier);

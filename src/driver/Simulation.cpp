@@ -3,12 +3,10 @@
 #include "driver/Simulation.h"
 
 #include "interp/VmExecutor.h"
-#include "native/NativeExecutor.h"
 
 #include <algorithm>
 #include <atomic>
 #include <future>
-#include <memory>
 
 using namespace sigc;
 
@@ -46,10 +44,10 @@ SimulationTotals runShard(const CompiledStep &CS,
                           unsigned Batch, TierGate &Gate, bool Polls) {
   SimulationTotals T;
   VmExecutor Vm(CS);
-  std::unique_ptr<NativeExecutor> NX;
   const unsigned Window = Batch > 1 ? Batch : 8;
   for (unsigned J = First; J < End; ++J) {
     Environment &Env = *Envs[J];
+    Vm.setNative(nullptr);
     Vm.reset();
     Vm.resetCounters();
     if (!Gate.enabled()) {
@@ -57,33 +55,20 @@ SimulationTotals runShard(const CompiledStep &CS,
         Vm.runBatched(Env, Instants, Batch);
       else
         Vm.run(Env, Instants);
-      T.Executed += Vm.executed();
-      T.GuardTests += Vm.guardTests();
-      continue;
-    }
-    bool Native = false;
-    for (unsigned At = 0; At < Instants;) {
-      if (Polls)
-        Gate.poll();
-      if (!Native)
-        if (const NativeModule *M = Gate.promotion(At)) {
-          if (!NX)
-            NX = std::make_unique<NativeExecutor>(CS, *M);
-          NX->importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-          Native = true;
-        }
-      unsigned N = std::min(Window, Instants - At);
-      if (Native) {
-        NX->stepN(Env, At, N);
-        T.NativeInstants += N;
-      } else {
+    } else {
+      for (unsigned At = 0; At < Instants;) {
+        if (Polls)
+          Gate.poll();
+        if (!Vm.native())
+          Vm.setNative(Gate.promotion(At));
+        unsigned N = std::min(Window, Instants - At);
         Vm.stepN(Env, At, N);
-        T.VmInstants += N;
+        (Vm.native() ? T.NativeInstants : T.VmInstants) += N;
+        At += N;
       }
-      At += N;
     }
-    T.Executed += Native ? NX->executed() : Vm.executed();
-    T.GuardTests += Native ? NX->guardTests() : Vm.guardTests();
+    T.Executed += Vm.executed();
+    T.GuardTests += Vm.guardTests();
   }
   return T;
 }

@@ -11,10 +11,10 @@
 ///
 /// With a tier controller the loop runs in windows of the batch size (8
 /// when unbatched). Each instance starts on the VM and, once the native
-/// module is loaded, swaps onto it at its first window boundary at or
-/// past the controller's warm-up threshold, carrying delay state and
-/// counters across. Only the calling thread polls the controller; it
-/// publishes the loaded module to the other threads.
+/// module is loaded, attaches it at its first window boundary at or
+/// past the controller's warm-up threshold; both tiers run on the VM's
+/// one state block, so nothing is copied. Only the calling thread polls
+/// the controller; it publishes the loaded module to the other threads.
 ///
 //===----------------------------------------------------------------------===//
 

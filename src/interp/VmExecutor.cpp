@@ -20,6 +20,7 @@
 
 #include "interp/VmExecutor.h"
 
+#include "native/NativeModule.h"
 #include "sema/Kernel.h"
 
 #include <algorithm>
@@ -76,6 +77,22 @@ Value fromSlot(VmSlot S, TypeKind K) {
   return Value::makeInt(S.I);
 }
 
+/// The Value a native output of declared type \p T reads as.
+Value nativeOutputValue(VmSlot S, TypeKind T) {
+  switch (T) {
+  case TypeKind::Integer:
+    return Value::makeInt(S.I);
+  case TypeKind::Real:
+    return Value::makeReal(S.R);
+  case TypeKind::Event:
+    return Value::makeEvent();
+  case TypeKind::Boolean:
+  case TypeKind::Unknown:
+    break;
+  }
+  return Value::makeBool(S.I != 0);
+}
+
 /// Unbatched port: every query crosses the environment boundary.
 struct DirectPort {
   Environment &Env;
@@ -121,10 +138,11 @@ struct BatchPort {
 //===--- The op bodies, shared by both dispatchers ------------------------===//
 //
 // Every body runs after `In = Code[PC++]` and `Exec += In.Weight`, in a
-// scope that also sees the slot file S, the delay states State, the
-// clock slots Clock, the port P, the instant, and the guard counter
-// Guards. Jumps assign PC. Bodies may contain commas — the macro is
-// variadic. The handler ids are positional in this list.
+// scope that also sees the slot file S, the state block Block and its
+// delay states State, the clock slots Clock, the port P, the instant,
+// and the guard counter Guards. Jumps assign PC. Bodies may contain
+// commas — the macro is variadic. The handler ids are positional in
+// this list.
 //
 // The typed handlers come from two tables, X(Y, Name, Operator, operand
 // class, result field, expression over the operand slots a and b). Each
@@ -191,7 +209,8 @@ struct BatchPort {
     S[In.Target].F = (Expr);)
 
 #define SIGC_VM_OPS(X)                                                         \
-  X(Halt, GuardTests = Guards; Executed = Exec; return;)                       \
+  X(Halt, Block[0].I = static_cast<int64_t>(Guards);                          \
+    Block[1].I = static_cast<int64_t>(Exec); return;)                          \
   X(SkipIfAbsent, ++Guards; if (!Clock[In.A]) PC = In.Aux;)                    \
   X(ClockLiteralT, Clock[In.Target] = S[In.A].I != 0;)                         \
   X(ClockLiteralF, Clock[In.Target] = S[In.A].I == 0;)                         \
@@ -475,22 +494,22 @@ void VmExecutor::reset() {
   Slots.assign(ConstBase + CS.Consts.size(), VmSlot{0});
   for (size_t I = 0; I < CS.Consts.size(); ++I)
     Slots[ConstBase + I] = toSlot(CS.Consts[I], CS.Consts[I].Kind);
-  setStateSlots(CS.StateInit);
+  // The counters survive a reset (resetCounters clears them).
+  Block.resize(CounterSlots + CS.StateInit.size(), VmSlot{0});
+  for (size_t I = 0; I < CS.StateInit.size(); ++I)
+    Block[CounterSlots + I] = toSlot(CS.StateInit[I], CS.StateInit[I].Kind);
 }
 
-std::vector<Value> VmExecutor::stateSlots() const {
-  std::vector<Value> Out(StateSlots.size());
-  for (size_t I = 0; I < StateSlots.size(); ++I)
-    Out[I] = fromSlot(StateSlots[I], CS.StateInit[I].Kind);
-  return Out;
-}
-
-void VmExecutor::setStateSlots(const std::vector<Value> &S) {
+void VmExecutor::setStateSlots(const std::vector<VmSlot> &S) {
   assert(S.size() == CS.StateInit.size() &&
          "state snapshot does not match the compiled step");
-  StateSlots.resize(S.size());
-  for (size_t I = 0; I < S.size(); ++I)
-    StateSlots[I] = toSlot(S[I], CS.StateInit[I].Kind);
+  std::copy(S.begin(), S.end(), Block.begin() + CounterSlots);
+}
+
+void VmExecutor::setNative(const NativeModule *M) {
+  assert((!M || M->numStateSlots() == CS.StateInit.size()) &&
+         "native module does not match the compiled step");
+  Native = M;
 }
 
 void VmExecutor::bind(Environment &Env) {
@@ -515,8 +534,10 @@ void VmExecutor::execInstant(Port &P, unsigned Instant) {
   const Instr *Code = this->Code.data();
   char *Clock = ClockSlots.data();
   VmSlot *S = Slots.data();
-  VmSlot *State = StateSlots.data();
-  uint64_t Guards = GuardTests, Exec = Executed;
+  VmSlot *Block = this->Block.data();
+  VmSlot *State = Block + CounterSlots;
+  uint64_t Guards = static_cast<uint64_t>(Block[0].I);
+  uint64_t Exec = static_cast<uint64_t>(Block[1].I);
 
   // No bounds test: the stream ends in the Halt sentinel.
   int32_t PC = 0;
@@ -558,6 +579,8 @@ void VmExecutor::execInstant(Port &P, unsigned Instant) {
 }
 
 void VmExecutor::step(Environment &Env, unsigned Instant) {
+  if (Native)
+    return stepN(Env, Instant, 1);
   if (Env.identity() != BoundIdentity)
     bind(Env);
   DirectPort P{Env, Bind};
@@ -572,6 +595,9 @@ void VmExecutor::reserveBatch(unsigned MaxCount) {
   InBuf.assign(CS.Inputs.size() * static_cast<size_t>(BatchCap), Value());
   OutPresent.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), 0);
   OutVals.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), Value());
+  InSlots.assign(CS.Inputs.size() * static_cast<size_t>(BatchCap), VmSlot{0});
+  OutSlots.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(),
+                  VmSlot{0});
   WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(BatchCap), 0);
 }
 
@@ -597,21 +623,39 @@ void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   std::fill(OutPresent.begin(),
             OutPresent.begin() + static_cast<size_t>(Count) * NumOut, 0);
 
-  BatchPort P;
-  P.Ticks = TickBuf.data();
-  P.Ins = InBuf.data();
-  P.Cap = BatchCap;
-  P.OutPresent = OutPresent.data();
-  P.OutVals = OutVals.data();
-  P.FlushPos = FlushPos.data();
-  P.NumOut = NumOut;
+  if (Native) {
+    // The native step runs on the state block itself; inputs go in and
+    // outputs come back as slots of the declared types.
+    for (size_t D = 0; D < CS.Inputs.size(); ++D)
+      for (unsigned I = 0; I < Count; ++I)
+        InSlots[D * BatchCap + I] =
+            toSlot(InBuf[D * BatchCap + I], CS.Inputs[D].Type);
+    Native->run(Block.data(), TickBuf.data(), BatchCap, InSlots.data(),
+                BatchCap, OutPresent.data(), OutSlots.data(), Count);
+    for (unsigned I = 0; I < Count; ++I)
+      for (unsigned Pos = 0; Pos < NumOut; ++Pos) {
+        size_t At = static_cast<size_t>(I) * NumOut + Pos;
+        if (OutPresent[At])
+          OutVals[At] = nativeOutputValue(
+              OutSlots[At], CS.Outputs[CS.OutputFlushOrder[Pos]].Type);
+      }
+  } else {
+    BatchPort P;
+    P.Ticks = TickBuf.data();
+    P.Ins = InBuf.data();
+    P.Cap = BatchCap;
+    P.OutPresent = OutPresent.data();
+    P.OutVals = OutVals.data();
+    P.FlushPos = FlushPos.data();
+    P.NumOut = NumOut;
 
-  for (unsigned I = 0; I < Count; ++I) {
-    P.I = I;
-    execInstant(P, Start + I);
-    for (size_t W = 0; W < WatchSlots.size(); ++W)
-      WatchBuf[W * BatchCap + I] =
-          WatchSlots[W] >= 0 ? ClockSlots[WatchSlots[W]] : 0;
+    for (unsigned I = 0; I < Count; ++I) {
+      P.I = I;
+      execInstant(P, Start + I);
+      for (size_t W = 0; W < WatchSlots.size(); ++W)
+        WatchBuf[W * BatchCap + I] =
+            WatchSlots[W] >= 0 ? ClockSlots[WatchSlots[W]] : 0;
+    }
   }
 
   // One crossing back: flush the batch's outputs in unbatched order.

@@ -15,9 +15,14 @@
 /// scratch slots, then a copy of the constant pool, so a constant
 /// operand is just another slot. The kind of every operand is static
 /// (CompiledStep::kinds()); tagged Values appear only at the boundaries:
-/// environment inputs are converted by the input descriptor's type,
-/// outputs by the operand's static kind, and stateSlots()/setStateSlots()
-/// materialize the delay state for a tier swap.
+/// environment inputs are converted by the input descriptor's type and
+/// outputs by the operand's static kind.
+///
+/// State block. The guard/executed counters and the delay states live
+/// in one contiguous block of VmSlots: the two counters, then one slot
+/// per delay. That is byte for byte the emitted C's `<proc>_state_t`, so
+/// the step's native twin (setNative) runs in place on this block, and a
+/// tier swap or a checkpoint is a copy of slots, never a conversion.
 ///
 /// Decode. The constructor decodes CompiledStep::Code once into the
 /// executor's own instruction array, index for index, so skip offsets
@@ -47,6 +52,13 @@
 /// flat lowering (GuardLowering) of one step on the same trace therefore
 /// measures Figure 9's guard economics on one engine.
 ///
+/// Native mode. With a NativeModule attached, stepN keeps its prefetch,
+/// binding and flush but runs the module's compiled step on the state
+/// block instead of the interpreter loop; inputs and outputs cross as
+/// VmSlot columns and outputs become Values by their declared type.
+/// Traces and counters are the interpreter's, so attaching or detaching
+/// at any batch boundary is invisible.
+///
 /// Dispatch is direct-threaded (computed goto) wherever the compiler has
 /// GNU labels-as-values, and a portable switch otherwise or when built
 /// with -DSIGC_VM_NO_COMPUTED_GOTO.
@@ -62,6 +74,8 @@
 #include <vector>
 
 namespace sigc {
+
+class NativeModule;
 
 /// One untagged 8-byte value slot.
 union VmSlot {
@@ -115,7 +129,15 @@ public:
   /// first step with a new environment).
   void bind(Environment &Env);
 
+  /// Attaches the step's native twin \p M (null detaches it). The module
+  /// must stay loaded while attached. Copies no state and allocates
+  /// nothing: both tiers run on the same state block.
+  void setNative(const NativeModule *M);
+  /// The attached native module, or null.
+  const NativeModule *native() const { return Native; }
+
   /// Runs one reaction. \p Instant tags environment queries and outputs.
+  /// With a native module attached this is stepN(Env, Instant, 1).
   void step(Environment &Env, unsigned Instant);
 
   /// Runs \p Count reactions starting at instant \p Start, crossing the
@@ -138,7 +160,8 @@ public:
   void reserveBatch(unsigned MaxCount);
 
   /// Clock slots whose presence stepN records per instant (the linked
-  /// executor's dynamic channel checks read them back).
+  /// executor's dynamic channel checks read them back; interpreted runs
+  /// only).
   void setWatchSlots(std::vector<int> Slots);
   /// Presence of watch slot \p Watch at batch-relative instant \p I of
   /// the last stepN.
@@ -147,12 +170,12 @@ public:
   }
 
   /// Guard tests performed so far (one per SkipIfAbsent reached).
-  uint64_t guardTests() const { return GuardTests; }
+  uint64_t guardTests() const { return static_cast<uint64_t>(Block[0].I); }
   /// Instructions actually executed so far (skip tests excluded).
-  uint64_t executed() const { return Executed; }
+  uint64_t executed() const { return static_cast<uint64_t>(Block[1].I); }
   void resetCounters() {
-    GuardTests = 0;
-    Executed = 0;
+    Block[0].I = 0;
+    Block[1].I = 0;
   }
 
   /// Post-step inspection (linked dynamic checks).
@@ -161,24 +184,17 @@ public:
   /// The environment binding of the last bind() (linked wiring reads it).
   const StepBindings &bindings() const { return Bind; }
 
-  //===--- State exchange (tier hot-swap, tests) --------------------------===//
+  //===--- State exchange (checkpoints, tests) ----------------------------===//
 
-  /// The delay-state slots as they stand now, as Values of the state
-  /// kinds. Taken at a batch boundary this is the complete execution
-  /// state beyond the stimulus itself — what the native tier imports on a
-  /// VM->native hot swap.
-  std::vector<Value> stateSlots() const;
-
-  /// Restores delay state captured by stateSlots() (a native->VM swap or
-  /// a checkpoint restore). Sizes must match the compiled step.
-  void setStateSlots(const std::vector<Value> &S);
-
-  /// Seeds the guard/executed counters (a swap carries them across tiers
-  /// so a swapped run's totals equal an uninterrupted run's).
-  void setCounters(uint64_t Guards, uint64_t Instrs) {
-    GuardTests = Guards;
-    Executed = Instrs;
+  /// The delay-state slots as they stand now. Taken at a batch boundary
+  /// this is the complete execution state beyond the stimulus itself.
+  std::vector<VmSlot> stateSlots() const {
+    return std::vector<VmSlot>(Block.begin() + CounterSlots, Block.end());
   }
+
+  /// Restores delay state captured by stateSlots() (a checkpoint
+  /// restore); the counters are kept. Sizes must match the compiled step.
+  void setStateSlots(const std::vector<VmSlot> &S);
 
 private:
   /// One instant's PC walk; \p Port supplies ticks/inputs and receives
@@ -203,6 +219,10 @@ private:
     int32_t Aux = -1;
   };
 
+  /// Slots ahead of the delays in the state block: guard tests, then
+  /// executed instructions.
+  static constexpr size_t CounterSlots = 2;
+
   const CompiledStep &CS;
   std::vector<Instr> Code; ///< Decoded CS.Code plus a Halt sentinel.
   VmDecodeStats Stats;
@@ -210,9 +230,8 @@ private:
   StepBindings Bind;
   std::vector<char> ClockSlots;
   std::vector<VmSlot> Slots; ///< Values, then scratch, then constants.
-  std::vector<VmSlot> StateSlots;
-  uint64_t GuardTests = 0;
-  uint64_t Executed = 0;
+  std::vector<VmSlot> Block; ///< The state block (see the file comment).
+  const NativeModule *Native = nullptr;
 
   //===--- Batch state ----------------------------------------------------===//
   unsigned BatchCap = 0;               ///< Capacity of all batch buffers.
@@ -220,6 +239,8 @@ private:
   std::vector<Value> InBuf;            ///< [input desc][instant].
   std::vector<unsigned char> OutPresent; ///< [instant][flush position].
   std::vector<Value> OutVals;            ///< [instant][flush position].
+  std::vector<VmSlot> InSlots;  ///< Native inputs, [input desc][instant].
+  std::vector<VmSlot> OutSlots; ///< Native outputs, as OutVals.
   std::vector<int32_t> FlushPos;       ///< Output desc -> flush position.
   std::vector<EnvOutputId> FlushIds;   ///< Flush position -> bound env id.
   std::vector<int> WatchSlots;

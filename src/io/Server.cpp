@@ -4,7 +4,6 @@
 
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
-#include "native/NativeExecutor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -63,10 +62,11 @@ struct QueueSink : TraceSink {
   }
 };
 
-/// A lane's delay state at a frame boundary.
+/// A lane's delay state at a frame boundary: a copy of its state
+/// block's delay slots, whichever tier ran.
 struct Checkpoint {
   unsigned Instant = 0;
-  std::vector<Value> State;
+  std::vector<VmSlot> State;
 };
 
 /// What survives a disconnected session for a later resume.
@@ -75,61 +75,6 @@ struct Parked {
   unsigned Id = 0; ///< The original session id (diagnostics).
   TraceSpec Spec;
   std::deque<Checkpoint> Checkpoints;
-};
-
-/// One session lane: a scalar executor over the served CompiledStep,
-/// built once at server start. A lane runs the VM until the tier swap
-/// and the native step from then on; either way its delay state is a
-/// vector of Values, so checkpoints do not depend on the tier.
-class Lane {
-public:
-  explicit Lane(const CompiledStep &CS) : Vm(CS) {}
-
-  /// Hands the lane to a new session: initial delay state, zero counters.
-  void claim() {
-    if (Native) {
-      Native->reset();
-    } else {
-      Vm.reset();
-      Vm.resetCounters();
-    }
-  }
-
-  void stepN(Environment &Env, unsigned Start, unsigned Count) {
-    if (Native)
-      Native->stepN(Env, Start, Count);
-    else
-      Vm.stepN(Env, Start, Count);
-  }
-
-  uint64_t guardTests() const {
-    return Native ? Native->guardTests() : Vm.guardTests();
-  }
-  uint64_t executed() const {
-    return Native ? Native->executed() : Vm.executed();
-  }
-
-  std::vector<Value> state() const {
-    return Native ? Native->exportState() : Vm.stateSlots();
-  }
-  /// Restores a checkpoint's delay state; the counters are kept.
-  void restore(const std::vector<Value> &State) {
-    if (Native)
-      Native->importState(State, Native->guardTests(), Native->executed());
-    else
-      Vm.setStateSlots(State);
-  }
-
-  /// The tier swap: the lane continues on \p M from the VM's state and
-  /// counters.
-  void promote(const CompiledStep &CS, const NativeModule &M) {
-    Native = std::make_unique<NativeExecutor>(CS, M);
-    Native->importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-  }
-
-private:
-  VmExecutor Vm;
-  std::unique_ptr<NativeExecutor> Native;
 };
 
 struct Session {
@@ -242,7 +187,7 @@ private:
   const ServeOptions &Opts;
   TraceSpec Expected;
   sigset_t WaitMask;
-  std::vector<Lane> Lanes;
+  std::vector<VmExecutor> Lanes; ///< One executor per session lane.
   std::vector<std::unique_ptr<Session>> Slots; ///< Indexed by lane.
   std::vector<unsigned> FreeLanes;
   std::deque<Parked> ParkedSessions; ///< Oldest first.
@@ -580,11 +525,14 @@ bool Server::parseHeader(Session &S, bool &Progress) {
   S.Echo = std::make_unique<TraceWriter>(S.Sink, Spec.outputsOnly(), R0,
                                          /*EmitHeader=*/!S.Resume);
   S.Env->setEcho(S.Echo.get());
-  Lanes[S.Lane].claim();
+  // The lane starts from the initial delay state with zero counters; a
+  // resume then restores the checkpoint's delay state.
+  Lanes[S.Lane].reset();
+  Lanes[S.Lane].resetCounters();
   S.StartInstant = S.Executed = R0;
   if (S.Resume) {
     S.Env->rebase(R0);
-    Lanes[S.Lane].restore(S.Resume->Checkpoints.back().State);
+    Lanes[S.Lane].setStateSlots(S.Resume->Checkpoints.back().State);
     S.Checkpoints = std::move(S.Resume->Checkpoints);
     S.Resume.reset();
   } else if (resumeEnabled()) {
@@ -596,7 +544,7 @@ bool Server::parseHeader(Session &S, bool &Progress) {
 void Server::pushCheckpoint(Session &S) {
   if (S.Checkpoints.size() >= std::max(Opts.ResumeCheckpoints, 1u))
     S.Checkpoints.pop_front();
-  S.Checkpoints.push_back({S.Executed, Lanes[S.Lane].state()});
+  S.Checkpoints.push_back({S.Executed, Lanes[S.Lane].stateSlots()});
 }
 
 bool Server::parseSession(Session &S) {
@@ -674,7 +622,7 @@ bool Server::stepSession(Session &S) {
       unsigned W = S.Env->streamSpec().FrameInstants;
       N = std::min(N, W - S.Executed % W);
     }
-    Lane &L = Lanes[S.Lane];
+    VmExecutor &L = Lanes[S.Lane];
     L.stepN(*S.Env, S.Executed, N);
     S.GuardTests = L.guardTests();
     S.Instrs = L.executed();
@@ -872,12 +820,12 @@ int Server::run() {
     }
 
     // Tier promotion lands here, at a wakeup boundary: every session is
-    // between batches, so swapping every lane is a batch-boundary
-    // handoff for each of them and resume checkpoints stay
-    // tier-agnostic.
+    // between batches, so attaching the module to every lane is a
+    // batch-boundary handoff for each of them, and the lanes' state
+    // blocks (and the checkpoints copied from them) carry on unchanged.
     if (Tier && !TierSwapped && Tier->shouldPromote(TierVm)) {
-      for (Lane &L : Lanes)
-        L.promote(CS, *Tier->module());
+      for (VmExecutor &L : Lanes)
+        L.setNative(Tier->module());
       TierSwapped = true;
       std::fprintf(stderr, "tier: sessions now run native (%s, hash %s)\n",
                    Tier->cacheHit() ? "cache hit" : "background compile",

@@ -35,10 +35,11 @@
 /// over the one shared CompiledStep at start, a joining session claims a
 /// free lane (resetting that executor's delay state and counters), and
 /// each scheduler wakeup advances runnable sessions by up to one
-/// instant-batch through their lane's stepN. A checkpoint is a copy of
-/// the lane's delay-state vector. Lanes run the bytecode VM until the
-/// native tier is ready; then every lane swaps onto a NativeExecutor that
-/// imports its VM's state and counters.
+/// instant-batch through their lane's stepN. A lane is one VmExecutor:
+/// it interprets the bytecode until the native tier is ready, then every
+/// lane gets the native module attached and runs the compiled step on
+/// the same state block. A checkpoint is a copy of the lane's delay
+/// slots, whichever tier took it.
 ///
 /// Flow control is explicit in both directions: a session whose
 /// un-drained response bytes exceed the queue bound stops being stepped

@@ -17,20 +17,6 @@ namespace {
 /// keeps the cache independent of the user-visible process name.
 const char *UnitName = "sigc_unit";
 
-/// Which NativeValue field carries a value of type \p T — mirrors the
-/// emitter's C storage classes (Integer -> long, Real -> double,
-/// Boolean/Event/Unknown -> int).
-const char *fieldOf(TypeKind T) {
-  switch (T) {
-  case TypeKind::Integer:
-    return "i";
-  case TypeKind::Real:
-    return "d";
-  default:
-    return "b";
-  }
-}
-
 } // namespace
 
 std::string NativeModule::buildSource(const CompiledStep &CS,
@@ -44,7 +30,6 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
 
   Out += "\n/* ---- signalc native tier shim (ABI v" +
          std::to_string(NativeFormatVersion) + ") ---- */\n";
-  Out += "typedef struct { double d; long i; int b; } sigc_native_value_t;\n\n";
   Out += "int sigc_native_abi_tag(void) { return " +
          std::to_string(NativeFormatVersion) + "; }\n";
   Out += "const char *sigc_native_hash(void) { return \"" + Hash + "\"; }\n";
@@ -52,50 +37,15 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
          std::string(nativeCcFlags()) + "\"; }\n";
   Out += "unsigned long sigc_native_state_bytes(void) { return (unsigned "
          "long)sizeof(sigc_unit_state_t); }\n";
-  Out += "unsigned sigc_native_num_state(void) { return " + NState + "u; }\n";
-  Out += "void sigc_native_init(void *stv) { "
-         "sigc_unit_init((sigc_unit_state_t *)stv); }\n\n";
+  Out += "unsigned sigc_native_num_state(void) { return " + NState + "u; }\n\n";
 
-  // State accessors: slot <-> NativeValue field by the initializer kind,
-  // the same rule that typed the struct fields.
-  Out += "void sigc_native_get_state(const void *stv, sigc_native_value_t "
-         "*out) {\n"
-         "  const sigc_unit_state_t *st = (const sigc_unit_state_t *)stv;\n";
-  for (size_t I = 0; I < CS.StateInit.size(); ++I)
-    Out += "  out[" + std::to_string(I) + "]." +
-           fieldOf(CS.StateInit[I].Kind) + " = st->s" + std::to_string(I) +
-           ";\n";
-  if (CS.StateInit.empty())
-    Out += "  (void)st; (void)out;\n";
-  Out += "}\n\n";
-  Out += "void sigc_native_set_state(void *stv, const sigc_native_value_t "
-         "*in) {\n"
-         "  sigc_unit_state_t *st = (sigc_unit_state_t *)stv;\n";
-  for (size_t I = 0; I < CS.StateInit.size(); ++I) {
-    const char *CTy = CS.StateInit[I].Kind == TypeKind::Integer ? "long"
-                      : CS.StateInit[I].Kind == TypeKind::Real ? "double"
-                                                               : "int";
-    Out += "  st->s" + std::to_string(I) + " = (" + CTy + ")in[" +
-           std::to_string(I) + "]." + fieldOf(CS.StateInit[I].Kind) + ";\n";
-  }
-  if (CS.StateInit.empty())
-    Out += "  (void)st; (void)in;\n";
-  Out += "}\n\n";
-  Out += "void sigc_native_get_counters(const void *stv, unsigned long long "
-         "*g, unsigned long long *e) {\n"
-         "  const sigc_unit_state_t *st = (const sigc_unit_state_t *)stv;\n"
-         "  *g = st->guard_tests;\n  *e = st->executed;\n}\n\n";
-  Out += "void sigc_native_set_counters(void *stv, unsigned long long g, "
-         "unsigned long long e) {\n"
-         "  sigc_unit_state_t *st = (sigc_unit_state_t *)stv;\n"
-         "  st->guard_tests = g;\n  st->executed = e;\n}\n\n";
-
-  // Scalar batch entry: columnar strided stimulus (the VmExecutor batch
-  // buffer layout), row-major flush-ordered outputs. The emitted step
-  // memsets its out struct, so absent outputs read as present=0/value=0.
+  // Scalar batch entry on the host's state block: columnar strided
+  // stimulus (the VmExecutor batch buffer layout), row-major
+  // flush-ordered outputs. The emitted step memsets its out struct, so
+  // absent outputs read as present=0/value=0.
   Out += "void sigc_native_run(void *stv, const unsigned char *ticks, "
-         "unsigned long tick_stride, const sigc_native_value_t *ins, "
-         "unsigned long in_stride, unsigned char *outp, sigc_native_value_t "
+         "unsigned long tick_stride, const sigc_unit_slot_t *ins, "
+         "unsigned long in_stride, unsigned char *outp, sigc_unit_slot_t "
          "*outv, unsigned count) {\n"
          "  sigc_unit_state_t *st = (sigc_unit_state_t *)stv;\n"
          "  sigc_unit_in_t in_s;\n"
@@ -111,7 +61,7 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
   for (size_t D = 0; D < CS.Inputs.size(); ++D) {
     const auto &SI = CS.Inputs[D];
     Out += "    in_s." + sanitizeIdent(SI.Name) + " = ins[" +
-           std::to_string(D) + "ul * in_stride + i]." + fieldOf(SI.Type) +
+           std::to_string(D) + "ul * in_stride + i]." + slotMember(SI.Type) +
            ";\n";
   }
   Out += "    sigc_unit_step(st, &in_s, &out_s);\n";
@@ -121,7 +71,7 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
     std::string At = "i * " + NOut + "u + " + std::to_string(Pos) + "u";
     Out += "    outp[" + At + "] = (unsigned char)out_s." + Id +
            "_present;\n";
-    Out += "    outv[" + At + "]." + fieldOf(SO.Type) + " = out_s." + Id +
+    Out += "    outv[" + At + "]." + slotMember(SO.Type) + " = out_s." + Id +
            ";\n";
   }
   Out += "  }\n}\n";
@@ -160,11 +110,6 @@ bool NativeModule::load(const std::string &SoPath,
   Resolve("sigc_native_flags", FlagsFn);
   Resolve("sigc_native_state_bytes", StateBytesFn);
   Resolve("sigc_native_num_state", NumStateFn);
-  Resolve("sigc_native_init", InitFn);
-  Resolve("sigc_native_get_state", GetStateFn);
-  Resolve("sigc_native_set_state", SetStateFn);
-  Resolve("sigc_native_get_counters", GetCountersFn);
-  Resolve("sigc_native_set_counters", SetCountersFn);
   Resolve("sigc_native_run", RunFn);
   if (!Error.empty()) {
     close();
@@ -180,6 +125,14 @@ bool NativeModule::load(const std::string &SoPath,
   if (std::string(FlagsFn()) != nativeCcFlags()) {
     Error = "compiler-flag mismatch: artifact built with \"" +
             std::string(FlagsFn()) + "\"";
+    close();
+    return false;
+  }
+  // The host runs the artifact on its own state block: the emitted
+  // struct must be two counters and N 8-byte slots, nothing else.
+  if (StateBytesFn() != 16ul + 8ul * NumStateFn()) {
+    Error = "state layout mismatch: " + std::to_string(StateBytesFn()) +
+            " bytes for " + std::to_string(NumStateFn()) + " delay slot(s)";
     close();
     return false;
   }

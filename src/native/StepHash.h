@@ -28,8 +28,10 @@ namespace sigc {
 /// binaries then miss instead of loading with a wrong shape or an old
 /// semantics. Version 2: `=`/`/=` between an event and a boolean compare
 /// truth values instead of folding to unequal. Version 3: the lane-swept
-/// fleet entry points are gone from the shim.
-constexpr int NativeFormatVersion = 3;
+/// fleet entry points are gone from the shim. Version 4: the state
+/// struct is the VM's slot block and the shim's state and counter
+/// accessors are gone.
+constexpr int NativeFormatVersion = 4;
 
 /// The flags every cached artifact is compiled with (part of the hash, so
 /// changing them invalidates the cache).

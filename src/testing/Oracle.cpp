@@ -11,7 +11,6 @@
 #include "io/TraceEnvironment.h"
 #include "link/LinkEmitter.h"
 #include "native/NativeCache.h"
-#include "native/NativeExecutor.h"
 #include "native/StepHash.h"
 #include "testing/TraceCompare.h"
 
@@ -549,9 +548,9 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   // Path 5: the native tier's hot swap, at every batch boundary k. One
   // artifact compiled through the production cache path (emit, host cc,
   // atomic publish, dlopen), then for each k: interpret k instants,
-  // hand the session's delay state and counters to the native step
-  // function, finish native. Trace and final counters must be exactly
-  // the pure VM run's — the promotion is execution-invisible.
+  // attach the native step function to the VM's state block, finish
+  // native. Trace and final counters must be exactly the pure VM run's —
+  // the promotion is execution-invisible.
   if (Options.NativeSwap && hostCCompilerAvailable()) {
     char Template[] = "/tmp/sigc-oracle-native-XXXXXX";
     char *Dir = mkdtemp(Template);
@@ -572,9 +571,8 @@ OracleReport sigc::checkDifferential(const std::string &Name,
         VmExecutor Vm(C->Compiled);
         if (K)
           Vm.stepN(Env, 0, K);
-        NativeExecutor NX(C->Compiled, *Mod);
-        NX.importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-        NX.stepN(Env, K, Options.Instants - K);
+        Vm.setNative(Mod.get());
+        Vm.stepN(Env, K, Options.Instants - K);
         if (formatEvents(Env.outputs()) != formatEvents(EnvVm.outputs())) {
           TraceDiff SD = compareTraces("step-vm", EnvVm.outputs(),
                                        "swap-at-" + std::to_string(K),
@@ -583,15 +581,15 @@ OracleReport sigc::checkDifferential(const std::string &Name,
                       " diverges from the pure VM run\n" + SD.Report;
           break;
         }
-        if (NX.guardTests() != R.GuardTestsNested ||
-            NX.executed() != R.ExecutedNested) {
+        if (Vm.guardTests() != R.GuardTestsNested ||
+            Vm.executed() != R.ExecutedNested) {
           SwapError =
               "VM -> native swap at instant " + std::to_string(K) +
               ": counters diverge from the pure VM run\n"
               "vm:     guards=" + std::to_string(R.GuardTestsNested) +
               " executed=" + std::to_string(R.ExecutedNested) +
-              "\nswapped: guards=" + std::to_string(NX.guardTests()) +
-              " executed=" + std::to_string(NX.executed()) + "\n";
+              "\nswapped: guards=" + std::to_string(Vm.guardTests()) +
+              " executed=" + std::to_string(Vm.executed()) + "\n";
           break;
         }
       }

@@ -119,6 +119,29 @@ TEST(Cli, StringFlagMissingOperandIsDiagnosedPerFlag) {
   }
 }
 
+TEST(Cli, StringFlagRefusesAFlagAsItsOperand) {
+  // `--record --stats` used to record into a file named `--stats` and
+  // print no stats. A path that merely looks like a flag still works
+  // when it does not start with `--`.
+  for (const char *Flag : {"--record", "--replay", "--mode", "--cache-dir",
+                           "--process"}) {
+    CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 2 " +
+                             std::string(Flag) + " --stats");
+    EXPECT_EQ(R.Exit, 2) << Flag << ": " << R.Output;
+    EXPECT_NE(R.Output.find("missing value for " + std::string(Flag)),
+              std::string::npos)
+        << Flag << ": " << R.Output;
+  }
+  std::string Path = ::testing::TempDir() + "--sigc_cli_flaglike_" +
+                     std::to_string(::getpid()) + ".sgtr";
+  CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 2 --record " +
+                           Path + " --stats");
+  EXPECT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("stats: mode=vm instants=2 "), std::string::npos)
+      << R.Output;
+  EXPECT_EQ(std::remove(Path.c_str()), 0) << "no trace at " << Path;
+}
+
 TEST(Cli, ValidNumericFlagsStillRun) {
   CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 4 --seed 3");
   EXPECT_EQ(R.Exit, 0) << R.Output;
@@ -237,6 +260,26 @@ TEST(Cli, FlatModeBatchesLikeUnbatchedFlat) {
             runSignalc(Run, /*StdoutOnly=*/true).Output);
 }
 
+TEST(Cli, FlatCompileStatsDescribeTheFlatCode) {
+  // Under --mode flat the compile report is the flat lowering's: every
+  // guard is tested once per instant, so guards = guard_tests / instants
+  // (CHRONO: 320, where the nested lowering has 70).
+  CliResult R =
+      runSignalc("--builtin CHRONO --simulate 50 --seed 3 --mode flat --stats");
+  ASSERT_EQ(R.Exit, 0) << R.Output;
+  std::smatch Compile, Run;
+  ASSERT_TRUE(std::regex_search(R.Output, Compile,
+                                std::regex("stats: compile step_instrs=[0-9]+ "
+                                           "guards=([0-9]+) ")))
+      << R.Output;
+  ASSERT_TRUE(std::regex_search(
+      R.Output, Run,
+      std::regex("stats: mode=flat instants=50 executed=[0-9]+ "
+                 "guard_tests=([0-9]+) ")))
+      << R.Output;
+  EXPECT_EQ(std::stoull(Compile[1]) * 50, std::stoull(Run[1])) << R.Output;
+}
+
 TEST(Cli, NestedModeIsRejectedNamingValidModes) {
   // vm is the nested lowering; there is no separate nested engine.
   CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 2 --mode nested");
@@ -286,6 +329,47 @@ std::string tempTracePath(const char *Tag) {
 }
 
 } // namespace
+
+TEST(Cli, FlatModeRecordsAndReplaysTheFlatLowering) {
+  // --mode flat is honoured by --record and --replay: the recorded trace
+  // is the default lowering's, byte for byte, with no warning, and a
+  // flat replay reports mode=flat with the flat --simulate run's guard
+  // tests.
+  std::string Vm = tempTracePath("flat_vm"), Flat = tempTracePath("flat");
+  const std::string Run = "--builtin CHRONO --simulate 64 --seed 4 ";
+  ASSERT_EQ(runSignalc(Run + "--record " + Vm).Exit, 0);
+  CliResult Rec = runSignalc(Run + "--mode flat --record " + Flat);
+  ASSERT_EQ(Rec.Exit, 0) << Rec.Output;
+  EXPECT_EQ(Rec.Output.find("warning"), std::string::npos) << Rec.Output;
+  auto Slurp = [](const std::string &P) {
+    std::string Out;
+    if (FILE *F = std::fopen(P.c_str(), "rb")) {
+      char Buf[4096];
+      size_t N;
+      while ((N = std::fread(Buf, 1, sizeof Buf, F)) > 0)
+        Out.append(Buf, N);
+      std::fclose(F);
+    }
+    return Out;
+  };
+  EXPECT_FALSE(Slurp(Vm).empty());
+  EXPECT_EQ(Slurp(Vm), Slurp(Flat));
+
+  CliResult Sim = runSignalc(Run + "--mode flat --stats");
+  CliResult Rep = runSignalc("--builtin CHRONO --mode flat --stats --replay " +
+                             Vm);
+  ASSERT_EQ(Sim.Exit, 0) << Sim.Output;
+  ASSERT_EQ(Rep.Exit, 0) << Rep.Output;
+  std::smatch M;
+  ASSERT_TRUE(std::regex_search(
+      Sim.Output, M,
+      std::regex("stats: mode=flat instants=64 executed=[0-9]+ "
+                 "guard_tests=[0-9]+ ")))
+      << Sim.Output;
+  EXPECT_NE(Rep.Output.find(M[0].str()), std::string::npos) << Rep.Output;
+  std::remove(Vm.c_str());
+  std::remove(Flat.c_str());
+}
 
 TEST(Cli, RecordThenReplayRoundTripsFromTheCli) {
   std::string Path = tempTracePath("roundtrip");

@@ -187,8 +187,12 @@ TEST(CEmitter, DelayStateInStruct) {
   auto C = compileOk(proc("? integer A; ! integer Y;",
                           "   Y := A $ 1 init 5"));
   std::string Code = emit(*C);
-  EXPECT_NE(Code.find("long s0;"), std::string::npos) << Code;
-  EXPECT_NE(Code.find("st->s0 = 5L;"), std::string::npos) << Code;
+  // The VM's state block: the counters, then one 8-byte slot per delay,
+  // an integer in the slot's `i` member.
+  EXPECT_NE(Code.find("unsigned long long executed;\n  p_slot_t s[1];"),
+            std::string::npos)
+      << Code;
+  EXPECT_NE(Code.find("st->s[0].i = 5L;"), std::string::npos) << Code;
 }
 
 TEST(CEmitter, DivisionGuardedAgainstZero) {

@@ -2,9 +2,9 @@
 ///
 /// Tests of the native tier: content hashing, the persistent artifact
 /// cache (hit/miss, corruption classes, concurrent publication, failed
-/// compiles), native-vs-VM trace and counter identity, and the VM ->
-/// native hot swap at every batch boundary. Everything that needs the
-/// host C compiler skips (not fails) when none is on PATH.
+/// compiles), native-vs-VM trace and counter identity, and attaching or
+/// detaching the native module at every batch boundary. Everything that
+/// needs the host C compiler skips (not fails) when none is on PATH.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +12,6 @@
 #include "interp/VmExecutor.h"
 #include "native/CcRunner.h"
 #include "native/NativeCache.h"
-#include "native/NativeExecutor.h"
 #include "native/StepHash.h"
 #include "native/TierController.h"
 #include "programs/Programs.h"
@@ -78,20 +77,19 @@ struct TraceRun {
   uint64_t Executed = 0;
 };
 
+/// A batched run of \p CS, on the native module \p M when non-null.
 TraceRun runVm(const CompiledStep &CS, uint64_t Seed, unsigned Instants,
-               unsigned Batch) {
+               unsigned Batch, const NativeModule *M = nullptr) {
   RandomEnvironment Env(Seed);
   VmExecutor Vm(CS);
+  Vm.setNative(M);
   Vm.runBatched(Env, Instants, Batch);
   return {Env.outputs(), Vm.guardTests(), Vm.executed()};
 }
 
 TraceRun runNative(const CompiledStep &CS, const NativeModule &M,
                    uint64_t Seed, unsigned Instants, unsigned Batch) {
-  RandomEnvironment Env(Seed);
-  NativeExecutor NX(CS, M);
-  NX.runBatched(Env, Instants, Batch);
-  return {Env.outputs(), NX.guardTests(), NX.executed()};
+  return runVm(CS, Seed, Instants, Batch, &M);
 }
 
 void expectSameRun(const TraceRun &A, const char *NameA, const TraceRun &B,
@@ -135,7 +133,7 @@ TEST(StepHash, SensitiveToProgramChanges) {
 // Native execution equivalence
 //===----------------------------------------------------------------------===//
 
-TEST(NativeExecutor, MatchesVmOnSampleProgram) {
+TEST(NativeTier, MatchesVmOnSampleProgram) {
   if (!nativeCompileAvailable())
     GTEST_SKIP() << "no host C compiler";
   auto C = compileOk(sampleSource());
@@ -148,9 +146,18 @@ TEST(NativeExecutor, MatchesVmOnSampleProgram) {
   for (unsigned Batch : {1u, 7u, 32u})
     expectSameRun(runVm(C->Compiled, 11, 96, Batch), "vm",
                   runNative(C->Compiled, *Mod, 11, 96, Batch), "native");
+
+  // step() with the module attached is a one-instant stepN.
+  RandomEnvironment Env(11);
+  VmExecutor Vm(C->Compiled);
+  Vm.setNative(Mod.get());
+  Vm.run(Env, 96);
+  expectSameRun(runVm(C->Compiled, 11, 96, 1), "vm",
+                {Env.outputs(), Vm.guardTests(), Vm.executed()},
+                "native-step");
 }
 
-TEST(NativeExecutor, MatchesVmOnAlarmBuiltin) {
+TEST(NativeTier, MatchesVmOnAlarmBuiltin) {
   if (!nativeCompileAvailable())
     GTEST_SKIP() << "no host C compiler";
   auto C = compileOk(alarmFigure5Source());
@@ -163,7 +170,7 @@ TEST(NativeExecutor, MatchesVmOnAlarmBuiltin) {
                 runNative(C->Compiled, *Mod, 3, 128, 8), "native");
 }
 
-TEST(NativeExecutor, MatchesVmOnRandomSweep) {
+TEST(NativeTier, MatchesVmOnRandomSweep) {
   if (!nativeCompileAvailable())
     GTEST_SKIP() << "no host C compiler";
   TempCacheDir Dir;
@@ -207,16 +214,15 @@ TEST(TierSwap, VmToNativeAtEveryBoundaryIsInvisible) {
     VmExecutor Vm(C->Compiled);
     for (unsigned S = 0; S < K; S += Batch)
       Vm.stepN(Env, S, Batch);
-    NativeExecutor NX(C->Compiled, *Mod);
-    NX.importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
+    Vm.setNative(Mod.get());
     for (unsigned S = K; S < Total; S += Batch)
-      NX.stepN(Env, S, Batch);
+      Vm.stepN(Env, S, Batch);
 
     TraceDiff D = compareTraces("vm-uninterrupted", Base.Events,
                                 "swap@" + std::to_string(K), Env.outputs());
     EXPECT_TRUE(D.Equal) << D.Report;
-    EXPECT_EQ(Base.Guards, NX.guardTests()) << "swap at " << K;
-    EXPECT_EQ(Base.Executed, NX.executed()) << "swap at " << K;
+    EXPECT_EQ(Base.Guards, Vm.guardTests()) << "swap at " << K;
+    EXPECT_EQ(Base.Executed, Vm.executed()) << "swap at " << K;
   }
 }
 
@@ -233,28 +239,28 @@ TEST(TierSwap, RoundTripNativeBackToVm) {
   const unsigned Total = 48, Batch = 8;
   TraceRun Base = runVm(C->Compiled, 5, Total, Batch);
 
-  // VM -> native at 16, native -> VM at 32: the state must survive both
-  // directions.
-  RandomEnvironment Env(5);
-  VmExecutor Vm(C->Compiled);
-  for (unsigned S = 0; S < 16; S += Batch)
-    Vm.stepN(Env, S, Batch);
-  NativeExecutor NX(C->Compiled, *Mod);
-  NX.importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-  for (unsigned S = 16; S < 32; S += Batch)
-    NX.stepN(Env, S, Batch);
-  VmExecutor Vm2(C->Compiled);
-  Vm2.setStateSlots(NX.exportState());
-  Vm2.setCounters(NX.guardTests(), NX.executed());
-  for (unsigned S = 32; S < Total; S += Batch)
-    Vm2.stepN(Env, S, Batch);
-
-  TraceDiff D =
-      compareTraces("vm-uninterrupted", Base.Events, "round-trip",
-                    Env.outputs());
-  EXPECT_TRUE(D.Equal) << D.Report;
-  EXPECT_EQ(Base.Guards, Vm2.guardTests());
-  EXPECT_EQ(Base.Executed, Vm2.executed());
+  // VM -> native at 16, native -> VM at 32; then attached and detached
+  // on alternate windows. The state must survive both directions.
+  struct {
+    const char *Name;
+    bool (*NativeAt)(unsigned Start);
+  } Schedules[] = {
+      {"round-trip", [](unsigned S) { return S >= 16 && S < 32; }},
+      {"alternating", [](unsigned S) { return (S / 8) % 2 == 1; }},
+  };
+  for (const auto &Sch : Schedules) {
+    RandomEnvironment Env(5);
+    VmExecutor Vm(C->Compiled);
+    for (unsigned S = 0; S < Total; S += Batch) {
+      Vm.setNative(Sch.NativeAt(S) ? Mod.get() : nullptr);
+      Vm.stepN(Env, S, Batch);
+    }
+    TraceDiff D = compareTraces("vm-uninterrupted", Base.Events, Sch.Name,
+                                Env.outputs());
+    EXPECT_TRUE(D.Equal) << D.Report;
+    EXPECT_EQ(Base.Guards, Vm.guardTests()) << Sch.Name;
+    EXPECT_EQ(Base.Executed, Vm.executed()) << Sch.Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -514,10 +520,11 @@ TEST(FleetNative, SwapAtWindowBoundaryIsInvisible) {
 }
 
 TEST(FleetNative, LaneCheckpointsSurviveNativeWindows) {
-  // A serve lane's checkpoint is its delay-state vector, whichever tier
-  // took it: restoring a native checkpoint into a fresh VM, or a VM
-  // checkpoint into a fresh native executor, and continuing must give
-  // the trace and counters of an uninterrupted run.
+  // A serve lane's checkpoint is a copy of its delay slots, whichever
+  // tier took it: restoring a native checkpoint into a fresh
+  // interpreting VM, or a VM checkpoint into a fresh VM with the module
+  // attached, and continuing must give the trace of an uninterrupted
+  // run; the two legs' counters add up to its counters.
   if (!nativeCompileAvailable())
     GTEST_SKIP() << "no host C compiler";
   auto C = compileOk(sampleSource());
@@ -531,29 +538,20 @@ TEST(FleetNative, LaneCheckpointsSurviveNativeWindows) {
   const unsigned Total = 48, Cut = 24, Batch = 8;
   TraceRun Base = runVm(C->Compiled, 0xC4EC, Total, Batch);
 
-  {
+  for (bool HeadNative : {true, false}) {
     RandomEnvironment Env(0xC4EC);
-    NativeExecutor NX(C->Compiled, *M);
-    NX.runBatched(Env, Cut, Batch);
-    VmExecutor Vm(C->Compiled);
-    Vm.setStateSlots(NX.exportState());
-    Vm.setCounters(NX.guardTests(), NX.executed());
+    VmExecutor Head(C->Compiled);
+    Head.setNative(HeadNative ? M.get() : nullptr);
+    Head.runBatched(Env, Cut, Batch);
+    VmExecutor Tail(C->Compiled);
+    Tail.setNative(HeadNative ? nullptr : M.get());
+    Tail.setStateSlots(Head.stateSlots());
     for (unsigned S = Cut; S < Total; S += Batch)
-      Vm.stepN(Env, S, Batch);
+      Tail.stepN(Env, S, Batch);
     expectSameRun(Base, "vm-uninterrupted",
-                  {Env.outputs(), Vm.guardTests(), Vm.executed()},
-                  "native-checkpoint-into-vm");
-  }
-  {
-    RandomEnvironment Env(0xC4EC);
-    VmExecutor Vm(C->Compiled);
-    Vm.runBatched(Env, Cut, Batch);
-    NativeExecutor NX(C->Compiled, *M);
-    NX.importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-    for (unsigned S = Cut; S < Total; S += Batch)
-      NX.stepN(Env, S, Batch);
-    expectSameRun(Base, "vm-uninterrupted",
-                  {Env.outputs(), NX.guardTests(), NX.executed()},
-                  "vm-checkpoint-into-native");
+                  {Env.outputs(), Head.guardTests() + Tail.guardTests(),
+                   Head.executed() + Tail.executed()},
+                  HeadNative ? "native-checkpoint-into-vm"
+                             : "vm-checkpoint-into-native");
   }
 }

@@ -12,14 +12,20 @@
 
 #include "TestUtil.h"
 #include "interp/VmExecutor.h"
+#include "native/CcRunner.h"
+#include "native/NativeCache.h"
+#include "native/StepHash.h"
 #include "programs/Programs.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <new>
+
+#include <unistd.h>
 
 namespace {
 
@@ -142,6 +148,52 @@ TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
       << "stepN allocated on the hot path; batch buffers must be "
          "preallocated and reused";
   EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
+}
+
+TEST(VmAllocation, AttachedModuleStepNAndSwapsAreZeroAllocInSteadyState) {
+  // With the native module attached stepN converts inputs and outputs in
+  // preallocated slot columns, and a swap in either direction only
+  // (de)attaches the module: the state block is shared, nothing is
+  // copied.
+  if (!nativeCompileAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  ProgramShape Shape;
+  Shape.DividerStages = 24;
+  auto C = compileOk(generateProgram("CHAIN", Shape));
+  char Template[] = "/tmp/sigc-alloc-test-XXXXXX";
+  ASSERT_NE(mkdtemp(Template), nullptr);
+  NativeCache Cache(Template);
+  std::string Hash = hashCompiledStep(C->Compiled), Err;
+  std::unique_ptr<NativeModule> Mod =
+      Cache.compileAndPublish(C->Compiled, Hash, Err);
+  ASSERT_TRUE(Mod) << Err;
+
+  {
+    VmExecutor Exec(C->Compiled);
+    DiscardEnvironment Env(42, 800);
+    // Warm up both tiers: binding and batch-buffer growth happen here.
+    Exec.runBatched(Env, 64, 32);
+    Exec.setNative(Mod.get());
+    Exec.runBatched(Env, 64, 32);
+
+    uint64_t Steady = allocsDuring([&] {
+      for (unsigned Round = 0; Round < 8; ++Round)
+        Exec.runBatched(Env, 512, 32);
+    });
+    EXPECT_EQ(Steady, 0u) << "stepN with a native module attached allocated";
+
+    uint64_t Swapping = allocsDuring([&] {
+      for (unsigned Round = 0; Round < 8; ++Round) {
+        Exec.setNative(Round % 2 ? Mod.get() : nullptr);
+        Exec.runBatched(Env, 64, 32);
+      }
+    });
+    EXPECT_EQ(Swapping, 0u) << "a tier swap allocated";
+    EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
+  }
+  Mod.reset();
+  std::remove(Cache.soPath(Hash).c_str());
+  rmdir(Template);
 }
 
 TEST(VmAllocation, ScriptedAdapterStillWorksUnderCountingAllocator) {
