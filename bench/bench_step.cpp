@@ -51,10 +51,14 @@ namespace {
 
 /// Random environment that drops outputs: throughput runs measure the
 /// engines, not trace recording, and stay allocation-free end to end.
+/// Both output paths drop: the per-instant Value one (step()) and the
+/// bulk slot rows (stepN), which thus cost no conversion either.
 class DiscardEnvironment : public RandomEnvironment {
 public:
   using RandomEnvironment::RandomEnvironment;
   void writeOutput(EnvOutputId, unsigned, const Value &) override {}
+  void exchangeOutputs(unsigned, unsigned, unsigned, const EnvOutputId *,
+                       const unsigned char *, const VmSlot *) override {}
 };
 
 double secondsSince(std::chrono::steady_clock::time_point T0) {

@@ -25,7 +25,8 @@
 ///   --simulate N       run N instants with a random environment
 ///   --seed S           PRNG seed for --simulate
 ///   --batch B          run --simulate in stepN windows of B instants
-///                      (vm engine; bulk environment exchange)
+///                      (default 8; the bulk environment exchange);
+///                      the output does not depend on it
 ///   --record FILE      while simulating, record the trace (clock ticks,
 ///                      input values, outputs) to FILE in the binary
 ///                      trace format (vm engine)
@@ -203,6 +204,11 @@ void printTierStats(const TierController &TC) {
   if (S.Compiled)
     std::fprintf(stderr, "stats: native c_lines=%zu c_bytes=%zu cc_ms=%.3f\n",
                  S.Build.CLines, S.Build.CBytes, S.Build.CcMs);
+}
+
+/// Writes a simulation's streamed output text to stdout.
+void putText(const std::string &Text) {
+  std::fwrite(Text.data(), 1, Text.size(), stdout);
 }
 
 std::vector<std::string> splitCommas(const std::string &List) {
@@ -505,7 +511,7 @@ int main(int Argc, char **Argv) {
       std::fputs(emitLinkedC(Sys, "linked_sys", EO).c_str(), stdout);
     }
     if (Simulate) {
-      RandomEnvironment Env(Seed);
+      TextEnvironment Env(Seed);
       LinkedExecutor Exec(Sys);
       bool Ran = Batch > 1 ? Exec.runBatched(Env, Simulate, Batch)
                            : Exec.run(Env, Simulate);
@@ -514,9 +520,9 @@ int main(int Argc, char **Argv) {
                      Exec.error().c_str());
         return 1;
       }
-      std::printf("linked simulation (%u instants, seed %llu):\n%s",
-                  Simulate, static_cast<unsigned long long>(Seed),
-                  formatEvents(Env.outputs()).c_str());
+      std::printf("linked simulation (%u instants, seed %llu):\n", Simulate,
+                  static_cast<unsigned long long>(Seed));
+      putText(Env.text());
       if (Stats)
         printStats("vm", Simulate, Exec.executed(), Exec.guardTests());
     }
@@ -687,7 +693,7 @@ int main(int Argc, char **Argv) {
     FdSink Sink(Fd, /*OwnsFd=*/true);
     TraceWriter Writer(Sink,
                        TraceSpec::fromStep(Step, ProcName, FrameInstants));
-    RandomEnvironment Rnd(Seed);
+    TextEnvironment Rnd(Seed);
     RecordingEnvironment Env(Rnd, Writer);
     SimulationTotals T =
         simulateFleet(Step, {&Env}, Simulate, Batch, /*Threads=*/1);
@@ -699,9 +705,9 @@ int main(int Argc, char **Argv) {
     }
     std::fprintf(stderr, "recorded %u instant(s) to %s\n", Simulate,
                  RecordFile.c_str());
-    std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
-                static_cast<unsigned long long>(Seed),
-                formatEvents(Rnd.outputs()).c_str());
+    std::printf("simulation (%u instants, seed %llu):\n", Simulate,
+                static_cast<unsigned long long>(Seed));
+    putText(Rnd.text());
     if (Stats)
       printStats(ModeName, Simulate, T.Executed, T.GuardTests);
     return 0;
@@ -718,10 +724,10 @@ int main(int Argc, char **Argv) {
     // counters are sums over the instances.
     unsigned Instances = Fleet ? Fleet : 1;
     unsigned Threads = Fleet && FleetThreads ? FleetThreads : 1;
-    std::vector<std::unique_ptr<RandomEnvironment>> Owned;
+    std::vector<std::unique_ptr<TextEnvironment>> Owned;
     std::vector<Environment *> Envs;
     for (unsigned J = 0; J < Instances; ++J) {
-      Owned.push_back(std::make_unique<RandomEnvironment>(Seed + J));
+      Owned.push_back(std::make_unique<TextEnvironment>(Seed + J));
       Envs.push_back(Owned.back().get());
     }
     // Tiered run: each instance starts on the VM and attaches the native
@@ -746,9 +752,9 @@ int main(int Argc, char **Argv) {
         printTierStats(*TC);
     }
     if (!Fleet) {
-      std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
-                  static_cast<unsigned long long>(Seed),
-                  formatEvents(Owned[0]->outputs()).c_str());
+      std::printf("simulation (%u instants, seed %llu):\n", Simulate,
+                  static_cast<unsigned long long>(Seed));
+      putText(Owned[0]->text());
       if (Stats)
         printStats(ModeName, Simulate, T.Executed, T.GuardTests);
       return 0;
@@ -757,9 +763,10 @@ int main(int Argc, char **Argv) {
                 "%u thread(s)):\n",
                 Fleet, Simulate, static_cast<unsigned long long>(Seed),
                 Threads);
-    for (unsigned J = 0; J < Fleet; ++J)
-      std::printf("instance %u:\n%s", J,
-                  formatEvents(Owned[J]->outputs()).c_str());
+    for (unsigned J = 0; J < Fleet; ++J) {
+      std::printf("instance %u:\n", J);
+      putText(Owned[J]->text());
+    }
     if (Stats)
       printStats("fleet", Simulate * Fleet, T.Executed, T.GuardTests);
   }

@@ -10,6 +10,26 @@
 
 using namespace sigc;
 
+void TextEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
+                                  const Value &V) {
+  const TypeKind T = outputBindingType(Output);
+  appendOutputLine(Text, Instant, outputBindingName(Output), toSlot(V, T), T);
+}
+
+void TextEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
+                                      unsigned NumOutputs,
+                                      const EnvOutputId *Ids,
+                                      const unsigned char *Present,
+                                      const VmSlot *Vals) {
+  for (unsigned I = 0; I < Count; ++I)
+    for (unsigned O = 0; O < NumOutputs; ++O) {
+      size_t At = static_cast<size_t>(I) * NumOutputs + O;
+      if (Present[At])
+        appendOutputLine(Text, Start + I, outputBindingName(Ids[O]), Vals[At],
+                         outputBindingType(Ids[O]));
+    }
+}
+
 namespace {
 
 /// Shares the native module among a run's threads: the polling thread
@@ -28,7 +48,7 @@ public:
 
   /// The module an instance at instant \p At swaps onto, or null.
   const NativeModule *promotion(unsigned At) const {
-    return At >= TC->tierAfter() ? Published.load() : nullptr;
+    return TC && At >= TC->tierAfter() ? Published.load() : nullptr;
   }
 
 private:
@@ -37,7 +57,7 @@ private:
 };
 
 /// Runs instances [First, End) one after another on this thread's
-/// executors.
+/// executors, each in stepN windows.
 SimulationTotals runShard(const CompiledStep &CS,
                           const std::vector<Environment *> &Envs,
                           unsigned First, unsigned End, unsigned Instants,
@@ -50,22 +70,16 @@ SimulationTotals runShard(const CompiledStep &CS,
     Vm.setNative(nullptr);
     Vm.reset();
     Vm.resetCounters();
-    if (!Gate.enabled()) {
-      if (Batch > 1)
-        Vm.runBatched(Env, Instants, Batch);
-      else
-        Vm.run(Env, Instants);
-    } else {
-      for (unsigned At = 0; At < Instants;) {
-        if (Polls)
-          Gate.poll();
-        if (!Vm.native())
-          Vm.setNative(Gate.promotion(At));
-        unsigned N = std::min(Window, Instants - At);
-        Vm.stepN(Env, At, N);
+    for (unsigned At = 0; At < Instants;) {
+      if (Polls)
+        Gate.poll();
+      if (!Vm.native())
+        Vm.setNative(Gate.promotion(At));
+      unsigned N = std::min(Window, Instants - At);
+      Vm.stepN(Env, At, N);
+      if (Gate.enabled())
         (Vm.native() ? T.NativeInstants : T.VmInstants) += N;
-        At += N;
-      }
+      At += N;
     }
     T.Executed += Vm.executed();
     T.GuardTests += Vm.guardTests();

@@ -9,12 +9,19 @@
 /// once per run; each thread owns its executors and reuses them from one
 /// instance to the next, and the counters are summed after the join.
 ///
-/// With a tier controller the loop runs in windows of the batch size (8
-/// when unbatched). Each instance starts on the VM and, once the native
-/// module is loaded, attaches it at its first window boundary at or
-/// past the controller's warm-up threshold; both tiers run on the VM's
-/// one state block, so nothing is copied. Only the calling thread polls
-/// the controller; it publishes the loaded module to the other threads.
+/// Every instance runs in stepN windows of the batch size (8 when
+/// unbatched); stepN is trace- and counter-identical to step(), so the
+/// window only decides how often the environment boundary is crossed.
+/// With a tier controller each instance starts on the VM and, once the
+/// native module is loaded, attaches it at its first window boundary at
+/// or past the controller's warm-up threshold; both tiers run on the
+/// VM's one state block, so nothing is copied. Only the calling thread
+/// polls the controller; it publishes the loaded module to the other
+/// threads.
+///
+/// TextEnvironment is the CLI's environment: it renders every flushed
+/// output row straight into text, so a --simulate run builds its stdout
+/// without recording a single OutputEvent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +33,33 @@
 #include "native/TierController.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace sigc {
+
+/// A RandomEnvironment that streams its outputs as text instead of
+/// recording OutputEvents: each output becomes one appendOutputLine()
+/// line, its value rendered by the binding's declared type. The text is
+/// exactly formatEvents() over the events a plain RandomEnvironment of
+/// the same seed records.
+class TextEnvironment : public RandomEnvironment {
+public:
+  using RandomEnvironment::RandomEnvironment;
+  using Environment::writeOutput;
+
+  void writeOutput(EnvOutputId Output, unsigned Instant,
+                   const Value &V) override;
+  void exchangeOutputs(unsigned Start, unsigned Count, unsigned NumOutputs,
+                       const EnvOutputId *Ids, const unsigned char *Present,
+                       const VmSlot *Vals) override;
+
+  /// The output lines so far.
+  const std::string &text() const { return Text; }
+
+private:
+  std::string Text;
+};
 
 /// Counters of a run, summed over its instances.
 struct SimulationTotals {

@@ -51,28 +51,31 @@ void Environment::clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
 }
 
 void Environment::inputValues(EnvInputId Input, unsigned Start,
-                              unsigned Count, Value *Out) {
+                              unsigned Count, VmSlot *Out) {
+  const TypeKind T = inputBindingType(Input);
   for (unsigned I = 0; I < Count; ++I)
-    Out[I] = inputValue(Input, Start + I);
+    Out[I] = toSlot(inputValue(Input, Start + I), T);
 }
 
 void Environment::exchangeOutputs(unsigned Start, unsigned Count,
                                   unsigned NumOutputs, const EnvOutputId *Ids,
                                   const unsigned char *Present,
-                                  const Value *Vals) {
+                                  const VmSlot *Vals) {
   // Instants outer, outputs inner (in the executor's emission order):
   // the recorded event sequence is bit-identical to an unbatched run's.
   for (unsigned I = 0; I < Count; ++I)
     for (unsigned O = 0; O < NumOutputs; ++O)
       if (Present[I * NumOutputs + O])
-        writeOutput(Ids[O], Start + I, Vals[I * NumOutputs + O]);
+        writeOutput(Ids[O], Start + I,
+                    fromSlot(Vals[I * NumOutputs + O],
+                             outputBindingType(Ids[O])));
 }
 
 std::string sigc::formatEvents(const std::vector<OutputEvent> &Events) {
   std::string Out;
   for (const OutputEvent &E : Events)
-    Out += std::to_string(E.Instant) + " " + E.Signal + "=" + E.Val.str() +
-           "\n";
+    appendOutputLine(Out, E.Instant, E.Signal, toSlot(E.Val, E.Val.Kind),
+                     E.Val.Kind);
   return Out;
 }
 
@@ -129,54 +132,38 @@ void RandomEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
 }
 
 void RandomEnvironment::inputValues(EnvInputId Input, unsigned Start,
-                                    unsigned Count, Value *Out) {
+                                    unsigned Count, VmSlot *Out) {
   uint64_t S = InputSeed[Input];
   switch (inputBindingType(Input)) {
   case TypeKind::Boolean:
     for (unsigned I = 0; I < Count; ++I)
-      Out[I] = Value::makeBool(draw(S, Start + I) % 2 == 0);
+      Out[I].I = draw(S, Start + I) % 2 == 0;
     return;
   case TypeKind::Event:
     for (unsigned I = 0; I < Count; ++I)
-      Out[I] = Value::makeEvent();
+      Out[I].I = 1;
     return;
   case TypeKind::Integer: {
     uint64_t Span = static_cast<uint64_t>(IntHi - IntLo + 1);
     for (unsigned I = 0; I < Count; ++I)
-      Out[I] = Value::makeInt(IntLo +
-                              static_cast<int64_t>(draw(S, Start + I) % Span));
+      Out[I].I = IntLo + static_cast<int64_t>(draw(S, Start + I) % Span);
     return;
   }
   case TypeKind::Real:
     for (unsigned I = 0; I < Count; ++I)
-      Out[I] =
-          Value::makeReal(static_cast<double>(draw(S, Start + I) % 10000) /
-                          100.0);
+      Out[I].R = static_cast<double>(draw(S, Start + I) % 10000) / 100.0;
     return;
   case TypeKind::Unknown:
     break;
   }
   for (unsigned I = 0; I < Count; ++I)
-    Out[I] = Value::makeInt(0);
+    Out[I].I = 0;
 }
 
 Value RandomEnvironment::inputValue(EnvInputId Input, unsigned Instant) {
-  uint64_t R = draw(InputSeed[Input], Instant);
-  switch (inputBindingType(Input)) {
-  case TypeKind::Boolean:
-    return Value::makeBool(R % 2 == 0);
-  case TypeKind::Event:
-    return Value::makeEvent();
-  case TypeKind::Integer: {
-    uint64_t Span = static_cast<uint64_t>(IntHi - IntLo + 1);
-    return Value::makeInt(IntLo + static_cast<int64_t>(R % Span));
-  }
-  case TypeKind::Real:
-    return Value::makeReal(static_cast<double>(R % 10000) / 100.0);
-  case TypeKind::Unknown:
-    break;
-  }
-  return Value::makeInt(0);
+  VmSlot S;
+  RandomEnvironment::inputValues(Input, Instant, 1, &S);
+  return fromSlot(S, inputBindingType(Input));
 }
 
 //===----------------------------------------------------------------------===//

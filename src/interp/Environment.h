@@ -14,10 +14,13 @@
 /// phase. An executor resolves every name it will ever ask about exactly
 /// once (resolveClock/resolveInput/resolveOutput return dense ids), and
 /// the per-instant queries carry only those ids — no string hashing,
-/// comparison or construction on the reactive step. A thin name-based
-/// adapter (the string overloads of clockTick/inputValue/writeOutput)
-/// survives for tests, examples and the CLI; it resolves on every call
-/// and is deliberately not for hot loops.
+/// comparison or construction on the reactive step. The batched hot path
+/// (the bulk exchange below) carries untagged VmSlots typed by the
+/// bindings' declared types; tagged Values remain only on the
+/// per-instant virtuals, which KernelInterp and the unbatched step()
+/// use. A thin name-based adapter (the string overloads of
+/// clockTick/inputValue/writeOutput) survives for tests and examples; it
+/// resolves on every call and is deliberately not for hot loops.
 ///
 /// Two ready-made environments cover testing and benchmarking:
 /// RandomEnvironment (deterministic PRNG) and ScriptedEnvironment (exact
@@ -29,6 +32,7 @@
 #define SIGNALC_INTERP_ENVIRONMENT_H
 
 #include "ast/Value.h"
+#include "interp/Slot.h"
 
 #include <cstdint>
 #include <map>
@@ -58,7 +62,9 @@ struct OutputEvent {
   }
 };
 
-/// Renders a sequence of output events, one per line (testing helper).
+/// Renders a sequence of output events, one appendOutputLine() line per
+/// event, each value by its own type (an executor's events carry their
+/// output's declared type).
 std::string formatEvents(const std::vector<OutputEvent> &Events);
 
 /// The environment-side half of an executor's binding: the EnvIds of a
@@ -113,13 +119,19 @@ public:
   //===--- Bulk exchange (hot path, once per batch) -----------------------===//
   //
   // Batched executors cross the virtual environment boundary once per
-  // descriptor per batch instead of once per query per instant. The
-  // defaults delegate to the per-instant virtuals, so every environment
-  // is batchable; RandomEnvironment overrides them with straight loops.
-  // Bulk input fetches are unconditional over the batch window — an
-  // environment whose answers are pure functions of (binding, instant),
-  // which the differential-testing contract already requires, observes
-  // no difference.
+  // descriptor per batch instead of once per query per instant, and the
+  // values cross as untagged VmSlots: each input column and each output
+  // column is typed by the declared type its binding was resolved with
+  // (inputBindingType/outputBindingType), the type the step's native
+  // twin reads and writes too. No tagged Value is built on this path.
+  //
+  // The defaults delegate to the per-instant Value virtuals through
+  // toSlot/fromSlot by the binding type, so every environment is
+  // batchable; RandomEnvironment overrides inputValues with straight
+  // loops that draw slots directly. Bulk input fetches are unconditional
+  // over the batch window — an environment whose answers are pure
+  // functions of (binding, instant), which the differential-testing
+  // contract already requires, observes no difference.
 
   /// Fills Out[0..Count) with the ticks of \p Clock at instants
   /// Start..Start+Count.
@@ -127,22 +139,23 @@ public:
                           unsigned char *Out);
 
   /// Fills Out[0..Count) with the values of \p Input at instants
-  /// Start..Start+Count.
+  /// Start..Start+Count, as slots of the binding's declared type.
   virtual void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
-                           Value *Out);
+                           VmSlot *Out);
 
   /// Delivers a whole batch of outputs in one crossing. \p Present and
   /// \p Vals are row-major [instant][output] over \p NumOutputs outputs
   /// whose ids are \p Ids, listed in the executor's per-instant emission
-  /// order; the default replays them through writeOutput() instant by
+  /// order; each value is a slot of its binding's declared type. The
+  /// default replays the present cells through writeOutput() instant by
   /// instant, reproducing exactly the event sequence an unbatched run
   /// records.
   virtual void exchangeOutputs(unsigned Start, unsigned Count,
                                unsigned NumOutputs, const EnvOutputId *Ids,
                                const unsigned char *Present,
-                               const Value *Vals);
+                               const VmSlot *Vals);
 
-  //===--- Name-based adapter (tests, CLI, harness generation) ------------===//
+  //===--- Name-based adapter (tests, examples, harness generation) -------===//
 
   /// Resolves \p ClockName and queries it: convenience, not for hot loops.
   bool clockTick(const std::string &ClockName, unsigned Instant) {
@@ -251,11 +264,12 @@ public:
   bool clockTick(EnvClockId Clock, unsigned Instant) override;
   Value inputValue(EnvInputId Input, unsigned Instant) override;
 
-  /// Bulk overrides: one virtual dispatch, then pure integer mixing.
+  /// Bulk overrides: one virtual dispatch, then pure integer mixing
+  /// straight into the tick and slot columns.
   void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
                   unsigned char *Out) override;
   void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
-                   Value *Out) override;
+                   VmSlot *Out) override;
 
   void setIntRange(int64_t Lo, int64_t Hi) {
     IntLo = Lo;

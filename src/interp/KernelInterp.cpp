@@ -233,10 +233,14 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
       return false;
 
   // Outputs, through the ids bound once — no name re-materialization per
-  // event.
+  // event — and by their declared types, the rule every executor's
+  // environment boundary follows (an event defined by `when C` leaves as
+  // an event, the integers of a real output as reals).
   for (SignalId S : Prog.outputs())
-    if (Present[S])
-      Env.writeOutput(OutputId[S], Instant, Values[S]);
+    if (Present[S]) {
+      TypeKind T = Prog.Signals[S].Type;
+      Env.writeOutput(OutputId[S], Instant, fromSlot(toSlot(Values[S], T), T));
+    }
 
   // Advance delay memories.
   for (unsigned DI = 0; DI < DelayEqIndex.size(); ++DI) {

@@ -70,7 +70,6 @@ bool LinkedExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   // Run the window against the buffering wrapper, then replay the
   // dynamic checks from the watch recording before forwarding outputs.
   BatchEnv.Outer = &Env;
-  BatchEnv.Buf.clear();
   Exec.stepN(BatchEnv, Start, Count);
 
   // The first violation an unbatched run would hit: ordered by instant,
@@ -95,12 +94,7 @@ bool LinkedExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   // Forward exactly what an unbatched run forwards: every instant up to
   // and including the erroring one (a completed fused step has already
   // emitted its outputs when the check fires).
-  for (const BufferEnv::Rec &R : BatchEnv.Buf) {
-    if (HaveErr && R.Instant > ErrInstant)
-      break; // Buf is instant-major.
-    Env.writeOutput(R.Id, R.Instant, R.V);
-  }
-  BatchEnv.Buf.clear();
+  BatchEnv.forwardThrough(HaveErr ? ErrInstant + 1 : Start + Count);
   return !HaveErr;
 }
 

@@ -75,20 +75,20 @@ public:
   uint64_t executed() const { return Exec.executed(); }
 
 private:
-  /// Pass-through environment that buffers outputs: batched windows run
-  /// against it so a dynamic-check violation can cut the forwarded
-  /// trace at the erroring instant even though the VM flushes whole
-  /// windows. Resolution delegates to the outer environment, so every
+  /// Pass-through environment that holds a window's outputs back:
+  /// batched windows run against it so a dynamic-check violation can cut
+  /// the forwarded trace at the erroring instant even though the VM
+  /// flushes whole windows. It keeps the window's flush rows (slots,
+  /// row-major [instant][output]) and forwards a prefix of them in one
+  /// exchange. Resolution delegates to the outer environment, so every
   /// id this wrapper sees *is* an outer id.
   class BufferEnv : public Environment {
   public:
     Environment *Outer = nullptr;
-    struct Rec {
-      EnvOutputId Id;
-      unsigned Instant;
-      Value V;
-    };
-    std::vector<Rec> Buf;
+    unsigned Start = 0, Count = 0, NumOutputs = 0;
+    std::vector<EnvOutputId> Ids;
+    std::vector<unsigned char> Present;
+    std::vector<VmSlot> Vals;
 
     EnvClockId resolveClock(std::string_view Name) override {
       return Outer->resolveClock(Name);
@@ -110,15 +110,25 @@ private:
       Outer->clockTicks(Clock, Start, Count, Out);
     }
     void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
-                     Value *Out) override {
+                     VmSlot *Out) override {
       Outer->inputValues(Input, Start, Count, Out);
     }
-    // The default exchangeOutputs replays the window through
-    // writeOutput instant by instant in emission order, so Buf holds
-    // exactly the unbatched forwarding sequence.
-    void writeOutput(EnvOutputId Output, unsigned Instant,
-                     const Value &V) override {
-      Buf.push_back({Output, Instant, V});
+    void exchangeOutputs(unsigned Start, unsigned Count, unsigned NumOutputs,
+                         const EnvOutputId *Ids, const unsigned char *Present,
+                         const VmSlot *Vals) override {
+      const size_t Cells = static_cast<size_t>(Count) * NumOutputs;
+      this->Start = Start;
+      this->Count = Count;
+      this->NumOutputs = NumOutputs;
+      this->Ids.assign(Ids, Ids + NumOutputs);
+      this->Present.assign(Present, Present + Cells);
+      this->Vals.assign(Vals, Vals + Cells);
+    }
+    /// Forwards the held rows of instants [Start, End) to the outer
+    /// environment.
+    void forwardThrough(unsigned End) {
+      Outer->exchangeOutputs(Start, End - Start, NumOutputs, Ids.data(),
+                             Present.data(), Vals.data());
     }
   };
 

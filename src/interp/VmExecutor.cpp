@@ -41,95 +41,46 @@ TypeKind kindOf(uint8_t K) { return static_cast<TypeKind>(K); }
 
 bool isRealSlot(TypeKind K) { return K == TypeKind::Real; }
 
-/// The slot of a Value of kind \p K. Numbers convert: an integer for a
-/// real slot widens, a real for an integer slot truncates as the emitted
-/// C's conversion does (out of range, x86's answer INT64_MIN, defined).
-VmSlot toSlot(const Value &V, TypeKind K) {
-  VmSlot S;
-  if (K == TypeKind::Real) {
-    S.R = V.Kind == TypeKind::Integer ? static_cast<double>(V.Int) : V.Real;
-  } else if (V.Kind == TypeKind::Real) {
-    bool InRange =
-        V.Real >= -9223372036854775808.0 && V.Real < 9223372036854775808.0;
-    S.I = InRange ? static_cast<int64_t>(V.Real) : INT64_MIN;
-  } else {
-    S.I = V.isBoolish() ? V.Bool : V.Int;
-  }
-  return S;
-}
-
-/// The Value a slot of static kind \p K holds.
-Value fromSlot(VmSlot S, TypeKind K) {
-  switch (K) {
-  case TypeKind::Real:
-    return Value::makeReal(S.R);
-  case TypeKind::Boolean:
-    return Value::makeBool(S.I != 0);
-  case TypeKind::Event: {
-    Value V = Value::makeEvent();
-    V.Bool = S.I != 0;
-    return V;
-  }
-  case TypeKind::Integer:
-  case TypeKind::Unknown:
-    break;
-  }
-  return Value::makeInt(S.I);
-}
-
-/// The Value a native output of declared type \p T reads as.
-Value nativeOutputValue(VmSlot S, TypeKind T) {
-  switch (T) {
-  case TypeKind::Integer:
-    return Value::makeInt(S.I);
-  case TypeKind::Real:
-    return Value::makeReal(S.R);
-  case TypeKind::Event:
-    return Value::makeEvent();
-  case TypeKind::Boolean:
-  case TypeKind::Unknown:
-    break;
-  }
-  return Value::makeBool(S.I != 0);
-}
-
-/// Unbatched port: every query crosses the environment boundary.
+/// Unbatched port: every query crosses the environment boundary through
+/// the per-instant Value API, converted by the descriptor's declared
+/// type \p T.
 struct DirectPort {
   Environment &Env;
   const StepBindings &Bind;
   bool tick(int32_t Desc, unsigned Instant) {
     return Env.clockTick(Bind.Clocks[Desc], Instant);
   }
-  const Value input(int32_t Desc, unsigned Instant) {
-    return Env.inputValue(Bind.Inputs[Desc], Instant);
+  VmSlot input(int32_t Desc, unsigned Instant, TypeKind T) {
+    return toSlot(Env.inputValue(Bind.Inputs[Desc], Instant), T);
   }
-  void output(int32_t Desc, unsigned Instant, const Value &V) {
-    Env.writeOutput(Bind.Outputs[Desc], Instant, V);
+  void output(int32_t Desc, unsigned Instant, VmSlot V, TypeKind T) {
+    Env.writeOutput(Bind.Outputs[Desc], Instant, fromSlot(V, T));
   }
 };
 
-/// Batched port: ticks and inputs come out of the prefetched buffers,
-/// outputs land in the flush buffers; no environment crossing at all.
+/// Batched port: ticks and inputs come out of the prefetched columns,
+/// outputs land in the flush rows; no environment crossing at all. The
+/// slots already have the declared types, so both directions are copies.
 struct BatchPort {
   const unsigned char *Ticks; ///< [desc * Cap + I]
-  const Value *Ins;           ///< [desc * Cap + I]
+  const VmSlot *Ins;          ///< [desc * Cap + I]
   unsigned Cap = 0;
   unsigned I = 0; ///< Batch-relative instant.
   unsigned char *OutPresent;  ///< [I * NumOut + flush pos]
-  Value *OutVals;
+  VmSlot *Outs;               ///< [I * NumOut + flush pos]
   const int32_t *FlushPos; ///< Output desc -> flush position.
   unsigned NumOut = 0;
 
   bool tick(int32_t Desc, unsigned) {
     return Ticks[static_cast<size_t>(Desc) * Cap + I] != 0;
   }
-  const Value &input(int32_t Desc, unsigned) {
+  VmSlot input(int32_t Desc, unsigned, TypeKind) {
     return Ins[static_cast<size_t>(Desc) * Cap + I];
   }
-  void output(int32_t Desc, unsigned, const Value &V) {
+  void output(int32_t Desc, unsigned, VmSlot V, TypeKind) {
     size_t At = static_cast<size_t>(I) * NumOut + FlushPos[Desc];
     OutPresent[At] = 1;
-    OutVals[At] = V;
+    Outs[At] = V;
   }
 };
 
@@ -223,11 +174,10 @@ struct BatchPort {
     Clock[In.Target] = static_cast<char>(Clock[In.A] & (Clock[In.B] ^ 1));)    \
   X(CopyClock, Clock[In.Target] = Clock[In.A];)                                \
   X(SetClockFalse, Clock[In.Target] = 0;)                                      \
-  X(ReadSignal,                                                                \
-    S[In.Target] = toSlot(P.input(In.Aux, Instant), kindOf(In.KA));)           \
+  X(ReadSignal, S[In.Target] = P.input(In.Aux, Instant, kindOf(In.KA));)      \
   X(Copy, S[In.Target] = S[In.A];)                                             \
   X(LoadDelay, S[In.Target] = State[In.A];)                                    \
-  X(WriteOutput, P.output(In.Aux, Instant, fromSlot(S[In.A], kindOf(In.KA)));) \
+  X(WriteOutput, P.output(In.Aux, Instant, S[In.A], kindOf(In.KB));)          \
   SIGC_VM_RUN_OPS(SIGC_VM_RUN_BODIES, X)                                       \
   SIGC_VM_UNARY_OPS(SIGC_VM_UNARY_BODY, X)                                     \
   SIGC_VM_BINARY_OPS(SIGC_VM_BINARY_BODY, X)                                   \
@@ -236,8 +186,10 @@ struct BatchPort {
 // The generic handlers: Values materialized by the static kinds, one
 // definition of the operators. Mixed integer/real arithmetic lands here,
 // and so does a default whose arms are stored differently (sema rules
-// that out) or a delay storing an integer into a real memory (an integer
-// signal with a real init). The conversions are the emitted C's.
+// that out), a delay storing an integer into a real memory (an integer
+// signal with a real init) or an output declared real that carries an
+// integer (`! real X` with X := I + 1). The conversions are the emitted
+// C's assignments.
 #define SIGC_VM_GENERIC_OPS(X)                                                 \
   X(UnaryGeneric,                                                              \
     Value V = evalUnaryValue(static_cast<UnaryOp>(In.Aux),                     \
@@ -253,7 +205,11 @@ struct BatchPort {
                                         : fromSlot(S[In.B], kindOf(In.KB)),    \
                           TypeKind::Real);)                                    \
   X(StoreDelayGeneric,                                                         \
-    State[In.Target] = toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB));)
+    State[In.Target] = toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB));) \
+  X(WriteOutputGeneric,                                                        \
+    P.output(In.Aux, Instant,                                                  \
+             toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB)),          \
+             kindOf(In.KB));)
 
 namespace {
 
@@ -333,7 +289,7 @@ uint8_t runHandler(uint8_t H) {
 
 bool isGeneric(uint8_t H) {
   return H == H_UnaryGeneric || H == H_BinaryGeneric || H == H_SelectGeneric ||
-         H == H_StoreDelayGeneric;
+         H == H_StoreDelayGeneric || H == H_WriteOutputGeneric;
 }
 
 } // namespace
@@ -456,9 +412,15 @@ void VmExecutor::decode() {
                                                        : H_StoreDelayGeneric;
       break;
     }
-    case VmOp::WriteOutput:
-      D.Op = H_WriteOutput;
+    case VmOp::WriteOutput: {
+      // Outputs leave by their declared type, as the emitted C's
+      // assignment to the output field converts.
+      TypeKind OutType = CS.Outputs[V.Aux].Type;
+      D.KB = static_cast<uint8_t>(OutType);
+      D.Op = isRealSlot(K.A) == isRealSlot(OutType) ? H_WriteOutput
+                                                     : H_WriteOutputGeneric;
       break;
+    }
     }
     if (isGeneric(D.Op))
       ++Stats.Generic;
@@ -592,10 +554,8 @@ void VmExecutor::reserveBatch(unsigned MaxCount) {
     return;
   BatchCap = MaxCount;
   TickBuf.assign(CS.ClockInputs.size() * static_cast<size_t>(BatchCap), 0);
-  InBuf.assign(CS.Inputs.size() * static_cast<size_t>(BatchCap), Value());
-  OutPresent.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), 0);
-  OutVals.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), Value());
   InSlots.assign(CS.Inputs.size() * static_cast<size_t>(BatchCap), VmSlot{0});
+  OutPresent.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), 0);
   OutSlots.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(),
                   VmSlot{0});
   WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(BatchCap), 0);
@@ -615,37 +575,27 @@ void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
 
   const unsigned NumOut = static_cast<unsigned>(CS.Outputs.size());
 
-  // One boundary crossing per descriptor: prefetch the whole window.
+  // One boundary crossing per descriptor: prefetch the whole window
+  // straight into the slot columns both tiers read.
   for (size_t D = 0; D < CS.ClockInputs.size(); ++D)
     Env.clockTicks(Bind.Clocks[D], Start, Count, &TickBuf[D * BatchCap]);
   for (size_t D = 0; D < CS.Inputs.size(); ++D)
-    Env.inputValues(Bind.Inputs[D], Start, Count, &InBuf[D * BatchCap]);
+    Env.inputValues(Bind.Inputs[D], Start, Count, &InSlots[D * BatchCap]);
   std::fill(OutPresent.begin(),
             OutPresent.begin() + static_cast<size_t>(Count) * NumOut, 0);
 
   if (Native) {
-    // The native step runs on the state block itself; inputs go in and
-    // outputs come back as slots of the declared types.
-    for (size_t D = 0; D < CS.Inputs.size(); ++D)
-      for (unsigned I = 0; I < Count; ++I)
-        InSlots[D * BatchCap + I] =
-            toSlot(InBuf[D * BatchCap + I], CS.Inputs[D].Type);
+    // The native step runs on the state block itself and fills the same
+    // flush rows the interpreter would.
     Native->run(Block.data(), TickBuf.data(), BatchCap, InSlots.data(),
                 BatchCap, OutPresent.data(), OutSlots.data(), Count);
-    for (unsigned I = 0; I < Count; ++I)
-      for (unsigned Pos = 0; Pos < NumOut; ++Pos) {
-        size_t At = static_cast<size_t>(I) * NumOut + Pos;
-        if (OutPresent[At])
-          OutVals[At] = nativeOutputValue(
-              OutSlots[At], CS.Outputs[CS.OutputFlushOrder[Pos]].Type);
-      }
   } else {
     BatchPort P;
     P.Ticks = TickBuf.data();
-    P.Ins = InBuf.data();
+    P.Ins = InSlots.data();
     P.Cap = BatchCap;
     P.OutPresent = OutPresent.data();
-    P.OutVals = OutVals.data();
+    P.Outs = OutSlots.data();
     P.FlushPos = FlushPos.data();
     P.NumOut = NumOut;
 
@@ -660,7 +610,7 @@ void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
 
   // One crossing back: flush the batch's outputs in unbatched order.
   Env.exchangeOutputs(Start, Count, NumOut, FlushIds.data(),
-                      OutPresent.data(), OutVals.data());
+                      OutPresent.data(), OutSlots.data());
 }
 
 void VmExecutor::run(Environment &Env, unsigned Count) {

@@ -10,13 +10,16 @@
 /// allocations (pinned by the counting-allocator test).
 ///
 /// Slot layout. Values, scratch results, constants and delay states are
-/// 8-byte untagged VmSlots: integers in I, reals in R, booleans and
-/// events as 0/1 in I. One slot file holds the signal values, then the
-/// scratch slots, then a copy of the constant pool, so a constant
-/// operand is just another slot. The kind of every operand is static
-/// (CompiledStep::kinds()); tagged Values appear only at the boundaries:
-/// environment inputs are converted by the input descriptor's type and
-/// outputs by the operand's static kind.
+/// 8-byte untagged VmSlots (interp/Slot.h): integers in I, reals in R,
+/// booleans and events as 0/1 in I. One slot file holds the signal
+/// values, then the scratch slots, then a copy of the constant pool, so
+/// a constant operand is just another slot. The kind of every operand is
+/// static (CompiledStep::kinds()). Inputs arrive as slots of their
+/// declared types, and WriteOutput hands out slots of the output's
+/// declared type: a plain copy, converted only where the operand's static
+/// kind differs (an integer-valued `! real X`), as the emitted C's
+/// assignment to the output field converts. Tagged Values appear only in
+/// the unbatched step(), which talks to the per-instant Value API.
 ///
 /// State block. The guard/executed counters and the delay states live
 /// in one contiguous block of VmSlots: the two counters, then one slot
@@ -40,10 +43,11 @@
 /// sentinel ends the array, so the dispatch needs no bounds test.
 ///
 /// stepN() runs a whole batch of instants with one environment crossing
-/// per descriptor: free-clock ticks and input values are fetched up
-/// front through the bulk exchange API, outputs are buffered and flushed
-/// once at batch end in exactly the order an unbatched run would record
-/// them. Slots stay hot across the batch; traces and counters are
+/// per descriptor: free-clock ticks and input slots are fetched up front
+/// through the bulk exchange API into one pair of batch buffers (tick
+/// and input columns, presence and value rows), outputs are buffered and
+/// flushed once at batch end in exactly the order an unbatched run would
+/// record them. Slots stay hot across the batch; traces and counters are
 /// bit-identical to N calls of step().
 ///
 /// The guard/instruction counters count what the step's lowering asks
@@ -54,10 +58,12 @@
 ///
 /// Native mode. With a NativeModule attached, stepN keeps its prefetch,
 /// binding and flush but runs the module's compiled step on the state
-/// block instead of the interpreter loop; inputs and outputs cross as
-/// VmSlot columns and outputs become Values by their declared type.
-/// Traces and counters are the interpreter's, so attaching or detaching
-/// at any batch boundary is invisible.
+/// block instead of the interpreter loop. The module reads the same input
+/// columns and fills the same flush rows the interpreter would, so both
+/// tiers share one batch buffer pair and the environment receives the
+/// same declared-type slots from either. Traces and counters are the
+/// interpreter's, so attaching or detaching at any batch boundary is
+/// invisible, down to the text of every output.
 ///
 /// Dispatch is direct-threaded (computed goto) wherever the compiler has
 /// GNU labels-as-values, and a portable switch otherwise or when built
@@ -76,12 +82,6 @@
 namespace sigc {
 
 class NativeModule;
-
-/// One untagged 8-byte value slot.
-union VmSlot {
-  int64_t I; ///< Integers; booleans and events as 0/1.
-  double R;  ///< Reals.
-};
 
 /// Operand class a typed handler is specialized for.
 enum class VmKind : uint8_t {
@@ -212,7 +212,8 @@ private:
     uint8_t Op = 0;    ///< Handler, in SIGC_VM_OPS order.
     int8_t Weight = 0; ///< VmInstr's; a run head's: the run length.
     uint8_t KA = 0; ///< TypeKind of operand A (ReadSignal: of the input).
-    uint8_t KB = 0; ///< TypeKind of operand B (StoreDelay: of the state).
+    uint8_t KB = 0; ///< TypeKind of operand B (StoreDelay: of the state;
+                    ///< WriteOutput: the output's declared type).
     int32_t Target = -1;
     int32_t A = -1;
     int32_t B = -1;
@@ -233,14 +234,12 @@ private:
   std::vector<VmSlot> Block; ///< The state block (see the file comment).
   const NativeModule *Native = nullptr;
 
-  //===--- Batch state ----------------------------------------------------===//
+  //===--- Batch state (shared by both tiers) ----------------------------===//
   unsigned BatchCap = 0;               ///< Capacity of all batch buffers.
   std::vector<unsigned char> TickBuf;  ///< [clock desc][instant].
-  std::vector<Value> InBuf;            ///< [input desc][instant].
+  std::vector<VmSlot> InSlots;         ///< [input desc][instant].
   std::vector<unsigned char> OutPresent; ///< [instant][flush position].
-  std::vector<Value> OutVals;            ///< [instant][flush position].
-  std::vector<VmSlot> InSlots;  ///< Native inputs, [input desc][instant].
-  std::vector<VmSlot> OutSlots; ///< Native outputs, as OutVals.
+  std::vector<VmSlot> OutSlots;          ///< [instant][flush position].
   std::vector<int32_t> FlushPos;       ///< Output desc -> flush position.
   std::vector<EnvOutputId> FlushIds;   ///< Flush position -> bound env id.
   std::vector<int> WatchSlots;

@@ -82,8 +82,10 @@ bool RecordingEnvironment::clockTick(EnvClockId Clock, unsigned Instant) {
 
 Value RecordingEnvironment::inputValue(EnvInputId Input, unsigned Instant) {
   Value V = Inner.inputValue(InnerIn[Input], Instant);
-  if (InSpec[Input] != NoSpec)
-    Writer.putInputValues(InSpec[Input], Instant, 1, &V);
+  if (InSpec[Input] != NoSpec) {
+    VmSlot S = toSlot(V, inputBindingType(Input));
+    Writer.putInputValues(InSpec[Input], Instant, 1, &S);
+  }
   return V;
 }
 
@@ -91,7 +93,8 @@ void RecordingEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
                                        const Value &V) {
   Inner.writeOutput(InnerOut[Output], Instant, V);
   if (OutSpec[Output] != NoSpec)
-    Writer.putOutput(OutSpec[Output], Instant, V);
+    Writer.putOutput(OutSpec[Output], Instant,
+                     toSlot(V, outputBindingType(Output)));
 }
 
 void RecordingEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
@@ -102,7 +105,7 @@ void RecordingEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
 }
 
 void RecordingEnvironment::inputValues(EnvInputId Input, unsigned Start,
-                                       unsigned Count, Value *Out) {
+                                       unsigned Count, VmSlot *Out) {
   Inner.inputValues(InnerIn[Input], Start, Count, Out);
   if (InSpec[Input] != NoSpec)
     Writer.putInputValues(InSpec[Input], Start, Count, Out);
@@ -112,7 +115,7 @@ void RecordingEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
                                            unsigned NumOutputs,
                                            const EnvOutputId *Ids,
                                            const unsigned char *Present,
-                                           const Value *Vals) {
+                                           const VmSlot *Vals) {
   InnerIdScratch.resize(NumOutputs);
   for (unsigned C = 0; C < NumOutputs; ++C)
     InnerIdScratch[C] = InnerOut[Ids[C]];
@@ -221,10 +224,10 @@ Value StreamEnvironment::inputValue(EnvInputId Input, unsigned Instant) {
   unsigned S = InSpec[Input];
   assert(S != NoSpec && "input not in the trace interface");
   const TraceFrame &F = frameAt(Instant);
-  Value V = F.InputVals[static_cast<size_t>(S) * F.Cap + (Instant - F.Start)];
+  VmSlot V = F.InputVals[static_cast<size_t>(S) * F.Cap + (Instant - F.Start)];
   if (Echo && EchoStimulus)
     Echo->putInputValues(S, Instant, 1, &V);
-  return V;
+  return fromSlot(V, Spec.Inputs[S].Type);
 }
 
 void StreamEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
@@ -233,21 +236,33 @@ void StreamEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
     Environment::writeOutput(Output, Instant, V);
   ++OutputCount;
   unsigned S = OutSpec[Output];
-  if (S == NoSpec)
-    return;
-  if (Echo)
+  if (S != NoSpec)
+    checkOutput(Output, S, Instant, /*Produced=*/true,
+                toSlot(V, Spec.Outputs[S].Type));
+}
+
+void StreamEnvironment::checkOutput(EnvOutputId Id, unsigned S,
+                                    unsigned Instant, bool Produced,
+                                    VmSlot V) {
+  if (Produced && Echo)
     Echo->putOutput(S, Instant, V);
-  if (VerifyOutputs && Divergence.empty()) {
-    const TraceFrame &F = frameAt(Instant);
-    size_t FAt = static_cast<size_t>(S) * F.Cap + (Instant - F.Start);
-    if (!F.OutPresent[FAt])
-      Divergence = "instant " + std::to_string(Instant) + ": output " +
-                   outputBindingName(Output) +
-                   " produced but absent in the trace";
-    else if (!sameTraceValue(Spec.Outputs[S].Type, F.OutVals[FAt], V))
-      Divergence = "instant " + std::to_string(Instant) + ": output " +
-                   outputBindingName(Output) + " = " + V.str() +
-                   ", trace recorded " + F.OutVals[FAt].str();
+  if (!VerifyOutputs || !Divergence.empty())
+    return;
+  const TraceFrame &F = frameAt(Instant);
+  size_t FAt = static_cast<size_t>(S) * F.Cap + (Instant - F.Start);
+  bool Recorded = F.OutPresent[FAt] != 0;
+  const TypeKind T = Spec.Outputs[S].Type;
+  if (Recorded != Produced) {
+    Divergence = "instant " + std::to_string(Instant) + ": output " +
+                 outputBindingName(Id) +
+                 (Produced ? " produced but absent in the trace"
+                           : " recorded in the trace but not produced");
+  } else if (Produced && !sameTraceValue(T, F.OutVals[FAt], V)) {
+    Divergence = "instant " + std::to_string(Instant) + ": output " +
+                 outputBindingName(Id) + " = ";
+    appendSlotText(Divergence, V, T);
+    Divergence += ", trace recorded ";
+    appendSlotText(Divergence, F.OutVals[FAt], T);
   }
 }
 
@@ -269,7 +284,7 @@ void StreamEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
 }
 
 void StreamEnvironment::inputValues(EnvInputId Input, unsigned Start,
-                                    unsigned Count, Value *Out) {
+                                    unsigned Count, VmSlot *Out) {
   unsigned S = InSpec[Input];
   assert(S != NoSpec && "input not in the trace interface");
   unsigned I = 0;
@@ -277,7 +292,7 @@ void StreamEnvironment::inputValues(EnvInputId Input, unsigned Start,
     const TraceFrame &F = frameAt(Start + I);
     unsigned Off = (Start + I) - F.Start;
     unsigned Take = std::min(Count - I, F.Count - Off);
-    const Value *Row = &F.InputVals[static_cast<size_t>(S) * F.Cap];
+    const VmSlot *Row = &F.InputVals[static_cast<size_t>(S) * F.Cap];
     std::copy_n(Row + Off, Take, Out + I);
     I += Take;
   }
@@ -289,38 +304,23 @@ void StreamEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
                                         unsigned NumOutputs,
                                         const EnvOutputId *Ids,
                                         const unsigned char *Present,
-                                        const Value *Vals) {
+                                        const VmSlot *Vals) {
   for (unsigned I = 0; I < Count; ++I) {
     for (unsigned C = 0; C < NumOutputs; ++C) {
       size_t At = static_cast<size_t>(I) * NumOutputs + C;
-      unsigned S = OutSpec[Ids[C]];
       bool Produced = Present[At] != 0;
       if (Produced) {
         ++OutputCount;
         // The base (non-virtual) overload: our own writeOutput override
         // would echo/count this cell a second time.
         if (CollectEvents)
-          Environment::writeOutput(Ids[C], Start + I, Vals[At]);
+          Environment::writeOutput(
+              Ids[C], Start + I,
+              fromSlot(Vals[At], outputBindingType(Ids[C])));
       }
-      if (S == NoSpec)
-        continue;
-      if (Produced && Echo)
-        Echo->putOutput(S, Start + I, Vals[At]);
-      if (VerifyOutputs && Divergence.empty()) {
-        const TraceFrame &F = frameAt(Start + I);
-        size_t FAt = static_cast<size_t>(S) * F.Cap + (Start + I - F.Start);
-        bool Recorded = F.OutPresent[FAt] != 0;
-        if (Recorded != Produced)
-          Divergence = "instant " + std::to_string(Start + I) + ": output " +
-                       outputBindingName(Ids[C]) +
-                       (Produced ? " produced but absent in the trace"
-                                 : " recorded in the trace but not produced");
-        else if (Produced && !sameTraceValue(Spec.Outputs[S].Type,
-                                             F.OutVals[FAt], Vals[At]))
-          Divergence = "instant " + std::to_string(Start + I) + ": output " +
-                       outputBindingName(Ids[C]) + " = " + Vals[At].str() +
-                       ", trace recorded " + F.OutVals[FAt].str();
-      }
+      unsigned S = OutSpec[Ids[C]];
+      if (S != NoSpec)
+        checkOutput(Ids[C], S, Start + I, Produced, Vals[At]);
     }
   }
   if (Echo)

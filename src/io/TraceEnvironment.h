@@ -24,7 +24,10 @@
 /// divergence by instant and signal.
 ///
 /// All three are allocation-free per instant once warm: frame buffers
-/// recycle through a free list, and every query is slot-ID based.
+/// recycle through a free list, and every query is slot-ID based. The
+/// bulk exchange moves VmSlot columns between the executor and the
+/// frames by copy — frames hold the same declared-type slots — and a
+/// divergence diagnostic renders both values by the declared type.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,10 +75,10 @@ public:
   void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
                   unsigned char *Out) override;
   void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
-                   Value *Out) override;
+                   VmSlot *Out) override;
   void exchangeOutputs(unsigned Start, unsigned Count, unsigned NumOutputs,
                        const EnvOutputId *Ids, const unsigned char *Present,
-                       const Value *Vals) override;
+                       const VmSlot *Vals) override;
 
 private:
   Environment &Inner;
@@ -161,14 +164,20 @@ public:
   void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
                   unsigned char *Out) override;
   void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
-                   Value *Out) override;
+                   VmSlot *Out) override;
   void exchangeOutputs(unsigned Start, unsigned Count, unsigned NumOutputs,
                        const EnvOutputId *Ids, const unsigned char *Present,
-                       const Value *Vals) override;
+                       const VmSlot *Vals) override;
 
 private:
   /// The resident frame containing \p Instant (asserts residency).
   const TraceFrame &frameAt(unsigned Instant) const;
+
+  /// Echoes and verifies one output cell of spec output \p S, bound as
+  /// \p Id: \p Produced says whether the step emitted it, \p V its
+  /// value. The first mismatch against the trace is latched.
+  void checkOutput(EnvOutputId Id, unsigned S, unsigned Instant,
+                   bool Produced, VmSlot V);
 
   TraceSpec Spec;
   std::deque<TraceFrame> Window;

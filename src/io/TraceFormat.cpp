@@ -90,42 +90,22 @@ size_t valueBytes(TypeKind T, size_t N) {
   }
 }
 
-/// The 8 bytes a value of declared type \p T (integer or real) records
-/// as, by the declared type: an integer-kinded value of a real slot is
-/// widened first.
-uint64_t valueBits(TypeKind T, const Value &V) {
-  if (T != TypeKind::Real)
-    return static_cast<uint64_t>(V.Int);
-  double D = V.Kind == TypeKind::Integer ? static_cast<double>(V.Int) : V.Real;
+static_assert(sizeof(VmSlot) == 8, "an 8-byte slot records as 8 bytes");
+
+/// The 8 bytes an integer or real slot records as: the integer's two's
+/// complement or the real's IEEE-754 bits, whichever member it holds.
+uint64_t slotBits(VmSlot S) {
   uint64_t Bits = 0;
-  static_assert(sizeof(double) == 8, "IEEE-754 binary64 expected");
-  std::memcpy(&Bits, &D, 8);
+  std::memcpy(&Bits, &S, 8);
   return Bits;
 }
 
-void packValue(std::vector<uint8_t> &Out, TypeKind T, const Value &V) {
-  switch (T) {
-  case TypeKind::Event:
-    return;
-  case TypeKind::Boolean:
-    return; // Booleans are bit-packed by the caller.
-  default:
-    putU64(Out, valueBits(T, V));
-    return;
-  }
-}
-
-Value unpackValue(TypeKind T, const uint8_t *P) {
-  switch (T) {
-  case TypeKind::Real: {
-    uint64_t Bits = getU64(P);
-    double D = 0.0;
-    std::memcpy(&D, &Bits, 8);
-    return Value::makeReal(D);
-  }
-  default:
-    return Value::makeInt(static_cast<int64_t>(getU64(P)));
-  }
+/// The slot of 8 recorded bytes.
+VmSlot slotOfBits(const uint8_t *P) {
+  uint64_t Bits = getU64(P);
+  VmSlot S;
+  std::memcpy(&S, &Bits, 8);
+  return S;
 }
 
 /// Appends a presence bitmap built from \p Flags[0..N) (LSB-first).
@@ -146,14 +126,14 @@ bool bitmapBit(const uint8_t *Bits, size_t I) {
 
 } // namespace
 
-bool sigc::sameTraceValue(TypeKind T, const Value &A, const Value &B) {
+bool sigc::sameTraceValue(TypeKind T, VmSlot A, VmSlot B) {
   switch (T) {
   case TypeKind::Event:
     return true;
   case TypeKind::Boolean:
-    return A.Bool == B.Bool;
+    return (A.I != 0) == (B.I != 0);
   default:
-    return valueBits(T, A) == valueBits(T, B);
+    return slotBits(A) == slotBits(B);
   }
 }
 
@@ -251,9 +231,9 @@ void TraceFrame::shape(const TraceSpec &Spec) {
     return;
   Cap = Spec.FrameInstants;
   ClockTicks.assign(Spec.Clocks.size() * static_cast<size_t>(Cap), 0);
-  InputVals.assign(Spec.Inputs.size() * static_cast<size_t>(Cap), Value());
+  InputVals.assign(Spec.Inputs.size() * static_cast<size_t>(Cap), VmSlot{0});
   OutPresent.assign(Spec.Outputs.size() * static_cast<size_t>(Cap), 0);
-  OutVals.assign(Spec.Outputs.size() * static_cast<size_t>(Cap), Value());
+  OutVals.assign(Spec.Outputs.size() * static_cast<size_t>(Cap), VmSlot{0});
 }
 
 //===----------------------------------------------------------------------===//
@@ -431,25 +411,25 @@ void sigc::encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
 
   for (size_t I = 0; I < Spec.Inputs.size(); ++I) {
     const TypeKind T = Spec.Inputs[I].Type;
-    const Value *Row = &F.InputVals[I * Cap];
+    const VmSlot *Row = &F.InputVals[I * Cap];
     if (T == TypeKind::Boolean) {
       for (size_t Byte = 0; Byte * 8 < N; ++Byte) {
         uint8_t B = 0;
         for (size_t Bit = 0; Bit < 8 && Byte * 8 + Bit < N; ++Bit)
-          if (Row[Byte * 8 + Bit].Bool)
+          if (Row[Byte * 8 + Bit].I)
             B |= static_cast<uint8_t>(1u << Bit);
         Payload.push_back(B);
       }
-    } else {
+    } else if (T != TypeKind::Event) {
       for (unsigned J = 0; J < N; ++J)
-        packValue(Payload, T, Row[J]);
+        putU64(Payload, slotBits(Row[J]));
     }
   }
 
   for (size_t O = 0; O < Spec.Outputs.size(); ++O) {
     const TypeKind T = Spec.Outputs[O].Type;
     const unsigned char *Present = &F.OutPresent[O * Cap];
-    const Value *Row = &F.OutVals[O * Cap];
+    const VmSlot *Row = &F.OutVals[O * Cap];
     packBitmap(Payload, Present, N);
     if (T == TypeKind::Boolean) {
       uint8_t B = 0;
@@ -457,7 +437,7 @@ void sigc::encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
       for (unsigned J = 0; J < N; ++J) {
         if (!Present[J])
           continue;
-        if (Row[J].Bool)
+        if (Row[J].I)
           B |= static_cast<uint8_t>(1u << Bit);
         if (++Bit == 8) {
           Payload.push_back(B);
@@ -470,7 +450,7 @@ void sigc::encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
     } else if (T != TypeKind::Event) {
       for (unsigned J = 0; J < N; ++J)
         if (Present[J])
-          packValue(Payload, T, Row[J]);
+          putU64(Payload, slotBits(Row[J]));
     }
   }
 
@@ -588,30 +568,30 @@ TraceFrameStatus sigc::decodeTraceFrame(const TraceSpec &Spec,
 
   for (size_t I = 0; I < Spec.Inputs.size(); ++I) {
     const TypeKind T = Spec.Inputs[I].Type;
-    Value *Row = &F.InputVals[I * Cap];
+    VmSlot *Row = &F.InputVals[I * Cap];
     if (T == TypeKind::Event) {
       for (unsigned J = 0; J < Count; ++J)
-        Row[J] = Value::makeEvent();
+        Row[J].I = 1;
     } else if (T == TypeKind::Boolean) {
       const uint8_t *Bits = nullptr;
       if (!C.bytes(Bits, BitmapBytes, Err, "an input bitmap"))
         return Fail("an input value bitmap");
       for (unsigned J = 0; J < Count; ++J)
-        Row[J] = Value::makeBool(bitmapBit(Bits, J));
+        Row[J].I = bitmapBit(Bits, J);
     } else {
       const uint8_t *Vals = nullptr;
       if (!C.bytes(Vals, 8 * static_cast<size_t>(Count), Err,
                    "input values"))
         return Fail("an input value row");
       for (unsigned J = 0; J < Count; ++J)
-        Row[J] = unpackValue(T, Vals + 8 * static_cast<size_t>(J));
+        Row[J] = slotOfBits(Vals + 8 * static_cast<size_t>(J));
     }
   }
 
   for (size_t O = 0; O < Spec.Outputs.size(); ++O) {
     const TypeKind T = Spec.Outputs[O].Type;
     unsigned char *Present = &F.OutPresent[O * Cap];
-    Value *Row = &F.OutVals[O * Cap];
+    VmSlot *Row = &F.OutVals[O * Cap];
     const uint8_t *Bits = nullptr;
     if (!C.bytes(Bits, BitmapBytes, Err, "an output bitmap"))
       return Fail("an output presence bitmap");
@@ -623,7 +603,7 @@ TraceFrameStatus sigc::decodeTraceFrame(const TraceSpec &Spec,
     if (T == TypeKind::Event) {
       for (unsigned J = 0; J < Count; ++J)
         if (Present[J])
-          Row[J] = Value::makeEvent();
+          Row[J].I = 1;
     } else if (T == TypeKind::Boolean) {
       const uint8_t *VBits = nullptr;
       if (!C.bytes(VBits, (NumPresent + 7) / 8, Err, "output booleans"))
@@ -631,7 +611,7 @@ TraceFrameStatus sigc::decodeTraceFrame(const TraceSpec &Spec,
       unsigned Bit = 0;
       for (unsigned J = 0; J < Count; ++J)
         if (Present[J])
-          Row[J] = Value::makeBool(bitmapBit(VBits, Bit++));
+          Row[J].I = bitmapBit(VBits, Bit++);
     } else {
       const uint8_t *Vals = nullptr;
       if (!C.bytes(Vals, 8 * static_cast<size_t>(NumPresent), Err,
@@ -640,7 +620,7 @@ TraceFrameStatus sigc::decodeTraceFrame(const TraceSpec &Spec,
       unsigned At = 0;
       for (unsigned J = 0; J < Count; ++J)
         if (Present[J])
-          Row[J] = unpackValue(T, Vals + 8 * static_cast<size_t>(At++));
+          Row[J] = slotOfBits(Vals + 8 * static_cast<size_t>(At++));
     }
   }
 

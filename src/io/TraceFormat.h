@@ -32,13 +32,18 @@
 ///     payload:
 ///       per clock:  ceil(count/8) presence bitmap (LSB-first)
 ///       per input:  values for *every* instant of the frame, packed by
-///                   type — event: nothing, boolean: bitmap,
+///                   declared type — event: nothing, boolean: bitmap,
 ///                   integer: 8 bytes two's-complement, real: 8 bytes
 ///                   IEEE-754 bits (input values are dense because the
 ///                   environment contract makes them pure functions of
 ///                   the instant; presence is derived by the program)
 ///       per output: ceil(count/8) presence bitmap, then values of the
-///                   *present* instants only, packed by type
+///                   *present* instants only, packed by declared type
+///
+///   Integer and real values are the 8 bytes of the frame's VmSlot
+///   (TraceFrame), which already holds the declared type: an integer-
+///   valued output declared real arrives widened, as the step's
+///   WriteOutput converts it.
 ///
 ///   Frames cover the fixed instant ranges [k*W, (k+1)*W): every frame
 ///   starts at a multiple of W, so only the stream's final frame may
@@ -60,6 +65,7 @@
 #define SIGNALC_IO_TRACEFORMAT_H
 
 #include "interp/CompiledStep.h"
+#include "interp/Slot.h"
 
 #include <cstdint>
 #include <string>
@@ -146,17 +152,20 @@ struct TraceSpec {
   size_t maxFramePayloadBytes() const;
 };
 
-/// One decoded instant-batch, dense row-major per descriptor. Buffers are
-/// sized to the spec's frame capacity once and reused frame to frame —
-/// steady-state decoding allocates nothing.
+/// One decoded instant-batch, dense row-major per descriptor. Values are
+/// VmSlot columns of each descriptor's declared type — the bulk
+/// Environment exchange's own representation, so replay serves and
+/// recording takes whole columns by copy. Buffers are sized to the spec's
+/// frame capacity once and reused frame to frame — steady-state decoding
+/// allocates nothing.
 struct TraceFrame {
   unsigned Start = 0;
   unsigned Count = 0;
   unsigned Cap = 0; ///< Row stride (the spec's FrameInstants).
   std::vector<unsigned char> ClockTicks; ///< [clock * Cap + i]
-  std::vector<Value> InputVals;          ///< [input * Cap + i]
+  std::vector<VmSlot> InputVals;         ///< [input * Cap + i]
   std::vector<unsigned char> OutPresent; ///< [output * Cap + i]
-  std::vector<Value> OutVals;            ///< [output * Cap + i]
+  std::vector<VmSlot> OutVals;           ///< [output * Cap + i]
 
   /// Sizes the buffers for \p Spec (idempotent).
   void shape(const TraceSpec &Spec);
@@ -205,12 +214,11 @@ TraceFrameStatus decodeTraceFrame(const TraceSpec &Spec, const uint8_t *Data,
                                   TraceFrame &F, size_t &Consumed,
                                   unsigned &TotalInstants, TraceError &Err);
 
-/// True when \p A and \p B record as the same bytes in a trace slot of
-/// declared type \p T — the rule replay verification compares by. An
-/// integer-kinded value in a real slot records widened to a real (an
-/// output declared real can carry the integers of `I + 1`); reals
-/// compare by their IEEE-754 bits.
-bool sameTraceValue(TypeKind T, const Value &A, const Value &B);
+/// True when slots \p A and \p B of declared type \p T record as the
+/// same bytes in a trace — the rule replay verification compares by:
+/// events always agree, booleans by truth, integers and reals by their
+/// 8 bytes (reals by their IEEE-754 bits).
+bool sameTraceValue(TypeKind T, VmSlot A, VmSlot B);
 
 /// FNV-1a over \p Data (the format's hash/checksum primitive).
 uint64_t traceFnv64(const uint8_t *Data, size_t Len);

@@ -4,6 +4,7 @@
 
 #include "io/FaultInjection.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstring>
@@ -78,7 +79,9 @@ TraceFrame &TraceWriter::frameFor(unsigned Instant) {
       Pending.empty() ? FlushedInstants : Pending.back().Start + W;
   while (NextStart <= FrameStart) {
     // Recycle a retired frame buffer when one exists; its rows are
-    // re-zeroed here (per frame, not per instant).
+    // re-zeroed here (per frame, not per instant), so a cell nobody put
+    // (an input a per-instant run never queried) records as 0, never as
+    // what an earlier frame left in the buffer.
     if (!FreeFrames.empty()) {
       Pending.push_back(std::move(FreeFrames.back()));
       FreeFrames.pop_back();
@@ -90,6 +93,7 @@ TraceFrame &TraceWriter::frameFor(unsigned Instant) {
     F.Start = NextStart;
     F.Count = 0;
     std::fill(F.ClockTicks.begin(), F.ClockTicks.end(), 0);
+    std::fill(F.InputVals.begin(), F.InputVals.end(), VmSlot{0});
     std::fill(F.OutPresent.begin(), F.OutPresent.end(), 0);
     NextStart += W;
   }
@@ -111,22 +115,20 @@ void TraceWriter::putClockTicks(unsigned ClockIdx, unsigned Start,
 }
 
 void TraceWriter::putInputValues(unsigned InputIdx, unsigned Start,
-                                 unsigned Count, const Value *Vals) {
+                                 unsigned Count, const VmSlot *Vals) {
   const unsigned W = Spec.FrameInstants;
   unsigned I = 0;
   while (I < Count) {
     TraceFrame &F = frameFor(Start + I);
     unsigned Off = (Start + I) - F.Start;
     unsigned Take = std::min(Count - I, W - Off);
-    Value *Row = &F.InputVals[InputIdx * static_cast<size_t>(F.Cap) + Off];
-    for (unsigned J = 0; J < Take; ++J)
-      Row[J] = Vals[I + J];
+    std::copy_n(Vals + I, Take,
+                &F.InputVals[InputIdx * static_cast<size_t>(F.Cap) + Off]);
     I += Take;
   }
 }
 
-void TraceWriter::putOutput(unsigned OutputIdx, unsigned Instant,
-                            const Value &V) {
+void TraceWriter::putOutput(unsigned OutputIdx, unsigned Instant, VmSlot V) {
   TraceFrame &F = frameFor(Instant);
   size_t At = OutputIdx * static_cast<size_t>(F.Cap) + (Instant - F.Start);
   F.OutPresent[At] = 1;

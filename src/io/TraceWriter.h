@@ -11,7 +11,8 @@
 ///
 /// Data arrives column-wise over arbitrary instant windows (the shape of
 /// the bulk Environment exchange): putClockTicks/putInputValues for the
-/// dense input side, putOutput for sparse output events. A window is
+/// dense input side, putOutput for sparse output events. Values are
+/// VmSlots of each descriptor's declared type, stored as they come. A window is
 /// sealed with completeThrough(end), after which every fully covered
 /// frame is encoded and flushed to the sink; finish() flushes the last
 /// partial frame and the trailer. Pending-frame buffers are recycled, so
@@ -108,9 +109,9 @@ public:
                      const unsigned char *Ticks);
   /// Records the values of input \p InputIdx over [Start, Start+Count).
   void putInputValues(unsigned InputIdx, unsigned Start, unsigned Count,
-                      const Value *Vals);
+                      const VmSlot *Vals);
   /// Records one output occurrence.
-  void putOutput(unsigned OutputIdx, unsigned Instant, const Value &V);
+  void putOutput(unsigned OutputIdx, unsigned Instant, VmSlot V);
 
   /// Declares every instant below \p End final: full frames ending at or
   /// before \p End are encoded and flushed.

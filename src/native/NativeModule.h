@@ -19,8 +19,10 @@
 /// The emitted state struct is the VM's state block byte for byte (two
 /// 8-byte counters, then one 8-byte slot per delay), so the host hands
 /// the VM's own block to `run` and no state is ever converted. Inputs
-/// and outputs cross as VmSlots; the host reconstructs tagged outputs
-/// from the declared descriptor types.
+/// and outputs cross as VmSlots of the descriptors' declared types, in
+/// the VM's own batch buffers: the tick and input columns the
+/// environment filled and the flush rows it receives back, so no value
+/// is converted either.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,12 +68,12 @@ public:
 
   /// Runs \p Count instants on the state block \p State (the layout of
   /// VmExecutor's): Ticks[d * TickStride + i] and Ins[d * InStride + i]
-  /// are columnar over descriptors, OutPresent and OutVals are row-major
+  /// are columnar over descriptors, OutPresent and Outs are row-major
   /// [i * NumOutputs + flush position].
   void run(VmSlot *State, const unsigned char *Ticks,
            unsigned long TickStride, const VmSlot *Ins, unsigned long InStride,
-           unsigned char *OutPresent, VmSlot *OutVals, unsigned Count) const {
-    RunFn(State, Ticks, TickStride, Ins, InStride, OutPresent, OutVals, Count);
+           unsigned char *OutPresent, VmSlot *Outs, unsigned Count) const {
+    RunFn(State, Ticks, TickStride, Ins, InStride, OutPresent, Outs, Count);
   }
 
 private:

@@ -1,14 +1,19 @@
 //===--- cli_test.cpp - signalc command-line regression tests -------------===//
 ///
-/// Subprocess tests of the installed `signalc` binary's argument
-/// handling. The numeric flags (--simulate, --batch, --seed, --fleet,
-/// --threads) share one checked parse: a malformed, out-of-range or
-/// missing operand must be a diagnosed exit-code-2 failure naming the
-/// flag — historically `--batch abc` was an uncaught std::stoul throw
-/// and a flag given as the last argument was silently dropped. The
-/// string flags diagnose a missing operand the same way.
+/// Subprocess tests of the installed `signalc` binary: its argument
+/// handling and, against in-process reference runs, its output. The
+/// numeric flags (--simulate, --batch, --seed, --fleet, --threads) share
+/// one checked parse: a malformed, out-of-range or missing operand must
+/// be a diagnosed exit-code-2 failure naming the flag — historically
+/// `--batch abc` was an uncaught std::stoul throw and a flag given as
+/// the last argument was silently dropped. The string flags diagnose a
+/// missing operand the same way.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "driver/Driver.h"
+#include "interp/VmExecutor.h"
+#include "programs/Programs.h"
 
 #include <gtest/gtest.h>
 
@@ -16,9 +21,13 @@
 #include <cstdlib>
 #include <regex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
+
+using namespace sigc;
 
 namespace {
 
@@ -328,6 +337,19 @@ std::string tempTracePath(const char *Tag) {
          std::to_string(::getpid()) + ".sgtr";
 }
 
+/// The bytes of file \p P (empty when unreadable).
+std::string slurpFile(const std::string &P) {
+  std::string Out;
+  if (FILE *F = std::fopen(P.c_str(), "rb")) {
+    char Buf[4096];
+    size_t N;
+    while ((N = std::fread(Buf, 1, sizeof Buf, F)) > 0)
+      Out.append(Buf, N);
+    std::fclose(F);
+  }
+  return Out;
+}
+
 } // namespace
 
 TEST(Cli, FlatModeRecordsAndReplaysTheFlatLowering) {
@@ -341,19 +363,8 @@ TEST(Cli, FlatModeRecordsAndReplaysTheFlatLowering) {
   CliResult Rec = runSignalc(Run + "--mode flat --record " + Flat);
   ASSERT_EQ(Rec.Exit, 0) << Rec.Output;
   EXPECT_EQ(Rec.Output.find("warning"), std::string::npos) << Rec.Output;
-  auto Slurp = [](const std::string &P) {
-    std::string Out;
-    if (FILE *F = std::fopen(P.c_str(), "rb")) {
-      char Buf[4096];
-      size_t N;
-      while ((N = std::fread(Buf, 1, sizeof Buf, F)) > 0)
-        Out.append(Buf, N);
-      std::fclose(F);
-    }
-    return Out;
-  };
-  EXPECT_FALSE(Slurp(Vm).empty());
-  EXPECT_EQ(Slurp(Vm), Slurp(Flat));
+  EXPECT_FALSE(slurpFile(Vm).empty());
+  EXPECT_EQ(slurpFile(Vm), slurpFile(Flat));
 
   CliResult Sim = runSignalc(Run + "--mode flat --stats");
   CliResult Rep = runSignalc("--builtin CHRONO --mode flat --stats --replay " +
@@ -369,6 +380,26 @@ TEST(Cli, FlatModeRecordsAndReplaysTheFlatLowering) {
   EXPECT_NE(Rep.Output.find(M[0].str()), std::string::npos) << Rep.Output;
   std::remove(Vm.c_str());
   std::remove(Flat.c_str());
+}
+
+TEST(Cli, RecordingBytesDoNotDependOnTheBatchSize) {
+  // The writer owns the framing, so a recording is the same bytes for
+  // any --batch. Unbatched runs used to step instant by instant and
+  // record only the inputs the step queried, leaving the other cells of
+  // each dense input row to whatever the recycled frame held.
+  for (const char *Builtin : {"FIG5_ALARM", "STOPWATCH"}) {
+    std::string One = tempTracePath("batch_one"), Many = tempTracePath("many");
+    std::string Run = std::string("--builtin ") + Builtin +
+                      " --simulate 300 --seed 5 --record ";
+    CliResult A = runSignalc(Run + One);
+    CliResult B = runSignalc(Run + Many + " --batch 64");
+    ASSERT_EQ(A.Exit, 0) << A.Output;
+    ASSERT_EQ(B.Exit, 0) << B.Output;
+    EXPECT_FALSE(slurpFile(One).empty()) << Builtin;
+    EXPECT_EQ(slurpFile(One), slurpFile(Many)) << Builtin;
+    std::remove(One.c_str());
+    std::remove(Many.c_str());
+  }
 }
 
 TEST(Cli, RecordThenReplayRoundTripsFromTheCli) {
@@ -789,4 +820,97 @@ TEST(Cli, NativeCacheMissReportsEmittedCSizeAndCcTime) {
       << Warm.Output;
   EXPECT_EQ(Warm.Output.find("stats: native "), std::string::npos)
       << Warm.Output;
+}
+
+//===----------------------------------------------------------------------===//
+// Streamed --simulate text: every output line is rendered from the
+// flushed slot rows by the output's declared type, with the formatter
+// formatEvents uses, so it equals formatEvents over a recording
+// environment on every engine and across a tier swap.
+//===----------------------------------------------------------------------===//
+
+TEST(Cli, TierSwapKeepsTheOutputText) {
+  // X is declared real but carries the integers of I + 1. The VM used to
+  // print it by its static kind (`15 X=51`) and the native step by its
+  // declared type (`16 X=30.000000`), so the text changed format at the
+  // swap. Both tiers now print by the declared type.
+  if (!cliHostCcAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  std::string Src = ::testing::TempDir() + "sigc_cli_swap_" +
+                    std::to_string(::getpid()) + ".sig";
+  FILE *F = fopen(Src.c_str(), "w");
+  ASSERT_NE(F, nullptr);
+  fputs("process K = (? integer I; ! real X;) (| X := I + 1 |);\n", F);
+  fclose(F);
+  TempCacheDirCli Cache;
+  const std::string Run = Src + " --simulate 40 --seed 1";
+  // Warm the cache, so the auto run swaps exactly at its threshold.
+  ASSERT_EQ(runSignalc(Src + " --simulate 4 --native force --cache-dir " +
+                       Cache.Path)
+                .Exit,
+            0);
+  CliResult Off = runSignalc(Run + " --native off", /*StdoutOnly=*/true);
+  CliResult Auto = runSignalc(Run + " --native auto --tier-after 16 "
+                                    "--cache-dir " +
+                                  Cache.Path,
+                              /*StdoutOnly=*/true);
+  ASSERT_EQ(Off.Exit, 0) << Off.Output;
+  ASSERT_EQ(Auto.Exit, 0) << Auto.Output;
+  EXPECT_EQ(Auto.Output, Off.Output);
+  EXPECT_TRUE(std::regex_search(Off.Output, std::regex("\n15 X=[0-9]+\\.0{6}\n")))
+      << Off.Output;
+  CliResult Stats = runSignalc(Run + " --native auto --tier-after 16 --stats "
+                                     "--cache-dir " +
+                               Cache.Path);
+  EXPECT_NE(Stats.Output.find("vm_instants=16 native_instants=24"),
+            std::string::npos)
+      << Stats.Output;
+  std::remove(Src.c_str());
+}
+
+TEST(Cli, StreamedSimulateTextEqualsFormatEventsOnEveryBuiltin) {
+  const unsigned Instants = 200;
+  const uint64_t Seed = 5;
+  const bool Cc = cliHostCcAvailable();
+  TempCacheDirCli Cache;
+  std::vector<std::pair<std::string, std::string>> Builtins = {
+      {"FIG5_ALARM", alarmFigure5Source()}};
+  for (const Figure13Program &P : figure13Suite())
+    Builtins.push_back({P.Name, P.Source});
+  ASSERT_EQ(Builtins.size(), 8u);
+
+  for (const auto &[Name, Source] : Builtins) {
+    auto C = compileSource("<builtin:" + Name + ">", Source);
+    ASSERT_TRUE(C->Ok) << Name;
+    CompiledStep Flat =
+        CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+    // The reference: an unbatched run against a recording environment.
+    auto Events = [&](const CompiledStep &CS, uint64_t S) {
+      RandomEnvironment Env(S);
+      VmExecutor Vm(CS);
+      Vm.run(Env, Instants);
+      return formatEvents(Env.outputs());
+    };
+    const std::string Head = "simulation (200 instants, seed 5):\n";
+    const std::string Nested = Head + Events(C->Compiled, Seed);
+    const std::string Run = "--builtin " + Name + " --simulate 200 --seed 5";
+    auto Stdout = [&](const std::string &Extra) {
+      CliResult R = runSignalc(Run + Extra, /*StdoutOnly=*/true);
+      EXPECT_EQ(R.Exit, 0) << Name << Extra;
+      return R.Output;
+    };
+    EXPECT_EQ(Stdout(" --mode vm"), Nested) << Name;
+    EXPECT_EQ(Stdout(" --mode flat"), Head + Events(Flat, Seed)) << Name;
+    EXPECT_EQ(Stdout(" --batch 64"), Nested) << Name;
+    std::string Fleet =
+        "fleet simulation (3 instances, 200 instants, seed 5, 2 thread(s)):\n";
+    for (unsigned J = 0; J < 3; ++J)
+      Fleet += "instance " + std::to_string(J) + ":\n" +
+               Events(C->Compiled, Seed + J);
+    EXPECT_EQ(Stdout(" --fleet 3 --threads 2"), Fleet) << Name;
+    if (Cc) {
+      EXPECT_EQ(Stdout(" --native force --cache-dir " + Cache.Path), Nested)
+          << Name;
+    }
+  }
 }

@@ -295,6 +295,47 @@ TEST(DifferentialEmitC, RealSignalCarryingIntegersKeepsIntegerDelay) {
   EXPECT_TRUE(R.Ok) << R.Error;
 }
 
+TEST(DifferentialNativeSwap, RealOutputCarryingIntegersKeepsItsText) {
+  // X is declared real but carries the integers of I + 1. Outputs leave
+  // every engine by their declared type, so the VM prints X=97.000000 as
+  // the native step does, and the swap leg's formatEvents text agrees at
+  // every boundary (the VM used to print X=97 and the native step
+  // X=97.000000, so the text changed at the swap).
+  const char *Source = "process K = ( ? integer I; ! real X; ) "
+                       "(| X := I + 1 |);";
+  auto C = compileSource("real-output-integers", Source);
+  ASSERT_TRUE(C->Ok);
+  RandomEnvironment Env(1);
+  VmExecutor Vm(C->Compiled);
+  Vm.run(Env, 4);
+  ASSERT_FALSE(Env.outputs().empty());
+  for (const OutputEvent &E : Env.outputs())
+    EXPECT_EQ(E.Val.Kind, TypeKind::Real) << formatEvents(Env.outputs());
+
+  OracleOptions O;
+  O.Instants = 24;
+  O.BatchSize = 4;
+  O.EmitCRoundTrip = hostCCompilerAvailable();
+  O.NativeSwap = hostCCompilerAvailable();
+  OracleReport R = checkDifferential("real-output-integers", Source, O);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.NativeSwapRan, O.NativeSwap);
+}
+
+TEST(DifferentialNativeSwap, EventOutputOfABooleanReadsAsTick) {
+  // T is declared event but defined by `when CC`, whose static kind is
+  // boolean: by its declared type, every engine reports it as an event.
+  const char *Source = "process P = ( ? boolean CC; ! event T; ) "
+                       "(| T := when CC |);";
+  OracleOptions O;
+  O.Instants = 24;
+  O.BatchSize = 4;
+  O.EmitCRoundTrip = hostCCompilerAvailable();
+  O.NativeSwap = hostCCompilerAvailable();
+  OracleReport R = checkDifferential("event-output-of-boolean", Source, O);
+  EXPECT_TRUE(R.Ok) << R.Error;
+}
+
 TEST(DifferentialEmitC, RandomPrograms) {
   if (!hostCCompilerAvailable())
     GTEST_SKIP() << "no host C compiler";

@@ -362,6 +362,46 @@ process CONS =
       << Exec.error();
 }
 
+TEST(LinkedExecutor, BatchedMismatchCutsTheTraceWhereUnbatchedStops) {
+  // The batched window computes past the violation at instant 3 (B is
+  // true again from 4 on), but forwards exactly the unbatched trace: the
+  // outputs through the erroring instant, in one exchange of the held
+  // flush rows.
+  const char *Prod =
+      "process PROD = ( ? integer A; ! integer X; ) (| X := A |);";
+  const char *Cons = R"(
+process CONS =
+  ( ? integer X; boolean B; ! integer Y; )
+  (| W := when B
+   | synchro {X, W}
+   | Y := X + 1
+  |)
+  where
+    event W;
+  end;
+)";
+  LinkResult R = compileAndLinkSources({{"PROD", Prod}, {"CONS", Cons}});
+  ASSERT_TRUE(R.Sys) << R.Error;
+  auto Script = [](ScriptedEnvironment &Env) {
+    Env.tickAlways();
+    for (unsigned I = 0; I < 8; ++I) {
+      Env.set("A", I, Value::makeInt(10 * I));
+      Env.set("B", I, Value::makeBool(I != 3));
+    }
+  };
+  ScriptedEnvironment One, Batch;
+  Script(One);
+  Script(Batch);
+  LinkedExecutor ExecOne(*R.Sys), ExecBatch(*R.Sys);
+  EXPECT_FALSE(ExecOne.run(One, 8));
+  EXPECT_FALSE(ExecBatch.runBatched(Batch, 8, 8));
+  EXPECT_EQ(formatEvents(One.outputs()), "0 Y=1\n1 Y=11\n2 Y=21\n");
+  EXPECT_EQ(formatEvents(Batch.outputs()), formatEvents(One.outputs()));
+  EXPECT_EQ(ExecBatch.error(), ExecOne.error());
+  EXPECT_NE(ExecOne.error().find("instant 3"), std::string::npos)
+      << ExecOne.error();
+}
+
 //===----------------------------------------------------------------------===//
 // Linked C emission
 //===----------------------------------------------------------------------===//

@@ -394,7 +394,8 @@ std::vector<OutputEvent> parseResponse(const std::vector<uint8_t> &Bytes) {
       for (size_t O = 0; O < Spec.Outputs.size(); ++O)
         if (F.OutPresent[O * F.Cap + I])
           Events.push_back({F.Start + I, Spec.Outputs[O].Name,
-                            F.OutVals[O * F.Cap + I]});
+                            fromSlot(F.OutVals[O * F.Cap + I],
+                                     Spec.Outputs[O].Type)});
   }
   return Events;
 }

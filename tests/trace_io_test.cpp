@@ -495,3 +495,36 @@ TEST(TraceCorruption, NonContiguousFrameStartIsMalformed) {
   TraceError E = expectFrameError(R.Bytes, TraceErrorKind::Malformed);
   EXPECT_NE(E.Message.find("instant"), std::string::npos) << E.Message;
 }
+
+TEST(TraceReplay, DivergenceNamesInstantSignalAndBothValuesByDeclaredType) {
+  // X is declared real and carries the integers of I + 1. Replaying the
+  // recording against I + 2 diverges at X's first occurrence, and the
+  // diagnostic renders both values by X's declared type, through the bulk
+  // exchange and the per-instant adapter alike.
+  auto Rec = compileOk(proc("? integer I; ! real X;", "   X := I + 1"));
+  auto Other = compileOk(proc("? integer I; ! real X;", "   X := I + 2"));
+  Recording R = record(*Rec, 16, 8, 8);
+  ASSERT_FALSE(R.Events.empty());
+  const OutputEvent &First = R.Events.front();
+  const std::string Want =
+      "instant " + std::to_string(First.Instant) + ": output X = " +
+      Value::makeReal(First.Val.Real + 1).str() + ", trace recorded " +
+      Value::makeReal(First.Val.Real).str();
+  EXPECT_NE(Want.find(".000000, trace recorded "), std::string::npos) << Want;
+
+  for (bool Bulk : {true, false}) {
+    MemoryTraceSource Src(R.Bytes);
+    TraceReader Reader(Src);
+    ASSERT_TRUE(Reader.readHeader()) << Reader.error().str();
+    ASSERT_TRUE(Reader.matchesStep(Other->Compiled)) << Reader.error().str();
+    TraceEnvironment Env(Reader);
+    Env.setVerifyOutputs(true);
+    ASSERT_EQ(Env.prepare(0, 16), 16u) << Env.error().str();
+    VmExecutor Vm(Other->Compiled);
+    if (Bulk)
+      Vm.stepN(Env, 0, 16);
+    else
+      Vm.run(Env, 16);
+    EXPECT_EQ(Env.divergence(), Want) << (Bulk ? "stepN" : "step");
+  }
+}

@@ -85,14 +85,24 @@ using namespace sigc::test;
 
 namespace {
 
-/// Random environment that discards outputs without recording (recording
-/// grows a vector; the engine contract under test is the executor's).
+/// Random environment that counts outputs without recording them
+/// (recording grows a vector; the engine contract under test is the
+/// executor's). Inputs come from RandomEnvironment's own slot columns;
+/// the per-instant Value path (step()) and the bulk slot rows (stepN)
+/// are counted separately, so a test can tell which boundary ran.
 class DiscardEnvironment : public RandomEnvironment {
 public:
   using RandomEnvironment::RandomEnvironment;
-  uint64_t Events = 0;
+  uint64_t Events = 0;     ///< Per-instant writeOutput calls.
+  uint64_t RowEvents = 0;  ///< Present cells of exchanged rows.
   void writeOutput(EnvOutputId, unsigned, const Value &) override {
     ++Events;
+  }
+  void exchangeOutputs(unsigned, unsigned Count, unsigned NumOutputs,
+                       const EnvOutputId *, const unsigned char *Present,
+                       const VmSlot *) override {
+    for (unsigned C = 0; C < Count * NumOutputs; ++C)
+      RowEvents += Present[C];
   }
 };
 
@@ -147,7 +157,8 @@ TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
   EXPECT_EQ(Allocs, 0u)
       << "stepN allocated on the hot path; batch buffers must be "
          "preallocated and reused";
-  EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
+  EXPECT_GT(Env.RowEvents, 0u) << "the run must actually produce outputs";
+  EXPECT_EQ(Env.Events, 0u) << "stepN exchanges slot rows, never Values";
 }
 
 TEST(VmAllocation, AttachedModuleStepNAndSwapsAreZeroAllocInSteadyState) {
@@ -189,7 +200,8 @@ TEST(VmAllocation, AttachedModuleStepNAndSwapsAreZeroAllocInSteadyState) {
       }
     });
     EXPECT_EQ(Swapping, 0u) << "a tier swap allocated";
-    EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
+    EXPECT_GT(Env.RowEvents, 0u) << "the run must actually produce outputs";
+    EXPECT_EQ(Env.Events, 0u) << "stepN exchanges slot rows, never Values";
   }
   Mod.reset();
   std::remove(Cache.soPath(Hash).c_str());
