@@ -22,7 +22,6 @@
 #include "BenchArgs.h"
 #include "driver/Driver.h"
 #include "interp/Environment.h"
-#include "interp/LinkedExecutor.h"
 #include "interp/VmExecutor.h"
 #include "link/Linker.h"
 #include "testing/RandomProgram.h"
@@ -132,7 +131,7 @@ int main(int Argc, char **Argv) {
 
     {
       RandomEnvironment Env(7);
-      LinkedExecutor Exec(*Par.Sys);
+      VmExecutor Exec(Par.Sys->Fused);
       T0 = std::chrono::steady_clock::now();
       Exec.run(Env, Instants);
       double Ms = msSince(T0);

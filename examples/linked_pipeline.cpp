@@ -16,8 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "interp/LinkedExecutor.h"
-#include "link/LinkEmitter.h"
+#include "codegen/CEmitter.h"
+#include "interp/VmExecutor.h"
 #include "link/Linker.h"
 
 #include <cstdio>
@@ -79,19 +79,20 @@ process MONITOR =
   Env.tickAlways();
   for (unsigned I = 0; I < 10; ++I)
     Env.set("RAW", I, Value::makeInt(static_cast<int>(I) + 1));
-  LinkedExecutor Exec(Sys);
-  if (!Exec.run(Env, 10)) {
-    std::fprintf(stderr, "linked run stopped: %s\n", Exec.error().c_str());
+  VmExecutor Exec(Sys.Fused);
+  if (Exec.run(Env, 10) != 10) {
+    std::fprintf(stderr, "linked run stopped: %s\n",
+                 Sys.mismatchMessage(Exec.checkFailure()).c_str());
     return 1;
   }
   std::printf("%s", formatEvents(Env.outputs()).c_str());
   std::printf("(TOTAL accumulates KEPT: 2, 6, 12, 20, 30; ALERT fires "
               "once SUM > 20)\n");
 
-  // 4. The linked C emission: one step function per process plus a
-  // generated system driver.
+  // 4. The linked C emission: the fused step through the ordinary C
+  // emitter, one step function for the whole system.
   CEmitOptions EO;
-  std::string CSource = emitLinkedC(Sys, "pipeline", EO);
+  std::string CSource = emitC(Sys.Fused, "pipeline", EO);
   std::printf("\n== 4. linked C emission: %zu bytes, symbols "
               "pipeline_init/pipeline_step/pipeline_step_batch ==\n",
               CSource.size());

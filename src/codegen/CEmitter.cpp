@@ -188,6 +188,7 @@ void Emitter::annotate() {
     case VmOp::EvalClockDiff:
     case VmOp::CopyClock:
     case VmOp::SetClockFalse:
+    case VmOp::CheckClockEq:
       continue;
     case VmOp::EvalClockLiteral:
     case VmOp::StoreDelay:
@@ -419,6 +420,15 @@ std::string Emitter::instrStmt(size_t PC) const {
     return "out->" + Id + "_present = 1; out->" + Id + " = " +
            valueVar(In.A, IK.A) + ";";
   }
+  case VmOp::CheckClockEq: {
+    // A negative slot reads as absent. The failure code is
+    // ClockCheckFailure::code's.
+    std::string A = In.A >= 0 ? clockVar(In.A) : "0";
+    std::string B = In.B >= 0 ? clockVar(In.B) : "0";
+    return "if (" + A + " != " + B + ") return " + A + " ? " +
+           std::to_string(ClockCheckFailure::code(In.Aux, true)) + " : " +
+           std::to_string(ClockCheckFailure::code(In.Aux, false)) + ";";
+  }
   }
   return "";
 }
@@ -460,6 +470,8 @@ void Emitter::emitBody(std::string &Out) const {
       Indent += 2;
       continue;
     }
+    if (In.Op == VmOp::CheckClockEq)
+      flushExec(); // A failed check returns: count what ran first.
     PendingExec += In.Weight;
     Out += pad() + instrStmt(static_cast<size_t>(PC)) + "\n";
   }
@@ -521,8 +533,8 @@ std::string Emitter::run() {
   Out += "  st->executed = 0ULL;\n";
   Out += "}\n\n";
 
-  // Step: one reaction.
-  Out += "void " + Proc + "_step(" + Proc + "_state_t *st, const " + Proc +
+  // Step: one reaction; nonzero when a clock check failed.
+  Out += "int " + Proc + "_step(" + Proc + "_state_t *st, const " + Proc +
          "_in_t *in, " + Proc + "_out_t *out) {\n";
   Out += "  memset(out, 0, sizeof *out);\n";
   for (unsigned I = 0; I < CS.NumClockSlots; ++I)
@@ -554,15 +566,18 @@ std::string Emitter::run() {
   Out += "\n";
   for (const std::string &V : SlotVars)
     Out += "  (void)" + V + ";";
-  Out += "\n}\n\n";
+  Out += "\n  return 0;\n}\n\n";
 
   // Batched entry point: N reactions, one call — the C mirror of
-  // VmExecutor::stepN (one crossing of the caller boundary per batch).
-  Out += "void " + Proc + "_step_batch(" + Proc + "_state_t *st, const " +
+  // VmExecutor::stepN (one crossing of the caller boundary per batch),
+  // stopping after a failed clock check's instant.
+  Out += "unsigned " + Proc + "_step_batch(" + Proc + "_state_t *st, const " +
          Proc + "_in_t *in, " + Proc + "_out_t *out, unsigned n) {\n";
   Out += "  unsigned i;\n";
   Out += "  for (i = 0; i < n; ++i)\n";
-  Out += "    " + Proc + "_step(st, &in[i], &out[i]);\n";
+  Out += "    if (" + Proc + "_step(st, &in[i], &out[i]) != 0)\n";
+  Out += "      return i + 1;\n";
+  Out += "  return n;\n";
   Out += "}\n\n";
 
   if (Options.WithDriver)
@@ -582,6 +597,7 @@ void Emitter::emitDriver(std::string &Out) const {
   Out += "  " + Proc + "_in_t in;\n";
   Out += "  " + Proc + "_out_t out;\n";
   Out += "  unsigned i;\n";
+  Out += "  int r;\n";
   Out += "  " + Proc + "_init(&st);\n";
   Out += "  for (i = 0; i < " + std::to_string(Options.DriverSteps) +
          "; ++i) {\n";
@@ -596,7 +612,7 @@ void Emitter::emitDriver(std::string &Out) const {
     else
       Out += "    in." + Id + " = (double)(rng() % 1000) / 10.0;\n";
   }
-  Out += "    " + Proc + "_step(&st, &in, &out);\n";
+  Out += "    r = " + Proc + "_step(&st, &in, &out);\n";
   for (const auto &SO : CS.Outputs) {
     std::string Id = sanitizeIdent(SO.Name);
     const char *Fmt = (SO.Type == TypeKind::Real) ? "%f" : "%ld";
@@ -605,6 +621,11 @@ void Emitter::emitDriver(std::string &Out) const {
     Out += "    if (out." + Id + "_present) printf(\"%u " + Id + "=" + Fmt +
            "\\n\", i, out." + Id + ");\n";
   }
+  Out += "    if (r != 0) {\n";
+  Out += "      fprintf(stderr, \"instant %u: clock check %d failed\\n\", i, "
+         "(r > 0 ? r : -r) - 1);\n";
+  Out += "      return 1;\n";
+  Out += "    }\n";
   Out += "  }\n  return 0;\n}\n";
 }
 

@@ -28,9 +28,14 @@
 /// Contract of the generated code: the caller fills the input struct with
 /// the free-clock ticks and the value of every input signal it may need
 /// this instant; the step reads an input value only when the corresponding
-/// clock is present, and sets <name>_present flags on outputs. A
-/// `<proc>_step_batch` entry point runs N instants over input/output
-/// arrays in one call — the C mirror of `VmExecutor::stepN`.
+/// clock is present, and sets <name>_present flags on outputs. It returns
+/// 0, or, when a clock check (a linked system's dynamic channel check)
+/// fails, the check's nonzero ClockCheckFailure::code, having completed
+/// the instant up to the check. A `<proc>_step_batch` entry point runs N
+/// instants over input/output arrays in one call — the C mirror of
+/// `VmExecutor::stepN` — and returns the instants it ran, stopping after
+/// a failed check. The `--with-driver` main() reports a failed check's
+/// instant on stderr and exits 1.
 ///
 //===----------------------------------------------------------------------===//
 

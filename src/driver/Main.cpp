@@ -9,7 +9,9 @@
 /// Options:
 ///   --process NAME     pick a process when the file declares several
 ///   --link P1,P2,...   compile each named process separately (in
-///                      parallel) and link them by clock interface
+///                      parallel) and link them by clock interface; the
+///                      fused system then runs like one process named
+///                      linked_sys (not with --mode flat or --serve)
 ///   --dump-kernel      print the flattened kernel equations
 ///   --dump-clocks      print the extracted boolean equation system
 ///   --dump-tree        print the resolved clock forest
@@ -20,7 +22,7 @@
 ///                      interface (every unit's, in --link mode)
 ///   --dump-link        print the linked-system summary (--link mode)
 ///   --emit-c           print generated C lowered from the bytecode; in
-///                      --link mode, the composed linked system
+///                      --link mode, the fused linked system's
 ///   --with-driver      add a main() to the generated C
 ///   --simulate N       run N instants with a random environment
 ///   --seed S           PRNG seed for --simulate
@@ -86,11 +88,9 @@
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
 #include "driver/Simulation.h"
-#include "interp/LinkedExecutor.h"
 #include "interp/VmExecutor.h"
 #include "io/Server.h"
 #include "io/TraceEnvironment.h"
-#include "link/LinkEmitter.h"
 #include "link/Linker.h"
 #include "native/TierController.h"
 #include "programs/Programs.h"
@@ -143,13 +143,22 @@ void printStats(const std::string &Mode, unsigned Instants,
                static_cast<double>(Executed) / Instants);
 }
 
+/// The --stats vm line: how the VM decodes \p Step (instructions with a
+/// typed handler, those left to the generic Value handler, fused
+/// clock-literal/skip pairs, and the bytes of its 8-byte slots).
+void printVmStats(const CompiledStep &Step) {
+  VmDecodeStats V = VmExecutor(Step).decodeStats();
+  std::fprintf(stderr,
+               "stats: vm decoded=%u typed=%u generic=%u fused=%u "
+               "slot_bytes=%zu\n",
+               V.Decoded, V.Typed, V.Generic, V.Fused, V.SlotBytes);
+}
+
 /// The --stats compile report: the shape of the generated guard
 /// structure (Figure 9 wants few, shallow, distinct guards), the wall
-/// time of each stage, the work of the clock calculus, and how the VM
-/// decodes the step (instructions with a typed handler, those left to
-/// the generic Value handler, fused clock-literal/skip pairs, and the
-/// bytes of its 8-byte slots), all of the lowering \p Step the run
-/// executes. Everything but the stage times is deterministic.
+/// time of each stage, the work of the clock calculus, and the vm line,
+/// all of the lowering \p Step the run executes. Everything but the
+/// stage times is deterministic.
 void printCompileStats(const Compilation &C, const CompiledStep &Step) {
   GuardShape G = Step.guardShape();
   std::fprintf(stderr,
@@ -169,11 +178,7 @@ void printCompileStats(const Compilation &C, const CompiledStep &Step) {
                static_cast<unsigned long long>(F.BddNodes),
                static_cast<unsigned long long>(C.Bdds.cacheHits() +
                                                C.Bdds.cacheMisses()));
-  VmDecodeStats V = VmExecutor(Step).decodeStats();
-  std::fprintf(stderr,
-               "stats: vm decoded=%u typed=%u generic=%u fused=%u "
-               "slot_bytes=%zu\n",
-               V.Decoded, V.Typed, V.Generic, V.Fused, V.SlotBytes);
+  printVmStats(Step);
 }
 
 const char *nativeModeName(NativeMode M) {
@@ -458,10 +463,32 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  //===--------------------------------------------------------------------===//
-  // Link mode: separate compilation of N processes, then interface link.
-  //===--------------------------------------------------------------------===//
+  // The step every run executes (Step, below), the nested step --emit-c
+  // and the native tier compile, and the name the C and the traces use.
+  // A linked system is its fused step, which runs like any process.
+  std::unique_ptr<Compilation> C;
+  std::unique_ptr<LinkedSystem> Linked;
+  const CompiledStep *Nested = nullptr;
+  std::string ProcName;
+  CompiledStep FlatStep;
+
   if (!LinkList.empty()) {
+    //===------------------------------------------------------------------===//
+    // Link mode: separate compilation of N processes, then interface link.
+    //===------------------------------------------------------------------===//
+    // The fused step exists only in the nested lowering, and the serve
+    // protocol has no frame for a failed channel check.
+    if (Mode != EngineMode::Vm) {
+      std::fprintf(stderr,
+                   "signalc: --mode %s cannot run a linked system (the "
+                   "fused step is nested code only)\n",
+                   ModeName.c_str());
+      return 2;
+    }
+    if (!ServeSock.empty()) {
+      std::fprintf(stderr, "signalc: --serve cannot serve a linked system\n");
+      return 2;
+    }
     // Flags that only make sense for a single compilation are not
     // silently swallowed.
     if (DumpKernel || DumpClocks || DumpTree || DumpTreeDot || DumpGraph ||
@@ -470,133 +497,110 @@ int main(int Argc, char **Argv) {
                    "signalc: warning: --process and the per-stage --dump-* "
                    "flags are ignored in --link mode (use --dump-interface "
                    "/ --dump-link)\n");
-    if (Mode != EngineMode::Vm)
-      std::fprintf(stderr,
-                   "signalc: warning: --mode is ignored in --link mode; "
-                   "the linked executor always runs the slot-VM\n");
-    if (Fleet)
-      std::fprintf(stderr,
-                   "signalc: warning: --fleet is ignored in --link mode\n");
-    if (Tier.Mode != NativeMode::Off)
-      std::fprintf(stderr,
-                   "signalc: warning: --native is ignored in --link mode\n");
-    if (!RecordFile.empty() || !ReplayFile.empty() || !ServeSock.empty())
-      std::fprintf(stderr,
-                   "signalc: warning: --record/--replay/--serve are ignored "
-                   "in --link mode\n");
-    std::vector<std::string> Names = splitCommas(LinkList);
-    LinkResult R = compileAndLink(BufferName, Source, Names);
+    LinkResult R = compileAndLink(BufferName, Source, splitCommas(LinkList));
     if (!R.Sys) {
       std::fprintf(stderr, "signalc: link failed: %s\n", R.Error.c_str());
       return 1;
     }
-    LinkedSystem &Sys = *R.Sys;
+    Linked = std::move(R.Sys);
     std::fprintf(stderr,
                  "linked %zu process(es), %zu channel(s), %zu root(s); "
                  "compile %.2f ms, link %.2f ms\n",
-                 Sys.Units.size(), Sys.Channels.size(), Sys.Roots.size(),
-                 R.CompileMs, R.LinkMs);
+                 Linked->Units.size(), Linked->Channels.size(),
+                 Linked->Roots.size(), R.CompileMs, R.LinkMs);
+    Nested = &Linked->Fused;
+    ProcName = "linked_sys";
+    if (Stats)
+      printVmStats(*Nested);
 
     if (DumpInterface)
-      for (const LinkUnit &U : Sys.Units)
+      for (const LinkUnit &U : Linked->Units)
         std::fputs(U.Iface.dump().c_str(), stdout);
     if (DumpLink) {
-      std::fputs(Sys.dump().c_str(), stdout);
+      std::fputs(Linked->dump().c_str(), stdout);
       std::fputs("fused schedule:\n", stdout);
-      std::fputs(Sys.Fused.dump().c_str(), stdout);
+      std::fputs(Nested->dump().c_str(), stdout);
     }
-    if (EmitC) {
-      CEmitOptions EO;
-      EO.WithDriver = WithDriver;
-      std::fputs(emitLinkedC(Sys, "linked_sys", EO).c_str(), stdout);
+  } else {
+    CompileOptions Options;
+    Options.ProcessName = ProcessName;
+    C = compileSource(BufferName, std::move(Source), Options);
+
+    std::string Diags = C->Diags.render();
+    if (!Diags.empty())
+      std::fputs(Diags.c_str(), stderr);
+    if (!C->Ok) {
+      std::fprintf(stderr, "signalc: compilation failed during %s\n",
+                   C->failedStageName());
+      return 1;
     }
-    if (Simulate) {
-      TextEnvironment Env(Seed);
-      LinkedExecutor Exec(Sys);
-      bool Ran = Batch > 1 ? Exec.runBatched(Env, Simulate, Batch)
-                           : Exec.run(Env, Simulate);
-      if (!Ran) {
-        std::fprintf(stderr, "signalc: linked simulation stopped: %s\n",
-                     Exec.error().c_str());
-        return 1;
+
+    const StringInterner &Names = C->names();
+    ProcName = Names.spelling(C->Decl->Name);
+    // Status goes to stderr so stdout carries only the requested
+    // artifacts (in particular, `--emit-c > file.c` must produce
+    // compilable C).
+    std::fprintf(stderr,
+                 "process %s: %u signals, %u clock variables, %u clock "
+                 "classes alive, %u free clock(s)\n",
+                 ProcName.c_str(), C->Kernel->numSignals(),
+                 C->Clocks.numVars(),
+                 static_cast<unsigned>(C->Forest->dfsOrder().size()),
+                 static_cast<unsigned>(C->Forest->freeClocks().size()));
+    Nested = &C->Compiled;
+    // The guard lowering every run executes, picked once: --mode flat is
+    // Figure 9's flat code on the same VM, with the nested run's trace,
+    // identical executed counts and one guard test per guarded
+    // instruction. The native tier compiles only the nested lowering.
+    if (Mode == EngineMode::Flat) {
+      FlatStep =
+          CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+      if (Tier.Mode != NativeMode::Off) {
+        std::fprintf(stderr, "signalc: warning: --native needs the vm "
+                             "engine; running interpreted\n");
+        Tier.Mode = NativeMode::Off;
       }
-      std::printf("linked simulation (%u instants, seed %llu):\n", Simulate,
-                  static_cast<unsigned long long>(Seed));
-      putText(Env.text());
-      if (Stats)
-        printStats("vm", Simulate, Exec.executed(), Exec.guardTests());
     }
-    return 0;
+    if (Stats)
+      printCompileStats(*C, Mode == EngineMode::Flat ? FlatStep : *Nested);
+
+    if (DumpKernel)
+      std::printf("kernel:\n%s", C->Kernel->dump(Names).c_str());
+    if (DumpClocks)
+      std::printf("clock system:\n%s",
+                  C->Clocks.dump(*C->Kernel, Names).c_str());
+    if (DumpTree)
+      std::printf("clock forest:\n%s",
+                  C->Forest->dump(C->Clocks, *C->Kernel, Names).c_str());
+    if (DumpTreeDot)
+      std::fputs(C->Forest->toDot(C->Clocks, *C->Kernel, Names).c_str(),
+                 stdout);
+    if (DumpGraph)
+      std::printf("schedule:\n%s",
+                  C->Graph.dump(*C->Kernel, Names, *C->Forest, C->Clocks)
+                      .c_str());
+    if (DumpStep)
+      std::printf("step bytecode:\n%s", Nested->dump().c_str());
+    if (DumpInterface)
+      std::fputs(extractInterface(*C).dump().c_str(), stdout);
   }
-
-  CompileOptions Options;
-  Options.ProcessName = ProcessName;
-  auto C = compileSource(BufferName, std::move(Source), Options);
-
-  std::string Diags = C->Diags.render();
-  if (!Diags.empty())
-    std::fputs(Diags.c_str(), stderr);
-  if (!C->Ok) {
-    std::fprintf(stderr, "signalc: compilation failed during %s\n",
-                 C->failedStageName());
-    return 1;
-  }
-
-  const StringInterner &Names = C->names();
-  std::string ProcName(Names.spelling(C->Decl->Name));
-  // Status goes to stderr so stdout carries only the requested artifacts
-  // (in particular, `--emit-c > file.c` must produce compilable C).
-  std::fprintf(stderr,
-               "process %s: %u signals, %u clock variables, %u clock "
-               "classes alive, %u free clock(s)\n",
-               ProcName.c_str(), C->Kernel->numSignals(),
-               C->Clocks.numVars(),
-               static_cast<unsigned>(C->Forest->dfsOrder().size()),
-               static_cast<unsigned>(C->Forest->freeClocks().size()));
-  // The guard lowering every run executes, picked once: --mode flat is
-  // Figure 9's flat code on the same VM, with the nested run's trace,
-  // identical executed counts and one guard test per guarded
-  // instruction. The native tier compiles only the nested lowering.
-  CompiledStep FlatStep;
-  if (Mode == EngineMode::Flat) {
-    FlatStep = CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
-    if (Tier.Mode != NativeMode::Off) {
-      std::fprintf(stderr, "signalc: warning: --native needs the vm engine; "
-                           "running interpreted\n");
-      Tier.Mode = NativeMode::Off;
-    }
-  }
-  const CompiledStep &Step =
-      Mode == EngineMode::Flat ? FlatStep : C->Compiled;
-  if (Stats)
-    printCompileStats(*C, Step);
-
-  if (DumpKernel)
-    std::printf("kernel:\n%s", C->Kernel->dump(Names).c_str());
-  if (DumpClocks)
-    std::printf("clock system:\n%s",
-                C->Clocks.dump(*C->Kernel, Names).c_str());
-  if (DumpTree)
-    std::printf("clock forest:\n%s",
-                C->Forest->dump(C->Clocks, *C->Kernel, Names).c_str());
-  if (DumpTreeDot)
-    std::fputs(C->Forest->toDot(C->Clocks, *C->Kernel, Names).c_str(),
-               stdout);
-  if (DumpGraph)
-    std::printf("schedule:\n%s",
-                C->Graph.dump(*C->Kernel, Names, *C->Forest,
-                              C->Clocks)
-                    .c_str());
-  if (DumpStep)
-    std::printf("step bytecode:\n%s", C->Compiled.dump().c_str());
-  if (DumpInterface)
-    std::fputs(extractInterface(*C).dump().c_str(), stdout);
+  const CompiledStep &Step = Mode == EngineMode::Flat ? FlatStep : *Nested;
+  // Only a linked system's fused step carries clock checks; a run that a
+  // failed check stopped is reported and exits 1.
+  const char *RunKind = Linked ? "linked " : "";
+  auto stopped = [&](const SimulationTotals &T) {
+    for (const auto &[J, F] : T.Stops)
+      std::fprintf(stderr, "signalc: linked simulation stopped: %s%s\n",
+                   Fleet ? ("instance " + std::to_string(J) + ": ").c_str()
+                         : "",
+                   Linked->mismatchMessage(F).c_str());
+    return !T.Stops.empty();
+  };
 
   if (EmitC) {
     CEmitOptions EO;
     EO.WithDriver = WithDriver;
-    std::string CSource = emitC(C->Compiled, ProcName, EO);
-    std::fputs(CSource.c_str(), stdout);
+    std::fputs(emitC(*Nested, ProcName, EO).c_str(), stdout);
   }
 
   if (!ServeSock.empty()) {
@@ -656,8 +660,9 @@ int main(int Argc, char **Argv) {
       unsigned N = Env.prepare(At, Window);
       if (N == 0)
         break;
-      Exec.stepN(Env, At, N);
-      At += N;
+      At += Exec.stepN(Env, At, N);
+      if (Exec.checkFailure())
+        break;
     }
     if (Env.failed()) {
       std::fprintf(stderr, "signalc: %s: %s\n", ReplayFile.c_str(),
@@ -667,6 +672,11 @@ int main(int Argc, char **Argv) {
     if (!Env.divergence().empty()) {
       std::fprintf(stderr, "signalc: replay diverged from the trace: %s\n",
                    Env.divergence().c_str());
+      return 1;
+    }
+    if (const ClockCheckFailure &F = Exec.checkFailure()) {
+      std::fprintf(stderr, "signalc: linked simulation stopped: %s\n",
+                   Linked->mismatchMessage(F).c_str());
       return 1;
     }
     std::printf("replay (%u instants, %s): %llu output(s) match the trace\n",
@@ -697,17 +707,21 @@ int main(int Argc, char **Argv) {
     RecordingEnvironment Env(Rnd, Writer);
     SimulationTotals T =
         simulateFleet(Step, {&Env}, Simulate, Batch, /*Threads=*/1);
-    if (!Writer.finish(Simulate)) {
+    const unsigned Ran =
+        T.Stops.empty() ? Simulate : T.Stops[0].second.Instant + 1;
+    if (!Writer.finish(Ran)) {
       // The sink latched the first failure with its byte position.
       std::fprintf(stderr, "signalc: write failed on '%s' %s\n",
                    RecordFile.c_str(), Sink.errorDetail().c_str());
       return 2;
     }
-    std::fprintf(stderr, "recorded %u instant(s) to %s\n", Simulate,
+    std::fprintf(stderr, "recorded %u instant(s) to %s\n", Ran,
                  RecordFile.c_str());
-    std::printf("simulation (%u instants, seed %llu):\n", Simulate,
-                static_cast<unsigned long long>(Seed));
+    std::printf("%ssimulation (%u instants, seed %llu):\n", RunKind,
+                Simulate, static_cast<unsigned long long>(Seed));
     putText(Rnd.text());
+    if (stopped(T))
+      return 1;
     if (Stats)
       printStats(ModeName, Simulate, T.Executed, T.GuardTests);
     return 0;
@@ -736,7 +750,7 @@ int main(int Argc, char **Argv) {
     // state block and maintains the counters VM-exactly.
     std::unique_ptr<TierController> TC;
     if (Tier.Mode != NativeMode::Off) {
-      TC = std::make_unique<TierController>(C->Compiled, Tier);
+      TC = std::make_unique<TierController>(*Nested, Tier);
       if (!TC->start()) {
         std::fprintf(stderr, "signalc: --native force failed: %s\n",
                      TC->error().c_str());
@@ -752,21 +766,25 @@ int main(int Argc, char **Argv) {
         printTierStats(*TC);
     }
     if (!Fleet) {
-      std::printf("simulation (%u instants, seed %llu):\n", Simulate,
-                  static_cast<unsigned long long>(Seed));
+      std::printf("%ssimulation (%u instants, seed %llu):\n", RunKind,
+                  Simulate, static_cast<unsigned long long>(Seed));
       putText(Owned[0]->text());
+      if (stopped(T))
+        return 1;
       if (Stats)
         printStats(ModeName, Simulate, T.Executed, T.GuardTests);
       return 0;
     }
-    std::printf("fleet simulation (%u instances, %u instants, seed %llu, "
+    std::printf("%sfleet simulation (%u instances, %u instants, seed %llu, "
                 "%u thread(s)):\n",
-                Fleet, Simulate, static_cast<unsigned long long>(Seed),
-                Threads);
+                RunKind, Fleet, Simulate,
+                static_cast<unsigned long long>(Seed), Threads);
     for (unsigned J = 0; J < Fleet; ++J) {
       std::printf("instance %u:\n", J);
       putText(Owned[J]->text());
     }
+    if (stopped(T))
+      return 1;
     if (Stats)
       printStats("fleet", Simulate * Fleet, T.Executed, T.GuardTests);
   }

@@ -75,11 +75,14 @@ SimulationTotals runShard(const CompiledStep &CS,
         Gate.poll();
       if (!Vm.native())
         Vm.setNative(Gate.promotion(At));
-      unsigned N = std::min(Window, Instants - At);
-      Vm.stepN(Env, At, N);
+      unsigned N = Vm.stepN(Env, At, std::min(Window, Instants - At));
       if (Gate.enabled())
         (Vm.native() ? T.NativeInstants : T.VmInstants) += N;
       At += N;
+      if (Vm.checkFailure()) {
+        T.Stops.push_back({J, Vm.checkFailure()});
+        break;
+      }
     }
     T.Executed += Vm.executed();
     T.GuardTests += Vm.guardTests();
@@ -121,6 +124,7 @@ SimulationTotals sigc::simulateFleet(const CompiledStep &CS,
     Sum.GuardTests += T.GuardTests;
     Sum.VmInstants += T.VmInstants;
     Sum.NativeInstants += T.NativeInstants;
+    Sum.Stops.insert(Sum.Stops.end(), T.Stops.begin(), T.Stops.end());
   }
   return Sum;
 }

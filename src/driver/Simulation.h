@@ -12,6 +12,9 @@
 /// Every instance runs in stepN windows of the batch size (8 when
 /// unbatched); stepN is trace- and counter-identical to step(), so the
 /// window only decides how often the environment boundary is crossed.
+/// An instance whose step fails a clock check (a linked system's
+/// dynamic channel check) stops after that instant, as an unbatched run
+/// would; the others run on.
 /// With a tier controller each instance starts on the VM and, once the
 /// native module is loaded, attaches it at its first window boundary at
 /// or past the controller's warm-up threshold; both tiers run on the
@@ -34,6 +37,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sigc {
@@ -67,6 +71,8 @@ struct SimulationTotals {
   uint64_t GuardTests = 0;
   uint64_t VmInstants = 0;     ///< Instants run on the VM (tiered runs).
   uint64_t NativeInstants = 0; ///< Instants run natively (tiered runs).
+  /// Instances stopped by a failed clock check, in instance order.
+  std::vector<std::pair<unsigned, ClockCheckFailure>> Stops;
 };
 
 /// Runs \p Instants instants of \p CS against each of \p Envs (one

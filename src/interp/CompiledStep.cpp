@@ -48,6 +48,8 @@ const char *sigc::vmOpName(VmOp Op) {
     return "store-delay";
   case VmOp::WriteOutput:
     return "write";
+  case VmOp::CheckClockEq:
+    return "check-clock-eq";
   }
   return "?";
 }
@@ -466,6 +468,7 @@ std::vector<InstrKinds> CompiledStep::kinds() const {
     case VmOp::EvalClockDiff:
     case VmOp::CopyClock:
     case VmOp::SetClockFalse:
+    case VmOp::CheckClockEq:
       continue; // No value operand, no value result.
     case VmOp::EvalClockLiteral:
     case VmOp::StoreDelay:

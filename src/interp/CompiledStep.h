@@ -75,9 +75,39 @@ enum class VmOp : uint8_t {
   LoadDelay,      ///< value[Target] := state[A]
   StoreDelay,     ///< state[Target] := value[A]
   WriteOutput,    ///< env output of output desc Aux := value[A].
+  /// Unless clock[A] == clock[B], the instant ends here and the step
+  /// reports check Aux (a negative slot reads as absent). A linked
+  /// system's dynamic channel check; weighs 0.
+  CheckClockEq,
 };
 
 const char *vmOpName(VmOp Op);
+
+/// A failed CheckClockEq: the instant it failed in, its Aux, and which
+/// side's clock was the present one.
+struct ClockCheckFailure {
+  unsigned Instant = 0;
+  int32_t Check = -1;    ///< The op's Aux; -1 when no check failed.
+  bool APresent = false; ///< clock[A] was present, clock[B] absent.
+
+  explicit operator bool() const { return Check >= 0; }
+
+  /// The code a step reports a failure of check \p Check with when
+  /// \p APresent: 0 means no failure, +(Check + 1) a present A and
+  /// -(Check + 1) a present B. The VM and the emitted `<proc>_step`
+  /// share it.
+  static int32_t code(int32_t Check, bool APresent) {
+    return APresent ? Check + 1 : -(Check + 1);
+  }
+  /// The failure reported by the nonzero \p Code at \p Instant.
+  static ClockCheckFailure fromCode(int32_t Code, unsigned Instant) {
+    ClockCheckFailure F;
+    F.Instant = Instant;
+    F.APresent = Code > 0;
+    F.Check = (Code > 0 ? Code : -Code) - 1;
+    return F;
+  }
+};
 
 /// One VM instruction; meanings of the fields depend on the opcode.
 struct VmInstr {
@@ -133,14 +163,14 @@ struct CompiledStep {
   std::vector<Value> Consts; ///< Constant pool.
 
   /// Environment-facing descriptors, copied from the StepProgram so a
-  /// CompiledStep is self-contained (the linked executor keeps one per
-  /// unit without holding the whole compilation).
+  /// CompiledStep is self-contained (a linked system's fused step has no
+  /// StepProgram of its own).
   std::vector<StepProgram::ClockInputDesc> ClockInputs;
   std::vector<StepProgram::SignalIODesc> Inputs;
   std::vector<StepProgram::SignalIODesc> Outputs;
 
-  /// Per-signal clock slot (-1 when empty); the linked executor's dynamic
-  /// presence check reads it.
+  /// Per-signal clock slot (-1 when empty); StepFusion's dynamic channel
+  /// checks (CheckClockEq) read it.
   std::vector<int> SignalClockSlot;
 
   /// Declared type of each value slot (scratch slots excluded); the C

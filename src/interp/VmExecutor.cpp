@@ -91,9 +91,9 @@ struct BatchPort {
 // Every body runs after `In = Code[PC++]` and `Exec += In.Weight`, in a
 // scope that also sees the slot file S, the state block Block and its
 // delay states State, the clock slots Clock, the port P, the instant,
-// and the guard counter Guards. Jumps assign PC. Bodies may contain
-// commas — the macro is variadic. The handler ids are positional in
-// this list.
+// the guard counter Guards and the failed-check code Failed. Jumps
+// assign PC. Bodies may contain commas — the macro is variadic. The
+// handler ids are positional in this list.
 //
 // The typed handlers come from two tables, X(Y, Name, Operator, operand
 // class, result field, expression over the operand slots a and b). Each
@@ -161,7 +161,7 @@ struct BatchPort {
 
 #define SIGC_VM_OPS(X)                                                         \
   X(Halt, Block[0].I = static_cast<int64_t>(Guards);                          \
-    Block[1].I = static_cast<int64_t>(Exec); return;)                          \
+    Block[1].I = static_cast<int64_t>(Exec); return Failed;)                   \
   X(SkipIfAbsent, ++Guards; if (!Clock[In.A]) PC = In.Aux;)                    \
   X(ClockLiteralT, Clock[In.Target] = S[In.A].I != 0;)                         \
   X(ClockLiteralF, Clock[In.Target] = S[In.A].I == 0;)                         \
@@ -178,6 +178,10 @@ struct BatchPort {
   X(Copy, S[In.Target] = S[In.A];)                                             \
   X(LoadDelay, S[In.Target] = State[In.A];)                                    \
   X(WriteOutput, P.output(In.Aux, Instant, S[In.A], kindOf(In.KB));)          \
+  X(CheckClockEq, if (Clock[In.A] != Clock[In.B]) {                            \
+    Failed = ClockCheckFailure::code(In.Aux, Clock[In.A] != 0);                \
+    PC = In.Target;                                                            \
+  })                                                                           \
   SIGC_VM_RUN_OPS(SIGC_VM_RUN_BODIES, X)                                       \
   SIGC_VM_UNARY_OPS(SIGC_VM_UNARY_BODY, X)                                     \
   SIGC_VM_BINARY_OPS(SIGC_VM_BINARY_BODY, X)                                   \
@@ -321,6 +325,7 @@ void VmExecutor::decode() {
   const std::vector<InstrKinds> Kinds = CS.kinds();
   const int32_t ConstBase =
       static_cast<int32_t>(CS.NumValueSlots + CS.NumTempSlots);
+  const int32_t AbsentClock = static_cast<int32_t>(CS.NumClockSlots);
   const size_t N = CS.Code.size();
   Stats = VmDecodeStats();
   Code.assign(N + 1, Instr()); // The last entry stays the Halt sentinel.
@@ -421,6 +426,14 @@ void VmExecutor::decode() {
                                                      : H_WriteOutputGeneric;
       break;
     }
+    case VmOp::CheckClockEq:
+      // A negative slot reads the clock slot past the step's own, which
+      // nothing writes; a failure jumps to the Halt sentinel.
+      D.Op = H_CheckClockEq;
+      D.A = V.A >= 0 ? V.A : AbsentClock;
+      D.B = V.B >= 0 ? V.B : AbsentClock;
+      D.Target = static_cast<int32_t>(N);
+      break;
     }
     if (isGeneric(D.Op))
       ++Stats.Generic;
@@ -449,7 +462,8 @@ void VmExecutor::decode() {
 }
 
 void VmExecutor::reset() {
-  ClockSlots.assign(CS.NumClockSlots, 0);
+  // One slot past the step's clocks stays absent (see decode).
+  ClockSlots.assign(CS.NumClockSlots + 1, 0);
   // Scratch slots for interior expression results live after the values,
   // the constant pool after the scratch slots.
   const size_t ConstBase = CS.NumValueSlots + CS.NumTempSlots;
@@ -489,7 +503,7 @@ void VmExecutor::bind(Environment &Env) {
 }
 
 template <typename Port>
-void VmExecutor::execInstant(Port &P, unsigned Instant) {
+int32_t VmExecutor::execInstant(Port &P, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
@@ -500,6 +514,7 @@ void VmExecutor::execInstant(Port &P, unsigned Instant) {
   VmSlot *State = Block + CounterSlots;
   uint64_t Guards = static_cast<uint64_t>(Block[0].I);
   uint64_t Exec = static_cast<uint64_t>(Block[1].I);
+  int32_t Failed = 0;
 
   // No bounds test: the stream ends in the Halt sentinel.
   int32_t PC = 0;
@@ -540,13 +555,18 @@ void VmExecutor::execInstant(Port &P, unsigned Instant) {
 #endif
 }
 
-void VmExecutor::step(Environment &Env, unsigned Instant) {
-  if (Native)
-    return stepN(Env, Instant, 1);
+bool VmExecutor::step(Environment &Env, unsigned Instant) {
+  if (Native) {
+    stepN(Env, Instant, 1);
+    return !Failure;
+  }
   if (Env.identity() != BoundIdentity)
     bind(Env);
   DirectPort P{Env, Bind};
-  execInstant(P, Instant);
+  Failure = ClockCheckFailure();
+  if (int32_t Code = execInstant(P, Instant))
+    Failure = ClockCheckFailure::fromCode(Code, Instant);
+  return !Failure;
 }
 
 void VmExecutor::reserveBatch(unsigned MaxCount) {
@@ -558,17 +578,13 @@ void VmExecutor::reserveBatch(unsigned MaxCount) {
   OutPresent.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), 0);
   OutSlots.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(),
                   VmSlot{0});
-  WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(BatchCap), 0);
 }
 
-void VmExecutor::setWatchSlots(std::vector<int> Slots) {
-  WatchSlots = std::move(Slots);
-  WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(BatchCap), 0);
-}
-
-void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
+unsigned VmExecutor::stepN(Environment &Env, unsigned Start,
+                           unsigned Count) {
+  Failure = ClockCheckFailure();
   if (Count == 0)
-    return;
+    return 0;
   if (Env.identity() != BoundIdentity)
     bind(Env);
   reserveBatch(Count);
@@ -584,11 +600,15 @@ void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   std::fill(OutPresent.begin(),
             OutPresent.begin() + static_cast<size_t>(Count) * NumOut, 0);
 
+  // A failed check ends the window after its instant.
+  unsigned Ran = Count;
+  int32_t Code = 0;
   if (Native) {
     // The native step runs on the state block itself and fills the same
     // flush rows the interpreter would.
-    Native->run(Block.data(), TickBuf.data(), BatchCap, InSlots.data(),
-                BatchCap, OutPresent.data(), OutSlots.data(), Count);
+    Ran = Native->run(Block.data(), TickBuf.data(), BatchCap, InSlots.data(),
+                      BatchCap, OutPresent.data(), OutSlots.data(), Count,
+                      Code);
   } else {
     BatchPort P;
     P.Ticks = TickBuf.data();
@@ -601,27 +621,37 @@ void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
 
     for (unsigned I = 0; I < Count; ++I) {
       P.I = I;
-      execInstant(P, Start + I);
-      for (size_t W = 0; W < WatchSlots.size(); ++W)
-        WatchBuf[W * BatchCap + I] =
-            WatchSlots[W] >= 0 ? ClockSlots[WatchSlots[W]] : 0;
+      if ((Code = execInstant(P, Start + I))) {
+        Ran = I + 1;
+        break;
+      }
     }
   }
+  if (Code)
+    Failure = ClockCheckFailure::fromCode(Code, Start + Ran - 1);
 
-  // One crossing back: flush the batch's outputs in unbatched order.
-  Env.exchangeOutputs(Start, Count, NumOut, FlushIds.data(),
-                      OutPresent.data(), OutSlots.data());
+  // One crossing back: flush the window's outputs in unbatched order, up
+  // to and including a failed check's instant.
+  Env.exchangeOutputs(Start, Ran, NumOut, FlushIds.data(), OutPresent.data(),
+                      OutSlots.data());
+  return Ran;
 }
 
-void VmExecutor::run(Environment &Env, unsigned Count) {
+unsigned VmExecutor::run(Environment &Env, unsigned Count) {
   for (unsigned I = 0; I < Count; ++I)
-    step(Env, I);
+    if (!step(Env, I))
+      return I + 1;
+  return Count;
 }
 
-void VmExecutor::runBatched(Environment &Env, unsigned Count,
-                            unsigned BatchSize) {
+unsigned VmExecutor::runBatched(Environment &Env, unsigned Count,
+                                unsigned BatchSize) {
   if (BatchSize == 0)
     BatchSize = 1;
-  for (unsigned Start = 0; Start < Count; Start += BatchSize)
-    stepN(Env, Start, std::min(BatchSize, Count - Start));
+  for (unsigned Start = 0; Start < Count;) {
+    Start += stepN(Env, Start, std::min(BatchSize, Count - Start));
+    if (Failure)
+      return Start;
+  }
+  return Count;
 }

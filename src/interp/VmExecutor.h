@@ -50,6 +50,12 @@
 /// record them. Slots stay hot across the batch; traces and counters are
 /// bit-identical to N calls of step().
 ///
+/// Clock checks. A CheckClockEq that fails (a linked system's dynamic
+/// channel check) ends its instant; stepN then stops after that instant,
+/// flushes the rows up to and including it, reports it through
+/// checkFailure() and returns how many instants it ran, so a batched
+/// run stops exactly where an unbatched one does.
+///
 /// The guard/instruction counters count what the step's lowering asks
 /// for: one guard test per SkipIfAbsent reached, one executed
 /// instruction per step instruction run. Running the nested and the
@@ -59,9 +65,10 @@
 /// Native mode. With a NativeModule attached, stepN keeps its prefetch,
 /// binding and flush but runs the module's compiled step on the state
 /// block instead of the interpreter loop. The module reads the same input
-/// columns and fills the same flush rows the interpreter would, so both
-/// tiers share one batch buffer pair and the environment receives the
-/// same declared-type slots from either. Traces and counters are the
+/// columns and fills the same flush rows the interpreter would, and stops
+/// after the same failed clock check, so both tiers share one batch
+/// buffer pair and the environment receives the same declared-type slots
+/// from either. Traces and counters are the
 /// interpreter's, so attaching or detaching at any batch boundary is
 /// invisible, down to the text of every output.
 ///
@@ -138,36 +145,33 @@ public:
 
   /// Runs one reaction. \p Instant tags environment queries and outputs.
   /// With a native module attached this is stepN(Env, Instant, 1).
-  void step(Environment &Env, unsigned Instant);
+  /// \returns false when a clock check failed (see checkFailure()).
+  bool step(Environment &Env, unsigned Instant);
 
   /// Runs \p Count reactions starting at instant \p Start, crossing the
   /// environment boundary once per descriptor per batch (bulk tick and
   /// input prefetch, one output flush). Trace and counters equal \p Count
   /// calls of step(). Allocation-free once the batch buffers exist (see
-  /// reserveBatch).
-  void stepN(Environment &Env, unsigned Start, unsigned Count);
+  /// reserveBatch). \returns the instants run: \p Count, or fewer when a
+  /// clock check failed (see the file comment).
+  unsigned stepN(Environment &Env, unsigned Start, unsigned Count);
 
-  /// Runs \p Count reactions starting at instant 0.
-  void run(Environment &Env, unsigned Count);
+  /// Runs \p Count reactions starting at instant 0. \returns the instants
+  /// run (fewer than \p Count after a failed clock check).
+  unsigned run(Environment &Env, unsigned Count);
 
   /// Runs \p Count reactions starting at instant 0, stepN-batched in
-  /// windows of \p BatchSize.
-  void runBatched(Environment &Env, unsigned Count, unsigned BatchSize);
+  /// windows of \p BatchSize. \returns the instants run.
+  unsigned runBatched(Environment &Env, unsigned Count, unsigned BatchSize);
+
+  /// The clock check that failed in the last step() or stepN(); false
+  /// when none did.
+  const ClockCheckFailure &checkFailure() const { return Failure; }
 
   /// Preallocates the batch buffers for batches of up to \p MaxCount
   /// instants; stepN grows them on demand otherwise (a one-time
   /// allocation, after which stepN is allocation-free).
   void reserveBatch(unsigned MaxCount);
-
-  /// Clock slots whose presence stepN records per instant (the linked
-  /// executor's dynamic channel checks read them back; interpreted runs
-  /// only).
-  void setWatchSlots(std::vector<int> Slots);
-  /// Presence of watch slot \p Watch at batch-relative instant \p I of
-  /// the last stepN.
-  bool watchPresence(size_t Watch, unsigned I) const {
-    return WatchBuf[Watch * BatchCap + I] != 0;
-  }
 
   /// Guard tests performed so far (one per SkipIfAbsent reached).
   uint64_t guardTests() const { return static_cast<uint64_t>(Block[0].I); }
@@ -178,11 +182,6 @@ public:
     Block[1].I = 0;
   }
 
-  /// Post-step inspection (linked dynamic checks).
-  bool clockPresent(int Slot) const { return ClockSlots[Slot] != 0; }
-
-  /// The environment binding of the last bind() (linked wiring reads it).
-  const StepBindings &bindings() const { return Bind; }
 
   //===--- State exchange (checkpoints, tests) ----------------------------===//
 
@@ -198,8 +197,9 @@ public:
 
 private:
   /// One instant's PC walk; \p Port supplies ticks/inputs and receives
-  /// outputs (direct environment queries or batch buffers).
-  template <typename Port> void execInstant(Port &P, unsigned Instant);
+  /// outputs (direct environment queries or batch buffers). \returns 0,
+  /// or the ClockCheckFailure::code of the check that ended the instant.
+  template <typename Port> int32_t execInstant(Port &P, unsigned Instant);
 
   /// Fills Code from CS.Code (see the file comment).
   void decode();
@@ -229,10 +229,11 @@ private:
   VmDecodeStats Stats;
   uint64_t BoundIdentity = 0; ///< identity() of the bound environment.
   StepBindings Bind;
-  std::vector<char> ClockSlots;
+  std::vector<char> ClockSlots; ///< The step's, then one always absent.
   std::vector<VmSlot> Slots; ///< Values, then scratch, then constants.
   std::vector<VmSlot> Block; ///< The state block (see the file comment).
   const NativeModule *Native = nullptr;
+  ClockCheckFailure Failure;
 
   //===--- Batch state (shared by both tiers) ----------------------------===//
   unsigned BatchCap = 0;               ///< Capacity of all batch buffers.
@@ -242,8 +243,6 @@ private:
   std::vector<VmSlot> OutSlots;          ///< [instant][flush position].
   std::vector<int32_t> FlushPos;       ///< Output desc -> flush position.
   std::vector<EnvOutputId> FlushIds;   ///< Flush position -> bound env id.
-  std::vector<int> WatchSlots;
-  std::vector<unsigned char> WatchBuf; ///< [watch][instant].
 };
 
 } // namespace sigc

@@ -161,6 +161,12 @@ void TraceWriter::completeThrough(unsigned End) {
 bool TraceWriter::finish(unsigned TotalInstants) {
   assert(!Finished && "trace writer finished twice");
   completeThrough(TotalInstants);
+  // A run that a failed clock check stopped has prefetched stimulus past
+  // its last instant; a frame that starts there holds none of the trace.
+  while (!Pending.empty() && Pending.back().Start >= TotalInstants) {
+    FreeFrames.push_back(std::move(Pending.back()));
+    Pending.pop_back();
+  }
   if (!Pending.empty()) {
     TraceFrame &F = Pending.front();
     assert(F.Start < TotalInstants && "pending frame beyond the trace end");

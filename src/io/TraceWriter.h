@@ -118,7 +118,8 @@ public:
   void completeThrough(unsigned End);
 
   /// Flushes the final partial frame (if any) and the trailer for a
-  /// trace of \p TotalInstants. No data may be put after this.
+  /// trace of \p TotalInstants, dropping stimulus put past that end (a
+  /// run a failed clock check stopped). No data may be put after this.
   /// \returns false if any sink write failed (also queryable via ok()).
   bool finish(unsigned TotalInstants);
 

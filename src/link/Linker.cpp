@@ -63,6 +63,16 @@ const LinkChannel *LinkedSystem::channelInto(unsigned Unit,
   return nullptr;
 }
 
+std::string LinkedSystem::mismatchMessage(const ClockCheckFailure &F) const {
+  const LinkChannel &Ch = Channels[F.Check];
+  bool ConsumerPresent = F.APresent;
+  return "instant " + std::to_string(F.Instant) + ": channel '" + Ch.Name +
+         "' clock mismatch — producer '" + Units[Ch.Producer].Name +
+         (ConsumerPresent ? "' was silent" : "' emitted") +
+         " while consumer '" + Units[Ch.Consumer].Name +
+         (ConsumerPresent ? "' expected a value" : "' expected silence");
+}
+
 std::string LinkedSystem::dump() const {
   std::string Out = "linked system: " + std::to_string(Units.size()) +
                     " process(es), " + std::to_string(Channels.size()) +
@@ -377,7 +387,6 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
   if (!Fusion.Ok)
     return fail(std::move(Fusion.Error));
   Sys->Fused = std::move(Fusion.Fused);
-  Sys->DynChecks = std::move(Fusion.DynChecks);
   Sys->Order = std::move(Fusion.Order);
 
   LinkResult R;

@@ -29,12 +29,12 @@
 ///   5. the linked system's own interface: unbound free clocks become the
 ///      system's roots, unmatched imports/exports its external signals.
 ///
-/// The linked system executes by running the fused CompiledStep on the
-/// ordinary slot VM — LinkedExecutor in src/interp/ is a thin shim over
-/// VmExecutor that adds the dynamic clock checks for consumer-derived
-/// import clocks, and emitLinkedC in LinkEmitter.h emits the fused
-/// bytecode through the single CEmitter lowering (so the batch entry
-/// point comes for free).
+/// The linked system is its fused CompiledStep: every engine that runs a
+/// single process runs it (the VM, its native twin, the C emitter, the
+/// record/replay and fleet paths), under the name `linked_sys` in the
+/// CLI. A channel the linker could not bind statically is checked in
+/// the bytecode itself (a CheckClockEq at the end of the fused step),
+/// and mismatchMessage() renders a failed check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,8 +67,8 @@ struct LinkChannel {
   /// Index into the consumer Step's ClockInputs bound by this channel:
   /// the consumer's clock class of the import is a free root, so its tick
   /// is simply the producer's presence. -1 when the consumer *derives*
-  /// the import's clock itself; the executor then checks, each instant,
-  /// that both sides agree (a dynamic clock-constraint check).
+  /// the import's clock itself; the fused step then checks, each
+  /// instant, that both sides agree (a dynamic clock-constraint check).
   int ConsumerClockInput = -1;
   /// Index into the producer Step's Outputs descriptor table, resolved at
   /// link time so executors wire channels by array index, never by name.
@@ -111,15 +111,10 @@ struct LinkedSystem {
   /// dependence order, channels rewired to plain CopyClock/CopyValue.
   CompiledStep Fused;
 
-  /// A channel whose consumer *derives* the import's clock itself
-  /// (LinkChannel::ConsumerClockInput == -1): each instant, both sides'
-  /// presence bits must agree. Slots index into Fused's clock space.
-  struct DynCheck {
-    unsigned Channel = 0; ///< Index into Channels.
-    int ConsumerSlot = 0; ///< Fused clock slot of the consumer's clock.
-    int ProducerSlot = 0; ///< Fused clock slot of the producer's clock.
-  };
-  std::vector<DynCheck> DynChecks;
+  /// The diagnostic for the fused step's failed dynamic channel check
+  /// \p F: its Check is the channel index, its operand A the consumer's
+  /// clock and B the producer's (the CheckClockEq StepFusion emits).
+  std::string mismatchMessage(const ClockCheckFailure &F) const;
 
   /// Endochrony of the *system*: a single unbound root paces everything.
   bool endochronous() const { return Roots.size() == 1; }

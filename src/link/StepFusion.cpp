@@ -144,10 +144,10 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   }
 
   // --- Fused descriptor tables -------------------------------------------
-  // Unbound clock inputs and unbound inputs dedup by name (the executor
-  // and the C interface both pace same-named roots/inputs from one
-  // environment stream); outputs are one per external output, in
-  // ExternalOutputs order. The names line up with linkedCInterface.
+  // Unbound clock inputs and unbound inputs dedup by name (the VM's
+  // name-keyed environment binding and the emitted C's struct fields
+  // both pace same-named roots/inputs from one stream); outputs are one
+  // per external output, in ExternalOutputs order.
   std::map<std::string, int> ClockDescByName, InDescByName;
   std::vector<std::map<int, int>> CIMap(NU), InMap(NU), OutMap(NU);
   for (size_t U = 0; U < NU; ++U) {
@@ -341,7 +341,8 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
         FI.In.A = mapValue(U, In.A);
         break;
       case VmOp::SkipIfAbsent:
-        break; // Handled above.
+      case VmOp::CheckClockEq:
+        break; // Skips are handled above; units carry no checks.
       }
       Lists[U].push_back(std::move(FI));
     }
@@ -630,6 +631,9 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
       F.OutputFlushOrder.push_back(static_cast<int32_t>(I));
 
   // --- Dynamic checks ----------------------------------------------------
+  // A channel whose consumer derives the import's clock itself: at the
+  // end of every instant both sides must agree on presence. Unguarded,
+  // after everything else, so a failed check ends a completed instant.
   for (size_t C = 0; C < Sys.Channels.size(); ++C) {
     const LinkChannel &Ch = Sys.Channels[C];
     if (Ch.ConsumerClockInput >= 0)
@@ -638,11 +642,13 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     const CompiledStep &PCS = Sys.Units[Ch.Producer].Comp->Compiled;
     int CSlot = CCS.SignalClockSlot[Ch.ConsumerSig];
     int PSlot = PCS.Outputs[Ch.ProducerOutput].ClockSlot;
-    LinkedSystem::DynCheck D;
-    D.Channel = static_cast<unsigned>(C);
-    D.ConsumerSlot = CSlot >= 0 ? mapClock(Ch.Consumer, CSlot) : -1;
-    D.ProducerSlot = PSlot >= 0 ? mapClock(Ch.Producer, PSlot) : -1;
-    R.DynChecks.push_back(D);
+    VmInstr Check;
+    Check.Op = VmOp::CheckClockEq;
+    Check.Weight = 0;
+    Check.A = CSlot >= 0 ? mapClock(Ch.Consumer, CSlot) : -1;
+    Check.B = PSlot >= 0 ? mapClock(Ch.Producer, PSlot) : -1;
+    Check.Aux = static_cast<int32_t>(C);
+    F.Code.push_back(Check);
   }
 
   // --- Unit order by first fused instruction -----------------------------

@@ -16,7 +16,9 @@
 ///   * dynamic channels (consumer derives the clock itself) get a
 ///     typed-zero prelude on the producer's export slot, so a mismatch
 ///     instant reads a type-correct zero rather than stale garbage, plus
-///     a DynCheck record the executor verifies after each instant.
+///     an unguarded CheckClockEq of the consumer's clock against the
+///     producer's at the end of the step (Aux = the channel index), so
+///     every engine that runs the fused step stops on a mismatch.
 ///
 /// Scheduling works on per-unit instruction queues: intra-unit order is
 /// preserved wholesale, and the only cross-unit edges are the rewired
@@ -42,7 +44,6 @@ struct FusionResult {
   bool Ok = false;
   std::string Error; ///< Cycle diagnostic (names the channel path).
   CompiledStep Fused;
-  std::vector<LinkedSystem::DynCheck> DynChecks;
   /// Units ordered by first fused instruction (equals the unit-level
   /// topological order whenever one exists).
   std::vector<unsigned> Order;

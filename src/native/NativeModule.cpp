@@ -42,11 +42,12 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
   // Scalar batch entry on the host's state block: columnar strided
   // stimulus (the VmExecutor batch buffer layout), row-major
   // flush-ordered outputs. The emitted step memsets its out struct, so
-  // absent outputs read as present=0/value=0.
-  Out += "void sigc_native_run(void *stv, const unsigned char *ticks, "
+  // absent outputs read as present=0/value=0. A failed clock check
+  // stops the batch after its instant's rows.
+  Out += "unsigned sigc_native_run(void *stv, const unsigned char *ticks, "
          "unsigned long tick_stride, const sigc_unit_slot_t *ins, "
          "unsigned long in_stride, unsigned char *outp, sigc_unit_slot_t "
-         "*outv, unsigned count) {\n"
+         "*outv, unsigned count, int *check) {\n"
          "  sigc_unit_state_t *st = (sigc_unit_state_t *)stv;\n"
          "  sigc_unit_in_t in_s;\n"
          "  sigc_unit_out_t out_s;\n"
@@ -64,7 +65,7 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
            std::to_string(D) + "ul * in_stride + i]." + slotMember(SI.Type) +
            ";\n";
   }
-  Out += "    sigc_unit_step(st, &in_s, &out_s);\n";
+  Out += "    int r = sigc_unit_step(st, &in_s, &out_s);\n";
   for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos) {
     const auto &SO = CS.Outputs[CS.OutputFlushOrder[Pos]];
     std::string Id = sanitizeIdent(SO.Name);
@@ -74,7 +75,8 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
     Out += "    outv[" + At + "]." + slotMember(SO.Type) + " = out_s." + Id +
            ";\n";
   }
-  Out += "  }\n}\n";
+  Out += "    if (r) {\n      *check = r;\n      return i + 1;\n    }\n";
+  Out += "  }\n  return count;\n}\n";
   return Out;
 }
 

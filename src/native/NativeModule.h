@@ -14,7 +14,9 @@
 ///   * `sigc_native_run` runs a batch on a state block the host owns:
 ///     columnar, strided tick/input buffers (exactly the VmExecutor batch
 ///     layout) go through `sigc_unit_step`, and presence/value output
-///     rows come back in flush order.
+///     rows come back in flush order. It returns the instants it ran: a
+///     failed clock check stops the batch after its instant, whose code
+///     it stores through its last argument.
 ///
 /// The emitted state struct is the VM's state block byte for byte (two
 /// 8-byte counters, then one 8-byte slot per delay), so the host hands
@@ -69,11 +71,18 @@ public:
   /// Runs \p Count instants on the state block \p State (the layout of
   /// VmExecutor's): Ticks[d * TickStride + i] and Ins[d * InStride + i]
   /// are columnar over descriptors, OutPresent and Outs are row-major
-  /// [i * NumOutputs + flush position].
-  void run(VmSlot *State, const unsigned char *Ticks,
-           unsigned long TickStride, const VmSlot *Ins, unsigned long InStride,
-           unsigned char *OutPresent, VmSlot *Outs, unsigned Count) const {
-    RunFn(State, Ticks, TickStride, Ins, InStride, OutPresent, Outs, Count);
+  /// [i * NumOutputs + flush position]. \returns the instants run;
+  /// \p CheckCode is 0, or the ClockCheckFailure::code of the check that
+  /// failed in the last of them and stopped the batch.
+  unsigned run(VmSlot *State, const unsigned char *Ticks,
+               unsigned long TickStride, const VmSlot *Ins,
+               unsigned long InStride, unsigned char *OutPresent, VmSlot *Outs,
+               unsigned Count, int32_t &CheckCode) const {
+    int Code = 0;
+    unsigned Ran = RunFn(State, Ticks, TickStride, Ins, InStride, OutPresent,
+                         Outs, Count, &Code);
+    CheckCode = Code;
+    return Ran;
   }
 
 private:
@@ -87,9 +96,9 @@ private:
   const char *(*FlagsFn)() = nullptr;
   unsigned long (*StateBytesFn)() = nullptr;
   unsigned (*NumStateFn)() = nullptr;
-  void (*RunFn)(VmSlot *, const unsigned char *, unsigned long,
-                const VmSlot *, unsigned long, unsigned char *, VmSlot *,
-                unsigned) = nullptr;
+  unsigned (*RunFn)(VmSlot *, const unsigned char *, unsigned long,
+                    const VmSlot *, unsigned long, unsigned char *, VmSlot *,
+                    unsigned, int *) = nullptr;
 };
 
 } // namespace sigc

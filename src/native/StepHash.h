@@ -30,8 +30,9 @@ namespace sigc {
 /// truth values instead of folding to unequal. Version 3: the lane-swept
 /// fleet entry points are gone from the shim. Version 4: the state
 /// struct is the VM's slot block and the shim's state and counter
-/// accessors are gone.
-constexpr int NativeFormatVersion = 4;
+/// accessors are gone. Version 5: the step and the run entry report a
+/// failed clock check (CheckClockEq) and the instants they ran.
+constexpr int NativeFormatVersion = 5;
 
 /// The flags every cached artifact is compiled with (part of the hash, so
 /// changing them invalidates the cache).

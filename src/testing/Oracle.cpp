@@ -6,10 +6,8 @@
 #include "driver/Driver.h"
 #include "interp/Environment.h"
 #include "interp/KernelInterp.h"
-#include "interp/LinkedExecutor.h"
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
-#include "link/LinkEmitter.h"
 #include "native/NativeCache.h"
 #include "native/StepHash.h"
 #include "testing/TraceCompare.h"
@@ -85,10 +83,10 @@ std::string cInputLiteral(const Value &V) {
 /// are pure functions of seed, name and instant) and baked into arrays.
 /// Instants run through the batched entry point over input/output
 /// arrays, exercising the same boundary the VM's stepN amortizes; the
-/// generated counters print as one trailing #counters line.
-std::string buildHarness(const Compilation &C, const std::string &Proc,
+/// rows of the instants it ran print, then the generated counters as one
+/// trailing #counters line.
+std::string buildHarness(const CompiledStep &Step, const std::string &Proc,
                          const OracleOptions &Options) {
-  const CompiledStep &Step = C.Compiled;
   RandomEnvironment Env(Options.EnvSeed, Options.TickPermille);
   unsigned N = Options.Instants;
 
@@ -116,7 +114,7 @@ std::string buildHarness(const Compilation &C, const std::string &Proc,
   Out += "static " + Proc + "_out_t out_v[" + std::to_string(N) + "];\n";
   Out += "\nint main(void) {\n";
   Out += "  " + Proc + "_state_t st;\n";
-  Out += "  unsigned i;\n";
+  Out += "  unsigned i, n;\n";
   Out += "  " + Proc + "_init(&st);\n";
   Out += "  for (i = 0; i < " + std::to_string(N) + "; ++i) {\n";
   for (const auto &CI : Step.ClockInputs) {
@@ -128,9 +126,9 @@ std::string buildHarness(const Compilation &C, const std::string &Proc,
     Out += "    in_v[i]." + Id + " = in_" + Id + "_v[i];\n";
   }
   Out += "  }\n";
-  Out += "  " + Proc + "_step_batch(&st, in_v, out_v, " + std::to_string(N) +
-         ");\n";
-  Out += "  for (i = 0; i < " + std::to_string(N) + "; ++i) {\n";
+  Out += "  n = " + Proc + "_step_batch(&st, in_v, out_v, " +
+         std::to_string(N) + ");\n";
+  Out += "  for (i = 0; i < n; ++i) {\n";
   for (const auto &SO : Step.Outputs) {
     std::string Id = sanitizeIdent(SO.Name);
     const char *Fmt = SO.Type == TypeKind::Integer  ? "%ld"
@@ -156,9 +154,8 @@ struct HarnessLine {
 };
 
 /// Classifies and splits one harness stdout line, filling the counter
-/// outputs for #counters lines. The one parser both the single-process
-/// and the linked round-trip share. \returns false with \p Error set on
-/// an unparseable line.
+/// outputs for #counters lines. \returns false with \p Error set on an
+/// unparseable line.
 bool splitHarnessLine(const std::string &Line, HarnessLine &Out,
                       uint64_t &CGuards, uint64_t &CExecuted,
                       std::string &Error) {
@@ -254,10 +251,10 @@ std::string ccCommand(const std::string &Bin, const std::string &CPath,
          " > " + LogPath + " 2>&1";
 }
 
-/// Compiles and runs the emitted C; fills \p Events with the subprocess
-/// trace and \p CGuards / \p CExecuted with the generated counters.
-/// \returns false with \p Error set on any failure.
-bool runCRoundTrip(Compilation &C, const std::string &ProcName,
+/// Compiles and runs the C emitted for \p Step; fills \p Events with the
+/// subprocess trace and \p CGuards / \p CExecuted with the generated
+/// counters. \returns false with \p Error set on any failure.
+bool runCRoundTrip(const CompiledStep &Step, const std::string &ProcName,
                    const OracleOptions &Options,
                    std::vector<OutputEvent> &Events, uint64_t &CGuards,
                    uint64_t &CExecuted, std::string &Error) {
@@ -280,8 +277,8 @@ bool runCRoundTrip(Compilation &C, const std::string &ProcName,
   CEmitOptions EO;
   EO.WithDriver = false;
   std::string Proc = sanitizeIdent(ProcName);
-  std::string CSource = emitC(C.Compiled, Proc, EO);
-  CSource += buildHarness(C, Proc, Options);
+  std::string CSource = emitC(Step, Proc, EO);
+  CSource += buildHarness(Step, Proc, Options);
 
   bool Ok = false;
   {
@@ -295,7 +292,7 @@ bool runCRoundTrip(Compilation &C, const std::string &ProcName,
              0) {
     Error = "emitted program exited non-zero:\n" + readFile(OutPath);
   } else {
-    Ok = parseHarnessTrace(readFile(OutPath), C.Compiled, Events, CGuards,
+    Ok = parseHarnessTrace(readFile(OutPath), Step, Events, CGuards,
                            CExecuted, Error);
   }
 
@@ -519,8 +516,8 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     std::string ProcName(Names.spelling(C->Decl->Name));
     std::vector<OutputEvent> CEvents;
     std::string Error;
-    if (!runCRoundTrip(*C, ProcName, Options, CEvents, R.GuardTestsC,
-                       R.ExecutedC, Error)) {
+    if (!runCRoundTrip(C->Compiled, ProcName, Options, CEvents,
+                       R.GuardTestsC, R.ExecutedC, Error)) {
       R.Error = failure(Name, "emitted-C round-trip failed", Error, Source);
       return R;
     }
@@ -738,149 +735,6 @@ private:
   std::vector<EnvInputId> InnerInput;
 };
 
-/// Scripted-replay harness for a linked emission: every external tick and
-/// input value of every instant is precomputed from the same
-/// RandomEnvironment the in-process paths used and baked into arrays.
-/// Instants run through the batched entry point of the fused step; its
-/// generated counters print as one #counters line.
-std::string buildLinkedHarness(const LinkedCInterface &CI,
-                               const std::string &SysName,
-                               const OracleOptions &Options) {
-  RandomEnvironment Env(Options.EnvSeed, Options.TickPermille);
-  unsigned N = Options.Instants;
-
-  std::string Out = "\n#include <stdio.h>\n\n";
-  for (const auto &T : CI.Ticks) {
-    Out += "static const int " + T.Field + "_v[" + std::to_string(N) + "] = {";
-    for (unsigned I = 0; I < N; ++I)
-      Out += std::string(Env.clockTick(T.ClockName, I) ? "1" : "0") + ",";
-    Out += "};\n";
-  }
-  for (const auto &V : CI.Inputs) {
-    const char *CType = V.Type == TypeKind::Integer ? "long"
-                        : V.Type == TypeKind::Real  ? "double"
-                                                    : "int";
-    Out += std::string("static const ") + CType + " in_" + V.Field + "_v[" +
-           std::to_string(N) + "] = {";
-    for (unsigned I = 0; I < N; ++I)
-      Out += cInputLiteral(Env.inputValue(V.SignalName, V.Type, I)) + ",";
-    Out += "};\n";
-  }
-
-  Out += "\nstatic " + SysName + "_in_t in_v[" + std::to_string(N) + "];\n";
-  Out += "static " + SysName + "_out_t out_v[" + std::to_string(N) + "];\n";
-  Out += "\nint main(void) {\n";
-  Out += "  " + SysName + "_state_t st;\n";
-  Out += "  unsigned i;\n";
-  Out += "  " + SysName + "_init(&st);\n";
-  Out += "  for (i = 0; i < " + std::to_string(N) + "; ++i) {\n";
-  for (const auto &T : CI.Ticks)
-    Out += "    in_v[i]." + T.Field + " = " + T.Field + "_v[i];\n";
-  for (const auto &V : CI.Inputs)
-    Out += "    in_v[i]." + V.Field + " = in_" + V.Field + "_v[i];\n";
-  Out += "  }\n";
-  Out += "  " + SysName + "_step_batch(&st, in_v, out_v, " +
-         std::to_string(N) + ");\n";
-  Out += "  for (i = 0; i < " + std::to_string(N) + "; ++i) {\n";
-  for (const auto &V : CI.Outputs) {
-    const char *Fmt = V.Type == TypeKind::Integer ? "%ld"
-                      : V.Type == TypeKind::Real  ? "%.17g"
-                                                  : "%d";
-    Out += "    if (out_v[i]." + V.Field + "_present) printf(\"%u " +
-           V.Field + "=" + Fmt + "\\n\", i, out_v[i]." + V.Field + ");\n";
-  }
-  Out += "  }\n";
-  Out += "  printf(\"#counters guards=%llu executed=%llu\\n\", "
-         "st.guard_tests, st.executed);\n";
-  Out += "  return 0;\n}\n";
-  return Out;
-}
-
-/// Parses the linked harness' stdout back into output events plus the
-/// summed per-unit counters (line grammar shared with the
-/// single-process parser via splitHarnessLine/parseTypedValue).
-bool parseLinkedTrace(const std::string &Text, const LinkedCInterface &CI,
-                      std::vector<OutputEvent> &Events, uint64_t &CGuards,
-                      uint64_t &CExecuted, std::string &Error) {
-  std::istringstream In(Text);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    HarnessLine HL;
-    if (!splitHarnessLine(Line, HL, CGuards, CExecuted, Error))
-      return false;
-    if (HL.IsCounters)
-      continue;
-
-    const LinkedCInterface::ValueField *Desc = nullptr;
-    for (const auto &V : CI.Outputs)
-      if (V.Field == HL.Ident)
-        Desc = &V;
-    if (!Desc) {
-      Error = "harness printed unknown output '" + HL.Ident + "'";
-      return false;
-    }
-    Value V;
-    if (!parseTypedValue(Desc->Type, HL.Val, V)) {
-      Error = "output '" + HL.Ident + "' has unknown type";
-      return false;
-    }
-    Events.push_back({HL.Instant, Desc->SignalName, V});
-  }
-  return true;
-}
-
-/// Compiles and runs the linked C emission; fills \p Events with the
-/// subprocess trace.
-bool runLinkedCRoundTrip(const LinkedSystem &Sys,
-                         const OracleOptions &Options,
-                         std::vector<OutputEvent> &Events, uint64_t &CGuards,
-                         uint64_t &CExecuted, std::string &Error) {
-  const std::string &CC = hostCC();
-  if (CC.empty()) {
-    Error = "no host C compiler";
-    return false;
-  }
-  char Template[] = "/tmp/sigc-linkoracle-XXXXXX";
-  char *Dir = mkdtemp(Template);
-  if (!Dir) {
-    Error = "mkdtemp failed";
-    return false;
-  }
-  std::string D = Dir;
-  std::string CPath = D + "/sys.c", Bin = D + "/sys";
-  std::string OutPath = D + "/out.txt", LogPath = D + "/cc.log";
-
-  CEmitOptions EO;
-  EO.WithDriver = false;
-  std::string SysName = "linked_sys";
-  LinkedCInterface CI = linkedCInterface(Sys);
-  std::string CSource = emitLinkedC(Sys, SysName, EO);
-  CSource += buildLinkedHarness(CI, SysName, Options);
-
-  bool Ok = false;
-  {
-    std::ofstream OutFile(CPath);
-    OutFile << CSource;
-  }
-  if (std::system(ccCommand(Bin, CPath, LogPath).c_str()) != 0) {
-    Error = "host C compilation failed:\n" + readFile(LogPath) +
-            "--- emitted C ---\n" + CSource;
-  } else if (std::system((Bin + " > " + OutPath + " 2>/dev/null").c_str()) !=
-             0) {
-    Error = "emitted linked program exited non-zero";
-  } else {
-    Ok = parseLinkedTrace(readFile(OutPath), CI, Events, CGuards, CExecuted,
-                          Error);
-  }
-
-  for (const std::string &F : {CPath, Bin, OutPath, LogPath})
-    std::remove(F.c_str());
-  rmdir(D.c_str());
-  return Ok;
-}
-
 } // namespace
 
 OracleReport sigc::checkLinkedDifferential(
@@ -957,11 +811,12 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 2: the linked system, per-unit step programs wired by channels.
+  // Path 2: the linked system, its fused step on the VM.
   RandomEnvironment EnvLinked(Options.EnvSeed, Options.TickPermille);
-  LinkedExecutor Linked(Sys);
-  if (!Linked.run(EnvLinked, Options.Instants)) {
-    R.Error = failure(Name, "linked execution stopped", Linked.error() + "\n",
+  VmExecutor Linked(Sys.Fused);
+  if (Linked.run(EnvLinked, Options.Instants) != Options.Instants) {
+    R.Error = failure(Name, "linked execution stopped",
+                      Sys.mismatchMessage(Linked.checkFailure()) + "\n",
                       AllSources);
     return R;
   }
@@ -975,14 +830,16 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 2b: the linked system batched per unit — stepN windows must
-  // reproduce the unbatched linked run bit for bit, counters included.
+  // Path 2b: the fused step batched — stepN windows must reproduce the
+  // unbatched linked run bit for bit, counters included.
   RandomEnvironment EnvLinkedB(Options.EnvSeed, Options.TickPermille);
-  LinkedExecutor LinkedB(Sys);
-  if (!LinkedB.runBatched(EnvLinkedB, Options.Instants,
-                          Options.BatchSize ? Options.BatchSize : 1)) {
+  VmExecutor LinkedB(Sys.Fused);
+  if (LinkedB.runBatched(EnvLinkedB, Options.Instants,
+                         Options.BatchSize ? Options.BatchSize : 1) !=
+      Options.Instants) {
     R.Error = failure(Name, "batched linked execution stopped",
-                      LinkedB.error() + "\n", AllSources);
+                      Sys.mismatchMessage(LinkedB.checkFailure()) + "\n",
+                      AllSources);
     return R;
   }
   if (formatEvents(EnvLinkedB.outputs()) != formatEvents(EnvLinked.outputs())) {
@@ -1005,13 +862,13 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 3: the linked C emission, through the host compiler; the fused
-  // step's generated counters must land on the linked VM's.
+  // Path 3: the fused step's C, through the host compiler; its generated
+  // counters must land on the linked VM's.
   if (Options.EmitCRoundTrip && hostCCompilerAvailable()) {
     std::vector<OutputEvent> CEvents;
     std::string Error;
-    if (!runLinkedCRoundTrip(Sys, Options, CEvents, R.GuardTestsC,
-                             R.ExecutedC, Error)) {
+    if (!runCRoundTrip(Sys.Fused, "linked_sys", Options, CEvents,
+                       R.GuardTestsC, R.ExecutedC, Error)) {
       R.Error = failure(Name, "linked-C round-trip failed", Error,
                         AllSources);
       return R;

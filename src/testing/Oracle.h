@@ -87,7 +87,7 @@ struct OracleReport {
   uint64_t GuardTestsC = 0;
   uint64_t ExecutedC = 0;
   /// Linked-oracle counters: the monolithic flat run vs the linked
-  /// system (sum over units). Zero for single-process reports.
+  /// system's fused step. Zero for single-process reports.
   uint64_t GuardTestsMono = 0;
   uint64_t GuardTestsLinked = 0;
   /// True when the C round-trip actually ran (compiler available).
@@ -126,10 +126,11 @@ const std::string &hostCCompilerCommand();
 //
 //   1. the monolithic compilation's step program, flat lowering, on the
 //      VM (itself cross-checked against the fixpoint interpreter),
-//   2. the LinkedExecutor over the separately compiled units, both
-//      instant by instant and batched per unit (stepN windows),
-//   3. optionally, the linked C emission round-tripped through the host
-//      C compiler, its per-unit counters pinned to the linked VM's.
+//   2. the linked system's fused CompiledStep on the VM, both instant
+//      by instant and batched (stepN windows),
+//   3. optionally, the fused step's emitted C round-tripped through the
+//      host C compiler like a single process's, its counters pinned to
+//      the linked VM's.
 //
 // The report also fails if linking re-resolved any process's forest (node
 // counts must not change between compilation and link).

@@ -125,6 +125,25 @@ inline std::vector<LinkInput> linkedFeedbackInputs() {
                     " (| FB := (FA * 4 + 5) mod 97 |);"}};
 }
 
+/// PROD/CONS: CONS derives the clock of its import X from its own
+/// condition B, so the linker cannot bind it and the fused step checks,
+/// every instant, that X is present exactly when PROD emitted it.
+inline std::vector<LinkInput> linkedDynamicCheckInputs() {
+  return {{"PROD",
+           "process PROD = ( ? integer A; ! integer X; ) (| X := A |);\n"},
+          {"CONS", R"(
+process CONS =
+  ( ? integer X; boolean B; ! integer Y; )
+  (| W := when B
+   | synchro {X, W}
+   | Y := X + 1
+  |)
+  where
+    event W;
+  end;
+)"}};
+}
+
 /// A feedback system whose fusion splits a nested block: SPLITA's
 /// [C1]-block runs partly before SPLITB (FA) and partly after it (FE
 /// reads FB), so the re-synthesized guards re-open the block path in

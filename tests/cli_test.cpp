@@ -11,8 +11,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "driver/Driver.h"
 #include "interp/VmExecutor.h"
+#include "link/Linker.h"
 #include "programs/Programs.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <regex>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -913,4 +916,207 @@ TEST(Cli, StreamedSimulateTextEqualsFormatEventsOnEveryBuiltin) {
           << Name;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// --link runs: the fused step goes through the single-process run path,
+// so every engine runs a linked system and stops at the same failed
+// channel check with the same diagnostic.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Writes the sources of \p Inputs into one temp .sig file.
+std::string writeLinkSource(const char *Tag,
+                            const std::vector<LinkInput> &Inputs) {
+  std::string Path = ::testing::TempDir() + "sigc_cli_link_" + Tag + "_" +
+                     std::to_string(::getpid()) + ".sig";
+  if (FILE *F = std::fopen(Path.c_str(), "w")) {
+    for (const LinkInput &In : Inputs)
+      std::fputs(In.Source.c_str(), F);
+    std::fclose(F);
+  }
+  return Path;
+}
+
+/// The first line of \p Output that starts with \p Prefix ("" when
+/// none).
+std::string lineStarting(const std::string &Output, const std::string &Prefix) {
+  std::istringstream In(Output);
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind(Prefix, 0) == 0)
+      return Line;
+  return "";
+}
+
+/// The fused step of \p Inputs run in process on RandomEnvironment
+/// \p Seed for \p Instants instants: its output text and, when a check
+/// stopped it, the CLI's diagnostic.
+std::pair<std::string, std::string>
+linkedReference(const std::vector<LinkInput> &Inputs, uint64_t Seed,
+                unsigned Instants) {
+  LinkResult R = compileAndLinkSources(Inputs);
+  EXPECT_TRUE(R.Sys) << R.Error;
+  if (!R.Sys)
+    return {};
+  RandomEnvironment Env(Seed);
+  VmExecutor Vm(R.Sys->Fused);
+  Vm.run(Env, Instants);
+  std::string Diag;
+  if (Vm.checkFailure())
+    Diag = "signalc: linked simulation stopped: " +
+           R.Sys->mismatchMessage(Vm.checkFailure());
+  return {formatEvents(Env.outputs()), Diag};
+}
+
+} // namespace
+
+TEST(Cli, LinkedSimulationIsTheSameOnEveryEngine) {
+  std::string Src = writeLinkSource("pipe", test::linkedPipelineInputs());
+  TempCacheDirCli Cache;
+  const std::string Run =
+      "--link SENSOR,MONITOR " + Src + " --simulate 300 --seed 3 --stats";
+  const std::string Expected =
+      "linked simulation (300 instants, seed 3):\n" +
+      linkedReference(test::linkedPipelineInputs(), 3, 300).first;
+  std::vector<std::string> Engines = {"", " --batch 7"};
+  if (cliHostCcAvailable())
+    Engines.push_back(" --native force --cache-dir " + Cache.Path);
+  std::string VmLine, ModeLine;
+  for (const std::string &Engine : Engines) {
+    CliResult Out = runSignalc(Run + Engine, /*StdoutOnly=*/true);
+    CliResult All = runSignalc(Run + Engine);
+    ASSERT_EQ(Out.Exit, 0) << Engine << ": " << All.Output;
+    EXPECT_EQ(Out.Output, Expected) << Engine;
+    EXPECT_EQ(All.Output.find("warning"), std::string::npos) << All.Output;
+    std::string Vm = lineStarting(All.Output, "stats: vm ");
+    std::string Mode = lineStarting(All.Output, "stats: mode=vm instants=300 ");
+    ASSERT_FALSE(Vm.empty()) << All.Output;
+    ASSERT_FALSE(Mode.empty()) << All.Output;
+    if (VmLine.empty()) {
+      VmLine = Vm;
+      ModeLine = Mode;
+    }
+    EXPECT_EQ(Vm, VmLine) << Engine;
+    EXPECT_EQ(Mode, ModeLine) << Engine;
+  }
+  std::remove(Src.c_str());
+}
+
+TEST(Cli, LinkedFleetInstanceZeroIsTheScalarRun) {
+  std::string Src = writeLinkSource("fleet", test::linkedPipelineInputs());
+  const std::string Run = "--link SENSOR,MONITOR " + Src +
+                          " --simulate 200 --seed 5";
+  CliResult Scalar = runSignalc(Run, /*StdoutOnly=*/true);
+  CliResult Fleet =
+      runSignalc(Run + " --fleet 3 --threads 2", /*StdoutOnly=*/true);
+  ASSERT_EQ(Scalar.Exit, 0) << Scalar.Output;
+  ASSERT_EQ(Fleet.Exit, 0) << Fleet.Output;
+  const std::string Head = "linked simulation (200 instants, seed 5):\n";
+  ASSERT_EQ(Scalar.Output.compare(0, Head.size(), Head), 0) << Scalar.Output;
+  size_t From = Fleet.Output.find("instance 0:\n");
+  size_t To = Fleet.Output.find("instance 1:\n");
+  ASSERT_NE(From, std::string::npos) << Fleet.Output;
+  ASSERT_NE(To, std::string::npos) << Fleet.Output;
+  From += std::string("instance 0:\n").size();
+  EXPECT_EQ(Fleet.Output.substr(From, To - From),
+            Scalar.Output.substr(Head.size()));
+  std::remove(Src.c_str());
+}
+
+TEST(Cli, LinkedMismatchStopsEveryEngineWithOneDiagnostic) {
+  std::string Src = writeLinkSource("prodcons", test::linkedDynamicCheckInputs());
+  TempCacheDirCli Cache;
+  const std::string Run = "--link PROD,CONS " + Src + " --simulate 20";
+  auto [Text, Diag] =
+      linkedReference(test::linkedDynamicCheckInputs(), 1, 20);
+  ASSERT_EQ(Diag.rfind("signalc: linked simulation stopped: instant 1: "
+                       "channel 'X' clock mismatch",
+                       0),
+            0u)
+      << Diag;
+  std::vector<std::string> Engines = {"", " --batch 7"};
+  if (cliHostCcAvailable())
+    Engines.push_back(" --native force --cache-dir " + Cache.Path);
+  for (const std::string &Engine : Engines) {
+    CliResult All = runSignalc(Run + Engine);
+    CliResult Out = runSignalc(Run + Engine, /*StdoutOnly=*/true);
+    EXPECT_EQ(All.Exit, 1) << Engine << ": " << All.Output;
+    EXPECT_EQ(lineStarting(All.Output, "signalc: linked simulation stopped"),
+              Diag)
+        << Engine << ": " << All.Output;
+    // The trace runs through the stopping instant, as in process.
+    EXPECT_EQ(Out.Output, "linked simulation (20 instants, seed 1):\n" + Text)
+        << Engine;
+  }
+  // A fleet names each stopped instance; instance 0 is the scalar run.
+  CliResult Fleet = runSignalc(Run + " --fleet 3 --threads 2");
+  EXPECT_EQ(Fleet.Exit, 1) << Fleet.Output;
+  std::string Instance0 = "signalc: linked simulation stopped: instance 0: " +
+                          Diag.substr(std::string("signalc: linked "
+                                                  "simulation stopped: ")
+                                          .size());
+  EXPECT_NE(Fleet.Output.find(Instance0 + "\n"), std::string::npos)
+      << Fleet.Output;
+  std::remove(Src.c_str());
+}
+
+TEST(Cli, LinkedRecordingReplaysAsMatching) {
+  std::string Src = writeLinkSource("rec", test::linkedPipelineInputs());
+  std::string Path = tempTracePath("linked");
+  const std::string Link = "--link SENSOR,MONITOR " + Src;
+  CliResult Rec =
+      runSignalc(Link + " --simulate 120 --seed 4 --record " + Path);
+  ASSERT_EQ(Rec.Exit, 0) << Rec.Output;
+  EXPECT_NE(Rec.Output.find("recorded 120 instant(s) to"), std::string::npos)
+      << Rec.Output;
+  CliResult Rep = runSignalc(Link + " --replay " + Path);
+  EXPECT_EQ(Rep.Exit, 0) << Rep.Output;
+  EXPECT_NE(Rep.Output.find("replay (120 instants, mmap):"),
+            std::string::npos)
+      << Rep.Output;
+  EXPECT_NE(Rep.Output.find("match the trace"), std::string::npos)
+      << Rep.Output;
+
+  // A recording that a failed check stopped holds the instants through
+  // the stop, and its replay stops there with the same diagnostic.
+  std::string PcSrc =
+      writeLinkSource("recpc", test::linkedDynamicCheckInputs());
+  const std::string PcLink = "--link PROD,CONS " + PcSrc;
+  // Frames narrower than the window: the stop leaves a prefetched frame
+  // wholly past the trace's end.
+  CliResult PcRec =
+      runSignalc(PcLink + " --simulate 20 --frame 4 --record " + Path);
+  EXPECT_EQ(PcRec.Exit, 1) << PcRec.Output;
+  EXPECT_NE(PcRec.Output.find("recorded 2 instant(s) to"), std::string::npos)
+      << PcRec.Output;
+  CliResult PcRep = runSignalc(PcLink + " --replay " + Path);
+  EXPECT_EQ(PcRep.Exit, 1) << PcRep.Output;
+  std::string Diag = lineStarting(PcRec.Output, "signalc: linked simulation");
+  EXPECT_FALSE(Diag.empty()) << PcRec.Output;
+  EXPECT_EQ(lineStarting(PcRep.Output, "signalc: linked simulation"), Diag)
+      << PcRep.Output;
+  std::remove(Path.c_str());
+  std::remove(Src.c_str());
+  std::remove(PcSrc.c_str());
+}
+
+TEST(Cli, LinkRejectsFlatModeAndServeNamingTheFlag) {
+  // Neither can run a linked system: the fused step exists only in the
+  // nested lowering, and the serve protocol has no frame for a failed
+  // channel check. A usage error, not a warning: the run would not be
+  // the one asked for.
+  std::string Src = writeLinkSource("reject", test::linkedPipelineInputs());
+  const std::string Link = "--link SENSOR,MONITOR " + Src;
+  CliResult Flat = runSignalc(Link + " --simulate 4 --mode flat");
+  EXPECT_EQ(Flat.Exit, 2) << Flat.Output;
+  EXPECT_NE(Flat.Output.find("--mode flat"), std::string::npos)
+      << Flat.Output;
+  CliResult Serve = runSignalc(Link + " --serve " + ::testing::TempDir() +
+                               "sigc_cli_link.sock");
+  EXPECT_EQ(Serve.Exit, 2) << Serve.Output;
+  EXPECT_NE(Serve.Output.find("--serve"), std::string::npos) << Serve.Output;
+  EXPECT_EQ(Serve.Output.find("linked 2 process(es)"), std::string::npos)
+      << "rejected before compiling: " << Serve.Output;
+  std::remove(Src.c_str());
 }

@@ -110,7 +110,7 @@ std::string emit(Compilation &C, bool Driver = false) {
 TEST(CEmitter, GeneratesStepFunction) {
   auto C = compileOk(proc("? integer A; ! integer Y;", "   Y := A * 2"));
   std::string Code = emit(*C);
-  EXPECT_NE(Code.find("void p_step(p_state_t *st, const p_in_t *in, "
+  EXPECT_NE(Code.find("int p_step(p_state_t *st, const p_in_t *in, "
                       "p_out_t *out)"),
             std::string::npos)
       << Code;
@@ -121,7 +121,7 @@ TEST(CEmitter, GeneratesStepFunction) {
 TEST(CEmitter, EmitsBatchEntryPoint) {
   auto C = compileOk(proc("? integer A; ! integer Y;", "   Y := A * 2"));
   std::string Code = emit(*C);
-  EXPECT_NE(Code.find("void p_step_batch(p_state_t *st, const p_in_t *in, "
+  EXPECT_NE(Code.find("unsigned p_step_batch(p_state_t *st, const p_in_t *in, "
                       "p_out_t *out, unsigned n)"),
             std::string::npos)
       << Code;

@@ -16,7 +16,6 @@
 
 #include "TestUtil.h"
 #include "codegen/CEmitter.h"
-#include "link/LinkEmitter.h"
 #include "link/Linker.h"
 #include "link/ProcessInterface.h"
 #include "programs/Programs.h"
@@ -87,12 +86,14 @@ INSTANTIATE_TEST_SUITE_P(Pinned, GoldenFigure13,
                          });
 
 //===----------------------------------------------------------------------===//
-// Linked-system pins: the fused schedule (--dump-link) and the linked C
-// emission of two builtin compositions. LINKED_PIPELINE is the
+// Linked-system pins: the fused schedule (--dump-link) and the fused
+// step's C (the ordinary emission, named linked_sys) of two builtin
+// compositions. LINKED_PIPELINE is the
 // sensor/monitor producer-consumer example; LINKED_FEEDBACK is a
 // unit-level cycle whose fused schedule interleaves LOOPA's producer
 // half, all of LOOPB, then LOOPA's consumer half — the schedule shape IS
-// the feature, so it is pinned. Regenerate with:
+// the feature, so it is pinned. Regenerate with (stdout only; the
+// status line goes to stderr):
 //   signalc --link <procs> --dump-link <src>  >  <NAME>.link.txt
 //   signalc --link <procs> --emit-c    <src>  >  <NAME>.c.txt
 //===----------------------------------------------------------------------===//
@@ -106,7 +107,7 @@ void checkLinkedGolden(const std::string &Name,
   expectMatchesGolden(R.Sys->dump() + "fused schedule:\n" +
                           R.Sys->Fused.dump(),
                       "golden/" + Name + ".link.txt");
-  expectMatchesGolden(emitLinkedC(*R.Sys, "linked_sys", CEmitOptions()),
+  expectMatchesGolden(emitC(R.Sys->Fused, "linked_sys", CEmitOptions()),
                       "golden/" + Name + ".c.txt");
 }
 

@@ -4,17 +4,27 @@
 /// forest shape, endochrony verdicts), channel matching and its error
 /// cases, the BDD-implication compatibility check, the cross-process
 /// schedule, the no-re-resolution guarantee, parallel vs serial
-/// compilation, the LinkedExecutor (including the dynamic clock check)
-/// and the linked C emission's surface.
+/// compilation, linked execution (the fused step on the VM, including the
+/// dynamic clock check) and the fused step's C emission, which must
+/// honour the dynamic check too.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "interp/LinkedExecutor.h"
-#include "link/LinkEmitter.h"
+#include "codegen/CEmitter.h"
+#include "interp/VmExecutor.h"
 #include "link/Linker.h"
+#include "testing/Oracle.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace sigc;
 using namespace sigc::test;
@@ -47,6 +57,19 @@ process MONITOR =
 LinkResult linkSensorMonitor() {
   return compileAndLinkSources(
       {{"SENSOR", SensorSource}, {"MONITOR", MonitorSource}});
+}
+
+LinkResult linkProdCons() {
+  return compileAndLinkSources(linkedDynamicCheckInputs());
+}
+
+/// Always ticking; A = 10 * I, and B false at instant 3 only.
+void scriptMismatchAtThree(ScriptedEnvironment &Env) {
+  Env.tickAlways();
+  for (unsigned I = 0; I < 8; ++I) {
+    Env.set("A", I, Value::makeInt(10 * I));
+    Env.set("B", I, Value::makeBool(I != 3));
+  }
 }
 
 } // namespace
@@ -305,7 +328,7 @@ TEST(Linker, ParallelAndSerialCompilationAgree) {
 }
 
 //===----------------------------------------------------------------------===//
-// Linked execution
+// Linked execution: the fused step on the ordinary VM
 //===----------------------------------------------------------------------===//
 
 TEST(LinkedExecutor, PipelineProducesTheExpectedTrace) {
@@ -315,8 +338,9 @@ TEST(LinkedExecutor, PipelineProducesTheExpectedTrace) {
   Env.tickAlways();
   for (unsigned I = 0; I < 10; ++I)
     Env.set("RAW", I, Value::makeInt(static_cast<int>(I) + 1));
-  LinkedExecutor Exec(*R.Sys);
-  ASSERT_TRUE(Exec.run(Env, 10)) << Exec.error();
+  VmExecutor Exec(R.Sys->Fused);
+  ASSERT_EQ(Exec.run(Env, 10), 10u)
+      << R.Sys->mismatchMessage(Exec.checkFailure());
   // KEPT = 2,4,6,8,10 at instants 1,3,5,7,9; TOTAL accumulates; ALERT
   // fires when SUM (= TOTAL here) exceeds 20.
   EXPECT_EQ(formatEvents(Env.outputs()),
@@ -329,26 +353,15 @@ TEST(LinkedExecutor, PipelineProducesTheExpectedTrace) {
 
 TEST(LinkedExecutor, DynamicClockMismatchIsDetected) {
   // The consumer *derives* X's clock from its own condition B, so the
-  // linker cannot bind it; the executor must catch the first instant the
-  // producer and the consumer disagree about X's presence.
-  const char *Prod =
-      "process PROD = ( ? integer A; ! integer X; ) (| X := A |);";
-  const char *Cons = R"(
-process CONS =
-  ( ? integer X; boolean B; ! integer Y; )
-  (| W := when B
-   | synchro {X, W}
-   | Y := X + 1
-  |)
-  where
-    event W;
-  end;
-)";
-  LinkResult R = compileAndLinkSources({{"PROD", Prod}, {"CONS", Cons}});
+  // linker cannot bind it; the fused step must catch the first instant
+  // the producer and the consumer disagree about X's presence.
+  LinkResult R = linkProdCons();
   ASSERT_TRUE(R.Sys) << R.Error;
   ASSERT_EQ(R.Sys->Channels.size(), 1u);
   EXPECT_EQ(R.Sys->Channels[0].ConsumerClockInput, -1)
       << "X's clock is consumer-derived, not a free root";
+  ASSERT_EQ(R.Sys->Fused.Code.back().Op, VmOp::CheckClockEq)
+      << "the check ends the fused step";
 
   // A always ticks (so X is always produced), but B is false at instant
   // 0: the consumer expects silence while the producer emitted.
@@ -356,68 +369,53 @@ process CONS =
   Env.tickAlways();
   Env.set("A", 0, Value::makeInt(7));
   Env.set("B", 0, Value::makeBool(false));
-  LinkedExecutor Exec(*R.Sys);
-  EXPECT_FALSE(Exec.run(Env, 1));
-  EXPECT_NE(Exec.error().find("clock mismatch"), std::string::npos)
-      << Exec.error();
+  VmExecutor Exec(R.Sys->Fused);
+  EXPECT_FALSE(Exec.step(Env, 0));
+  ASSERT_TRUE(Exec.checkFailure());
+  EXPECT_EQ(R.Sys->mismatchMessage(Exec.checkFailure()),
+            "instant 0: channel 'X' clock mismatch — producer 'PROD' "
+            "emitted while consumer 'CONS' expected silence");
 }
 
 TEST(LinkedExecutor, BatchedMismatchCutsTheTraceWhereUnbatchedStops) {
-  // The batched window computes past the violation at instant 3 (B is
-  // true again from 4 on), but forwards exactly the unbatched trace: the
-  // outputs through the erroring instant, in one exchange of the held
-  // flush rows.
-  const char *Prod =
-      "process PROD = ( ? integer A; ! integer X; ) (| X := A |);";
-  const char *Cons = R"(
-process CONS =
-  ( ? integer X; boolean B; ! integer Y; )
-  (| W := when B
-   | synchro {X, W}
-   | Y := X + 1
-  |)
-  where
-    event W;
-  end;
-)";
-  LinkResult R = compileAndLinkSources({{"PROD", Prod}, {"CONS", Cons}});
+  // The batched window stops after the violation at instant 3 (B is true
+  // again from 4 on) and flushes exactly the unbatched trace: the outputs
+  // through the erroring instant.
+  LinkResult R = linkProdCons();
   ASSERT_TRUE(R.Sys) << R.Error;
-  auto Script = [](ScriptedEnvironment &Env) {
-    Env.tickAlways();
-    for (unsigned I = 0; I < 8; ++I) {
-      Env.set("A", I, Value::makeInt(10 * I));
-      Env.set("B", I, Value::makeBool(I != 3));
-    }
-  };
   ScriptedEnvironment One, Batch;
-  Script(One);
-  Script(Batch);
-  LinkedExecutor ExecOne(*R.Sys), ExecBatch(*R.Sys);
-  EXPECT_FALSE(ExecOne.run(One, 8));
-  EXPECT_FALSE(ExecBatch.runBatched(Batch, 8, 8));
+  scriptMismatchAtThree(One);
+  scriptMismatchAtThree(Batch);
+  VmExecutor ExecOne(R.Sys->Fused), ExecBatch(R.Sys->Fused);
+  EXPECT_EQ(ExecOne.run(One, 8), 4u);
+  EXPECT_EQ(ExecBatch.runBatched(Batch, 8, 8), 4u);
   EXPECT_EQ(formatEvents(One.outputs()), "0 Y=1\n1 Y=11\n2 Y=21\n");
   EXPECT_EQ(formatEvents(Batch.outputs()), formatEvents(One.outputs()));
-  EXPECT_EQ(ExecBatch.error(), ExecOne.error());
-  EXPECT_NE(ExecOne.error().find("instant 3"), std::string::npos)
-      << ExecOne.error();
+  ASSERT_TRUE(ExecOne.checkFailure());
+  ASSERT_TRUE(ExecBatch.checkFailure());
+  std::string ErrOne = R.Sys->mismatchMessage(ExecOne.checkFailure());
+  EXPECT_EQ(R.Sys->mismatchMessage(ExecBatch.checkFailure()), ErrOne);
+  EXPECT_NE(ErrOne.find("instant 3"), std::string::npos) << ErrOne;
+  EXPECT_EQ(ExecBatch.guardTests(), ExecOne.guardTests());
+  EXPECT_EQ(ExecBatch.executed(), ExecOne.executed());
 }
 
 //===----------------------------------------------------------------------===//
-// Linked C emission
+// Linked C emission: the fused step through the ordinary C emitter
 //===----------------------------------------------------------------------===//
 
 TEST(LinkEmitter, EmitsTheFusedStepWithAllEntryPoints) {
   LinkResult R = linkSensorMonitor();
   ASSERT_TRUE(R.Sys) << R.Error;
   CEmitOptions EO;
-  std::string C = emitLinkedC(*R.Sys, "sys", EO);
+  std::string C = emitC(R.Sys->Fused, "sys", EO);
   // One fused translation unit: system-level entry points only, no
   // per-unit step functions survive the fusion.
-  EXPECT_NE(C.find("void sys_step("), std::string::npos);
+  EXPECT_NE(C.find("int sys_step("), std::string::npos);
   EXPECT_NE(C.find("void sys_init("), std::string::npos);
-  EXPECT_NE(C.find("void sys_step_batch("), std::string::npos);
-  EXPECT_EQ(C.find("void SENSOR_step("), std::string::npos);
-  EXPECT_EQ(C.find("void MONITOR_step("), std::string::npos);
+  EXPECT_NE(C.find("unsigned sys_step_batch("), std::string::npos);
+  EXPECT_EQ(C.find("SENSOR_step("), std::string::npos);
+  EXPECT_EQ(C.find("MONITOR_step("), std::string::npos);
   // Channels were resolved into slot copies at link time: no channel
   // fields cross the C interface, only the true externals do.
   EXPECT_NE(C.find("in->RAW"), std::string::npos);
@@ -428,13 +426,116 @@ TEST(LinkEmitter, EmitsTheFusedStepWithAllEntryPoints) {
 }
 
 TEST(LinkEmitter, InterfaceFieldsAreDeduplicatedAndNamed) {
+  // The fused step's descriptor tables are the system's C interface.
   LinkResult R = linkSensorMonitor();
   ASSERT_TRUE(R.Sys) << R.Error;
-  LinkedCInterface CI = linkedCInterface(*R.Sys);
-  ASSERT_EQ(CI.Ticks.size(), 1u); // One unbound root.
-  ASSERT_EQ(CI.Inputs.size(), 1u);
-  EXPECT_EQ(CI.Inputs[0].SignalName, "RAW");
-  ASSERT_EQ(CI.Outputs.size(), 2u);
-  EXPECT_EQ(CI.Outputs[0].SignalName, "TOTAL");
-  EXPECT_EQ(CI.Outputs[1].SignalName, "ALERT");
+  const CompiledStep &F = R.Sys->Fused;
+  ASSERT_EQ(F.ClockInputs.size(), 1u); // One unbound root.
+  ASSERT_EQ(F.Inputs.size(), 1u);
+  EXPECT_EQ(F.Inputs[0].Name, "RAW");
+  ASSERT_EQ(F.Outputs.size(), 2u);
+  EXPECT_EQ(F.Outputs[0].Name, "TOTAL");
+  EXPECT_EQ(F.Outputs[1].Name, "ALERT");
+}
+
+namespace {
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// Compiles \p CSource with the host cc and runs it. \returns the exit
+/// status (-1 when it did not compile or run), filling \p Out and \p Err
+/// with its stdout and stderr.
+int compileAndRunC(const std::string &CSource, std::string &Out,
+                   std::string &Err) {
+  std::string Base = ::testing::TempDir() + "sigc_link_c_" +
+                     std::to_string(::getpid());
+  std::string CPath = Base + ".c", Bin = Base + ".bin";
+  std::string OutPath = Base + ".out", ErrPath = Base + ".err";
+  if (FILE *F = std::fopen(CPath.c_str(), "w")) {
+    std::fputs(CSource.c_str(), F);
+    std::fclose(F);
+  }
+  int Status = -1;
+  std::string Cc = hostCCompilerCommand() +
+                   " -std=c99 -Wall -Werror -O1 -o " + Bin + " " + CPath;
+  if (std::system(Cc.c_str()) == 0) {
+    int St = std::system((Bin + " > " + OutPath + " 2> " + ErrPath).c_str());
+    if (WIFEXITED(St))
+      Status = WEXITSTATUS(St);
+    Out = slurp(OutPath);
+    Err = slurp(ErrPath);
+  }
+  for (const std::string &P : {CPath, Bin, OutPath, ErrPath})
+    std::remove(P.c_str());
+  return Status;
+}
+
+} // namespace
+
+TEST(LinkEmitter, EmittedCHonoursTheDynamicCheck) {
+  // The fused step's C must stop where the VM stops: after the instant
+  // of the first channel mismatch, in _step_batch and in the
+  // --with-driver program alike.
+  if (!hostCCompilerAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  LinkResult R = linkProdCons();
+  ASSERT_TRUE(R.Sys) << R.Error;
+  const CompiledStep &F = R.Sys->Fused;
+
+  // The mismatch script through _step_batch: 4 instants run, rows 0-2
+  // are the VM's.
+  ScriptedEnvironment Env;
+  scriptMismatchAtThree(Env);
+  VmExecutor Vm(F);
+  ASSERT_EQ(Vm.runBatched(Env, 8, 8), 4u);
+  std::string C = emitC(F, "sys", CEmitOptions());
+  C += "\n#include <stdio.h>\nint main(void) {\n"
+       "  sys_state_t st;\n  sys_in_t in[8];\n  sys_out_t out[8];\n"
+       "  unsigned i, n;\n  sys_init(&st);\n"
+       "  for (i = 0; i < 8; ++i) {\n";
+  for (const auto &CI : F.ClockInputs)
+    C += "    in[i].tick_" + sanitizeIdent(CI.Name) + " = 1;\n";
+  C += "    in[i].A = 10L * (long)i;\n    in[i].B = i != 3;\n  }\n"
+       "  n = sys_step_batch(&st, in, out, 8);\n"
+       "  printf(\"ran=%u\\n\", n);\n"
+       "  for (i = 0; i < n; ++i)\n"
+       "    if (out[i].Y_present) printf(\"%u Y=%ld\\n\", i, out[i].Y);\n"
+       "  return 0;\n}\n";
+  std::string Out, Err;
+  ASSERT_EQ(compileAndRunC(C, Out, Err), 0) << Err << C;
+  EXPECT_EQ(Out, "ran=4\n" + formatEvents(Env.outputs()));
+
+  // The --with-driver program stops, exit nonzero, at the instant the VM
+  // stops at for the driver's own inputs (its LCG, inputs in descriptor
+  // order, every clock ticking).
+  CEmitOptions Driver;
+  Driver.WithDriver = true;
+  ASSERT_NE(compileAndRunC(emitC(F, "linked_sys", Driver), Out, Err), 0);
+  unsigned CInstant = 0;
+  ASSERT_EQ(std::sscanf(Err.c_str(), "instant %u: clock check", &CInstant), 1)
+      << Err;
+
+  ScriptedEnvironment DriverEnv;
+  DriverEnv.tickAlways();
+  uint64_t Rng = 0x12345678u;
+  auto rng = [&Rng] {
+    Rng = Rng * 6364136223846793005ull + 1442695040888963407ull;
+    return Rng >> 33;
+  };
+  for (unsigned I = 0; I < Driver.DriverSteps; ++I)
+    for (const auto &SI : F.Inputs)
+      DriverEnv.set(SI.Name, I,
+                    SI.Type == TypeKind::Integer
+                        ? Value::makeInt(static_cast<int64_t>(rng() % 100))
+                        : Value::makeBool((rng() & 1) != 0));
+  VmExecutor DriverVm(F);
+  DriverVm.run(DriverEnv, Driver.DriverSteps);
+  ASSERT_TRUE(DriverVm.checkFailure()) << "the driver's inputs must mismatch";
+  EXPECT_EQ(CInstant, DriverVm.checkFailure().Instant) << Err;
+  EXPECT_EQ(Out, formatEvents(DriverEnv.outputs()));
 }

@@ -136,8 +136,8 @@ TEST(VmAllocation, ZeroHeapAllocationsPerInstantInSteadyState) {
 }
 
 TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
-  // stepN's batch buffers (tick/input prefetch, output flush, watch
-  // recording) are preallocated; once warm, whole batched windows run
+  // stepN's batch buffers (tick/input prefetch, output flush) are
+  // preallocated; once warm, whole batched windows run
   // without a single heap allocation — the boundary-amortization cannot
   // buy throughput with hidden allocation.
   ProgramShape Shape;
@@ -158,6 +158,34 @@ TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
       << "stepN allocated on the hot path; batch buffers must be "
          "preallocated and reused";
   EXPECT_GT(Env.RowEvents, 0u) << "the run must actually produce outputs";
+  EXPECT_EQ(Env.Events, 0u) << "stepN exchanges slot rows, never Values";
+}
+
+TEST(VmAllocation, StepNStoppedByAClockCheckIsZeroAllocInSteadyState) {
+  // A linked system's fused step ends stepN's window at a failed channel
+  // check: the early stop, its report and the partial flush run on the
+  // same preallocated buffers as a full window.
+  LinkResult R = compileAndLinkSources(linkedDynamicCheckInputs());
+  ASSERT_TRUE(R.Sys) << R.Error;
+  VmExecutor Exec(R.Sys->Fused);
+  DiscardEnvironment Env(42, 800);
+
+  // Warm up: binding and batch-buffer growth happen here.
+  Exec.runBatched(Env, 64, 32);
+
+  // The random stimulus trips the check in about half the instants, so
+  // one-instant windows, which mostly run through, alternate with long
+  // ones, which stop.
+  unsigned Windows = 0, Stops = 0;
+  uint64_t Allocs = allocsDuring([&] {
+    for (unsigned At = 0; At < 4096; ++Windows) {
+      At += Exec.stepN(Env, At, Windows % 2 ? 1 : 32);
+      Stops += Exec.checkFailure() ? 1 : 0;
+    }
+  });
+  EXPECT_EQ(Allocs, 0u) << "a window stopped by a clock check allocated";
+  EXPECT_GT(Stops, 0u) << "the random stimulus must trip the check";
+  EXPECT_GT(Windows, Stops) << "full windows must run too";
   EXPECT_EQ(Env.Events, 0u) << "stepN exchanges slot rows, never Values";
 }
 
