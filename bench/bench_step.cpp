@@ -9,10 +9,12 @@
 ///                CompiledStep bytecode every backend runs (pre-resolved
 ///                descriptor indices, three-address expression bytecode
 ///                over scratch slots, skip-offset block linearization;
-///                zero per-instant heap allocation),
-///   * vm-batch — the same VM through stepN windows: the virtual
-///                environment boundary is crossed once per descriptor
-///                per batch instead of once per query per instant,
+///                zero per-instant heap allocation), through run(): the
+///                unbatched path, stepN windows of UnbatchedWindow (8)
+///                instants,
+///   * vm-batch — the same VM through stepN windows of --batch instants:
+///                the virtual environment boundary is crossed once per
+///                descriptor per window, so wider windows cross it less,
 ///   * cemit    — the C emitted from the same bytecode, compiled by the
 ///                host C compiler and timed in a subprocess (the paper's
 ///                actual artifact; skipped when no compiler is found).
@@ -51,12 +53,10 @@ namespace {
 
 /// Random environment that drops outputs: throughput runs measure the
 /// engines, not trace recording, and stay allocation-free end to end.
-/// Both output paths drop: the per-instant Value one (step()) and the
-/// bulk slot rows (stepN), which thus cost no conversion either.
+/// The flushed slot rows drop unread, so they cost no conversion either.
 class DiscardEnvironment : public RandomEnvironment {
 public:
   using RandomEnvironment::RandomEnvironment;
-  void writeOutput(EnvOutputId, unsigned, const Value &) override {}
   void exchangeOutputs(unsigned, unsigned, unsigned, const EnvOutputId *,
                        const unsigned char *, const VmSlot *) override {}
 };

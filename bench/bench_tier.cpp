@@ -49,13 +49,11 @@ using namespace sigc;
 namespace {
 
 /// Random environment that drops outputs: throughput runs measure the
-/// engines, not trace recording.
-/// Both output paths drop: the per-instant Value one (step()) and the
-/// bulk slot rows (stepN), which thus cost no conversion either.
+/// engines, not trace recording. The flushed slot rows drop unread, so
+/// they cost no conversion either.
 class DiscardEnvironment : public RandomEnvironment {
 public:
   using RandomEnvironment::RandomEnvironment;
-  void writeOutput(EnvOutputId, unsigned, const Value &) override {}
   void exchangeOutputs(unsigned, unsigned, unsigned, const EnvOutputId *,
                        const unsigned char *, const VmSlot *) override {}
 };

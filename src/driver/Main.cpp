@@ -248,6 +248,7 @@ int main(int Argc, char **Argv) {
   bool DumpGraph = false, DumpStep = false, EmitC = false;
   bool DumpInterface = false, DumpLink = false;
   bool WithDriver = false, Stats = false, ReplayBuffered = false;
+  bool FrameGiven = false;
   unsigned Simulate = 0, Batch = 0, Fleet = 0, FleetThreads = 1;
   unsigned FrameInstants = TraceDefaultFrameInstants;
   unsigned MaxSessions = 4, ServeLimit = 0;
@@ -350,9 +351,10 @@ int main(int Argc, char **Argv) {
         Batch = static_cast<unsigned>(V);
       else if (Arg == "--fleet")
         Fleet = static_cast<unsigned>(V);
-      else if (Arg == "--frame")
+      else if (Arg == "--frame") {
         FrameInstants = static_cast<unsigned>(V);
-      else if (Arg == "--max-sessions")
+        FrameGiven = true;
+      } else if (Arg == "--max-sessions")
         MaxSessions = static_cast<unsigned>(V);
       else if (Arg == "--serve-limit")
         ServeLimit = static_cast<unsigned>(V);
@@ -429,6 +431,23 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
+
+  // A flag that only qualifies another one is an error without it, not
+  // silently ignored.
+  const struct {
+    bool Given;
+    const char *Flag;
+    bool Qualified;
+    const char *Needs;
+  } Qualifiers[] = {{WithDriver, "--with-driver", EmitC, "--emit-c"},
+                    {FrameGiven, "--frame", !RecordFile.empty(), "--record"},
+                    {ReplayBuffered, "--replay-buffered", !ReplayFile.empty(),
+                     "--replay"}};
+  for (const auto &Q : Qualifiers)
+    if (Q.Given && !Q.Qualified) {
+      std::fprintf(stderr, "signalc: %s requires %s\n", Q.Flag, Q.Needs);
+      return 2;
+    }
 
   std::string Source, BufferName;
   if (!Builtin.empty()) {

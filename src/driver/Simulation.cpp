@@ -10,12 +10,6 @@
 
 using namespace sigc;
 
-void TextEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
-                                  const Value &V) {
-  const TypeKind T = outputBindingType(Output);
-  appendOutputLine(Text, Instant, outputBindingName(Output), toSlot(V, T), T);
-}
-
 void TextEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
                                       unsigned NumOutputs,
                                       const EnvOutputId *Ids,
@@ -64,7 +58,7 @@ SimulationTotals runShard(const CompiledStep &CS,
                           unsigned Batch, TierGate &Gate, bool Polls) {
   SimulationTotals T;
   VmExecutor Vm(CS);
-  const unsigned Window = Batch > 1 ? Batch : 8;
+  const unsigned Window = Batch > 1 ? Batch : UnbatchedWindow;
   for (unsigned J = First; J < End; ++J) {
     Environment &Env = *Envs[J];
     Vm.setNative(nullptr);

@@ -9,9 +9,10 @@
 /// once per run; each thread owns its executors and reuses them from one
 /// instance to the next, and the counters are summed after the join.
 ///
-/// Every instance runs in stepN windows of the batch size (8 when
-/// unbatched); stepN is trace- and counter-identical to step(), so the
-/// window only decides how often the environment boundary is crossed.
+/// Every instance runs in stepN windows of the batch size
+/// (UnbatchedWindow when unbatched); traces and counters do not depend
+/// on the window, which only decides how often the environment boundary
+/// is crossed.
 /// An instance whose step fails a clock check (a linked system's
 /// dynamic channel check) stops after that instant, as an unbatched run
 /// would; the others run on.
@@ -50,10 +51,7 @@ namespace sigc {
 class TextEnvironment : public RandomEnvironment {
 public:
   using RandomEnvironment::RandomEnvironment;
-  using Environment::writeOutput;
 
-  void writeOutput(EnvOutputId Output, unsigned Instant,
-                   const Value &V) override;
   void exchangeOutputs(unsigned Start, unsigned Count, unsigned NumOutputs,
                        const EnvOutputId *Ids, const unsigned char *Present,
                        const VmSlot *Vals) override;

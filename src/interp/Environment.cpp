@@ -39,36 +39,18 @@ EnvOutputId Environment::resolveOutput(std::string_view Name, TypeKind Type) {
   return internBinding(OutputB, OutputIdx, Name, Type);
 }
 
-void Environment::writeOutput(EnvOutputId Output, unsigned Instant,
-                              const Value &V) {
-  Outputs.push_back({Instant, OutputB[Output].Name, V});
-}
-
-void Environment::clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
-                             unsigned char *Out) {
-  for (unsigned I = 0; I < Count; ++I)
-    Out[I] = clockTick(Clock, Start + I) ? 1 : 0;
-}
-
-void Environment::inputValues(EnvInputId Input, unsigned Start,
-                              unsigned Count, VmSlot *Out) {
-  const TypeKind T = inputBindingType(Input);
-  for (unsigned I = 0; I < Count; ++I)
-    Out[I] = toSlot(inputValue(Input, Start + I), T);
-}
-
 void Environment::exchangeOutputs(unsigned Start, unsigned Count,
                                   unsigned NumOutputs, const EnvOutputId *Ids,
                                   const unsigned char *Present,
                                   const VmSlot *Vals) {
-  // Instants outer, outputs inner (in the executor's emission order):
-  // the recorded event sequence is bit-identical to an unbatched run's.
+  // Instants outer, outputs inner (in the executor's emission order).
   for (unsigned I = 0; I < Count; ++I)
     for (unsigned O = 0; O < NumOutputs; ++O)
-      if (Present[I * NumOutputs + O])
-        writeOutput(Ids[O], Start + I,
-                    fromSlot(Vals[I * NumOutputs + O],
-                             outputBindingType(Ids[O])));
+      if (Present[I * NumOutputs + O]) {
+        const NamedBinding &B = OutputB[Ids[O]];
+        Outputs.push_back(
+            {Start + I, B.Name, fromSlot(Vals[I * NumOutputs + O], B.Type)});
+      }
 }
 
 std::string sigc::formatEvents(const std::vector<OutputEvent> &Events) {
@@ -120,10 +102,6 @@ EnvInputId RandomEnvironment::resolveInput(std::string_view Name,
   return Id;
 }
 
-bool RandomEnvironment::clockTick(EnvClockId Clock, unsigned Instant) {
-  return draw(ClockSeed[Clock], Instant) % 1000 < TickPermille;
-}
-
 void RandomEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
                                    unsigned Count, unsigned char *Out) {
   uint64_t S = ClockSeed[Clock];
@@ -160,40 +138,28 @@ void RandomEnvironment::inputValues(EnvInputId Input, unsigned Start,
     Out[I].I = 0;
 }
 
-Value RandomEnvironment::inputValue(EnvInputId Input, unsigned Instant) {
-  VmSlot S;
-  RandomEnvironment::inputValues(Input, Instant, 1, &S);
-  return fromSlot(S, inputBindingType(Input));
-}
-
 //===----------------------------------------------------------------------===//
 // ScriptedEnvironment
 //===----------------------------------------------------------------------===//
 
-bool ScriptedEnvironment::clockTick(EnvClockId Clock, unsigned Instant) {
-  auto It = Ticks.find({clockBindingName(Clock), Instant});
-  if (It != Ticks.end())
-    return It->second;
-  return AlwaysTick;
+void ScriptedEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
+                                     unsigned Count, unsigned char *Out) {
+  const std::string &Name = clockBindingName(Clock);
+  for (unsigned I = 0; I < Count; ++I) {
+    auto It = Ticks.find({Name, Start + I});
+    Out[I] = (It != Ticks.end() ? It->second : AlwaysTick) ? 1 : 0;
+  }
 }
 
-Value ScriptedEnvironment::inputValue(EnvInputId Input, unsigned Instant) {
-  auto It = Values.find({inputBindingName(Input), Instant});
-  if (It != Values.end())
-    return It->second;
-  // Absent script entries default to neutral values; tests that care set
-  // every queried value explicitly.
-  switch (inputBindingType(Input)) {
-  case TypeKind::Boolean:
-    return Value::makeBool(false);
-  case TypeKind::Event:
-    return Value::makeEvent();
-  case TypeKind::Integer:
-    return Value::makeInt(0);
-  case TypeKind::Real:
-    return Value::makeReal(0.0);
-  case TypeKind::Unknown:
-    break;
+void ScriptedEnvironment::inputValues(EnvInputId Input, unsigned Start,
+                                      unsigned Count, VmSlot *Out) {
+  const std::string &Name = inputBindingName(Input);
+  const TypeKind T = inputBindingType(Input);
+  // Absent script entries default to neutral values (an event's is its
+  // tick); tests that care set every queried value explicitly.
+  const VmSlot Neutral{T == TypeKind::Event ? 1 : 0};
+  for (unsigned I = 0; I < Count; ++I) {
+    auto It = Values.find({Name, Start + I});
+    Out[I] = It != Values.end() ? toSlot(It->second, T) : Neutral;
   }
-  return Value::makeInt(0);
 }

@@ -6,21 +6,21 @@
 ///   * the tick of every *free clock* exhibited by the clock calculus (the
 ///     paper's point in Section 3.3: free variables are inputs the
 ///     environment must provide),
-///   * the value of an input signal — queried only when the runtime has
-///     established the signal is present,
+///   * the value of every input signal — read only at the instants the
+///     runtime establishes the signal is present,
 /// and hands back the outputs produced in that instant.
 ///
-/// The interface is split into a cold *binding* phase and a hot *query*
-/// phase. An executor resolves every name it will ever ask about exactly
-/// once (resolveClock/resolveInput/resolveOutput return dense ids), and
-/// the per-instant queries carry only those ids — no string hashing,
-/// comparison or construction on the reactive step. The batched hot path
-/// (the bulk exchange below) carries untagged VmSlots typed by the
-/// bindings' declared types; tagged Values remain only on the
-/// per-instant virtuals, which KernelInterp and the unbatched step()
-/// use. A thin name-based adapter (the string overloads of
-/// clockTick/inputValue/writeOutput) survives for tests and examples; it
-/// resolves on every call and is deliberately not for hot loops.
+/// The interface is split into a cold *binding* phase and a hot
+/// *exchange* phase. An executor resolves every name it will ever ask
+/// about exactly once (resolveClock/resolveInput/resolveOutput return
+/// dense ids), and the exchange carries only those ids — no string
+/// hashing, comparison or construction on the reactive step. The
+/// exchange is windowed: ticks and inputs are fetched a column per
+/// binding and window, outputs handed back a row per instant, and the
+/// values cross as untagged VmSlots typed by the bindings' declared
+/// types. Every engine crosses here, a window of one instant included
+/// (KernelInterp, the VM's step()); tagged Values stay on the engine's
+/// side of the boundary.
 ///
 /// Two ready-made environments cover testing and benchmarking:
 /// RandomEnvironment (deterministic PRNG) and ScriptedEnvironment (exact
@@ -102,75 +102,39 @@ public:
   /// Registers output signal \p Name of \p Type; equal names share one id.
   virtual EnvOutputId resolveOutput(std::string_view Name, TypeKind Type);
 
-  //===--- Hot path (per instant, no strings) -----------------------------===//
-
-  /// \returns true if the bound free clock ticks at \p Instant.
-  virtual bool clockTick(EnvClockId Clock, unsigned Instant) = 0;
-
-  /// \returns the value of the bound input at \p Instant; called only
-  /// when the signal is present.
-  virtual Value inputValue(EnvInputId Input, unsigned Instant) = 0;
-
-  /// Receives output \p V of the bound output at \p Instant. The default
-  /// implementation records the event under the bound name.
-  virtual void writeOutput(EnvOutputId Output, unsigned Instant,
-                           const Value &V);
-
-  //===--- Bulk exchange (hot path, once per batch) -----------------------===//
+  //===--- Exchange (hot path, once per window) ---------------------------===//
   //
-  // Batched executors cross the virtual environment boundary once per
-  // descriptor per batch instead of once per query per instant, and the
-  // values cross as untagged VmSlots: each input column and each output
-  // column is typed by the declared type its binding was resolved with
-  // (inputBindingType/outputBindingType), the type the step's native
-  // twin reads and writes too. No tagged Value is built on this path.
-  //
-  // The defaults delegate to the per-instant Value virtuals through
-  // toSlot/fromSlot by the binding type, so every environment is
-  // batchable; RandomEnvironment overrides inputValues with straight
-  // loops that draw slots directly. Bulk input fetches are unconditional
-  // over the batch window — an environment whose answers are pure
-  // functions of (binding, instant), which the differential-testing
-  // contract already requires, observes no difference.
+  // An executor crosses the virtual environment boundary once per
+  // descriptor per window, and the values cross as untagged VmSlots:
+  // each input column and each output column is typed by the declared
+  // type its binding was resolved with (inputBindingType/
+  // outputBindingType), the type the step's native twin reads and
+  // writes too; only the default output recording builds tagged Values.
+  // Input fetches are unconditional over the window — an environment whose answers are
+  // pure functions of (binding, instant), which the differential-testing
+  // contract already requires, observes no difference between one
+  // window and the same instants split into smaller ones.
 
-  /// Fills Out[0..Count) with the ticks of \p Clock at instants
+  /// Fills Out[0..Count) with the ticks (0/1) of \p Clock at instants
   /// Start..Start+Count.
   virtual void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
-                          unsigned char *Out);
+                          unsigned char *Out) = 0;
 
   /// Fills Out[0..Count) with the values of \p Input at instants
   /// Start..Start+Count, as slots of the binding's declared type.
   virtual void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
-                           VmSlot *Out);
+                           VmSlot *Out) = 0;
 
-  /// Delivers a whole batch of outputs in one crossing. \p Present and
-  /// \p Vals are row-major [instant][output] over \p NumOutputs outputs
-  /// whose ids are \p Ids, listed in the executor's per-instant emission
-  /// order; each value is a slot of its binding's declared type. The
-  /// default replays the present cells through writeOutput() instant by
-  /// instant, reproducing exactly the event sequence an unbatched run
-  /// records.
+  /// Delivers a window of outputs in one crossing. \p Present and \p Vals
+  /// are row-major [instant][output] over \p NumOutputs outputs whose ids
+  /// are \p Ids, listed in the executor's per-instant emission order;
+  /// each value is a slot of its binding's declared type. The default
+  /// records an OutputEvent per present cell, instant-major and in
+  /// column order, its Value typed by the binding's declared type.
   virtual void exchangeOutputs(unsigned Start, unsigned Count,
                                unsigned NumOutputs, const EnvOutputId *Ids,
                                const unsigned char *Present,
                                const VmSlot *Vals);
-
-  //===--- Name-based adapter (tests, examples, harness generation) -------===//
-
-  /// Resolves \p ClockName and queries it: convenience, not for hot loops.
-  bool clockTick(const std::string &ClockName, unsigned Instant) {
-    return clockTick(resolveClock(ClockName), Instant);
-  }
-  /// Resolves \p SignalName and queries it: convenience, not for hot loops.
-  Value inputValue(const std::string &SignalName, TypeKind Type,
-                   unsigned Instant) {
-    return inputValue(resolveInput(SignalName, Type), Instant);
-  }
-  /// Resolves \p SignalName and writes it: convenience, not for hot loops.
-  void writeOutput(const std::string &SignalName, unsigned Instant,
-                   const Value &V) {
-    writeOutput(resolveOutput(SignalName, V.Kind), Instant, V);
-  }
 
   //===--- Binding-table introspection (adapters, executors) --------------===//
 
@@ -251,21 +215,14 @@ StepBindings resolveBindings(Environment &Env, const ClockDescs &Clocks,
 /// mixing.
 class RandomEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   explicit RandomEnvironment(uint64_t Seed, unsigned TickPermille = 800)
       : Seed(Seed), TickPermille(TickPermille) {}
 
   EnvClockId resolveClock(std::string_view Name) override;
   EnvInputId resolveInput(std::string_view Name, TypeKind Type) override;
 
-  bool clockTick(EnvClockId Clock, unsigned Instant) override;
-  Value inputValue(EnvInputId Input, unsigned Instant) override;
-
-  /// Bulk overrides: one virtual dispatch, then pure integer mixing
-  /// straight into the tick and slot columns.
+  /// One virtual dispatch, then pure integer mixing straight into the
+  /// tick and slot columns.
   void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
                   unsigned char *Out) override;
   void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
@@ -292,13 +249,12 @@ private:
 /// Scripted environment: exact presence and values per instant. The
 /// scripting API is name-keyed (tests read best that way); queries go
 /// through the bound name, so this environment is not allocation-free —
-/// it is for tests, not benchmarks.
+/// it is for tests, not benchmarks. A scripted value crosses as the slot
+/// of the binding's declared type (an integer scripted for a real input
+/// arrives widened); an unscripted cell does not tick and holds the
+/// type's neutral value (false, 0, 0.0; an event's tick).
 class ScriptedEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   /// Makes \p ClockName tick at \p Instant.
   void tick(const std::string &ClockName, unsigned Instant) {
     Ticks[{ClockName, Instant}] = true;
@@ -311,8 +267,10 @@ public:
     Values[{SignalName, Instant}] = V;
   }
 
-  bool clockTick(EnvClockId Clock, unsigned Instant) override;
-  Value inputValue(EnvInputId Input, unsigned Instant) override;
+  void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
+                  unsigned char *Out) override;
+  void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
+                   VmSlot *Out) override;
 
 private:
   std::map<std::pair<std::string, unsigned>, bool> Ticks;

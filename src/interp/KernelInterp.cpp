@@ -31,14 +31,16 @@ void KernelInterp::bind(Environment &Env) {
       RootClock[N] = Env.resolveClock(Sys.varName(Node.Rep, Prog, Names));
   }
   InputId.assign(Prog.numSignals(), InvalidEnvId);
-  OutputId.assign(Prog.numSignals(), InvalidEnvId);
   for (SignalId S = 0; S < Prog.numSignals(); ++S)
     if (!Prog.definition(S))
       InputId[S] = Env.resolveInput(Names.spelling(Prog.Signals[S].Name),
                                     Prog.Signals[S].Type);
+  OutputRow.clear();
   for (SignalId S : Prog.outputs())
-    OutputId[S] = Env.resolveOutput(Names.spelling(Prog.Signals[S].Name),
-                                    Prog.Signals[S].Type);
+    OutputRow.push_back(Env.resolveOutput(Names.spelling(Prog.Signals[S].Name),
+                                          Prog.Signals[S].Type));
+  OutPresent.assign(OutputRow.size(), 0);
+  OutVals.assign(OutputRow.size(), VmSlot{0});
   BoundIdentity = Env.identity();
 }
 
@@ -63,7 +65,9 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
   for (ForestNodeId N : NodeOrder) {
     if (RootClock[N] != InvalidEnvId) {
       ClockKnown[N] = 1;
-      ClockOn[N] = Env.clockTick(RootClock[N], Instant) ? 1 : 0;
+      unsigned char Tick = 0;
+      Env.clockTicks(RootClock[N], Instant, 1, &Tick);
+      ClockOn[N] = Tick ? 1 : 0;
     }
   }
 
@@ -153,8 +157,10 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
       }
       const KernelEq *Def = Prog.definition(S);
       if (!Def) {
-        // Environment input (or free local).
-        Values[S] = Env.inputValue(InputId[S], Instant);
+        // Environment input (or free local), a slot of its declared type.
+        VmSlot In;
+        Env.inputValues(InputId[S], Instant, 1, &In);
+        Values[S] = fromSlot(In, Prog.Signals[S].Type);
         Present[S] = 1;
         ValueKnown[S] = 1;
         Progress = true;
@@ -232,15 +238,18 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
     if (!ValueKnown[S])
       return false;
 
-  // Outputs, through the ids bound once — no name re-materialization per
-  // event — and by their declared types, the rule every executor's
-  // environment boundary follows (an event defined by `when C` leaves as
-  // an event, the integers of a real output as reals).
-  for (SignalId S : Prog.outputs())
-    if (Present[S]) {
-      TypeKind T = Prog.Signals[S].Type;
-      Env.writeOutput(OutputId[S], Instant, fromSlot(toSlot(Values[S], T), T));
-    }
+  // Outputs leave as one row, through the ids bound once, as slots of
+  // their declared types — the rule every executor's environment boundary
+  // follows (an event defined by `when C` leaves as an event, the integers
+  // of a real output as reals).
+  const std::vector<SignalId> &Outs = Prog.outputs();
+  for (size_t O = 0; O < Outs.size(); ++O) {
+    OutPresent[O] = Present[Outs[O]];
+    if (OutPresent[O])
+      OutVals[O] = toSlot(Values[Outs[O]], Prog.Signals[Outs[O]].Type);
+  }
+  Env.exchangeOutputs(Instant, 1, static_cast<unsigned>(Outs.size()),
+                      OutputRow.data(), OutPresent.data(), OutVals.data());
 
   // Advance delay memories.
   for (unsigned DI = 0; DI < DelayEqIndex.size(); ++DI) {

@@ -50,7 +50,8 @@ public:
 private:
   /// Resolves environment ids for the roots, free signals and outputs.
   /// Called lazily whenever the environment instance changes; the hot
-  /// fixpoint loop then queries by id only (no per-instant name builds).
+  /// fixpoint loop then queries by id only (no per-instant name builds),
+  /// each query a one-instant window of the environment's exchange.
   void bind(Environment &Env);
 
   const KernelProgram &Prog;
@@ -67,13 +68,15 @@ private:
   uint64_t BoundIdentity = 0;              ///< identity() of the bound env.
   std::vector<EnvClockId> RootClock;       ///< Forest node -> env clock id.
   std::vector<EnvInputId> InputId;         ///< Free signal -> env input id.
-  std::vector<EnvOutputId> OutputId;       ///< Output signal -> env id.
+  std::vector<EnvOutputId> OutputRow;      ///< Per Prog.outputs() entry.
 
   // Per-instant scratch.
   std::vector<char> ClockKnown, ClockOn;   ///< Indexed by forest node id.
   std::vector<char> ValueKnown;            ///< Indexed by signal.
   std::vector<char> Present;
   std::vector<Value> Values;
+  std::vector<unsigned char> OutPresent;   ///< The instant's output row.
+  std::vector<VmSlot> OutVals;
 };
 
 } // namespace sigc

@@ -2,11 +2,12 @@
 ///
 /// \file
 /// The one runtime value representation shared by the VM, its native
-/// twin, the environment's bulk exchange and the trace codec: an untagged
+/// twin, the environment's exchange and the trace codec: an untagged
 /// 8-byte VmSlot whose type is static (a descriptor's declared type or an
-/// operand's static kind). Tagged Values meet slots only where a
-/// per-instant Value API does (KernelInterp, the name-based adapter), and
-/// toSlot/fromSlot are the one conversion in each direction.
+/// operand's static kind). Tagged Values meet slots only at the edge of
+/// what computes on Values (KernelInterp, the VM's generic handlers,
+/// recorded OutputEvents), and toSlot/fromSlot are the one conversion in
+/// each direction.
 ///
 /// The text of a slot (appendSlotText) is Value::str()'s for the Value of
 /// that type, so an output line rendered from a slot and one rendered

@@ -41,57 +41,14 @@ TypeKind kindOf(uint8_t K) { return static_cast<TypeKind>(K); }
 
 bool isRealSlot(TypeKind K) { return K == TypeKind::Real; }
 
-/// Unbatched port: every query crosses the environment boundary through
-/// the per-instant Value API, converted by the descriptor's declared
-/// type \p T.
-struct DirectPort {
-  Environment &Env;
-  const StepBindings &Bind;
-  bool tick(int32_t Desc, unsigned Instant) {
-    return Env.clockTick(Bind.Clocks[Desc], Instant);
-  }
-  VmSlot input(int32_t Desc, unsigned Instant, TypeKind T) {
-    return toSlot(Env.inputValue(Bind.Inputs[Desc], Instant), T);
-  }
-  void output(int32_t Desc, unsigned Instant, VmSlot V, TypeKind T) {
-    Env.writeOutput(Bind.Outputs[Desc], Instant, fromSlot(V, T));
-  }
-};
-
-/// Batched port: ticks and inputs come out of the prefetched columns,
-/// outputs land in the flush rows; no environment crossing at all. The
-/// slots already have the declared types, so both directions are copies.
-struct BatchPort {
-  const unsigned char *Ticks; ///< [desc * Cap + I]
-  const VmSlot *Ins;          ///< [desc * Cap + I]
-  unsigned Cap = 0;
-  unsigned I = 0; ///< Batch-relative instant.
-  unsigned char *OutPresent;  ///< [I * NumOut + flush pos]
-  VmSlot *Outs;               ///< [I * NumOut + flush pos]
-  const int32_t *FlushPos; ///< Output desc -> flush position.
-  unsigned NumOut = 0;
-
-  bool tick(int32_t Desc, unsigned) {
-    return Ticks[static_cast<size_t>(Desc) * Cap + I] != 0;
-  }
-  VmSlot input(int32_t Desc, unsigned, TypeKind) {
-    return Ins[static_cast<size_t>(Desc) * Cap + I];
-  }
-  void output(int32_t Desc, unsigned, VmSlot V, TypeKind) {
-    size_t At = static_cast<size_t>(I) * NumOut + FlushPos[Desc];
-    OutPresent[At] = 1;
-    Outs[At] = V;
-  }
-};
-
 } // namespace
 
 //===--- The op bodies, shared by both dispatchers ------------------------===//
 //
 // Every body runs after `In = Code[PC++]` and `Exec += In.Weight`, in a
 // scope that also sees the slot file S, the state block Block and its
-// delay states State, the clock slots Clock, the port P, the instant,
-// the guard counter Guards and the failed-check code Failed. Jumps
+// delay states State, the clock slots Clock, the port P, the guard
+// counter Guards and the failed-check code Failed. Jumps
 // assign PC. Bodies may contain commas — the macro is variadic. The
 // handler ids are positional in this list.
 //
@@ -169,15 +126,15 @@ struct BatchPort {
     PC = Clock[In.B] ? PC + 1 : In.Aux;)                                       \
   X(ClockLiteralSkipF, ++Guards; Clock[In.Target] = S[In.A].I == 0;          \
     PC = Clock[In.B] ? PC + 1 : In.Aux;)                                       \
-  X(ReadClockInput, Clock[In.Target] = P.tick(In.Aux, Instant) ? 1 : 0;)       \
+  X(ReadClockInput, Clock[In.Target] = P.tick(In.Aux) ? 1 : 0;)                \
   X(EvalClockDiff,                                                             \
     Clock[In.Target] = static_cast<char>(Clock[In.A] & (Clock[In.B] ^ 1));)    \
   X(CopyClock, Clock[In.Target] = Clock[In.A];)                                \
   X(SetClockFalse, Clock[In.Target] = 0;)                                      \
-  X(ReadSignal, S[In.Target] = P.input(In.Aux, Instant, kindOf(In.KA));)      \
+  X(ReadSignal, S[In.Target] = P.input(In.Aux);)                              \
   X(Copy, S[In.Target] = S[In.A];)                                             \
   X(LoadDelay, S[In.Target] = State[In.A];)                                    \
-  X(WriteOutput, P.output(In.Aux, Instant, S[In.A], kindOf(In.KB));)          \
+  X(WriteOutput, P.output(In.Aux, S[In.A]);)                                  \
   X(CheckClockEq, if (Clock[In.A] != Clock[In.B]) {                            \
     Failed = ClockCheckFailure::code(In.Aux, Clock[In.A] != 0);                \
     PC = In.Target;                                                            \
@@ -211,9 +168,8 @@ struct BatchPort {
   X(StoreDelayGeneric,                                                         \
     State[In.Target] = toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB));) \
   X(WriteOutputGeneric,                                                        \
-    P.output(In.Aux, Instant,                                                  \
-             toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB)),          \
-             kindOf(In.KB));)
+    P.output(In.Aux,                                                           \
+             toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB)));)
 
 namespace {
 
@@ -312,6 +268,33 @@ const std::vector<VmTypedHandler> &VmExecutor::typedHandlers() {
   return Table;
 }
 
+/// The interpreter's side of the window: ticks and inputs come out of
+/// the prefetched columns, outputs land in the flush rows; no environment
+/// crossing at all. The slots already have the declared types, so both
+/// directions are copies.
+struct VmExecutor::BatchPort {
+  const unsigned char *Ticks; ///< [desc * Cap + I]
+  const VmSlot *Ins;          ///< [desc * Cap + I]
+  unsigned Cap = 0;
+  unsigned I = 0; ///< Batch-relative instant.
+  unsigned char *OutPresent;  ///< [I * NumOut + flush pos]
+  VmSlot *Outs;               ///< [I * NumOut + flush pos]
+  const int32_t *FlushPos; ///< Output desc -> flush position.
+  unsigned NumOut = 0;
+
+  bool tick(int32_t Desc) const {
+    return Ticks[static_cast<size_t>(Desc) * Cap + I] != 0;
+  }
+  VmSlot input(int32_t Desc) const {
+    return Ins[static_cast<size_t>(Desc) * Cap + I];
+  }
+  void output(int32_t Desc, VmSlot V) {
+    size_t At = static_cast<size_t>(I) * NumOut + FlushPos[Desc];
+    OutPresent[At] = 1;
+    Outs[At] = V;
+  }
+};
+
 VmExecutor::VmExecutor(const CompiledStep &CS) : CS(CS) {
   decode();
   reset();
@@ -379,7 +362,6 @@ void VmExecutor::decode() {
       break;
     case VmOp::ReadSignal:
       D.Op = H_ReadSignal;
-      D.KA = static_cast<uint8_t>(K.Res);
       break;
     case VmOp::UnarySlot:
       D.Op = unaryHandler(static_cast<UnaryOp>(V.Aux), K.A);
@@ -502,8 +484,7 @@ void VmExecutor::bind(Environment &Env) {
   }
 }
 
-template <typename Port>
-int32_t VmExecutor::execInstant(Port &P, unsigned Instant) {
+int32_t VmExecutor::execInstant(BatchPort &P) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
@@ -556,16 +537,7 @@ int32_t VmExecutor::execInstant(Port &P, unsigned Instant) {
 }
 
 bool VmExecutor::step(Environment &Env, unsigned Instant) {
-  if (Native) {
-    stepN(Env, Instant, 1);
-    return !Failure;
-  }
-  if (Env.identity() != BoundIdentity)
-    bind(Env);
-  DirectPort P{Env, Bind};
-  Failure = ClockCheckFailure();
-  if (int32_t Code = execInstant(P, Instant))
-    Failure = ClockCheckFailure::fromCode(Code, Instant);
+  stepN(Env, Instant, 1);
   return !Failure;
 }
 
@@ -621,7 +593,7 @@ unsigned VmExecutor::stepN(Environment &Env, unsigned Start,
 
     for (unsigned I = 0; I < Count; ++I) {
       P.I = I;
-      if ((Code = execInstant(P, Start + I))) {
+      if ((Code = execInstant(P))) {
         Ran = I + 1;
         break;
       }
@@ -630,7 +602,7 @@ unsigned VmExecutor::stepN(Environment &Env, unsigned Start,
   if (Code)
     Failure = ClockCheckFailure::fromCode(Code, Start + Ran - 1);
 
-  // One crossing back: flush the window's outputs in unbatched order, up
+  // One crossing back: flush the window's outputs instant by instant, up
   // to and including a failed check's instant.
   Env.exchangeOutputs(Start, Ran, NumOut, FlushIds.data(), OutPresent.data(),
                       OutSlots.data());
@@ -638,10 +610,7 @@ unsigned VmExecutor::stepN(Environment &Env, unsigned Start,
 }
 
 unsigned VmExecutor::run(Environment &Env, unsigned Count) {
-  for (unsigned I = 0; I < Count; ++I)
-    if (!step(Env, I))
-      return I + 1;
-  return Count;
+  return runBatched(Env, Count, UnbatchedWindow);
 }
 
 unsigned VmExecutor::runBatched(Environment &Env, unsigned Count,

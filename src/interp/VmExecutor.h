@@ -1,7 +1,7 @@
 //===--- VmExecutor.h - CompiledStep execution ------------------*- C++-*-===//
 ///
 /// \file
-/// Executes a CompiledStep instant by instant against an Environment.
+/// Executes a CompiledStep window by window against an Environment.
 /// The per-instant loop is a flat PC walk over the VM instruction stream:
 /// absent clocks skip their subtree via SkipIfAbsent offsets, expressions
 /// run three-address over preallocated scratch slots, and every
@@ -18,8 +18,8 @@
 /// declared types, and WriteOutput hands out slots of the output's
 /// declared type: a plain copy, converted only where the operand's static
 /// kind differs (an integer-valued `! real X`), as the emitted C's
-/// assignment to the output field converts. Tagged Values appear only in
-/// the unbatched step(), which talks to the per-instant Value API.
+/// assignment to the output field converts. No tagged Value crosses the
+/// environment boundary.
 ///
 /// State block. The guard/executed counters and the delay states live
 /// in one contiguous block of VmSlots: the two counters, then one slot
@@ -42,13 +42,14 @@
 /// default selects or delay stores executes in one dispatch. A Halt
 /// sentinel ends the array, so the dispatch needs no bounds test.
 ///
-/// stepN() runs a whole batch of instants with one environment crossing
-/// per descriptor: free-clock ticks and input slots are fetched up front
-/// through the bulk exchange API into one pair of batch buffers (tick
-/// and input columns, presence and value rows), outputs are buffered and
-/// flushed once at batch end in exactly the order an unbatched run would
-/// record them. Slots stay hot across the batch; traces and counters are
-/// bit-identical to N calls of step().
+/// stepN() runs a window of instants with one environment crossing per
+/// descriptor: free-clock ticks and input slots are fetched up front
+/// through the environment's exchange into one pair of batch buffers
+/// (tick and input columns, presence and value rows), outputs are
+/// buffered and flushed once at window end, instant by instant in code
+/// order. It is the only way into the interpreter: step() is a window of
+/// one instant, run() runs windows of UnbatchedWindow. Traces and
+/// counters do not depend on how a run is cut into windows.
 ///
 /// Clock checks. A CheckClockEq that fails (a linked system's dynamic
 /// channel check) ends its instant; stepN then stops after that instant,
@@ -89,6 +90,12 @@
 namespace sigc {
 
 class NativeModule;
+
+/// The stepN window of a run that names no batch size (VmExecutor::run,
+/// an unbatched --simulate). A window amortizes the environment
+/// crossing of a one-instant stepN; 8 instants keep it near the cost of
+/// one instant's PC walk without holding outputs back noticeably.
+constexpr unsigned UnbatchedWindow = 8;
 
 /// Operand class a typed handler is specialized for.
 enum class VmKind : uint8_t {
@@ -143,21 +150,21 @@ public:
   /// The attached native module, or null.
   const NativeModule *native() const { return Native; }
 
-  /// Runs one reaction. \p Instant tags environment queries and outputs.
-  /// With a native module attached this is stepN(Env, Instant, 1).
-  /// \returns false when a clock check failed (see checkFailure()).
+  /// Runs one reaction, stepN(Env, Instant, 1). \returns false when a
+  /// clock check failed (see checkFailure()).
   bool step(Environment &Env, unsigned Instant);
 
   /// Runs \p Count reactions starting at instant \p Start, crossing the
-  /// environment boundary once per descriptor per batch (bulk tick and
-  /// input prefetch, one output flush). Trace and counters equal \p Count
+  /// environment boundary once per descriptor per window (tick and input
+  /// prefetch, one output flush). Trace and counters equal \p Count
   /// calls of step(). Allocation-free once the batch buffers exist (see
   /// reserveBatch). \returns the instants run: \p Count, or fewer when a
   /// clock check failed (see the file comment).
   unsigned stepN(Environment &Env, unsigned Start, unsigned Count);
 
-  /// Runs \p Count reactions starting at instant 0. \returns the instants
-  /// run (fewer than \p Count after a failed clock check).
+  /// Runs \p Count reactions starting at instant 0 in stepN windows of
+  /// UnbatchedWindow. \returns the instants run (fewer than \p Count
+  /// after a failed clock check).
   unsigned run(Environment &Env, unsigned Count);
 
   /// Runs \p Count reactions starting at instant 0, stepN-batched in
@@ -196,10 +203,13 @@ public:
   void setStateSlots(const std::vector<VmSlot> &S);
 
 private:
-  /// One instant's PC walk; \p Port supplies ticks/inputs and receives
-  /// outputs (direct environment queries or batch buffers). \returns 0,
-  /// or the ClockCheckFailure::code of the check that ended the instant.
-  template <typename Port> int32_t execInstant(Port &P, unsigned Instant);
+  /// The batch buffers as one instant of a window sees them.
+  struct BatchPort;
+
+  /// One instant's PC walk; \p P supplies ticks/inputs and receives
+  /// outputs out of and into the batch buffers. \returns 0, or the
+  /// ClockCheckFailure::code of the check that ended the instant.
+  int32_t execInstant(BatchPort &P);
 
   /// Fills Code from CS.Code (see the file comment).
   void decode();
@@ -211,7 +221,7 @@ private:
   struct Instr {
     uint8_t Op = 0;    ///< Handler, in SIGC_VM_OPS order.
     int8_t Weight = 0; ///< VmInstr's; a run head's: the run length.
-    uint8_t KA = 0; ///< TypeKind of operand A (ReadSignal: of the input).
+    uint8_t KA = 0; ///< TypeKind of operand A.
     uint8_t KB = 0; ///< TypeKind of operand B (StoreDelay: of the state;
                     ///< WriteOutput: the output's declared type).
     int32_t Target = -1;

@@ -71,32 +71,6 @@ EnvOutputId RecordingEnvironment::resolveOutput(std::string_view Name,
   return Id;
 }
 
-bool RecordingEnvironment::clockTick(EnvClockId Clock, unsigned Instant) {
-  bool Tick = Inner.clockTick(InnerClock[Clock], Instant);
-  if (ClockSpec[Clock] != NoSpec) {
-    unsigned char T = Tick;
-    Writer.putClockTicks(ClockSpec[Clock], Instant, 1, &T);
-  }
-  return Tick;
-}
-
-Value RecordingEnvironment::inputValue(EnvInputId Input, unsigned Instant) {
-  Value V = Inner.inputValue(InnerIn[Input], Instant);
-  if (InSpec[Input] != NoSpec) {
-    VmSlot S = toSlot(V, inputBindingType(Input));
-    Writer.putInputValues(InSpec[Input], Instant, 1, &S);
-  }
-  return V;
-}
-
-void RecordingEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
-                                       const Value &V) {
-  Inner.writeOutput(InnerOut[Output], Instant, V);
-  if (OutSpec[Output] != NoSpec)
-    Writer.putOutput(OutSpec[Output], Instant,
-                     toSlot(V, outputBindingType(Output)));
-}
-
 void RecordingEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
                                       unsigned Count, unsigned char *Out) {
   Inner.clockTicks(InnerClock[Clock], Start, Count, Out);
@@ -209,38 +183,6 @@ EnvOutputId StreamEnvironment::resolveOutput(std::string_view Name,
   return Id;
 }
 
-bool StreamEnvironment::clockTick(EnvClockId Clock, unsigned Instant) {
-  unsigned S = ClockSpec[Clock];
-  assert(S != NoSpec && "clock not in the trace interface");
-  const TraceFrame &F = frameAt(Instant);
-  unsigned char T =
-      F.ClockTicks[static_cast<size_t>(S) * F.Cap + (Instant - F.Start)];
-  if (Echo && EchoStimulus)
-    Echo->putClockTicks(S, Instant, 1, &T);
-  return T != 0;
-}
-
-Value StreamEnvironment::inputValue(EnvInputId Input, unsigned Instant) {
-  unsigned S = InSpec[Input];
-  assert(S != NoSpec && "input not in the trace interface");
-  const TraceFrame &F = frameAt(Instant);
-  VmSlot V = F.InputVals[static_cast<size_t>(S) * F.Cap + (Instant - F.Start)];
-  if (Echo && EchoStimulus)
-    Echo->putInputValues(S, Instant, 1, &V);
-  return fromSlot(V, Spec.Inputs[S].Type);
-}
-
-void StreamEnvironment::writeOutput(EnvOutputId Output, unsigned Instant,
-                                    const Value &V) {
-  if (CollectEvents)
-    Environment::writeOutput(Output, Instant, V);
-  ++OutputCount;
-  unsigned S = OutSpec[Output];
-  if (S != NoSpec)
-    checkOutput(Output, S, Instant, /*Produced=*/true,
-                toSlot(V, Spec.Outputs[S].Type));
-}
-
 void StreamEnvironment::checkOutput(EnvOutputId Id, unsigned S,
                                     unsigned Instant, bool Produced,
                                     VmSlot V) {
@@ -305,19 +247,13 @@ void StreamEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
                                         const EnvOutputId *Ids,
                                         const unsigned char *Present,
                                         const VmSlot *Vals) {
+  if (CollectEvents)
+    Environment::exchangeOutputs(Start, Count, NumOutputs, Ids, Present, Vals);
   for (unsigned I = 0; I < Count; ++I) {
     for (unsigned C = 0; C < NumOutputs; ++C) {
       size_t At = static_cast<size_t>(I) * NumOutputs + C;
       bool Produced = Present[At] != 0;
-      if (Produced) {
-        ++OutputCount;
-        // The base (non-virtual) overload: our own writeOutput override
-        // would echo/count this cell a second time.
-        if (CollectEvents)
-          Environment::writeOutput(
-              Ids[C], Start + I,
-              fromSlot(Vals[At], outputBindingType(Ids[C])));
-      }
+      OutputCount += Produced;
       unsigned S = OutSpec[Ids[C]];
       if (S != NoSpec)
         checkOutput(Ids[C], S, Start + I, Produced, Vals[At]);

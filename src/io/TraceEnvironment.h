@@ -1,8 +1,8 @@
 //===--- TraceEnvironment.h - Trace-backed environments ---------*- C++-*-===//
 ///
 /// \file
-/// Environments that connect the compiled step's bound slot-ID
-/// Environment API to the binary trace format, in both directions:
+/// Environments that connect the compiled step's windowed slot-ID
+/// exchange to the binary trace format, in both directions:
 ///
 ///   * RecordingEnvironment wraps a live environment and mirrors every
 ///     exchanged window — clock ticks, input values, output events —
@@ -25,9 +25,9 @@
 ///
 /// All three are allocation-free per instant once warm: frame buffers
 /// recycle through a free list, and every query is slot-ID based. The
-/// bulk exchange moves VmSlot columns between the executor and the
-/// frames by copy — frames hold the same declared-type slots — and a
-/// divergence diagnostic renders both values by the declared type.
+/// exchange moves VmSlot columns between the executor and the frames by
+/// copy — frames hold the same declared-type slots — and a divergence
+/// diagnostic renders both values by the declared type.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,15 +48,9 @@ namespace sigc {
 /// window, present or not — which is sound because the differential
 /// contract already requires answers to be pure functions of
 /// (binding, instant). Frames flush when a window completes, i.e. at
-/// each bulk exchangeOutputs; a run that never batches (per-instant
-/// writeOutput only) still records correctly but buffers frames until
-/// finish(). The caller finishes the writer after the run.
+/// each exchangeOutputs. The caller finishes the writer after the run.
 class RecordingEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   /// Records the traffic of \p Inner against \p Writer's spec. Names
   /// outside the spec pass through unrecorded.
   RecordingEnvironment(Environment &Inner, TraceWriter &Writer);
@@ -66,11 +60,6 @@ public:
   EnvClockId resolveClock(std::string_view Name) override;
   EnvInputId resolveInput(std::string_view Name, TypeKind Type) override;
   EnvOutputId resolveOutput(std::string_view Name, TypeKind Type) override;
-
-  bool clockTick(EnvClockId Clock, unsigned Instant) override;
-  Value inputValue(EnvInputId Input, unsigned Instant) override;
-  void writeOutput(EnvOutputId Output, unsigned Instant,
-                   const Value &V) override;
 
   void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
                   unsigned char *Out) override;
@@ -97,10 +86,6 @@ private:
 /// instants the executor has moved past so the window stays bounded.
 class StreamEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   explicit StreamEnvironment(TraceSpec Spec);
 
   const TraceSpec &streamSpec() const { return Spec; }
@@ -132,12 +117,9 @@ public:
 
   /// Echoes every served window (and the produced outputs) into \p W.
   /// When W's spec carries clocks/inputs they are echoed too (the
-  /// byte-identity pin); an outputsOnly() spec echoes just outputs (the
-  /// serve loop's response stream). Pass nullptr to stop echoing.
-  /// Scalar queries echo too (per-instant executors), but like an
-  /// unbatched recording the writer then buffers frames until finish()
-  /// and only the queried instants are mirrored — byte-identity holds
-  /// for the bulk execution path.
+  /// byte-identity pin, whatever the windows); an outputsOnly() spec
+  /// echoes just outputs (the serve loop's response stream). Pass
+  /// nullptr to stop echoing.
   void setEcho(TraceWriter *W);
   /// Compares produced outputs against the ones recorded in the trace;
   /// the first divergence is latched in divergence().
@@ -155,11 +137,6 @@ public:
   EnvClockId resolveClock(std::string_view Name) override;
   EnvInputId resolveInput(std::string_view Name, TypeKind Type) override;
   EnvOutputId resolveOutput(std::string_view Name, TypeKind Type) override;
-
-  bool clockTick(EnvClockId Clock, unsigned Instant) override;
-  Value inputValue(EnvInputId Input, unsigned Instant) override;
-  void writeOutput(EnvOutputId Output, unsigned Instant,
-                   const Value &V) override;
 
   void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
                   unsigned char *Out) override;

@@ -58,17 +58,18 @@ std::string readFile(const std::string &Path) {
   return SS.str();
 }
 
-/// Renders a C literal for \p V that round-trips exactly.
-std::string cInputLiteral(const Value &V) {
-  switch (V.Kind) {
+/// Renders a C literal for input slot \p S of type \p T that round-trips
+/// exactly.
+std::string cInputLiteral(VmSlot S, TypeKind T) {
+  switch (T) {
   case TypeKind::Boolean:
   case TypeKind::Event:
-    return V.asBool() ? "1" : "0";
+    return S.I ? "1" : "0";
   case TypeKind::Integer:
-    return std::to_string(V.Int) + "L";
+    return std::to_string(S.I) + "L";
   case TypeKind::Real: {
     char Buf[64];
-    std::snprintf(Buf, sizeof Buf, "%.17g", V.Real);
+    std::snprintf(Buf, sizeof Buf, "%.17g", S.R);
     return Buf;
   }
   case TypeKind::Unknown:
@@ -92,21 +93,25 @@ std::string buildHarness(const CompiledStep &Step, const std::string &Proc,
 
   std::string Out = "\n#include <stdio.h>\n\n";
 
+  std::vector<unsigned char> Ticks(N);
   for (const auto &CI : Step.ClockInputs) {
+    Env.clockTicks(Env.resolveClock(CI.Name), 0, N, Ticks.data());
     Out += "static const int tick_" + sanitizeIdent(CI.Name) + "_v[" +
            std::to_string(N) + "] = {";
     for (unsigned I = 0; I < N; ++I)
-      Out += std::string(Env.clockTick(CI.Name, I) ? "1" : "0") + ",";
+      Out += Ticks[I] ? "1," : "0,";
     Out += "};\n";
   }
+  std::vector<VmSlot> Vals(N);
   for (const auto &SI : Step.Inputs) {
+    Env.inputValues(Env.resolveInput(SI.Name, SI.Type), 0, N, Vals.data());
     const char *CType = SI.Type == TypeKind::Integer  ? "long"
                         : SI.Type == TypeKind::Real ? "double"
                                                       : "int";
     Out += std::string("static const ") + CType + " in_" +
            sanitizeIdent(SI.Name) + "_v[" + std::to_string(N) + "] = {";
     for (unsigned I = 0; I < N; ++I)
-      Out += cInputLiteral(Env.inputValue(SI.Name, SI.Type, I)) + ",";
+      Out += cInputLiteral(Vals[I], SI.Type) + ",";
     Out += "};\n";
   }
 
@@ -330,10 +335,12 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   }
 
   // Path 2: the step program's nested lowering on the VM (the
-  // Compilation's single lowered IR).
+  // Compilation's single lowered IR), unbatched: one step() — a
+  // one-instant window — per instant.
   RandomEnvironment EnvVm(Options.EnvSeed, Options.TickPermille);
   VmExecutor ExecVm(C->Compiled);
-  ExecVm.run(EnvVm, Options.Instants);
+  for (unsigned I = 0; I < Options.Instants; ++I)
+    ExecVm.step(EnvVm, I);
   R.GuardTestsNested = ExecVm.guardTests();
   R.ExecutedNested = ExecVm.executed();
 
@@ -696,10 +703,6 @@ bool monoToLinkedClockNames(Compilation &Mono, LinkedSystem &Sys,
 /// adapter's trace is comparable on its own.
 class RenamedClockEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   RenamedClockEnvironment(Environment &Inner,
                           const std::map<std::string, std::string> &Map)
       : Inner(Inner), Map(Map) {}
@@ -721,11 +724,13 @@ public:
     return Id;
   }
 
-  bool clockTick(EnvClockId Clock, unsigned Instant) override {
-    return Inner.clockTick(InnerClock[Clock], Instant);
+  void clockTicks(EnvClockId Clock, unsigned Start, unsigned Count,
+                  unsigned char *Out) override {
+    Inner.clockTicks(InnerClock[Clock], Start, Count, Out);
   }
-  Value inputValue(EnvInputId Input, unsigned Instant) override {
-    return Inner.inputValue(InnerInput[Input], Instant);
+  void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
+                   VmSlot *Out) override {
+    Inner.inputValues(InnerInput[Input], Start, Count, Out);
   }
 
 private:
@@ -811,10 +816,14 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 2: the linked system, its fused step on the VM.
+  // Path 2: the linked system, its fused step on the VM, one step() per
+  // instant.
   RandomEnvironment EnvLinked(Options.EnvSeed, Options.TickPermille);
   VmExecutor Linked(Sys.Fused);
-  if (Linked.run(EnvLinked, Options.Instants) != Options.Instants) {
+  unsigned LinkedRan = 0;
+  while (LinkedRan < Options.Instants && Linked.step(EnvLinked, LinkedRan))
+    ++LinkedRan;
+  if (LinkedRan != Options.Instants) {
     R.Error = failure(Name, "linked execution stopped",
                       Sys.mismatchMessage(Linked.checkFailure()) + "\n",
                       AllSources);

@@ -154,6 +154,22 @@ TEST(Cli, StringFlagRefusesAFlagAsItsOperand) {
   EXPECT_EQ(std::remove(Path.c_str()), 0) << "no trace at " << Path;
 }
 
+TEST(Cli, QualifierWithoutItsFlagIsAUsageError) {
+  // Each of these only qualifies another flag; without it the run used to
+  // exit 0 having ignored it.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"--with-driver", "--emit-c"},
+      {"--simulate 3 --frame 4", "--record"},
+      {"--simulate 3 --replay-buffered", "--replay"}};
+  for (const auto &[Args, Needs] : Cases) {
+    CliResult R = runSignalc("--builtin FIG5_ALARM " + std::string(Args));
+    EXPECT_EQ(R.Exit, 2) << Args << ": " << R.Output;
+    EXPECT_NE(R.Output.find(std::string("requires ") + Needs),
+              std::string::npos)
+        << Args << ": " << R.Output;
+  }
+}
+
 TEST(Cli, ValidNumericFlagsStillRun) {
   CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 4 --seed 3");
   EXPECT_EQ(R.Exit, 0) << R.Output;

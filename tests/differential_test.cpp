@@ -205,9 +205,12 @@ TEST(DifferentialEmitC, BooleanVsEventComparisonMatchesValueSemantics) {
   KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
   ASSERT_TRUE(Ref.run(EnvRef, Instants));
   for (RandomEnvironment *Env : {&EnvVm, &EnvRef}) {
+    VmSlot BCol[Instants];
+    Env->inputValues(Env->resolveInput("B", TypeKind::Boolean), 0, Instants,
+                     BCol);
     unsigned Trues = 0, Falses = 0;
     for (const OutputEvent &Ev : Env->outputs()) {
-      bool B = Env->inputValue("B", TypeKind::Boolean, Ev.Instant).asBool();
+      bool B = BCol[Ev.Instant].I != 0;
       ASSERT_EQ(Ev.Val.Kind, TypeKind::Boolean) << Ev.Signal;
       EXPECT_EQ(Ev.Val.Bool, Ev.Signal == "Y" ? B : !B)
           << Ev.Signal << " at instant " << Ev.Instant;
@@ -246,6 +249,8 @@ TEST(DifferentialEmitC, RealDelayWithIntegerInitStaysReal) {
   EXPECT_EQ(Vm.decodeStats().Generic, 0u);
   RandomEnvironment Env(3);
   Vm.run(Env, 16);
+  VmSlot X[16];
+  Env.inputValues(Env.resolveInput("X", TypeKind::Real), 0, 16, X);
   // Y ticks with X and carries X's value from X's previous tick.
   const std::vector<OutputEvent> &Out = Env.outputs();
   ASSERT_GE(Out.size(), 2u);
@@ -253,8 +258,7 @@ TEST(DifferentialEmitC, RealDelayWithIntegerInitStaysReal) {
   EXPECT_EQ(Out[0].Val.Real, 1.0);
   for (size_t K = 1; K < Out.size(); ++K) {
     EXPECT_EQ(Out[K].Val.Kind, TypeKind::Real);
-    EXPECT_EQ(Out[K].Val.Real,
-              Env.inputValue("X", TypeKind::Real, Out[K - 1].Instant).Real);
+    EXPECT_EQ(Out[K].Val.Real, X[Out[K - 1].Instant].R);
   }
 
   OracleOptions O;

@@ -353,19 +353,32 @@ TEST(GuardLowering, FlatResetRestoresInitialState) {
 }
 
 TEST(Environment, RandomIsQueryOrderIndependent) {
+  // E1 binds X then Y, E2 binds Y then X: the ids differ, the answers
+  // must not.
   RandomEnvironment E1(9), E2(9);
-  Value A1 = E1.inputValue("X", TypeKind::Integer, 3);
-  Value B1 = E1.inputValue("Y", TypeKind::Integer, 3);
-  Value B2 = E2.inputValue("Y", TypeKind::Integer, 3);
-  Value A2 = E2.inputValue("X", TypeKind::Integer, 3);
-  EXPECT_EQ(A1, A2);
-  EXPECT_EQ(B1, B2);
+  EnvInputId X1 = E1.resolveInput("X", TypeKind::Integer);
+  EnvInputId Y1 = E1.resolveInput("Y", TypeKind::Integer);
+  EnvInputId Y2 = E2.resolveInput("Y", TypeKind::Integer);
+  EnvInputId X2 = E2.resolveInput("X", TypeKind::Integer);
+  VmSlot A1, B1, B2, A2;
+  E1.inputValues(X1, 3, 1, &A1);
+  E1.inputValues(Y1, 3, 1, &B1);
+  E2.inputValues(Y2, 3, 1, &B2);
+  E2.inputValues(X2, 3, 1, &A2);
+  EXPECT_EQ(A1.I, A2.I);
+  EXPECT_EQ(B1.I, B2.I);
 }
 
 TEST(Environment, ScriptedDefaults) {
   ScriptedEnvironment E;
-  EXPECT_FALSE(E.clockTick("^X", 0));
+  EnvClockId X = E.resolveClock("^X");
+  unsigned char Tick = 9;
+  E.clockTicks(X, 0, 1, &Tick);
+  EXPECT_EQ(Tick, 0);
   E.tickAlways();
-  EXPECT_TRUE(E.clockTick("^X", 0));
-  EXPECT_EQ(E.inputValue("A", TypeKind::Integer, 0), Value::makeInt(0));
+  E.clockTicks(X, 0, 1, &Tick);
+  EXPECT_EQ(Tick, 1);
+  VmSlot A{7};
+  E.inputValues(E.resolveInput("A", TypeKind::Integer), 0, 1, &A);
+  EXPECT_EQ(A.I, 0);
 }

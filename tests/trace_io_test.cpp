@@ -238,13 +238,15 @@ TEST(TraceRoundTrip, VerifiedReplayEchoesByteIdenticalTrace) {
 }
 
 TEST(TraceRoundTrip, PerInstantReplayEchoesAUsableStream) {
-  // A replay driven by the per-instant executor (scalar clockTick /
-  // inputValue / writeOutput, never the bulk exchange) must still mirror
-  // what it serves into the echo writer: replaying the echoed stream
-  // reproduces the original events. Regression for an echo that only
-  // hooked the bulk paths and emitted an empty stimulus stream.
+  // A replay driven by the unbatched executor (run(): windows of
+  // UnbatchedWindow, which neither the recording's batches of 5 nor the
+  // 27-instant end align with) mirrors
+  // what it serves into the echo writer byte for byte, and replaying the
+  // echoed stream reproduces the original events. Regression for an echo
+  // that only hooked some exchange paths and emitted an empty stimulus
+  // stream.
   auto C = compileMixed();
-  Recording R = record(*C, 24, 8, 8);
+  Recording R = record(*C, 27, 8, 5);
 
   MemoryTraceSource Src(R.Bytes);
   TraceReader Reader(Src);
@@ -255,14 +257,16 @@ TEST(TraceRoundTrip, PerInstantReplayEchoesAUsableStream) {
   TraceEnvironment Env(Reader);
   Env.setVerifyOutputs(true);
   Env.setEcho(&Echo);
-  ASSERT_EQ(Env.prepare(0, 24), 24u) << Env.error().str();
+  ASSERT_EQ(Env.prepare(0, 27), 27u) << Env.error().str();
   VmExecutor Vm(C->Compiled);
-  Vm.run(Env, 24); // Per-instant queries only.
+  Vm.run(Env, 27);
   EXPECT_EQ(Env.divergence(), "");
   EXPECT_EQ(Env.outputCount(), R.Events.size());
-  ASSERT_TRUE(Echo.finish(24));
+  ASSERT_TRUE(Echo.finish(27));
   ASSERT_GT(EchoSink.bytes().size(), headerLen(EchoSink.bytes()))
       << "echo must carry frames, not just a header";
+  EXPECT_EQ(EchoSink.bytes(), R.Bytes)
+      << "re-recorded replay must be byte-identical to the original";
 
   MemoryTraceSource EchoSrc(EchoSink.bytes());
   std::vector<OutputEvent> Replayed = replayVerified(*C, EchoSrc);
