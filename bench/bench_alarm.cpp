@@ -40,7 +40,7 @@ int main() {
 
   constexpr unsigned Steps = 200000;
   const CompiledStep Lowered[2] = {
-      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat),
+      CompiledStep::build(C->Step, GuardLowering::Flat),
       C->Compiled};
   for (unsigned Permille : {900, 500, 100}) {
     double Times[2];

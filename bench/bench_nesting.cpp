@@ -38,7 +38,7 @@ void runBench(benchmark::State &State, GuardLowering L) {
   unsigned Stages = static_cast<unsigned>(State.range(0));
   unsigned TickPermille = static_cast<unsigned>(State.range(1));
   auto C = compileChain(Stages);
-  CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step, L);
+  CompiledStep CS = CompiledStep::build(C->Step, L);
   VmExecutor Exec(CS);
   RandomEnvironment Env(42, TickPermille);
 

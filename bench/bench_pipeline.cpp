@@ -87,7 +87,7 @@ int main() {
                 P.Name.c_str(), Sys.numVars(), FrontendMs, ExtractMs,
                 ForestMs, GraphMs, StepMs,
                 static_cast<unsigned long long>(Mgr.numNodes()),
-                Step.Instrs.size());
+                Step.Groups.size());
   }
   return 0;
 }

@@ -189,8 +189,7 @@ Row benchProgram(const std::string &Name, const std::string &Source,
   R.TickPermille = TickPermille;
 
   {
-    CompiledStep Flat =
-        CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+    CompiledStep Flat = CompiledStep::build(C->Step, GuardLowering::Flat);
     VmExecutor Exec(Flat);
     R.FlatPerSec = throughput(Exec, TickPermille, Instants,
                               [](VmExecutor &E, Environment &Env,

@@ -46,8 +46,7 @@ process FILTERBANK =
               emitC(C->Compiled, "fb", CEmitOptions()).c_str());
 
   constexpr unsigned Steps = 100000;
-  CompiledStep Flat =
-      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  CompiledStep Flat = CompiledStep::build(C->Step, GuardLowering::Flat);
   for (unsigned Permille : {1000, 200}) {
     VmExecutor FlatExec(Flat);
     RandomEnvironment E1(3, Permille);

@@ -48,7 +48,7 @@ process HALF =
               C->Forest->dump(C->Clocks, *C->Kernel, C->names()).c_str());
   std::printf("== 4. step bytecode, flat lowering (every instruction tests "
               "its own guard) ==\n%s\n",
-              CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat)
+              CompiledStep::build(C->Step, GuardLowering::Flat)
                   .dump()
                   .c_str());
   std::printf("== 5. step bytecode, nested lowering (the single lowered "

@@ -8,9 +8,9 @@
 /// two backends cannot drift:
 ///
 ///   * every `SkipIfAbsent` becomes a structured `if` over the guard's
-///     clock local (the skip offsets are properly nested by
-///     construction, so the stream reconstructs as pure if-nesting —
-///     code a of Figure 9),
+///     clock local (layOutGuards nests the skip offsets properly, so the
+///     stream reconstructs as pure if-nesting — code a of Figure 9 for
+///     the nested lowering, code b for the flat one),
 ///   * scratch expression slots become typed C locals; value slots take
 ///     the static type the bytecode computes for them (integer
 ///     arithmetic is emitted with the VM's two's-complement wrapping

@@ -2,6 +2,7 @@
 
 #include "codegen/StepCompiler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
@@ -9,117 +10,195 @@ using namespace sigc;
 
 namespace {
 
-/// Builds the nested block structure over the emitted instructions: blocks
-/// follow the clock tree, instructions live in the block of their guard,
-/// and a block is (re)opened lazily when the schedule reaches an
-/// instruction guarded by it.
-class NestedBuilder {
+/// Lowers scheduled actions to guard-tagged VM code: Func trees flatten
+/// to three-address instructions over scratch slots with constant
+/// subtrees folded, statically absent clock operands fold into dedicated
+/// opcodes, and each action's group is tagged with its clock path.
+class ActionLowering {
 public:
-  NestedBuilder(StepProgram &Prog, ClockForest &Forest,
-                const std::unordered_map<ForestNodeId, int> &SlotOfNode)
-      : Prog(Prog), Forest(Forest), SlotOfNode(SlotOfNode),
-        SlotComputed(SlotOfNode.size(), false) {
-    Prog.Blocks.emplace_back(); // Root block, guard -1.
-    Prog.RootBlock = 0;
-    Stack.push_back({InvalidForestNode, 0});
-  }
+  ActionLowering(StepProgram &SP, ClockForest &Forest,
+                 const std::unordered_map<ForestNodeId, int> &SlotOfNode)
+      : SP(SP), Forest(Forest), SlotOfNode(SlotOfNode),
+        SlotComputed(SlotOfNode.size(), false) {}
 
-  /// Appends instruction \p InstrIdx guarded by tree node \p GuardNode
-  /// (InvalidForestNode = unguarded).
-  void append(int InstrIdx, ForestNodeId GuardNode) {
-    openPathTo(GuardNode);
-    Prog.Blocks[Stack.back().Block].Items.push_back({false, InstrIdx});
+  /// Closes the group of the action guarded by tree node \p GuardNode
+  /// (InvalidForestNode = unguarded) over the code emitted since the
+  /// previous group.
+  void closeGroup(ForestNodeId GuardNode) {
+    SP.Groups.push_back(
+        {guardPath(GuardNode), static_cast<uint32_t>(SP.Code.size())});
   }
 
   /// Records that the slot of clock \p Node is computed from here on and
-  /// may be used as a block guard.
+  /// may guard later groups from above.
   void markComputed(ForestNodeId Node) {
     SlotComputed[SlotOfNode.at(Node)] = true;
   }
 
-  /// Collapses guard chains so each nested block tests its clock once
-  /// (Figure 9, code a). Re-opening a root-to-leaf path leaves blocks
-  /// whose only item is a sub-block; such a block buys a guard test and
-  /// nothing else, so it is replaced by its innermost single-item
-  /// descendant. Sound because every engine zeroes the clock slots at
-  /// the start of each instant and a block's guard is only tested once
-  /// computed (or skipped under an absent ancestor, leaving it zero):
-  /// by tree inclusion the innermost clock is absent whenever any
-  /// ancestor on the chain is. Blocks no longer reachable from the root
-  /// are dropped, the survivors renumbered in preorder.
-  void finish() {
-    std::vector<StepBlock> Old = std::move(Prog.Blocks);
-    Prog.Blocks.clear();
-    Prog.RootBlock = copyBlock(Old, 0);
+  int32_t slot(ForestNodeId N) const {
+    return N == InvalidForestNode ? -1 : SlotOfNode.at(N);
+  }
+
+  void push(VmInstr V) { SP.Code.push_back(V); }
+
+  /// Emits value[Target] := the Func equation \p Eq.
+  void emitFunc(const KernelEq &Eq, int32_t Target) {
+    int Root = static_cast<int>(Eq.Nodes.size()) - 1;
+    const FuncNode &RootNode = Eq.Nodes[Root];
+    VmInstr V;
+    V.Target = Target;
+    if (RootNode.Kind == FuncNode::Kind::Arg ||
+        RootNode.Kind == FuncNode::Kind::Const) {
+      Operand O = emitNode(Eq, Root, 0, -1);
+      V.Op = O.IsConst ? VmOp::LoadConst : VmOp::CopyValue;
+      (O.IsConst ? V.Aux : V.A) = O.Idx;
+      push(V);
+      return;
+    }
+    Operand O = emitNode(Eq, Root, 0, Target);
+    if (O.IsConst) {
+      // The whole tree folded to a constant.
+      V.Op = VmOp::LoadConst;
+      V.Aux = O.Idx;
+      push(V);
+    } // Otherwise emitNode's root instruction already wrote Target.
+  }
+
+  /// Emits clock[Target] := A <Op> B, folding statically absent operands
+  /// (slot -1: the clock calculus proved the clock empty) at build time
+  /// instead of re-testing them every instant.
+  void emitClockOp(ClockOp Op, int32_t Target, int32_t A, int32_t B) {
+    VmInstr V;
+    V.Target = Target;
+    bool HasA = A >= 0, HasB = B >= 0;
+    auto binary = [&](VmOp O) {
+      V.Op = O;
+      V.A = A;
+      V.B = B;
+    };
+    auto copy = [&](int32_t From) {
+      V.Op = VmOp::CopyClock;
+      V.A = From;
+    };
+    V.Op = VmOp::SetClockFalse;
+    switch (Op) {
+    case ClockOp::Inter:
+      if (HasA && HasB)
+        binary(VmOp::EvalClockAnd);
+      break;
+    case ClockOp::Union:
+      if (HasA && HasB)
+        binary(VmOp::EvalClockOr);
+      else if (HasA || HasB)
+        copy(HasA ? A : B);
+      break;
+    case ClockOp::Diff:
+      if (HasA && HasB)
+        binary(VmOp::EvalClockDiff);
+      else if (HasA)
+        copy(A);
+      break;
+    }
+    push(V);
   }
 
 private:
-  int copyBlock(const std::vector<StepBlock> &Old, int BlockIdx) {
-    int NewIdx = static_cast<int>(Prog.Blocks.size());
-    Prog.Blocks.push_back({Old[BlockIdx].GuardSlot, {}});
-    for (StepBlock::Item It : Old[BlockIdx].Items) {
-      if (It.IsBlock) {
-        int Inner = It.Index;
-        while (Old[Inner].Items.size() == 1 && Old[Inner].Items[0].IsBlock)
-          Inner = Old[Inner].Items[0].Index;
-        It.Index = copyBlock(Old, Inner);
-      }
-      Prog.Blocks[NewIdx].Items.push_back(It);
+  /// The clock path guarding an action under tree node \p Target,
+  /// outermost first. A skip reads its guard's clock slot when the code
+  /// reaches it, so only already-computed ancestors can participate:
+  /// reparenting (a derived clock inserted under a deeper parent whose
+  /// presence the schedule computes later) would otherwise read a slot
+  /// that is still zero and wrongly skip the subtree. Dropping an
+  /// uncomputed ancestor is sound — the action's own guard implies every
+  /// ancestor by clock inclusion; the ancestor test is only the Figure-9
+  /// sharing optimization.
+  std::vector<int32_t> guardPath(ForestNodeId Target) const {
+    std::vector<int32_t> Path;
+    if (Target == InvalidForestNode)
+      return Path;
+    Path.push_back(SlotOfNode.at(Target));
+    for (ForestNodeId N = Forest.node(Target).Parent; N != InvalidForestNode;
+         N = Forest.node(N).Parent) {
+      int Slot = SlotOfNode.at(N);
+      if (SlotComputed[Slot])
+        Path.push_back(Slot);
     }
-    return NewIdx;
+    std::reverse(Path.begin(), Path.end());
+    return Path;
   }
 
-  struct Frame {
-    ForestNodeId Node;
-    int Block;
+  /// A flattened operand: a value/scratch slot or a constant-pool entry.
+  struct Operand {
+    bool IsConst = false;
+    int32_t Idx = -1;
   };
 
-  void openPathTo(ForestNodeId Target) {
-    // Path of tree nodes from the root to Target. A block's guard test
-    // reads the guard's clock slot at block-entry time, so only
-    // already-computed ancestors can participate in the nesting:
-    // reparenting (a derived clock inserted under a deeper parent whose
-    // presence the schedule computes later) would otherwise read a slot
-    // that is still zero and wrongly skip the subtree. Dropping an
-    // uncomputed ancestor is sound — the instruction's own guard implies
-    // every ancestor by clock inclusion; the ancestor test is only the
-    // Figure-9 sharing optimization.
-    std::vector<ForestNodeId> Path;
-    if (Target != InvalidForestNode) {
-      Path.push_back(Target);
-      for (ForestNodeId N = Forest.node(Target).Parent;
-           N != InvalidForestNode; N = Forest.node(N).Parent)
-        if (SlotComputed[SlotOfNode.at(N)])
-          Path.push_back(N);
-    }
-    // Stack[0] is the unguarded root; align the rest with Path reversed.
-    size_t Keep = 1;
-    for (size_t I = 0; I < Path.size(); ++I) {
-      size_t StackIdx = 1 + I;
-      ForestNodeId Want = Path[Path.size() - 1 - I];
-      if (StackIdx < Stack.size() && Stack[StackIdx].Node == Want)
-        Keep = StackIdx + 1;
-      else
-        break;
-    }
-    Stack.resize(Keep);
-    // Open the missing blocks down to Target.
-    for (size_t I = Keep - 1; I < Path.size(); ++I) {
-      ForestNodeId Want = Path[Path.size() - 1 - I];
-      int BlockIdx = static_cast<int>(Prog.Blocks.size());
-      StepBlock B;
-      B.GuardSlot = SlotOfNode.at(Want);
-      Prog.Blocks.push_back(B);
-      Prog.Blocks[Stack.back().Block].Items.push_back({true, BlockIdx});
-      Stack.push_back({Want, BlockIdx});
-    }
+  /// The scratch slot for interior results at tree depth \p Depth.
+  int32_t tempSlot(unsigned Depth) {
+    if (Depth + 1 > SP.NumTempSlots)
+      SP.NumTempSlots = Depth + 1;
+    return static_cast<int32_t>(SP.NumValueSlots + Depth);
   }
 
-  StepProgram &Prog;
+  /// Emits code computing node \p NodeIdx of \p Eq. Leaves emit nothing;
+  /// constant subtrees fold at build time. Interior results land in the
+  /// scratch slot of \p Depth, or directly in \p TargetSlot (>= 0) for
+  /// the root — whose instruction then carries Weight 1 for the whole
+  /// lowered step instruction.
+  Operand emitNode(const KernelEq &Eq, int NodeIdx, unsigned Depth,
+                   int32_t TargetSlot) {
+    const FuncNode &N = Eq.Nodes[NodeIdx];
+    switch (N.Kind) {
+    case FuncNode::Kind::Arg: {
+      int32_t Slot = SP.SignalValueSlot[Eq.Args[N.ArgIndex]];
+      assert(Slot >= 0 && "func over a dead-clock operand");
+      return {false, Slot};
+    }
+    case FuncNode::Kind::Const:
+      return {true, internConst(SP.Consts, N.Const)};
+    case FuncNode::Kind::Unary: {
+      Operand C = emitNode(Eq, N.Lhs, Depth, -1);
+      if (C.IsConst)
+        return {true, internConst(SP.Consts,
+                                  evalUnaryValue(N.UOp, SP.Consts[C.Idx]))};
+      VmInstr V;
+      V.Op = VmOp::UnarySlot;
+      V.Weight = TargetSlot >= 0 ? 1 : 0;
+      V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth);
+      V.A = C.Idx;
+      V.Aux = static_cast<int32_t>(N.UOp);
+      push(V);
+      return {false, V.Target};
+    }
+    case FuncNode::Kind::Binary: {
+      Operand L = emitNode(Eq, N.Lhs, Depth, -1);
+      Operand R = emitNode(Eq, N.Rhs, Depth + 1, -1);
+      if (L.IsConst && R.IsConst)
+        return {true,
+                internConst(SP.Consts, evalBinaryValue(N.BOp, SP.Consts[L.Idx],
+                                                       SP.Consts[R.Idx]))};
+      VmInstr V;
+      V.Op = L.IsConst   ? VmOp::BinaryCS
+             : R.IsConst ? VmOp::BinarySC
+                         : VmOp::BinarySS;
+      V.Weight = TargetSlot >= 0 ? 1 : 0;
+      // Writing the destination cannot clobber an operand mid-compute:
+      // the evaluator computes the result before storing it.
+      V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth);
+      V.A = L.Idx;
+      V.B = R.Idx;
+      V.Aux = static_cast<int32_t>(N.BOp);
+      push(V);
+      return {false, V.Target};
+    }
+    }
+    return {};
+  }
+
+  StepProgram &SP;
   ClockForest &Forest;
   const std::unordered_map<ForestNodeId, int> &SlotOfNode;
   std::vector<bool> SlotComputed;
-  std::vector<Frame> Stack;
 };
 
 std::string clockName(ForestNodeId N, ClockForest &Forest,
@@ -165,127 +244,124 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
     SP.StateInit.push_back(Eq.DelayInit);
   }
 
-  NestedBuilder Nest(SP, Forest, SlotOfNode);
+  ActionLowering Lower(SP, Forest, SlotOfNode);
 
   auto sigName = [&](SignalId S) {
     return std::string(Names.spelling(Prog.Signals[S].Name));
   };
+  auto signalIO = [&](SignalId S) -> StepProgram::SignalIODesc {
+    return {S, SP.SignalValueSlot[S], SP.SignalClockSlot[S],
+            Prog.Signals[S].Type, sigName(S)};
+  };
 
-  // --- Instruction emission, one per scheduled action ---------------------
+  // --- Code emission, one group per scheduled action ----------------------
   for (int ActIdx : Graph.schedule()) {
     const Action &A = Graph.actions()[ActIdx];
-    StepInstr In;
+    // A clock action writes its clock's slot, any other its signal's
+    // value slot (a StoreDelay its state slot, set below).
+    VmInstr V;
+    V.Target = A.Sig == InvalidSignal ? Lower.slot(A.Clock)
+                                      : SP.SignalValueSlot[A.Sig];
 
     switch (A.Kind) {
-    case ActionKind::ClockInput: {
-      In.Op = StepOp::ReadClockInput;
-      In.Target = SlotOfNode.at(A.Clock);
-      In.Desc = static_cast<int>(SP.ClockInputs.size());
+    case ActionKind::ClockInput:
+      V.Op = VmOp::ReadClockInput;
+      V.Aux = static_cast<int32_t>(SP.ClockInputs.size());
       SP.ClockInputs.push_back(
-          {In.Target, clockName(A.Clock, Forest, Sys, Prog, Names)});
+          {V.Target, clockName(A.Clock, Forest, Sys, Prog, Names)});
+      Lower.push(V);
       break;
-    }
     case ActionKind::ClockEval: {
       const ClockNode &Node = Forest.node(A.Clock);
-      In.Target = SlotOfNode.at(A.Clock);
       if (Node.Def == ClockDefKind::Literal) {
         // [C] = present(ĉ) ∧ (C == polarity): guarded by the condition's
         // clock (an ancestor in the tree), so the slot stays false when C
         // is absent.
-        In.Op = StepOp::EvalClockLiteral;
-        In.A = SP.SignalValueSlot[Node.CondSignal];
-        In.Positive = Node.Positive;
-        In.Guard = SlotOfNode.at(A.Guard);
+        V.Op = VmOp::EvalClockLiteral;
+        V.A = SP.SignalValueSlot[Node.CondSignal];
+        V.Aux = Node.Positive ? 1 : 0;
+        Lower.push(V);
       } else {
         // Derived/residual presence is a cheap boolean over already
         // computed slots; it runs unguarded because its operands may sit
         // below it in the tree (reparenting).
-        In.Op = StepOp::EvalClockOp;
-        In.COp = Node.Op;
-        ForestNodeId NA = Forest.nodeOf(Node.OpA);
-        ForestNodeId NB = Forest.nodeOf(Node.OpB);
-        In.A = NA == InvalidForestNode ? -1 : SlotOfNode.at(NA);
-        In.B = NB == InvalidForestNode ? -1 : SlotOfNode.at(NB);
+        Lower.emitClockOp(Node.Op, V.Target,
+                          Lower.slot(Forest.nodeOf(Node.OpA)),
+                          Lower.slot(Forest.nodeOf(Node.OpB)));
       }
       break;
     }
-    case ActionKind::SignalInput: {
-      In.Op = StepOp::ReadSignal;
-      In.Target = SP.SignalValueSlot[A.Sig];
-      In.Sig = A.Sig;
-      In.Guard = SP.SignalClockSlot[A.Sig];
-      In.Desc = static_cast<int>(SP.Inputs.size());
-      SP.Inputs.push_back({A.Sig, In.Target, In.Guard,
-                           Prog.Signals[A.Sig].Type, sigName(A.Sig)});
+    case ActionKind::SignalInput:
+      V.Op = VmOp::ReadSignal;
+      V.Aux = static_cast<int32_t>(SP.Inputs.size());
+      SP.Inputs.push_back(signalIO(A.Sig));
+      Lower.push(V);
       break;
-    }
     case ActionKind::SignalEval: {
       const KernelEq &Eq = Prog.Equations[A.EqIndex];
-      In.Target = SP.SignalValueSlot[A.Sig];
-      In.EqIndex = A.EqIndex;
-      In.Sig = A.Sig;
-      In.Guard = SP.SignalClockSlot[A.Sig];
       switch (Eq.Kind) {
       case KernelEqKind::Func:
-        In.Op = StepOp::EvalFunc;
+        Lower.emitFunc(Eq, V.Target);
         break;
       case KernelEqKind::When:
-        In.Op = StepOp::EvalWhen;
-        if (Eq.WhenValue.isSignal())
-          In.A = SP.SignalValueSlot[Eq.WhenValue.Sig];
+        if (Eq.WhenValue.isSignal()) {
+          V.Op = VmOp::CopyValue;
+          V.A = SP.SignalValueSlot[Eq.WhenValue.Sig];
+        } else {
+          V.Op = VmOp::LoadConst;
+          V.Aux = internConst(SP.Consts, Eq.WhenValue.Const);
+        }
+        Lower.push(V);
         break;
-      case KernelEqKind::Default:
-        In.Op = StepOp::EvalDefault;
-        In.A = SP.SignalValueSlot[Eq.DefaultPreferred];
-        In.B = SP.SignalValueSlot[Eq.DefaultAlternative];
-        In.PresA = SP.SignalClockSlot[Eq.DefaultPreferred];
+      case KernelEqKind::Default: {
+        int32_t Pref = SP.SignalValueSlot[Eq.DefaultPreferred];
+        int32_t Alt = SP.SignalValueSlot[Eq.DefaultAlternative];
+        if (Pref < 0 || Alt < 0) {
+          V.Op = VmOp::CopyValue; // One arm's clock is empty.
+          V.A = Pref < 0 ? Alt : Pref;
+        } else {
+          V.Op = VmOp::Select;
+          V.A = Pref;
+          V.B = Alt;
+          V.Aux = SP.SignalClockSlot[Eq.DefaultPreferred];
+        }
+        Lower.push(V);
         break;
+      }
       case KernelEqKind::Delay:
         assert(false && "delay scheduled as SignalEval");
         break;
       }
       break;
     }
-    case ActionKind::LoadDelay: {
-      In.Op = StepOp::LoadDelay;
-      In.Target = SP.SignalValueSlot[A.Sig];
-      In.A = StateSlotOfEq.at(A.EqIndex);
-      In.Sig = A.Sig;
-      In.Guard = SP.SignalClockSlot[A.Sig];
+    case ActionKind::LoadDelay:
+      V.Op = VmOp::LoadDelay;
+      V.A = StateSlotOfEq.at(A.EqIndex);
+      Lower.push(V);
       break;
-    }
-    case ActionKind::StoreDelay: {
-      const KernelEq &Eq = Prog.Equations[A.EqIndex];
-      In.Op = StepOp::StoreDelay;
-      In.Target = StateSlotOfEq.at(A.EqIndex);
-      In.A = SP.SignalValueSlot[Eq.DelaySource];
-      In.Sig = A.Sig;
-      In.Guard = SP.SignalClockSlot[A.Sig];
+    case ActionKind::StoreDelay:
+      V.Op = VmOp::StoreDelay;
+      V.Target = StateSlotOfEq.at(A.EqIndex);
+      V.A = SP.SignalValueSlot[Prog.Equations[A.EqIndex].DelaySource];
+      Lower.push(V);
       break;
-    }
-    case ActionKind::WriteOutput: {
-      In.Op = StepOp::WriteOutput;
-      In.A = SP.SignalValueSlot[A.Sig];
-      In.Target = In.A;
-      In.Sig = A.Sig;
-      In.Guard = SP.SignalClockSlot[A.Sig];
-      In.Desc = static_cast<int>(SP.Outputs.size());
-      SP.Outputs.push_back({A.Sig, In.A, In.Guard, Prog.Signals[A.Sig].Type,
-                            sigName(A.Sig)});
+    case ActionKind::WriteOutput:
+      // Target repeats the written slot, so the listing shows it.
+      V.Op = VmOp::WriteOutput;
+      V.A = V.Target;
+      V.Aux = static_cast<int32_t>(SP.Outputs.size());
+      SP.Outputs.push_back(signalIO(A.Sig));
+      Lower.push(V);
       break;
-    }
     }
 
-    int InstrIdx = static_cast<int>(SP.Instrs.size());
-    SP.Instrs.push_back(In);
-    Nest.append(InstrIdx, A.Guard);
+    Lower.closeGroup(A.Guard);
     // From here on the action's clock slot holds its final value (a
     // literal skipped by an absent condition clock correctly stays 0),
-    // so later instructions may nest under it.
+    // so later groups may nest under it.
     if (A.Kind == ActionKind::ClockInput || A.Kind == ActionKind::ClockEval)
-      Nest.markComputed(A.Clock);
+      Lower.markComputed(A.Clock);
   }
-  Nest.finish();
 
   return SP;
 }

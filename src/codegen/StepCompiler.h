@@ -2,9 +2,12 @@
 ///
 /// \file
 /// Turns a scheduled conditional dependency graph into a StepProgram:
-/// assigns clock/value/state slots, emits one instruction per action, and
-/// builds the nested block structure along the clock tree (the if-then-else
-/// nesting of Section 3.4 "Code optimization").
+/// assigns clock/value/state slots and lowers each action straight to VM
+/// bytecode (Func trees flattened over scratch slots, constant subtrees
+/// and statically absent clock operands folded), tagged with the clock
+/// path that guards it. The path follows the clock tree (the
+/// if-then-else nesting of Section 3.4 "Code optimization"); CompiledStep
+/// lays it out as skips.
 ///
 //===----------------------------------------------------------------------===//
 

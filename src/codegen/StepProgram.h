@@ -1,22 +1,25 @@
-//===--- StepProgram.h - Single-loop step intermediate form -----*- C++-*-===//
+//===--- StepProgram.h - Guard-tagged step bytecode -------------*- C++-*-===//
 ///
 /// \file
 /// The compiled form of one SIGNAL process: a "single-loop" reactive step
 /// (Section 2.6 / Section 4 of the paper). One execution of the step is one
-/// reaction (one instant). The step consists of guarded instructions over
+/// reaction (one instant). The step is VM bytecode (VmInstr) over
 ///
 ///   * clock slots  — booleans holding this instant's presence per clock,
-///   * value slots  — the current value of each signal,
+///   * value slots  — the current value of each signal, then the scratch
+///     slots of flattened expressions,
 ///   * state slots  — the memories of the "$" delays, surviving instants.
 ///
-/// The same instruction list carries two control structures, which
-/// CompiledStep lowers for the one VM (GuardLowering):
-///   * flat:   every instruction tests its own guard (code b of Figure 9),
-///   * nested: instructions are grouped into blocks that follow the clock
-///     tree, so an absent clock skips its whole subtree (code a of
-///     Figure 9 — the optimization the clock hierarchy enables). Each
-///     block tests its clock once: a block holding nothing but a
-///     sub-block is collapsed into its innermost descendant.
+/// A StepProgram holds that bytecode in schedule order without any skip:
+/// each scheduled action's instructions form one StepGroup tagged with
+/// the clock path that guards it. CompiledStep lays the groups out for
+/// the one VM in either of Figure 9's control structures (GuardLowering):
+///   * flat:   every guarded group tests its own guard (code b),
+///   * nested: groups share the skips of the clock path they have in
+///     common, so an absent clock skips its whole subtree (code a, the
+///     optimization the clock hierarchy enables), and a skip whose only
+///     content is another skip is dropped, so each block tests its clock
+///     once.
 /// Both execute identically. The nested one tests far fewer guards on
 /// every builtin (STOPWATCH: ~175 per instant against flat's 1,461).
 ///
@@ -29,66 +32,148 @@
 #include "clock/ClockSystem.h"
 #include "sema/Kernel.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace sigc {
 
-/// Opcode of one step instruction.
-enum class StepOp {
-  ReadClockInput,   ///< clock[Target] := environment tick
-  EvalClockLiteral, ///< clock[Target] := value[A] == Positive
-  EvalClockOp,      ///< clock[Target] := clock[A] <COp> clock[B]
-  ReadSignal,       ///< value[Target] := environment input
-  EvalFunc,         ///< value[Target] := f(args of equation EqIndex)
-  EvalWhen,         ///< value[Target] := value[A] (or the constant)
-  EvalDefault,      ///< value[Target] := clock[PresA] ? value[A] : value[B]
-  LoadDelay,        ///< value[Target] := state[A]
-  StoreDelay,       ///< state[Target] := value[A]
-  WriteOutput,      ///< environment output := value[A]
+/// What an instruction field indexes (see SIGC_VM_OPCODES).
+enum class OperandSpace : uint8_t {
+  None,       ///< Unused (a WriteOutput's Target repeats its A).
+  Imm,        ///< An immediate: an operator code or a polarity.
+  Jump,       ///< A program counter in the laid-out code.
+  Clock,      ///< A clock slot.
+  Value,      ///< A value or scratch slot.
+  Const,      ///< A constant-pool entry.
+  State,      ///< A delay state slot.
+  ClockInput, ///< A ClockInputs descriptor.
+  Input,      ///< An Inputs descriptor.
+  Output,     ///< An Outputs descriptor.
+  Check,      ///< A linked system's channel index.
 };
 
-/// One guarded instruction.
-struct StepInstr {
-  StepOp Op = StepOp::EvalFunc;
-  /// Clock slot that must be present for the instruction to run; -1 runs
-  /// always. In nested mode the enclosing block guarantees the guard.
-  int Guard = -1;
-  int Target = -1;
-  int A = -1;
-  int B = -1;
-  int PresA = -1;         ///< EvalDefault: presence slot of the preferred arm.
-  bool Positive = true;   ///< EvalClockLiteral polarity.
-  ClockOp COp = ClockOp::Inter;
-  int EqIndex = -1;       ///< Kernel equation driving EvalFunc/EvalWhen.
-  SignalId Sig = InvalidSignal;
-  /// Pre-resolved descriptor index: into ClockInputs for ReadClockInput,
-  /// Inputs for ReadSignal, Outputs for WriteOutput; -1 otherwise. Lets
-  /// executors reach the environment binding in O(1) instead of scanning
-  /// the descriptor tables per instruction per instant.
-  int Desc = -1;
+/// The VM opcodes, one per line: X(Name, "listing text", Target, A, B,
+/// Aux), each operand column naming the OperandSpace of that field.
+// clang-format off
+#define SIGC_VM_OPCODES(X)                                                     \
+  /* if (!clock[A]) pc = Aux: a block guard, weight 0. */                      \
+  X(SkipIfAbsent,     "skip-if-absent", None,  Clock, None,  Jump)             \
+  /* clock[Target] := env tick of clock-input desc Aux. */                     \
+  X(ReadClockInput,   "read-clock",     Clock, None,  None,  ClockInput)       \
+  /* clock[Target] := value[A] == (Aux != 0). */                               \
+  X(EvalClockLiteral, "clock-literal",  Clock, Value, None,  Imm)              \
+  /* clock[Target] := clock[A] && / || / && ! clock[B]. */                     \
+  X(EvalClockAnd,     "clock-and",      Clock, Clock, Clock, None)             \
+  X(EvalClockOr,      "clock-or",       Clock, Clock, Clock, None)             \
+  X(EvalClockDiff,    "clock-diff",     Clock, Clock, Clock, None)             \
+  /* clock[Target] := clock[A]. */                                             \
+  X(CopyClock,        "copy-clock",     Clock, Clock, None,  None)             \
+  /* clock[Target] := false (statically absent operand). */                    \
+  X(SetClockFalse,    "clock-false",    Clock, None,  None,  None)             \
+  /* value[Target] := env input of input desc Aux. */                          \
+  X(ReadSignal,       "read-signal",    Value, None,  None,  Input)            \
+  /* Expression bytecode: value[Target] := UnaryOp(Aux)(value[A]) and   */    \
+  /* BinaryOp(Aux) over two value slots, a slot and a constant, or a     */    \
+  /* constant and a slot. Interior results land in scratch slots.        */    \
+  X(UnarySlot,        "unary",          Value, Value, None,  Imm)              \
+  X(BinarySS,         "binary-ss",      Value, Value, Value, Imm)              \
+  X(BinarySC,         "binary-sc",      Value, Value, Const, Imm)              \
+  X(BinaryCS,         "binary-cs",      Value, Const, Value, Imm)              \
+  /* value[Target] := value[A]; := consts[Aux]. */                             \
+  X(CopyValue,        "copy",           Value, Value, None,  None)             \
+  X(LoadConst,        "const",          Value, None,  None,  Const)            \
+  /* value[Target] := clock[Aux] ? value[A] : value[B]. */                     \
+  X(Select,           "select",         Value, Value, Value, Clock)            \
+  /* value[Target] := state[A]; state[Target] := value[A]. */                  \
+  X(LoadDelay,        "load-delay",     Value, State, None,  None)             \
+  X(StoreDelay,       "store-delay",    State, Value, None,  None)             \
+  /* env output of output desc Aux := value[A]. */                             \
+  X(WriteOutput,      "write",          None,  Value, None,  Output)           \
+  /* Unless clock[A] == clock[B], the instant ends here and the step     */    \
+  /* reports check Aux (a negative slot reads as absent). A linked       */    \
+  /* system's dynamic channel check; weighs 0.                           */    \
+  X(CheckClockEq,     "check-clock-eq", None,  Clock, Clock, Check)
+// clang-format on
+
+/// Opcode of one VM instruction.
+enum class VmOp : uint8_t {
+#define SIGC_VM_OP_ENUM(Name, Text, T, A, B, Aux) Name,
+  SIGC_VM_OPCODES(SIGC_VM_OP_ENUM)
+#undef SIGC_VM_OP_ENUM
 };
 
-/// One nested block: a guard plus an ordered mix of instructions and
-/// sub-blocks.
-struct StepBlock {
-  int GuardSlot = -1; ///< -1 for the root block.
-  struct Item {
-    bool IsBlock = false;
-    int Index = 0; ///< Into StepProgram::Instrs or StepProgram::Blocks.
+/// The spaces an opcode's four fields index.
+struct VmOperands {
+  OperandSpace Target, A, B, Aux;
+};
+
+/// The listing text of \p Op (--dump-step).
+inline const char *vmOpName(VmOp Op) {
+  static constexpr const char *Names[] = {
+#define SIGC_VM_OP_NAME(Name, Text, T, A, B, Aux) Text,
+      SIGC_VM_OPCODES(SIGC_VM_OP_NAME)
+#undef SIGC_VM_OP_NAME
   };
-  std::vector<Item> Items;
+  return Names[static_cast<unsigned>(Op)];
+}
+
+/// The operand spaces of \p Op.
+inline VmOperands vmOperands(VmOp Op) {
+  static constexpr VmOperands Table[] = {
+#define SIGC_VM_OP_OPERANDS(Name, Text, T, A, B, Aux)                          \
+  {OperandSpace::T, OperandSpace::A, OperandSpace::B, OperandSpace::Aux},
+      SIGC_VM_OPCODES(SIGC_VM_OP_OPERANDS)
+#undef SIGC_VM_OP_OPERANDS
+  };
+  return Table[static_cast<unsigned>(Op)];
+}
+
+/// One VM instruction; the fields index the spaces vmOperands names.
+struct VmInstr {
+  VmOp Op = VmOp::SetClockFalse;
+  /// Contribution to the Executed counter. A step instruction lowered to
+  /// several VM instructions (a multi-operator Func tree) counts once:
+  /// the root carries 1, interior scratch computations carry 0, so the
+  /// counter counts executed step instructions under either lowering.
+  int8_t Weight = 1;
+  int32_t Target = -1;
+  int32_t A = -1;
+  int32_t B = -1;
+  int32_t Aux = -1;
+};
+
+/// The index of \p V in the constant pool \p Pool, appending it if new.
+inline int32_t internConst(std::vector<Value> &Pool, const Value &V) {
+  for (size_t I = 0; I < Pool.size(); ++I)
+    if (Pool[I].Kind == V.Kind && Pool[I] == V)
+      return static_cast<int32_t>(I);
+  Pool.push_back(V);
+  return static_cast<int32_t>(Pool.size()) - 1;
+}
+
+/// The instructions of one scheduled action (one step instruction) and
+/// the clock path that guards them.
+struct StepGroup {
+  /// Clock slots, outermost first, ending in the action's own guard;
+  /// empty when the action runs unguarded. Only clocks the schedule has
+  /// already computed appear above the action's own guard.
+  std::vector<int32_t> Guards;
+  uint32_t End = 0; ///< One past the group's last instruction in Code.
 };
 
 /// A compiled reactive step.
 struct StepProgram {
   unsigned NumClockSlots = 0;
-  unsigned NumValueSlots = 0;
+  unsigned NumValueSlots = 0; ///< Signal value slots (scratch excluded).
+  unsigned NumTempSlots = 0;  ///< Scratch slots appended after the values.
   std::vector<Value> StateInit; ///< One entry per delay state slot.
+  std::vector<Value> Consts;    ///< Constant pool.
 
-  std::vector<StepInstr> Instrs; ///< In schedule order (the flat program).
-  std::vector<StepBlock> Blocks; ///< Nested structure over the same instrs.
-  int RootBlock = -1;
+  /// The step's bytecode in schedule order, without skips.
+  std::vector<VmInstr> Code;
+  /// One group per scheduled action, partitioning Code in order.
+  std::vector<StepGroup> Groups;
 
   /// Environment-facing descriptors.
   struct ClockInputDesc {

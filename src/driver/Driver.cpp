@@ -208,11 +208,11 @@ std::unique_ptr<Compilation> sigc::compileSource(std::string BufferName,
     return C;
   }
 
-  // Step program, then the slot-resolved bytecode — the one lowered form
-  // both the VM executor and the C emitter consume.
+  // Guard-tagged step bytecode, then its nested layout — the one lowered
+  // form both the VM executor and the C emitter consume.
   C->Step = compileStep(*C->Kernel, C->Clocks, *C->Forest, C->Graph,
                         C->Ctx.interner());
-  C->Compiled = CompiledStep::build(*C->Kernel, C->Step);
+  C->Compiled = CompiledStep::build(C->Step);
   C->Times.StepMs = Lap();
   C->Ok = true;
   return C;

@@ -16,13 +16,15 @@
 ///   --dump-clocks      print the extracted boolean equation system
 ///   --dump-tree        print the resolved clock forest
 ///   --dump-graph       print the scheduled dependency actions
-///   --dump-step        print the CompiledStep bytecode (the single
-///                      lowered IR both the VM and the C emitter consume)
+///   --dump-step        print the CompiledStep bytecode in the lowering
+///                      --mode picks (the single lowered IR both the VM
+///                      and the C emitter consume)
 ///   --dump-interface   print the process's separate-compilation
 ///                      interface (every unit's, in --link mode)
 ///   --dump-link        print the linked-system summary (--link mode)
-///   --emit-c           print generated C lowered from the bytecode; in
-///                      --link mode, the fused linked system's
+///   --emit-c           print generated C lowered from that bytecode (under
+///                      --mode flat, code b of Figure 9); in --link
+///                      mode, the fused linked system's
 ///   --with-driver      add a main() to the generated C
 ///   --simulate N       run N instants with a random environment
 ///   --seed S           PRNG seed for --simulate
@@ -61,10 +63,11 @@
 ///                      S + j)
 ///   --threads T        shard the fleet's instances across T threads
 ///   --mode M           guard lowering the VM runs for --simulate,
-///                      --record, --replay and --serve, and that --stats
-///                      describes: vm (default; guards nested along the
-///                      clock tree) or flat (every instruction tests its
-///                      own guard, code b of Figure 9; not with --native)
+///                      --record, --replay and --serve, and that --stats,
+///                      --dump-step and --emit-c describe: vm (default;
+///                      guards nested along the clock tree) or flat
+///                      (every instruction tests its own guard, code b
+///                      of Figure 9; not with --native)
 ///   --native M         tiered native execution: off (default), auto
 ///                      (cache hit runs native immediately; a miss runs
 ///                      the VM while a background cc compiles, then
@@ -100,6 +103,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -164,7 +168,7 @@ void printCompileStats(const Compilation &C, const CompiledStep &Step) {
   std::fprintf(stderr,
                "stats: compile step_instrs=%zu guards=%u distinct_guards=%u "
                "max_guard_depth=%u\n",
-               C.Step.Instrs.size(), G.Guards, G.DistinctGuards, G.MaxDepth);
+               C.Step.Groups.size(), G.Guards, G.DistinctGuards, G.MaxDepth);
   const CompileStageTimes &T = C.Times;
   std::fprintf(stderr,
                "stats: stages parse_ms=%.3f sema_ms=%.3f clock_ms=%.3f "
@@ -248,7 +252,6 @@ int main(int Argc, char **Argv) {
   bool DumpGraph = false, DumpStep = false, EmitC = false;
   bool DumpInterface = false, DumpLink = false;
   bool WithDriver = false, Stats = false, ReplayBuffered = false;
-  bool FrameGiven = false;
   unsigned Simulate = 0, Batch = 0, Fleet = 0, FleetThreads = 1;
   unsigned FrameInstants = TraceDefaultFrameInstants;
   unsigned MaxSessions = 4, ServeLimit = 0;
@@ -267,8 +270,12 @@ int main(int Argc, char **Argv) {
       {"--replay", &ReplayFile}, {"--serve", &ServeSock},
       {"--mode", &ModeName},     {"--cache-dir", &Tier.CacheDir}};
 
+  // Every flag given, by name (a --flag=value form counts as --flag).
+  std::set<std::string> Given;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    if (Arg.rfind("--", 0) == 0)
+      Given.insert(Arg.substr(0, Arg.find('=')));
     auto next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
@@ -311,8 +318,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--emit-c=", 0) == 0) {
       std::fprintf(stderr,
                    "signalc: --emit-c no longer takes a control-structure "
-                   "argument; the C emitter lowers the CompiledStep "
-                   "bytecode (nested structure) directly\n");
+                   "argument; it prints the lowering --mode picks\n");
       return 2;
     } else if (Arg == "--with-driver") {
       WithDriver = true;
@@ -353,7 +359,6 @@ int main(int Argc, char **Argv) {
         Fleet = static_cast<unsigned>(V);
       else if (Arg == "--frame") {
         FrameInstants = static_cast<unsigned>(V);
-        FrameGiven = true;
       } else if (Arg == "--max-sessions")
         MaxSessions = static_cast<unsigned>(V);
       else if (Arg == "--serve-limit")
@@ -434,18 +439,17 @@ int main(int Argc, char **Argv) {
 
   // A flag that only qualifies another one is an error without it, not
   // silently ignored.
-  const struct {
-    bool Given;
-    const char *Flag;
-    bool Qualified;
-    const char *Needs;
-  } Qualifiers[] = {{WithDriver, "--with-driver", EmitC, "--emit-c"},
-                    {FrameGiven, "--frame", !RecordFile.empty(), "--record"},
-                    {ReplayBuffered, "--replay-buffered", !ReplayFile.empty(),
-                     "--replay"}};
-  for (const auto &Q : Qualifiers)
-    if (Q.Given && !Q.Qualified) {
-      std::fprintf(stderr, "signalc: %s requires %s\n", Q.Flag, Q.Needs);
+  const std::pair<const char *, const char *> Qualifiers[] = {
+      {"--with-driver", "--emit-c"},   {"--frame", "--record"},
+      {"--replay-buffered", "--replay"}, {"--tier-after", "--native"},
+      {"--cache-dir", "--native"},     {"--threads", "--fleet"},
+      {"--max-sessions", "--serve"},   {"--serve-limit", "--serve"},
+      {"--resume", "--serve"},         {"--batch-budget", "--serve"},
+      {"--idle-timeout", "--serve"},   {"--write-timeout", "--serve"},
+      {"--drain-grace", "--serve"},    {"--sndbuf", "--serve"}};
+  for (const auto &[Flag, Needs] : Qualifiers)
+    if (Given.count(Flag) && !Given.count(Needs)) {
+      std::fprintf(stderr, "signalc: %s requires %s\n", Flag, Needs);
       return 2;
     }
 
@@ -482,8 +486,9 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // The step every run executes (Step, below), the nested step --emit-c
-  // and the native tier compile, and the name the C and the traces use.
+  // The step every run executes and --dump-step/--emit-c print (Step,
+  // below: the lowering --mode picked), the nested step the native tier
+  // compiles, and the name the C and the traces use.
   // A linked system is its fused step, which runs like any process.
   std::unique_ptr<Compilation> C;
   std::unique_ptr<LinkedSystem> Linked;
@@ -572,16 +577,16 @@ int main(int Argc, char **Argv) {
     // identical executed counts and one guard test per guarded
     // instruction. The native tier compiles only the nested lowering.
     if (Mode == EngineMode::Flat) {
-      FlatStep =
-          CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+      FlatStep = CompiledStep::build(C->Step, GuardLowering::Flat);
       if (Tier.Mode != NativeMode::Off) {
         std::fprintf(stderr, "signalc: warning: --native needs the vm "
                              "engine; running interpreted\n");
         Tier.Mode = NativeMode::Off;
       }
     }
+    const CompiledStep &Picked = Mode == EngineMode::Flat ? FlatStep : *Nested;
     if (Stats)
-      printCompileStats(*C, Mode == EngineMode::Flat ? FlatStep : *Nested);
+      printCompileStats(*C, Picked);
 
     if (DumpKernel)
       std::printf("kernel:\n%s", C->Kernel->dump(Names).c_str());
@@ -599,7 +604,7 @@ int main(int Argc, char **Argv) {
                   C->Graph.dump(*C->Kernel, Names, *C->Forest, C->Clocks)
                       .c_str());
     if (DumpStep)
-      std::printf("step bytecode:\n%s", Nested->dump().c_str());
+      std::printf("step bytecode:\n%s", Picked.dump().c_str());
     if (DumpInterface)
       std::fputs(extractInterface(*C).dump().c_str(), stdout);
   }
@@ -619,7 +624,7 @@ int main(int Argc, char **Argv) {
   if (EmitC) {
     CEmitOptions EO;
     EO.WithDriver = WithDriver;
-    std::fputs(emitC(*Nested, ProcName, EO).c_str(), stdout);
+    std::fputs(emitC(Step, ProcName, EO).c_str(), stdout);
   }
 
   if (!ServeSock.empty()) {

@@ -3,34 +3,28 @@
 /// \file
 /// The execution-ready form of a StepProgram, built once per compilation
 /// and designed so the per-instant loop does *no* work the paper's
-/// generated code would not do (Section 4, Figure 9):
+/// generated code would not do (Section 4, Figure 9). The step compiler
+/// already resolved descriptor indices, flattened Func trees into
+/// three-address bytecode over scratch slots (constant subtrees folded)
+/// and folded statically absent clock operands; what build adds is the
+/// control structure. Its guard-tagged groups are laid out into one
+/// instruction stream with skip-offsets: an absent clock advances the PC
+/// past the code it guards in O(1).
 ///
-///   * every instruction carries pre-resolved descriptor indices — no
-///     linear scans of the ClockInputs/Inputs/Outputs tables at run time,
-///   * Func operator trees are flattened to three-address expression
-///     bytecode over preallocated scratch slots (the register form of a
-///     postfix flattening: same bottom-up order, but each operator
-///     dispatches once and constant subtrees fold at build time) — zero
-///     per-instant heap allocation in the steady state,
-///   * the nested block tree is linearized into a single instruction
-///     stream with skip-offsets: an absent clock advances the PC past its
-///     whole subtree in O(1) instead of recursing through a block tree,
-///   * partially-absent clock operands (slot -1) and constant "when"
-///     arms are resolved at build time into dedicated opcodes, so the
-///     hot loop never re-derives them.
-///
-/// The guards follow one of Figure 9's two control structures, chosen
-/// at build time (GuardLowering):
-///   * nested (code a, the default): one SkipIfAbsent per block of the
-///     clock tree (guard chains are already collapsed in the block
-///     tree), instructions inside run unguarded,
-///   * flat (code b): the step instructions in schedule order, each
-///     guarded one under its own SkipIfAbsent.
-/// Skips weigh 0 and each step instruction weighs 1, so VmExecutor's
-/// Executed counter is the same under both lowerings and GuardTests
-/// measures the difference: per instant, flat tests every guarded step
-/// instruction once, nested one guard per block it enters. The oracle
-/// checks both counts, and that nested never tests more.
+/// layOutGuards is the one function that places a SkipIfAbsent. It
+/// follows one of Figure 9's two control structures (GuardLowering):
+///   * nested (code a, the default): groups share the skips of their
+///     common clock-path prefix, and a skip whose only content is another
+///     skip is dropped (the chain collapse), so each block tests its
+///     clock once; instructions inside run unguarded,
+///   * flat (code b): the groups in schedule order, each guarded one
+///     under its own SkipIfAbsent.
+/// A linked system's fused step (StepFusion) is laid out nested by the
+/// same function. Skips weigh 0 and each step instruction weighs 1, so
+/// VmExecutor's Executed counter is the same under both lowerings and
+/// GuardTests measures the difference: per instant, flat tests every
+/// guarded step instruction once, nested one guard per block it enters.
+/// The oracle checks both counts, and that nested never tests more.
 ///
 /// The operand kinds are static. kinds() derives, per instruction, the
 /// kind it writes and the kinds it reads, in one linear walk; it is the
@@ -50,38 +44,6 @@
 #include <vector>
 
 namespace sigc {
-
-/// Opcode of one VM instruction.
-enum class VmOp : uint8_t {
-  SkipIfAbsent,   ///< if (!clock[A]) pc = Aux — linearized block guard.
-  ReadClockInput, ///< clock[Target] := env tick of clock-input desc Aux.
-  EvalClockLiteral, ///< clock[Target] := value[A] == (Aux != 0).
-  EvalClockAnd,   ///< clock[Target] := clock[A] && clock[B]
-  EvalClockOr,    ///< clock[Target] := clock[A] || clock[B]
-  EvalClockDiff,  ///< clock[Target] := clock[A] && !clock[B]
-  CopyClock,      ///< clock[Target] := clock[A]
-  SetClockFalse,  ///< clock[Target] := false (statically absent operand).
-  ReadSignal,     ///< value[Target] := env input of input desc Aux.
-  // Expression bytecode: Func trees lower to sequences of these, interior
-  // results landing in scratch value slots; exactly one instruction of
-  // each sequence carries Weight 1 (see VmInstr::Weight).
-  UnarySlot,      ///< value[Target] := UnaryOp(Aux)(value[A])
-  BinarySS,       ///< value[Target] := BinaryOp(Aux)(value[A], value[B])
-  BinarySC,       ///< value[Target] := BinaryOp(Aux)(value[A], consts[B])
-  BinaryCS,       ///< value[Target] := BinaryOp(Aux)(consts[A], value[B])
-  CopyValue,      ///< value[Target] := value[A]
-  LoadConst,      ///< value[Target] := consts[Aux]
-  Select,         ///< value[Target] := clock[Aux] ? value[A] : value[B]
-  LoadDelay,      ///< value[Target] := state[A]
-  StoreDelay,     ///< state[Target] := value[A]
-  WriteOutput,    ///< env output of output desc Aux := value[A].
-  /// Unless clock[A] == clock[B], the instant ends here and the step
-  /// reports check Aux (a negative slot reads as absent). A linked
-  /// system's dynamic channel check; weighs 0.
-  CheckClockEq,
-};
-
-const char *vmOpName(VmOp Op);
 
 /// A failed CheckClockEq: the instant it failed in, its Aux, and which
 /// side's clock was the present one.
@@ -107,20 +69,6 @@ struct ClockCheckFailure {
     F.Check = (Code > 0 ? Code : -Code) - 1;
     return F;
   }
-};
-
-/// One VM instruction; meanings of the fields depend on the opcode.
-struct VmInstr {
-  VmOp Op = VmOp::SetClockFalse;
-  /// Contribution to the Executed counter. A step instruction lowered to
-  /// several VM instructions (a multi-operator Func tree) counts once:
-  /// the root carries 1, interior scratch computations carry 0, so the
-  /// counter counts executed step instructions under either lowering.
-  int8_t Weight = 1;
-  int32_t Target = -1;
-  int32_t A = -1;
-  int32_t B = -1;
-  int32_t Aux = -1;
 };
 
 /// The statically computed Value kinds of one instruction: the kind it
@@ -152,6 +100,13 @@ enum class GuardLowering : uint8_t {
   Flat,   ///< One skip per guarded step instruction.
 };
 
+/// Lays out \p Code, partitioned by \p Groups, with the SkipIfAbsent
+/// guards of lowering \p L. The result's skips are properly nested: a
+/// skip's target lies inside the range of every skip enclosing it.
+std::vector<VmInstr> layOutGuards(const std::vector<VmInstr> &Code,
+                                  const std::vector<StepGroup> &Groups,
+                                  GuardLowering L);
+
 /// A slot-resolved, allocation-free compiled reactive step.
 struct CompiledStep {
   unsigned NumClockSlots = 0;
@@ -159,7 +114,7 @@ struct CompiledStep {
   unsigned NumTempSlots = 0;  ///< Scratch slots appended after the values.
   std::vector<Value> StateInit;
 
-  std::vector<VmInstr> Code; ///< Linearized guard structure.
+  std::vector<VmInstr> Code; ///< Laid out by layOutGuards.
   std::vector<Value> Consts; ///< Constant pool.
 
   /// Environment-facing descriptors, copied from the StepProgram so a
@@ -183,10 +138,13 @@ struct CompiledStep {
   /// reproducing exactly the event sequence an unbatched run records.
   std::vector<int32_t> OutputFlushOrder;
 
-  /// Builds the slot-resolved step from a compiled StepProgram.
-  static CompiledStep build(const KernelProgram &Prog,
-                            const StepProgram &Step,
+  /// Lays out \p Step's guards by \p L and derives the delay-init
+  /// widening and the output flush order.
+  static CompiledStep build(const StepProgram &Step,
                             GuardLowering L = GuardLowering::Nested);
+
+  /// Sets OutputFlushOrder from Code and Outputs.
+  void orderOutputFlush();
 
   /// Renders the instruction listing (tests, --dump-vm).
   std::string dump() const;

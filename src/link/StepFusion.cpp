@@ -29,36 +29,10 @@ Value typedZeroValue(TypeKind K) {
   return Value::makeInt(0);
 }
 
-bool writesClock(VmOp Op) {
-  switch (Op) {
-  case VmOp::ReadClockInput:
-  case VmOp::EvalClockLiteral:
-  case VmOp::EvalClockAnd:
-  case VmOp::EvalClockOr:
-  case VmOp::EvalClockDiff:
-  case VmOp::CopyClock:
-  case VmOp::SetClockFalse:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool writesValue(VmOp Op) {
-  switch (Op) {
-  case VmOp::ReadSignal:
-  case VmOp::UnarySlot:
-  case VmOp::BinarySS:
-  case VmOp::BinarySC:
-  case VmOp::BinaryCS:
-  case VmOp::CopyValue:
-  case VmOp::LoadConst:
-  case VmOp::Select:
-  case VmOp::LoadDelay:
-    return true;
-  default:
-    return false;
-  }
+/// A slot space whose reads and writes order the instructions.
+bool isSlotSpace(OperandSpace S) {
+  return S == OperandSpace::Clock || S == OperandSpace::Value ||
+         S == OperandSpace::State;
 }
 
 /// One rebased instruction awaiting scheduling.
@@ -69,7 +43,7 @@ struct FInstr {
   int CrossUnit = -1;    ///< Producer unit this instruction copies from.
   int CrossIdx = -1;     ///< Index of the producer's writing instruction.
   int CrossChannel = -1; ///< Channel behind the copy (cycle diagnosis).
-  bool CrossIsClock = false;
+  OperandSpace CrossSpace = OperandSpace::None; ///< Clock or Value.
   int32_t CrossSlot = -1;
 };
 
@@ -120,14 +94,6 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     F.ValueSlotType.insert(F.ValueSlotType.end(), CS.ValueSlotType.begin(),
                            CS.ValueSlotType.end());
   }
-
-  auto addConst = [&](const Value &V) -> int32_t {
-    for (size_t I = 0; I < F.Consts.size(); ++I)
-      if (F.Consts[I].Kind == V.Kind && F.Consts[I] == V)
-        return static_cast<int32_t>(I);
-    F.Consts.push_back(V);
-    return static_cast<int32_t>(F.Consts.size()) - 1;
-  };
 
   // --- Channel lookup tables ---------------------------------------------
   // First channel wins when several bind the same consumer clock input
@@ -210,12 +176,40 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     P.In.Op = VmOp::LoadConst;
     P.In.Weight = 0;
     P.In.Target = Slot;
-    P.In.Aux = addConst(typedZeroValue(OD.Type));
+    P.In.Aux = internConst(F.Consts, typedZeroValue(OD.Type));
     Lists[Ch.Producer].push_back(P);
   }
 
   for (size_t U = 0; U < NU; ++U) {
     const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
+    // Rebases one field into the fused spaces, by its operand space.
+    auto rebase = [&](OperandSpace S, int32_t &V) {
+      switch (S) {
+      case OperandSpace::Clock:
+        V = mapClock(U, V);
+        break;
+      case OperandSpace::Value:
+        V = mapValue(U, V);
+        break;
+      case OperandSpace::Const:
+        V = internConst(F.Consts, CS.Consts[V]);
+        break;
+      case OperandSpace::State:
+        V = mapState(U, V);
+        break;
+      case OperandSpace::ClockInput:
+        V = CIMap[U].at(V);
+        break;
+      case OperandSpace::Input:
+        V = InMap[U].at(V);
+        break;
+      case OperandSpace::Output:
+        V = OutMap[U].at(V);
+        break;
+      default:
+        break; // Not an index into a per-unit space.
+      }
+    };
     std::vector<std::pair<int32_t, int32_t>> GuardStack; // (slot, end idx)
     for (size_t I = 0; I < CS.Code.size(); ++I) {
       while (!GuardStack.empty() &&
@@ -223,126 +217,49 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
         GuardStack.pop_back();
       const VmInstr &In = CS.Code[I];
       if (In.Op == VmOp::SkipIfAbsent) {
-        // Blocks are properly nested by construction; remember the guard
-        // path instead of the jump (guards re-synthesize after
-        // interleaving).
+        // Skips are properly nested; remember the guard path instead of
+        // the jump (layOutGuards places the skips after interleaving).
         GuardStack.emplace_back(mapClock(U, In.A), In.Aux);
         continue;
       }
+      // A channel-consumed output is dropped: consumers copy the slot.
+      if (In.Op == VmOp::WriteOutput && ConsumedOut[U].count(In.Aux))
+        continue;
       FInstr FI;
       FI.In = In;
       FI.Guards.reserve(GuardStack.size());
       for (const auto &G : GuardStack)
         FI.Guards.push_back(G.first);
-      switch (In.Op) {
-      case VmOp::ReadClockInput: {
-        FI.In.Target = mapClock(U, In.Target);
-        auto B = BoundCI[U].find(In.Aux);
-        if (B != BoundCI[U].end()) {
-          const LinkChannel &Ch = Sys.Channels[B->second];
-          const CompiledStep &PCS = Sys.Units[Ch.Producer].Comp->Compiled;
-          int32_t Src =
-              mapClock(Ch.Producer, PCS.Outputs[Ch.ProducerOutput].ClockSlot);
-          FI.In.Op = VmOp::CopyClock;
-          FI.In.A = Src;
-          FI.In.Aux = -1;
-          FI.CrossUnit = static_cast<int>(Ch.Producer);
-          FI.CrossChannel = B->second;
-          FI.CrossIsClock = true;
-          FI.CrossSlot = Src;
-        } else {
-          FI.In.Aux = CIMap[U].at(In.Aux);
-        }
-        break;
+      // A channel-bound clock or input read becomes a copy of the
+      // producer's export slot; everything else rebases field by field.
+      int Bound = -1;
+      bool IsClock = In.Op == VmOp::ReadClockInput;
+      if (IsClock || In.Op == VmOp::ReadSignal) {
+        const std::map<int, int> &M = IsClock ? BoundCI[U] : BoundIn[U];
+        auto It = M.find(In.Aux);
+        if (It != M.end())
+          Bound = It->second;
       }
-      case VmOp::ReadSignal: {
-        FI.In.Target = mapValue(U, In.Target);
-        auto B = BoundIn[U].find(In.Aux);
-        if (B != BoundIn[U].end()) {
-          const LinkChannel &Ch = Sys.Channels[B->second];
-          const CompiledStep &PCS = Sys.Units[Ch.Producer].Comp->Compiled;
-          int32_t Src =
-              mapValue(Ch.Producer, PCS.Outputs[Ch.ProducerOutput].ValueSlot);
-          FI.In.Op = VmOp::CopyValue;
-          FI.In.A = Src;
-          FI.In.Aux = -1;
-          FI.CrossUnit = static_cast<int>(Ch.Producer);
-          FI.CrossChannel = B->second;
-          FI.CrossIsClock = false;
-          FI.CrossSlot = Src;
-        } else {
-          FI.In.Aux = InMap[U].at(In.Aux);
-        }
-        break;
-      }
-      case VmOp::WriteOutput:
-        if (ConsumedOut[U].count(In.Aux))
-          continue; // Channel-internal: consumers copy the slot directly.
-        FI.In.A = mapValue(U, In.A);
-        FI.In.Aux = OutMap[U].at(In.Aux);
-        break;
-      case VmOp::EvalClockLiteral:
-        FI.In.Target = mapClock(U, In.Target);
-        FI.In.A = mapValue(U, In.A);
-        break;
-      case VmOp::EvalClockAnd:
-      case VmOp::EvalClockOr:
-      case VmOp::EvalClockDiff:
-        FI.In.Target = mapClock(U, In.Target);
-        FI.In.A = mapClock(U, In.A);
-        FI.In.B = mapClock(U, In.B);
-        break;
-      case VmOp::CopyClock:
-        FI.In.Target = mapClock(U, In.Target);
-        FI.In.A = mapClock(U, In.A);
-        break;
-      case VmOp::SetClockFalse:
-        FI.In.Target = mapClock(U, In.Target);
-        break;
-      case VmOp::UnarySlot:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.A = mapValue(U, In.A);
-        break;
-      case VmOp::BinarySS:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.A = mapValue(U, In.A);
-        FI.In.B = mapValue(U, In.B);
-        break;
-      case VmOp::BinarySC:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.A = mapValue(U, In.A);
-        FI.In.B = addConst(CS.Consts[In.B]);
-        break;
-      case VmOp::BinaryCS:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.A = addConst(CS.Consts[In.A]);
-        FI.In.B = mapValue(U, In.B);
-        break;
-      case VmOp::CopyValue:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.A = mapValue(U, In.A);
-        break;
-      case VmOp::LoadConst:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.Aux = addConst(CS.Consts[In.Aux]);
-        break;
-      case VmOp::Select:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.A = mapValue(U, In.A);
-        FI.In.B = mapValue(U, In.B);
-        FI.In.Aux = mapClock(U, In.Aux);
-        break;
-      case VmOp::LoadDelay:
-        FI.In.Target = mapValue(U, In.Target);
-        FI.In.A = mapState(U, In.A);
-        break;
-      case VmOp::StoreDelay:
-        FI.In.Target = mapState(U, In.Target);
-        FI.In.A = mapValue(U, In.A);
-        break;
-      case VmOp::SkipIfAbsent:
-      case VmOp::CheckClockEq:
-        break; // Skips are handled above; units carry no checks.
+      if (Bound >= 0) {
+        const LinkChannel &Ch = Sys.Channels[Bound];
+        const StepProgram::SignalIODesc &OD =
+            Sys.Units[Ch.Producer].Comp->Compiled.Outputs[Ch.ProducerOutput];
+        FI.In.Op = IsClock ? VmOp::CopyClock : VmOp::CopyValue;
+        FI.In.Target =
+            IsClock ? mapClock(U, In.Target) : mapValue(U, In.Target);
+        FI.In.A = IsClock ? mapClock(Ch.Producer, OD.ClockSlot)
+                          : mapValue(Ch.Producer, OD.ValueSlot);
+        FI.In.Aux = -1;
+        FI.CrossUnit = static_cast<int>(Ch.Producer);
+        FI.CrossChannel = Bound;
+        FI.CrossSpace = IsClock ? OperandSpace::Clock : OperandSpace::Value;
+        FI.CrossSlot = FI.In.A;
+      } else {
+        VmOperands Ops = vmOperands(In.Op);
+        rebase(Ops.Target, FI.In.Target);
+        rebase(Ops.A, FI.In.A);
+        rebase(Ops.B, FI.In.B);
+        rebase(Ops.Aux, FI.In.Aux);
       }
       Lists[U].push_back(std::move(FI));
     }
@@ -352,22 +269,20 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   // Each rewired copy waits for the producer's LAST write of the source
   // slot (the defining equation; the typed-zero prelude is earlier and
   // ordered before it by a write-after-write edge).
-  std::vector<std::map<int32_t, int>> LastClockW(NU), LastValueW(NU);
+  std::vector<std::map<std::pair<OperandSpace, int32_t>, int>> LastWrite(NU);
   for (size_t U = 0; U < NU; ++U)
     for (size_t I = 0; I < Lists[U].size(); ++I) {
       const VmInstr &In = Lists[U][I].In;
-      if (writesClock(In.Op))
-        LastClockW[U][In.Target] = static_cast<int>(I);
-      else if (writesValue(In.Op))
-        LastValueW[U][In.Target] = static_cast<int>(I);
+      OperandSpace T = vmOperands(In.Op).Target;
+      if (isSlotSpace(T))
+        LastWrite[U][{T, In.Target}] = static_cast<int>(I);
     }
   for (size_t U = 0; U < NU; ++U)
     for (FInstr &FI : Lists[U]) {
       if (FI.CrossUnit < 0)
         continue;
-      auto &M = FI.CrossIsClock ? LastClockW[FI.CrossUnit]
-                                : LastValueW[FI.CrossUnit];
-      auto It = M.find(FI.CrossSlot);
+      auto &M = LastWrite[FI.CrossUnit];
+      auto It = M.find({FI.CrossSpace, FI.CrossSlot});
       if (It != M.end())
         FI.CrossIdx = It->second;
       else
@@ -389,12 +304,11 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     const std::vector<FInstr> &L = Lists[U];
     Succs[U].resize(L.size());
     PredsLeft[U].assign(L.size(), 0);
-    enum { SKClock, SKValue, SKState };
     struct SlotUse {
       int LastWrite = -1;
       std::vector<int> ReadersSince;
     };
-    std::map<std::pair<int, int32_t>, SlotUse> Use;
+    std::map<std::pair<OperandSpace, int32_t>, SlotUse> Use;
     std::set<std::pair<int, int>> Edges; // (from, to), deduped
     auto addEdge = [&](int From, int To) {
       if (From >= 0 && From != To && Edges.emplace(From, To).second) {
@@ -402,12 +316,12 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
         ++PredsLeft[U][To];
       }
     };
-    auto read = [&](int I, int K, int32_t S) {
+    auto read = [&](int I, OperandSpace K, int32_t S) {
       SlotUse &SU = Use[{K, S}];
       addEdge(SU.LastWrite, I);
       SU.ReadersSince.push_back(I);
     };
-    auto write = [&](int I, int K, int32_t S) {
+    auto write = [&](int I, OperandSpace K, int32_t S) {
       SlotUse &SU = Use[{K, S}];
       addEdge(SU.LastWrite, I);
       for (int R : SU.ReadersSince)
@@ -419,58 +333,19 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
       int I = static_cast<int>(IS);
       const VmInstr &In = L[IS].In;
       for (int32_t G : L[IS].Guards)
-        read(I, SKClock, G);
-      switch (In.Op) {
-      case VmOp::CopyClock:
-        if (L[IS].CrossUnit < 0) // Rewired copies read another unit.
-          read(I, SKClock, In.A);
-        break;
-      case VmOp::EvalClockLiteral:
-        read(I, SKValue, In.A);
-        break;
-      case VmOp::EvalClockAnd:
-      case VmOp::EvalClockOr:
-      case VmOp::EvalClockDiff:
-        read(I, SKClock, In.A);
-        read(I, SKClock, In.B);
-        break;
-      case VmOp::UnarySlot:
-      case VmOp::BinarySC:
-        read(I, SKValue, In.A);
-        break;
-      case VmOp::CopyValue:
-        if (L[IS].CrossUnit < 0)
-          read(I, SKValue, In.A);
-        break;
-      case VmOp::BinarySS:
-        read(I, SKValue, In.A);
-        read(I, SKValue, In.B);
-        break;
-      case VmOp::BinaryCS:
-        read(I, SKValue, In.B);
-        break;
-      case VmOp::Select:
-        read(I, SKValue, In.A);
-        read(I, SKValue, In.B);
-        read(I, SKClock, In.Aux);
-        break;
-      case VmOp::LoadDelay:
-        read(I, SKState, In.A);
-        break;
-      case VmOp::StoreDelay:
-        read(I, SKValue, In.A);
-        write(I, SKState, In.Target);
-        break;
-      case VmOp::WriteOutput:
-        read(I, SKValue, In.A);
-        break;
-      default:
-        break;
-      }
-      if (writesClock(In.Op))
-        write(I, SKClock, In.Target);
-      else if (writesValue(In.Op))
-        write(I, SKValue, In.Target);
+        read(I, OperandSpace::Clock, G);
+      // Operands by the table; a rewired copy's A is another unit's slot.
+      VmOperands Ops = vmOperands(In.Op);
+      auto readField = [&](OperandSpace K, int32_t S) {
+        if (isSlotSpace(K))
+          read(I, K, S);
+      };
+      if (L[IS].CrossUnit < 0)
+        readField(Ops.A, In.A);
+      readField(Ops.B, In.B);
+      readField(Ops.Aux, In.Aux);
+      if (isSlotSpace(Ops.Target))
+        write(I, Ops.Target, In.Target);
     }
   }
 
@@ -496,7 +371,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   std::vector<size_t> Cursor(NU, 0); // First unscheduled index.
   for (size_t U = 0; U < NU; ++U)
     Emitted[U].assign(Lists[U].size(), 0);
-  std::vector<const FInstr *> Sched;
+  std::vector<FInstr *> Sched;
   std::vector<int> FirstAt(NU, -1);
   size_t Total = 0;
   for (const auto &L : Lists)
@@ -511,7 +386,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
         for (size_t I = Cursor[U]; I < Lists[U].size(); ++I) {
           if (Emitted[U][I] || PredsLeft[U][I] > 0)
             continue;
-          const FInstr &FI = Lists[U][I];
+          FInstr &FI = Lists[U][I];
           if (FI.CrossUnit >= 0 && !Emitted[FI.CrossUnit][FI.CrossIdx])
             continue;
           if (FirstAt[U] < 0)
@@ -567,68 +442,18 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     return R;
   }
 
-  // --- Emit: SkipIfAbsent re-synthesis over the interleaved stream -------
-  std::vector<std::pair<int32_t, size_t>> Open; // (guard slot, skip index)
-  auto closeTo = [&](size_t Depth) {
-    while (Open.size() > Depth) {
-      F.Code[Open.back().second].Aux = static_cast<int32_t>(F.Code.size());
-      Open.pop_back();
-    }
-  };
-  for (const FInstr *FIp : Sched) {
-    const FInstr &FI = *FIp;
-    size_t Common = 0;
-    while (Common < Open.size() && Common < FI.Guards.size() &&
-           Open[Common].first == FI.Guards[Common])
-      ++Common;
-    closeTo(Common);
-    for (size_t G = Common; G < FI.Guards.size(); ++G) {
-      VmInstr S;
-      S.Op = VmOp::SkipIfAbsent;
-      S.Weight = 0;
-      S.A = FI.Guards[G];
-      Open.emplace_back(FI.Guards[G], F.Code.size());
-      F.Code.push_back(S);
-    }
-    F.Code.push_back(FI.In);
+  // --- Lay out: each instruction is a group under its guard path --------
+  std::vector<VmInstr> Code;
+  std::vector<StepGroup> Groups;
+  Code.reserve(Sched.size());
+  Groups.reserve(Sched.size());
+  for (FInstr *FI : Sched) {
+    Code.push_back(FI->In);
+    Groups.push_back(
+        {std::move(FI->Guards), static_cast<uint32_t>(Code.size())});
   }
-  closeTo(0);
-
-  // Interleaving can leave a re-opened guard whose only content is the
-  // next guard of the same unit's path (a same-target chain). Keep only
-  // the innermost test, as the step compiler does in the block tree: the
-  // inner clock is included in the outer one, and every engine zeroes
-  // clock slots per instant, so the inner test alone decides the skip.
-  {
-    std::vector<int32_t> NewPC(F.Code.size() + 1);
-    std::vector<VmInstr> Kept;
-    Kept.reserve(F.Code.size());
-    for (size_t PC = 0; PC < F.Code.size(); ++PC) {
-      NewPC[PC] = static_cast<int32_t>(Kept.size());
-      const VmInstr &In = F.Code[PC];
-      bool Chained = In.Op == VmOp::SkipIfAbsent && PC + 1 < F.Code.size() &&
-                     F.Code[PC + 1].Op == VmOp::SkipIfAbsent &&
-                     F.Code[PC + 1].Aux == In.Aux;
-      if (!Chained)
-        Kept.push_back(In);
-    }
-    NewPC[F.Code.size()] = static_cast<int32_t>(Kept.size());
-    for (VmInstr &In : Kept)
-      if (In.Op == VmOp::SkipIfAbsent)
-        In.Aux = NewPC[In.Aux];
-    F.Code = std::move(Kept);
-  }
-
-  // --- Flush order: first appearance of each WriteOutput -----------------
-  std::vector<char> Seen(F.Outputs.size(), 0);
-  for (const VmInstr &In : F.Code)
-    if (In.Op == VmOp::WriteOutput && !Seen[In.Aux]) {
-      Seen[In.Aux] = 1;
-      F.OutputFlushOrder.push_back(In.Aux);
-    }
-  for (size_t I = 0; I < F.Outputs.size(); ++I)
-    if (!Seen[I])
-      F.OutputFlushOrder.push_back(static_cast<int32_t>(I));
+  F.Code = layOutGuards(Code, Groups, GuardLowering::Nested);
+  F.orderOutputFlush();
 
   // --- Dynamic checks ----------------------------------------------------
   // A channel whose consumer derives the import's clock itself: at the

@@ -26,9 +26,13 @@
 /// slot). Units take turns emitting their maximal ready prefix, so a
 /// feedback pair legally interleaves whenever the instruction-level
 /// graph is acyclic — a true cycle is diagnosed with the channel path
-/// around it. SkipIfAbsent guards are re-synthesized over the interleaved
-/// stream from each instruction's original guard path, preserving the
-/// proper nesting the VM and the C emitter rely on.
+/// around it. Each instruction keeps the guard path its unit's skips put
+/// it under, and the interleaved stream is laid out by layOutGuards, the
+/// function that lays out every unit's nested step, so the fused skips
+/// are properly nested and chain-free like any other.
+///
+/// Rebasing and the dependence order read the operand table
+/// (vmOperands): a field is rebased and ordered by the space it indexes.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -346,8 +346,7 @@ OracleReport sigc::checkDifferential(const std::string &Name,
 
   // Path 3: the flat lowering of the same step program on the same VM.
   RandomEnvironment EnvFlat(Options.EnvSeed, Options.TickPermille);
-  CompiledStep Flat =
-      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  CompiledStep Flat = CompiledStep::build(C->Step, GuardLowering::Flat);
   VmExecutor ExecFlat(Flat);
   ExecFlat.run(EnvFlat, Options.Instants);
   R.GuardTestsFlat = ExecFlat.guardTests();
@@ -498,8 +497,8 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   // flat one tests every guarded step instruction once per instant, and
   // nesting never tests more.
   uint64_t Guarded = 0;
-  for (const StepInstr &In : C->Step.Instrs)
-    Guarded += In.Guard >= 0;
+  for (const StepGroup &G : C->Step.Groups)
+    Guarded += !G.Guards.empty();
   if (R.ExecutedFlat != R.ExecutedNested ||
       R.GuardTestsFlat != Guarded * Options.Instants ||
       R.GuardTestsNested > R.GuardTestsFlat) {
@@ -802,8 +801,7 @@ OracleReport sigc::checkLinkedDifferential(
   // structure independent of the units' nested code).
   RandomEnvironment EnvMono(Options.EnvSeed, Options.TickPermille);
   RenamedClockEnvironment EnvMonoRenamed(EnvMono, ClockMap);
-  CompiledStep MonoFlat =
-      CompiledStep::build(*Mono->Kernel, Mono->Step, GuardLowering::Flat);
+  CompiledStep MonoFlat = CompiledStep::build(Mono->Step, GuardLowering::Flat);
   VmExecutor ExecMono(MonoFlat);
   ExecMono.run(EnvMonoRenamed, Options.Instants);
   R.GuardTestsMono = ExecMono.guardTests();

@@ -160,7 +160,20 @@ TEST(Cli, QualifierWithoutItsFlagIsAUsageError) {
   const std::pair<const char *, const char *> Cases[] = {
       {"--with-driver", "--emit-c"},
       {"--simulate 3 --frame 4", "--record"},
-      {"--simulate 3 --replay-buffered", "--replay"}};
+      {"--simulate 3 --replay-buffered", "--replay"},
+      {"--simulate 3 --tier-after 5", "--native"},
+      {"--simulate 3 --tier-after=5", "--native"},
+      {"--simulate 3 --cache-dir /nonexistent", "--native"},
+      {"--simulate 3 --cache-dir=/nonexistent", "--native"},
+      {"--simulate 3 --threads 2", "--fleet"},
+      {"--max-sessions 2", "--serve"},
+      {"--serve-limit 1", "--serve"},
+      {"--resume 2", "--serve"},
+      {"--batch-budget 64", "--serve"},
+      {"--idle-timeout 100", "--serve"},
+      {"--write-timeout 100", "--serve"},
+      {"--drain-grace 100", "--serve"},
+      {"--sndbuf 4096", "--serve"}};
   for (const auto &[Args, Needs] : Cases) {
     CliResult R = runSignalc("--builtin FIG5_ALARM " + std::string(Args));
     EXPECT_EQ(R.Exit, 2) << Args << ": " << R.Output;
@@ -168,6 +181,10 @@ TEST(Cli, QualifierWithoutItsFlagIsAUsageError) {
               std::string::npos)
         << Args << ": " << R.Output;
   }
+  // With the flag they qualify they run; --native off counts.
+  CliResult Ok = runSignalc("--builtin FIG5_ALARM --simulate 3 --native off "
+                            "--tier-after 5 --fleet 2 --threads 2");
+  EXPECT_EQ(Ok.Exit, 0) << Ok.Output;
 }
 
 TEST(Cli, ValidNumericFlagsStillRun) {
@@ -306,6 +323,33 @@ TEST(Cli, FlatCompileStatsDescribeTheFlatCode) {
                  "guard_tests=([0-9]+) ")))
       << R.Output;
   EXPECT_EQ(std::stoull(Compile[1]) * 50, std::stoull(Run[1])) << R.Output;
+}
+
+TEST(Cli, FlatModeDumpsAndEmitsTheFlatLowering) {
+  // --dump-step and --emit-c print the lowering --mode picks: the flat
+  // listing has one skip per guard the compile report counts, and the
+  // flat C (Figure 9's code b) is not the nested C.
+  CliResult Dump =
+      runSignalc("--builtin FIG5_ALARM --mode flat --dump-step --stats");
+  ASSERT_EQ(Dump.Exit, 0) << Dump.Output;
+  std::smatch Compile;
+  ASSERT_TRUE(std::regex_search(Dump.Output, Compile,
+                                std::regex("stats: compile step_instrs=[0-9]+ "
+                                           "guards=([0-9]+) ")))
+      << Dump.Output;
+  size_t Skips = 0;
+  for (size_t At = Dump.Output.find("skip-if-absent"); At != std::string::npos;
+       At = Dump.Output.find("skip-if-absent", At + 1))
+    ++Skips;
+  EXPECT_EQ(Skips, std::stoull(Compile[1])) << Dump.Output;
+  EXPECT_GT(Skips, 0u);
+
+  CliResult Flat =
+      runSignalc("--builtin FIG5_ALARM --mode flat --emit-c", true);
+  CliResult Nested = runSignalc("--builtin FIG5_ALARM --emit-c", true);
+  ASSERT_EQ(Flat.Exit, 0) << Flat.Output;
+  ASSERT_EQ(Nested.Exit, 0) << Nested.Output;
+  EXPECT_NE(Flat.Output, Nested.Output);
 }
 
 TEST(Cli, NestedModeIsRejectedNamingValidModes) {
@@ -574,10 +618,16 @@ TEST(Cli, ServeFlagsDiagnoseOutOfRangeOperands) {
               std::string::npos)
         << Flag << ": " << R.Output;
   }
+  // The operand parses; what stops the run is the missing --serve.
   CliResult Fits =
       runSignalc("--builtin FIG5_ALARM --simulate 4 --batch-budget "
                  "99999999999");
-  EXPECT_EQ(Fits.Exit, 0) << Fits.Output;
+  EXPECT_EQ(Fits.Exit, 2) << Fits.Output;
+  EXPECT_NE(Fits.Output.find("--batch-budget requires --serve"),
+            std::string::npos)
+      << Fits.Output;
+  EXPECT_EQ(Fits.Output.find("out of range"), std::string::npos)
+      << Fits.Output;
   CliResult Over = runSignalc("--builtin FIG5_ALARM --batch-budget "
                               "99999999999999999999");
   EXPECT_EQ(Over.Exit, 2) << Over.Output;
@@ -901,8 +951,7 @@ TEST(Cli, StreamedSimulateTextEqualsFormatEventsOnEveryBuiltin) {
   for (const auto &[Name, Source] : Builtins) {
     auto C = compileSource("<builtin:" + Name + ">", Source);
     ASSERT_TRUE(C->Ok) << Name;
-    CompiledStep Flat =
-        CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+    CompiledStep Flat = CompiledStep::build(C->Step, GuardLowering::Flat);
     // The reference: an unbatched run against a recording environment.
     auto Events = [&](const CompiledStep &CS, uint64_t S) {
       RandomEnvironment Env(S);

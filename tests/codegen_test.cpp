@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 
 using namespace sigc;
 using namespace sigc::test;
@@ -48,28 +47,41 @@ TEST(StepProgram, IODescriptors) {
 TEST(StepProgram, GuardsCoveredByNestedBlocks) {
   auto C = compileOk(proc("? integer A; boolean C1; ! integer Y;",
                           "   Y := A when C1"));
-  // Walk the nested structure: instrs inside a guarded block must carry
-  // exactly that guard (or -1 in the root block for clock computations).
+  // The groups partition the skip-free code, and each group's guard path
+  // ends in its instruction's own guard: the clock of the signal whose
+  // value it writes or reads, or none for clock inputs and derived
+  // clocks.
   const StepProgram &SP = C->Step;
-  std::function<void(int, int)> Check = [&](int BlockIdx, int Guard) {
-    const StepBlock &B = SP.Blocks[BlockIdx];
-    for (const StepBlock::Item &It : B.Items) {
-      if (It.IsBlock) {
-        Check(It.Index, SP.Blocks[It.Index].GuardSlot);
-        continue;
-      }
-      const StepInstr &In = SP.Instrs[It.Index];
-      EXPECT_EQ(In.Guard, Guard) << "instruction in wrong block";
-    }
-  };
-  Check(SP.RootBlock, -1);
+  std::vector<int> ClockOfValue(SP.NumValueSlots, -1);
+  for (size_t S = 0; S < SP.SignalValueSlot.size(); ++S)
+    if (SP.SignalValueSlot[S] >= 0)
+      ClockOfValue[SP.SignalValueSlot[S]] = SP.SignalClockSlot[S];
+  for (const VmInstr &In : SP.Code)
+    EXPECT_NE(In.Op, VmOp::SkipIfAbsent);
+  ASSERT_FALSE(SP.Groups.empty());
+  EXPECT_EQ(SP.Groups.back().End, SP.Code.size());
+  uint32_t Begin = 0;
+  for (const StepGroup &G : SP.Groups) {
+    ASSERT_GT(G.End, Begin) << "every action emits code";
+    const VmInstr &Root = SP.Code[G.End - 1];
+    VmOperands Ops = vmOperands(Root.Op);
+    int Own = Ops.Target == OperandSpace::Value ? ClockOfValue[Root.Target]
+              : Ops.A == OperandSpace::Value    ? ClockOfValue[Root.A]
+                                                : -1;
+    if (Own < 0)
+      EXPECT_TRUE(G.Guards.empty()) << vmOpName(Root.Op);
+    else
+      EXPECT_TRUE(!G.Guards.empty() && G.Guards.back() == Own)
+          << vmOpName(Root.Op) << " in the wrong block";
+    Begin = G.End;
+  }
 }
 
 TEST(StepProgram, DumpsAreNonEmpty) {
   auto C = compileOk(proc("? integer A; ! integer Y;", "   Y := A + 1"));
   // --dump-step prints the bytecode of the step; either lowering has one.
   EXPECT_NE(C->Compiled.dump().find("read-clock"), std::string::npos);
-  EXPECT_NE(CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat)
+  EXPECT_NE(CompiledStep::build(C->Step, GuardLowering::Flat)
                 .dump()
                 .find("binary-sc"),
             std::string::npos);

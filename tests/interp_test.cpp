@@ -178,8 +178,7 @@ void expectAllModesAgree(const std::string &Source, uint64_t Seed,
     return;
 
   RandomEnvironment EnvFlat(Seed);
-  CompiledStep Flat =
-      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  CompiledStep Flat = CompiledStep::build(C->Step, GuardLowering::Flat);
   VmExecutor ExecFlat(Flat);
   ExecFlat.run(EnvFlat, Instants);
 
@@ -323,8 +322,7 @@ TEST(GuardLowering, NestedDoesFewerGuardTests) {
                           "integer T1, T2;"));
   // Environment where the root rarely ticks: nesting skips whole subtrees.
   RandomEnvironment Env(1, /*TickPermille=*/100);
-  CompiledStep FlatStep =
-      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  CompiledStep FlatStep = CompiledStep::build(C->Step, GuardLowering::Flat);
   VmExecutor Flat(FlatStep);
   Flat.run(Env, 256);
   RandomEnvironment Env2(1, 100);
@@ -341,8 +339,7 @@ TEST(GuardLowering, FlatResetRestoresInitialState) {
   Env.tickAlways();
   for (unsigned I = 0; I < 3; ++I)
     Env.set("A", I, Value::makeInt(1));
-  CompiledStep Flat =
-      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  CompiledStep Flat = CompiledStep::build(C->Step, GuardLowering::Flat);
   VmExecutor Exec(Flat);
   Exec.run(Env, 3);
   std::string First = formatEvents(Env.outputs());

@@ -115,7 +115,7 @@ TEST(VmAllocation, ZeroHeapAllocationsPerInstantInSteadyState) {
   auto C = compileOk(generateProgram("CHAIN", Shape));
 
   for (GuardLowering L : {GuardLowering::Nested, GuardLowering::Flat}) {
-    CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step, L);
+    CompiledStep CS = CompiledStep::build(C->Step, L);
     VmExecutor Exec(CS);
     DiscardEnvironment Env(42, 800);
 
@@ -234,7 +234,7 @@ TEST(VmAllocation, ScriptedAdapterStillWorksUnderCountingAllocator) {
   ScriptedEnvironment Env;
   Env.tickAlways();
   Env.set("A", 0, Value::makeInt(41));
-  CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step);
+  CompiledStep CS = CompiledStep::build(C->Step);
   VmExecutor Exec(CS);
   Exec.step(Env, 0);
   EXPECT_EQ(formatEvents(Env.outputs()), "0 Y=42\n");

@@ -12,6 +12,8 @@
 ///     (Weight accounting),
 ///   * Figure-9 nesting: no guard block holds nothing but another guard
 ///     block (a same-target chain), in compiled and in fused steps,
+///   * the layout of every lowering: skips properly nested, the flat one
+///     at most one deep with one skip per guarded step instruction,
 ///   * quickening: every typed handler agrees with evalUnaryValue/
 ///     evalBinaryValue on edge values, the generic handler still agrees
 ///     with the other engines, and the fused clock-literal/skip keeps the
@@ -27,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -38,7 +41,7 @@ using namespace sigc::test;
 namespace {
 
 CompiledStep buildVm(Compilation &C) {
-  return CompiledStep::build(*C.Kernel, C.Step);
+  return CompiledStep::build(C.Step);
 }
 
 } // namespace
@@ -100,7 +103,7 @@ TEST(CompiledStep, ExpressionLoweringCountsOnceViaWeights) {
                           "   Y := (A * A + 1) * (A - 2)"));
   CompiledStep CS = buildVm(*C);
   EXPECT_GT(CS.NumTempSlots, 0u) << "interior results need scratch slots";
-  uint64_t StepInstrs = C->Step.Instrs.size();
+  uint64_t StepInstrs = C->Step.Groups.size();
   uint64_t WeightSum = 0;
   for (const VmInstr &In : CS.Code)
     WeightSum += In.Weight;
@@ -135,8 +138,7 @@ TEST(VmExecutor, MatchesNestedOnScriptedTrace) {
   }
   VmExecutor Nested(C->Compiled);
   Nested.run(EnvA, 4);
-  CompiledStep Flat =
-      CompiledStep::build(*C->Kernel, C->Step, GuardLowering::Flat);
+  CompiledStep Flat = CompiledStep::build(C->Step, GuardLowering::Flat);
   VmExecutor Vm(Flat);
   Vm.run(EnvB, 4);
   EXPECT_EQ(formatEvents(EnvA.outputs()), "0 X=11\n1 X=11\n2 X=11\n3 X=11\n");
@@ -178,7 +180,7 @@ TEST(VmExecutor, RebindsWhenEnvironmentAddressIsReused) {
   // environment's identity, not its address, or the second run queries
   // a dead environment's ids (historically an out-of-bounds read).
   auto C = compileOk(proc("? integer A; ! integer Y;", "   Y := A + 1"));
-  CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step);
+  CompiledStep CS = CompiledStep::build(C->Step);
   VmExecutor Exec(CS);
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
     RandomEnvironment Env(Seed, 1000);
@@ -352,6 +354,91 @@ TEST(GuardChains, NoneInFusedLinkedSystems) {
     ASSERT_TRUE(R.Sys) << Name << ": " << R.Error;
     expectNoGuardChains(R.Sys->Fused, Name);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Layout invariants: layOutGuards places every skip of every lowering.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Fails unless the skips of \p CS are properly nested: each skip jumps
+/// forward, and its target lies inside the range of its enclosing skip.
+/// \returns the deepest nesting.
+unsigned expectProperlyNested(const CompiledStep &CS, const std::string &What) {
+  std::vector<int32_t> Ends = {static_cast<int32_t>(CS.Code.size())};
+  unsigned Depth = 0;
+  for (int32_t PC = 0; PC < static_cast<int32_t>(CS.Code.size()); ++PC) {
+    while (Ends.size() > 1 && Ends.back() <= PC)
+      Ends.pop_back();
+    const VmInstr &In = CS.Code[PC];
+    if (In.Op != VmOp::SkipIfAbsent)
+      continue;
+    EXPECT_GT(In.Aux, PC) << What << ": skip at pc " << PC;
+    EXPECT_LE(In.Aux, Ends.back())
+        << What << ": skip at pc " << PC << " leaves its parent's range";
+    Ends.push_back(In.Aux);
+    Depth = std::max(Depth, static_cast<unsigned>(Ends.size() - 1));
+  }
+  return Depth;
+}
+
+/// Checks both unit lowerings of \p C: the nested one is properly nested
+/// without guard chains, the flat one has depth 1 at most and one skip
+/// per guarded step instruction.
+void expectUnitLayouts(const Compilation &C, const std::string &What) {
+  expectProperlyNested(C.Compiled, What + " nested");
+  expectNoGuardChains(C.Compiled, What + " nested");
+  CompiledStep Flat = CompiledStep::build(C.Step, GuardLowering::Flat);
+  EXPECT_LE(expectProperlyNested(Flat, What + " flat"), 1u) << What;
+  size_t Guarded = 0;
+  for (const StepGroup &G : C.Step.Groups)
+    Guarded += !G.Guards.empty();
+  EXPECT_EQ(Flat.guardShape().Guards, Guarded) << What;
+}
+
+/// Checks a fused step: properly nested, without guard chains.
+void expectFusedLayout(const std::vector<LinkInput> &Inputs,
+                       const std::string &What) {
+  LinkResult R = compileAndLinkSources(Inputs);
+  ASSERT_TRUE(R.Sys) << What << ": " << R.Error;
+  expectProperlyNested(R.Sys->Fused, What);
+  expectNoGuardChains(R.Sys->Fused, What);
+}
+
+} // namespace
+
+TEST(GuardLayout, UnitsOnBuiltinsAndRandomSweep) {
+  expectUnitLayouts(*compileOk(alarmFigure5Source()), "FIG5_ALARM");
+  for (const Figure13Program &P : figure13Suite()) {
+    auto C = compileSource("<layout:" + P.Name + ">", P.Source);
+    ASSERT_TRUE(C->Ok) << P.Name;
+    expectUnitLayouts(*C, P.Name);
+  }
+  // The differential sweep's programs (8 blocks x 16 seeds).
+  for (uint64_t Seed = 0; Seed < 128; ++Seed) {
+    auto C = compileSource("<layout>", generateRandomProgram("R", Seed));
+    ASSERT_TRUE(C->Ok) << "seed " << Seed << "\n" << C->Diags.render();
+    expectUnitLayouts(*C, "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(GuardLayout, FusedOnRandomPairsAndChains) {
+  for (uint64_t Seed = 0; Seed < 104; ++Seed) {
+    GeneratedPair P = generateProcessPair(Seed);
+    expectFusedLayout({{P.ProducerName, P.ProducerSource},
+                       {P.ConsumerName, P.ConsumerSource}},
+                      "pair " + std::to_string(Seed));
+  }
+  for (unsigned Stages : {3u, 4u})
+    for (uint64_t Seed = 0; Seed < 6; ++Seed) {
+      GeneratedChain Chain = generateProcessChain(Seed, Stages);
+      std::vector<LinkInput> Inputs;
+      for (size_t K = 0; K < Chain.Sources.size(); ++K)
+        Inputs.push_back({Chain.Names[K], Chain.Sources[K]});
+      expectFusedLayout(Inputs, "chain " + std::to_string(Stages) + "-" +
+                                    std::to_string(Seed));
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -533,8 +620,7 @@ void expectCountersUnderBatchWindows(const Compilation &C,
   RandomEnvironment EnvStepped(23), EnvFlat(23);
   VmExecutor Stepped(C.Compiled);
   Stepped.run(EnvStepped, Instants);
-  CompiledStep FlatStep =
-      CompiledStep::build(*C.Kernel, C.Step, GuardLowering::Flat);
+  CompiledStep FlatStep = CompiledStep::build(C.Step, GuardLowering::Flat);
   VmExecutor Flat(FlatStep);
   Flat.run(EnvFlat, Instants);
   EXPECT_LE(Stepped.guardTests(), Flat.guardTests()) << What;
