@@ -28,6 +28,8 @@ const char *sigc::unaryOpName(UnaryOp Op) {
     return "not";
   case UnaryOp::Neg:
     return "-";
+  case UnaryOp::ToReal:
+    return "real";
   }
   return "<bad>";
 }

@@ -43,8 +43,10 @@ enum class ExprKind {
   Cell,      ///< X cell C init v   (derived: memorizing latch)
 };
 
-/// Operators for UnaryExpr.
-enum class UnaryOp { Not, Neg };
+/// Operators for UnaryExpr. ToReal is kernel-only: lowering inserts it
+/// wherever an integer meets a real (see Lowering.cpp); the parser never
+/// produces it.
+enum class UnaryOp { Not, Neg, ToReal };
 
 /// Operators for BinaryExpr (the pointwise instantaneous functions).
 enum class BinaryOp {

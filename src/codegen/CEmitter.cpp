@@ -1,4 +1,11 @@
 //===--- CEmitter.cpp -----------------------------------------------------===//
+//
+// Types come straight from the CompiledStep: a slot's C local has its
+// SlotType, a constant its pool entry's kind. Lowering converted every
+// integer meeting a real, so each operator is printed for one operand
+// type, and a ToReal is the only conversion the C spells.
+//
+//===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
 
@@ -41,39 +48,21 @@ std::string sigc::sanitizeIdent(const std::string &Name) {
 
 namespace {
 
-/// C storage class of a slot: the three distinct C types a Value can
-/// materialize as. Boolean and Event share `int`.
-enum class CClass { Int, Long, Double };
-
-CClass classOf(TypeKind K) {
+/// The C type a value of type \p K materializes as. Boolean and Event
+/// share `int`.
+const char *cTypeOf(TypeKind K) {
   switch (K) {
   case TypeKind::Integer:
-    return CClass::Long;
+    return "long";
   case TypeKind::Real:
-    return CClass::Double;
+    return "double";
   case TypeKind::Boolean:
   case TypeKind::Event:
   case TypeKind::Unknown:
-    return CClass::Int;
-  }
-  return CClass::Int;
-}
-
-const char *cTypeOf(CClass C) {
-  switch (C) {
-  case CClass::Int:
-    return "int";
-  case CClass::Long:
-    return "long";
-  case CClass::Double:
-    return "double";
+    break;
   }
   return "int";
 }
-
-const char *cTypeOf(TypeKind T) { return cTypeOf(classOf(T)); }
-
-unsigned classBit(CClass C) { return 1u << static_cast<unsigned>(C); }
 
 std::string intLit(int64_t I) {
   // INT64_MIN has no literal spelling: -9223372036854775808 parses as
@@ -117,11 +106,11 @@ std::string cLiteral(const Value &V) {
   return "0";
 }
 
-/// One expression operand: a slot (with its kind) or an inlined constant.
+/// One expression operand: a slot or an inlined constant, and its type.
 struct Operand {
   bool IsConst = false;
   int32_t Slot = -1;
-  TypeKind Kind = TypeKind::Unknown;
+  TypeKind Type = TypeKind::Unknown;
   Value Const;
 };
 
@@ -135,27 +124,31 @@ public:
   std::string run();
 
 private:
-  unsigned numSlots() const { return CS.NumValueSlots + CS.NumTempSlots; }
-
-  /// Pass 1: take the per-instruction kinds from CompiledStep::kinds()
-  /// (the kinds VmExecutor's typed handlers are chosen by, which is what
-  /// makes the emitted C bit-compatible with the VM) and record which C
-  /// classes each slot materializes as.
-  void annotate();
-
   std::string clockVar(int32_t Slot) const {
     return "c" + std::to_string(Slot);
   }
-  std::string valueVar(int32_t Slot, TypeKind K) const;
+  std::string valueVar(int32_t Slot) const {
+    return "v" + std::to_string(Slot);
+  }
   /// The state block slot of delay \p Index, by its member.
   std::string stateSlot(int32_t Index) const {
     return "st->s[" + std::to_string(Index) + "]." +
            slotMember(CS.StateInit[Index].Kind);
   }
 
-  Operand operandA(const VmInstr &In, const InstrKinds &IK) const;
-  Operand operandB(const VmInstr &In, const InstrKinds &IK) const;
-  std::string text(const Operand &O) const;
+  /// Field \p I of space \p S as an expression operand.
+  Operand operand(OperandSpace S, int32_t I) const {
+    Operand O;
+    O.IsConst = S == OperandSpace::Const;
+    O.Slot = I;
+    O.Type = CS.operandType(S, I);
+    if (O.IsConst)
+      O.Const = CS.Consts[I];
+    return O;
+  }
+  std::string text(const Operand &O) const {
+    return O.IsConst ? cLiteral(O.Const) : valueVar(O.Slot);
+  }
   std::string binaryExpr(BinaryOp Op, const Operand &L,
                          const Operand &R) const;
   std::string instrStmt(size_t PC) const;
@@ -166,129 +159,30 @@ private:
   const CompiledStep &CS;
   std::string Proc;
   CEmitOptions Options;
-
-  std::vector<InstrKinds> Kinds;     ///< Per instruction, from annotate().
-  std::vector<unsigned> SlotClasses; ///< Bitmask of CClass per slot.
 };
-
-void Emitter::annotate() {
-  Kinds = CS.kinds();
-  SlotClasses.assign(numSlots(), 0u);
-  auto touch = [&](int32_t Slot, TypeKind K) {
-    SlotClasses[Slot] |= classBit(classOf(K));
-  };
-  for (size_t PC = 0; PC < CS.Code.size(); ++PC) {
-    const VmInstr &In = CS.Code[PC];
-    const InstrKinds &IK = Kinds[PC];
-    switch (In.Op) {
-    case VmOp::SkipIfAbsent:
-    case VmOp::ReadClockInput:
-    case VmOp::EvalClockAnd:
-    case VmOp::EvalClockOr:
-    case VmOp::EvalClockDiff:
-    case VmOp::CopyClock:
-    case VmOp::SetClockFalse:
-    case VmOp::CheckClockEq:
-      continue;
-    case VmOp::EvalClockLiteral:
-    case VmOp::StoreDelay:
-    case VmOp::WriteOutput:
-      touch(In.A, IK.A);
-      continue;
-    case VmOp::BinarySS:
-    case VmOp::Select:
-      touch(In.B, IK.B);
-      [[fallthrough]];
-    case VmOp::UnarySlot:
-    case VmOp::BinarySC:
-    case VmOp::CopyValue:
-      touch(In.A, IK.A);
-      break;
-    case VmOp::BinaryCS:
-      touch(In.B, IK.B);
-      break;
-    case VmOp::ReadSignal:
-    case VmOp::LoadConst:
-    case VmOp::LoadDelay:
-      break;
-    }
-    touch(In.Target, IK.Res);
-  }
-}
-
-std::string Emitter::valueVar(int32_t Slot, TypeKind K) const {
-  std::string Name = "v" + std::to_string(Slot);
-  // One C variable per (slot, storage class): scratch slots are reused
-  // across expression trees of different types, so a multi-class slot
-  // splits into suffixed locals; the common single-class slot keeps the
-  // bare name.
-  unsigned Mask = SlotClasses[Slot];
-  if ((Mask & (Mask - 1)) != 0) {
-    switch (classOf(K)) {
-    case CClass::Int:
-      Name += "_i";
-      break;
-    case CClass::Long:
-      Name += "_l";
-      break;
-    case CClass::Double:
-      Name += "_d";
-      break;
-    }
-  }
-  return Name;
-}
-
-Operand Emitter::operandA(const VmInstr &In, const InstrKinds &IK) const {
-  Operand O;
-  if (In.Op == VmOp::BinaryCS) {
-    O.IsConst = true;
-    O.Const = CS.Consts[In.A];
-    O.Kind = O.Const.Kind;
-  } else {
-    O.Slot = In.A;
-    O.Kind = IK.A;
-  }
-  return O;
-}
-
-Operand Emitter::operandB(const VmInstr &In, const InstrKinds &IK) const {
-  Operand O;
-  if (In.Op == VmOp::BinarySC) {
-    O.IsConst = true;
-    O.Const = CS.Consts[In.B];
-    O.Kind = O.Const.Kind;
-  } else {
-    O.Slot = In.B;
-    O.Kind = IK.B;
-  }
-  return O;
-}
-
-std::string Emitter::text(const Operand &O) const {
-  return O.IsConst ? cLiteral(O.Const) : valueVar(O.Slot, O.Kind);
-}
 
 std::string Emitter::binaryExpr(BinaryOp Op, const Operand &L,
                                 const Operand &R) const {
+  // Lowering left both operands of one C type, so L's type decides.
   std::string X = text(L), Y = text(R);
-  bool BothInt = L.Kind == TypeKind::Integer && R.Kind == TypeKind::Integer;
-  auto wrap = [&](const char *COp) {
+  bool Int = L.Type == TypeKind::Integer;
+  auto arith = [&](const char *COp) {
     // The VM's two's-complement wrapping semantics (Kernel.h wrapAdd &
     // co): compute in unsigned, convert back.
-    return "(long)((unsigned long)" + X + " " + COp + " (unsigned long)" +
-           Y + ")";
+    if (Int)
+      return "(long)((unsigned long)" + X + " " + COp + " (unsigned long)" +
+             Y + ")";
+    return "(" + X + " " + COp + " " + Y + ")";
   };
-  auto dbl = [&](const std::string &E) { return "(double)" + E; };
   switch (Op) {
   case BinaryOp::Add:
-    return BothInt ? wrap("+") : "(" + dbl(X) + " + " + dbl(Y) + ")";
+    return arith("+");
   case BinaryOp::Sub:
-    return BothInt ? wrap("-") : "(" + dbl(X) + " - " + dbl(Y) + ")";
+    return arith("-");
   case BinaryOp::Mul:
-    return BothInt ? wrap("*") : "(" + dbl(X) + " * " + dbl(Y) + ")";
+    return arith("*");
   case BinaryOp::Div:
-    if (BothInt) {
+    if (Int) {
       // Division by zero yields zero; by minus one, wrapping negation
       // (INT64_MIN / -1 overflows). Constant divisors fold the guards.
       std::string NegX = "(long)(0UL - (unsigned long)" + X + ")";
@@ -303,10 +197,8 @@ std::string Emitter::binaryExpr(BinaryOp Op, const Operand &L,
              " / " + Y + ")";
     }
     if (R.IsConst)
-      return R.Const.asReal() == 0.0
-                 ? "0.0"
-                 : "(" + dbl(X) + " / " + dbl(Y) + ")";
-    return "(" + dbl(Y) + " == 0.0 ? 0.0 : " + dbl(X) + " / " + dbl(Y) + ")";
+      return R.Const.Real == 0.0 ? "0.0" : "(" + X + " / " + Y + ")";
+    return "(" + Y + " == 0.0 ? 0.0 : " + X + " / " + Y + ")";
   case BinaryOp::Mod:
     // Euclidean-style remainder with the VM's zero/minus-one escapes.
     if (R.IsConst) {
@@ -325,19 +217,13 @@ std::string Emitter::binaryExpr(BinaryOp Op, const Operand &L,
   case BinaryOp::Eq:
   case BinaryOp::Ne: {
     const char *COp = Op == BinaryOp::Eq ? "==" : "!=";
-    // Sema only compares numbers with numbers and boolish operands (both
-    // 0/1 ints, an event an always-true boolean) with each other.
-    bool Mixed = !BothInt && (L.Kind == TypeKind::Real ||
-                              R.Kind == TypeKind::Real);
-    if (Mixed) // evalBinaryValue widens to double
-      return "(" + dbl(X) + " " + COp + " " + dbl(Y) + ")";
-    // X = X is a legal program; identity casts keep the comparison
-    // semantics while silencing -Wtautological-compare (the VM does not
-    // fold it either — the two backends stay instruction-equal).
+    // Boolish operands are both 0/1 ints (an event an always-true
+    // boolean). X = X is a legal program; identity casts keep the
+    // comparison semantics while silencing -Wtautological-compare (the VM
+    // does not fold it either — the two backends stay instruction-equal).
     if (!L.IsConst && !R.IsConst && L.Slot == R.Slot) {
-      const char *CT = BothInt ? "long" : "int";
-      return "((" + std::string(CT) + ")(" + X + ") " + COp + " (" + CT +
-             ")(" + Y + "))";
+      std::string CT = cTypeOf(L.Type);
+      return "((" + CT + ")(" + X + ") " + COp + " (" + CT + ")(" + Y + "))";
     }
     return "(" + X + " " + COp + " " + Y + ")";
   }
@@ -350,7 +236,7 @@ std::string Emitter::binaryExpr(BinaryOp Op, const Operand &L,
                       : Op == BinaryOp::Le ? "<="
                       : Op == BinaryOp::Gt ? ">"
                                            : ">=";
-    return "(" + dbl(X) + " " + COp + " " + dbl(Y) + ")";
+    return "((double)" + X + " " + COp + " (double)" + Y + ")";
   }
   }
   return "0";
@@ -358,7 +244,6 @@ std::string Emitter::binaryExpr(BinaryOp Op, const Operand &L,
 
 std::string Emitter::instrStmt(size_t PC) const {
   const VmInstr &In = CS.Code[PC];
-  const InstrKinds &IK = Kinds[PC];
   switch (In.Op) {
   case VmOp::SkipIfAbsent:
     assert(false && "structured control handled by emitBody");
@@ -368,7 +253,7 @@ std::string Emitter::instrStmt(size_t PC) const {
            sanitizeIdent(CS.ClockInputs[In.Aux].Name) + ";";
   case VmOp::EvalClockLiteral:
     return clockVar(In.Target) + " = " + (In.Aux != 0 ? "" : "!") +
-           valueVar(In.A, IK.A) + ";";
+           valueVar(In.A) + ";";
   case VmOp::EvalClockAnd:
     return clockVar(In.Target) + " = " + clockVar(In.A) + " && " +
            clockVar(In.B) + ";";
@@ -383,42 +268,50 @@ std::string Emitter::instrStmt(size_t PC) const {
   case VmOp::SetClockFalse:
     return clockVar(In.Target) + " = 0;";
   case VmOp::ReadSignal:
-    return valueVar(In.Target, IK.Res) + " = in->" +
+    return valueVar(In.Target) + " = in->" +
            sanitizeIdent(CS.Inputs[In.Aux].Name) + ";";
   case VmOp::UnarySlot: {
-    std::string A = valueVar(In.A, IK.A);
+    std::string A = valueVar(In.A);
     std::string E;
-    if (static_cast<UnaryOp>(In.Aux) == UnaryOp::Not)
+    switch (static_cast<UnaryOp>(In.Aux)) {
+    case UnaryOp::Not:
       E = "!" + A;
-    else if (IK.A == TypeKind::Integer)
-      E = "(long)(0UL - (unsigned long)" + A + ")";
-    else
-      E = "-" + A;
-    return valueVar(In.Target, IK.Res) + " = " + E + ";";
+      break;
+    case UnaryOp::Neg:
+      E = CS.SlotType[In.A] == TypeKind::Integer
+              ? "(long)(0UL - (unsigned long)" + A + ")"
+              : "-" + A;
+      break;
+    case UnaryOp::ToReal:
+      E = "(double)" + A;
+      break;
+    }
+    return valueVar(In.Target) + " = " + E + ";";
   }
   case VmOp::BinarySS:
   case VmOp::BinarySC:
-  case VmOp::BinaryCS:
-    return valueVar(In.Target, IK.Res) + " = " +
-           binaryExpr(static_cast<BinaryOp>(In.Aux), operandA(In, IK),
-                      operandB(In, IK)) +
+  case VmOp::BinaryCS: {
+    VmOperands Ops = vmOperands(In.Op);
+    return valueVar(In.Target) + " = " +
+           binaryExpr(static_cast<BinaryOp>(In.Aux), operand(Ops.A, In.A),
+                      operand(Ops.B, In.B)) +
            ";";
+  }
   case VmOp::CopyValue:
-    return valueVar(In.Target, IK.Res) + " = " + valueVar(In.A, IK.A) + ";";
+    return valueVar(In.Target) + " = " + valueVar(In.A) + ";";
   case VmOp::LoadConst:
-    return valueVar(In.Target, IK.Res) + " = " + cLiteral(CS.Consts[In.Aux]) +
-           ";";
+    return valueVar(In.Target) + " = " + cLiteral(CS.Consts[In.Aux]) + ";";
   case VmOp::Select:
-    return valueVar(In.Target, IK.Res) + " = " + clockVar(In.Aux) + " ? " +
-           valueVar(In.A, IK.A) + " : " + valueVar(In.B, IK.B) + ";";
+    return valueVar(In.Target) + " = " + clockVar(In.Aux) + " ? " +
+           valueVar(In.A) + " : " + valueVar(In.B) + ";";
   case VmOp::LoadDelay:
-    return valueVar(In.Target, IK.Res) + " = " + stateSlot(In.A) + ";";
+    return valueVar(In.Target) + " = " + stateSlot(In.A) + ";";
   case VmOp::StoreDelay:
-    return stateSlot(In.Target) + " = " + valueVar(In.A, IK.A) + ";";
+    return stateSlot(In.Target) + " = " + valueVar(In.A) + ";";
   case VmOp::WriteOutput: {
     std::string Id = sanitizeIdent(CS.Outputs[In.Aux].Name);
     return "out->" + Id + "_present = 1; out->" + Id + " = " +
-           valueVar(In.A, IK.A) + ";";
+           valueVar(In.A) + ";";
   }
   case VmOp::CheckClockEq: {
     // A negative slot reads as absent. The failure code is
@@ -479,8 +372,6 @@ void Emitter::emitBody(std::string &Out) const {
 }
 
 std::string Emitter::run() {
-  annotate();
-
   std::string Out;
   Out += "/* Generated by signalc from process " + Proc + ".\n";
   Out += " * Lowered from CompiledStep bytecode: structured ifs from skip\n";
@@ -539,23 +430,23 @@ std::string Emitter::run() {
   Out += "  memset(out, 0, sizeof *out);\n";
   for (unsigned I = 0; I < CS.NumClockSlots; ++I)
     Out += "  int c" + std::to_string(I) + " = 0;\n";
-  // Slot locals: one variable per (slot, storage class) the bytecode
-  // materializes; untouched slots need no local at all.
+  // Slot locals: one variable of its SlotType per slot the bytecode
+  // touches; untouched slots need no local at all.
+  std::vector<char> Touched(CS.SlotType.size(), 0);
+  for (const VmInstr &In : CS.Code) {
+    VmOperands Ops = vmOperands(In.Op);
+    for (auto [S, F] : {std::pair{Ops.Target, In.Target}, {Ops.A, In.A},
+                        {Ops.B, In.B}})
+      if (S == OperandSpace::Value)
+        Touched[F] = 1;
+  }
   std::vector<std::string> SlotVars;
-  for (unsigned S = 0; S < numSlots(); ++S) {
-    unsigned Mask = SlotClasses[S];
-    if (!Mask)
+  for (size_t S = 0; S < Touched.size(); ++S) {
+    if (!Touched[S])
       continue;
-    for (CClass C : {CClass::Int, CClass::Long, CClass::Double}) {
-      if (!(Mask & classBit(C)))
-        continue;
-      TypeKind K = C == CClass::Int      ? TypeKind::Boolean
-                   : C == CClass::Long   ? TypeKind::Integer
-                                         : TypeKind::Real;
-      std::string Name = valueVar(static_cast<int32_t>(S), K);
-      SlotVars.push_back(Name);
-      Out += "  " + std::string(cTypeOf(C)) + " " + Name + " = 0;\n";
-    }
+    SlotVars.push_back(valueVar(static_cast<int32_t>(S)));
+    Out += "  " + std::string(cTypeOf(CS.SlotType[S])) + " " +
+           SlotVars.back() + " = 0;\n";
   }
   Out += "\n";
   emitBody(Out);

@@ -11,10 +11,10 @@
 ///     clock local (layOutGuards nests the skip offsets properly, so the
 ///     stream reconstructs as pure if-nesting — code a of Figure 9 for
 ///     the nested lowering, code b for the flat one),
-///   * scratch expression slots become typed C locals; value slots take
-///     the static type the bytecode computes for them (integer
+///   * each value or scratch slot the code touches becomes one C local
+///     of its SlotType, and a ToReal a `(double)` cast (integer
 ///     arithmetic is emitted with the VM's two's-complement wrapping
-///     semantics, comparisons with its widen-to-double semantics),
+///     semantics, orderings with its compare-through-double semantics),
 ///   * constants the build-time folds produced are inlined as literals,
 ///     and constant divisors fold their zero/minus-one guards away,
 ///   * descriptor indices are pre-resolved, so struct field references

@@ -102,6 +102,43 @@ public:
     push(V);
   }
 
+  /// Gives the scratch slots their final numbers and types: the first
+  /// type seen at depth d takes slot NumValueSlots + d (a depth no tree
+  /// reaches keeps an unused integer slot), every further (depth, type)
+  /// pair a slot past the deepest one, in order of first use.
+  void numberTemps() {
+    unsigned Depths = 0;
+    for (const auto &T : Temps)
+      Depths = std::max(Depths, T.first + 1);
+    std::vector<TypeKind> Types(Depths, TypeKind::Integer);
+    std::vector<char> Taken(Depths, 0);
+    std::vector<int32_t> Final(Temps.size());
+    for (size_t K = 0; K < Temps.size(); ++K) {
+      auto [Depth, Type] = Temps[K];
+      if (!Taken[Depth]) {
+        Taken[Depth] = 1;
+        Types[Depth] = Type;
+        Final[K] = static_cast<int32_t>(SP.NumValueSlots + Depth);
+      } else {
+        Final[K] = static_cast<int32_t>(SP.NumValueSlots + Types.size());
+        Types.push_back(Type);
+      }
+    }
+    SP.NumTempSlots = static_cast<unsigned>(Types.size());
+    SP.SlotType.insert(SP.SlotType.end(), Types.begin(), Types.end());
+    const int32_t Base = static_cast<int32_t>(SP.NumValueSlots);
+    auto renumber = [&](OperandSpace S, int32_t &F) {
+      if (S == OperandSpace::Value && F >= Base)
+        F = Final[F - Base];
+    };
+    for (VmInstr &In : SP.Code) {
+      VmOperands Ops = vmOperands(In.Op);
+      renumber(Ops.Target, In.Target);
+      renumber(Ops.A, In.A);
+      renumber(Ops.B, In.B);
+    }
+  }
+
 private:
   /// The clock path guarding an action under tree node \p Target,
   /// outermost first. A skip reads its guard's clock slot when the code
@@ -127,24 +164,37 @@ private:
     return Path;
   }
 
-  /// A flattened operand: a value/scratch slot or a constant-pool entry.
+  /// A flattened operand: a value/scratch slot or a constant-pool entry,
+  /// and its type.
   struct Operand {
     bool IsConst = false;
     int32_t Idx = -1;
+    TypeKind Type = TypeKind::Unknown;
   };
 
-  /// The scratch slot for interior results at tree depth \p Depth.
-  int32_t tempSlot(unsigned Depth) {
-    if (Depth + 1 > SP.NumTempSlots)
-      SP.NumTempSlots = Depth + 1;
-    return static_cast<int32_t>(SP.NumValueSlots + Depth);
+  /// The constant-pool operand holding \p V.
+  Operand constant(const Value &V) {
+    return {true, internConst(SP.Consts, V), V.Kind};
+  }
+
+  /// The scratch slot for interior results of type \p Type at tree depth
+  /// \p Depth: a provisional number past the value slots, one per
+  /// (depth, type) pair, that numberTemps() makes final.
+  int32_t tempSlot(unsigned Depth, TypeKind Type) {
+    size_t K = 0;
+    while (K < Temps.size() &&
+           (Temps[K].first != Depth || Temps[K].second != Type))
+      ++K;
+    if (K == Temps.size())
+      Temps.emplace_back(Depth, Type);
+    return static_cast<int32_t>(SP.NumValueSlots + K);
   }
 
   /// Emits code computing node \p NodeIdx of \p Eq. Leaves emit nothing;
   /// constant subtrees fold at build time. Interior results land in the
-  /// scratch slot of \p Depth, or directly in \p TargetSlot (>= 0) for
-  /// the root — whose instruction then carries Weight 1 for the whole
-  /// lowered step instruction.
+  /// scratch slot of (\p Depth, result type), or directly in \p TargetSlot
+  /// (>= 0) for the root — whose instruction then carries Weight 1 for the
+  /// whole lowered step instruction.
   Operand emitNode(const KernelEq &Eq, int NodeIdx, unsigned Depth,
                    int32_t TargetSlot) {
     const FuncNode &N = Eq.Nodes[NodeIdx];
@@ -152,31 +202,31 @@ private:
     case FuncNode::Kind::Arg: {
       int32_t Slot = SP.SignalValueSlot[Eq.Args[N.ArgIndex]];
       assert(Slot >= 0 && "func over a dead-clock operand");
-      return {false, Slot};
+      return {false, Slot, SP.SlotType[Slot]};
     }
     case FuncNode::Kind::Const:
-      return {true, internConst(SP.Consts, N.Const)};
+      return constant(N.Const);
     case FuncNode::Kind::Unary: {
       Operand C = emitNode(Eq, N.Lhs, Depth, -1);
       if (C.IsConst)
-        return {true, internConst(SP.Consts,
-                                  evalUnaryValue(N.UOp, SP.Consts[C.Idx]))};
+        return constant(evalUnaryValue(N.UOp, SP.Consts[C.Idx]));
+      TypeKind Type = unaryResultKind(N.UOp, C.Type);
       VmInstr V;
       V.Op = VmOp::UnarySlot;
       V.Weight = TargetSlot >= 0 ? 1 : 0;
-      V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth);
+      V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth, Type);
       V.A = C.Idx;
       V.Aux = static_cast<int32_t>(N.UOp);
       push(V);
-      return {false, V.Target};
+      return {false, V.Target, Type};
     }
     case FuncNode::Kind::Binary: {
       Operand L = emitNode(Eq, N.Lhs, Depth, -1);
       Operand R = emitNode(Eq, N.Rhs, Depth + 1, -1);
       if (L.IsConst && R.IsConst)
-        return {true,
-                internConst(SP.Consts, evalBinaryValue(N.BOp, SP.Consts[L.Idx],
-                                                       SP.Consts[R.Idx]))};
+        return constant(
+            evalBinaryValue(N.BOp, SP.Consts[L.Idx], SP.Consts[R.Idx]));
+      TypeKind Type = binaryResultKind(N.BOp, L.Type, R.Type);
       VmInstr V;
       V.Op = L.IsConst   ? VmOp::BinaryCS
              : R.IsConst ? VmOp::BinarySC
@@ -184,12 +234,12 @@ private:
       V.Weight = TargetSlot >= 0 ? 1 : 0;
       // Writing the destination cannot clobber an operand mid-compute:
       // the evaluator computes the result before storing it.
-      V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth);
+      V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth, Type);
       V.A = L.Idx;
       V.B = R.Idx;
       V.Aux = static_cast<int32_t>(N.BOp);
       push(V);
-      return {false, V.Target};
+      return {false, V.Target, Type};
     }
     }
     return {};
@@ -199,6 +249,8 @@ private:
   ClockForest &Forest;
   const std::unordered_map<ForestNodeId, int> &SlotOfNode;
   std::vector<bool> SlotComputed;
+  /// (depth, type) of each provisional scratch slot, in order of first use.
+  std::vector<std::pair<unsigned, TypeKind>> Temps;
 };
 
 std::string clockName(ForestNodeId N, ClockForest &Forest,
@@ -229,7 +281,7 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       continue;
     SP.SignalClockSlot[S] = SlotOfNode.at(N);
     SP.SignalValueSlot[S] = static_cast<int>(SP.NumValueSlots++);
-    SP.ValueSlotType.push_back(Prog.Signals[S].Type);
+    SP.SlotType.push_back(Prog.Signals[S].Type);
   }
 
   // State slots, one per delay equation with a live target.
@@ -346,9 +398,9 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       Lower.push(V);
       break;
     case ActionKind::WriteOutput:
-      // Target repeats the written slot, so the listing shows it.
       V.Op = VmOp::WriteOutput;
       V.A = V.Target;
+      V.Target = -1;
       V.Aux = static_cast<int32_t>(SP.Outputs.size());
       SP.Outputs.push_back(signalIO(A.Sig));
       Lower.push(V);
@@ -363,5 +415,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       Lower.markComputed(A.Clock);
   }
 
+  Lower.numberTemps();
   return SP;
 }

@@ -10,6 +10,10 @@
 ///     slots of flattened expressions,
 ///   * state slots  — the memories of the "$" delays, surviving instants.
 ///
+/// Each value and scratch slot has one type for the whole run (SlotType),
+/// and each delay memory the type of its initial value, so every operand
+/// of every instruction has a static type.
+///
 /// A StepProgram holds that bytecode in schedule order without any skip:
 /// each scheduled action's instructions form one StepGroup tagged with
 /// the clock path that guards it. CompiledStep lays the groups out for
@@ -40,7 +44,7 @@ namespace sigc {
 
 /// What an instruction field indexes (see SIGC_VM_OPCODES).
 enum class OperandSpace : uint8_t {
-  None,       ///< Unused (a WriteOutput's Target repeats its A).
+  None,       ///< Unused.
   Imm,        ///< An immediate: an operator code or a polarity.
   Jump,       ///< A program counter in the laid-out code.
   Clock,      ///< A clock slot.
@@ -166,7 +170,8 @@ struct StepGroup {
 struct StepProgram {
   unsigned NumClockSlots = 0;
   unsigned NumValueSlots = 0; ///< Signal value slots (scratch excluded).
-  unsigned NumTempSlots = 0;  ///< Scratch slots appended after the values.
+  unsigned NumTempSlots = 0;  ///< Scratch slots appended after the values,
+                              ///< one per (tree depth, result type).
   std::vector<Value> StateInit; ///< One entry per delay state slot.
   std::vector<Value> Consts;    ///< Constant pool.
 
@@ -195,10 +200,11 @@ struct StepProgram {
   std::vector<int> SignalValueSlot;
   /// Per-signal clock slot (-1 when empty).
   std::vector<int> SignalClockSlot;
-  /// Declared type of each value slot, index-aligned with the slot space.
-  /// Lowerings that materialize slots as typed storage (the C emitter's
-  /// locals) read this instead of re-scanning the kernel signal table.
-  std::vector<TypeKind> ValueSlotType;
+  /// The type of each value slot (its signal's declared type), then of
+  /// each scratch slot. A slot always holds its type: lowering made every
+  /// integer-to-real conversion an explicit ToReal, so no operator mixes
+  /// types and no definition changes one.
+  std::vector<TypeKind> SlotType;
 };
 
 } // namespace sigc

@@ -147,15 +147,13 @@ void printStats(const std::string &Mode, unsigned Instants,
                static_cast<double>(Executed) / Instants);
 }
 
-/// The --stats vm line: how the VM decodes \p Step (instructions with a
-/// typed handler, those left to the generic Value handler, fused
-/// clock-literal/skip pairs, and the bytes of its 8-byte slots).
+/// The --stats vm line: how the VM decodes \p Step (instructions
+/// decoded, fused clock-literal/skip pairs, and the bytes of its 8-byte
+/// slots).
 void printVmStats(const CompiledStep &Step) {
   VmDecodeStats V = VmExecutor(Step).decodeStats();
-  std::fprintf(stderr,
-               "stats: vm decoded=%u typed=%u generic=%u fused=%u "
-               "slot_bytes=%zu\n",
-               V.Decoded, V.Typed, V.Generic, V.Fused, V.SlotBytes);
+  std::fprintf(stderr, "stats: vm decoded=%u fused=%u slot_bytes=%zu\n",
+               V.Decoded, V.Fused, V.SlotBytes);
 }
 
 /// The --stats compile report: the shape of the generated guard

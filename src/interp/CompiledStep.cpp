@@ -88,29 +88,8 @@ CompiledStep CompiledStep::build(const StepProgram &Step, GuardLowering L) {
   CS.Inputs = Step.Inputs;
   CS.Outputs = Step.Outputs;
   CS.SignalClockSlot = Step.SignalClockSlot;
-  CS.ValueSlotType = Step.ValueSlotType;
+  CS.SlotType = Step.SlotType;
   CS.Code = layOutGuards(Step.Code, Step.Groups, L);
-
-  // A delay memory holds one kind for the whole run. Sema lets an integer
-  // literal initialize a real signal, so a memory that stores reals but
-  // starts from an integer widens its initial value. Widening can make a
-  // loaded value real and so another memory's stores: repeat to a fixed
-  // point (each round widens at least one memory).
-  for (bool Widened = true; Widened;) {
-    Widened = false;
-    std::vector<InstrKinds> Kinds = CS.kinds();
-    for (size_t PC = 0; PC < CS.Code.size(); ++PC) {
-      const VmInstr &In = CS.Code[PC];
-      if (In.Op != VmOp::StoreDelay || Kinds[PC].A != TypeKind::Real)
-        continue;
-      Value &Init = CS.StateInit[In.Target];
-      if (Init.Kind == TypeKind::Integer) {
-        Init = Value::makeReal(static_cast<double>(Init.Int));
-        Widened = true;
-      }
-    }
-  }
-
   CS.orderOutputFlush();
   return CS;
 }
@@ -170,117 +149,4 @@ GuardShape CompiledStep::guardShape() const {
     S.MaxDepth = std::max(S.MaxDepth, static_cast<unsigned>(Close.size()));
   }
   return S;
-}
-
-TypeKind sigc::binaryResultKind(BinaryOp Op, TypeKind L, TypeKind R) {
-  bool BothInt = L == TypeKind::Integer && R == TypeKind::Integer;
-  switch (Op) {
-  case BinaryOp::Add:
-  case BinaryOp::Sub:
-  case BinaryOp::Mul:
-  case BinaryOp::Div:
-    return BothInt ? TypeKind::Integer : TypeKind::Real;
-  case BinaryOp::Mod:
-    return TypeKind::Integer;
-  case BinaryOp::And:
-  case BinaryOp::Or:
-  case BinaryOp::Xor:
-  case BinaryOp::Eq:
-  case BinaryOp::Ne:
-  case BinaryOp::Lt:
-  case BinaryOp::Le:
-  case BinaryOp::Gt:
-  case BinaryOp::Ge:
-    return TypeKind::Boolean;
-  }
-  return TypeKind::Unknown;
-}
-
-TypeKind sigc::unaryResultKind(UnaryOp Op, TypeKind A) {
-  if (Op == UnaryOp::Not)
-    return TypeKind::Boolean;
-  return A == TypeKind::Integer ? TypeKind::Integer : TypeKind::Real;
-}
-
-std::vector<InstrKinds> CompiledStep::kinds() const {
-  std::vector<InstrKinds> Kinds(Code.size());
-  const size_t NumSlots = NumValueSlots + NumTempSlots;
-
-  // The kind each slot currently holds, evolving down the linear stream.
-  // Guards only skip code; they never change which instruction defines a
-  // slot's kind, so the linear walk sees the same kinds any execution
-  // does (a read whose defining write was skipped is never executed —
-  // the schedule guarantees it). A slot not yet written reads as its
-  // declared type; scratch slots default to integer.
-  std::vector<TypeKind> Cur(NumSlots, TypeKind::Unknown);
-  auto read = [&](int32_t Slot) {
-    TypeKind K = Cur[Slot];
-    if (K != TypeKind::Unknown)
-      return K;
-    return static_cast<size_t>(Slot) < ValueSlotType.size()
-               ? ValueSlotType[Slot]
-               : TypeKind::Integer;
-  };
-
-  for (size_t PC = 0; PC < Code.size(); ++PC) {
-    const VmInstr &In = Code[PC];
-    InstrKinds &IK = Kinds[PC];
-    switch (In.Op) {
-    case VmOp::SkipIfAbsent:
-    case VmOp::ReadClockInput:
-    case VmOp::EvalClockAnd:
-    case VmOp::EvalClockOr:
-    case VmOp::EvalClockDiff:
-    case VmOp::CopyClock:
-    case VmOp::SetClockFalse:
-    case VmOp::CheckClockEq:
-      continue; // No value operand, no value result.
-    case VmOp::EvalClockLiteral:
-    case VmOp::StoreDelay:
-    case VmOp::WriteOutput:
-      IK.A = read(In.A);
-      continue; // Reads a value, writes none.
-    case VmOp::ReadSignal:
-      IK.Res = Inputs[In.Aux].Type;
-      break;
-    case VmOp::UnarySlot:
-      IK.A = read(In.A);
-      IK.Res = unaryResultKind(static_cast<UnaryOp>(In.Aux), IK.A);
-      break;
-    case VmOp::BinarySS:
-    case VmOp::BinarySC:
-    case VmOp::BinaryCS:
-      IK.A = In.Op == VmOp::BinaryCS ? Consts[In.A].Kind : read(In.A);
-      IK.B = In.Op == VmOp::BinarySC ? Consts[In.B].Kind : read(In.B);
-      IK.Res = binaryResultKind(static_cast<BinaryOp>(In.Aux), IK.A, IK.B);
-      break;
-    case VmOp::CopyValue:
-      IK.A = read(In.A);
-      IK.Res = IK.A;
-      break;
-    case VmOp::LoadConst:
-      IK.Res = Consts[In.Aux].Kind;
-      break;
-    case VmOp::Select: {
-      IK.A = read(In.A);
-      IK.B = read(In.B);
-      // Sema rejects defaults whose arms mix integer and real, so the
-      // arms share a storage class here and the static kind can only
-      // differ from the dynamic one between an event arm and a boolean
-      // arm, which are both stored as 0/1. Mixed numeric arms would
-      // widen to real.
-      bool IntA = IK.A == TypeKind::Integer, IntB = IK.B == TypeKind::Integer;
-      bool RealA = IK.A == TypeKind::Real, RealB = IK.B == TypeKind::Real;
-      bool SameClass = IntA == IntB && RealA == RealB;
-      IK.Res = SameClass ? IK.A : TypeKind::Real;
-      break;
-    }
-    case VmOp::LoadDelay:
-      IK.Res = StateInit[In.A].Kind;
-      break;
-    }
-    // Every case that breaks writes value[Target].
-    Cur[In.Target] = IK.Res;
-  }
-  return Kinds;
 }

@@ -26,11 +26,11 @@
 /// guarded step instruction once, nested one guard per block it enters.
 /// The oracle checks both counts, and that nested never tests more.
 ///
-/// The operand kinds are static. kinds() derives, per instruction, the
-/// kind it writes and the kinds it reads, in one linear walk; it is the
-/// only kind analysis. The C emitter types its locals by it, and
-/// VmExecutor decodes each instruction into a handler specialized by it
-/// and lays its 8-byte untagged slots out without tags.
+/// Types are static: each value and scratch slot holds its SlotType
+/// entry, each constant and delay memory its Value's kind, for the whole
+/// run. The C emitter types its locals by SlotType, and VmExecutor
+/// decodes each instruction into a handler specialized by its operand
+/// types and lays its 8-byte untagged slots out without tags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,22 +70,6 @@ struct ClockCheckFailure {
     return F;
   }
 };
-
-/// The statically computed Value kinds of one instruction: the kind it
-/// writes and the kinds of its value operands at that program point
-/// (a constant operand has its pool entry's kind). Unknown where the
-/// instruction has no such operand.
-struct InstrKinds {
-  TypeKind Res = TypeKind::Unknown;
-  TypeKind A = TypeKind::Unknown;
-  TypeKind B = TypeKind::Unknown;
-};
-
-/// Result kind of \p Op on operands of kinds \p L and \p R, as
-/// evalBinaryValue computes it.
-TypeKind binaryResultKind(BinaryOp Op, TypeKind L, TypeKind R);
-/// Result kind of \p Op on an operand of kind \p A (evalUnaryValue).
-TypeKind unaryResultKind(UnaryOp Op, TypeKind A);
 
 /// Shape of a step's guard structure (the --stats compile report).
 struct GuardShape {
@@ -128,9 +112,8 @@ struct CompiledStep {
   /// checks (CheckClockEq) read it.
   std::vector<int> SignalClockSlot;
 
-  /// Declared type of each value slot (scratch slots excluded); the C
-  /// emitter materializes slots as typed locals from this.
-  std::vector<TypeKind> ValueSlotType;
+  /// The type of each value, then each scratch slot (StepProgram's).
+  std::vector<TypeKind> SlotType;
 
   /// Output descriptor indices in the order their WriteOutput
   /// instructions appear in Code. Batched execution buffers a whole
@@ -138,8 +121,8 @@ struct CompiledStep {
   /// reproducing exactly the event sequence an unbatched run records.
   std::vector<int32_t> OutputFlushOrder;
 
-  /// Lays out \p Step's guards by \p L and derives the delay-init
-  /// widening and the output flush order.
+  /// Lays out \p Step's guards by \p L and derives the output flush
+  /// order.
   static CompiledStep build(const StepProgram &Step,
                             GuardLowering L = GuardLowering::Nested);
 
@@ -152,13 +135,11 @@ struct CompiledStep {
   /// Counts the guards of Code and measures their nesting.
   GuardShape guardShape() const;
 
-  /// The kind flow of Code: per instruction, the kind it writes and the
-  /// kinds of its operands. A pure function of Code, Consts,
-  /// ValueSlotType, Inputs and StateInit, computed by one linear walk
-  /// that tracks the kind each slot currently holds. Guards only skip
-  /// code, so the walk sees the kinds every execution sees. The C emitter
-  /// types its locals from it and VmExecutor picks typed handlers by it.
-  std::vector<InstrKinds> kinds() const;
+  /// The type of operand \p I of space \p S (a field of an instruction,
+  /// see vmOperands): a constant's kind or a slot's SlotType.
+  TypeKind operandType(OperandSpace S, int32_t I) const {
+    return S == OperandSpace::Const ? Consts[I].Kind : SlotType[I];
+  }
 };
 
 } // namespace sigc

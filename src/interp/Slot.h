@@ -3,11 +3,10 @@
 /// \file
 /// The one runtime value representation shared by the VM, its native
 /// twin, the environment's exchange and the trace codec: an untagged
-/// 8-byte VmSlot whose type is static (a descriptor's declared type or an
-/// operand's static kind). Tagged Values meet slots only at the edge of
-/// what computes on Values (KernelInterp, the VM's generic handlers,
-/// recorded OutputEvents), and toSlot/fromSlot are the one conversion in
-/// each direction.
+/// 8-byte VmSlot whose type is static (a descriptor's declared type or a
+/// step slot's SlotType). Tagged Values meet slots only at the edge of
+/// what computes on Values (KernelInterp, recorded OutputEvents), and
+/// toSlot/fromSlot are the one conversion in each direction.
 ///
 /// The text of a slot (appendSlotText) is Value::str()'s for the Value of
 /// that type, so an output line rendered from a slot and one rendered

@@ -13,8 +13,10 @@
 //
 // The op list is the quickened instruction set (Brunthaler, "Efficient
 // interpretation using quickening", DLS 2010): decode() rewrites each
-// CompiledStep instruction once into a handler specialized by the static
-// operand kinds, plus one superinstruction (clock literal + skip).
+// CompiledStep instruction once into a handler specialized by its static
+// operand types (CompiledStep::SlotType), plus one superinstruction
+// (clock literal + skip). Every operator has one handler per operand
+// class it accepts; there is no fallback on tagged Values.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #if !defined(SIGC_VM_NO_COMPUTED_GOTO) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -34,14 +38,6 @@
 #endif
 
 using namespace sigc;
-
-namespace {
-
-TypeKind kindOf(uint8_t K) { return static_cast<TypeKind>(K); }
-
-bool isRealSlot(TypeKind K) { return K == TypeKind::Real; }
-
-} // namespace
 
 //===--- The op bodies, shared by both dispatchers ------------------------===//
 //
@@ -55,13 +51,14 @@ bool isRealSlot(TypeKind K) { return K == TypeKind::Real; }
 // The typed handlers come from two tables, X(Y, Name, Operator, operand
 // class, result field, expression over the operand slots a and b). Each
 // computes exactly what evalUnaryValue/evalBinaryValue compute for its
-// kinds, including integer orderings compared through double and the
+// types, including integer orderings compared through double and the
 // wrapping Div/Mod/Neg escapes; vm_test checks every entry against them.
 
 #define SIGC_VM_UNARY_OPS(Y, X)                                                \
   Y(X, NotB, Not, Bool, I, a.I == 0)                                           \
   Y(X, NegI, Neg, Int, I, wrapNeg(a.I))                                        \
-  Y(X, NegR, Neg, Real, R, -a.R)
+  Y(X, NegR, Neg, Real, R, -a.R)                                               \
+  Y(X, ToRealI, ToReal, Int, R, static_cast<double>(a.I))
 
 #define SIGC_VM_BINARY_OPS(Y, X)                                               \
   Y(X, AddI, Add, Int, I, wrapAdd(a.I, b.I))                                   \
@@ -141,35 +138,7 @@ bool isRealSlot(TypeKind K) { return K == TypeKind::Real; }
   })                                                                           \
   SIGC_VM_RUN_OPS(SIGC_VM_RUN_BODIES, X)                                       \
   SIGC_VM_UNARY_OPS(SIGC_VM_UNARY_BODY, X)                                     \
-  SIGC_VM_BINARY_OPS(SIGC_VM_BINARY_BODY, X)                                   \
-  SIGC_VM_GENERIC_OPS(X)
-
-// The generic handlers: Values materialized by the static kinds, one
-// definition of the operators. Mixed integer/real arithmetic lands here,
-// and so does a default whose arms are stored differently (sema rules
-// that out), a delay storing an integer into a real memory (an integer
-// signal with a real init) or an output declared real that carries an
-// integer (`! real X` with X := I + 1). The conversions are the emitted
-// C's assignments.
-#define SIGC_VM_GENERIC_OPS(X)                                                 \
-  X(UnaryGeneric,                                                              \
-    Value V = evalUnaryValue(static_cast<UnaryOp>(In.Aux),                     \
-                             fromSlot(S[In.A], kindOf(In.KA)));                \
-    S[In.Target] = toSlot(V, V.Kind);)                                         \
-  X(BinaryGeneric,                                                             \
-    Value V = evalBinaryValue(static_cast<BinaryOp>(In.Aux),                   \
-                              fromSlot(S[In.A], kindOf(In.KA)),                \
-                              fromSlot(S[In.B], kindOf(In.KB)));               \
-    S[In.Target] = toSlot(V, V.Kind);)                                         \
-  X(SelectGeneric,                                                             \
-    S[In.Target] = toSlot(Clock[In.Aux] ? fromSlot(S[In.A], kindOf(In.KA))     \
-                                        : fromSlot(S[In.B], kindOf(In.KB)),    \
-                          TypeKind::Real);)                                    \
-  X(StoreDelayGeneric,                                                         \
-    State[In.Target] = toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB));) \
-  X(WriteOutputGeneric,                                                        \
-    P.output(In.Aux,                                                           \
-             toSlot(fromSlot(S[In.A], kindOf(In.KA)), kindOf(In.KB)));)
+  SIGC_VM_BINARY_OPS(SIGC_VM_BINARY_BODY, X)
 
 namespace {
 
@@ -207,31 +176,40 @@ bool vmKindOf(TypeKind K, VmKind &Out) {
   return false;
 }
 
-/// The typed handler of \p Op on a \p A operand, or H_UnaryGeneric.
+/// Decode met an operator without a typed handler for its operand types.
+/// Lowering converts every mixed operand and sema rejects every other
+/// combination, so this is a compiler bug.
+[[noreturn]] void noHandler(const char *Op) {
+  std::fprintf(stderr, "signalc: internal error: no VM handler for '%s' on "
+                       "these operand types\n", Op);
+  std::abort();
+}
+
+/// The typed handler of \p Op on an operand of type \p A.
 Handler unaryHandler(UnaryOp Op, TypeKind A) {
   VmKind K;
-  if (!vmKindOf(A, K))
-    return H_UnaryGeneric;
+  if (vmKindOf(A, K)) {
 #define SIGC_VM_PICK(X, Name, O, C, F, Expr)                                   \
   if (Op == UnaryOp::O && K == VmKind::C)                                      \
     return H_##Name;
-  SIGC_VM_UNARY_OPS(SIGC_VM_PICK, _)
+    SIGC_VM_UNARY_OPS(SIGC_VM_PICK, _)
 #undef SIGC_VM_PICK
-  return H_UnaryGeneric;
+  }
+  noHandler(unaryOpName(Op));
 }
 
-/// The typed handler of \p Op on operands of kinds \p L and \p R, or
-/// H_BinaryGeneric. Any boolean/event pair shares the Bool class.
+/// The typed handler of \p Op on operands of types \p L and \p R. Any
+/// boolean/event pair shares the Bool class.
 Handler binaryHandler(BinaryOp Op, TypeKind L, TypeKind R) {
   VmKind KL, KR;
-  if (!vmKindOf(L, KL) || !vmKindOf(R, KR) || KL != KR)
-    return H_BinaryGeneric;
+  if (vmKindOf(L, KL) && vmKindOf(R, KR) && KL == KR) {
 #define SIGC_VM_PICK(X, Name, O, C, F, Expr)                                   \
   if (Op == BinaryOp::O && KL == VmKind::C)                                    \
     return H_##Name;
-  SIGC_VM_BINARY_OPS(SIGC_VM_PICK, _)
+    SIGC_VM_BINARY_OPS(SIGC_VM_PICK, _)
 #undef SIGC_VM_PICK
-  return H_BinaryGeneric;
+  }
+  noHandler(binaryOpName(Op));
 }
 
 /// The run handler of \p H, or \p H when it has none.
@@ -245,11 +223,6 @@ uint8_t runHandler(uint8_t H) {
   default:
     return H;
   }
-}
-
-bool isGeneric(uint8_t H) {
-  return H == H_UnaryGeneric || H == H_BinaryGeneric || H == H_SelectGeneric ||
-         H == H_StoreDelayGeneric || H == H_WriteOutputGeneric;
 }
 
 } // namespace
@@ -305,7 +278,6 @@ const char *VmExecutor::decodedOpName(size_t PC) const {
 }
 
 void VmExecutor::decode() {
-  const std::vector<InstrKinds> Kinds = CS.kinds();
   const int32_t ConstBase =
       static_cast<int32_t>(CS.NumValueSlots + CS.NumTempSlots);
   const int32_t AbsentClock = static_cast<int32_t>(CS.NumClockSlots);
@@ -314,15 +286,13 @@ void VmExecutor::decode() {
   Code.assign(N + 1, Instr()); // The last entry stays the Halt sentinel.
   for (size_t PC = 0; PC < N; ++PC) {
     const VmInstr &V = CS.Code[PC];
-    const InstrKinds &K = Kinds[PC];
+    const VmOperands Ops = vmOperands(V.Op);
     Instr &D = Code[PC];
     D.Weight = V.Weight;
     D.Target = V.Target;
     D.A = V.A;
     D.B = V.B;
     D.Aux = V.Aux;
-    D.KA = static_cast<uint8_t>(K.A);
-    D.KB = static_cast<uint8_t>(K.B);
     switch (V.Op) {
     case VmOp::SkipIfAbsent:
       D.Op = H_SkipIfAbsent;
@@ -364,7 +334,7 @@ void VmExecutor::decode() {
       D.Op = H_ReadSignal;
       break;
     case VmOp::UnarySlot:
-      D.Op = unaryHandler(static_cast<UnaryOp>(V.Aux), K.A);
+      D.Op = unaryHandler(static_cast<UnaryOp>(V.Aux), CS.SlotType[V.A]);
       break;
     case VmOp::BinarySS:
     case VmOp::BinarySC:
@@ -374,7 +344,9 @@ void VmExecutor::decode() {
         D.A = ConstBase + V.A;
       if (V.Op == VmOp::BinarySC)
         D.B = ConstBase + V.B;
-      D.Op = binaryHandler(static_cast<BinaryOp>(V.Aux), K.A, K.B);
+      D.Op = binaryHandler(static_cast<BinaryOp>(V.Aux),
+                           CS.operandType(Ops.A, V.A),
+                           CS.operandType(Ops.B, V.B));
       break;
     case VmOp::CopyValue:
       D.Op = H_Copy;
@@ -384,30 +356,17 @@ void VmExecutor::decode() {
       D.A = ConstBase + V.Aux;
       break;
     case VmOp::Select:
-      D.Op = isRealSlot(K.A) == isRealSlot(K.Res) &&
-                     isRealSlot(K.B) == isRealSlot(K.Res)
-                 ? H_Select
-                 : H_SelectGeneric;
+      D.Op = H_Select;
       break;
     case VmOp::LoadDelay:
       D.Op = H_LoadDelay;
       break;
-    case VmOp::StoreDelay: {
-      TypeKind StateKind = CS.StateInit[V.Target].Kind;
-      D.KB = static_cast<uint8_t>(StateKind);
-      D.Op = isRealSlot(K.A) == isRealSlot(StateKind) ? H_StoreDelay
-                                                       : H_StoreDelayGeneric;
+    case VmOp::StoreDelay:
+      D.Op = H_StoreDelay;
       break;
-    }
-    case VmOp::WriteOutput: {
-      // Outputs leave by their declared type, as the emitted C's
-      // assignment to the output field converts.
-      TypeKind OutType = CS.Outputs[V.Aux].Type;
-      D.KB = static_cast<uint8_t>(OutType);
-      D.Op = isRealSlot(K.A) == isRealSlot(OutType) ? H_WriteOutput
-                                                     : H_WriteOutputGeneric;
+    case VmOp::WriteOutput:
+      D.Op = H_WriteOutput;
       break;
-    }
     case VmOp::CheckClockEq:
       // A negative slot reads the clock slot past the step's own, which
       // nothing writes; a failure jumps to the Halt sentinel.
@@ -417,10 +376,6 @@ void VmExecutor::decode() {
       D.Target = static_cast<int32_t>(N);
       break;
     }
-    if (isGeneric(D.Op))
-      ++Stats.Generic;
-    else
-      ++Stats.Typed;
   }
   // Runs of one runnable handler, found back to front so each element
   // heads its own suffix; a head's weight becomes the run length.

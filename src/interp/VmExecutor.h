@@ -13,13 +13,12 @@
 /// 8-byte untagged VmSlots (interp/Slot.h): integers in I, reals in R,
 /// booleans and events as 0/1 in I. One slot file holds the signal
 /// values, then the scratch slots, then a copy of the constant pool, so
-/// a constant operand is just another slot. The kind of every operand is
-/// static (CompiledStep::kinds()). Inputs arrive as slots of their
-/// declared types, and WriteOutput hands out slots of the output's
-/// declared type: a plain copy, converted only where the operand's static
-/// kind differs (an integer-valued `! real X`), as the emitted C's
-/// assignment to the output field converts. No tagged Value crosses the
-/// environment boundary.
+/// a constant operand is just another slot. A slot always holds its type
+/// (CompiledStep::SlotType): inputs arrive as slots of their declared
+/// types, WriteOutput hands out the output's slot as it stands, and the
+/// one conversion, integer to real, is an explicit ToReal instruction
+/// that lowering placed. No tagged Value crosses the environment
+/// boundary.
 ///
 /// State block. The guard/executed counters and the delay states live
 /// in one contiguous block of VmSlots: the two counters, then one slot
@@ -30,10 +29,9 @@
 /// Decode. The constructor decodes CompiledStep::Code once into the
 /// executor's own instruction array, index for index, so skip offsets
 /// carry over unchanged. Each unary/binary instruction is quickened to a
-/// handler specialized by operator and operand kinds (AddI, AddR, LtI,
-/// EqB, NotB, ...); a kind combination without one (mixed integer/real
-/// arithmetic, say) gets the generic handler, which calls
-/// evalBinaryValue/evalUnaryValue, so the operators keep one definition.
+/// handler specialized by operator and operand types (AddI, AddR, LtI,
+/// EqB, NotB, ToRealI, ...). Operands of one instruction always share a
+/// class, so every instruction has such a handler.
 /// An EvalClockLiteral directly followed by a SkipIfAbsent (on the clock
 /// it writes or on another one) decodes to one fused instruction that
 /// writes the clock, tests the skip's clock, counts both instructions
@@ -117,8 +115,6 @@ struct VmTypedHandler {
 /// Decode summary (the --stats vm line).
 struct VmDecodeStats {
   unsigned Decoded = 0; ///< Instructions decoded (CompiledStep::Code).
-  unsigned Typed = 0;   ///< Decoded to a handler on untagged slots.
-  unsigned Generic = 0; ///< Decoded to a generic handler on Values.
   unsigned Fused = 0;   ///< Clock-literal/skip pairs fused.
   size_t SlotBytes = 0; ///< Value, scratch, constant and state slots.
 };
@@ -215,15 +211,10 @@ private:
   void decode();
 
   /// One decoded instruction. Fields keep their VmInstr meanings, except
-  /// that constant operands are remapped into the slot file and the
-  /// kinds are the static operand kinds the boundary and generic
-  /// handlers convert by.
+  /// that constant operands are remapped into the slot file.
   struct Instr {
     uint8_t Op = 0;    ///< Handler, in SIGC_VM_OPS order.
     int8_t Weight = 0; ///< VmInstr's; a run head's: the run length.
-    uint8_t KA = 0; ///< TypeKind of operand A.
-    uint8_t KB = 0; ///< TypeKind of operand B (StoreDelay: of the state;
-                    ///< WriteOutput: the output's declared type).
     int32_t Target = -1;
     int32_t A = -1;
     int32_t B = -1;

@@ -41,9 +41,9 @@
 ///                   *present* instants only, packed by declared type
 ///
 ///   Integer and real values are the 8 bytes of the frame's VmSlot
-///   (TraceFrame), which already holds the declared type: an integer-
-///   valued output declared real arrives widened, as the step's
-///   WriteOutput converts it.
+///   (TraceFrame), which already holds the declared type: a step's slot
+///   always holds its signal's type (a real defined by integer
+///   arithmetic was converted where it was defined).
 ///
 ///   Frames cover the fixed instant ranges [k*W, (k+1)*W): every frame
 ///   starts at a multiple of W, so only the stream's final frame may

@@ -87,12 +87,19 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   F.NumClockSlots = TotalClocks;
   F.NumValueSlots = TotalValues;
   F.NumTempSlots = TotalTemps;
+  // Slot types follow the same layout: every unit's values, then every
+  // unit's temps.
   for (size_t U = 0; U < NU; ++U) {
     const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
     F.StateInit.insert(F.StateInit.end(), CS.StateInit.begin(),
                        CS.StateInit.end());
-    F.ValueSlotType.insert(F.ValueSlotType.end(), CS.ValueSlotType.begin(),
-                           CS.ValueSlotType.end());
+    F.SlotType.insert(F.SlotType.end(), CS.SlotType.begin(),
+                      CS.SlotType.begin() + CS.NumValueSlots);
+  }
+  for (size_t U = 0; U < NU; ++U) {
+    const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
+    F.SlotType.insert(F.SlotType.end(), CS.SlotType.begin() + CS.NumValueSlots,
+                      CS.SlotType.end());
   }
 
   // --- Channel lookup tables ---------------------------------------------

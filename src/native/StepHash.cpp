@@ -104,8 +104,8 @@ std::string sigc::hashCompiledStep(const CompiledStep &CS) {
   F.u64(CS.SignalClockSlot.size());
   for (int S : CS.SignalClockSlot)
     F.i64(S);
-  F.u64(CS.ValueSlotType.size());
-  for (TypeKind T : CS.ValueSlotType)
+  F.u64(CS.SlotType.size());
+  for (TypeKind T : CS.SlotType)
     F.u64(static_cast<uint64_t>(T));
   F.u64(CS.OutputFlushOrder.size());
   for (int32_t O : CS.OutputFlushOrder)

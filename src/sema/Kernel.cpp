@@ -52,7 +52,7 @@ std::string funcNodeStr(const KernelEq &Eq, int Node, const KernelProgram &P,
     return N.Const.str();
   case FuncNode::Kind::Unary:
     return std::string("(") + unaryOpName(N.UOp) +
-           (N.UOp == UnaryOp::Not ? " " : "") +
+           (N.UOp == UnaryOp::Neg ? "" : " ") +
            funcNodeStr(Eq, N.Lhs, P, Names) + ")";
   case FuncNode::Kind::Binary:
     return "(" + funcNodeStr(Eq, N.Lhs, P, Names) + " " +

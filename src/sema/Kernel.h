@@ -188,9 +188,36 @@ inline int64_t wrapNeg(int64_t A) {
 inline Value evalUnaryValue(UnaryOp Op, const Value &V) {
   if (Op == UnaryOp::Not)
     return Value::makeBool(!V.asBool());
+  if (Op == UnaryOp::ToReal)
+    return Value::makeReal(V.asReal());
   if (V.Kind == TypeKind::Integer)
     return Value::makeInt(wrapNeg(V.Int));
   return Value::makeReal(-V.asReal());
+}
+
+/// Result type of \p Op on an operand of type \p A (evalUnaryValue).
+inline TypeKind unaryResultKind(UnaryOp Op, TypeKind A) {
+  if (Op == UnaryOp::Not)
+    return TypeKind::Boolean;
+  return Op == UnaryOp::Neg && A == TypeKind::Integer ? TypeKind::Integer
+                                                      : TypeKind::Real;
+}
+
+/// Result type of \p Op on operands of types \p L and \p R, as
+/// evalBinaryValue computes it.
+inline TypeKind binaryResultKind(BinaryOp Op, TypeKind L, TypeKind R) {
+  switch (Op) {
+  case BinaryOp::Add:
+  case BinaryOp::Sub:
+  case BinaryOp::Mul:
+  case BinaryOp::Div:
+    return L == TypeKind::Integer && R == TypeKind::Integer ? TypeKind::Integer
+                                                            : TypeKind::Real;
+  case BinaryOp::Mod:
+    return TypeKind::Integer;
+  default:
+    return TypeKind::Boolean;
+  }
 }
 
 /// Evaluates binary operator \p Op on \p L and \p R.

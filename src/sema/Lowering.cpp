@@ -172,6 +172,29 @@ SignalId Sema::lowerToSignal(LowerState &LS, const Expr *E) {
   }
 }
 
+/// Converts node \p Idx of \p Eq's operator tree from integer to real:
+/// a constant converts in place, anything else gets a ToReal node above
+/// it. \returns the index of the converted node.
+static int toRealNode(KernelEq &Eq, int Idx) {
+  FuncNode &N = Eq.Nodes[Idx];
+  if (N.Kind == FuncNode::Kind::Const) {
+    N.Const = Value::makeReal(N.Const.asReal());
+    return Idx;
+  }
+  FuncNode Conv;
+  Conv.Kind = FuncNode::Kind::Unary;
+  Conv.UOp = UnaryOp::ToReal;
+  Conv.Lhs = Idx;
+  Eq.Nodes.push_back(Conv);
+  return static_cast<int>(Eq.Nodes.size()) - 1;
+}
+
+/// The init value of a memory of type \p Ty: sema lets an integer
+/// literal initialize a real signal, and the memory holds a real.
+static Value memoryInit(TypeKind Ty, const Value &Init) {
+  return Ty == TypeKind::Real ? Value::makeReal(Init.asReal()) : Init;
+}
+
 int Sema::buildFuncTree(LowerState &LS, KernelEq &Eq, const Expr *E) {
   FuncNode Node;
   switch (E->kind()) {
@@ -197,6 +220,13 @@ int Sema::buildFuncTree(LowerState &LS, KernelEq &Eq, const Expr *E) {
     int Rhs = buildFuncTree(LS, Eq, B->rhs());
     if (Rhs < 0)
       return -1;
+    // Mixed integer/real operands: the integer side converts, so every
+    // operator sees operands of one type.
+    TypeKind L = B->lhs()->type(), R = B->rhs()->type();
+    if (L == TypeKind::Integer && R == TypeKind::Real)
+      Lhs = toRealNode(Eq, Lhs);
+    else if (L == TypeKind::Real && R == TypeKind::Integer)
+      Rhs = toRealNode(Eq, Rhs);
     Node.Kind = FuncNode::Kind::Binary;
     Node.BOp = B->op();
     Node.Lhs = Lhs;
@@ -234,6 +264,21 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
   Eq.Target = Target;
   Eq.Loc = E->loc();
 
+  // A real signal defined by an integer expression holds reals: the
+  // definition converts. Whatever the form, the tree builds it (a
+  // non-pointwise form lowers into a fresh integer signal) and a ToReal
+  // goes on top.
+  if (LS.Prog.Signals[Target].Type == TypeKind::Real &&
+      E->type() == TypeKind::Integer) {
+    Eq.Kind = KernelEqKind::Func;
+    int Root = buildFuncTree(LS, Eq, E);
+    if (Root < 0)
+      return false;
+    toRealNode(Eq, Root);
+    LS.Prog.Equations.push_back(std::move(Eq));
+    return true;
+  }
+
   switch (E->kind()) {
   case ExprKind::Name:
   case ExprKind::Const:
@@ -261,7 +306,7 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
       Stage.Target = StageTarget;
       Stage.Loc = E->loc();
       Stage.DelaySource = Prev;
-      Stage.DelayInit = D->init();
+      Stage.DelayInit = memoryInit(Ty, D->init());
       LS.Prog.Equations.push_back(Stage);
       Prev = StageTarget;
     }
@@ -356,7 +401,7 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
     ZEq.Target = Z;
     ZEq.Loc = E->loc();
     ZEq.DelaySource = Target;
-    ZEq.DelayInit = C->init();
+    ZEq.DelayInit = memoryInit(Ty, C->init());
     LS.Prog.Equations.push_back(ZEq);
 
     Eq.Kind = KernelEqKind::Default;

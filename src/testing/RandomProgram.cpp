@@ -3,6 +3,7 @@
 #include "testing/RandomProgram.h"
 
 #include <cassert>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -519,6 +520,59 @@ std::string sigc::generateRandomProgram(const std::string &Name,
                                         const RandomProgramOptions &Options) {
   Generator G(Seed, Options);
   return renderStandalone(Name, G.run());
+}
+
+std::string sigc::generateRealProgram(const std::string &Name,
+                                      uint64_t Seed) {
+  std::mt19937_64 Rng(Seed * 0x9E3779B97F4A7C15ull + 7);
+  auto pick = [&](unsigned Bound) { return static_cast<unsigned>(Rng() % Bound); };
+  auto arith = [&] { return std::string(" ") + "+-*/"[pick(4)] + " "; };
+  auto digit = [&] { return std::to_string(1 + pick(9)); };
+  // Leaves of either type; every signal here ticks with the inputs'
+  // merged root, so any of them may meet any other.
+  auto intLeaf = [&]() -> std::string {
+    const char *Pool[] = {"N", "I1", "I2"};
+    return pick(4) == 0 ? digit() : Pool[pick(3)];
+  };
+  auto realLeaf = [&]() -> std::string {
+    const char *Pool[] = {"R", "X1"};
+    return pick(4) == 0 ? digit() + ".5" : Pool[pick(2)];
+  };
+  // An operator tree whose operands mix the two types at random.
+  std::function<std::string(unsigned)> expr = [&](unsigned Depth) {
+    if (Depth == 0 || pick(3) == 0)
+      return pick(2) ? intLeaf() : realLeaf();
+    return "(" + expr(Depth - 1) + arith() + expr(Depth - 1) + ")";
+  };
+  // A signal of either type, so a definition keeps the inputs' clock.
+  auto signal = [&]() -> std::string {
+    const char *Pool[] = {"N", "I1", "R", "X1"};
+    return Pool[pick(4)];
+  };
+  const char *Cmps[] = {" < ", " <= ", " > ", " >= ", " = ", " /= "};
+  const char *IntSignals[] = {"N", "I1", "I2"};
+  std::string IntSide = IntSignals[pick(3)],
+              RealSide = "(" + expr(2) + arith() + realLeaf() + ")";
+  bool Swap = pick(2);
+  std::vector<std::string> Eqs = {
+      "N := (I1 * " + digit() + arith() + "I2) mod " +
+          std::to_string(Moduli[pick(sizeof(Moduli) / sizeof(Moduli[0]))]),
+      "R := N" + arith() + digit(),
+      "Y := " + expr(3) + arith() + signal(),
+      "L := " + (Swap ? RealSide : IntSide) + Cmps[pick(6)] +
+          (Swap ? IntSide : RealSide),
+      "D := Y $ 1 init " + digit(),
+      "W := R when " + std::string(pick(4) == 0 ? "(not B1)" : "B1"),
+      "V := N when B2",
+      "MD := W default D",
+      "A := (Y + Z) / 2.0",
+      "Z := A $ 1 init 0",
+      "C := R cell B2 init " + digit(),
+  };
+  return renderProcess(
+      Name, "    integer I1, I2;\n    real X1;\n    boolean B1, B2;\n",
+      "    real MD, A, C, V;\n    boolean L;\n",
+      "    integer N;\n    real R, Y, D, W, Z;\n", Eqs);
 }
 
 GeneratedPair sigc::generateProcessPair(uint64_t Seed,

@@ -49,6 +49,16 @@ struct RandomProgramOptions {
 std::string generateRandomProgram(const std::string &Name, uint64_t Seed,
                                   const RandomProgramOptions &Options = {});
 
+/// Generates one process named \p Name from \p Seed whose signals mix
+/// integers and reals: a real signal defined by integer arithmetic, mixed
+/// integer/real operators and comparisons, a real `$` and a real `cell`
+/// with integer inits, a `when` of an integer defining a real, a
+/// `default` of real signals feeding a real output and a bounded real
+/// accumulator. Operators and operands vary with \p Seed; same seed, same
+/// source. generateRandomProgram declares no real, and its seeds keep
+/// their programs.
+std::string generateRealProgram(const std::string &Name, uint64_t Seed);
+
 //===----------------------------------------------------------------------===//
 // Multi-process generation (separate-compilation testing)
 //===----------------------------------------------------------------------===//

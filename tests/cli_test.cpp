@@ -257,11 +257,10 @@ TEST(Cli, StatsReportsGuardShape) {
                           "bdd_cache_probes=36\n"),
             std::string::npos)
       << R.Output;
-  // The VM decode is deterministic: every instruction of FIG5_ALARM gets
-  // a typed handler, three clock literals fuse with the skip after them,
-  // and the slot file (values, scratch, constants, states) is 16 slots.
-  EXPECT_NE(R.Output.find("\nstats: vm decoded=41 typed=41 generic=0 "
-                          "fused=3 slot_bytes=128\n"),
+  // The VM decode is deterministic: three clock literals of FIG5_ALARM
+  // fuse with the skip after them, and the slot file (values, scratch,
+  // constants, states) is 16 slots.
+  EXPECT_NE(R.Output.find("\nstats: vm decoded=41 fused=3 slot_bytes=128\n"),
             std::string::npos)
       << R.Output;
   // The run line keeps its exact shape: benchmark scripts parse it.
@@ -546,9 +545,8 @@ TEST(Cli, ReplayAgainstTheWrongProcessIsAnInterfaceMismatch) {
 }
 
 TEST(Cli, RealOutputCarryingIntegersRecordsAndReplays) {
-  // X is declared real but defined by integer arithmetic, so the VM's
-  // values of X are integer-kinded. The trace records X by its declared
-  // type (widened to a real), and replay verifies by the same rule:
+  // X is declared real but defined by integer arithmetic. The trace
+  // records X by its declared type, and replay verifies by the same rule:
   // recording 0.0 for every X made this replay diverge.
   std::string Src = ::testing::TempDir() + "sigc_cli_real_" +
                     std::to_string(::getpid()) + ".sig";
@@ -899,8 +897,8 @@ TEST(Cli, NativeCacheMissReportsEmittedCSizeAndCcTime) {
 //===----------------------------------------------------------------------===//
 
 TEST(Cli, TierSwapKeepsTheOutputText) {
-  // X is declared real but carries the integers of I + 1. The VM used to
-  // print it by its static kind (`15 X=51`) and the native step by its
+  // X is declared real and defined by the integers of I + 1. The VM used
+  // to print it by its static kind (`15 X=51`) and the native step by its
   // declared type (`16 X=30.000000`), so the text changed format at the
   // swap. Both tiers now print by the declared type.
   if (!cliHostCcAvailable())
@@ -934,6 +932,36 @@ TEST(Cli, TierSwapKeepsTheOutputText) {
   EXPECT_NE(Stats.Output.find("vm_instants=16 native_instants=24"),
             std::string::npos)
       << Stats.Output;
+  std::remove(Src.c_str());
+}
+
+TEST(Cli, RealSignalDividesAsReal) {
+  // A real signal defined by integer arithmetic holds reals, so X / 2
+  // divides reals: 13 / 2 is 6.5, not 6, and (X / 2) * 2 = X holds. Every
+  // engine prints the same text.
+  std::string Src = ::testing::TempDir() + "sigc_cli_divide_" +
+                    std::to_string(::getpid()) + ".sig";
+  FILE *F = fopen(Src.c_str(), "w");
+  ASSERT_NE(F, nullptr);
+  fputs("process K = ( ? integer I; ! real X, H; boolean E; )\n"
+        "  (| X := I + 1 | H := X / 2 | E := (X / 2) * 2 = X |);\n",
+        F);
+  fclose(F);
+  const std::string Run = Src + " --simulate 6 --seed 2";
+  CliResult Vm = runSignalc(Run, /*StdoutOnly=*/true);
+  ASSERT_EQ(Vm.Exit, 0) << Vm.Output;
+  EXPECT_NE(Vm.Output.find("\n0 X=13.000000\n0 H=6.500000\n0 E=true\n"),
+            std::string::npos)
+      << Vm.Output;
+  std::vector<std::string> Legs = {" --mode flat", " --batch 64"};
+  TempCacheDirCli Cache;
+  if (cliHostCcAvailable())
+    Legs.push_back(" --native force --cache-dir " + Cache.Path);
+  for (const std::string &Leg : Legs) {
+    CliResult R = runSignalc(Run + Leg, /*StdoutOnly=*/true);
+    EXPECT_EQ(R.Exit, 0) << Leg;
+    EXPECT_EQ(R.Output, Vm.Output) << Leg;
+  }
   std::remove(Src.c_str());
 }
 

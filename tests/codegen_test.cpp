@@ -98,10 +98,10 @@ TEST(CEmitter, SanitizeIdent) {
 TEST(StepProgram, ValueSlotTypesRecorded) {
   auto C = compileOk(proc("? integer A; boolean C1; ! real Y;",
                           "   Y := 0.5 when C1"));
-  ASSERT_EQ(C->Step.ValueSlotType.size(),
-            static_cast<size_t>(C->Step.NumValueSlots));
+  ASSERT_EQ(C->Step.SlotType.size(),
+            static_cast<size_t>(C->Step.NumValueSlots + C->Step.NumTempSlots));
   bool SawInt = false, SawReal = false;
-  for (TypeKind K : C->Step.ValueSlotType) {
+  for (TypeKind K : C->Step.SlotType) {
     SawInt |= K == TypeKind::Integer;
     SawReal |= K == TypeKind::Real;
   }

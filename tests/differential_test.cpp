@@ -232,11 +232,9 @@ TEST(DifferentialEmitC, BooleanVsEventComparisonMatchesValueSemantics) {
 }
 
 TEST(DifferentialEmitC, RealDelayWithIntegerInitStaysReal) {
-  // `init 1` on a real signal whose memory stores reals: the compiled
-  // step widens the initial value, so the VM and the emitted C (which
-  // used to declare the memory long and truncate) hold a real throughout.
-  // The reference interpreter starts from the integer; the value is the
-  // same.
+  // `init 1` on a real signal: lowering makes the literal a real, so
+  // every engine's memory holds a real throughout, and the emitted C
+  // does not truncate the stored reals.
   const char *Source =
       "process P =\n"
       "  ( ? real X; ! real Y; )\n"
@@ -246,7 +244,6 @@ TEST(DifferentialEmitC, RealDelayWithIntegerInitStaysReal) {
   ASSERT_EQ(C->Compiled.StateInit.size(), 1u);
   EXPECT_EQ(C->Compiled.StateInit[0].Kind, TypeKind::Real);
   VmExecutor Vm(C->Compiled);
-  EXPECT_EQ(Vm.decodeStats().Generic, 0u);
   RandomEnvironment Env(3);
   Vm.run(Env, 16);
   VmSlot X[16];
@@ -270,41 +267,42 @@ TEST(DifferentialEmitC, RealDelayWithIntegerInitStaysReal) {
   EXPECT_EQ(R.CRoundTripRan, O.EmitCRoundTrip);
 }
 
-TEST(DifferentialEmitC, RealSignalCarryingIntegersKeepsIntegerDelay) {
-  // X is declared real but computed by integer arithmetic, so its values
-  // are integers in every engine, and so are the delay memory's: Y / 2
-  // divides integers, and E tells whether it truncated. The memory must
-  // not widen.
+TEST(DifferentialEmitC, RealSignalDefinedByIntegersHoldsReals) {
+  // X is declared real and computed by integer arithmetic: the definition
+  // converts, so X, the delay memory Y and its `init 7` hold reals in
+  // every engine. Y / 2 divides reals, and E, which would be false where
+  // an integer division truncated, is true at every instant.
   const char *Source =
       "process P =\n"
       "  ( ? integer I; ! boolean E; )\n"
       "  (| X := I + 1 | Y := X $ 1 init 7 | E := (Y / 2) * 2 = Y |)\n"
       "  where real X, Y; end;\n";
-  auto C = compileSource("real-carrying-integers", Source);
+  auto C = compileSource("real-defined-by-integers", Source);
   ASSERT_TRUE(C->Ok);
   ASSERT_EQ(C->Compiled.StateInit.size(), 1u);
-  EXPECT_EQ(C->Compiled.StateInit[0].Kind, TypeKind::Integer);
+  EXPECT_EQ(C->Compiled.StateInit[0].Kind, TypeKind::Real);
   RandomEnvironment Env(2);
   VmExecutor Vm(C->Compiled);
   Vm.run(Env, 16);
   ASSERT_FALSE(Env.outputs().empty());
-  EXPECT_EQ(Env.outputs()[0].Val.str(), Value::makeBool(false).str())
-      << "7 / 2 * 2 is 6 in integers";
+  for (const OutputEvent &Ev : Env.outputs())
+    EXPECT_EQ(Ev.Val.str(), Value::makeBool(true).str())
+        << "instant " << Ev.Instant << ": 7.0 / 2 * 2 is 7.0 in reals";
 
   OracleOptions O;
   O.Instants = 32;
   O.EnvSeed = 2;
   O.EmitCRoundTrip = hostCCompilerAvailable();
-  OracleReport R = checkDifferential("real-carrying-integers", Source, O);
+  OracleReport R = checkDifferential("real-defined-by-integers", Source, O);
   EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.CRoundTripRan, O.EmitCRoundTrip);
 }
 
 TEST(DifferentialNativeSwap, RealOutputCarryingIntegersKeepsItsText) {
-  // X is declared real but carries the integers of I + 1. Outputs leave
-  // every engine by their declared type, so the VM prints X=97.000000 as
-  // the native step does, and the swap leg's formatEvents text agrees at
-  // every boundary (the VM used to print X=97 and the native step
-  // X=97.000000, so the text changed at the swap).
+  // X is declared real and defined by the integers of I + 1. Outputs
+  // leave every engine by their declared type, so the VM prints
+  // X=97.000000 as the native step does, and the swap leg's formatEvents
+  // text agrees at every boundary.
   const char *Source = "process K = ( ? integer I; ! real X; ) "
                        "(| X := I + 1 |);";
   auto C = compileSource("real-output-integers", Source);
@@ -410,6 +408,55 @@ TEST_P(RandomDifferential, AllPathsAgree) {
 // 8 blocks x 16 seeds = 128 random programs.
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomDifferential,
                          ::testing::Range(0u, 8u));
+
+//===----------------------------------------------------------------------===//
+// Real-typed sweep: conversions, mixed operators and real code on every
+// leg.
+//===----------------------------------------------------------------------===//
+
+TEST(RealProgram, DeterministicForFixedSeed) {
+  EXPECT_EQ(generateRealProgram("P", 42), generateRealProgram("P", 42));
+  EXPECT_NE(generateRealProgram("P", 1), generateRealProgram("P", 2));
+}
+
+namespace {
+
+class RealDifferential : public ::testing::TestWithParam<unsigned> {};
+
+} // namespace
+
+TEST_P(RealDifferential, AllPathsAgree) {
+  // Each program lowers at least one integer-to-real conversion, and the
+  // interpreter, the VM on both lowerings, batched windows, the emitted C
+  // and the native swap all agree on it.
+  const bool HaveCc = hostCCompilerAvailable();
+  OracleOptions O;
+  O.Instants = 40;
+  O.EmitCRoundTrip = HaveCc;
+  O.NativeSwap = HaveCc;
+  unsigned Shard = GetParam();
+  for (uint64_t Seed = Shard * 8; Seed < (Shard + 1) * 8ull; ++Seed) {
+    std::string Source = generateRealProgram("MIXED", Seed);
+    auto C = compileSource("real-" + std::to_string(Seed), Source);
+    ASSERT_TRUE(C->Ok) << Source << C->Diags.render();
+    unsigned Conversions = 0;
+    for (const KernelEq &Eq : C->Kernel->Equations)
+      for (const FuncNode &N : Eq.Nodes)
+        Conversions += N.Kind == FuncNode::Kind::Unary &&
+                       N.UOp == UnaryOp::ToReal;
+    EXPECT_GT(Conversions, 0u) << Source;
+    O.EnvSeed = Seed * 17 + 3;
+    O.BatchSize = 1 + static_cast<unsigned>(Seed % 7);
+    OracleReport R =
+        checkDifferential("real-" + std::to_string(Seed), Source, O);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.CRoundTripRan, HaveCc);
+    EXPECT_EQ(R.NativeSwapRan, HaveCc);
+  }
+}
+
+// 4 shards x 8 seeds = 32 real-typed programs.
+INSTANTIATE_TEST_SUITE_P(Sweep, RealDifferential, ::testing::Range(0u, 4u));
 
 //===----------------------------------------------------------------------===//
 // Sparse clocks and bigger programs: variations of the generator knobs.

@@ -455,7 +455,7 @@ CompiledStep probeStep(const VmTypedHandler &H, TypeKind L, TypeKind R) {
                          : binaryResultKind(static_cast<BinaryOp>(H.Op), L, R);
   CompiledStep CS;
   CS.NumValueSlots = 3;
-  CS.ValueSlotType = {L, R, Res};
+  CS.SlotType = {L, R, Res};
   for (int I = 0; I < 2; ++I) {
     StepProgram::SignalIODesc In;
     In.ValueSlot = I;
@@ -554,7 +554,6 @@ TEST(VmQuickening, TypedHandlersMatchValueSemanticsOnEdgeValues) {
         VmExecutor Vm(CS);
         ASSERT_STREQ(Vm.decodedOpName(2), H.Name)
             << "kinds " << typeName(L.Kind) << ", " << typeName(R.Kind);
-        EXPECT_EQ(Vm.decodeStats().Generic, 0u) << H.Name;
         ScriptedEnvironment Env;
         Env.set("A", 0, L);
         Env.set("B", 0, R);
@@ -573,13 +572,14 @@ TEST(VmQuickening, TypedHandlersMatchValueSemanticsOnEdgeValues) {
   EXPECT_GT(Checked, 300u);
 }
 
-TEST(VmQuickening, MixedIntegerRealReachesTheGenericHandlers) {
-  // Integer against real has no typed handler: the generic handler
-  // evaluates it through evalBinaryValue. J is declared real but carries
-  // the integers it is computed from, so a default of J and a real, and
-  // a real memory fed from J, convert too. Every engine still agrees
-  // (the oracle runs the interpreter, the stepped and batched VM on both
-  // lowerings, and the emitted C when a compiler is present).
+TEST(VmQuickening, MixedIntegerRealConvertsExplicitly) {
+  // Integer against real: lowering converts the integer operand with a
+  // ToReal, so each operator decodes to its real handler. J is declared
+  // real and defined by integer arithmetic, so its definition converts
+  // too, and a default of J and a real, and a real memory fed from J,
+  // are plain real code. Every engine agrees (the oracle runs the
+  // interpreter, the stepped and batched VM on both lowerings, and the
+  // emitted C when a compiler is present).
   const std::string Source =
       proc("? integer I; real X; ! real R, S, T; boolean L;",
            "   R := I + X\n"
@@ -590,15 +590,23 @@ TEST(VmQuickening, MixedIntegerRealReachesTheGenericHandlers) {
            "   | synchro {I, X}",
            "real J;");
   auto C = compileOk(Source);
+  unsigned Conversions = 0;
+  for (const VmInstr &In : C->Compiled.Code)
+    Conversions += In.Op == VmOp::UnarySlot &&
+                   static_cast<UnaryOp>(In.Aux) == UnaryOp::ToReal;
   VmExecutor Vm(C->Compiled);
-  EXPECT_EQ(Vm.decodeStats().Generic, 4u);
-  std::multiset<std::string> Generic;
+  std::multiset<std::string> Decoded;
   for (size_t PC = 0; PC < C->Compiled.Code.size(); ++PC)
-    if (std::strstr(Vm.decodedOpName(PC), "Generic"))
-      Generic.insert(Vm.decodedOpName(PC));
-  EXPECT_EQ(Generic, (std::multiset<std::string>{
-                         "BinaryGeneric", "BinaryGeneric", "SelectGeneric",
-                         "StoreDelayGeneric"}));
+    Decoded.insert(Vm.decodedOpName(PC));
+  // I + X and I < X convert I; J := I + 1 adds integers and converts the
+  // sum. Depth 0 of the scratch slots then holds an integer and a real.
+  EXPECT_EQ(Conversions, 3u);
+  EXPECT_EQ(Decoded.count("ToRealI"), 3u);
+  EXPECT_EQ(Decoded.count("AddR"), 1u);
+  EXPECT_EQ(Decoded.count("AddI"), 1u);
+  EXPECT_EQ(Decoded.count("LtR"), 1u);
+  EXPECT_EQ(C->Compiled.SlotType.size(),
+            static_cast<size_t>(C->Compiled.NumValueSlots + 2));
 
   OracleOptions O;
   O.Instants = 48;
