@@ -22,7 +22,7 @@
 #ifndef SIGNALC_BENCH_BENCHARGS_H
 #define SIGNALC_BENCH_BENCHARGS_H
 
-#include "driver/Driver.h"
+#include "driver/Cli.h"
 
 #include <cstdint>
 #include <cstdio>

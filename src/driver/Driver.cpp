@@ -3,13 +3,9 @@
 #include "driver/Driver.h"
 
 #include "codegen/StepCompiler.h"
-#include "native/TierController.h"
 #include "sema/Sema.h"
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 
 using namespace sigc;
 
@@ -29,105 +25,6 @@ const char *sigc::to_string(CompileStage Stage) {
     return "graph";
   }
   return "none";
-}
-
-const char *sigc::engineModeList() { return "vm, flat"; }
-
-bool sigc::parseEngineMode(const std::string &Name, EngineMode &Mode,
-                           std::string &Diag) {
-  if (Name == "vm") {
-    Mode = EngineMode::Vm;
-  } else if (Name == "flat") {
-    Mode = EngineMode::Flat;
-  } else {
-    Diag = "unknown --mode '" + Name +
-           "'; valid modes: " + engineModeList();
-    return false;
-  }
-  return true;
-}
-
-const char *sigc::nativeModeList() { return "off, auto, force"; }
-
-bool sigc::parseNativeMode(const std::string &Name, NativeMode &Mode,
-                           std::string &Diag) {
-  if (Name == "off") {
-    Mode = NativeMode::Off;
-  } else if (Name == "auto") {
-    Mode = NativeMode::Auto;
-  } else if (Name == "force") {
-    Mode = NativeMode::Force;
-  } else {
-    Diag = "unknown --native '" + Name +
-           "'; valid modes: " + nativeModeList();
-    return false;
-  }
-  return true;
-}
-
-bool sigc::parseCliUnsigned(const std::string &Flag, const char *Text,
-                            uint64_t Max, uint64_t &Out, std::string &Diag) {
-  if (!Text) {
-    Diag = "missing value for " + Flag;
-    return false;
-  }
-  std::string S(Text);
-  if (S.empty() || S.find_first_not_of("0123456789") != std::string::npos) {
-    Diag = "invalid value '" + S + "' for " + Flag +
-           ": expected an unsigned integer";
-    return false;
-  }
-  // All-digits input can still overflow; strtoull saturates and sets
-  // errno, so both the 2^64 overflow and the caller's own ceiling become
-  // the same out-of-range diagnostic.
-  errno = 0;
-  uint64_t V = std::strtoull(S.c_str(), nullptr, 10);
-  if (errno == ERANGE || V > Max) {
-    Diag = "value '" + S + "' for " + Flag + " is out of range (max " +
-           std::to_string(Max) + ")";
-    return false;
-  }
-  Out = V;
-  return true;
-}
-
-namespace {
-
-/// Bounded Levenshtein distance (insert/delete/substitute, unit cost).
-unsigned editDistance(const std::string &A, const std::string &B) {
-  std::vector<unsigned> Row(B.size() + 1);
-  for (size_t J = 0; J <= B.size(); ++J)
-    Row[J] = static_cast<unsigned>(J);
-  for (size_t I = 1; I <= A.size(); ++I) {
-    unsigned Diag = Row[0];
-    Row[0] = static_cast<unsigned>(I);
-    for (size_t J = 1; J <= B.size(); ++J) {
-      unsigned Sub = Diag + (A[I - 1] != B[J - 1]);
-      Diag = Row[J];
-      Row[J] = std::min({Row[J] + 1, Row[J - 1] + 1, Sub});
-    }
-  }
-  return Row[B.size()];
-}
-
-} // namespace
-
-std::string sigc::suggestNearestFlag(const std::string &Arg,
-                                     const std::vector<std::string> &Known) {
-  std::string Best;
-  unsigned BestDist = ~0u;
-  for (const std::string &K : Known) {
-    unsigned D = editDistance(Arg, K);
-    if (D < BestDist) {
-      BestDist = D;
-      Best = K;
-    }
-  }
-  // A suggestion is only useful when the typo is plausibly the flag:
-  // within a third of its length (and never for wildly short inputs).
-  if (Best.empty() || BestDist > std::max<size_t>(1, Best.size() / 3))
-    return std::string();
-  return Best;
 }
 
 std::unique_ptr<Compilation> sigc::compileSource(std::string BufferName,

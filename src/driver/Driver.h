@@ -58,48 +58,6 @@ enum class CompileStage {
 /// \returns the canonical lowercase name ("parse", "clock-calculus", ...).
 const char *to_string(CompileStage Stage);
 
-/// The step lowerings `signalc --mode` runs on the VM: vm is the nested
-/// lowering, flat guards every instruction (GuardLowering).
-enum class EngineMode { Vm, Flat };
-
-/// The canonical valid-mode list ("vm, flat") for diagnostics.
-const char *engineModeList();
-
-/// Parses a --mode spelling. On an unknown mode returns false and fills
-/// \p Diag with a diagnostic naming every valid mode — the same shape as
-/// the --process typo diagnostic, so a typo never sends the user to the
-/// sources.
-bool parseEngineMode(const std::string &Name, EngineMode &Mode,
-                     std::string &Diag);
-
-enum class NativeMode : uint8_t; // native/TierController.h
-
-/// The canonical valid --native list ("off, auto, force") for diagnostics.
-const char *nativeModeList();
-
-/// Parses a --native spelling, with the parseEngineMode contract: an
-/// unknown mode returns false and \p Diag names every valid one.
-bool parseNativeMode(const std::string &Name, NativeMode &Mode,
-                     std::string &Diag);
-
-/// Parses the numeric operand of CLI flag \p Flag into \p Out. \p Text
-/// may be null (flag given as the last argument): every failure — a
-/// missing operand, a non-numeric spelling, or a value above \p Max —
-/// returns false and fills \p Diag with a diagnostic naming the flag, so
-/// `--batch abc` and `--seed 99999999999999999999` are exit-code-2
-/// diagnoses instead of uncaught std::stoul exceptions.
-bool parseCliUnsigned(const std::string &Flag, const char *Text, uint64_t Max,
-                      uint64_t &Out, std::string &Diag);
-
-/// \returns the element of \p Known nearest to \p Arg by edit distance,
-/// or empty when nothing is plausibly close (distance > 1/3 of the
-/// flag's length, so `--simulte` suggests `--simulate` but line noise
-/// suggests nothing). Extends the --process/--mode typo idiom to the
-/// driver's own flag table: an unknown top-level flag names its nearest
-/// neighbour instead of sending the user to --help.
-std::string suggestNearestFlag(const std::string &Arg,
-                               const std::vector<std::string> &Known);
-
 /// Wall time of each pipeline stage, in milliseconds (the `--stats` stage
 /// report). A stage that did not run stays at 0.
 struct CompileStageTimes {

@@ -3,6 +3,7 @@
 #include "sema/Kernel.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 
 using namespace sigc;
@@ -35,10 +36,24 @@ unsigned KernelProgram::countClockVariables() const {
 
 namespace {
 
+/// A constant as the dump prints it: a real in the shortest form that
+/// reads back as the same double, with a `.0` on a whole one, so the
+/// dump shows the literal the emitted C keeps (Value::str() rounds to
+/// six decimals).
+std::string constStr(const Value &V) {
+  if (V.Kind != TypeKind::Real)
+    return V.str();
+  char Buf[32];
+  std::string S(Buf, std::to_chars(Buf, Buf + sizeof Buf, V.Real).ptr);
+  if (S.find_first_of(".ein") == std::string::npos)
+    S += ".0";
+  return S;
+}
+
 std::string atomStr(const Atom &A, const KernelProgram &P,
                     const StringInterner &Names) {
   if (A.IsConst)
-    return A.Const.str();
+    return constStr(A.Const);
   return std::string(Names.spelling(P.Signals[A.Sig].Name));
 }
 
@@ -49,7 +64,7 @@ std::string funcNodeStr(const KernelEq &Eq, int Node, const KernelProgram &P,
   case FuncNode::Kind::Arg:
     return std::string(Names.spelling(P.Signals[Eq.Args[N.ArgIndex]].Name));
   case FuncNode::Kind::Const:
-    return N.Const.str();
+    return constStr(N.Const);
   case FuncNode::Kind::Unary:
     return std::string("(") + unaryOpName(N.UOp) +
            (N.UOp == UnaryOp::Neg ? "" : " ") +
@@ -79,7 +94,7 @@ std::string KernelProgram::dump(const StringInterner &Names) const {
                            Names);
       break;
     case KernelEqKind::Delay:
-      Out += sigName(Eq.DelaySource) + " $ 1 init " + Eq.DelayInit.str();
+      Out += sigName(Eq.DelaySource) + " $ 1 init " + constStr(Eq.DelayInit);
       break;
     case KernelEqKind::When:
       Out += atomStr(Eq.WhenValue, *this, Names) + " when " +

@@ -1,13 +1,13 @@
 //===--- cli_test.cpp - signalc command-line regression tests -------------===//
 ///
 /// Subprocess tests of the installed `signalc` binary: its argument
-/// handling and, against in-process reference runs, its output. The
-/// numeric flags (--simulate, --batch, --seed, --fleet, --threads) share
-/// one checked parse: a malformed, out-of-range or missing operand must
-/// be a diagnosed exit-code-2 failure naming the flag — historically
-/// `--batch abc` was an uncaught std::stoul throw and a flag given as
-/// the last argument was silently dropped. The string flags diagnose a
-/// missing operand the same way.
+/// handling and, against in-process reference runs, its output. Every
+/// flag is a row of SIGC_CLI_FLAGS, parsed by parseCli; cli_parse_test
+/// drives each row in process, and these tests pin the same diagnostics
+/// end to end: a malformed, out-of-range or missing operand is an
+/// exit-code-2 failure naming the flag — historically `--batch abc` was
+/// an uncaught std::stoul throw and a flag given as the last argument
+/// was silently dropped.
 ///
 //===----------------------------------------------------------------------===//
 

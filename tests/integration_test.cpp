@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 #include "codegen/CEmitter.h"
+#include "driver/Cli.h"
 #include "interp/VmExecutor.h"
 
 #include <gtest/gtest.h>

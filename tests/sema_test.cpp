@@ -116,6 +116,17 @@ TEST(Sema, IntegerWidensToReal) {
   compileOk(proc("? integer A; ! real Y;", "   Y := A"));
 }
 
+TEST(Sema, KernelDumpPrintsRealsExactly) {
+  // The dump prints the literal the emitted C keeps, not Value::str()'s
+  // six decimals; a whole real keeps its `.0`.
+  std::string K = kernelOf(proc("? real Y; ! real X, Z, W;",
+                                "   X := Y * 0.1234567 | Z := Y + 2.0"
+                                " | W := Y $ 1 init 1e-7"));
+  EXPECT_NE(K.find("X := (Y * 0.1234567)"), std::string::npos) << K;
+  EXPECT_NE(K.find("Z := (Y + 2.0)"), std::string::npos) << K;
+  EXPECT_NE(K.find("W := Y $ 1 init 1e-07"), std::string::npos) << K;
+}
+
 TEST(Sema, RealDoesNotNarrowToInteger) {
   compileErr(proc("? real A; ! integer Y;", "   Y := A"), CompileStage::Sema);
 }
