@@ -142,11 +142,16 @@ int main(int Argc, char **Argv) {
       // call and one environment exchange *per unit*. Each unit runs its
       // own compiled step against its own environment — same instruction
       // mix, N times the crossing overhead the fused step pays once.
+      // A unit's Compiled is its unoptimized layout (the form fusion
+      // reads), so each unit's step is optimized here as the fused one is.
+      std::vector<CompiledStep> Steps;
+      Steps.reserve(Par.Sys->Units.size());
       std::vector<std::unique_ptr<RandomEnvironment>> Envs;
       std::vector<std::unique_ptr<VmExecutor>> Execs;
       for (const LinkUnit &U : Par.Sys->Units) {
+        Steps.push_back(CompiledStep::build(U.Comp->Step));
         Envs.push_back(std::make_unique<RandomEnvironment>(7));
-        Execs.push_back(std::make_unique<VmExecutor>(U.Comp->Compiled));
+        Execs.push_back(std::make_unique<VmExecutor>(Steps.back()));
       }
       T0 = std::chrono::steady_clock::now();
       for (unsigned I = 0; I < Instants; ++I)

@@ -3,7 +3,9 @@
 // Types come straight from the CompiledStep: a slot's C local has its
 // SlotType, a constant its pool entry's kind. Lowering converted every
 // integer meeting a real, so each operator is printed for one operand
-// type, and a ToReal is the only conversion the C spells.
+// type, and a ToReal is the only conversion the C spells. A value
+// operand past the scratch slots names a delay memory (a forwarded delay
+// load) and reads its state field.
 //
 //===----------------------------------------------------------------------===//
 
@@ -127,8 +129,11 @@ private:
   std::string clockVar(int32_t Slot) const {
     return "c" + std::to_string(Slot);
   }
+  /// A value or scratch slot's local, or the state field a value
+  /// operand past them names.
   std::string valueVar(int32_t Slot) const {
-    return "v" + std::to_string(Slot);
+    return Slot < CS.valueEnd() ? "v" + std::to_string(Slot)
+                                : stateSlot(Slot - CS.valueEnd());
   }
   /// The state block slot of delay \p Index, by its member.
   std::string stateSlot(int32_t Index) const {
@@ -278,7 +283,7 @@ std::string Emitter::instrStmt(size_t PC) const {
       E = "!" + A;
       break;
     case UnaryOp::Neg:
-      E = CS.SlotType[In.A] == TypeKind::Integer
+      E = CS.operandType(OperandSpace::Value, In.A) == TypeKind::Integer
               ? "(long)(0UL - (unsigned long)" + A + ")"
               : "-" + A;
       break;
@@ -304,10 +309,6 @@ std::string Emitter::instrStmt(size_t PC) const {
   case VmOp::Select:
     return valueVar(In.Target) + " = " + clockVar(In.Aux) + " ? " +
            valueVar(In.A) + " : " + valueVar(In.B) + ";";
-  case VmOp::LoadDelay:
-    return valueVar(In.Target) + " = " + stateSlot(In.A) + ";";
-  case VmOp::StoreDelay:
-    return stateSlot(In.Target) + " = " + valueVar(In.A) + ";";
   case VmOp::WriteOutput: {
     std::string Id = sanitizeIdent(CS.Outputs[In.Aux].Name);
     return "out->" + Id + "_present = 1; out->" + Id + " = " +
@@ -437,7 +438,7 @@ std::string Emitter::run() {
     VmOperands Ops = vmOperands(In.Op);
     for (auto [S, F] : {std::pair{Ops.Target, In.Target}, {Ops.A, In.A},
                         {Ops.B, In.B}})
-      if (S == OperandSpace::Value)
+      if (S == OperandSpace::Value && F < CS.valueEnd())
         Touched[F] = 1;
   }
   std::vector<std::string> SlotVars;

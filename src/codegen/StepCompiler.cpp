@@ -17,9 +17,9 @@ namespace {
 class ActionLowering {
 public:
   ActionLowering(StepProgram &SP, ClockForest &Forest,
-                 const std::unordered_map<ForestNodeId, int> &SlotOfNode)
+                 const std::vector<int> &SlotOfNode)
       : SP(SP), Forest(Forest), SlotOfNode(SlotOfNode),
-        SlotComputed(SlotOfNode.size(), false) {}
+        SlotComputed(SP.NumClockSlots, false) {}
 
   /// Closes the group of the action guarded by tree node \p GuardNode
   /// (InvalidForestNode = unguarded) over the code emitted since the
@@ -32,11 +32,11 @@ public:
   /// Records that the slot of clock \p Node is computed from here on and
   /// may guard later groups from above.
   void markComputed(ForestNodeId Node) {
-    SlotComputed[SlotOfNode.at(Node)] = true;
+    SlotComputed[SlotOfNode[Node]] = true;
   }
 
   int32_t slot(ForestNodeId N) const {
-    return N == InvalidForestNode ? -1 : SlotOfNode.at(N);
+    return N == InvalidForestNode ? -1 : SlotOfNode[N];
   }
 
   void push(VmInstr V) { SP.Code.push_back(V); }
@@ -102,41 +102,12 @@ public:
     push(V);
   }
 
-  /// Gives the scratch slots their final numbers and types: the first
-  /// type seen at depth d takes slot NumValueSlots + d (a depth no tree
-  /// reaches keeps an unused integer slot), every further (depth, type)
-  /// pair a slot past the deepest one, in order of first use.
-  void numberTemps() {
-    unsigned Depths = 0;
+  /// Types the scratch slots: one per (depth, type) pair some node
+  /// landed on, numbered past the value slots in order of first use.
+  void typeTemps() {
+    SP.NumTempSlots = static_cast<unsigned>(Temps.size());
     for (const auto &T : Temps)
-      Depths = std::max(Depths, T.first + 1);
-    std::vector<TypeKind> Types(Depths, TypeKind::Integer);
-    std::vector<char> Taken(Depths, 0);
-    std::vector<int32_t> Final(Temps.size());
-    for (size_t K = 0; K < Temps.size(); ++K) {
-      auto [Depth, Type] = Temps[K];
-      if (!Taken[Depth]) {
-        Taken[Depth] = 1;
-        Types[Depth] = Type;
-        Final[K] = static_cast<int32_t>(SP.NumValueSlots + Depth);
-      } else {
-        Final[K] = static_cast<int32_t>(SP.NumValueSlots + Types.size());
-        Types.push_back(Type);
-      }
-    }
-    SP.NumTempSlots = static_cast<unsigned>(Types.size());
-    SP.SlotType.insert(SP.SlotType.end(), Types.begin(), Types.end());
-    const int32_t Base = static_cast<int32_t>(SP.NumValueSlots);
-    auto renumber = [&](OperandSpace S, int32_t &F) {
-      if (S == OperandSpace::Value && F >= Base)
-        F = Final[F - Base];
-    };
-    for (VmInstr &In : SP.Code) {
-      VmOperands Ops = vmOperands(In.Op);
-      renumber(Ops.Target, In.Target);
-      renumber(Ops.A, In.A);
-      renumber(Ops.B, In.B);
-    }
+      SP.SlotType.push_back(T.second);
   }
 
 private:
@@ -153,10 +124,10 @@ private:
     std::vector<int32_t> Path;
     if (Target == InvalidForestNode)
       return Path;
-    Path.push_back(SlotOfNode.at(Target));
+    Path.push_back(SlotOfNode[Target]);
     for (ForestNodeId N = Forest.node(Target).Parent; N != InvalidForestNode;
          N = Forest.node(N).Parent) {
-      int Slot = SlotOfNode.at(N);
+      int Slot = SlotOfNode[N];
       if (SlotComputed[Slot])
         Path.push_back(Slot);
     }
@@ -178,8 +149,7 @@ private:
   }
 
   /// The scratch slot for interior results of type \p Type at tree depth
-  /// \p Depth: a provisional number past the value slots, one per
-  /// (depth, type) pair, that numberTemps() makes final.
+  /// \p Depth: one past the value slots per (depth, type) pair.
   int32_t tempSlot(unsigned Depth, TypeKind Type) {
     size_t K = 0;
     while (K < Temps.size() &&
@@ -247,9 +217,9 @@ private:
 
   StepProgram &SP;
   ClockForest &Forest;
-  const std::unordered_map<ForestNodeId, int> &SlotOfNode;
+  const std::vector<int> &SlotOfNode; ///< Per forest node; -1 if dead.
   std::vector<bool> SlotComputed;
-  /// (depth, type) of each provisional scratch slot, in order of first use.
+  /// (depth, type) of each scratch slot, in order of first use.
   std::vector<std::pair<unsigned, TypeKind>> Temps;
 };
 
@@ -268,10 +238,9 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
   StepProgram SP;
 
   // --- Slot assignment ----------------------------------------------------
-  std::unordered_map<ForestNodeId, int> SlotOfNode;
+  std::vector<int> SlotOfNode(Forest.numNodes(), -1);
   for (ForestNodeId N : Forest.dfsOrder())
-    SlotOfNode.emplace(N, static_cast<int>(SlotOfNode.size()));
-  SP.NumClockSlots = static_cast<unsigned>(SlotOfNode.size());
+    SlotOfNode[N] = static_cast<int>(SP.NumClockSlots++);
 
   SP.SignalValueSlot.assign(Prog.numSignals(), -1);
   SP.SignalClockSlot.assign(Prog.numSignals(), -1);
@@ -279,12 +248,14 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
     ForestNodeId N = Forest.nodeOf(Sys.signalClock(S));
     if (N == InvalidForestNode)
       continue;
-    SP.SignalClockSlot[S] = SlotOfNode.at(N);
+    SP.SignalClockSlot[S] = SlotOfNode[N];
     SP.SignalValueSlot[S] = static_cast<int>(SP.NumValueSlots++);
     SP.SlotType.push_back(Prog.Signals[S].Type);
   }
 
-  // State slots, one per delay equation with a live target.
+  // Delay memories, one per delay equation with a live target. Their
+  // value operands follow the scratch slots, so each copy into or out of
+  // one records where its memory index goes until those are counted.
   std::unordered_map<int, int> StateSlotOfEq;
   for (unsigned EqI = 0; EqI < Prog.Equations.size(); ++EqI) {
     const KernelEq &Eq = Prog.Equations[EqI];
@@ -297,6 +268,7 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
   }
 
   ActionLowering Lower(SP, Forest, SlotOfNode);
+  std::vector<std::pair<size_t, bool>> DelayCopies; // (pc, is the store)
 
   auto sigName = [&](SignalId S) {
     return std::string(Names.spelling(Prog.Signals[S].Name));
@@ -310,7 +282,7 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
   for (int ActIdx : Graph.schedule()) {
     const Action &A = Graph.actions()[ActIdx];
     // A clock action writes its clock's slot, any other its signal's
-    // value slot (a StoreDelay its state slot, set below).
+    // value slot (a delay store its memory, set below).
     VmInstr V;
     V.Target = A.Sig == InvalidSignal ? Lower.slot(A.Clock)
                                       : SP.SignalValueSlot[A.Sig];
@@ -387,14 +359,16 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       break;
     }
     case ActionKind::LoadDelay:
-      V.Op = VmOp::LoadDelay;
+      V.Op = VmOp::CopyValue;
       V.A = StateSlotOfEq.at(A.EqIndex);
+      DelayCopies.emplace_back(SP.Code.size(), false);
       Lower.push(V);
       break;
     case ActionKind::StoreDelay:
-      V.Op = VmOp::StoreDelay;
+      V.Op = VmOp::CopyValue;
       V.Target = StateSlotOfEq.at(A.EqIndex);
       V.A = SP.SignalValueSlot[Prog.Equations[A.EqIndex].DelaySource];
+      DelayCopies.emplace_back(SP.Code.size(), true);
       Lower.push(V);
       break;
     case ActionKind::WriteOutput:
@@ -415,6 +389,10 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       Lower.markComputed(A.Clock);
   }
 
-  Lower.numberTemps();
+  Lower.typeTemps();
+  const int32_t MemoryBase =
+      static_cast<int32_t>(SP.NumValueSlots + SP.NumTempSlots);
+  for (auto [PC, IsStore] : DelayCopies)
+    (IsStore ? SP.Code[PC].Target : SP.Code[PC].A) += MemoryBase;
   return SP;
 }

@@ -7,8 +7,10 @@
 ///
 ///   * clock slots  — booleans holding this instant's presence per clock,
 ///   * value slots  — the current value of each signal, then the scratch
-///     slots of flattened expressions,
-///   * state slots  — the memories of the "$" delays, surviving instants.
+///     slots of flattened expressions, then the memories of the "$"
+///     delays, which survive instants: value operand NumValueSlots +
+///     NumTempSlots + k is delay memory k. A delay's load and store are
+///     plain copies out of and into its memory.
 ///
 /// Each value and scratch slot has one type for the whole run (SlotType),
 /// and each delay memory the type of its initial value, so every operand
@@ -48,9 +50,8 @@ enum class OperandSpace : uint8_t {
   Imm,        ///< An immediate: an operator code or a polarity.
   Jump,       ///< A program counter in the laid-out code.
   Clock,      ///< A clock slot.
-  Value,      ///< A value or scratch slot.
+  Value,      ///< A value, scratch or delay memory slot.
   Const,      ///< A constant-pool entry.
-  State,      ///< A delay state slot.
   ClockInput, ///< A ClockInputs descriptor.
   Input,      ///< An Inputs descriptor.
   Output,     ///< An Outputs descriptor.
@@ -84,14 +85,12 @@ enum class OperandSpace : uint8_t {
   X(BinarySS,         "binary-ss",      Value, Value, Value, Imm)              \
   X(BinarySC,         "binary-sc",      Value, Value, Const, Imm)              \
   X(BinaryCS,         "binary-cs",      Value, Const, Value, Imm)              \
-  /* value[Target] := value[A]; := consts[Aux]. */                             \
+  /* value[Target] := value[A]; := consts[Aux]. A delay's load and */          \
+  /* store copy out of and into its memory (a value operand). */               \
   X(CopyValue,        "copy",           Value, Value, None,  None)             \
   X(LoadConst,        "const",          Value, None,  None,  Const)            \
   /* value[Target] := clock[Aux] ? value[A] : value[B]. */                     \
   X(Select,           "select",         Value, Value, Value, Clock)            \
-  /* value[Target] := state[A]; state[Target] := value[A]. */                  \
-  X(LoadDelay,        "load-delay",     Value, State, None,  None)             \
-  X(StoreDelay,       "store-delay",    State, Value, None,  None)             \
   /* env output of output desc Aux := value[A]. */                             \
   X(WriteOutput,      "write",          None,  Value, None,  Output)           \
   /* Unless clock[A] == clock[B], the instant ends here and the step     */    \
@@ -172,7 +171,7 @@ struct StepProgram {
   unsigned NumValueSlots = 0; ///< Signal value slots (scratch excluded).
   unsigned NumTempSlots = 0;  ///< Scratch slots appended after the values,
                               ///< one per (tree depth, result type).
-  std::vector<Value> StateInit; ///< One entry per delay state slot.
+  std::vector<Value> StateInit; ///< One entry per delay memory.
   std::vector<Value> Consts;    ///< Constant pool.
 
   /// The step's bytecode in schedule order, without skips.

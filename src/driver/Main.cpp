@@ -45,12 +45,13 @@ void printStats(const char *Mode, unsigned Instants,
 }
 
 /// The --stats vm line: how the VM decodes \p Step (instructions
-/// decoded, fused clock-literal/skip pairs, and the bytes of its 8-byte
-/// slots).
+/// decoded, fused clock-literal/skip pairs, instructions the optimizer
+/// deleted, and the bytes of its 8-byte slots).
 void printVmStats(const CompiledStep &Step) {
   VmDecodeStats V = VmExecutor(Step).decodeStats();
-  std::fprintf(stderr, "stats: vm decoded=%u fused=%u slot_bytes=%zu\n",
-               V.Decoded, V.Fused, V.SlotBytes);
+  std::fprintf(stderr,
+               "stats: vm decoded=%u fused=%u dropped=%u slot_bytes=%zu\n",
+               V.Decoded, V.Fused, V.Dropped, V.SlotBytes);
 }
 
 /// The --stats compile report: the shape of the generated guard
@@ -425,7 +426,8 @@ int main(int Argc, char **Argv) {
     std::printf("%sfleet simulation (%u instances, %u instants, seed %llu, "
                 "%u thread(s)):\n",
                 RunKind, O.Fleet, O.Simulate,
-                static_cast<unsigned long long>(O.Seed), O.Threads);
+                static_cast<unsigned long long>(O.Seed),
+                fleetShards(O.Threads, O.Fleet));
     for (unsigned J = 0; J < O.Fleet; ++J) {
       std::printf("instance %u:\n", J);
       putText(Owned[J]->text());

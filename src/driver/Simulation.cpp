@@ -86,14 +86,17 @@ SimulationTotals runShard(const CompiledStep &CS,
 
 } // namespace
 
+unsigned sigc::fleetShards(unsigned Threads, unsigned Instances) {
+  return std::max(1u, std::min(std::max(Threads, 1u), Instances));
+}
+
 SimulationTotals sigc::simulateFleet(const CompiledStep &CS,
                                      const std::vector<Environment *> &Envs,
                                      unsigned Instants, unsigned Batch,
                                      unsigned Threads,
                                      const TierController *Tier) {
   const unsigned Instances = static_cast<unsigned>(Envs.size());
-  const unsigned Shards =
-      std::max(1u, std::min(std::max(Threads, 1u), Instances));
+  const unsigned Shards = fleetShards(Threads, Instances);
   TierGate Gate(Tier);
   // Contiguous shards, the first Instances % Shards one instance longer.
   auto First = [&](unsigned S) {

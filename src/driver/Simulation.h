@@ -73,12 +73,16 @@ struct SimulationTotals {
   std::vector<std::pair<unsigned, ClockCheckFailure>> Stops;
 };
 
+/// The threads a fleet of \p Instances runs on when \p Threads are
+/// asked for: at least one, and no more than one per instance.
+unsigned fleetShards(unsigned Threads, unsigned Instances);
+
 /// Runs \p Instants instants of \p CS against each of \p Envs (one
-/// instance per environment) on \p Threads threads. \p Batch > 1 runs
-/// stepN windows of that many instants. \p Tier, when non-null, must be
-/// started; the run then promotes instances to its native module (see
-/// the file comment). The caller folds the per-tier counts into the
-/// controller's statistics.
+/// instance per environment) on fleetShards(\p Threads) threads.
+/// \p Batch > 1 runs stepN windows of that many instants. \p Tier, when
+/// non-null, must be started; the run then promotes instances to its
+/// native module (see the file comment). The caller folds the per-tier
+/// counts into the controller's statistics.
 SimulationTotals simulateFleet(const CompiledStep &CS,
                                const std::vector<Environment *> &Envs,
                                unsigned Instants, unsigned Batch,

@@ -3,9 +3,29 @@
 #include "forest/ClockForest.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 using namespace sigc;
+
+namespace {
+
+/// The testing hook's switch and counts, shared by every thread.
+std::atomic<bool> CrossCheckOn{false};
+std::atomic<uint64_t> CrossChecked{0};
+std::atomic<uint64_t> CrossMismatches{0};
+
+/// The literal encoding of AddedLiterals::Lits.
+uint32_t literal(BddVar V, bool Negative) {
+  return V << 1 | (Negative ? 1 : 0);
+}
+
+/// Polarity of each BDD variable in the cube findDeepestParent descends
+/// with: 0 absent, else 1 + the literal's negative bit. Per thread,
+/// because the linker resolves its units' forests on threads.
+thread_local std::vector<uint8_t> TargetPolarity;
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Small helpers
@@ -14,6 +34,84 @@ using namespace sigc;
 bool ClockForest::includes(BddRef Sub, BddRef Sup) {
   ++Stats.InclusionTests;
   return Mgr.implies(Sub, Sup);
+}
+
+void ClockForest::setInclusionCrossCheckForTesting(bool Enabled) {
+  CrossChecked = 0;
+  CrossMismatches = 0;
+  CrossCheckOn = Enabled;
+}
+
+InclusionCrossCheck ClockForest::inclusionCrossCheckForTesting() {
+  return {CrossChecked.load(), CrossMismatches.load()};
+}
+
+bool ClockForest::crossChecked(bool Fast, BddRef Sub, BddRef Sup) {
+  if (CrossCheckOn.load(std::memory_order_relaxed)) {
+    ++CrossChecked;
+    if (Fast != Mgr.implies(Sub, Sup))
+      ++CrossMismatches;
+  }
+  return Fast;
+}
+
+bool ClockForest::cubeLiterals(BddRef F, std::vector<uint32_t> &Out) const {
+  // A cube is one path to True: at every node one cofactor is False.
+  while (!F.isTerminal()) {
+    BddRef Hi = Mgr.nodeHigh(F), Lo = Mgr.nodeLow(F);
+    if (!Lo.isFalse() && !Hi.isFalse())
+      return false;
+    Out.push_back(literal(Mgr.nodeVar(F), !Lo.isFalse()));
+    F = Lo.isFalse() ? Hi : Lo;
+  }
+  return F.isTrue();
+}
+
+const ClockForest::AddedLiterals &ClockForest::addedLiterals(ForestNodeId N) {
+  AddedLiterals &A = Added[N];
+  BddRef ParentBdd = Nodes[Nodes[N].Parent].Bdd;
+  if (A.Bdd == Nodes[N].Bdd && A.ParentBdd == ParentBdd)
+    return A;
+  A.Bdd = Nodes[N].Bdd;
+  A.ParentBdd = ParentBdd;
+  thread_local std::vector<uint32_t> Own, Inherited;
+  Own.clear();
+  Inherited.clear();
+  A.Lits.clear();
+  // Two cubes, the node's containing the parent's literals (tree
+  // inclusion): the node is the parent ∧ the rest of its literals.
+  A.Cube = cubeLiterals(A.Bdd, Own) && cubeLiterals(ParentBdd, Inherited) &&
+           std::includes(Own.begin(), Own.end(), Inherited.begin(),
+                         Inherited.end());
+  if (A.Cube)
+    std::set_difference(Own.begin(), Own.end(), Inherited.begin(),
+                        Inherited.end(), std::back_inserter(A.Lits));
+  return A;
+}
+
+bool ClockForest::childIncludes(ForestNodeId C, BddRef Target,
+                                bool TargetCube) {
+  const AddedLiterals &A = addedLiterals(C);
+  if (!TargetCube || !A.Cube)
+    return includes(Target, Nodes[C].Bdd);
+  ++Stats.InclusionTests;
+  bool Holds = true;
+  for (uint32_t L : A.Lits)
+    Holds = Holds && TargetPolarity[L >> 1] == 1 + (L & 1);
+  return crossChecked(Holds, Target, Nodes[C].Bdd);
+}
+
+bool ClockForest::siblingIncluded(ForestNodeId S, ForestNodeId Sup) {
+  // S = P ∧ a and Sup = P ∧ b with a and b disjoint from P's literals, so
+  // S ⊆ Sup iff a has every literal of b.
+  const AddedLiterals &B = addedLiterals(Sup);
+  const AddedLiterals &A = addedLiterals(S);
+  if (!A.Cube || !B.Cube)
+    return includes(Nodes[S].Bdd, Nodes[Sup].Bdd);
+  ++Stats.InclusionTests;
+  bool Holds = std::includes(A.Lits.begin(), A.Lits.end(), B.Lits.begin(),
+                             B.Lits.end());
+  return crossChecked(Holds, Nodes[S].Bdd, Nodes[Sup].Bdd);
 }
 
 ForestNodeId ClockForest::rootOf(ForestNodeId N) const {
@@ -37,6 +135,7 @@ ForestNodeId ClockForest::newNode(ClockVarId Rep) {
   N.Rep = Rep;
   N.Bdd = Mgr.top();
   Nodes.push_back(N);
+  Added.emplace_back();
   ClassNode[Rep] = Id;
   return Id;
 }
@@ -141,6 +240,18 @@ ForestNodeId ClockForest::findDeepestParent(ForestNodeId Root, BddRef Target,
   // canonical factorization).
   ForestNodeId Best = Root;
   unsigned BestDepth = 0;
+  // Every node the descent expands contains Target, so a cube Target is
+  // tested against each child by the literals the child adds (see the
+  // header).
+  thread_local std::vector<uint32_t> TargetLits;
+  TargetLits.clear();
+  bool TargetCube = cubeLiterals(Target, TargetLits);
+  if (!TargetCube)
+    TargetLits.clear();
+  if (TargetPolarity.size() < Mgr.numVars())
+    TargetPolarity.resize(Mgr.numVars(), 0);
+  for (uint32_t L : TargetLits)
+    TargetPolarity[L >> 1] = static_cast<uint8_t>(1 + (L & 1));
   struct Item {
     ForestNodeId Node;
     unsigned Depth;
@@ -163,9 +274,11 @@ ForestNodeId ClockForest::findDeepestParent(ForestNodeId Root, BddRef Target,
       BestDepth = I.Depth;
     }
     for (ForestNodeId C : N.Children)
-      if (Nodes[C].Alive && includes(Target, Nodes[C].Bdd))
+      if (Nodes[C].Alive && childIncludes(C, Target, TargetCube))
         Stack.push_back({C, I.Depth + 1});
   }
+  for (uint32_t L : TargetLits)
+    TargetPolarity[L >> 1] = 0;
   return Best;
 }
 
@@ -214,8 +327,7 @@ bool ClockForest::mergeInto(ForestNodeId From, ForestNodeId Into,
     auto &Sibs = Nodes[Deepest].Children;
     for (size_t I = 0; I < Sibs.size();) {
       ForestNodeId S = Sibs[I];
-      if (S != C && Nodes[S].Bdd != Nodes[C].Bdd &&
-          includes(Nodes[S].Bdd, Nodes[C].Bdd)) {
+      if (S != C && Nodes[S].Bdd != Nodes[C].Bdd && siblingIncluded(S, C)) {
         Sibs.erase(Sibs.begin() + static_cast<long>(I));
         Nodes[S].Parent = C;
         Nodes[C].Children.push_back(S);
@@ -263,8 +375,7 @@ bool ClockForest::attachSubtree(ForestNodeId Sub, ForestNodeId TargetRoot,
   auto &Sibs = Nodes[Deepest].Children;
   for (size_t I = 0; I < Sibs.size();) {
     ForestNodeId S = Sibs[I];
-    if (S != Sub && Nodes[S].Bdd != NewBdd &&
-        includes(Nodes[S].Bdd, NewBdd)) {
+    if (S != Sub && Nodes[S].Bdd != NewBdd && siblingIncluded(S, Sub)) {
       Sibs.erase(Sibs.begin() + static_cast<long>(I));
       Nodes[S].Parent = Sub;
       Nodes[Sub].Children.push_back(S);
@@ -290,6 +401,7 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
                         const StringInterner &Names,
                         DiagnosticEngine &Diags) {
   Nodes.clear();
+  Added.clear();
   ClassNode.clear();
   NullClass.clear();
   CondVars.clear();
@@ -682,7 +794,7 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
   // the triangularity of the final system).
   {
     enum class Mark : uint8_t { White, Grey, Black };
-    std::unordered_map<ForestNodeId, Mark> Marks;
+    std::vector<Mark> Marks(Nodes.size(), Mark::White);
     std::vector<std::pair<ForestNodeId, unsigned>> Stack;
     // Presence-recipe dependencies (not tree edges: reparenting may hang a
     // union below its own operands, which is fine for the inclusion order

@@ -26,6 +26,17 @@
 /// equations remain as residual cross-tree definitions; unprovable or
 /// cyclic ones make the program temporally incorrect.
 ///
+/// Inclusion by literal lookup. In the canonical forest a literal child is
+/// its parent ∧ one literal, and more generally a node whose BDD and whose
+/// parent's BDD are both cubes is its parent ∧ the literals it adds. The
+/// insertion descent only tests children of nodes that already contain
+/// the target, so for a cube target "target ⊆ child" is "the target has
+/// every literal the child adds": findDeepestParent reads the target's
+/// cube once into a per-thread polarity table (the linker resolves units
+/// on threads) and each test is a lookup per added literal. Two cube
+/// siblings compare their added literals directly. Only a non-cube BDD
+/// on either side falls back to BddManager::implies.
+///
 /// Deviation from the paper, documented: where [1] proves the deepest
 /// parent unique under their factorization scheme, we search all containing
 /// branches and break ties deterministically (greater depth, then smaller
@@ -89,7 +100,15 @@ struct ForestBuildStats {
   unsigned NullClocks = 0;       ///< Classes proved empty.
   unsigned Iterations = 0;       ///< Fixpoint rounds.
   uint64_t BddNodes = 0;         ///< Manager size after the run.
-  uint64_t InclusionTests = 0;   ///< BDD implies() calls (clock ⊆ clock).
+  uint64_t InclusionTests = 0;   ///< Inclusion tests decided (clock ⊆
+                                 ///< clock), by literal lookup or implies().
+};
+
+/// Counts of the test-only inclusion cross-check (see
+/// ClockForest::setInclusionCrossCheckForTesting).
+struct InclusionCrossCheck {
+  uint64_t Checked = 0;    ///< Literal-lookup answers compared.
+  uint64_t Mismatches = 0; ///< Of those, answers implies() contradicts.
 };
 
 /// The forest of clock trees of one program.
@@ -144,6 +163,13 @@ public:
   /// of the representation, not allocator churn).
   uint64_t liveBddNodes() const;
 
+  /// Testing hook: while enabled, every inclusion decided by literal
+  /// lookup, on any thread, is also decided by implies() and the two
+  /// answers are compared. Never enable outside tests.
+  static void setInclusionCrossCheckForTesting(bool Enabled);
+  /// The comparisons made since the last enable, and the mismatches.
+  static InclusionCrossCheck inclusionCrossCheckForTesting();
+
   /// Renders the forest as an indented tree listing (tests, -dump-tree).
   std::string dump(const ClockSystem &Sys, const KernelProgram &Prog,
                    const StringInterner &Names);
@@ -161,8 +187,30 @@ private:
     BddRef Bdd;
   };
 
+  /// What a node adds to its parent: Cube when the node is its parent ∧
+  /// the literals Lits (both BDDs are cubes). Computed for the BDD pair
+  /// (Bdd, ParentBdd) and recomputed when either changes.
+  struct AddedLiterals {
+    BddRef Bdd, ParentBdd;
+    bool Cube = false;
+    std::vector<uint32_t> Lits; ///< BddVar << 1 | negative, in var order.
+  };
+
   /// The inclusion test Sub ⊆ Sup on relative BDDs; counted in Stats.
   bool includes(BddRef Sub, BddRef Sup);
+  /// Target ⊆ child \p C, for a target contained in C's parent; \p
+  /// TargetCube says the polarity table holds the target's literals.
+  bool childIncludes(ForestNodeId C, BddRef Target, bool TargetCube);
+  /// Sibling \p S ⊆ sibling \p Sup (both children of one node).
+  bool siblingIncluded(ForestNodeId S, ForestNodeId Sup);
+  /// Compares a literal-lookup answer against implies() when the testing
+  /// hook is on. \returns \p Fast.
+  bool crossChecked(bool Fast, BddRef Sub, BddRef Sup);
+  /// Appends \p F's literals to \p Out, in variable order. \returns false
+  /// when F is not a cube.
+  bool cubeLiterals(BddRef F, std::vector<uint32_t> &Out) const;
+  /// \p N's added literals, recomputed if its or its parent's BDD moved.
+  const AddedLiterals &addedLiterals(ForestNodeId N);
   ForestNodeId rootOf(ForestNodeId N) const;
   ForestNodeId newNode(ClockVarId Rep);
   void markNullSubtree(ForestNodeId N);
@@ -199,6 +247,7 @@ private:
   std::unordered_map<ClockVarId, bool> NullClass;
   std::unordered_map<SignalId, BddVar> CondVars;
   std::vector<ClockNode> Nodes;
+  std::vector<AddedLiterals> Added; ///< Per node (see addedLiterals).
   ForestBuildStats Stats;
 };
 

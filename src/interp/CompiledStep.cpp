@@ -78,6 +78,12 @@ std::vector<VmInstr> sigc::layOutGuards(const std::vector<VmInstr> &Code,
 }
 
 CompiledStep CompiledStep::build(const StepProgram &Step, GuardLowering L) {
+  CompiledStep CS = layOut(Step, L);
+  optimize(CS);
+  return CS;
+}
+
+CompiledStep CompiledStep::layOut(const StepProgram &Step, GuardLowering L) {
   CompiledStep CS;
   CS.NumClockSlots = Step.NumClockSlots;
   CS.NumValueSlots = Step.NumValueSlots;

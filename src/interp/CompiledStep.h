@@ -32,6 +32,21 @@
 /// decodes each instruction into a handler specialized by its operand
 /// types and lays its 8-byte untagged slots out without tags.
 ///
+/// One optimizer pass, optimize, runs on the final step: build runs it
+/// after the layout of either lowering, and StepFusion after fusing the
+/// units' unoptimized layouts (layOut, which the linker's unit compiles
+/// stop at). It deletes clock and value
+/// definitions nothing reads, forwards single-definition copies and
+/// delay loads into their readers, and moves each deleted instruction's
+/// weight to a survivor of its block, so the VM, the C emitter, StepHash
+/// and native code all get the smaller step with the same counters.
+///
+/// A delay memory is a value operand: operand NumValueSlots +
+/// NumTempSlots + k (valueEnd() + k) names delay memory k, which the VM's
+/// single slot file and the emitted state struct both hold. A delay's
+/// load and store are plain copies out of and into it, so forwarding a
+/// load leaves its readers reading the memory itself.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIGNALC_INTERP_COMPILEDSTEP_H
@@ -91,6 +106,14 @@ std::vector<VmInstr> layOutGuards(const std::vector<VmInstr> &Code,
                                   const std::vector<StepGroup> &Groups,
                                   GuardLowering L);
 
+struct CompiledStep;
+
+/// The optimizer pass (see the file comment). Keeps every skip, clock
+/// check, output and delay store, and the executed and guard-test counts
+/// of every run; moves weights only within a block, between jump
+/// targets. Idempotent.
+void optimize(CompiledStep &CS);
+
 /// A slot-resolved, allocation-free compiled reactive step.
 struct CompiledStep {
   unsigned NumClockSlots = 0;
@@ -121,10 +144,18 @@ struct CompiledStep {
   /// reproducing exactly the event sequence an unbatched run records.
   std::vector<int32_t> OutputFlushOrder;
 
-  /// Lays out \p Step's guards by \p L and derives the output flush
-  /// order.
+  /// Instructions optimize deleted (the --stats vm dropped= field).
+  unsigned Dropped = 0;
+
+  /// Lays out \p Step's guards by \p L, derives the output flush order
+  /// and optimizes.
   static CompiledStep build(const StepProgram &Step,
                             GuardLowering L = GuardLowering::Nested);
+  /// build without optimize: a link unit's step (CompileOptions::Optimize
+  /// off), which StepFusion fuses, and the reference the optimizer is
+  /// tested against.
+  static CompiledStep layOut(const StepProgram &Step,
+                             GuardLowering L = GuardLowering::Nested);
 
   /// Sets OutputFlushOrder from Code and Outputs.
   void orderOutputFlush();
@@ -135,10 +166,19 @@ struct CompiledStep {
   /// Counts the guards of Code and measures their nesting.
   GuardShape guardShape() const;
 
+  /// One past the last value and scratch slot: a value operand from
+  /// here on names a delay state (see the file comment).
+  int32_t valueEnd() const {
+    return static_cast<int32_t>(NumValueSlots + NumTempSlots);
+  }
+
   /// The type of operand \p I of space \p S (a field of an instruction,
-  /// see vmOperands): a constant's kind or a slot's SlotType.
+  /// see vmOperands): a constant's or a delay memory's kind, or a slot's
+  /// SlotType.
   TypeKind operandType(OperandSpace S, int32_t I) const {
-    return S == OperandSpace::Const ? Consts[I].Kind : SlotType[I];
+    if (S == OperandSpace::Const)
+      return Consts[I].Kind;
+    return I < valueEnd() ? SlotType[I] : StateInit[I - valueEnd()].Kind;
   }
 };
 

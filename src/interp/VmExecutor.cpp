@@ -42,11 +42,10 @@ using namespace sigc;
 //===--- The op bodies, shared by both dispatchers ------------------------===//
 //
 // Every body runs after `In = Code[PC++]` and `Exec += In.Weight`, in a
-// scope that also sees the slot file S, the state block Block and its
-// delay states State, the clock slots Clock, the port P, the guard
-// counter Guards and the failed-check code Failed. Jumps
-// assign PC. Bodies may contain commas — the macro is variadic. The
-// handler ids are positional in this list.
+// scope that also sees the slot file S, the state block Block inside it,
+// the clock slots Clock, the port P, the guard counter Guards and the
+// failed-check code Failed. Jumps assign PC. Bodies may contain commas —
+// the macro is variadic. The handler ids are positional in this list.
 //
 // The typed handlers come from two tables, X(Y, Name, Operator, operand
 // class, result field, expression over the operand slots a and b). Each
@@ -99,7 +98,7 @@ using namespace sigc;
   Y(X, EvalClockAnd, Clock[R->Target] = Clock[R->A] & Clock[R->B];)            \
   Y(X, EvalClockOr, Clock[R->Target] = Clock[R->A] | Clock[R->B];)             \
   Y(X, Select, S[R->Target] = Clock[R->Aux] ? S[R->A] : S[R->B];)              \
-  Y(X, StoreDelay, State[R->Target] = S[R->A];)
+  Y(X, Copy, S[R->Target] = S[R->A];)
 
 #define SIGC_VM_RUN_BODIES(X, Name, Stmt)                                      \
   X(Name, const Instr *R = &In; Stmt)                                          \
@@ -129,8 +128,6 @@ using namespace sigc;
   X(CopyClock, Clock[In.Target] = Clock[In.A];)                                \
   X(SetClockFalse, Clock[In.Target] = 0;)                                      \
   X(ReadSignal, S[In.Target] = P.input(In.Aux);)                              \
-  X(Copy, S[In.Target] = S[In.A];)                                             \
-  X(LoadDelay, S[In.Target] = State[In.A];)                                    \
   X(WriteOutput, P.output(In.Aux, S[In.A]);)                                  \
   X(CheckClockEq, if (Clock[In.A] != Clock[In.B]) {                            \
     Failed = ClockCheckFailure::code(In.Aux, Clock[In.A] != 0);                \
@@ -278,8 +275,22 @@ const char *VmExecutor::decodedOpName(size_t PC) const {
 }
 
 void VmExecutor::decode() {
-  const int32_t ConstBase =
-      static_cast<int32_t>(CS.NumValueSlots + CS.NumTempSlots);
+  // The slot file: values and scratch, constants, then the state block
+  // (counters, delay states). Every slot operand becomes an index into it.
+  const int32_t ValueEnd = CS.valueEnd();
+  const int32_t ConstBase = ValueEnd;
+  BlockBase = static_cast<size_t>(ConstBase) + CS.Consts.size();
+  const int32_t StateBase = static_cast<int32_t>(BlockBase + CounterSlots);
+  auto slot = [&](OperandSpace Space, int32_t V) {
+    switch (Space) {
+    case OperandSpace::Value:
+      return V < ValueEnd ? V : StateBase + (V - ValueEnd);
+    case OperandSpace::Const:
+      return ConstBase + V;
+    default:
+      return V;
+    }
+  };
   const int32_t AbsentClock = static_cast<int32_t>(CS.NumClockSlots);
   const size_t N = CS.Code.size();
   Stats = VmDecodeStats();
@@ -289,10 +300,10 @@ void VmExecutor::decode() {
     const VmOperands Ops = vmOperands(V.Op);
     Instr &D = Code[PC];
     D.Weight = V.Weight;
-    D.Target = V.Target;
-    D.A = V.A;
-    D.B = V.B;
-    D.Aux = V.Aux;
+    D.Target = slot(Ops.Target, V.Target);
+    D.A = slot(Ops.A, V.A);
+    D.B = slot(Ops.B, V.B);
+    D.Aux = slot(Ops.Aux, V.Aux);
     switch (V.Op) {
     case VmOp::SkipIfAbsent:
       D.Op = H_SkipIfAbsent;
@@ -334,35 +345,27 @@ void VmExecutor::decode() {
       D.Op = H_ReadSignal;
       break;
     case VmOp::UnarySlot:
-      D.Op = unaryHandler(static_cast<UnaryOp>(V.Aux), CS.SlotType[V.A]);
+      D.Op = unaryHandler(static_cast<UnaryOp>(V.Aux),
+                          CS.operandType(Ops.A, V.A));
       break;
     case VmOp::BinarySS:
     case VmOp::BinarySC:
     case VmOp::BinaryCS:
       // Constants live in the slot file: all three forms become one.
-      if (V.Op == VmOp::BinaryCS)
-        D.A = ConstBase + V.A;
-      if (V.Op == VmOp::BinarySC)
-        D.B = ConstBase + V.B;
       D.Op = binaryHandler(static_cast<BinaryOp>(V.Aux),
                            CS.operandType(Ops.A, V.A),
                            CS.operandType(Ops.B, V.B));
       break;
+    case VmOp::LoadConst:
+      // Constants are slots too: a constant load is a copy.
+      D.A = D.Aux;
+      D.Op = H_Copy;
+      break;
     case VmOp::CopyValue:
       D.Op = H_Copy;
       break;
-    case VmOp::LoadConst:
-      D.Op = H_Copy;
-      D.A = ConstBase + V.Aux;
-      break;
     case VmOp::Select:
       D.Op = H_Select;
-      break;
-    case VmOp::LoadDelay:
-      D.Op = H_LoadDelay;
-      break;
-    case VmOp::StoreDelay:
-      D.Op = H_StoreDelay;
       break;
     case VmOp::WriteOutput:
       D.Op = H_WriteOutput;
@@ -394,29 +397,35 @@ void VmExecutor::decode() {
     }
   }
   Stats.Decoded = static_cast<unsigned>(N);
-  Stats.SlotBytes = sizeof(VmSlot) * (static_cast<size_t>(ConstBase) +
-                                      CS.Consts.size() + CS.StateInit.size());
+  Stats.Dropped = CS.Dropped;
+  Stats.SlotBytes =
+      sizeof(VmSlot) * (BlockBase + CounterSlots + CS.StateInit.size());
 }
 
 void VmExecutor::reset() {
   // One slot past the step's clocks stays absent (see decode).
   ClockSlots.assign(CS.NumClockSlots + 1, 0);
-  // Scratch slots for interior expression results live after the values,
-  // the constant pool after the scratch slots.
-  const size_t ConstBase = CS.NumValueSlots + CS.NumTempSlots;
-  Slots.assign(ConstBase + CS.Consts.size(), VmSlot{0});
+  // The counters survive a reset (resetCounters clears them).
+  VmSlot Guards{0}, Exec{0};
+  if (!Slots.empty()) {
+    Guards = Slots[BlockBase];
+    Exec = Slots[BlockBase + 1];
+  }
+  Slots.assign(BlockBase + CounterSlots + CS.StateInit.size(), VmSlot{0});
+  const size_t ConstBase = CS.valueEnd();
   for (size_t I = 0; I < CS.Consts.size(); ++I)
     Slots[ConstBase + I] = toSlot(CS.Consts[I], CS.Consts[I].Kind);
-  // The counters survive a reset (resetCounters clears them).
-  Block.resize(CounterSlots + CS.StateInit.size(), VmSlot{0});
+  Slots[BlockBase] = Guards;
+  Slots[BlockBase + 1] = Exec;
+  VmSlot *States = Slots.data() + BlockBase + CounterSlots;
   for (size_t I = 0; I < CS.StateInit.size(); ++I)
-    Block[CounterSlots + I] = toSlot(CS.StateInit[I], CS.StateInit[I].Kind);
+    States[I] = toSlot(CS.StateInit[I], CS.StateInit[I].Kind);
 }
 
 void VmExecutor::setStateSlots(const std::vector<VmSlot> &S) {
   assert(S.size() == CS.StateInit.size() &&
          "state snapshot does not match the compiled step");
-  std::copy(S.begin(), S.end(), Block.begin() + CounterSlots);
+  std::copy(S.begin(), S.end(), Slots.begin() + BlockBase + CounterSlots);
 }
 
 void VmExecutor::setNative(const NativeModule *M) {
@@ -446,8 +455,7 @@ int32_t VmExecutor::execInstant(BatchPort &P) {
   const Instr *Code = this->Code.data();
   char *Clock = ClockSlots.data();
   VmSlot *S = Slots.data();
-  VmSlot *Block = this->Block.data();
-  VmSlot *State = Block + CounterSlots;
+  VmSlot *Block = S + BlockBase;
   uint64_t Guards = static_cast<uint64_t>(Block[0].I);
   uint64_t Exec = static_cast<uint64_t>(Block[1].I);
   int32_t Failed = 0;
@@ -533,9 +541,9 @@ unsigned VmExecutor::stepN(Environment &Env, unsigned Start,
   if (Native) {
     // The native step runs on the state block itself and fills the same
     // flush rows the interpreter would.
-    Ran = Native->run(Block.data(), TickBuf.data(), BatchCap, InSlots.data(),
-                      BatchCap, OutPresent.data(), OutSlots.data(), Count,
-                      Code);
+    Ran = Native->run(Slots.data() + BlockBase, TickBuf.data(), BatchCap,
+                      InSlots.data(), BatchCap, OutPresent.data(),
+                      OutSlots.data(), Count, Code);
   } else {
     BatchPort P;
     P.Ticks = TickBuf.data();

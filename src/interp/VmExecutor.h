@@ -9,21 +9,23 @@
 /// environment) pair. In the steady state one instant performs zero heap
 /// allocations (pinned by the counting-allocator test).
 ///
-/// Slot layout. Values, scratch results, constants and delay states are
-/// 8-byte untagged VmSlots (interp/Slot.h): integers in I, reals in R,
-/// booleans and events as 0/1 in I. One slot file holds the signal
-/// values, then the scratch slots, then a copy of the constant pool, so
-/// a constant operand is just another slot. A slot always holds its type
-/// (CompiledStep::SlotType): inputs arrive as slots of their declared
-/// types, WriteOutput hands out the output's slot as it stands, and the
-/// one conversion, integer to real, is an explicit ToReal instruction
-/// that lowering placed. No tagged Value crosses the environment
-/// boundary.
+/// Slot file. Values, scratch results, constants, the two counters and
+/// the delay states are 8-byte untagged VmSlots (interp/Slot.h):
+/// integers in I, reals in R, booleans and events as 0/1 in I. One slot
+/// file holds them all, `[values | scratch | consts | counters |
+/// states]`, so every operand of every instruction (a constant, or a
+/// delay memory, a value operand past the scratch slots, see
+/// CompiledStep.h) is a slot index, and a copy or constant load is one
+/// Copy. A slot always holds its type (CompiledStep::SlotType):
+/// inputs arrive as slots of their declared types, WriteOutput hands out
+/// the output's slot as it stands, and the one conversion, integer to
+/// real, is an explicit ToReal instruction that lowering placed. No
+/// tagged Value crosses the environment boundary.
 ///
-/// State block. The guard/executed counters and the delay states live
-/// in one contiguous block of VmSlots: the two counters, then one slot
-/// per delay. That is byte for byte the emitted C's `<proc>_state_t`, so
-/// the step's native twin (setNative) runs in place on this block, and a
+/// State block. The counters and delay states end the slot file: the
+/// guard/executed counters, then one slot per delay. That is byte for
+/// byte the emitted C's `<proc>_state_t`, so the step's native twin
+/// (setNative) runs in place on the block inside the slot file, and a
 /// tier swap or a checkpoint is a copy of slots, never a conversion.
 ///
 /// Decode. The constructor decodes CompiledStep::Code once into the
@@ -37,8 +39,8 @@
 /// writes the clock, tests the skip's clock, counts both instructions
 /// and jumps; the original skip stays in the array for any skip offset
 /// that lands on it. A run of back-to-back clock and/or instructions,
-/// default selects or delay stores executes in one dispatch. A Halt
-/// sentinel ends the array, so the dispatch needs no bounds test.
+/// default selects or copies executes in one dispatch. A Halt sentinel
+/// ends the array, so the dispatch needs no bounds test.
 ///
 /// stepN() runs a window of instants with one environment crossing per
 /// descriptor: free-clock ticks and input slots are fetched up front
@@ -116,7 +118,8 @@ struct VmTypedHandler {
 struct VmDecodeStats {
   unsigned Decoded = 0; ///< Instructions decoded (CompiledStep::Code).
   unsigned Fused = 0;   ///< Clock-literal/skip pairs fused.
-  size_t SlotBytes = 0; ///< Value, scratch, constant and state slots.
+  unsigned Dropped = 0; ///< Instructions optimize deleted.
+  size_t SlotBytes = 0; ///< The slot file (values to delay states).
 };
 
 /// Interprets a CompiledStep.
@@ -177,12 +180,16 @@ public:
   void reserveBatch(unsigned MaxCount);
 
   /// Guard tests performed so far (one per SkipIfAbsent reached).
-  uint64_t guardTests() const { return static_cast<uint64_t>(Block[0].I); }
+  uint64_t guardTests() const {
+    return static_cast<uint64_t>(Slots[BlockBase].I);
+  }
   /// Instructions actually executed so far (skip tests excluded).
-  uint64_t executed() const { return static_cast<uint64_t>(Block[1].I); }
+  uint64_t executed() const {
+    return static_cast<uint64_t>(Slots[BlockBase + 1].I);
+  }
   void resetCounters() {
-    Block[0].I = 0;
-    Block[1].I = 0;
+    Slots[BlockBase].I = 0;
+    Slots[BlockBase + 1].I = 0;
   }
 
 
@@ -191,7 +198,8 @@ public:
   /// The delay-state slots as they stand now. Taken at a batch boundary
   /// this is the complete execution state beyond the stimulus itself.
   std::vector<VmSlot> stateSlots() const {
-    return std::vector<VmSlot>(Block.begin() + CounterSlots, Block.end());
+    return std::vector<VmSlot>(Slots.begin() + BlockBase + CounterSlots,
+                               Slots.end());
   }
 
   /// Restores delay state captured by stateSlots() (a checkpoint
@@ -211,7 +219,8 @@ private:
   void decode();
 
   /// One decoded instruction. Fields keep their VmInstr meanings, except
-  /// that constant operands are remapped into the slot file.
+  /// that value, constant and state operands are indices into the slot
+  /// file.
   struct Instr {
     uint8_t Op = 0;    ///< Handler, in SIGC_VM_OPS order.
     int8_t Weight = 0; ///< VmInstr's; a run head's: the run length.
@@ -231,8 +240,10 @@ private:
   uint64_t BoundIdentity = 0; ///< identity() of the bound environment.
   StepBindings Bind;
   std::vector<char> ClockSlots; ///< The step's, then one always absent.
-  std::vector<VmSlot> Slots; ///< Values, then scratch, then constants.
-  std::vector<VmSlot> Block; ///< The state block (see the file comment).
+  /// Values, scratch, constants, then the state block (see the file
+  /// comment), which starts at BlockBase.
+  std::vector<VmSlot> Slots;
+  size_t BlockBase = 0;
   const NativeModule *Native = nullptr;
   ClockCheckFailure Failure;
 

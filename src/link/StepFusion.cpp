@@ -31,8 +31,7 @@ Value typedZeroValue(TypeKind K) {
 
 /// A slot space whose reads and writes order the instructions.
 bool isSlotSpace(OperandSpace S) {
-  return S == OperandSpace::Clock || S == OperandSpace::Value ||
-         S == OperandSpace::State;
+  return S == OperandSpace::Clock || S == OperandSpace::Value;
 }
 
 /// One rebased instruction awaiting scheduling.
@@ -55,16 +54,22 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   CompiledStep &F = R.Fused;
   const size_t NU = Sys.Units.size();
 
+  // The units' unoptimized layouts (see the header).
+  auto unitStep = [&](size_t U) -> const CompiledStep & {
+    return Sys.Units[U].Comp->Compiled;
+  };
+
   // --- Slot rebasing -----------------------------------------------------
-  // Clock/value/state spaces concatenate per unit. Scratch slots live
-  // past ALL value slots (the VM sizes its value array as values then
-  // temps), so a unit's scratch slot v maps to TotalValues + TempBase +
-  // (v - unit's NumValueSlots).
+  // Clock slots concatenate per unit; value operands keep the layout
+  // [values | scratch | delay memories] with each part concatenated per
+  // unit, so a unit's scratch slot v maps to TotalValues + TempBase +
+  // (v - unit's NumValueSlots) and its memory k to TotalValues +
+  // TotalTemps + StateBase + k.
   std::vector<int32_t> ClockBase(NU, 0), ValueBase(NU, 0), TempBase(NU, 0),
       StateBase(NU, 0);
   uint32_t TotalClocks = 0, TotalValues = 0, TotalTemps = 0, TotalStates = 0;
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
+    const CompiledStep &CS = unitStep(U);
     ClockBase[U] = static_cast<int32_t>(TotalClocks);
     TotalClocks += CS.NumClockSlots;
     ValueBase[U] = static_cast<int32_t>(TotalValues);
@@ -76,13 +81,15 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   }
   auto mapClock = [&](size_t U, int32_t C) { return ClockBase[U] + C; };
   auto mapValue = [&](size_t U, int32_t V) {
-    const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
-    return V < static_cast<int32_t>(CS.NumValueSlots)
-               ? ValueBase[U] + V
-               : static_cast<int32_t>(TotalValues) + TempBase[U] +
-                     (V - static_cast<int32_t>(CS.NumValueSlots));
+    const CompiledStep &CS = unitStep(U);
+    if (V < static_cast<int32_t>(CS.NumValueSlots))
+      return ValueBase[U] + V;
+    if (V < CS.valueEnd())
+      return static_cast<int32_t>(TotalValues) + TempBase[U] +
+             (V - static_cast<int32_t>(CS.NumValueSlots));
+    return static_cast<int32_t>(TotalValues + TotalTemps) + StateBase[U] +
+           (V - CS.valueEnd());
   };
-  auto mapState = [&](size_t U, int32_t S) { return StateBase[U] + S; };
 
   F.NumClockSlots = TotalClocks;
   F.NumValueSlots = TotalValues;
@@ -90,14 +97,14 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   // Slot types follow the same layout: every unit's values, then every
   // unit's temps.
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
+    const CompiledStep &CS = unitStep(U);
     F.StateInit.insert(F.StateInit.end(), CS.StateInit.begin(),
                        CS.StateInit.end());
     F.SlotType.insert(F.SlotType.end(), CS.SlotType.begin(),
                       CS.SlotType.begin() + CS.NumValueSlots);
   }
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
+    const CompiledStep &CS = unitStep(U);
     F.SlotType.insert(F.SlotType.end(), CS.SlotType.begin() + CS.NumValueSlots,
                       CS.SlotType.end());
   }
@@ -124,7 +131,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   std::map<std::string, int> ClockDescByName, InDescByName;
   std::vector<std::map<int, int>> CIMap(NU), InMap(NU), OutMap(NU);
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
+    const CompiledStep &CS = unitStep(U);
     for (size_t CI = 0; CI < CS.ClockInputs.size(); ++CI) {
       if (BoundCI[U].count(static_cast<int>(CI)))
         continue;
@@ -152,7 +159,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     }
   }
   for (const LinkedExternal &E : Sys.ExternalOutputs) {
-    const CompiledStep &CS = Sys.Units[E.Unit].Comp->Compiled;
+    const CompiledStep &CS = unitStep(E.Unit);
     for (size_t OI = 0; OI < CS.Outputs.size(); ++OI)
       if (CS.Outputs[OI].Sig == E.Sig) {
         StepProgram::SignalIODesc ND = CS.Outputs[OI];
@@ -172,7 +179,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   for (const LinkChannel &Ch : Sys.Channels) {
     if (Ch.ConsumerClockInput >= 0)
       continue;
-    const CompiledStep &PCS = Sys.Units[Ch.Producer].Comp->Compiled;
+    const CompiledStep &PCS = unitStep(Ch.Producer);
     const StepProgram::SignalIODesc &OD = PCS.Outputs[Ch.ProducerOutput];
     if (OD.ValueSlot < 0)
       continue;
@@ -188,7 +195,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   }
 
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = Sys.Units[U].Comp->Compiled;
+    const CompiledStep &CS = unitStep(U);
     // Rebases one field into the fused spaces, by its operand space.
     auto rebase = [&](OperandSpace S, int32_t &V) {
       switch (S) {
@@ -200,9 +207,6 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
         break;
       case OperandSpace::Const:
         V = internConst(F.Consts, CS.Consts[V]);
-        break;
-      case OperandSpace::State:
-        V = mapState(U, V);
         break;
       case OperandSpace::ClockInput:
         V = CIMap[U].at(V);
@@ -250,7 +254,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
       if (Bound >= 0) {
         const LinkChannel &Ch = Sys.Channels[Bound];
         const StepProgram::SignalIODesc &OD =
-            Sys.Units[Ch.Producer].Comp->Compiled.Outputs[Ch.ProducerOutput];
+            unitStep(Ch.Producer).Outputs[Ch.ProducerOutput];
         FI.In.Op = IsClock ? VmOp::CopyClock : VmOp::CopyValue;
         FI.In.Target =
             IsClock ? mapClock(U, In.Target) : mapValue(U, In.Target);
@@ -470,8 +474,8 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     const LinkChannel &Ch = Sys.Channels[C];
     if (Ch.ConsumerClockInput >= 0)
       continue;
-    const CompiledStep &CCS = Sys.Units[Ch.Consumer].Comp->Compiled;
-    const CompiledStep &PCS = Sys.Units[Ch.Producer].Comp->Compiled;
+    const CompiledStep &CCS = unitStep(Ch.Consumer);
+    const CompiledStep &PCS = unitStep(Ch.Producer);
     int CSlot = CCS.SignalClockSlot[Ch.ConsumerSig];
     int PSlot = PCS.Outputs[Ch.ProducerOutput].ClockSlot;
     VmInstr Check;
@@ -482,6 +486,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     Check.Aux = static_cast<int32_t>(C);
     F.Code.push_back(Check);
   }
+  optimize(F);
 
   // --- Unit order by first fused instruction -----------------------------
   for (unsigned U = 0; U < NU; ++U)

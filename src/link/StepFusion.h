@@ -34,6 +34,11 @@
 /// Rebasing and the dependence order read the operand table
 /// (vmOperands): a field is rebased and ordered by the space it indexes.
 ///
+/// Fusion reads each unit's unoptimized layout (its Compilation's
+/// Compiled, built by CompiledStep::layOut under CompileOptions::Optimize
+/// off): alone, a unit's exports look dead or forwardable to the
+/// optimizer. The fused step is optimized once, whole (optimize).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIGNALC_LINK_STEPFUSION_H

@@ -7,12 +7,14 @@
 
 using namespace sigc;
 
-// -O1, not -O2: the emitted step is one very large function, and gcc's
-// -O2 passes go superlinear on it. Measured with gcc 12 on a 4-vCPU
-// x86-64 host: STOPWATCH's 11.8k-line step compiles in 9 s at -O1 and
-// 45 s at -O2, WATCH's 7.2k lines in 4 s and 16 s; small programs take
-// about a second either way. -O1 is also what the differential oracle
-// compiles the emitted C with, so the tier inherits proven flags.
+// -O1: the emitted step is one large function, and -O2 costs about
+// twice -O1's time on it. Measured with gcc 12.2 on a 4-vCPU x86-64 host
+// (this command line, median of 3): STOPWATCH's optimized step, 4,626
+// lines of C, compiles in 0.33 s at -O0, 0.83 s at -O1 and 1.53 s at
+// -O2; WATCH's 2,839 lines in 0.22, 0.43 and 0.61 s. A cold native start
+// is almost all host cc, so -O2 would not pay back on short runs. -O1
+// is also what the differential oracle compiles the emitted C with, so
+// the tier inherits proven flags.
 const char *sigc::nativeCcFlags() { return "-std=c99 -O1 -fPIC -shared"; }
 
 namespace {

@@ -265,11 +265,14 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
   Eq.Loc = E->loc();
 
   // A real signal defined by an integer expression holds reals: the
-  // definition converts. Whatever the form, the tree builds it (a
-  // non-pointwise form lowers into a fresh integer signal) and a ToReal
-  // goes on top.
-  if (LS.Prog.Signals[Target].Type == TypeKind::Real &&
-      E->type() == TypeKind::Integer) {
+  // definition converts. A sampled literal (`3 when C`) converts in
+  // place; any other form builds its tree (a non-pointwise form lowers
+  // into a fresh integer signal) and a ToReal goes on top.
+  const auto *When = dyn_cast<WhenExpr>(E);
+  bool SampledConst = When && isa<ConstExpr>(When->value());
+  bool ToReal = LS.Prog.Signals[Target].Type == TypeKind::Real &&
+                E->type() == TypeKind::Integer;
+  if (ToReal && !SampledConst) {
     Eq.Kind = KernelEqKind::Func;
     int Root = buildFuncTree(LS, Eq, E);
     if (Root < 0)
@@ -318,6 +321,8 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
     Eq.WhenValue = lowerToAtom(LS, W->value());
     if (Eq.WhenValue.IsConst && Eq.WhenValue.Const.Kind == TypeKind::Unknown)
       return false;
+    if (ToReal)
+      Eq.WhenValue.Const = Value::makeReal(Eq.WhenValue.Const.asReal());
     // "X when (not C)" samples on the negative literal [¬C] directly
     // (Section 2.3), avoiding a fresh condition for the negation.
     const Expr *Cond = W->condition();

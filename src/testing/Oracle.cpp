@@ -256,13 +256,12 @@ std::string ccCommand(const std::string &Bin, const std::string &CPath,
          " > " + LogPath + " 2>&1";
 }
 
-/// Compiles and runs the C emitted for \p Step; fills \p Events with the
-/// subprocess trace and \p CGuards / \p CExecuted with the generated
-/// counters. \returns false with \p Error set on any failure.
-bool runCRoundTrip(const CompiledStep &Step, const std::string &ProcName,
-                   const OracleOptions &Options,
-                   std::vector<OutputEvent> &Events, uint64_t &CGuards,
-                   uint64_t &CExecuted, std::string &Error) {
+} // namespace
+
+bool sigc::runCRoundTrip(const CompiledStep &Step, const std::string &ProcName,
+                         const OracleOptions &Options,
+                         std::vector<OutputEvent> &Events, uint64_t &CGuards,
+                         uint64_t &CExecuted, std::string &Error) {
   const std::string &CC = hostCC();
   if (CC.empty()) {
     Error = "no host C compiler";
@@ -306,8 +305,6 @@ bool runCRoundTrip(const CompiledStep &Step, const std::string &ProcName,
   rmdir(D.c_str());
   return Ok;
 }
-
-} // namespace
 
 bool sigc::hostCCompilerAvailable() { return !hostCC().empty(); }
 

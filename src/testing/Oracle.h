@@ -36,6 +36,7 @@
 #ifndef SIGNALC_TESTING_ORACLE_H
 #define SIGNALC_TESTING_ORACLE_H
 
+#include "interp/Environment.h"
 #include "link/Linker.h"
 #include "testing/RandomProgram.h"
 
@@ -108,6 +109,15 @@ OracleReport checkRandomDifferential(uint64_t Seed,
 
 /// \returns true when a host C compiler usable for the round-trip exists.
 bool hostCCompilerAvailable();
+
+/// The emitted-C leg on its own: compiles the C emitted for \p Step with
+/// the host compiler and runs it on \p Options' random stimulus; fills
+/// \p Events with its trace and \p CGuards / \p CExecuted with its
+/// counters. \returns false with \p Error set on any failure.
+bool runCRoundTrip(const CompiledStep &Step, const std::string &ProcName,
+                   const OracleOptions &Options,
+                   std::vector<OutputEvent> &Events, uint64_t &CGuards,
+                   uint64_t &CExecuted, std::string &Error);
 
 /// The probed host C compiler command ("" when none was found) — the one
 /// probe shared by the oracle's round-trips and bench_step's emitted-C

@@ -257,10 +257,12 @@ TEST(Cli, StatsReportsGuardShape) {
                           "bdd_cache_probes=36\n"),
             std::string::npos)
       << R.Output;
-  // The VM decode is deterministic: three clock literals of FIG5_ALARM
-  // fuse with the skip after them, and the slot file (values, scratch,
-  // constants, states) is 16 slots.
-  EXPECT_NE(R.Output.find("\nstats: vm decoded=41 fused=3 slot_bytes=128\n"),
+  // The VM decode is deterministic: the optimizer drops 16 of FIG5_ALARM's
+  // 41 instructions, two clock literals fuse with the skip after them, and
+  // the slot file (values, scratch, constants, counters, states) is 17
+  // slots.
+  EXPECT_NE(R.Output.find("\nstats: vm decoded=25 fused=2 dropped=16 "
+                          "slot_bytes=136\n"),
             std::string::npos)
       << R.Output;
   // The run line keeps its exact shape: benchmark scripts parse it.
@@ -847,6 +849,16 @@ TEST(Cli, FleetThreadCountDoesNotChangeStdout) {
             0u)
       << Two.Output;
   EXPECT_EQ(Body(One), Body(Two));
+  // The header counts the threads that run: one per instance at most.
+  CliResult Clamped =
+      runSignalc("--builtin FIG5_ALARM --simulate 2 --fleet 2 --threads 8",
+                 /*StdoutOnly=*/true);
+  ASSERT_EQ(Clamped.Exit, 0) << Clamped.Output;
+  EXPECT_EQ(Clamped.Output.rfind("fleet simulation (2 instances, 2 instants, "
+                                 "seed 1, 2 thread(s)):\n",
+                                 0),
+            0u)
+      << Clamped.Output;
   if (!cliHostCcAvailable())
     GTEST_SKIP() << "no host C compiler";
   TempCacheDirCli Cache;

@@ -109,6 +109,16 @@ TEST(StepProgram, ValueSlotTypesRecorded) {
   EXPECT_TRUE(SawReal);
 }
 
+TEST(StepProgram, ScratchSlotsOnlyWhereNodesLand) {
+  // The product lands at depth 1; depth 0 is the root, which writes X
+  // itself, so one scratch slot serves.
+  auto C = compileOk(proc("? integer A, B, C; ! integer X;",
+                          "   X := A + (B * C)"));
+  EXPECT_EQ(C->Step.NumTempSlots, 1u);
+  EXPECT_NE(C->Compiled.dump().find("temp slots: 1,"), std::string::npos)
+      << C->Compiled.dump();
+}
+
 namespace {
 
 std::string emit(Compilation &C, bool Driver = false) {

@@ -1,7 +1,9 @@
 //===--- forest_test.cpp - Arborescent canonical form ---------------------===//
 
 #include "TestUtil.h"
+#include "link/Linker.h"
 #include "programs/Programs.h"
+#include "testing/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -266,6 +268,45 @@ TEST(Forest, ClockCalculusProbesTheBddCacheSparingly) {
     uint64_t Probes = C->Bdds.cacheHits() + C->Bdds.cacheMisses();
     EXPECT_LE(Probes, B.MaxProbes) << B.Name;
   }
+}
+
+// Inclusion by literal lookup decides what implies() would: the testing
+// hook re-decides every literal-lookup answer by implies() over the
+// builtins and the programs of the random, real, pair and chain sweeps
+// (the pair and chain units also resolved on the linker's threads).
+TEST(Forest, LiteralLookupInclusionAgreesWithImplies) {
+  std::vector<std::string> Sources = {alarmFigure5Source()};
+  for (const Figure13Program &P : figure13Suite())
+    Sources.push_back(P.Source);
+  for (uint64_t Seed = 0; Seed < 128; ++Seed)
+    Sources.push_back(generateRandomProgram("P", Seed));
+  for (uint64_t Seed = 0; Seed < 32; ++Seed)
+    Sources.push_back(generateRealProgram("MIXED", Seed));
+  std::vector<std::vector<LinkInput>> Systems;
+  for (uint64_t Seed = 0; Seed < 104; ++Seed) {
+    GeneratedPair P = generateProcessPair(Seed);
+    Sources.push_back(P.ComposedSource);
+    Systems.push_back({{P.ProducerName, P.ProducerSource},
+                       {P.ConsumerName, P.ConsumerSource}});
+  }
+  for (unsigned Stages : {3u, 4u})
+    for (uint64_t Seed = 0; Seed < 6; ++Seed) {
+      GeneratedChain Chain = generateProcessChain(Seed, Stages);
+      Sources.push_back(Chain.ComposedSource);
+      Systems.emplace_back();
+      for (size_t K = 0; K < Chain.Sources.size(); ++K)
+        Systems.back().push_back({Chain.Names[K], Chain.Sources[K]});
+    }
+
+  ClockForest::setInclusionCrossCheckForTesting(true);
+  for (const std::string &Source : Sources)
+    EXPECT_TRUE(compileSource("<cross-check>", Source)->Ok) << Source;
+  for (const std::vector<LinkInput> &Units : Systems)
+    EXPECT_TRUE(compileAndLinkSources(Units).Sys) << Units[0].Source;
+  InclusionCrossCheck X = ClockForest::inclusionCrossCheckForTesting();
+  ClockForest::setInclusionCrossCheckForTesting(false);
+  EXPECT_GT(X.Checked, 50000u);
+  EXPECT_EQ(X.Mismatches, 0u);
 }
 
 TEST(Forest, DumpShowsHierarchy) {

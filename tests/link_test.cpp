@@ -299,6 +299,29 @@ TEST(Linker, UncompilableUnitReportsItsDiagnostics) {
   EXPECT_NE(R.Error.find("did not compile"), std::string::npos) << R.Error;
 }
 
+TEST(Linker, UnitsAreLinkedFromTheirUnoptimizedLayout) {
+  LinkResult R = linkSensorMonitor();
+  ASSERT_TRUE(R.Sys) << R.Error;
+  for (const LinkUnit &U : R.Sys->Units) {
+    EXPECT_FALSE(U.Comp->Optimized) << U.Name;
+    EXPECT_EQ(U.Comp->Compiled.dump(),
+              CompiledStep::layOut(U.Comp->Step).dump())
+        << U.Name;
+  }
+
+  // A unit compiled optimized would lose its exports to the optimizer.
+  std::vector<LinkUnit> Units(2);
+  Units[0].Comp = compileOk(SensorSource);
+  CompileOptions Layout;
+  Layout.Optimize = false;
+  Units[1].Comp = compileSource("MONITOR", MonitorSource, Layout);
+  LinkResult Bad = linkCompiled(std::move(Units));
+  ASSERT_FALSE(Bad.Sys);
+  EXPECT_NE(Bad.Error.find("process 'SENSOR' was compiled optimized"),
+            std::string::npos)
+      << Bad.Error;
+}
+
 TEST(Linker, SingleFileLinkByProcessNames) {
   std::string Two = std::string(SensorSource) + MonitorSource;
   LinkResult R = compileAndLink("<two>", Two, {"SENSOR", "MONITOR"});

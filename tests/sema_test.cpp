@@ -127,6 +127,14 @@ TEST(Sema, KernelDumpPrintsRealsExactly) {
   EXPECT_NE(K.find("W := Y $ 1 init 1e-07"), std::string::npos) << K;
 }
 
+TEST(Sema, SampledIntegerLiteralConvertsInPlace) {
+  // A real signal sampling an integer literal holds the real literal: no
+  // fresh integer signal, no per-instant ToReal.
+  std::string K = kernelOf(proc("? boolean C; ! real X;", "   X := 3 when C"));
+  EXPECT_NE(K.find("X := 3.0 when C"), std::string::npos) << K;
+  EXPECT_EQ(K.find("real"), std::string::npos) << K;
+}
+
 TEST(Sema, RealDoesNotNarrowToInteger) {
   compileErr(proc("? real A; ! integer Y;", "   Y := A"), CompileStage::Sema);
 }

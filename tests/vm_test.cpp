@@ -619,14 +619,16 @@ TEST(VmQuickening, MixedIntegerRealConvertsExplicitly) {
 
 namespace {
 
-/// Runs \p C stepped and in batch windows; the VM's counters and trace
-/// must not depend on the window, and its executed count must equal the
-/// flat lowering's.
+/// Runs \p C's nested step (\p Nested, or C.Compiled) stepped and in
+/// batch windows; the VM's counters and trace must not depend on the
+/// window, and its executed count must equal the flat lowering's.
 void expectCountersUnderBatchWindows(const Compilation &C,
-                                     const std::string &What) {
+                                     const std::string &What,
+                                     const CompiledStep *Nested = nullptr) {
+  const CompiledStep &CS = Nested ? *Nested : C.Compiled;
   const unsigned Instants = 300;
   RandomEnvironment EnvStepped(23), EnvFlat(23);
-  VmExecutor Stepped(C.Compiled);
+  VmExecutor Stepped(CS);
   Stepped.run(EnvStepped, Instants);
   CompiledStep FlatStep = CompiledStep::build(C.Step, GuardLowering::Flat);
   VmExecutor Flat(FlatStep);
@@ -635,7 +637,7 @@ void expectCountersUnderBatchWindows(const Compilation &C,
   EXPECT_EQ(Stepped.executed(), Flat.executed()) << What;
   for (unsigned Window : {1u, 3u, 7u, 64u, 300u}) {
     RandomEnvironment Env(23);
-    VmExecutor Batched(C.Compiled);
+    VmExecutor Batched(CS);
     Batched.runBatched(Env, Instants, Window);
     EXPECT_EQ(Batched.guardTests(), Stepped.guardTests()) << What << Window;
     EXPECT_EQ(Batched.executed(), Stepped.executed()) << What << Window;
@@ -670,8 +672,10 @@ TEST(VmQuickening, FusedClockLiteralSkipKeepsCountersUnderBatchWindows) {
     ASSERT_GT(countDecoded(*C, "ClockLiteralSkipF"), 0u);
 
     // Some fused pair's skip is also the target of another skip: the
-    // original skip must stay decoded in place for that jump.
-    const CompiledStep &CS = C->Compiled;
+    // original skip must stay decoded in place for that jump. The
+    // unoptimized layout has such pairs (the optimizer deletes the dead
+    // literals of STOPWATCH's).
+    const CompiledStep CS = CompiledStep::layOut(C->Step);
     VmExecutor Vm(CS);
     std::vector<char> IsTarget(CS.Code.size() + 1, 0);
     for (const VmInstr &In : CS.Code)
@@ -687,6 +691,7 @@ TEST(VmQuickening, FusedClockLiteralSkipKeepsCountersUnderBatchWindows) {
         EXPECT_STREQ(Vm.decodedOpName(PC + 1), "SkipIfAbsent");
       }
     EXPECT_GT(Landing, 0u);
+    expectCountersUnderBatchWindows(*C, "STOPWATCH layout", &CS);
     expectCountersUnderBatchWindows(*C, "STOPWATCH");
     return;
   }
