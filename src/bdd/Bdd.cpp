@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <unordered_set>
 
 using namespace sigc;
@@ -30,43 +29,29 @@ unsigned log2Ceil(uint64_t X) {
   return L;
 }
 
-/// Table sizing from the number of program variables (clock conditions for
-/// the forest, clock classes for the characteristic function). The clock
-/// calculus allocates a few hundred nodes per variable on typical programs;
-/// both tables also grow on demand, so under-estimates only cost a rehash.
-unsigned uniqueLog2ForVars(unsigned Vars) {
-  return std::min(22u, std::max(13u, log2Ceil(uint64_t(Vars) * 64)));
-}
+/// Starting sizes: an 8k-slot unique table and 4k-entry operation caches.
+/// Both grow on demand (growUnique), so a big program only pays a few
+/// rehashes and a small one never zero-fills more than it uses.
+constexpr unsigned MinUniqueLog2 = 13;
+constexpr unsigned MinCacheLog2 = 12;
 /// Operation caches are capped at 2^16 entries (~1.3 MB): big enough that
 /// the fixed point of a Figure-13 program stays warm, small enough to stay
 /// L2/L3-resident — measured on the ITE-chain benchmark, a 2^20-entry cache
 /// is ~1.5x slower than 2^16 purely from cold probes.
 constexpr unsigned MaxCacheLog2 = 16;
 
-unsigned cacheLog2ForVars(unsigned Vars) {
-  return std::min(MaxCacheLog2, std::max(12u, log2Ceil(uint64_t(Vars) * 128)));
-}
-
 } // namespace
 
-BddManager::BddManager(unsigned ExpectedVars) {
+BddManager::BddManager() {
   Nodes.reserve(1024);
   // The single True terminal. Its branches point to itself; Var sorts after
   // all real variables so terminal checks fall out of ordering comparisons.
   Nodes.push_back({TerminalVar, 0, 0});
-  unsigned UL = uniqueLog2ForVars(ExpectedVars);
-  UniqueTable.assign(1u << UL, NoEntry);
-  UniqueMask = (1u << UL) - 1;
-  unsigned CL = cacheLog2ForVars(ExpectedVars);
-  IteCache = std::vector<CacheEntry>(size_t(1) << CL);
-  OpCache = std::vector<CacheEntry>(size_t(1) << CL);
-  CacheMask = (1u << CL) - 1;
-}
-
-void BddManager::presize(unsigned ExpectedVars) {
-  while (UniqueMask + 1 < (1u << uniqueLog2ForVars(ExpectedVars)))
-    growUnique();
-  growCachesTo(cacheLog2ForVars(ExpectedVars));
+  UniqueTable.assign(size_t(1) << MinUniqueLog2, NoEntry);
+  UniqueMask = (1u << MinUniqueLog2) - 1;
+  IteCache = std::vector<CacheEntry>(size_t(1) << MinCacheLog2);
+  OpCache = std::vector<CacheEntry>(size_t(1) << MinCacheLog2);
+  CacheMask = (1u << MinCacheLog2) - 1;
 }
 
 void BddManager::setCacheCapacityForTesting(uint32_t Entries) {
@@ -84,9 +69,7 @@ bool BddManager::pollBudget() {
     return true;
   if (Bud->exhausted())
     return false;
-  // Charge the budget for *live* nodes: a GC-enabled manager's reclaimed
-  // slots are capacity, not consumption.
-  if (!Bud->checkNodes(Nodes.size() - FreeList.size()))
+  if (!Bud->checkNodes(Nodes.size()))
     return false;
   if (++AllocsSincePoll >= 4096) {
     AllocsSincePoll = 0;
@@ -120,8 +103,6 @@ void BddManager::growUnique() {
   UniqueMask = NewSize - 1;
   for (uint32_t I = 1; I < Nodes.size(); ++I) {
     const Node &N = Nodes[I];
-    if (N.Var == TerminalVar)
-      continue; // Tombstone of a reclaimed slot.
     uint64_t H = hashNode(N.Var, N.Low, N.High);
     uint32_t Idx = static_cast<uint32_t>(H) & UniqueMask;
     while (UniqueTable[Idx] != NoEntry)
@@ -177,18 +158,8 @@ BddRef BddManager::mkNode(BddVar Var, BddRef Low, BddRef High) {
   if (*Slot != NoEntry)
     return withComplement(BddRef(*Slot << 1), Neg);
 
-  // Reuse a reclaimed slot when the collector produced one: nodes never
-  // move, so refs held across a sweep stay valid, and reuse keeps the
-  // arena bounded by the live set instead of the allocation history.
-  uint32_t Idx;
-  if (!FreeList.empty()) {
-    Idx = FreeList.back();
-    FreeList.pop_back();
-    Nodes[Idx] = {Var, Low.index(), High.index()};
-  } else {
-    Idx = static_cast<uint32_t>(Nodes.size());
-    Nodes.push_back({Var, Low.index(), High.index()});
-  }
+  uint32_t Idx = static_cast<uint32_t>(Nodes.size());
+  Nodes.push_back({Var, Low.index(), High.index()});
   *Slot = Idx;
 
   // Keep the open-addressed table under 2/3 load.
@@ -209,107 +180,6 @@ BddRef BddManager::var(BddVar Var) {
 BddRef BddManager::nvar(BddVar Var) { return !var(Var); }
 
 //===----------------------------------------------------------------------===//
-// Garbage collection
-//===----------------------------------------------------------------------===//
-
-void BddManager::addRef(BddRef F) {
-  if (!F.isValid() || F.isTerminal())
-    return;
-  if (ExtRefs.size() < Nodes.size())
-    ExtRefs.resize(Nodes.size(), 0);
-  ++ExtRefs[F.nodeIndex()];
-}
-
-void BddManager::decRef(BddRef F) {
-  if (!F.isValid() || F.isTerminal())
-    return;
-  assert(F.nodeIndex() < ExtRefs.size() && ExtRefs[F.nodeIndex()] > 0 &&
-         "decRef() without a matching addRef()");
-  --ExtRefs[F.nodeIndex()];
-}
-
-uint64_t BddManager::gc() {
-  if (ExtRefs.size() < Nodes.size())
-    ExtRefs.resize(Nodes.size(), 0);
-
-  // Mark: everything reachable from an externally referenced node. The
-  // complement bit does not affect reachability (F and ¬F share nodes).
-  std::vector<unsigned char> Marked(Nodes.size(), 0);
-  Marked[0] = 1;
-  std::vector<uint32_t> Stack;
-  for (uint32_t I = 1; I < Nodes.size(); ++I)
-    if (ExtRefs[I] > 0)
-      Stack.push_back(I);
-  while (!Stack.empty()) {
-    uint32_t Cur = Stack.back();
-    Stack.pop_back();
-    if (Marked[Cur])
-      continue;
-    Marked[Cur] = 1;
-    const Node &N = Nodes[Cur];
-    uint32_t L = BddRef(N.Low).nodeIndex();
-    uint32_t H = BddRef(N.High).nodeIndex();
-    if (!Marked[L])
-      Stack.push_back(L);
-    if (!Marked[H])
-      Stack.push_back(H);
-  }
-
-  // Sweep: tombstone dead slots (Var == TerminalVar) and free them for
-  // in-place reuse. Slots already on the free list stay there.
-  std::vector<unsigned char> AlreadyFree(Nodes.size(), 0);
-  for (uint32_t I : FreeList)
-    AlreadyFree[I] = 1;
-  uint64_t Reclaimed = 0;
-  for (uint32_t I = 1; I < Nodes.size(); ++I) {
-    if (Marked[I] || AlreadyFree[I])
-      continue;
-    Nodes[I] = {TerminalVar, 0, 0};
-    FreeList.push_back(I);
-    ++Reclaimed;
-  }
-
-  // Rebuild the unique table over the survivors only.
-  std::fill(UniqueTable.begin(), UniqueTable.end(), NoEntry);
-  for (uint32_t I = 1; I < Nodes.size(); ++I) {
-    const Node &N = Nodes[I];
-    if (N.Var == TerminalVar)
-      continue;
-    uint64_t H = hashNode(N.Var, N.Low, N.High);
-    uint32_t Idx = static_cast<uint32_t>(H) & UniqueMask;
-    while (UniqueTable[Idx] != NoEntry)
-      Idx = (Idx + 1) & UniqueMask;
-    UniqueTable[Idx] = I;
-  }
-
-  // Invalidate both operation caches: entries key on node indices, and a
-  // reused index must never make a pre-sweep entry look like a verified
-  // hit for a different function.
-  std::fill(IteCache.begin(), IteCache.end(), CacheEntry{0, 0, 0, 0, 0});
-  std::fill(OpCache.begin(), OpCache.end(), CacheEntry{0, 0, 0, 0, 0});
-
-  ++GcRuns;
-  GcReclaimed += Reclaimed;
-  GcFloor = numLiveNodes();
-  return Reclaimed;
-}
-
-void BddManager::maybeCollect() {
-  if (!GcEnabled || !Bud || Bud->nodeLimit() == 0 || Bud->exhausted())
-    return;
-  uint64_t Live = Nodes.size() - FreeList.size();
-  uint64_t Limit = Bud->nodeLimit();
-  // Collect when within 25% of the node limit — but only once the live
-  // count has grown by limit/8 past the last sweep's floor, so a sweep
-  // that found little garbage is not repeated on every operation.
-  if (Live * 4 < Limit * 3)
-    return;
-  if (numLiveNodes() <= GcFloor + Limit / 8)
-    return;
-  gc();
-}
-
-//===----------------------------------------------------------------------===//
 // ITE
 //===----------------------------------------------------------------------===//
 
@@ -323,9 +193,6 @@ BddRef BddManager::cofactor(BddRef F, BddVar Top, bool High) const {
 BddRef BddManager::ite(BddRef F, BddRef G, BddRef H) {
   if (!F.isValid() || !G.isValid() || !H.isValid())
     return BddRef::invalid();
-  // Safe collection point: no intermediate results are in flight at a
-  // public entry, so everything unprotected is genuinely garbage.
-  maybeCollect();
   return iteRec(F, G, H);
 }
 
@@ -525,13 +392,12 @@ bool BddManager::impliesRec(BddRef F, BddRef G) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cofactors, quantification, composition
+// Cofactors
 //===----------------------------------------------------------------------===//
 
 BddRef BddManager::restrict(BddRef F, BddVar Var, bool Value) {
   if (!F.isValid())
     return BddRef::invalid();
-  maybeCollect();
   return restrictRec(F, Var, Value);
 }
 
@@ -565,143 +431,9 @@ BddRef BddManager::restrictRec(BddRef F, BddVar Var, bool Value) {
   return withComplement(R, C);
 }
 
-BddRef BddManager::exists(BddRef F, BddVar Var) {
-  if (!F.isValid())
-    return F;
-  maybeCollect();
-  return existsRec(F, Var);
-}
-
-BddRef BddManager::forall(BddRef F, BddVar Var) {
-  // ∀x.F = ¬∃x.¬F — free with complement edges.
-  if (!F.isValid())
-    return F;
-  maybeCollect();
-  return !existsRec(!F, Var);
-}
-
-BddRef BddManager::existsRec(BddRef F, BddVar Var) {
-  if (F.isTerminal())
-    return F;
-  // Copied by value: recursion below allocates and may move the arena.
-  const Node N = Nodes[F.nodeIndex()];
-  if (N.Var > Var)
-    return F; // Var does not occur in F.
-  bool C = F.isComplement();
-  BddRef Low = withComplement(BddRef(N.Low), C);
-  BddRef High = withComplement(BddRef(N.High), C);
-  if (N.Var == Var)
-    return iteRec(Low, BddRef::trueRef(), High); // Low ∨ High
-
-  // Quantification does not commute with complement: cache the full ref.
-  uint64_t Key;
-  const CacheEntry *Hit =
-      cacheLookup(OpCache, CacheOp::Exists, F.index(), Var, 0, Key);
-  if (Hit)
-    return BddRef(Hit->Result);
-
-  BddRef LowQ = existsRec(Low, Var);
-  if (!LowQ.isValid())
-    return BddRef::invalid();
-  BddRef HighQ = existsRec(High, Var);
-  if (!HighQ.isValid())
-    return BddRef::invalid();
-  BddRef R = mkNode(N.Var, LowQ, HighQ);
-  if (R.isValid())
-    cacheStore(OpCache, Key, CacheOp::Exists, F.index(), Var, 0, R.index());
-  return R;
-}
-
-BddRef BddManager::existsMany(BddRef F, const std::vector<BddVar> &Vars) {
-  if (!F.isValid())
-    return F;
-  // One collection point up front; the loop below holds an unprotected
-  // intermediate R, so no collecting between variables.
-  maybeCollect();
-  // Deepest (largest) variables first: quantifying bottom-up keeps each
-  // pass inside the still-unquantified lower region of the graph instead
-  // of re-traversing from the root for every variable.
-  std::vector<BddVar> Order(Vars);
-  std::sort(Order.begin(), Order.end(), std::greater<BddVar>());
-  Order.erase(std::unique(Order.begin(), Order.end()), Order.end());
-  BddRef R = F;
-  for (BddVar V : Order) {
-    if (R.isTerminal())
-      break; // Nothing left to quantify.
-    R = existsRec(R, V);
-    if (!R.isValid())
-      return R;
-  }
-  return R;
-}
-
-BddRef BddManager::compose(BddRef F, BddVar Var, BddRef G) {
-  if (!F.isValid() || !G.isValid())
-    return BddRef::invalid();
-  maybeCollect();
-  return composeRec(F, Var, G);
-}
-
-BddRef BddManager::composeRec(BddRef F, BddVar Var, BddRef G) {
-  if (F.isTerminal())
-    return F;
-  // Copied by value: recursion below allocates and may move the arena.
-  const Node N = Nodes[F.nodeIndex()];
-  if (N.Var > Var)
-    return F;
-  bool C = F.isComplement();
-  if (N.Var == Var)
-    return withComplement(iteRec(G, BddRef(N.High), BddRef(N.Low)), C);
-
-  // Substitution commutes with complement; cache on the regular ref.
-  uint64_t Key;
-  const CacheEntry *Hit =
-      cacheLookup(OpCache, CacheOp::Compose, F.regular().index(), Var,
-                  G.index(), Key);
-  if (Hit)
-    return withComplement(BddRef(Hit->Result), C);
-
-  BddRef Low = composeRec(BddRef(N.Low), Var, G);
-  if (!Low.isValid())
-    return BddRef::invalid();
-  BddRef High = composeRec(BddRef(N.High), Var, G);
-  if (!High.isValid())
-    return BddRef::invalid();
-  // The substituted branches may now start above N.Var, so rebuild with ITE
-  // on the branch variable rather than mkNode.
-  BddRef VarF = mkNode(N.Var, bottom(), top());
-  BddRef R = iteRec(VarF, High, Low);
-  if (R.isValid())
-    cacheStore(OpCache, Key, CacheOp::Compose, F.regular().index(), Var,
-               G.index(), R.index());
-  return withComplement(R, C);
-}
-
 //===----------------------------------------------------------------------===//
 // Queries
 //===----------------------------------------------------------------------===//
-
-std::vector<BddVar> BddManager::support(BddRef F) {
-  std::vector<BddVar> Result;
-  if (!F.isValid() || F.isTerminal())
-    return Result;
-  std::unordered_set<uint32_t> Seen;
-  std::unordered_set<BddVar> Vars;
-  std::vector<uint32_t> Stack{F.nodeIndex()};
-  while (!Stack.empty()) {
-    uint32_t Cur = Stack.back();
-    Stack.pop_back();
-    if (Cur == 0 || !Seen.insert(Cur).second)
-      continue;
-    const Node &N = Nodes[Cur];
-    Vars.insert(N.Var);
-    Stack.push_back(BddRef(N.Low).nodeIndex());
-    Stack.push_back(BddRef(N.High).nodeIndex());
-  }
-  Result.assign(Vars.begin(), Vars.end());
-  std::sort(Result.begin(), Result.end());
-  return Result;
-}
 
 double BddManager::satCount(BddRef F, unsigned NumVarsTotal) {
   if (!F.isValid())
@@ -731,23 +463,6 @@ double BddManager::satFraction(BddRef F, std::vector<double> &Memo) {
     Frac = M;
   }
   return F.isComplement() ? 1.0 - Frac : Frac;
-}
-
-std::vector<std::pair<BddVar, bool>> BddManager::anySat(BddRef F) {
-  std::vector<std::pair<BddVar, bool>> Path;
-  assert(F.isValid() && !F.isFalse() && "anySat() requires satisfiable input");
-  while (!F.isTerminal()) {
-    const Node &N = Nodes[F.nodeIndex()];
-    BddRef High = withComplement(BddRef(N.High), F.isComplement());
-    if (!High.isFalse()) {
-      Path.emplace_back(N.Var, true);
-      F = High;
-    } else {
-      Path.emplace_back(N.Var, false);
-      F = withComplement(BddRef(N.Low), F.isComplement());
-    }
-  }
-  return Path;
 }
 
 uint64_t BddManager::countNodes(BddRef F) const {

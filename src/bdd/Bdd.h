@@ -3,17 +3,17 @@
 /// \file
 /// A from-scratch ROBDD package in the style of Brace/Rudell/Bryant
 /// ("Efficient Implementation of a BDD Package", DAC 1990), standing in for
-/// the UC Berkeley package the paper used. It provides the operations the
-/// SIGNAL clock calculus needs:
+/// the UC Berkeley package the paper used. It provides what the SIGNAL
+/// clock calculus asks of a BDD package:
 ///
 ///   * canonical node construction through a shared unique table,
 ///   * ITE with standard-triple normalization and the derived boolean
 ///     connectives (and/or/not/diff/xor/iff),
-///   * cofactors, existential/universal quantification, composition,
 ///   * a non-allocating implication (inclusion) test — the hot operation of
 ///     the arborescent resolution,
-///   * support and node counting, satisfying-assignment counting and
-///     one-path extraction,
+///   * cofactors (the characteristic-function baseline's determinacy test),
+///   * node counting, plus satisfying-assignment counting and evaluation
+///     as references for tests,
 ///   * a node budget hooked into sigc::Budget so that runaway constructions
 ///     surface as the paper's "unable-mem"/"unable-cpu" verdicts instead of
 ///     exhausting the machine.
@@ -36,18 +36,11 @@
 ///   * the False terminal is the complemented True terminal: there is
 ///     exactly one terminal node (index 0).
 ///
-/// Nodes are referenced by 32-bit packed refs into an arena. Garbage
-/// collection is *opt-in* (enableGC()): the compiler's per-solver managers
-/// stay collector-free and keep their trivial reference semantics, while
-/// long-lived managers — the linker's joint clock space over many producer
-/// forests — take external reference counts (addRef/decRef) on the roots
-/// they keep and let mark-and-sweep reclaim everything else when the node
-/// Budget comes under pressure. Freed slots are reused in place (nodes
-/// never move, so held refs to live nodes stay valid across a sweep), the
-/// unique table is rebuilt over the survivors, and both operation caches
-/// are invalidated — a reused index must never satisfy a stale probe.
-/// Collection runs only at public-operation entry, never mid-recursion, so
-/// in-flight intermediate results need no protection protocol.
+/// Nodes are referenced by 32-bit packed refs into an arena that only
+/// grows: a manager lives for one solver run or one link, nothing is ever
+/// freed, and a held BddRef stays valid for the manager's lifetime. The
+/// unique table and the operation caches start small and grow with the
+/// arena.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +50,6 @@
 #include "support/Budget.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sigc {
@@ -118,15 +110,7 @@ using BddVar = uint32_t;
 /// Shared-unique-table BDD manager.
 class BddManager {
 public:
-  /// \param ExpectedVars expected number of distinct variables; sizes the
-  /// unique table and the operation caches so typical programs never rehash.
-  /// 0 picks a small default.
-  explicit BddManager(unsigned ExpectedVars = 0);
-
-  /// Re-sizes the unique table and operation caches for a program over
-  /// \p ExpectedVars variables. Existing nodes and warm cache entries are
-  /// rehashed, never dropped; tables only grow.
-  void presize(unsigned ExpectedVars);
+  BddManager();
 
   /// Attaches a resource budget. The manager checks the node limit on every
   /// allocation and the time limit periodically; once the budget trips, all
@@ -172,35 +156,11 @@ public:
   /// an abort.
   bool implies(BddRef F, BddRef G);
 
-  /// \returns true iff F and G denote the same function (trivial, since
-  /// BDDs are canonical — provided for readability at call sites).
-  bool equivalent(BddRef F, BddRef G) const { return F == G; }
-
   /// Positive/negative cofactor of \p F by variable \p Var.
   BddRef restrict(BddRef F, BddVar Var, bool Value);
 
-  /// Existential quantification of a single variable.
-  BddRef exists(BddRef F, BddVar Var);
-  /// Universal quantification of a single variable.
-  BddRef forall(BddRef F, BddVar Var);
-  /// Existential quantification of a set of variables. Quantifies deepest
-  /// variables first (descending order) and stops as soon as the result is
-  /// a terminal, so each pass touches only the not-yet-quantified suffix of
-  /// the graph.
-  BddRef existsMany(BddRef F, const std::vector<BddVar> &Vars);
-
-  /// Substitutes function \p G for variable \p Var inside \p F.
-  BddRef compose(BddRef F, BddVar Var, BddRef G);
-
-  /// \returns the set of variables F depends on, ascending.
-  std::vector<BddVar> support(BddRef F);
-
   /// Number of satisfying assignments of \p F over \p NumVars variables.
   double satCount(BddRef F, unsigned NumVars);
-
-  /// Extracts one satisfying assignment as (var, value) pairs along a
-  /// true-path; requires F != 0 and F valid.
-  std::vector<std::pair<BddVar, bool>> anySat(BddRef F);
 
   /// Structural size of the graph rooted at \p F (the terminal is not
   /// counted; F and ¬F have equal size since they share every node).
@@ -235,41 +195,6 @@ public:
   /// \returns true once the attached budget has tripped.
   bool budgetExhausted() const { return Bud && Bud->exhausted(); }
 
-  //===--- Garbage collection (opt-in) -------------------------------------===//
-  //
-  // Off by default: compiler-side managers are short-lived and hold plain
-  // unref'd BddRefs everywhere (ClockForest nodes, solver scratch), so a
-  // collector must never run behind their back. A manager that opts in
-  // promises that everything it needs across operations is addRef'd.
-
-  /// Opts this manager into garbage collection. Once enabled, node-budget
-  /// pressure triggers a mark-and-sweep from the addRef'd roots at the
-  /// next public-operation entry (and pollBudget counts *live* nodes, so
-  /// reclaimed garbage does not count against the Budget).
-  void enableGC() { GcEnabled = true; }
-  bool gcEnabled() const { return GcEnabled; }
-
-  /// Takes an external reference on the node \p F points at, protecting it
-  /// (and everything reachable from it) across sweeps. Terminal/invalid
-  /// refs are accepted and ignored. F and ¬F share the one count.
-  void addRef(BddRef F);
-  /// Drops one external reference previously taken with addRef().
-  void decRef(BddRef F);
-
-  /// Runs one mark-and-sweep now: marks from every node with a positive
-  /// external count, moves dead nodes to the free list for in-place reuse,
-  /// rebuilds the unique table over the survivors and invalidates both
-  /// operation caches. \returns the number of nodes reclaimed.
-  uint64_t gc();
-
-  /// Nodes currently live (allocated minus reclaimed; excludes the
-  /// terminal, like numNodes()).
-  uint64_t numLiveNodes() const { return Nodes.size() - 1 - FreeList.size(); }
-
-  /// Sweeps run / nodes reclaimed so far (tests, bench_link).
-  uint64_t gcRuns() const { return GcRuns; }
-  uint64_t gcReclaimed() const { return GcReclaimed; }
-
   /// Testing hook: clamps both operation caches to \p Entries slots
   /// (rounded down to a power of two, minimum 1) and freezes automatic
   /// cache growth, so collisions become easy to force. Never use outside
@@ -285,14 +210,15 @@ public:
 
 private:
   /// Operation tag stored in each cache entry; an entry only hits when the
-  /// tag *and* all stored operands match the probe verbatim.
+  /// tag *and* all stored operands match the probe verbatim. Tags are
+  /// hashed into the slot index, so their values are pinned: adding or
+  /// removing an operation must not move the other operations' slots (and
+  /// with them the `bdd_cache_probes=` count of a compile).
   enum class CacheOp : uint32_t {
     None = 0, ///< Empty slot.
-    Ite,
-    Restrict,
-    Compose,
-    Exists,
-    Implies,
+    Ite = 1,
+    Restrict = 2,
+    Implies = 5,
   };
 
   struct Node {
@@ -351,10 +277,6 @@ private:
   void growUnique();
   void growCachesTo(unsigned TargetLog2);
   bool pollBudget();
-  /// Collects at public-operation entry when the live count nears the node
-  /// budget. Never called from inside a recursion (locals there hold
-  /// unprotected intermediate refs).
-  void maybeCollect();
 
   /// Probes \p Cache for (Op, A, B, C); writes the computed hash to
   /// \p HashOut so a following cacheStore() does not re-hash. Defined here
@@ -389,8 +311,6 @@ private:
   BddRef iteRec(BddRef F, BddRef G, BddRef H);
   bool impliesRec(BddRef F, BddRef G);
   BddRef restrictRec(BddRef F, BddVar Var, bool Value);
-  BddRef existsRec(BddRef F, BddVar Var);
-  BddRef composeRec(BddRef F, BddVar Var, BddRef G);
   double satFraction(BddRef F, std::vector<double> &Memo);
 
   struct Counters {
@@ -404,7 +324,7 @@ private:
   uint32_t UniqueMask = 0;
 
   std::vector<CacheEntry> IteCache;
-  std::vector<CacheEntry> OpCache; ///< restrict/compose/quantify/implies.
+  std::vector<CacheEntry> OpCache; ///< restrict/implies.
   uint32_t CacheMask = 0;
   bool CacheGrowthFrozen = false;
 
@@ -412,16 +332,6 @@ private:
   Budget *Bud = nullptr;
   uint64_t AllocsSincePoll = 0;
   Counters Stats;
-
-  /// GC state. ExtRefs is index-aligned with Nodes (grown lazily);
-  /// FreeList holds reclaimed node indices for in-place reuse. Dead slots
-  /// are tombstoned with Var == TerminalVar so table rebuilds skip them.
-  bool GcEnabled = false;
-  std::vector<uint32_t> ExtRefs;
-  std::vector<uint32_t> FreeList;
-  uint64_t GcFloor = 0; ///< Live count after the last sweep (hysteresis).
-  uint64_t GcRuns = 0;
-  uint64_t GcReclaimed = 0;
 };
 
 } // namespace sigc

@@ -284,6 +284,12 @@ CliParse sigc::parseCli(int Argc, const char *const *Argv) {
                 "step is nested code only)\n");
   if (!O.LinkList.empty() && !O.Serve.SocketPath.empty())
     return stop("signalc: --serve cannot serve a linked system\n");
+  // The tier's own qualifiers mean nothing with the tier off.
+  if (O.Tier.Mode == NativeMode::Off)
+    for (const char *Flag : {"--cache-dir", "--tier-after"})
+      if (given(Flag))
+        return stop(std::string("signalc: ") + Flag +
+                    " requires --native auto or force\n");
   // The native tier compiles the nested lowering; the recorder runs the VM.
   if (O.Tier.Mode != NativeMode::Off) {
     const char *Clash =

@@ -407,13 +407,6 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
   CondVars.clear();
   Stats = ForestBuildStats();
 
-  // One BDD variable per condition: size the manager's unique table and
-  // operation caches for this program before the hot loops start. The
-  // inclusion tests below (Mgr.implies) allocate no nodes: they walk the
-  // cube chains of the clock BDDs and probe the op cache only at branch
-  // points, so their cost is mostly pointer chasing down the variable order.
-  Mgr.presize(static_cast<unsigned>(Sys.conditions().size()));
-
   // Step 0: equalities via union-find ("choose one variable which will
   // replace the others", Section 3.3).
   Classes.reset(Sys.numVars());

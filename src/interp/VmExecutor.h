@@ -73,9 +73,8 @@
 /// interpreter's, so attaching or detaching at any batch boundary is
 /// invisible, down to the text of every output.
 ///
-/// Dispatch is direct-threaded (computed goto) wherever the compiler has
-/// GNU labels-as-values, and a portable switch otherwise or when built
-/// with -DSIGC_VM_NO_COMPUTED_GOTO.
+/// Dispatch is direct-threaded: computed goto over GNU labels-as-values,
+/// which every supported compiler (gcc, clang) has.
 ///
 //===----------------------------------------------------------------------===//
 

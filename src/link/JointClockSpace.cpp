@@ -16,20 +16,9 @@ ForestNodeId rootOfTree(const ClockForest &Forest, ForestNodeId N) {
 } // namespace
 
 JointClockSpace::JointClockSpace(LinkedSystem &S, const Budget &Limits)
-    : Sys(S), Bud(Limits),
-      Joint([&S] {
-        unsigned Vars = 0;
-        for (const LinkUnit &U : S.Units)
-          Vars += U.Comp->Bdds.numVars() + 1;
-        return Vars;
-      }()) {
+    : Sys(S), Bud(Limits) {
   Bud.start();
   Joint.setBudget(&Bud);
-  // The joint space aggregates every unit's conditions, so it is the one
-  // manager that grows with the number of link units: garbage-collect it
-  // under node-budget pressure (memoized translations hold external
-  // references; sweeps reclaim only unreferenced intermediates).
-  Joint.enableGC();
 
   CondSignalOf.resize(Sys.Units.size());
   DfsPos.resize(Sys.Units.size());
@@ -88,14 +77,6 @@ BddVar JointClockSpace::jointCondVar(unsigned U, BddVar V) {
   return namedVar("sig:" + std::to_string(CU) + ":" + Name);
 }
 
-BddRef JointClockSpace::remember(
-    std::map<std::pair<unsigned, unsigned>, BddRef> &Memo,
-    std::pair<unsigned, unsigned> Key, BddRef R) {
-  Joint.addRef(R); // Keep memoized functions alive across sweeps.
-  Memo.emplace(Key, R);
-  return R;
-}
-
 BddRef JointClockSpace::translate(unsigned U, BddRef F) {
   if (!F.isValid() || F.isTerminal())
     return F;
@@ -105,19 +86,12 @@ BddRef JointClockSpace::translate(unsigned U, BddRef F) {
     return It->second;
 
   const BddManager &Mu = Sys.Units[U].Comp->Bdds;
-  // Protect each finished subresult before the next joint-manager call:
-  // a GC-enabled manager may sweep at any public-op entry.
   BddRef Hi = translate(U, Mu.nodeHigh(F));
-  Joint.addRef(Hi);
   BddRef Lo = translate(U, Mu.nodeLow(F));
-  Joint.addRef(Lo);
   BddRef V = Joint.var(jointCondVar(U, Mu.nodeVar(F)));
-  Joint.addRef(V);
   BddRef R = Joint.ite(V, Hi, Lo);
-  Joint.decRef(V);
-  Joint.decRef(Lo);
-  Joint.decRef(Hi);
-  return remember(XlatMemo, Key, R);
+  XlatMemo.emplace(Key, R);
+  return R;
 }
 
 BddRef JointClockSpace::rootFn(unsigned U, ForestNodeId Root) {
@@ -166,7 +140,8 @@ BddRef JointClockSpace::rootFn(unsigned U, ForestNodeId Root) {
       InProgress.erase(Key);
     }
   }
-  return remember(RootMemo, Key, R);
+  RootMemo.emplace(Key, R);
+  return R;
 }
 
 BddRef JointClockSpace::presence(unsigned U, ForestNodeId N) {
@@ -178,10 +153,11 @@ BddRef JointClockSpace::presence(unsigned U, ForestNodeId N) {
     return It->second;
 
   ClockForest &F = *Sys.Units[U].Comp->Forest;
-  BddRef RF = rootFn(U, rootOfTree(F, N));     // Memoized: externally ref'd.
-  BddRef T = translate(U, F.node(N).Bdd);      // Likewise.
+  BddRef RF = rootFn(U, rootOfTree(F, N));
+  BddRef T = translate(U, F.node(N).Bdd);
   BddRef R = Joint.apply_and(RF, T);
-  return remember(PresMemo, Key, R);
+  PresMemo.emplace(Key, R);
+  return R;
 }
 
 bool JointClockSpace::proveEqual(unsigned UA, SignalId SigA, unsigned UB,

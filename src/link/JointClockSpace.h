@@ -23,10 +23,9 @@
 /// root-function ∧ translated-relative-BDD, and an obligation spanning
 /// two producers is one implies() call in the joint manager — the same
 /// reduction the paper gets inside one process from the canonical
-/// forest. The joint manager is garbage-collected (mark-and-sweep under
-/// Budget pressure) because it aggregates every unit's conditions;
-/// memoized translations hold external references so sweeps only
-/// reclaim true intermediates.
+/// forest. The joint manager aggregates every unit's conditions and
+/// frees nothing, so a node-limited LinkOptions::Limits bounds it: once
+/// the budget trips, every proof fails and the link is rejected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +43,7 @@ namespace sigc {
 class JointClockSpace {
 public:
   /// \p Sys must have Units, Channels and channel descriptor indices
-  /// resolved. \p Limits bounds the joint manager (node budget drives
-  /// the mark-and-sweep).
+  /// resolved. \p Limits bounds the joint manager.
   JointClockSpace(LinkedSystem &Sys, const Budget &Limits);
 
   /// Proves clock(SigA of unit UA) == clock(SigB of unit UB) in the
@@ -57,11 +55,6 @@ public:
 
   bool exhausted() const { return Bud.exhausted(); }
   BudgetVerdict verdict() const { return Bud.verdict(); }
-
-  /// Joint-manager statistics (bench_link, GC tests).
-  uint64_t liveNodes() const { return Joint.numLiveNodes(); }
-  uint64_t gcRuns() const { return Joint.gcRuns(); }
-  uint64_t gcReclaimed() const { return Joint.gcReclaimed(); }
 
 private:
   /// Absolute presence function of forest node \p N of unit \p U.
@@ -82,11 +75,6 @@ private:
   /// Canonicalizes (unit, signal) across channels: a channel import
   /// becomes the producing (unit, export).
   std::pair<unsigned, SignalId> canonicalSignal(unsigned U, SignalId S) const;
-
-  /// Memoizes \p R under \p Key with an external reference so a sweep
-  /// keeps it alive.
-  BddRef remember(std::map<std::pair<unsigned, unsigned>, BddRef> &Memo,
-                  std::pair<unsigned, unsigned> Key, BddRef R);
 
   LinkedSystem &Sys;
   Budget Bud;

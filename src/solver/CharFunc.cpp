@@ -10,10 +10,6 @@ CharFuncResult sigc::buildCharFunc(
   CharFuncResult Result;
   Result.NumVars = NumVars;
 
-  // The characteristic function ranges over one BDD variable per clock
-  // variable; size the tables for it up front.
-  Mgr.presize(NumVars);
-
   BddRef Chi = Mgr.top();
   for (const CharConstraint &C : Constraints) {
     BddRef Term;

@@ -37,7 +37,7 @@ public:
 
     Budget Bud = Limits;
     Bud.start();
-    BddManager Mgr(static_cast<unsigned>(Sys.conditions().size()));
+    BddManager Mgr;
     Mgr.setBudget(&Bud);
     ClockForest Forest(Mgr);
 
@@ -72,7 +72,7 @@ public:
 
     Budget Bud = Limits;
     Bud.start();
-    BddManager Mgr(Sys.numVars());
+    BddManager Mgr;
     Mgr.setBudget(&Bud);
 
     std::vector<CharConstraint> Constraints = systemConstraints(Sys);
@@ -104,7 +104,7 @@ public:
     Bud.start();
 
     // Phase 1: the tree pass, in its own manager.
-    BddManager TreeMgr(static_cast<unsigned>(Sys.conditions().size()));
+    BddManager TreeMgr;
     TreeMgr.setBudget(&Bud);
     ClockForest Forest(TreeMgr);
     bool TreeOk = Forest.build(Sys, Prog, Names, Diags);

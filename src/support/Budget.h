@@ -40,7 +40,7 @@ public:
   Budget() = default;
 
   /// Creates a budget of \p Millis wall-clock milliseconds and \p MaxNodes
-  /// live BDD nodes; 0 means unlimited for either.
+  /// allocated BDD nodes; 0 means unlimited for either.
   Budget(uint64_t Millis, uint64_t MaxNodes)
       : TimeLimitMs(Millis), NodeLimit(MaxNodes) {}
 
@@ -53,8 +53,8 @@ public:
   /// \returns false once the time budget is exhausted (sticky).
   bool checkTime();
 
-  /// Records that \p Nodes nodes are now live; \returns false once over
-  /// budget (sticky).
+  /// Records that \p Nodes nodes are now allocated (a BDD manager frees
+  /// none); \returns false once over budget (sticky).
   bool checkNodes(uint64_t Nodes);
 
   /// \returns the final verdict; Ok unless some limit tripped.
@@ -62,7 +62,6 @@ public:
   bool exhausted() const { return Verdict != BudgetVerdict::Ok; }
 
   uint64_t timeLimitMs() const { return TimeLimitMs; }
-  uint64_t nodeLimit() const { return NodeLimit; }
 
 private:
   using Clock = std::chrono::steady_clock;

@@ -1,7 +1,6 @@
 //===--- bdd_test.cpp - ROBDD package unit & property tests ---------------===//
 
 #include "bdd/Bdd.h"
-#include "bdd/BddDot.h"
 
 #include <gtest/gtest.h>
 
@@ -105,41 +104,6 @@ TEST_F(BddTest, RestrictCofactors) {
   EXPECT_EQ(M.restrict(F, 7, true), F);
 }
 
-TEST_F(BddTest, ExistsForall) {
-  BddRef A = M.var(0), B = M.var(1);
-  BddRef F = M.apply_and(A, B);
-  EXPECT_EQ(M.exists(F, 0), B);
-  EXPECT_EQ(M.forall(F, 0), M.bottom());
-  BddRef G = M.apply_or(A, B);
-  EXPECT_EQ(M.exists(G, 0), M.top());
-  EXPECT_EQ(M.forall(G, 0), B);
-}
-
-TEST_F(BddTest, ExistsMany) {
-  BddRef F = M.apply_and(M.var(0), M.apply_and(M.var(1), M.var(2)));
-  EXPECT_EQ(M.existsMany(F, {0, 1, 2}), M.top());
-  EXPECT_EQ(M.existsMany(F, {0, 1}), M.var(2));
-}
-
-TEST_F(BddTest, ComposeSubstitutes) {
-  BddRef A = M.var(0), B = M.var(1), C = M.var(2);
-  BddRef F = M.apply_or(A, B);
-  // F[B := A∧C] = A ∨ (A∧C) = A... no: A ∨ (A∧C) simplifies to A.
-  BddRef G = M.compose(F, 1, M.apply_and(A, C));
-  EXPECT_EQ(G, A);
-  // F[A := C] = C ∨ B.
-  EXPECT_EQ(M.compose(F, 0, C), M.apply_or(C, B));
-}
-
-TEST_F(BddTest, SupportIsSorted) {
-  BddRef F = M.apply_and(M.var(3), M.apply_or(M.var(1), M.var(5)));
-  std::vector<BddVar> S = M.support(F);
-  ASSERT_EQ(S.size(), 3u);
-  EXPECT_EQ(S[0], 1u);
-  EXPECT_EQ(S[1], 3u);
-  EXPECT_EQ(S[2], 5u);
-}
-
 TEST_F(BddTest, SatCount) {
   BddRef A = M.var(0), B = M.var(1);
   EXPECT_DOUBLE_EQ(M.satCount(M.apply_and(A, B), 2), 1.0);
@@ -147,15 +111,6 @@ TEST_F(BddTest, SatCount) {
   EXPECT_DOUBLE_EQ(M.satCount(M.top(), 2), 4.0);
   EXPECT_DOUBLE_EQ(M.satCount(M.bottom(), 2), 0.0);
   EXPECT_DOUBLE_EQ(M.satCount(M.apply_xor(A, B), 5), 16.0);
-}
-
-TEST_F(BddTest, AnySatFindsWitness) {
-  BddRef F = M.apply_and(M.var(0), M.apply_not(M.var(2)));
-  auto Path = M.anySat(F);
-  std::vector<bool> Env(3, false);
-  for (auto &[Var, Val] : Path)
-    Env[Var] = Val;
-  EXPECT_TRUE(M.evaluate(F, Env));
 }
 
 TEST_F(BddTest, CountNodes) {
@@ -193,21 +148,6 @@ TEST_F(BddTest, InvalidPropagates) {
   EXPECT_FALSE(M.apply_and(BddRef::invalid(), M.top()).isValid());
   EXPECT_FALSE(M.ite(M.top(), BddRef::invalid(), M.top()).isValid());
   EXPECT_FALSE(M.restrict(BddRef::invalid(), 0, true).isValid());
-}
-
-TEST_F(BddTest, DotExportMentionsNodes) {
-  BddRef F = M.apply_and(M.var(0), M.var(1));
-  std::string Dot = bddToDot(M, {F});
-  EXPECT_NE(Dot.find("digraph"), std::string::npos);
-  EXPECT_NE(Dot.find("x0"), std::string::npos);
-  EXPECT_NE(Dot.find("x1"), std::string::npos);
-}
-
-TEST_F(BddTest, DotCustomNames) {
-  BddRef F = M.var(0);
-  std::string Dot =
-      bddToDot(M, {F}, [](BddVar) { return std::string("COND"); });
-  EXPECT_NE(Dot.find("COND"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -343,19 +283,18 @@ TEST_P(BddPropertyTest, EqualFunctionsShareNode) {
 }
 
 TEST_P(BddPropertyTest, QuantifierShannon) {
-  // ∃x.F == F|x=0 ∨ F|x=1 and ∀x.F == F|x=0 ∧ F|x=1 for random F.
+  // Shannon expansion F == ite(x, F|x=1, F|x=0), and the cofactor bounds
+  // behind quantification, ∀x.F = F|x=0 ∧ F|x=1 ⇒ F ⇒ F|x=0 ∨ F|x=1 = ∃x.F,
+  // for random F.
   std::mt19937 Rng(GetParam() * 31337 + 5);
   BddManager M;
   Formula F = Formula::random(Rng, 5, 14);
   BddRef B = F.build(M);
   for (BddVar V = 0; V < 5; ++V) {
-    BddRef E = M.exists(B, V);
-    BddRef A = M.forall(B, V);
-    EXPECT_EQ(E, M.apply_or(M.restrict(B, V, false), M.restrict(B, V, true)));
-    EXPECT_EQ(A, M.apply_and(M.restrict(B, V, false), M.restrict(B, V, true)));
-    // ∀x.F ⇒ F ⇒ ∃x.F
-    EXPECT_TRUE(M.implies(A, B));
-    EXPECT_TRUE(M.implies(B, E));
+    BddRef R0 = M.restrict(B, V, false), R1 = M.restrict(B, V, true);
+    EXPECT_EQ(M.ite(M.var(V), R1, R0), B);
+    EXPECT_TRUE(M.implies(M.apply_and(R0, R1), B));
+    EXPECT_TRUE(M.implies(B, M.apply_or(R0, R1)));
   }
 }
 
@@ -474,8 +413,7 @@ TEST(BddCollisionTest, TinyCacheQuantifiersAndCofactors) {
     BddRef B = F.build(M);
     for (BddVar V = 0; V < NumVars; ++V) {
       BddRef R0 = M.restrict(B, V, false), R1 = M.restrict(B, V, true);
-      EXPECT_EQ(M.exists(B, V), M.apply_or(R0, R1));
-      EXPECT_EQ(M.forall(B, V), M.apply_and(R0, R1));
+      EXPECT_EQ(M.ite(M.var(V), R1, R0), B);
     }
   }
   EXPECT_GT(M.cacheCollisions(), 0u);
@@ -501,35 +439,6 @@ TEST(BddBudgetTest, FailedVarDoesNotGrowNumVars) {
   EXPECT_FALSE(M.nvar(50).isValid());
   EXPECT_EQ(M.numVars(), 3u);
   EXPECT_EQ(Bud.verdict(), BudgetVerdict::UnableMem);
-}
-
-//===----------------------------------------------------------------------===//
-// existsMany: descending order, early exit, set semantics
-//===----------------------------------------------------------------------===//
-
-TEST_F(BddTest, ExistsManyOrderIndependentWithDuplicates) {
-  BddRef F = M.apply_and(M.apply_xor(M.var(0), M.var(3)),
-                         M.apply_or(M.var(1), M.nvar(2)));
-  std::vector<BddVar> Asc{0, 1, 2, 3};
-  std::vector<BddVar> Desc{3, 2, 1, 0};
-  std::vector<BddVar> Dup{1, 3, 1, 0, 2, 3};
-  BddRef Seq = F;
-  for (BddVar V : Asc)
-    Seq = M.exists(Seq, V);
-  EXPECT_EQ(M.existsMany(F, Asc), Seq);
-  EXPECT_EQ(M.existsMany(F, Desc), Seq);
-  EXPECT_EQ(M.existsMany(F, Dup), Seq);
-}
-
-TEST_F(BddTest, ExistsManyEarlyExitsOnTerminal) {
-  BddRef F = M.apply_and(M.var(0), M.var(1));
-  // Quantifying the deepest variables first collapses to a terminal before
-  // the shallow ones are ever visited; after that no work may happen.
-  EXPECT_EQ(M.existsMany(F, {0, 1, 5, 9}), M.top());
-  uint64_t Before = M.numNodes();
-  EXPECT_EQ(M.existsMany(M.top(), {0, 1, 2, 3}), M.top());
-  EXPECT_EQ(M.existsMany(M.bottom(), {0, 1, 2, 3}), M.bottom());
-  EXPECT_EQ(M.numNodes(), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -599,39 +508,6 @@ TEST_P(BddOpsCrossCheckTest, EveryOpMatchesBruteForce) {
         [&](unsigned I) { return TF[rowWith(I, true)]; }, "restrict1");
   check(M.restrict(F, V, false),
         [&](unsigned I) { return TF[rowWith(I, false)]; }, "restrict0");
-  check(M.exists(F, V),
-        [&](unsigned I) {
-          return TF[rowWith(I, false)] || TF[rowWith(I, true)];
-        },
-        "exists");
-  check(M.forall(F, V),
-        [&](unsigned I) {
-          return TF[rowWith(I, false)] && TF[rowWith(I, true)];
-        },
-        "forall");
-  check(M.compose(F, V, G),
-        [&](unsigned I) { return TF[rowWith(I, TG[I])]; }, "compose");
-
-  // existsMany over a random variable subset, against brute-force
-  // quantification over all assignments of the subset.
-  std::vector<BddVar> Subset;
-  unsigned SubsetMask = 0;
-  for (BddVar SV = 0; SV < NumVars; ++SV)
-    if (Rng() % 2) {
-      Subset.push_back(SV);
-      SubsetMask |= 1u << SV;
-    }
-  check(M.existsMany(F, Subset),
-        [&](unsigned I) {
-          // Any completion of the non-subset bits of row I satisfies F?
-          for (unsigned Sub = SubsetMask;; Sub = (Sub - 1) & SubsetMask) {
-            if (TF[(I & ~SubsetMask) | Sub])
-              return true;
-            if (Sub == 0)
-              return false;
-          }
-        },
-        "existsMany");
 
   // implies and satCount against the same tables.
   bool BruteImp = true, BruteConv = true;
@@ -644,14 +520,6 @@ TEST_P(BddOpsCrossCheckTest, EveryOpMatchesBruteForce) {
   EXPECT_EQ(M.implies(F, G), BruteImp) << "seed " << GetParam();
   EXPECT_EQ(M.implies(G, F), BruteConv) << "seed " << GetParam();
   EXPECT_DOUBLE_EQ(M.satCount(F, NumVars), static_cast<double>(Ones));
-
-  // anySat returns a genuine witness whenever F is satisfiable.
-  if (!F.isFalse()) {
-    std::vector<bool> Env(NumVars, false);
-    for (auto &[Var, Val] : M.anySat(F))
-      Env[Var] = Val;
-    EXPECT_TRUE(M.evaluate(F, Env)) << "seed " << GetParam();
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomOpSuites, BddOpsCrossCheckTest,
@@ -770,126 +638,4 @@ TEST(BddBudgetTest, ImpliesCutMidChainCachesNothing) {
     EXPECT_FALSE(M.implies(Gs[I], Fs[I])) << I;
   }
   EXPECT_EQ(M.numNodes(), Nodes);
-}
-
-//===----------------------------------------------------------------------===//
-// Garbage collection: the linker's joint clock space opts in, promises
-// addRef'd roots, and expects sweeps to reclaim everything else while
-// the operation caches forget the dead entries.
-//===----------------------------------------------------------------------===//
-
-TEST(BddGcTest, LiveRefsSurviveTheSweepAndGarbageIsReclaimed) {
-  BddManager M;
-  M.enableGC();
-  BddRef A = M.var(0), B = M.var(1), C = M.var(2);
-  BddRef F = M.apply_or(M.apply_and(A, B), C);
-  M.addRef(F);
-
-  // Unprotected churn: distinct conjunction ladders, dead the moment the
-  // next one replaces them.
-  std::mt19937 Rng(7);
-  for (int I = 0; I < 24; ++I) {
-    BddRef T = (Rng() & 1) ? M.var(3 + Rng() % 8) : M.nvar(3 + Rng() % 8);
-    for (int K = 0; K < 10; ++K) {
-      BddRef V = (Rng() & 1) ? M.var(3 + Rng() % 8) : M.nvar(3 + Rng() % 8);
-      T = (Rng() & 1) ? M.apply_and(T, V) : M.apply_or(T, V);
-    }
-  }
-
-  uint64_t LiveBefore = M.numLiveNodes();
-  uint64_t Reclaimed = M.gc();
-  EXPECT_GT(Reclaimed, 0u);
-  EXPECT_EQ(M.gcRuns(), 1u);
-  EXPECT_EQ(M.gcReclaimed(), Reclaimed);
-  EXPECT_EQ(M.numLiveNodes(), LiveBefore - Reclaimed);
-
-  // The protected root still computes (x0 & x1) | x2.
-  for (unsigned Bits = 0; Bits < 8; ++Bits) {
-    std::vector<bool> Env(11, false);
-    Env[0] = Bits & 1;
-    Env[1] = Bits & 2;
-    Env[2] = Bits & 4;
-    bool Want = (Env[0] && Env[1]) || Env[2];
-    EXPECT_EQ(M.evaluate(F, Env), Want) << "assignment " << Bits;
-  }
-
-  // Dropping the last external ref makes the root garbage for the next
-  // sweep.
-  M.decRef(F);
-  EXPECT_GT(M.gc(), 0u);
-  EXPECT_EQ(M.gcRuns(), 2u);
-}
-
-TEST(BddGcTest, SweepInvalidatesTheOperationCachesNoStaleHits) {
-  BddManager M;
-  M.enableGC();
-  M.setCacheCapacityForTesting(64);
-  BddRef A = M.var(0), B = M.var(1);
-  BddRef G = M.apply_and(A, B); // Seeds an ite-cache entry.
-  (void)G;
-
-  // Everything is unprotected: the sweep frees the nodes for in-place
-  // reuse, so any surviving cache entry would hand back an index that
-  // now means something else.
-  EXPECT_GT(M.gc(), 0u);
-
-  uint64_t Hits = M.cacheHits();
-  BddRef A2 = M.var(0), B2 = M.var(1);
-  BddRef G2 = M.apply_and(A2, B2);
-  EXPECT_EQ(M.cacheHits(), Hits) << "stale ite-cache hit after a sweep";
-  for (unsigned Bits = 0; Bits < 4; ++Bits) {
-    std::vector<bool> Env(2, false);
-    Env[0] = Bits & 1;
-    Env[1] = Bits & 2;
-    EXPECT_EQ(M.evaluate(G2, Env), Env[0] && Env[1]);
-  }
-}
-
-TEST(BddGcTest, BudgetPressureTriggersCollectionInsteadOfExhaustion) {
-  BddManager M;
-  Budget Bud(0, 2000); // Unlimited time, 2000 live nodes.
-  Bud.start();
-  M.setBudget(&Bud);
-  M.enableGC();
-
-  // A small protected working set, verified again after the churn.
-  BddRef Keep =
-      M.apply_or(M.apply_and(M.var(0), M.var(1)), M.var(2));
-  M.addRef(Keep);
-
-  // Churn far more garbage than the node limit. The GC contract: refs a
-  // caller needs across a public operation must be addRef'd, because any
-  // public entry is a safe collection point.
-  auto protectedOp = [&](BddRef F, BddRef G, bool IsAnd) {
-    M.addRef(F);
-    M.addRef(G);
-    BddRef R = IsAnd ? M.apply_and(F, G) : M.apply_or(F, G);
-    M.decRef(F);
-    M.decRef(G);
-    return R;
-  };
-  std::mt19937 Rng(11);
-  for (int I = 0; I < 400; ++I) {
-    BddRef T = (Rng() & 1) ? M.var(Rng() % 24) : M.nvar(Rng() % 24);
-    for (int K = 0; K < 30 && T.isValid(); ++K) {
-      BddRef V = (Rng() & 1) ? M.var(Rng() % 24) : M.nvar(Rng() % 24);
-      T = protectedOp(T, V, Rng() & 1);
-    }
-    ASSERT_TRUE(T.isValid()) << "budget tripped at iteration " << I;
-  }
-
-  EXPECT_FALSE(Bud.exhausted());
-  EXPECT_EQ(Bud.verdict(), BudgetVerdict::Ok);
-  EXPECT_GT(M.gcRuns(), 0u);
-  EXPECT_GT(M.gcReclaimed(), 0u);
-  EXPECT_LE(M.numLiveNodes(), Bud.nodeLimit());
-
-  for (unsigned Bits = 0; Bits < 8; ++Bits) {
-    std::vector<bool> Env(24, false);
-    Env[0] = Bits & 1;
-    Env[1] = Bits & 2;
-    Env[2] = Bits & 4;
-    bool Want = (Env[0] && Env[1]) || Env[2];
-    EXPECT_EQ(M.evaluate(Keep, Env), Want) << "assignment " << Bits;
-  }
 }

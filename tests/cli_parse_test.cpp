@@ -57,8 +57,9 @@ bool numeric(const CliFlag &F) {
   return F.Kind == CliKind::U32 || F.Kind == CliKind::U64;
 }
 
-/// A valid operand of \p F ("" when it takes none). --native is off, so
-/// that its value-dependent exclusions stay out of the way.
+/// A valid operand of \p F ("" when it takes none). --native is auto:
+/// its qualifiers --cache-dir and --tier-after need the tier on, and no
+/// companion chain adds --mode flat or --record, which it excludes.
 std::string sample(const CliFlag &F) {
   switch (F.Kind) {
   case CliKind::None:
@@ -71,7 +72,7 @@ std::string sample(const CliFlag &F) {
   case CliKind::Engine:
     return "vm";
   case CliKind::Native:
-    return "off";
+    return "auto";
   }
   return "";
 }
@@ -287,6 +288,16 @@ TEST(CliParse, ValueDependentCombinations) {
                    .stops());
   EXPECT_EQ(usageError({"--native", "force", "--replay", "t"}),
             "signalc: --native requires --simulate or --serve\n");
+  // The tier's qualifiers need the tier on: --native off does not count.
+  for (const char *Flag : {"--tier-after", "--cache-dir"}) {
+    EXPECT_EQ(usageError({"--simulate", "2", "--native", "off", Flag, "5"}),
+              "signalc: " + std::string(Flag) +
+                  " requires --native auto or force\n");
+    for (const char *Native : {"auto", "force"})
+      EXPECT_FALSE(
+          parse({"--simulate", "2", "--native", Native, Flag, "5"}).stops())
+          << Flag << " with --native " << Native;
+  }
   EXPECT_FALSE(parse({"--link", "A,B", "--simulate", "3", "--native", "force"})
                    .stops());
 }

@@ -181,10 +181,19 @@ TEST(Cli, QualifierWithoutItsFlagIsAUsageError) {
               std::string::npos)
         << Args << ": " << R.Output;
   }
-  // With the flag they qualify they run; --native off counts.
-  CliResult Ok = runSignalc("--builtin FIG5_ALARM --simulate 3 --native off "
-                            "--tier-after 5 --fleet 2 --threads 2");
+  // With the flag they qualify they run.
+  CliResult Ok =
+      runSignalc("--builtin FIG5_ALARM --simulate 3 --fleet 2 --threads 2");
   EXPECT_EQ(Ok.Exit, 0) << Ok.Output;
+  // --native off does not count: the tier's qualifiers need the tier on.
+  for (const char *Args : {"--simulate 3 --native off --tier-after 5",
+                           "--simulate 2 --native off --cache-dir /nonexistent"}) {
+    CliResult Off = runSignalc("--builtin FIG5_ALARM " + std::string(Args));
+    EXPECT_EQ(Off.Exit, 2) << Args << ": " << Off.Output;
+    EXPECT_NE(Off.Output.find("requires --native auto or force"),
+              std::string::npos)
+        << Args << ": " << Off.Output;
+  }
 }
 
 TEST(Cli, ValidNumericFlagsStillRun) {

@@ -290,6 +290,46 @@ TEST(Linker, TwoProducerObligationLinksThroughTheJointSpace) {
   EXPECT_FALSE(R.Sys->Fused.Code.empty());
 }
 
+TEST(Linker, JointSpaceOverItsNodeBudgetRejectsTheLink) {
+  // A diamond whose shared export is sampled: both middle producers'
+  // roots resolve to DIAS's presence of DX, root ∧ [DX's condition], so
+  // discharging DIAK's synchro builds that conjunction in the joint
+  // space. (In generateDiamondSystem DX ticks with its root, and the
+  // joint space allocates a single variable node, which every node
+  // limit admits.) The joint space frees nothing: a node limit it cannot
+  // meet trips its budget, and the link is rejected, never accepted on a
+  // partial proof.
+  const std::vector<LinkInput> Diamond = {
+      {"DIAS", "process DIAS = ( ? integer SRC; ! integer DX; )"
+               " (| DX := SRC when ((SRC mod 3) = 0) |);"},
+      {"DIAA", "process DIAA = ( ? integer DX; ! integer DA; )"
+               " (| DA := (DX * 2 + 1) mod 97 |);"},
+      {"DIAB", "process DIAB = ( ? integer DX; ! integer DB; )"
+               " (| DB := (DX + 5) mod 97 |);"},
+      {"DIAK", "process DIAK = ( ? integer DA, DB; ! integer DY; )"
+               " (| synchro {DA, DB} | DY := (DA + DB * 3) mod 97 |);"}};
+  LinkResult Good = compileAndLinkSources(Diamond);
+  ASSERT_TRUE(Good.Sys) << Good.Error;
+  EXPECT_EQ(Good.Sys->Channels.size(), 4u);
+
+  // The units compile unbounded; only the link's joint space is limited.
+  std::vector<LinkUnit> Units(Diamond.size());
+  for (size_t K = 0; K < Diamond.size(); ++K) {
+    CompileOptions CO;
+    CO.Optimize = false; // What the linker compiles its units with.
+    Units[K].Name = Diamond[K].Name;
+    Units[K].Comp = compileSource(Diamond[K].Name, Diamond[K].Source, CO);
+    ASSERT_TRUE(Units[K].Comp) << Diamond[K].Name;
+  }
+  LinkOptions Tight;
+  Tight.Limits = Budget(0, 1);
+  LinkResult Bad = linkCompiled(std::move(Units), Tight);
+  ASSERT_FALSE(Bad.Sys);
+  EXPECT_NE(Bad.Error.find("unable-mem: the joint-space budget tripped"),
+            std::string::npos)
+      << Bad.Error;
+}
+
 TEST(Linker, UncompilableUnitReportsItsDiagnostics) {
   const char *Bad = "process BAD = ( ? integer A; ! integer Y; ) (| Y := Q |);";
   const char *Good =
