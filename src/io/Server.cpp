@@ -135,6 +135,7 @@ public:
   int run();
 
 private:
+  void promoteTier();
   void acceptClients();
   void rejectConnection(int Fd, ServeRejectReason Reason,
                         const std::string &Message);
@@ -201,13 +202,32 @@ private:
   std::vector<uint8_t> CtrlBuf; ///< Reused control-frame encode buffer.
   size_t RR = 0; ///< Round-robin scan start.
   // Tiered native execution: the controller compiles/loads off the
-  // serving thread; the swap lands at a wakeup boundary (between
-  // batches), so every session crosses tiers at a batch boundary and
-  // checkpoints stay tier-agnostic.
+  // serving thread; the swap lands between batches, so every session
+  // crosses tiers at a batch boundary and checkpoints stay
+  // tier-agnostic.
   std::unique_ptr<TierController> Tier;
   bool TierSwapped = false;
   uint64_t TierVm = 0, TierNative = 0; ///< Instants stepped per tier.
+  // Serve-layer counters, printed at exit: ppoll returns, stepN calls,
+  // recv and send syscalls, and the bytes they moved.
+  uint64_t Wakeups = 0, Batches = 0, Recvs = 0, Sends = 0, BytesIn = 0,
+           BytesOut = 0;
 };
+
+void Server::promoteTier() {
+  // Every session is between batches here, so attaching the module to
+  // every lane is a batch-boundary handoff for each of them, and the
+  // lanes' state blocks (and the checkpoints copied from them) carry on
+  // unchanged.
+  if (!Tier || TierSwapped || !Tier->shouldPromote(TierVm))
+    return;
+  for (VmExecutor &L : Lanes)
+    L.setNative(Tier->module());
+  TierSwapped = true;
+  std::fprintf(stderr, "tier: sessions now run native (%s, hash %s)\n",
+               Tier->cacheHit() ? "cache hit" : "background compile",
+               Tier->hash().c_str());
+}
 
 void Server::teardown(Session &S, const char *How) {
   // Always printed: scripted drivers (and the CI smoke test) sum these.
@@ -262,7 +282,9 @@ void Server::rejectConnection(int Fd, ServeRejectReason Reason,
   C.Reason = Reason;
   C.Message = Message;
   encodeServeCtrl(C, CtrlBuf);
-  (void)::send(Fd, CtrlBuf.data(), CtrlBuf.size(), MSG_NOSIGNAL);
+  ssize_t N = ::send(Fd, CtrlBuf.data(), CtrlBuf.size(), MSG_NOSIGNAL);
+  ++Sends;
+  BytesOut += N > 0 ? static_cast<uint64_t>(N) : 0;
   ::close(Fd);
   ++Rejected;
   if (Reason == ServeRejectReason::Draining)
@@ -322,7 +344,9 @@ void Server::readSession(Session &S) {
   bool Any = false;
   while (!S.InEof) {
     ssize_t N = ::recv(S.Fd, Buf, sizeof(Buf), 0);
+    ++Recvs;
     if (N > 0) {
+      BytesIn += static_cast<uint64_t>(N);
       S.In.insert(S.In.end(), Buf, Buf + N);
       Any = true;
       if (static_cast<size_t>(N) == sizeof(Buf))
@@ -624,6 +648,7 @@ bool Server::stepSession(Session &S) {
     }
     VmExecutor &L = Lanes[S.Lane];
     L.stepN(*S.Env, S.Executed, N);
+    ++Batches;
     S.GuardTests = L.guardTests();
     S.Instrs = L.executed();
     if (Tier)
@@ -657,6 +682,7 @@ void Server::sendSession(Session &S) {
   while (S.OutPos < S.Out.size()) {
     ssize_t N = ::send(S.Fd, S.Out.data() + S.OutPos, S.Out.size() - S.OutPos,
                        MSG_NOSIGNAL);
+    ++Sends;
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -669,6 +695,7 @@ void Server::sendSession(Session &S) {
       return;
     }
     S.OutPos += static_cast<size_t>(N);
+    BytesOut += static_cast<uint64_t>(N);
     Any = true;
   }
   S.Out.clear();
@@ -819,18 +846,6 @@ int Server::run() {
       }
     }
 
-    // Tier promotion lands here, at a wakeup boundary: every session is
-    // between batches, so attaching the module to every lane is a
-    // batch-boundary handoff for each of them, and the lanes' state
-    // blocks (and the checkpoints copied from them) carry on unchanged.
-    if (Tier && !TierSwapped && Tier->shouldPromote(TierVm)) {
-      for (VmExecutor &L : Lanes)
-        L.setNative(Tier->module());
-      TierSwapped = true;
-      std::fprintf(stderr, "tier: sessions now run native (%s, hash %s)\n",
-                   Tier->cacheHit() ? "cache hit" : "background compile",
-                   Tier->hash().c_str());
-    }
     if (Opts.SessionLimit && Ended >= Opts.SessionLimit) {
       bool Active = false;
       for (auto &Slot : Slots)
@@ -879,6 +894,7 @@ int Server::run() {
       std::fprintf(stderr, "signalc: ppoll: %s\n", std::strerror(errno));
       break;
     }
+    ++Wakeups;
     checkDeadlines(nowMs());
 
     if (Polls[0].revents & POLLIN)
@@ -896,31 +912,35 @@ int Server::run() {
         sendSession(*S);
     }
 
-    // Scheduler pass: advance every runnable session by one batch, fair
-    // round-robin (the scan starts one lane later each wakeup).
+    // Scheduler: fair round-robin passes (the scan starts one lane later
+    // each wakeup), one batch per runnable session per pass, re-parsing
+    // buffered inbound bytes that flow control paused once execution
+    // advanced. The passes stop when no session can advance on the bytes
+    // this wakeup already read (or its queue is over MaxQueuedBytes);
+    // only then does each queue go out, in one send per session.
     size_t NumSlots = Slots.size();
     RR = NumSlots ? (RR + 1) % NumSlots : 0;
-    for (size_t Scan = 0; Scan < NumSlots; ++Scan) {
-      size_t L = (RR + Scan) % NumSlots;
-      Session *S = sessionAt(L);
-      if (!S)
-        continue;
-      // A freshly rejected session may have its frame queued with no
-      // poll event pending: flush eagerly.
-      bool Stepped = stepSession(*S);
-      if (!Stepped && S->queuedBytes() == 0)
-        continue;
-      // Execution advanced: buffered inbound bytes that flow control
-      // paused may be parseable now (stepSession never tears down, so S
-      // is still live here; parseSession may).
-      if (Stepped && !S->TrailerSeen && S->In.size() > S->InPos &&
-          !parseSession(*S))
-        continue;
-      // Push what the batch produced without waiting for POLLOUT.
-      S = sessionAt(L);
-      if (S && S->queuedBytes() > 0)
-        sendSession(*S);
+    for (bool Progress = true; Progress;) {
+      Progress = false;
+      for (size_t Scan = 0; Scan < NumSlots; ++Scan) {
+        Session *S = sessionAt((RR + Scan) % NumSlots);
+        if (!S)
+          continue;
+        promoteTier();
+        if (!stepSession(*S))
+          continue;
+        Progress = true;
+        // stepSession never tears down, so S is still live here;
+        // parseSession may.
+        if (!S->TrailerSeen && S->In.size() > S->InPos)
+          parseSession(*S);
+      }
     }
+    // A freshly rejected session may have its frame queued with no poll
+    // event pending: it goes out here too.
+    for (size_t L = 0; L < NumSlots; ++L)
+      if (Session *S = sessionAt(L); S && S->queuedBytes() > 0)
+        sendSession(*S);
   }
 
   ::close(ListenFd);
@@ -939,6 +959,15 @@ int Server::run() {
                  Tier->error().c_str());
   std::fprintf(stderr, "served %u session(s)%s\n", Ended,
                Draining ? " (drained)" : "");
+  std::fprintf(stderr,
+               "serve: wakeups=%llu batches=%llu recvs=%llu sends=%llu "
+               "bytes_in=%llu bytes_out=%llu\n",
+               static_cast<unsigned long long>(Wakeups),
+               static_cast<unsigned long long>(Batches),
+               static_cast<unsigned long long>(Recvs),
+               static_cast<unsigned long long>(Sends),
+               static_cast<unsigned long long>(BytesIn),
+               static_cast<unsigned long long>(BytesOut));
   return Exit;
 }
 

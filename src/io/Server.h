@@ -33,9 +33,11 @@
 ///
 /// Sessions map onto lanes: the server builds --max-sessions executors
 /// over the one shared CompiledStep at start, a joining session claims a
-/// free lane (resetting that executor's delay state and counters), and
-/// each scheduler wakeup advances runnable sessions by up to one
-/// instant-batch through their lane's stepN. A lane is one VmExecutor:
+/// free lane (resetting that executor's delay state and counters). Each
+/// scheduler wakeup runs round-robin passes, one stepN batch per
+/// runnable session per pass, until no session can advance on the bytes
+/// already read (or its output queue is over its bound), and then sends
+/// each session's queue once. A lane is one VmExecutor:
 /// it interprets the bytecode until the native tier is ready, then every
 /// lane gets the native module attached and runs the compiled step on
 /// the same state block. A checkpoint is a copy of the lane's delay
@@ -71,7 +73,9 @@ struct ServeOptions {
   /// Concurrent-session capacity: the number of lanes, one scalar
   /// executor each.
   unsigned MaxSessions = 4;
-  /// Instants a runnable session advances per scheduler wakeup.
+  /// Instants per stepN call: a runnable session advances by one batch
+  /// per scheduler pass, and a wakeup runs as many passes as the bytes
+  /// it read allow.
   unsigned BatchInstants = 64;
   /// Un-drained response bytes above which a session is not stepped.
   size_t MaxQueuedBytes = 1 << 20;
@@ -114,9 +118,9 @@ struct ServeOptions {
   /// — reachable with small streams; an ops/testing knob.
   unsigned SendBufBytes = 0;
   /// Tiered native execution (--native/--cache-dir/--tier-after). When
-  /// the module is ready every lane swaps at a wakeup boundary —
-  /// between batches, so every session sees the handoff at a batch
-  /// boundary and checkpoints keep resuming identically.
+  /// the module is ready every lane swaps before the next batch, so
+  /// every session sees the handoff at a batch boundary and checkpoints
+  /// keep resuming identically.
   TierOptions Tier;
 };
 

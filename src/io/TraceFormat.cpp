@@ -108,16 +108,37 @@ VmSlot slotOfBits(const uint8_t *P) {
   return S;
 }
 
-/// Appends a presence bitmap built from \p Flags[0..N) (LSB-first).
-void packBitmap(std::vector<uint8_t> &Out, const unsigned char *Flags,
-                size_t N) {
-  for (size_t Byte = 0; Byte * 8 < N; ++Byte) {
-    uint8_t B = 0;
-    for (size_t Bit = 0; Bit < 8 && Byte * 8 + Bit < N; ++Bit)
-      if (Flags[Byte * 8 + Bit])
-        B |= static_cast<uint8_t>(1u << Bit);
-    Out.push_back(B);
+/// Stores \p V little-endian in the \p Bytes bytes at \p P; returns
+/// their end.
+uint8_t *storeLE(uint8_t *P, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I < Bytes; ++I)
+    *P++ = static_cast<uint8_t>(V >> (8 * I));
+  return P;
+}
+
+/// Writes the presence bitmap of \p Flags[0..N) (LSB-first, a nonzero
+/// flag sets its bit) at \p P, eight flags per step; returns its end.
+uint8_t *packBitmap(uint8_t *P, const unsigned char *Flags, size_t N) {
+  for (size_t I = 0; I < N; I += 8) {
+    unsigned char Tail[8] = {};
+    const unsigned char *F = Flags + I;
+    if (N - I < 8) {
+      std::copy(F, Flags + N, Tail);
+      F = Tail;
+    }
+    uint64_t X = 0;
+    for (unsigned B = 0; B < 8; ++B)
+      X |= static_cast<uint64_t>(F[B]) << (8 * B);
+    // Fold each byte onto its bit 0, then gather bit 0 of byte k into
+    // bit 56 + k: the multiplier's byte j is 1 << (7 - j), so only the
+    // partial products with j = 7 - k reach bits 56..63, carry-free.
+    X |= (X >> 4) & 0x0F0F0F0F0F0F0F0Full;
+    X |= (X >> 2) & 0x0303030303030303ull;
+    X |= (X >> 1) & 0x0101010101010101ull;
+    X &= 0x0101010101010101ull;
+    *P++ = static_cast<uint8_t>((X * 0x0102040810204080ull) >> 56);
   }
+  return P;
 }
 
 bool bitmapBit(const uint8_t *Bits, size_t I) {
@@ -403,11 +424,15 @@ void sigc::encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
                             std::vector<uint8_t> &Out) {
   const size_t Cap = F.Cap;
   const unsigned N = F.Count;
-  std::vector<uint8_t> Payload;
-  Payload.reserve(Spec.maxFramePayloadBytes());
+  // The payload is written in place behind room for the frame header,
+  // which is filled in once the payload's length and checksum are known.
+  const size_t At = Out.size();
+  Out.resize(At + TraceFrameHeaderBytes + Spec.maxFramePayloadBytes());
+  uint8_t *const Payload = Out.data() + At + TraceFrameHeaderBytes;
+  uint8_t *P = Payload;
 
   for (size_t C = 0; C < Spec.Clocks.size(); ++C)
-    packBitmap(Payload, &F.ClockTicks[C * Cap], N);
+    P = packBitmap(P, &F.ClockTicks[C * Cap], N);
 
   for (size_t I = 0; I < Spec.Inputs.size(); ++I) {
     const TypeKind T = Spec.Inputs[I].Type;
@@ -418,11 +443,11 @@ void sigc::encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
         for (size_t Bit = 0; Bit < 8 && Byte * 8 + Bit < N; ++Bit)
           if (Row[Byte * 8 + Bit].I)
             B |= static_cast<uint8_t>(1u << Bit);
-        Payload.push_back(B);
+        *P++ = B;
       }
     } else if (T != TypeKind::Event) {
       for (unsigned J = 0; J < N; ++J)
-        putU64(Payload, slotBits(Row[J]));
+        P = storeLE(P, slotBits(Row[J]), 8);
     }
   }
 
@@ -430,7 +455,7 @@ void sigc::encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
     const TypeKind T = Spec.Outputs[O].Type;
     const unsigned char *Present = &F.OutPresent[O * Cap];
     const VmSlot *Row = &F.OutVals[O * Cap];
-    packBitmap(Payload, Present, N);
+    P = packBitmap(P, Present, N);
     if (T == TypeKind::Boolean) {
       uint8_t B = 0;
       unsigned Bit = 0;
@@ -440,26 +465,28 @@ void sigc::encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
         if (Row[J].I)
           B |= static_cast<uint8_t>(1u << Bit);
         if (++Bit == 8) {
-          Payload.push_back(B);
+          *P++ = B;
           B = 0;
           Bit = 0;
         }
       }
       if (Bit)
-        Payload.push_back(B);
+        *P++ = B;
     } else if (T != TypeKind::Event) {
       for (unsigned J = 0; J < N; ++J)
         if (Present[J])
-          putU64(Payload, slotBits(Row[J]));
+          P = storeLE(P, slotBits(Row[J]), 8);
     }
   }
 
-  putU32(Out, static_cast<uint32_t>(Payload.size()));
-  putU32(Out, F.Start);
-  putU16(Out, static_cast<uint16_t>(N));
-  putU16(Out, 0);
-  putU32(Out, traceFnv32(Payload.data(), Payload.size()));
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
+  const size_t Len = static_cast<size_t>(P - Payload);
+  uint8_t *H = Out.data() + At;
+  H = storeLE(H, Len, 4);
+  H = storeLE(H, F.Start, 4);
+  H = storeLE(H, N, 2);
+  H = storeLE(H, 0, 2);
+  storeLE(H, traceFnv32(Payload, Len), 4);
+  Out.resize(At + TraceFrameHeaderBytes + Len);
 }
 
 void sigc::encodeTraceTrailer(unsigned TotalInstants,

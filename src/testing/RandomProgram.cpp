@@ -645,10 +645,16 @@ GeneratedChain sigc::generateDiamondSystem(uint64_t Seed) {
   // both middle producers' roots resolve to DIAS's presence of DX, and
   // the consumer's synchro {DA, DB} — an obligation no single
   // producer's forest can see — is one implication in the joint space.
-  std::string EqX = "DX := (SRC + " + Coef() + ") mod " + M;
+  std::string X = "(SRC + " + Coef() + ") mod " + M;
   std::string EqA = "DA := (DX * " + Coef() + " + " + Coef() + ") mod " + M;
   std::string EqB = "DB := (DX + " + Coef() + ") mod " + M;
   std::string EqY = "DY := (DA + DB * " + Coef() + ") mod " + M;
+  // On odd seeds DIAS samples its export, so DX ticks on a clock below
+  // DIAS's root and the joint space translates a non-terminal BDD.
+  std::string EqX =
+      Seed % 2 ? "DX := (" + X + ") when ((SRC mod " +
+                     std::to_string(2 + Master() % 3) + ") = 0)"
+               : "DX := " + X;
 
   GeneratedChain D;
   D.Names = {"DIAS", "DIAA", "DIAB", "DIAK"};

@@ -129,8 +129,10 @@ GeneratedPair generateFeedbackPair(uint64_t Seed);
 /// Generates a *diamond*: two producers pace their exports from one
 /// shared external input, and the consumer's synchro spans both — an
 /// obligation no single producer's forest can discharge, only the joint
-/// clock space. Returned in chain form (three processes; the last is
-/// the consumer). Coefficients vary with \p Seed, deterministically.
+/// clock space. Returned in chain form (four processes; the last is
+/// the consumer). On odd seeds the source samples the shared export, so
+/// the joint space holds a non-terminal BDD. Coefficients vary with
+/// \p Seed, deterministically.
 GeneratedChain generateDiamondSystem(uint64_t Seed);
 
 } // namespace sigc

@@ -15,6 +15,7 @@
 #include "interp/VmExecutor.h"
 #include "link/Linker.h"
 #include "testing/Oracle.h"
+#include "testing/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -290,15 +291,38 @@ TEST(Linker, TwoProducerObligationLinksThroughTheJointSpace) {
   EXPECT_FALSE(R.Sys->Fused.Code.empty());
 }
 
+namespace {
+
+/// Links \p Inputs with the joint space limited to \p Nodes BDD nodes
+/// (the units compile unbounded).
+LinkResult linkUnderNodeLimit(const std::vector<LinkInput> &Inputs,
+                              unsigned Nodes) {
+  std::vector<LinkUnit> Units(Inputs.size());
+  for (size_t K = 0; K < Inputs.size(); ++K) {
+    CompileOptions CO;
+    CO.Optimize = false; // What the linker compiles its units with.
+    Units[K].Name = Inputs[K].Name;
+    Units[K].Comp = compileSource(Inputs[K].Name, Inputs[K].Source, CO);
+    if (!Units[K].Comp) {
+      ADD_FAILURE() << Inputs[K].Name << " did not compile";
+      return {};
+    }
+  }
+  LinkOptions Tight;
+  Tight.Limits = Budget(0, Nodes);
+  return linkCompiled(std::move(Units), Tight);
+}
+
+} // namespace
+
 TEST(Linker, JointSpaceOverItsNodeBudgetRejectsTheLink) {
   // A diamond whose shared export is sampled: both middle producers'
   // roots resolve to DIAS's presence of DX, root ∧ [DX's condition], so
   // discharging DIAK's synchro builds that conjunction in the joint
-  // space. (In generateDiamondSystem DX ticks with its root, and the
-  // joint space allocates a single variable node, which every node
-  // limit admits.) The joint space frees nothing: a node limit it cannot
-  // meet trips its budget, and the link is rejected, never accepted on a
-  // partial proof.
+  // space. (Were DX to tick with its root, the joint space would
+  // allocate a single variable node, which every node limit admits.)
+  // The joint space frees nothing: a node limit it cannot meet trips its
+  // budget, and the link is rejected, never accepted on a partial proof.
   const std::vector<LinkInput> Diamond = {
       {"DIAS", "process DIAS = ( ? integer SRC; ! integer DX; )"
                " (| DX := SRC when ((SRC mod 3) = 0) |);"},
@@ -312,22 +336,27 @@ TEST(Linker, JointSpaceOverItsNodeBudgetRejectsTheLink) {
   ASSERT_TRUE(Good.Sys) << Good.Error;
   EXPECT_EQ(Good.Sys->Channels.size(), 4u);
 
-  // The units compile unbounded; only the link's joint space is limited.
-  std::vector<LinkUnit> Units(Diamond.size());
-  for (size_t K = 0; K < Diamond.size(); ++K) {
-    CompileOptions CO;
-    CO.Optimize = false; // What the linker compiles its units with.
-    Units[K].Name = Diamond[K].Name;
-    Units[K].Comp = compileSource(Diamond[K].Name, Diamond[K].Source, CO);
-    ASSERT_TRUE(Units[K].Comp) << Diamond[K].Name;
-  }
-  LinkOptions Tight;
-  Tight.Limits = Budget(0, 1);
-  LinkResult Bad = linkCompiled(std::move(Units), Tight);
+  LinkResult Bad = linkUnderNodeLimit(Diamond, 1);
   ASSERT_FALSE(Bad.Sys);
   EXPECT_NE(Bad.Error.find("unable-mem: the joint-space budget tripped"),
             std::string::npos)
       << Bad.Error;
+}
+
+TEST(Linker, GeneratedDiamondsOnOddSeedsBuildANonTerminalJointBdd) {
+  // generateDiamondSystem samples DIAS's export on odd seeds, so the
+  // diamond sweeps translate a non-terminal BDD into the joint space: a
+  // one-node limit trips there, and admits the even seeds' single
+  // variable node.
+  for (uint64_t Seed = 0; Seed < 4; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    GeneratedChain D = generateDiamondSystem(Seed);
+    std::vector<LinkInput> Inputs;
+    for (size_t K = 0; K < D.Sources.size(); ++K)
+      Inputs.push_back({D.Names[K], D.Sources[K]});
+    LinkResult R = linkUnderNodeLimit(Inputs, 1);
+    EXPECT_EQ(R.Sys == nullptr, Seed % 2 == 1) << R.Error;
+  }
 }
 
 TEST(Linker, UncompilableUnitReportsItsDiagnostics) {

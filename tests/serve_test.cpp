@@ -450,8 +450,8 @@ std::vector<SessionStats> parseSessionLines(const std::string &Log) {
 TEST(Serve, TwoConcurrentSessionsGetIndependentCorrectResponses) {
   auto C = compileOk(alarmFigure5Source());
   // 320 instants at the default 64-instant serve batch: each session
-  // needs several scheduler wakeups, so the two lanes genuinely
-  // interleave at different instants.
+  // needs several round-robin scheduler passes, so the two lanes
+  // genuinely interleave at different instants.
   Stimulus A = recordStimulus(*C, 320, 21);
   Stimulus B = recordStimulus(*C, 320, 22);
   ASSERT_NE(A.Bytes, B.Bytes);
@@ -895,6 +895,130 @@ TEST(Serve, TeardownCountersEqualReplayStats) {
   ::unlink(File.c_str());
 }
 
+namespace {
+
+struct ServeCounters {
+  unsigned long long Wakeups = 0, Batches = 0, Recvs = 0, Sends = 0,
+                     BytesIn = 0, BytesOut = 0;
+};
+
+/// Parses the `serve:` counter line the server prints at exit; it must
+/// directly follow the `served N session(s)` line.
+bool parseServeCounters(const std::string &Log, ServeCounters &C) {
+  size_t At = Log.find("served ");
+  if (At == std::string::npos)
+    return false;
+  At = Log.find('\n', At);
+  return At != std::string::npos &&
+         std::sscanf(Log.c_str() + At + 1,
+                     "serve: wakeups=%llu batches=%llu recvs=%llu "
+                     "sends=%llu bytes_in=%llu bytes_out=%llu",
+                     &C.Wakeups, &C.Batches, &C.Recvs, &C.Sends, &C.BytesIn,
+                     &C.BytesOut) == 6;
+}
+
+/// Splits a trace stream at its header and frame boundaries (the
+/// trailer is the last chunk).
+std::vector<std::vector<uint8_t>> splitFrames(const std::vector<uint8_t> &S) {
+  TraceSpec Spec;
+  size_t At = 0;
+  TraceError Err;
+  EXPECT_TRUE(parseTraceHeader(S.data(), S.size(), Spec, At, Err))
+      << Err.str();
+  std::vector<std::vector<uint8_t>> Chunks = {{S.begin(), S.begin() + At}};
+  while (At < S.size()) {
+    size_t End = At + TraceFrameHeaderBytes + readU32(S, At);
+    Chunks.emplace_back(S.begin() + At, S.begin() + End);
+    At = End;
+  }
+  return Chunks;
+}
+
+} // namespace
+
+TEST(Serve, LayerCountersAccountForBatchesAndBytes) {
+  // --batch 8 over 80 instants in 8-instant frames: exactly ten stepN
+  // calls, whatever the wakeups look like; every stimulus byte comes in
+  // and the Hello plus the response trace go out.
+  auto C = compileOk(alarmFigure5Source());
+  Stimulus St = recordStimulus(*C, 80, 51);
+  std::vector<uint8_t> Ref = expectedResponse(*C, St);
+
+  ScopedServer Server;
+  Server.spawn(/*MaxSessions=*/1, /*Limit=*/1, /*Batch=*/8);
+  ASSERT_GT(Server.Pid, 0);
+  int Fd = connectClient(Server.Sock);
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(sendAll(Fd, St.Bytes.data(), St.Bytes.size()));
+  std::vector<uint8_t> Resp = recvAll(Fd);
+  ::close(Fd);
+  EXPECT_EQ(Server.wait(), 0) << Server.log();
+  EXPECT_EQ(stripHello(Resp), Ref);
+
+  ServeCounters Cnt;
+  ASSERT_TRUE(parseServeCounters(Server.log(), Cnt)) << Server.log();
+  EXPECT_EQ(Cnt.Batches, 10u) << Server.log();
+  EXPECT_EQ(Cnt.BytesIn, St.Bytes.size()) << Server.log();
+  EXPECT_EQ(Cnt.BytesOut, ServeHelloBytes + Ref.size()) << Server.log();
+  EXPECT_EQ(Cnt.BytesOut, Resp.size()) << Server.log();
+  EXPECT_GE(Cnt.Wakeups, 1u) << Server.log();
+  EXPECT_GE(Cnt.Recvs, 1u) << Server.log();
+  EXPECT_GE(Cnt.Sends, 1u) << Server.log();
+}
+
+TEST(Serve, ResponseDoesNotDependOnBatchSizeOrWakeupShape) {
+  // The response is a function of the stimulus alone: the stepN size
+  // (--batch 1, the default, 4096) and how the stimulus arrives (all at
+  // once behind a half-close, or one frame per wakeup) change how many
+  // passes and wakeups a session takes, never its bytes.
+  auto Fig5 = compileOk(alarmFigure5Source());
+  std::string Source = generateRandomProgram("RND", 404);
+  auto Rnd = compileOk(Source);
+  std::string File = writeProgramFile(Source);
+  struct Case {
+    const Compilation &C;
+    std::vector<std::string> Program;
+    Stimulus St;
+  } Cases[] = {
+      {*Fig5, {"--builtin", "FIG5_ALARM"}, recordStimulus(*Fig5, 300, 71)},
+      {*Rnd, {File}, recordStimulus(*Rnd, 120, 404, "RND")},
+  };
+  for (const Case &K : Cases) {
+    std::vector<uint8_t> Ref = expectedResponse(K.C, K.St);
+    std::vector<std::vector<uint8_t>> Frames = splitFrames(K.St.Bytes);
+    for (const char *Batch : {"1", "", "4096"}) {
+      SCOPED_TRACE(K.Program.back() + " --batch " + Batch);
+      std::vector<std::string> Args = {"--max-sessions", "1",
+                                       "--serve-limit", "2"};
+      if (*Batch)
+        Args.insert(Args.end(), {"--batch", Batch});
+      ScopedServer Server;
+      Server.spawnArgs(Args, K.Program);
+      ASSERT_GT(Server.Pid, 0);
+
+      int Fd = connectClient(Server.Sock);
+      ASSERT_GE(Fd, 0);
+      ASSERT_TRUE(sendAll(Fd, K.St.Bytes.data(), K.St.Bytes.size()));
+      ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
+      std::vector<uint8_t> AtOnce = recvAll(Fd);
+      ::close(Fd);
+      EXPECT_EQ(stripHello(AtOnce), Ref) << Server.log();
+
+      Fd = connectClient(Server.Sock);
+      ASSERT_GE(Fd, 0);
+      for (const std::vector<uint8_t> &F : Frames) {
+        ASSERT_TRUE(sendAll(Fd, F.data(), F.size()));
+        ::usleep(1000);
+      }
+      std::vector<uint8_t> Trickled = recvAll(Fd);
+      ::close(Fd);
+      EXPECT_EQ(stripHello(Trickled), Ref) << Server.log();
+      EXPECT_EQ(Server.wait(), 0) << Server.log();
+    }
+  }
+  ::unlink(File.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Tiered native execution under --serve
 //===----------------------------------------------------------------------===//
@@ -929,7 +1053,7 @@ TEST(ServeTier, ForceNativeKillResumeIsByteIdentical) {
 
 TEST(ServeTier, AutoWarmSwapMidStreamResumesByteIdentical) {
   // Warm cache + --tier-after 16: sessions start on the VM and every
-  // lane hot-swaps to native at a wakeup boundary mid-stream. The kill
+  // lane hot-swaps to native at a batch boundary mid-stream. The kill
   // points straddle the swap (before at 8, after at 40); both must
   // resume byte-identically — the swap is invisible to the protocol.
   if (!hostCCompilerAvailable())
@@ -984,7 +1108,7 @@ TEST(ServeTier, AutoSwapIsLoggedAndResponseIsExact) {
   EXPECT_NE(Log.find("tier: sessions now run native (cache hit"),
             std::string::npos)
       << Log;
-  // Deterministic split: --batch 8, swap at the first wakeup boundary
+  // Deterministic split: --batch 8, swap at the first batch boundary
   // past --tier-after 16, the remaining 64 instants native.
   EXPECT_NE(Log.find("tier: vm_instants=16 native_instants=64 cache=hit"),
             std::string::npos)
