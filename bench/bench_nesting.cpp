@@ -50,9 +50,6 @@ void runBench(benchmark::State &State, GuardLowering L) {
   State.counters["guard_tests_per_step"] = benchmark::Counter(
       static_cast<double>(Exec.guardTests()),
       benchmark::Counter::kAvgIterations);
-  State.counters["instrs_per_step"] = benchmark::Counter(
-      static_cast<double>(Exec.executed()),
-      benchmark::Counter::kAvgIterations);
 }
 
 void BM_StepFlat(benchmark::State &State) {

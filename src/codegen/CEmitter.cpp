@@ -7,6 +7,9 @@
 // operand past the scratch slots names a delay memory (a forwarded delay
 // load) and reads its state field.
 //
+// The counters follow the VM's rule: each skip adds one guard test, and
+// every other instruction but a clock check one executed instruction.
+//
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
@@ -331,7 +334,7 @@ void Emitter::emitBody(std::string &Out) const {
   // The skip offsets are properly nested (each SkipIfAbsent jumps past
   // its own block's lowering), so the stream reconstructs as structured
   // if-nesting: open an `if` at every skip, close it when the PC reaches
-  // the recorded offset. Executed-instruction weights accumulate per
+  // the recorded offset. Executed instructions accumulate per
   // straight-line region and flush as one counter update at each control
   // boundary — the C step's counters land exactly on the VM's.
   std::vector<int32_t> CloseAt;
@@ -366,7 +369,8 @@ void Emitter::emitBody(std::string &Out) const {
     }
     if (In.Op == VmOp::CheckClockEq)
       flushExec(); // A failed check returns: count what ran first.
-    PendingExec += In.Weight;
+    else
+      ++PendingExec;
     Out += pad() + instrStmt(static_cast<size_t>(PC)) + "\n";
   }
   flushExec();

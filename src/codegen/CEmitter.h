@@ -22,7 +22,7 @@
 ///
 /// The generated state struct carries `guard_tests`/`executed` counters
 /// maintained exactly as the VM maintains its own (one guard test per
-/// `if`, instruction weights summed per straight-line region), so a C
+/// `if`, executed instructions summed per straight-line region), so a C
 /// run is pinned number-for-number against a VM run of the same trace.
 ///
 /// Contract of the generated code: the caller fills the input struct with

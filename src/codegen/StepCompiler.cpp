@@ -163,8 +163,7 @@ private:
   /// Emits code computing node \p NodeIdx of \p Eq. Leaves emit nothing;
   /// constant subtrees fold at build time. Interior results land in the
   /// scratch slot of (\p Depth, result type), or directly in \p TargetSlot
-  /// (>= 0) for the root — whose instruction then carries Weight 1 for the
-  /// whole lowered step instruction.
+  /// (>= 0) for the root.
   Operand emitNode(const KernelEq &Eq, int NodeIdx, unsigned Depth,
                    int32_t TargetSlot) {
     const FuncNode &N = Eq.Nodes[NodeIdx];
@@ -183,7 +182,6 @@ private:
       TypeKind Type = unaryResultKind(N.UOp, C.Type);
       VmInstr V;
       V.Op = VmOp::UnarySlot;
-      V.Weight = TargetSlot >= 0 ? 1 : 0;
       V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth, Type);
       V.A = C.Idx;
       V.Aux = static_cast<int32_t>(N.UOp);
@@ -201,7 +199,6 @@ private:
       V.Op = L.IsConst   ? VmOp::BinaryCS
              : R.IsConst ? VmOp::BinarySC
                          : VmOp::BinarySS;
-      V.Weight = TargetSlot >= 0 ? 1 : 0;
       // Writing the destination cannot clobber an operand mid-compute:
       // the evaluator computes the result before storing it.
       V.Target = TargetSlot >= 0 ? TargetSlot : tempSlot(Depth, Type);

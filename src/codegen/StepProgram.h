@@ -18,16 +18,19 @@
 ///
 /// A StepProgram holds that bytecode in schedule order without any skip:
 /// each scheduled action's instructions form one StepGroup tagged with
-/// the clock path that guards it. CompiledStep lays the groups out for
-/// the one VM in either of Figure 9's control structures (GuardLowering):
+/// the clock path that guards it. CompiledStep deletes what nothing reads
+/// (optimize), then lays the groups out for the one VM in either of
+/// Figure 9's control structures (GuardLowering), a group left empty
+/// without a skip:
 ///   * flat:   every guarded group tests its own guard (code b),
 ///   * nested: groups share the skips of the clock path they have in
 ///     common, so an absent clock skips its whole subtree (code a, the
 ///     optimization the clock hierarchy enables), and a skip whose only
 ///     content is another skip is dropped, so each block tests its clock
 ///     once.
-/// Both execute identically. The nested one tests far fewer guards on
-/// every builtin (STOPWATCH: ~175 per instant against flat's 1,461).
+/// Both execute the same instructions identically. The nested one tests
+/// far fewer guards on every builtin (STOPWATCH: ~146 per instant
+/// against flat's 787).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +65,7 @@ enum class OperandSpace : uint8_t {
 /// Aux), each operand column naming the OperandSpace of that field.
 // clang-format off
 #define SIGC_VM_OPCODES(X)                                                     \
-  /* if (!clock[A]) pc = Aux: a block guard, weight 0. */                      \
+  /* if (!clock[A]) pc = Aux: a block guard (counted in guard tests). */     \
   X(SkipIfAbsent,     "skip-if-absent", None,  Clock, None,  Jump)             \
   /* clock[Target] := env tick of clock-input desc Aux. */                     \
   X(ReadClockInput,   "read-clock",     Clock, None,  None,  ClockInput)       \
@@ -95,7 +98,7 @@ enum class OperandSpace : uint8_t {
   X(WriteOutput,      "write",          None,  Value, None,  Output)           \
   /* Unless clock[A] == clock[B], the instant ends here and the step     */    \
   /* reports check Aux (a negative slot reads as absent). A linked       */    \
-  /* system's dynamic channel check; weighs 0.                           */    \
+  /* system's dynamic channel check; not an executed instruction.      */    \
   X(CheckClockEq,     "check-clock-eq", None,  Clock, Clock, Check)
 // clang-format on
 
@@ -133,13 +136,10 @@ inline VmOperands vmOperands(VmOp Op) {
 }
 
 /// One VM instruction; the fields index the spaces vmOperands names.
+/// Every instruction that runs counts once in the executed counter,
+/// except SkipIfAbsent (a guard test) and CheckClockEq.
 struct VmInstr {
   VmOp Op = VmOp::SetClockFalse;
-  /// Contribution to the Executed counter. A step instruction lowered to
-  /// several VM instructions (a multi-operator Func tree) counts once:
-  /// the root carries 1, interior scratch computations carry 0, so the
-  /// counter counts executed step instructions under either lowering.
-  int8_t Weight = 1;
   int32_t Target = -1;
   int32_t A = -1;
   int32_t B = -1;

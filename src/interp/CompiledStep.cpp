@@ -22,7 +22,6 @@ std::vector<VmInstr> sigc::layOutGuards(const std::vector<VmInstr> &Code,
   auto open = [&](int32_t Guard) {
     VmInstr Skip;
     Skip.Op = VmOp::SkipIfAbsent;
-    Skip.Weight = 0; // Guard tests have their own counter.
     Skip.A = Guard;
     Open.emplace_back(Guard, Out.size());
     Out.push_back(Skip);
@@ -30,6 +29,8 @@ std::vector<VmInstr> sigc::layOutGuards(const std::vector<VmInstr> &Code,
 
   uint32_t Begin = 0;
   for (const StepGroup &G : Groups) {
+    if (G.End == Begin)
+      continue; // No code, no skip.
     if (L == GuardLowering::Flat) {
       closeTo(0);
       if (!G.Guards.empty())
@@ -77,13 +78,10 @@ std::vector<VmInstr> sigc::layOutGuards(const std::vector<VmInstr> &Code,
   return Out;
 }
 
-CompiledStep CompiledStep::build(const StepProgram &Step, GuardLowering L) {
-  CompiledStep CS = layOut(Step, L);
-  optimize(CS);
-  return CS;
-}
+namespace {
 
-CompiledStep CompiledStep::layOut(const StepProgram &Step, GuardLowering L) {
+/// \p Step's slots, constants and descriptors, without code.
+CompiledStep slotsOf(const StepProgram &Step) {
   CompiledStep CS;
   CS.NumClockSlots = Step.NumClockSlots;
   CS.NumValueSlots = Step.NumValueSlots;
@@ -95,6 +93,23 @@ CompiledStep CompiledStep::layOut(const StepProgram &Step, GuardLowering L) {
   CS.Outputs = Step.Outputs;
   CS.SignalClockSlot = Step.SignalClockSlot;
   CS.SlotType = Step.SlotType;
+  return CS;
+}
+
+} // namespace
+
+CompiledStep CompiledStep::build(const StepProgram &Step, GuardLowering L) {
+  CompiledStep CS = slotsOf(Step);
+  std::vector<VmInstr> Code = Step.Code;
+  std::vector<StepGroup> Groups = Step.Groups;
+  CS.Dropped = optimize(CS, Code, Groups);
+  CS.Code = layOutGuards(Code, Groups, L);
+  CS.orderOutputFlush();
+  return CS;
+}
+
+CompiledStep CompiledStep::layOut(const StepProgram &Step, GuardLowering L) {
+  CompiledStep CS = slotsOf(Step);
   CS.Code = layOutGuards(Step.Code, Step.Groups, L);
   CS.orderOutputFlush();
   return CS;
@@ -122,9 +137,8 @@ std::string CompiledStep::dump() const {
   char Buf[128];
   for (size_t I = 0; I < Code.size(); ++I) {
     const VmInstr &In = Code[I];
-    std::snprintf(Buf, sizeof Buf,
-                  "%4zu: %-16s t=%-3d a=%-3d b=%-3d aux=%-3d w=%d\n", I,
-                  vmOpName(In.Op), In.Target, In.A, In.B, In.Aux, In.Weight);
+    std::snprintf(Buf, sizeof Buf, "%4zu: %-16s t=%-3d a=%-3d b=%-3d aux=%d\n",
+                  I, vmOpName(In.Op), In.Target, In.A, In.B, In.Aux);
     Out += Buf;
   }
   std::snprintf(Buf, sizeof Buf,

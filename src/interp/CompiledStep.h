@@ -20,11 +20,12 @@
 ///   * flat (code b): the groups in schedule order, each guarded one
 ///     under its own SkipIfAbsent.
 /// A linked system's fused step (StepFusion) is laid out nested by the
-/// same function. Skips weigh 0 and each step instruction weighs 1, so
-/// VmExecutor's Executed counter is the same under both lowerings and
-/// GuardTests measures the difference: per instant, flat tests every
-/// guarded step instruction once, nested one guard per block it enters.
-/// The oracle checks both counts, and that nested never tests more.
+/// same function. Every instruction that runs counts once in
+/// VmExecutor's Executed counter, except skips and clock checks, and both
+/// lowerings hold the same instructions, so Executed is the same under
+/// both and GuardTests measures the difference: per instant, flat tests
+/// every guarded group once, nested one guard per block it enters. The
+/// oracle checks both counts, and that nested never tests more.
 ///
 /// Types are static: each value and scratch slot holds its SlotType
 /// entry, each constant and delay memory its Value's kind, for the whole
@@ -32,14 +33,14 @@
 /// decodes each instruction into a handler specialized by its operand
 /// types and lays its 8-byte untagged slots out without tags.
 ///
-/// One optimizer pass, optimize, runs on the final step: build runs it
-/// after the layout of either lowering, and StepFusion after fusing the
-/// units' unoptimized layouts (layOut, which the linker's unit compiles
-/// stop at). It deletes clock and value
-/// definitions nothing reads, forwards single-definition copies and
-/// delay loads into their readers, and moves each deleted instruction's
-/// weight to a survivor of its block, so the VM, the C emitter, StepHash
-/// and native code all get the smaller step with the same counters.
+/// One optimizer pass, optimize, runs on the skip-free groups before
+/// their layout: build runs it ahead of either lowering, and StepFusion
+/// on the fused groups of the units' unoptimized layouts (layOut, which
+/// the linker's unit compiles stop at). It deletes clock and value
+/// definitions nothing reads and forwards single-definition copies and
+/// delay loads into their readers. A group whose code all died gets no
+/// skip, so the VM, the C emitter, StepHash and native code all get the
+/// smaller step and count only what it runs.
 ///
 /// A delay memory is a value operand: operand NumValueSlots +
 /// NumTempSlots + k (valueEnd() + k) names delay memory k, which the VM's
@@ -96,23 +97,27 @@ struct GuardShape {
 /// Where a lowering puts the guards (Figure 9; see the file comment).
 enum class GuardLowering : uint8_t {
   Nested, ///< One skip per block of the clock tree.
-  Flat,   ///< One skip per guarded step instruction.
+  Flat,   ///< One skip per guarded group.
 };
 
 /// Lays out \p Code, partitioned by \p Groups, with the SkipIfAbsent
-/// guards of lowering \p L. The result's skips are properly nested: a
-/// skip's target lies inside the range of every skip enclosing it.
+/// guards of lowering \p L; an empty group gets none. The result's skips
+/// are properly nested: a skip's target lies inside the range of every
+/// skip enclosing it.
 std::vector<VmInstr> layOutGuards(const std::vector<VmInstr> &Code,
                                   const std::vector<StepGroup> &Groups,
                                   GuardLowering L);
 
 struct CompiledStep;
 
-/// The optimizer pass (see the file comment). Keeps every skip, clock
-/// check, output and delay store, and the executed and guard-test counts
-/// of every run; moves weights only within a block, between jump
-/// targets. Idempotent.
-void optimize(CompiledStep &CS);
+/// The optimizer pass (see the file comment) over skip-free \p Code,
+/// partitioned by \p Groups; \p Slots gives the slot layout and types
+/// (its own Code is not read). Keeps every clock check, output and delay
+/// store and the group order; a group may be left empty. Never raises the
+/// executed or guard-test count of a run. Idempotent. \returns the
+/// instructions deleted.
+unsigned optimize(const CompiledStep &Slots, std::vector<VmInstr> &Code,
+                  std::vector<StepGroup> &Groups);
 
 /// A slot-resolved, allocation-free compiled reactive step.
 struct CompiledStep {
@@ -147,8 +152,8 @@ struct CompiledStep {
   /// Instructions optimize deleted (the --stats vm dropped= field).
   unsigned Dropped = 0;
 
-  /// Lays out \p Step's guards by \p L, derives the output flush order
-  /// and optimizes.
+  /// Optimizes \p Step's groups, lays out their guards by \p L and
+  /// derives the output flush order.
   static CompiledStep build(const StepProgram &Step,
                             GuardLowering L = GuardLowering::Nested);
   /// build without optimize: a link unit's step (CompileOptions::Optimize

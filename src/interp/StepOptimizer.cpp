@@ -1,6 +1,8 @@
-//===--- StepOptimizer.cpp - The optimizer pass over CompiledStep ---------===//
+//===--- StepOptimizer.cpp - The optimizer pass over a step's groups ------===//
 //
-// optimize() repeats one round until a round changes nothing:
+// optimize() works on a step's skip-free code and its StepGroups, before
+// layOutGuards places any skip, and repeats one round until a round
+// changes nothing:
 //
 //   1. Forwarding. A CopyValue that is the only definition of its
 //      target hands its source to each reader that no write of the
@@ -11,18 +13,15 @@
 //      took. A delay store is never forwarded: its memory is read in the
 //      next instant.
 //   2. Liveness. Marking starts at the instructions with an effect
-//      (skips, clock checks, outputs, delay stores) and follows what each
+//      (clock checks, outputs, delay stores) and follows what each
 //      reads: a scratch operand to the write just before it (a scratch
 //      slot lives inside one step instruction's code), any other slot to
-//      all of its writers.
-//   3. Deletion. An unmarked instruction goes and its weight moves to a
-//      survivor of its segment: a straight run of code that no jump
-//      enters or leaves and no clock check ends (skips and checks are
-//      never deleted and weigh 0). Every instruction of a segment runs
-//      iff its first does, so the executed count of every instant stays.
-//      A segment whose instructions all die keeps one to carry its
-//      weight, and a segment keeps as many as its weight needs at
-//      INT8_MAX each.
+//      all of its writers. A group that keeps an instruction reads every
+//      clock of its guard path, under either lowering, so the nested and
+//      the flat layout keep the same instructions.
+//   3. Deletion. An unmarked instruction goes, and each group's end
+//      moves with it. A group left empty gets no skip from layOutGuards,
+//      so a block whose code all died goes away with its guard test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +29,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
+#include <cstdint>
 
 using namespace sigc;
 
@@ -43,26 +42,27 @@ int slotClass(TypeKind K) {
   return K == TypeKind::Integer ? 0 : K == TypeKind::Real ? 1 : 2;
 }
 
-/// Instruction-level view of one CompiledStep: every slot read and write
+/// Instruction-level view of one step's code: every slot read and write
 /// under one key space, clocks first, then the value operands: values,
 /// scratch slots and delay memories.
 class StepView {
 public:
-  explicit StepView(CompiledStep &CS)
-      : CS(CS), NumClocks(static_cast<int32_t>(CS.NumClockSlots)),
-        ValueEnd(CS.valueEnd()),
+  StepView(const CompiledStep &Slots, std::vector<VmInstr> &Code)
+      : CS(Slots), Code(Code),
+        NumClocks(static_cast<int32_t>(Slots.NumClockSlots)),
+        ValueEnd(Slots.valueEnd()),
         NumKeys(static_cast<size_t>(NumClocks + ValueEnd) +
-                CS.StateInit.size()) {
+                Slots.StateInit.size()) {
     // Per key, its writers and readers in code order, in two flat lists
     // (counted, then filled).
-    const int32_t N = static_cast<int32_t>(CS.Code.size());
+    const int32_t N = static_cast<int32_t>(Code.size());
     WriteBegin.assign(NumKeys + 1, 0);
     ReadBegin.assign(NumKeys + 1, 0);
     std::vector<int32_t> Last(2 * NumKeys, -1);
     auto scan = [&](auto Record) {
       std::fill(Last.begin(), Last.end(), -1);
       for (int32_t PC = 0; PC < N; ++PC)
-        forEachSlot(CS.Code[PC], [&](int32_t Key, bool Write) {
+        forEachSlot(Code[PC], [&](int32_t Key, bool Write) {
           int32_t &Seen = Last[2 * Key + Write];
           if (Seen != PC) {
             Seen = PC;
@@ -115,8 +115,8 @@ public:
   /// Forwards copies (step 1). \returns true if some reader changed.
   bool forward() {
     bool Changed = false;
-    for (int32_t PC = 0; PC < static_cast<int32_t>(CS.Code.size()); ++PC) {
-      const VmInstr In = CS.Code[PC];
+    for (int32_t PC = 0; PC < static_cast<int32_t>(Code.size()); ++PC) {
+      const VmInstr In = Code[PC];
       if (In.Op != VmOp::CopyValue || storesDelay(In))
         continue;
       const int32_t Source = In.A, Target = In.Target;
@@ -134,8 +134,8 @@ public:
       for (int32_t Use : Uses) {
         if (Use > Bound)
           continue; // The source changes before this reader.
-        VmOperands Ops = vmOperands(CS.Code[Use].Op);
-        VmInstr &R = CS.Code[Use];
+        VmOperands Ops = vmOperands(Code[Use].Op);
+        VmInstr &R = Code[Use];
         for (auto [S, F] : {std::pair<OperandSpace, int32_t *>{Ops.A, &R.A},
                             {Ops.B, &R.B}})
           if (S == OperandSpace::Value && *F == Target) {
@@ -147,25 +147,14 @@ public:
     return Changed;
   }
 
-  /// Marks what is live (step 2) and deletes the rest (step 3).
-  /// \returns the instructions deleted.
-  unsigned sweep() {
-    const int32_t N = static_cast<int32_t>(CS.Code.size());
-    std::vector<VmInstr> &Code = CS.Code;
-
-    // Segments: -1 for skips and checks, else an id per straight run.
-    std::vector<char> JumpTarget(N + 1, 0);
-    for (const VmInstr &In : Code)
-      if (In.Op == VmOp::SkipIfAbsent)
-        JumpTarget[In.Aux] = 1;
-    std::vector<int32_t> Segment(N, -1);
-    int32_t NumSegments = 0;
-    for (int32_t PC = 0; PC < N; ++PC) {
-      if (isBarrier(Code[PC]))
-        continue;
-      bool Fresh = PC == 0 || JumpTarget[PC] || Segment[PC - 1] < 0;
-      Segment[PC] = Fresh ? NumSegments++ : Segment[PC - 1];
-    }
+  /// Marks what is live (step 2) and deletes the rest from Code and
+  /// \p Groups (step 3). \returns the instructions deleted.
+  unsigned sweep(std::vector<StepGroup> &Groups) {
+    const int32_t N = static_cast<int32_t>(Code.size());
+    std::vector<int32_t> GroupOf(N);
+    for (int32_t G = 0, PC = 0; G < static_cast<int32_t>(Groups.size()); ++G)
+      for (; PC < static_cast<int32_t>(Groups[G].End); ++PC)
+        GroupOf[PC] = G;
 
     // The write each scratch read sees: the last one before it.
     const int32_t ScratchBegin = NumClocks + static_cast<int32_t>(
@@ -185,7 +174,8 @@ public:
       });
     }
 
-    std::vector<char> Live(N, 0), SlotLive(NumKeys, 0);
+    std::vector<char> Live(N, 0), GroupLive(Groups.size(), 0),
+        SlotLive(NumKeys, 0);
     std::vector<int32_t> Work;
     auto keep = [&](int32_t PC) {
       if (PC >= 0 && !Live[PC]) {
@@ -193,112 +183,55 @@ public:
         Work.push_back(PC);
       }
     };
-    auto mark = [&]() {
-      while (!Work.empty()) {
-        int32_t PC = Work.back();
-        Work.pop_back();
-        keep(ScratchDefs[2 * static_cast<size_t>(PC)]);
-        keep(ScratchDefs[2 * static_cast<size_t>(PC) + 1]);
-        forEachSlot(Code[PC], [&](int32_t Key, bool Write) {
-          if (Write || (Key >= ScratchBegin && Key < ScratchEnd) ||
-              SlotLive[Key])
-            return;
-          SlotLive[Key] = 1;
-          for (int32_t Def : writes(Key))
-            keep(Def);
-        });
-      }
+    auto read = [&](int32_t Key) {
+      if (SlotLive[Key])
+        return;
+      SlotLive[Key] = 1;
+      for (int32_t Def : writes(Key))
+        keep(Def);
     };
     for (int32_t PC = 0; PC < N; ++PC)
       if (hasEffect(Code[PC]))
         keep(PC);
-    mark();
-
-    // Each segment keeps enough survivors to carry its weight, preferring
-    // a carrier that reads nothing (so it keeps nothing else alive).
-    std::vector<int32_t> Weight(NumSegments, 0), Survivors(NumSegments, 0);
-    for (bool Added = true; Added;) {
-      Added = false;
-      std::fill(Weight.begin(), Weight.end(), 0);
-      std::fill(Survivors.begin(), Survivors.end(), 0);
-      for (int32_t PC = 0; PC < N; ++PC)
-        if (Segment[PC] >= 0) {
-          Weight[Segment[PC]] += Code[PC].Weight;
-          Survivors[Segment[PC]] += Live[PC];
-        }
-      for (int32_t PC = 0; PC < N; ++PC) {
-        int32_t S = Segment[PC];
-        if (S < 0 || Live[PC] ||
-            Survivors[S] * INT8_MAX >= Weight[S])
-          continue;
-        int32_t Carrier = PC;
-        for (int32_t Q = PC; Q < N && Segment[Q] == S; ++Q)
-          if (!Live[Q] && readsNothing(Code[Q])) {
-            Carrier = Q;
-            break;
-          }
-        keep(Carrier);
-        ++Survivors[S];
-        Added = true;
+    while (!Work.empty()) {
+      int32_t PC = Work.back();
+      Work.pop_back();
+      keep(ScratchDefs[2 * static_cast<size_t>(PC)]);
+      keep(ScratchDefs[2 * static_cast<size_t>(PC) + 1]);
+      forEachSlot(Code[PC], [&](int32_t Key, bool Write) {
+        if (!Write && (Key < ScratchBegin || Key >= ScratchEnd))
+          read(Key);
+      });
+      if (!GroupLive[GroupOf[PC]]) {
+        GroupLive[GroupOf[PC]] = 1;
+        for (int32_t Guard : Groups[GroupOf[PC]].Guards)
+          read(Guard);
       }
-      mark();
     }
 
-    // Pour each dead weight onto the survivors after it, then before it.
-    for (int32_t PC = 0; PC < N; ++PC) {
-      int32_t S = Segment[PC];
-      if (S < 0 || Live[PC])
-        continue;
-      int32_t Left = Code[PC].Weight;
-      auto pour = [&](int32_t Q) {
-        if (Left <= 0 || !Live[Q])
-          return;
-        int32_t Room = INT8_MAX - Code[Q].Weight;
-        int32_t Moved = std::min(Room, Left);
-        Code[Q].Weight = static_cast<int8_t>(Code[Q].Weight + Moved);
-        Left -= Moved;
-      };
-      for (int32_t Q = PC + 1; Q < N && Segment[Q] == S; ++Q)
-        pour(Q);
-      for (int32_t Q = PC - 1; Q >= 0 && Segment[Q] == S; --Q)
-        pour(Q);
-      assert(Left == 0 && "a segment lost weight");
-      Code[PC].Weight = 0;
-    }
-
-    // Delete, moving every jump to its target's new place.
-    std::vector<int32_t> NewPC(N + 1);
-    int32_t Kept = 0;
+    // Delete, moving every group's end to its new place.
+    std::vector<uint32_t> NewPC(N + 1);
+    uint32_t Kept = 0;
     for (int32_t PC = 0; PC < N; ++PC) {
       NewPC[PC] = Kept;
-      if (Segment[PC] < 0 || Live[PC])
+      if (Live[PC])
         Code[Kept++] = Code[PC];
     }
     NewPC[N] = Kept;
     Code.resize(Kept);
-    for (VmInstr &In : Code)
-      if (In.Op == VmOp::SkipIfAbsent)
-        In.Aux = NewPC[In.Aux];
-    return static_cast<unsigned>(N - Kept);
+    for (StepGroup &G : Groups)
+      G.End = NewPC[G.End];
+    return static_cast<unsigned>(N) - Kept;
   }
 
 private:
-  static bool isBarrier(const VmInstr &In) {
-    return In.Op == VmOp::SkipIfAbsent || In.Op == VmOp::CheckClockEq;
-  }
   bool storesDelay(const VmInstr &In) const {
     return vmOperands(In.Op).Target == OperandSpace::Value &&
            In.Target >= ValueEnd;
   }
   bool hasEffect(const VmInstr &In) const {
-    return isBarrier(In) || In.Op == VmOp::WriteOutput || storesDelay(In);
-  }
-  bool readsNothing(const VmInstr &In) const {
-    bool Reads = false;
-    forEachSlot(In, [&](int32_t, bool Write) {
-      Reads = Reads || !Write;
-    });
-    return !Reads;
+    return In.Op == VmOp::CheckClockEq || In.Op == VmOp::WriteOutput ||
+           storesDelay(In);
   }
 
   /// The instructions of one key's list.
@@ -318,7 +251,8 @@ private:
             ReadPCs.data() + ReadBegin[Key + 1]};
   }
 
-  CompiledStep &CS;
+  const CompiledStep &CS;
+  std::vector<VmInstr> &Code;
   const int32_t NumClocks;
   const int32_t ValueEnd;
   const size_t NumKeys;
@@ -329,15 +263,19 @@ private:
 
 } // namespace
 
-void sigc::optimize(CompiledStep &CS) {
+unsigned sigc::optimize(const CompiledStep &Slots, std::vector<VmInstr> &Code,
+                        std::vector<StepGroup> &Groups) {
+  assert((Groups.empty() ? Code.empty() : Groups.back().End == Code.size()) &&
+         "the groups must partition the code");
+  unsigned Dropped = 0;
   for (;;) {
     // Forwarding rewrites only reads, so the writer lists the sweep
     // follows still hold.
-    StepView View(CS);
+    StepView View(Slots, Code);
     bool Forwarded = View.forward();
-    unsigned Deleted = View.sweep();
-    CS.Dropped += Deleted;
+    unsigned Deleted = View.sweep(Groups);
+    Dropped += Deleted;
     if (!Forwarded && Deleted == 0)
-      return;
+      return Dropped;
   }
 }

@@ -17,6 +17,11 @@
 // (clock literal + skip). Every operator has one handler per operand
 // class it accepts; there is no fallback on tagged Values.
 //
+// Each decoded instruction carries the count it adds to Executed: 1, a
+// run head's run length, or 0 for a skip and a clock check (a skip adds
+// a guard test instead). So Executed counts the CompiledStep
+// instructions that run, one add per dispatch.
+//
 //===----------------------------------------------------------------------===//
 
 #include "interp/VmExecutor.h"
@@ -37,7 +42,7 @@ using namespace sigc;
 
 //===--- The op bodies, shared by both dispatchers ------------------------===//
 //
-// Every body runs after `In = Code[PC++]` and `Exec += In.Weight`, in a
+// Every body runs after `In = Code[PC++]` and `Exec += In.Count`, in a
 // scope that also sees the slot file S, the state block Block inside it,
 // the clock slots Clock, the port P, the guard counter Guards and the
 // failed-check code Failed. Jumps assign PC. Bodies may contain commas —
@@ -87,7 +92,7 @@ using namespace sigc;
 
 // The ops that often repeat back to back, Y(X, Name, statement over the
 // instruction R). Each gets a single handler and a run handler. A run
-// head's Weight is its run length (each element weighs 1), and the run
+// head's Count is its run length (each element counts 1), and the run
 // handler executes the whole run in one dispatch; decode makes every
 // element the head of its own suffix, so a jump into a run still works.
 #define SIGC_VM_RUN_OPS(Y, X)                                                  \
@@ -99,8 +104,8 @@ using namespace sigc;
 #define SIGC_VM_RUN_BODIES(X, Name, Stmt)                                      \
   X(Name, const Instr *R = &In; Stmt)                                          \
   X(Name##Run, const Instr *R = &In;                                           \
-    for (const Instr *E = R + In.Weight; R != E; ++R) { Stmt }                 \
-    PC += In.Weight - 1;)
+    for (const Instr *E = R + In.Count; R != E; ++R) { Stmt }                  \
+    PC += In.Count - 1;)
 
 #define SIGC_VM_UNARY_BODY(X, Name, Op, Class, F, Expr)                        \
   X(Name, const VmSlot &a = S[In.A]; S[In.Target].F = (Expr);)
@@ -295,7 +300,7 @@ void VmExecutor::decode() {
     const VmInstr &V = CS.Code[PC];
     const VmOperands Ops = vmOperands(V.Op);
     Instr &D = Code[PC];
-    D.Weight = V.Weight;
+    D.Count = V.Op == VmOp::SkipIfAbsent || V.Op == VmOp::CheckClockEq ? 0 : 1;
     D.Target = slot(Ops.Target, V.Target);
     D.A = slot(Ops.A, V.A);
     D.B = slot(Ops.B, V.B);
@@ -377,19 +382,19 @@ void VmExecutor::decode() {
     }
   }
   // Runs of one runnable handler, found back to front so each element
-  // heads its own suffix; a head's weight becomes the run length.
+  // heads its own suffix; a head's count becomes the run length.
   for (size_t PC = N; PC-- > 0;) {
     Instr &D = Code[PC];
     uint8_t Run = runHandler(D.Op);
-    if (Run == D.Op || D.Weight != 1)
+    if (Run == D.Op)
       continue;
     const Instr &Next = Code[PC + 1];
-    if (Next.Op == Run && Next.Weight < INT8_MAX) {
+    if (Next.Op == Run && Next.Count < INT8_MAX) {
       D.Op = Run;
-      D.Weight = static_cast<int8_t>(Next.Weight + 1);
-    } else if (Next.Op == D.Op && Next.Weight == 1) {
+      D.Count = static_cast<int8_t>(Next.Count + 1);
+    } else if (Next.Op == D.Op) {
       D.Op = Run;
-      D.Weight = 2;
+      D.Count = 2;
     }
   }
   Stats.Decoded = static_cast<unsigned>(N);
@@ -470,7 +475,7 @@ int32_t VmExecutor::execInstant(BatchPort &P) {
 #define SIGC_VM_LABEL(Name, ...)                                               \
   L_##Name: {                                                                  \
     const Instr &In = Code[PC++];                                              \
-    Exec += In.Weight;                                                         \
+    Exec += In.Count;                                                          \
     __VA_ARGS__                                                                \
     SIGC_VM_DISPATCH();                                                        \
   }

@@ -59,9 +59,10 @@
 ///
 /// The guard/instruction counters count what the step's lowering asks
 /// for: one guard test per SkipIfAbsent reached, one executed
-/// instruction per step instruction run. Running the nested and the
-/// flat lowering (GuardLowering) of one step on the same trace therefore
-/// measures Figure 9's guard economics on one engine.
+/// instruction per other instruction run, clock checks excluded. Both
+/// lowerings hold the same instructions, so running the nested and the
+/// flat lowering (GuardLowering) of one step on the same trace measures
+/// Figure 9's guard economics on one engine.
 ///
 /// Native mode. With a NativeModule attached, stepN keeps its prefetch,
 /// binding and flush but runs the module's compiled step on the state
@@ -182,7 +183,7 @@ public:
   uint64_t guardTests() const {
     return static_cast<uint64_t>(Slots[BlockBase].I);
   }
-  /// Instructions actually executed so far (skip tests excluded).
+  /// Instructions executed so far (skips and clock checks excluded).
   uint64_t executed() const {
     return static_cast<uint64_t>(Slots[BlockBase + 1].I);
   }
@@ -222,7 +223,8 @@ private:
   /// file.
   struct Instr {
     uint8_t Op = 0;    ///< Handler, in SIGC_VM_OPS order.
-    int8_t Weight = 0; ///< VmInstr's; a run head's: the run length.
+    int8_t Count = 0; ///< Added to Executed: 1, a run head's run length,
+                      ///< or 0 for a skip and a clock check.
     int32_t Target = -1;
     int32_t A = -1;
     int32_t B = -1;

@@ -5,7 +5,6 @@
 #include "link/JointClockSpace.h"
 #include "link/StepFusion.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -221,40 +220,6 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
                   "' has no input descriptor for the import");
   }
 
-  // --- Scheduling priority: Kahn over the unit-level channel dataflow ----
-  // A feedback cycle between units is NOT an error any more: fusion
-  // schedules at instruction granularity, where only a true same-instant
-  // dependency cycle (diagnosed there, with the channel path) is fatal.
-  // The Kahn order is kept as the round priority, so acyclic systems fuse
-  // to plain concatenation in topological order.
-  std::vector<unsigned> Prio;
-  {
-    std::vector<unsigned> InDeg(Sys->Units.size(), 0);
-    std::vector<std::vector<unsigned>> Succ(Sys->Units.size());
-    for (const LinkChannel &Ch : Sys->Channels) {
-      // Count each producer->consumer pair once.
-      if (std::find(Succ[Ch.Producer].begin(), Succ[Ch.Producer].end(),
-                    Ch.Consumer) == Succ[Ch.Producer].end()) {
-        Succ[Ch.Producer].push_back(Ch.Consumer);
-        ++InDeg[Ch.Consumer];
-      }
-    }
-    std::vector<unsigned> Ready;
-    for (unsigned U = 0; U < Sys->Units.size(); ++U)
-      if (InDeg[U] == 0)
-        Ready.push_back(U);
-    while (!Ready.empty()) {
-      // Smallest index first: a deterministic order.
-      auto It = std::min_element(Ready.begin(), Ready.end());
-      unsigned U = *It;
-      Ready.erase(It);
-      Prio.push_back(U);
-      for (unsigned V : Succ[U])
-        if (--InDeg[V] == 0)
-          Ready.push_back(V);
-    }
-  }
-
   // The joint BDD clock space is built lazily: only links with an
   // obligation spanning two producers pay for it.
   std::unique_ptr<JointClockSpace> Joint;
@@ -387,7 +352,7 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
   }
 
   // --- Fusion: one CompiledStep for the whole system ---------------------
-  FusionResult Fusion = fuseLinkedSteps(*Sys, Prio);
+  FusionResult Fusion = fuseLinkedSteps(*Sys);
   if (!Fusion.Ok)
     return fail(std::move(Fusion.Error));
   Sys->Fused = std::move(Fusion.Fused);

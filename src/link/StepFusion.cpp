@@ -48,8 +48,7 @@ struct FInstr {
 
 } // namespace
 
-FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
-                                   const std::vector<unsigned> &Prio) {
+FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
   FusionResult R;
   CompiledStep &F = R.Fused;
   const size_t NU = Sys.Units.size();
@@ -188,7 +187,6 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
       continue;
     FInstr P;
     P.In.Op = VmOp::LoadConst;
-    P.In.Weight = 0;
     P.In.Target = Slot;
     P.In.Aux = internConst(F.Consts, typedZeroValue(OD.Type));
     Lists[Ch.Producer].push_back(P);
@@ -361,21 +359,46 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
   }
 
   // --- Schedule: rounds over the dependence order ------------------------
-  // Each round sweeps every unit, emitting its ready instructions in
-  // index order (re-sweeping while anything lands). When nothing is
-  // cross-blocked the lowest unscheduled index is always ready, so an
-  // acyclic system with Prio a topological order degenerates to plain
-  // concatenation of whole units; feedback systems interleave the
-  // independent halves across rounds.
-  std::vector<unsigned> Rounds = Prio;
+  // The round priority is a Kahn order over the unit-level channel
+  // dataflow, smallest index first; a feedback cycle between units is no
+  // error (only a same-instant cycle of instructions is, diagnosed below),
+  // and its units follow in index order. Each round sweeps every unit,
+  // emitting its ready instructions in index order (re-sweeping while
+  // anything lands). When nothing is cross-blocked the lowest unscheduled
+  // index is always ready, so an acyclic system degenerates to plain
+  // concatenation of whole units in topological order; feedback systems
+  // interleave the independent halves across rounds.
+  std::vector<unsigned> Rounds;
   {
-    // A cyclic unit graph yields a partial Kahn order: append the rest.
-    std::vector<char> InPrio(NU, 0);
-    for (unsigned U : Rounds)
-      if (U < NU)
-        InPrio[U] = 1;
+    std::vector<unsigned> InDeg(NU, 0);
+    std::vector<std::vector<unsigned>> Succ(NU);
+    for (const LinkChannel &Ch : Sys.Channels) {
+      // Count each producer->consumer pair once.
+      if (std::find(Succ[Ch.Producer].begin(), Succ[Ch.Producer].end(),
+                    Ch.Consumer) == Succ[Ch.Producer].end()) {
+        Succ[Ch.Producer].push_back(Ch.Consumer);
+        ++InDeg[Ch.Consumer];
+      }
+    }
+    std::vector<unsigned> Ready;
     for (unsigned U = 0; U < NU; ++U)
-      if (!InPrio[U])
+      if (InDeg[U] == 0)
+        Ready.push_back(U);
+    while (!Ready.empty()) {
+      auto It = std::min_element(Ready.begin(), Ready.end());
+      unsigned U = *It;
+      Ready.erase(It);
+      Rounds.push_back(U);
+      for (unsigned V : Succ[U])
+        if (--InDeg[V] == 0)
+          Ready.push_back(V);
+    }
+    // A cyclic unit graph yields a partial Kahn order: append the rest.
+    std::vector<char> InRounds(NU, 0);
+    for (unsigned U : Rounds)
+      InRounds[U] = 1;
+    for (unsigned U = 0; U < NU; ++U)
+      if (!InRounds[U])
         Rounds.push_back(U);
   }
   std::vector<std::vector<char>> Emitted(NU);
@@ -453,23 +476,21 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     return R;
   }
 
-  // --- Lay out: each instruction is a group under its guard path --------
-  std::vector<VmInstr> Code;
-  std::vector<StepGroup> Groups;
+  // --- Groups: each instruction is one, under its guard path -------------
+  std::vector<VmInstr> &Code = R.Code;
+  std::vector<StepGroup> &Groups = R.Groups;
   Code.reserve(Sched.size());
-  Groups.reserve(Sched.size());
+  Groups.reserve(Sched.size() + 1);
   for (FInstr *FI : Sched) {
     Code.push_back(FI->In);
     Groups.push_back(
         {std::move(FI->Guards), static_cast<uint32_t>(Code.size())});
   }
-  F.Code = layOutGuards(Code, Groups, GuardLowering::Nested);
-  F.orderOutputFlush();
 
   // --- Dynamic checks ----------------------------------------------------
   // A channel whose consumer derives the import's clock itself: at the
-  // end of every instant both sides must agree on presence. Unguarded,
-  // after everything else, so a failed check ends a completed instant.
+  // end of every instant both sides must agree on presence. One trailing
+  // unguarded group, so a failed check ends a completed instant.
   for (size_t C = 0; C < Sys.Channels.size(); ++C) {
     const LinkChannel &Ch = Sys.Channels[C];
     if (Ch.ConsumerClockInput >= 0)
@@ -480,13 +501,17 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     int PSlot = PCS.Outputs[Ch.ProducerOutput].ClockSlot;
     VmInstr Check;
     Check.Op = VmOp::CheckClockEq;
-    Check.Weight = 0;
     Check.A = CSlot >= 0 ? mapClock(Ch.Consumer, CSlot) : -1;
     Check.B = PSlot >= 0 ? mapClock(Ch.Producer, PSlot) : -1;
     Check.Aux = static_cast<int32_t>(C);
-    F.Code.push_back(Check);
+    Code.push_back(Check);
   }
-  optimize(F);
+  Groups.push_back({{}, static_cast<uint32_t>(Code.size())});
+
+  // --- Optimize, then lay out --------------------------------------------
+  F.Dropped = optimize(F, Code, Groups);
+  F.Code = layOutGuards(Code, Groups, GuardLowering::Nested);
+  F.orderOutputFlush();
 
   // --- Unit order by first fused instruction -----------------------------
   for (unsigned U = 0; U < NU; ++U)

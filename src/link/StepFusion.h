@@ -53,17 +53,20 @@ struct FusionResult {
   bool Ok = false;
   std::string Error; ///< Cycle diagnostic (names the channel path).
   CompiledStep Fused;
+  /// The fused code without skips and its groups (one per instruction,
+  /// then the trailing unguarded group of clock checks), as optimize left
+  /// them: Fused.Code is their nested layout (layOutGuards).
+  std::vector<VmInstr> Code;
+  std::vector<StepGroup> Groups;
   /// Units ordered by first fused instruction (equals the unit-level
   /// topological order whenever one exists).
   std::vector<unsigned> Order;
 };
 
-/// Fuses \p Sys's units. \p Prio is the preferred unit order for the
-/// scheduling rounds (a Kahn-derived order; cyclic systems may pass any
-/// permutation). Requires Units, Channels (descriptor indices resolved)
-/// and External{Inputs,Outputs} to be final.
-FusionResult fuseLinkedSteps(const LinkedSystem &Sys,
-                             const std::vector<unsigned> &Prio);
+/// Fuses \p Sys's units. Requires Units, Channels (descriptor indices
+/// resolved) and External{Inputs,Outputs} to be final; reads nothing
+/// else of \p Sys, so calling it again on a linked system fuses it anew.
+FusionResult fuseLinkedSteps(const LinkedSystem &Sys);
 
 } // namespace sigc
 

@@ -75,7 +75,6 @@ std::string sigc::hashCompiledStep(const CompiledStep &CS) {
   F.u64(CS.Code.size());
   for (const VmInstr &In : CS.Code) {
     F.u64(static_cast<uint64_t>(In.Op));
-    F.i64(In.Weight);
     F.i64(In.Target);
     F.i64(In.A);
     F.i64(In.B);

@@ -32,7 +32,9 @@ namespace sigc {
 /// struct is the VM's slot block and the shim's state and counter
 /// accessors are gone. Version 5: the step and the run entry report a
 /// failed clock check (CheckClockEq) and the instants they ran.
-constexpr int NativeFormatVersion = 5;
+/// Version 6: `executed` counts every instruction run but skips and
+/// clock checks; instructions carry no weights.
+constexpr int NativeFormatVersion = 6;
 
 /// The flags every cached artifact is compiled with (part of the hash, so
 /// changing them invalidates the cache).

@@ -489,13 +489,10 @@ OracleReport sigc::checkDifferential(const std::string &Name,
         failure(Name, "flat vs nested step divergence", D.Report, Source);
     return R;
   }
-  // The counters, checked against the step program rather than against
-  // one lowering: both lowerings execute the same step instructions, the
-  // flat one tests every guarded step instruction once per instant, and
-  // nesting never tests more.
-  uint64_t Guarded = 0;
-  for (const StepGroup &G : C->Step.Groups)
-    Guarded += !G.Guards.empty();
+  // The counters, checked against the lowerings' structure: both execute
+  // the same instructions, the flat one tests each of its skips, all at
+  // depth 1, once per instant, and nesting never tests more.
+  const uint64_t Guarded = Flat.guardShape().Guards;
   if (R.ExecutedFlat != R.ExecutedNested ||
       R.GuardTestsFlat != Guarded * Options.Instants ||
       R.GuardTestsNested > R.GuardTestsFlat) {
@@ -503,8 +500,8 @@ OracleReport sigc::checkDifferential(const std::string &Name,
         Name, "guard/instruction counters break the lowering invariants",
         "flat:   guards=" + std::to_string(R.GuardTestsFlat) +
             " executed=" + std::to_string(R.ExecutedFlat) +
-            " (guarded step instructions " + std::to_string(Guarded) +
-            " x instants " + std::to_string(Options.Instants) + ")" +
+            " (flat skips " + std::to_string(Guarded) + " x instants " +
+            std::to_string(Options.Instants) + ")" +
             "\nnested: guards=" + std::to_string(R.GuardTestsNested) +
             " executed=" + std::to_string(R.ExecutedNested) + "\n",
         Source);

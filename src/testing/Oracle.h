@@ -13,9 +13,9 @@
 ///      format,
 ///   3. the step program's flat lowering on the same VM (Figure 9's
 ///      code b). Besides the trace, its counters check the nested ones
-///      against the step program itself: both execute the same number
-///      of step instructions, flat tests exactly one guard per guarded
-///      step instruction per instant, and nested never tests more,
+///      against the lowerings' structure: both execute the same number
+///      of instructions, flat tests each of its skips once per instant,
+///      and nested never tests more,
 ///   4. optionally, the emitted C — lowered from the same CompiledStep
 ///      bytecode — round-tripped through the host C compiler (-std=c99
 ///      -Wall -Werror) and executed as a subprocess, its generated

@@ -266,11 +266,11 @@ TEST(Cli, StatsReportsGuardShape) {
                           "bdd_cache_probes=36\n"),
             std::string::npos)
       << R.Output;
-  // The VM decode is deterministic: the optimizer drops 16 of FIG5_ALARM's
-  // 41 instructions, two clock literals fuse with the skip after them, and
-  // the slot file (values, scratch, constants, counters, states) is 17
-  // slots.
-  EXPECT_NE(R.Output.find("\nstats: vm decoded=25 fused=2 dropped=16 "
+  // The VM decode is deterministic: the optimizer drops 17 of FIG5_ALARM's
+  // 34 instructions, which leaves 17 and the 7 skips of their blocks, two
+  // clock literals fuse with the skip after them, and the slot file
+  // (values, scratch, constants, counters, states) is 17 slots.
+  EXPECT_NE(R.Output.find("\nstats: vm decoded=24 fused=2 dropped=17 "
                           "slot_bytes=136\n"),
             std::string::npos)
       << R.Output;
@@ -300,14 +300,15 @@ TEST(Cli, FleetStatsSumCountersAcrossInstances) {
 TEST(Cli, FlatModeBatchesLikeUnbatchedFlat) {
   // --mode flat runs the flat lowering on the VM, so --batch applies: the
   // batched run prints the unbatched one's trace and counters, and warns
-  // about nothing. The counters are unbatched flat's: each of STOPWATCH's
-  // 1,461 guarded step instructions tests its guard once per instant.
+  // about nothing. The counters are unbatched flat's: each of the 787
+  // skips of STOPWATCH's flat step, one per guarded group that keeps
+  // code, is tested once per instant.
   const std::string Run = "--builtin STOPWATCH --simulate 2000 --seed 5 "
                           "--mode flat";
   CliResult R = runSignalc(Run + " --batch 64 --stats");
   ASSERT_EQ(R.Exit, 0) << R.Output;
-  EXPECT_NE(R.Output.find("stats: mode=flat instants=2000 executed=1616732 "
-                          "guard_tests=2922000 instrs_per_instant=808.37\n"),
+  EXPECT_NE(R.Output.find("stats: mode=flat instants=2000 executed=1273086 "
+                          "guard_tests=1574000 instrs_per_instant=636.54\n"),
             std::string::npos)
       << R.Output;
   EXPECT_EQ(R.Output.find("warning"), std::string::npos) << R.Output;

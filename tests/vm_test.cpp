@@ -8,12 +8,12 @@
 ///     scale),
 ///   * the guard-economics regression pins: the nested lowering must
 ///     never regress to flat-level guard work, and the Executed counter
-///     stays comparable across the multi-instruction expression lowering
-///     (Weight accounting),
-///   * Figure-9 nesting: no guard block holds nothing but another guard
-///     block (a same-target chain), in compiled and in fused steps,
+///     counts each instruction of a multi-instruction expression once,
+///   * Figure-9 nesting: no guard block is empty or holds nothing but
+///     another guard block (a same-target chain), in compiled and in
+///     fused steps,
 ///   * the layout of every lowering: skips properly nested, the flat one
-///     at most one deep with one skip per guarded step instruction,
+///     at most one deep with one skip per guarded group that keeps code,
 ///   * quickening: every typed handler agrees with evalUnaryValue/
 ///     evalBinaryValue on edge values, the generic handler still agrees
 ///     with the other engines, and the fused clock-literal/skip keeps the
@@ -91,24 +91,33 @@ TEST(CompiledStep, SkipOffsetsAreForwardAndBounded) {
     EXPECT_LE(In.Aux, static_cast<int32_t>(CS.Code.size()));
     EXPECT_GE(In.A, 0);
     EXPECT_LT(In.A, static_cast<int32_t>(CS.NumClockSlots));
-    EXPECT_EQ(In.Weight, 0) << "guard tests are not executed instructions";
   }
   EXPECT_GT(Skips, 0u) << "a sampled program must have guarded blocks";
 }
 
-TEST(CompiledStep, ExpressionLoweringCountsOnceViaWeights) {
-  // (A * A + 1) * (A - 2) lowers to several three-address instructions;
-  // exactly one of them (the root) must carry Weight 1.
+TEST(CompiledStep, ExpressionLoweringCountsEachInstructionOnce) {
+  // (A * A + 1) * (A - 2) lowers to four three-address instructions over
+  // scratch slots; each of them counts once in Executed, skips none.
   auto C = compileOk(proc("? integer A; ! integer Y;",
                           "   Y := (A * A + 1) * (A - 2)"));
   CompiledStep CS = buildVm(*C);
   EXPECT_GT(CS.NumTempSlots, 0u) << "interior results need scratch slots";
-  uint64_t StepInstrs = C->Step.Groups.size();
-  uint64_t WeightSum = 0;
-  for (const VmInstr &In : CS.Code)
-    WeightSum += In.Weight;
-  EXPECT_EQ(WeightSum, StepInstrs)
-      << "every step instruction contributes exactly 1 to Executed";
+  uint64_t Binary = 0, Counted = 0;
+  for (const VmInstr &In : CS.Code) {
+    Binary += In.Op == VmOp::BinarySS || In.Op == VmOp::BinarySC;
+    Counted += In.Op != VmOp::SkipIfAbsent;
+  }
+  EXPECT_EQ(Binary, 4u);
+  ScriptedEnvironment Env;
+  Env.tickAlways();
+  for (unsigned I = 0; I < 5; ++I)
+    Env.set("A", I, Value::makeInt(static_cast<int>(I)));
+  VmExecutor Vm(CS);
+  Vm.run(Env, 5);
+  EXPECT_EQ(formatEvents(Env.outputs()),
+            "0 Y=-2\n1 Y=-2\n2 Y=0\n3 Y=10\n4 Y=34\n");
+  EXPECT_EQ(Vm.executed(), 5 * Counted)
+      << "every instruction but a skip counts once per instant it runs";
 }
 
 TEST(CompiledStep, ConstantSubtreesFoldAtBuildTime) {
@@ -312,13 +321,19 @@ TEST(VmExecutor, StopwatchGuardTestsPerInstantBounded) {
 
 namespace {
 
-/// Fails when a guard's block holds nothing but the next guard's block:
-/// a SkipIfAbsent immediately followed by another with the same target.
+/// Fails when a guard's block is empty or holds nothing but the next
+/// guard's block: a SkipIfAbsent to the next pc, or one immediately
+/// followed by another with the same target.
 void expectNoGuardChains(const CompiledStep &CS, const std::string &What) {
-  for (size_t PC = 0; PC + 1 < CS.Code.size(); ++PC) {
-    const VmInstr &A = CS.Code[PC], &B = CS.Code[PC + 1];
-    if (A.Op == VmOp::SkipIfAbsent && B.Op == VmOp::SkipIfAbsent) {
-      EXPECT_NE(A.Aux, B.Aux) << What << ": guard chain at pc " << PC;
+  for (size_t PC = 0; PC < CS.Code.size(); ++PC) {
+    const VmInstr &A = CS.Code[PC];
+    if (A.Op != VmOp::SkipIfAbsent)
+      continue;
+    EXPECT_GT(A.Aux, static_cast<int32_t>(PC + 1))
+        << What << ": empty guard block at pc " << PC;
+    if (PC + 1 < CS.Code.size() && CS.Code[PC + 1].Op == VmOp::SkipIfAbsent) {
+      EXPECT_NE(A.Aux, CS.Code[PC + 1].Aux)
+          << What << ": guard chain at pc " << PC;
     }
   }
 }
@@ -385,15 +400,22 @@ unsigned expectProperlyNested(const CompiledStep &CS, const std::string &What) {
 
 /// Checks both unit lowerings of \p C: the nested one is properly nested
 /// without guard chains, the flat one has depth 1 at most and one skip
-/// per guarded step instruction.
+/// per guarded group that keeps code after optimize.
 void expectUnitLayouts(const Compilation &C, const std::string &What) {
   expectProperlyNested(C.Compiled, What + " nested");
   expectNoGuardChains(C.Compiled, What + " nested");
   CompiledStep Flat = CompiledStep::build(C.Step, GuardLowering::Flat);
   EXPECT_LE(expectProperlyNested(Flat, What + " flat"), 1u) << What;
+  expectNoGuardChains(Flat, What + " flat");
+  std::vector<VmInstr> Code = C.Step.Code;
+  std::vector<StepGroup> Groups = C.Step.Groups;
+  optimize(Flat, Code, Groups);
   size_t Guarded = 0;
-  for (const StepGroup &G : C.Step.Groups)
-    Guarded += !G.Guards.empty();
+  uint32_t Begin = 0;
+  for (const StepGroup &G : Groups) {
+    Guarded += !G.Guards.empty() && G.End > Begin;
+    Begin = G.End;
+  }
   EXPECT_EQ(Flat.guardShape().Guards, Guarded) << What;
 }
 
@@ -619,13 +641,12 @@ TEST(VmQuickening, MixedIntegerRealConvertsExplicitly) {
 
 namespace {
 
-/// Runs \p C's nested step (\p Nested, or C.Compiled) stepped and in
-/// batch windows; the VM's counters and trace must not depend on the
-/// window, and its executed count must equal the flat lowering's.
+/// Runs \p C's optimized nested step stepped and in batch windows; the
+/// VM's counters and trace must not depend on the window, and its
+/// executed count must equal the optimized flat lowering's.
 void expectCountersUnderBatchWindows(const Compilation &C,
-                                     const std::string &What,
-                                     const CompiledStep *Nested = nullptr) {
-  const CompiledStep &CS = Nested ? *Nested : C.Compiled;
+                                     const std::string &What) {
+  const CompiledStep &CS = C.Compiled;
   const unsigned Instants = 300;
   RandomEnvironment EnvStepped(23), EnvFlat(23);
   VmExecutor Stepped(CS);
@@ -658,40 +679,36 @@ unsigned countDecoded(const Compilation &C, const char *Name) {
 } // namespace
 
 TEST(VmQuickening, FusedClockLiteralSkipKeepsCountersUnderBatchWindows) {
-  // STOPWATCH fuses negative literals (a boolean's [not C] usually
-  // follows its [C]); generated program 688 also fuses a positive one.
-  auto Random = compileOk(generateRandomProgram("R688", 688));
+  // Generated program 16 fuses a positive literal whose skip is also the
+  // target of another skip: the original skip must stay decoded in place
+  // for that jump.
+  auto Random = compileOk(generateRandomProgram("R16", 16));
   ASSERT_GT(countDecoded(*Random, "ClockLiteralSkipT"), 0u);
-  expectCountersUnderBatchWindows(*Random, "random 688");
+  const CompiledStep &CS = Random->Compiled;
+  VmExecutor Vm(CS);
+  std::vector<char> IsTarget(CS.Code.size() + 1, 0);
+  for (const VmInstr &In : CS.Code)
+    if (In.Op == VmOp::SkipIfAbsent)
+      IsTarget[In.Aux] = 1;
+  unsigned Landing = 0;
+  for (size_t PC = 0; PC + 1 < CS.Code.size(); ++PC)
+    if (CS.Code[PC].Op == VmOp::EvalClockLiteral &&
+        CS.Code[PC + 1].Op == VmOp::SkipIfAbsent && IsTarget[PC + 1]) {
+      ++Landing;
+      EXPECT_EQ(std::strncmp(Vm.decodedOpName(PC), "ClockLiteralSkip", 16), 0);
+      EXPECT_STREQ(Vm.decodedOpName(PC + 1), "SkipIfAbsent");
+    }
+  EXPECT_GT(Landing, 0u);
+  expectCountersUnderBatchWindows(*Random, "random 16");
 
+  // STOPWATCH fuses literals of both polarities.
   for (const Figure13Program &P : figure13Suite()) {
     if (P.Name != "STOPWATCH")
       continue;
     auto C = compileSource("<fused:STOPWATCH>", P.Source);
     ASSERT_TRUE(C->Ok);
+    ASSERT_GT(countDecoded(*C, "ClockLiteralSkipT"), 0u);
     ASSERT_GT(countDecoded(*C, "ClockLiteralSkipF"), 0u);
-
-    // Some fused pair's skip is also the target of another skip: the
-    // original skip must stay decoded in place for that jump. The
-    // unoptimized layout has such pairs (the optimizer deletes the dead
-    // literals of STOPWATCH's).
-    const CompiledStep CS = CompiledStep::layOut(C->Step);
-    VmExecutor Vm(CS);
-    std::vector<char> IsTarget(CS.Code.size() + 1, 0);
-    for (const VmInstr &In : CS.Code)
-      if (In.Op == VmOp::SkipIfAbsent)
-        IsTarget[In.Aux] = 1;
-    unsigned Landing = 0;
-    for (size_t PC = 0; PC + 1 < CS.Code.size(); ++PC)
-      if (CS.Code[PC].Op == VmOp::EvalClockLiteral &&
-          CS.Code[PC + 1].Op == VmOp::SkipIfAbsent && IsTarget[PC + 1]) {
-        ++Landing;
-        EXPECT_EQ(std::strncmp(Vm.decodedOpName(PC), "ClockLiteralSkip", 16),
-                  0);
-        EXPECT_STREQ(Vm.decodedOpName(PC + 1), "SkipIfAbsent");
-      }
-    EXPECT_GT(Landing, 0u);
-    expectCountersUnderBatchWindows(*C, "STOPWATCH layout", &CS);
     expectCountersUnderBatchWindows(*C, "STOPWATCH");
     return;
   }
