@@ -8,11 +8,13 @@
 ///                    cost of recording on top of executing),
 ///   * replay-mem   — replay out of bytes already in memory (codec +
 ///                    executor, no I/O at all: the ceiling),
-///   * replay-mmap  — replay of an on-disk recording through
-///                    MmapTraceSource (the `--replay` fast path),
-///   * replay-fd    — the same file through FdTraceSource's buffered
-///                    read(2) ring (the pipe/socket path `--serve`
-///                    sessions and `--replay-buffered` use).
+///   * replay-mmap  — replay of an on-disk recording, mapped (what
+///                    `--replay` does with a regular file),
+///   * replay-fd    — the same file read(2) in chunks (what `--replay`
+///                    does with a pipe).
+///
+/// Every leg decodes through TraceDecoder and runs replayTrace, the one
+/// replay loop.
 ///
 /// Workloads: the Figure-5 alarm and a divider chain, at dense and
 /// sparse stimulus — the same shapes bench_step times, so
@@ -27,7 +29,6 @@
 #include "driver/Driver.h"
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
-#include "io/TraceReader.h"
 #include "io/TraceWriter.h"
 #include "programs/Programs.h"
 
@@ -38,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 using namespace sigc;
@@ -83,27 +85,20 @@ std::vector<uint8_t> recordTrace(const CompiledStep &CS, unsigned Instants,
   return {};
 }
 
-/// Replays a whole trace from \p Src; \returns instants per second.
-double replayFrom(const CompiledStep &CS, TraceSource &Src) {
-  TraceReader Reader(Src);
-  if (!Reader.readHeader() || !Reader.matchesStep(CS)) {
-    std::fprintf(stderr, "replay failed: %s\n", Reader.error().str().c_str());
+/// Replays a whole trace from \p In; \returns instants per second.
+double replayFrom(const CompiledStep &CS, TraceInput &In) {
+  TraceDecoder Dec(&CS);
+  if (!In.readHeader(Dec)) {
+    std::fprintf(stderr, "replay failed: %s\n", Dec.error().str().c_str());
     std::exit(1);
   }
-  TraceEnvironment Env(Reader);
+  StreamEnvironment Env(Dec.spec());
   VmExecutor Vm(CS);
-  unsigned At = 0;
   auto T0 = std::chrono::steady_clock::now();
-  for (;;) {
-    unsigned N = Env.prepare(At, Env.streamSpec().FrameInstants);
-    if (N == 0)
-      break;
-    Vm.stepN(Env, At, N);
-    At += N;
-  }
+  unsigned At = replayTrace(In, Dec, Env, Vm, Dec.spec().FrameInstants);
   double S = secondsSince(T0);
-  if (Env.failed()) {
-    std::fprintf(stderr, "replay failed: %s\n", Env.error().str().c_str());
+  if (!Dec.error().ok()) {
+    std::fprintf(stderr, "replay failed: %s\n", Dec.error().str().c_str());
     std::exit(1);
   }
   return S > 0 ? At / S : 0;
@@ -127,10 +122,10 @@ Row benchProgram(const std::string &Name, const std::string &Source,
 
   {
     // Warm replay (binds, shapes frames), then the timed one.
-    MemoryTraceSource Warm(Bytes);
+    TraceInput Warm(Bytes);
     replayFrom(C->Compiled, Warm);
-    MemoryTraceSource Src(Bytes);
-    R.ReplayMemPerSec = replayFrom(C->Compiled, Src);
+    TraceInput In(Bytes);
+    R.ReplayMemPerSec = replayFrom(C->Compiled, In);
   }
 
   std::string Path = "/tmp/sigc-benchstream-" + std::to_string(::getpid()) +
@@ -143,23 +138,22 @@ Row benchProgram(const std::string &Name, const std::string &Source,
   // File-backed legs get their own warm pass so the timed run is not
   // measuring cold page faults against the fresh file.
   for (int Pass = 0; Pass < 2; ++Pass) {
-    MmapTraceSource Src;
+    TraceInput In;
     std::string Error;
-    if (!Src.open(Path, Error)) {
+    if (!In.open(Path, Error)) {
       std::fprintf(stderr, "%s\n", Error.c_str());
       std::exit(1);
     }
-    R.ReplayMmapPerSec = replayFrom(C->Compiled, Src);
+    R.ReplayMmapPerSec = replayFrom(C->Compiled, In);
   }
   for (int Pass = 0; Pass < 2; ++Pass) {
-    std::string Error;
-    int Fd = FdTraceSource::openFile(Path, Error);
+    int Fd = ::open(Path.c_str(), O_RDONLY);
     if (Fd < 0) {
-      std::fprintf(stderr, "%s\n", Error.c_str());
+      std::perror(Path.c_str());
       std::exit(1);
     }
-    FdTraceSource Src(Fd, /*OwnsFd=*/true);
-    R.ReplayFdPerSec = replayFrom(C->Compiled, Src);
+    TraceInput In(Fd, /*OwnsFd=*/true);
+    R.ReplayFdPerSec = replayFrom(C->Compiled, In);
   }
   std::remove(Path.c_str());
   return R;

@@ -73,8 +73,6 @@
     "instants per recorded trace frame")                                       \
   X("--replay", ReplayFile, 0, 0, "", "--simulate", "FILE",                    \
     "re-execute the trace in FILE, verifying outputs")                         \
-  X("--replay-buffered", ReplayBuffered, 0, 0, "--replay", "", "",             \
-    "read the trace with read(2) instead of mmap")                             \
   X("--serve", Serve.SocketPath, 0, 0, "", "--simulate --replay", "SOCK",      \
     "serve trace sessions on the Unix socket SOCK")                            \
   X("--max-sessions", Serve.MaxSessions, 1, UINT32_MAX, "--serve", "", "N",    \
@@ -136,7 +134,7 @@ struct CliOptions {
   bool DumpKernel = false, DumpClocks = false, DumpTree = false;
   bool DumpTreeDot = false, DumpGraph = false, DumpStep = false;
   bool DumpInterface = false, DumpLink = false, EmitC = false;
-  bool WithDriver = false, Stats = false, ReplayBuffered = false;
+  bool WithDriver = false, Stats = false;
   bool Help = false;
   unsigned Simulate = 0, Batch = 0, Fleet = 0, Threads = 1;
   unsigned FrameInstants = TraceDefaultFrameInstants;

@@ -109,9 +109,7 @@ std::unique_ptr<Compilation> sigc::compileSource(std::string BufferName,
   // form both the VM executor and the C emitter consume.
   C->Step = compileStep(*C->Kernel, C->Clocks, *C->Forest, C->Graph,
                         C->Ctx.interner());
-  C->Optimized = Options.Optimize;
-  C->Compiled = Options.Optimize ? CompiledStep::build(C->Step)
-                                 : CompiledStep::layOut(C->Step);
+  C->Compiled = CompiledStep::build(C->Step);
   C->Times.StepMs = Lap();
   C->Ok = true;
   return C;

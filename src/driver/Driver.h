@@ -42,10 +42,6 @@ struct CompileOptions {
   Budget Limits;
   /// Process to compile when the file declares several; empty = first.
   std::string ProcessName;
-  /// False: Compilation::Compiled is the unoptimized layout
-  /// (CompiledStep::layOut), the form StepFusion fuses. The linker
-  /// compiles its units so; everything else runs the optimized step.
-  bool Optimize = true;
 };
 
 /// The pipeline stage a failed compilation stopped in. Kept as an enum so
@@ -91,8 +87,6 @@ public:
   /// The single lowered IR: slot-resolved bytecode built once from Step
   /// and consumed by both the VM executor and the C emitter.
   CompiledStep Compiled;
-  /// Compiled went through optimize (CompileOptions::Optimize).
-  bool Optimized = false;
 
   /// True when every stage completed.
   bool Ok = false;

@@ -19,6 +19,7 @@
 #include "native/TierController.h"
 #include "programs/Programs.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -61,10 +62,13 @@ void printVmStats(const CompiledStep &Step) {
 /// stage times is deterministic.
 void printCompileStats(const Compilation &C, const CompiledStep &Step) {
   GuardShape G = Step.guardShape();
+  size_t Instrs = std::count_if(
+      Step.Code.begin(), Step.Code.end(),
+      [](const VmInstr &I) { return I.Op != VmOp::SkipIfAbsent; });
   std::fprintf(stderr,
                "stats: compile step_instrs=%zu guards=%u distinct_guards=%u "
                "max_guard_depth=%u\n",
-               C.Step.Groups.size(), G.Guards, G.DistinctGuards, G.MaxDepth);
+               Instrs, G.Guards, G.DistinctGuards, G.MaxDepth);
   const CompileStageTimes &T = C.Times;
   std::fprintf(stderr,
                "stats: stages parse_ms=%.3f sema_ms=%.3f clock_ms=%.3f "
@@ -281,47 +285,30 @@ int main(int Argc, char **Argv) {
   }
 
   if (!O.ReplayFile.empty()) {
-    // Replay: the recorded trace is the environment. Outputs the
+    // Replay: the recorded trace is the environment, mapped when it is a
+    // regular file and read in chunks otherwise (a pipe). Outputs the
     // re-execution produces are verified against the recorded ones.
-    std::unique_ptr<TraceSource> Src;
+    TraceInput In;
     std::string OpenErr;
-    if (O.ReplayBuffered) {
-      int Fd = FdTraceSource::openFile(O.ReplayFile, OpenErr);
-      if (Fd < 0) {
-        std::fprintf(stderr, "signalc: %s\n", OpenErr.c_str());
-        return 2;
-      }
-      Src = std::make_unique<FdTraceSource>(Fd, /*OwnsFd=*/true);
-    } else {
-      auto M = std::make_unique<MmapTraceSource>();
-      if (!M->open(O.ReplayFile, OpenErr)) {
-        std::fprintf(stderr, "signalc: %s\n", OpenErr.c_str());
-        return 2;
-      }
-      Src = std::move(M);
-    }
-    TraceReader Reader(*Src);
-    if (!Reader.readHeader() || !Reader.matchesStep(Step)) {
-      std::fprintf(stderr, "signalc: %s: %s\n", O.ReplayFile.c_str(),
-                   Reader.error().str().c_str());
+    if (!In.open(O.ReplayFile, OpenErr)) {
+      std::fprintf(stderr, "signalc: %s\n", OpenErr.c_str());
       return 2;
     }
-    TraceEnvironment Env(Reader);
+    TraceDecoder Dec(&Step);
+    if (!In.readHeader(Dec)) {
+      std::fprintf(stderr, "signalc: %s: %s\n", O.ReplayFile.c_str(),
+                   Dec.error().str().c_str());
+      return 2;
+    }
+    StreamEnvironment Env(Dec.spec());
     Env.setVerifyOutputs(true);
     VmExecutor Exec(Step);
-    unsigned Window = O.Batch > 1 ? O.Batch : Reader.spec().FrameInstants;
-    unsigned At = 0;
-    for (;;) {
-      unsigned N = Env.prepare(At, Window);
-      if (N == 0)
-        break;
-      At += Exec.stepN(Env, At, N);
-      if (Exec.checkFailure())
-        break;
-    }
-    if (Env.failed()) {
+    unsigned At = replayTrace(In, Dec, Env, Exec,
+                              O.Batch > 1 ? O.Batch
+                                          : Dec.spec().FrameInstants);
+    if (!Dec.error().ok()) {
       std::fprintf(stderr, "signalc: %s: %s\n", O.ReplayFile.c_str(),
-                   Env.error().str().c_str());
+                   Dec.error().str().c_str());
       return 2;
     }
     if (!Env.divergence().empty()) {
@@ -335,7 +322,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::printf("replay (%u instants, %s): %llu output(s) match the trace\n",
-                At, O.ReplayBuffered ? "buffered" : "mmap",
+                At, In.streamed() ? "buffered" : "mmap",
                 static_cast<unsigned long long>(Env.outputCount()));
     if (O.Stats && At)
       printStats(ModeName, At, Exec.executed(), Exec.guardTests());

@@ -35,12 +35,11 @@
 ///
 /// One optimizer pass, optimize, runs on the skip-free groups before
 /// their layout: build runs it ahead of either lowering, and StepFusion
-/// on the fused groups of the units' unoptimized layouts (layOut, which
-/// the linker's unit compiles stop at). It deletes clock and value
-/// definitions nothing reads and forwards single-definition copies and
-/// delay loads into their readers. A group whose code all died gets no
-/// skip, so the VM, the C emitter, StepHash and native code all get the
-/// smaller step and count only what it runs.
+/// on the fused groups of the units' StepPrograms. It deletes clock and
+/// value definitions nothing reads and forwards single-definition copies
+/// and delay loads into their readers. A group whose code all died gets
+/// no skip, so the VM, the C emitter, StepHash and native code all get
+/// the smaller step and count only what it runs.
 ///
 /// A delay memory is a value operand: operand NumValueSlots +
 /// NumTempSlots + k (valueEnd() + k) names delay memory k, which the VM's
@@ -156,9 +155,8 @@ struct CompiledStep {
   /// derives the output flush order.
   static CompiledStep build(const StepProgram &Step,
                             GuardLowering L = GuardLowering::Nested);
-  /// build without optimize: a link unit's step (CompileOptions::Optimize
-  /// off), which StepFusion fuses, and the reference the optimizer is
-  /// tested against.
+  /// build without optimize: the reference the optimizer is tested
+  /// against.
   static CompiledStep layOut(const StepProgram &Step,
                              GuardLowering L = GuardLowering::Nested);
 

@@ -6,9 +6,9 @@
 /// storms, mid-stream truncation, byte corruption, ENOSPC/EPIPE — lands
 /// with a pinned, reproducible test instead of a flaky sleep-based one.
 ///
-/// FdTraceSource and FdSink take an optional IoSyscalls; production code
-/// passes nothing and gets the real syscalls. Tests pass a FaultSyscalls
-/// driven by a FaultPlan:
+/// A streamed TraceInput and FdSink take an optional IoSyscalls;
+/// production code passes nothing and gets the real syscalls. Tests pass
+/// a FaultSyscalls driven by a FaultPlan:
 ///
 ///   * per-call schedules (Reads/Writes) decide each call's fate in
 ///     order — pass it through, clamp it short, fail it with a chosen
@@ -39,7 +39,8 @@
 
 namespace sigc {
 
-/// The syscall layer FdTraceSource/FdSink read and write through.
+/// The syscall layer a streamed TraceInput and FdSink read and write
+/// through.
 /// Implementations must preserve read(2)/write(2) semantics (return
 /// count, 0 for EOF, -1 with errno set).
 class IoSyscalls {

@@ -27,11 +27,6 @@ using namespace sigc;
 
 namespace {
 
-/// Longest prefix of a stream we buffer while its header is still
-/// incomplete. Frame payloads are bounded by the spec once the header is
-/// in; before that, this is the only bound a hostile client sees.
-constexpr size_t MaxHeaderBytes = 16u << 20;
-
 /// Signals received (SIGTERM/SIGINT). The first starts a drain, the
 /// second forces exit. Both stay blocked except inside ppoll(), which
 /// unblocks them atomically: one that lands while the loop is busy is
@@ -85,19 +80,17 @@ struct Session {
 
   // Inbound stream.
   std::vector<uint8_t> In;
-  size_t InPos = 0;      ///< Consumed prefix of In.
-  uint64_t InOffset = 0; ///< Stream offset of In[InPos] (diagnostics).
-  bool InEof = false;    ///< No more inbound bytes will ever arrive.
+  size_t InPos = 0;   ///< Consumed prefix of In.
+  bool InEof = false; ///< No more inbound bytes will ever arrive.
   bool PreambleDone = false; ///< Resume-or-fresh decided.
-  bool HeaderDone = false;
-  bool TrailerSeen = false;
-  unsigned Total = 0; ///< Declared total instants (once TrailerSeen).
+  /// Decodes the trace stream that follows the preamble.
+  TraceDecoder Dec;
 
   /// Parked state this connection resumes (set while parsing the
   /// preamble, consumed when the header arrives).
   std::optional<Parked> Resume;
 
-  // Execution.
+  // Execution (set up once the header is in).
   std::unique_ptr<StreamEnvironment> Env;
   unsigned StartInstant = 0; ///< 0, or the resume point.
   unsigned Executed = 0;     ///< Absolute instant cursor.
@@ -141,8 +134,9 @@ private:
                         const std::string &Message);
   void readSession(Session &S);
   bool parseSession(Session &S); ///< False: session torn down.
-  bool parsePreamble(Session &S, bool &Progress); ///< False: torn down.
-  bool parseHeader(Session &S, bool &Progress);   ///< False: torn down.
+  bool parsePreamble(Session &S); ///< False: torn down.
+  void startSession(Session &S);
+  bool refuseStream(Session &S); ///< False: torn down.
   void queueReject(Session &S, ServeRejectReason Reason,
                    const std::string &Message, const char *Kind);
   void pushCheckpoint(Session &S);
@@ -179,7 +173,7 @@ private:
   /// and parsing should pause (the kernel buffer backpressures the
   /// client) until execution catches up.
   bool windowFull(const Session &S) const {
-    return S.HeaderDone &&
+    return S.Env &&
            S.Env->residentEnd() >= S.Executed + maxAheadInstants(S);
   }
   Session *sessionAt(size_t Slot) { return Slots[Slot].get(); }
@@ -245,7 +239,7 @@ void Server::teardown(Session &S, const char *How) {
   // is the exact frontier the client saw (or will see) outputs for.
   bool Recoverable = std::strcmp(How, "disconnected") == 0 ||
                      std::strncmp(How, "stalled", 7) == 0;
-  if (resumeEnabled() && !Draining && Recoverable && S.HeaderDone &&
+  if (resumeEnabled() && !Draining && Recoverable && S.Env &&
       !S.Checkpoints.empty()) {
     Parked P;
     P.Token = S.Token;
@@ -335,6 +329,7 @@ void Server::acceptClients() {
     S->Id = NextId++;
     S->Lane = Lane;
     S->LastInMs = S->LastOutMs = nowMs();
+    S->Dec = TraceDecoder(&CS);
     Slots[Lane] = std::move(S);
   }
 }
@@ -391,30 +386,28 @@ void Server::queueReject(Session &S, ServeRejectReason Reason,
 }
 
 /// Decides resume-vs-fresh from the first bytes of the connection.
-/// Returns false when the session was torn down; \p Progress is set
-/// when bytes were consumed or the decision was made.
-bool Server::parsePreamble(Session &S, bool &Progress) {
+/// Returns false when the session was torn down.
+bool Server::parsePreamble(Session &S) {
   if (S.In.size() - S.InPos < 4) {
     if (!S.InEof)
       return true; // Wait for the magic.
-    std::fprintf(stderr, "session %u: offset %llu: stream ends before a "
+    std::fprintf(stderr, "session %u: offset 0: stream ends before a "
                          "preamble or trace header\n",
-                 S.Id, static_cast<unsigned long long>(S.InOffset));
+                 S.Id);
     teardown(S, "disconnected");
     return false;
   }
   if (std::memcmp(S.In.data() + S.InPos, ServeCtrlMagic, 4) != 0) {
     // A plain trace header: a fresh session.
     S.PreambleDone = true;
-    Progress = true;
     return true;
   }
   ServeCtrl C;
   size_t Consumed = 0;
   TraceError Err;
   TraceFrameStatus St =
-      decodeServeCtrl(S.In.data() + S.InPos, S.In.size() - S.InPos,
-                      S.InOffset, C, Consumed, Err);
+      decodeServeCtrl(S.In.data() + S.InPos, S.In.size() - S.InPos, 0, C,
+                      Consumed, Err);
   if (St == TraceFrameStatus::NeedMore) {
     if (S.InEof) {
       std::fprintf(stderr, "session %u: %s\n", S.Id, Err.str().c_str());
@@ -429,9 +422,7 @@ bool Server::parsePreamble(Session &S, bool &Progress) {
     return false;
   }
   S.InPos += Consumed;
-  S.InOffset += Consumed;
   S.PreambleDone = true;
-  Progress = true;
   if (C.Type != ServeCtrlType::Resume) {
     std::fprintf(stderr,
                  "session %u: unexpected control frame type %u (only "
@@ -469,52 +460,17 @@ bool Server::parsePreamble(Session &S, bool &Progress) {
   It->Checkpoints.erase(Ck + 1, It->Checkpoints.end());
   S.Resume = std::move(*It);
   ParkedSessions.erase(It);
+  // The re-sent stream's first frame starts at the resume point.
+  S.Dec = TraceDecoder(&CS, C.ResumeInstant);
   std::fprintf(stderr, "session %u: resuming session %u at instant %u\n",
                S.Id, S.Resume->Id, C.ResumeInstant);
   return true;
 }
 
-/// Parses and validates the trace header, then sets the session up for
-/// execution (fresh or resumed). Returns false when torn down.
-bool Server::parseHeader(Session &S, bool &Progress) {
-  TraceSpec Spec;
-  size_t HeaderLen = 0;
-  TraceError Err;
-  if (!parseTraceHeader(S.In.data() + S.InPos, S.In.size() - S.InPos, Spec,
-                        HeaderLen, Err)) {
-    if (Err.needMoreData()) {
-      if (S.InEof) {
-        // The stream ended inside the header: a real disconnect.
-        std::fprintf(stderr, "session %u: %s\n", S.Id, Err.str().c_str());
-        teardown(S, "disconnected");
-        return false;
-      }
-      if (S.In.size() - S.InPos > MaxHeaderBytes) {
-        std::fprintf(stderr, "session %u: header exceeds %zu bytes\n", S.Id,
-                     MaxHeaderBytes);
-        teardown(S, "protocol error");
-        return false;
-      }
-      return true; // Wait for more bytes.
-    }
-    std::fprintf(stderr, "session %u: %s\n", S.Id, Err.str().c_str());
-    teardown(S, "protocol error");
-    return false;
-  }
-  TraceSpec Check = TraceSpec::fromStep(CS, Spec.ProcName,
-                                        Spec.FrameInstants);
-  std::string Diff = Spec.diff(Check);
-  if (!Diff.empty()) {
-    std::fprintf(stderr,
-                 "session %u: trace interface does not match the served "
-                 "process: %s\n",
-                 S.Id, Diff.c_str());
-    queueReject(S, ServeRejectReason::InterfaceMismatch,
-                "trace interface does not match the served process: " + Diff,
-                "interface mismatch");
-    Progress = true;
-    return true;
-  }
+/// Sets a session up for execution, fresh or resumed, once its header
+/// has decoded.
+void Server::startSession(Session &S) {
+  const TraceSpec &Spec = S.Dec.spec();
   if (S.Resume && Spec != S.Resume->Spec) {
     std::fprintf(stderr,
                  "session %u: resume header differs from the parked "
@@ -523,14 +479,9 @@ bool Server::parseHeader(Session &S, bool &Progress) {
     queueReject(S, ServeRejectReason::InterfaceMismatch,
                 "resume header differs from the parked session's",
                 "resume rejected");
-    Progress = true;
-    return true;
+    return;
   }
-  S.InPos += HeaderLen;
-  S.InOffset += HeaderLen;
-  S.HeaderDone = true;
-  Progress = true;
-  unsigned R0 = S.Resume ? S.Resume->Checkpoints.back().Instant : 0;
+  unsigned R0 = S.Dec.nextInstant();
   S.Env = std::make_unique<StreamEnvironment>(Spec);
   S.Sink.Q = &S.Out;
   // Hello first: the session is admitted, and the token is what a
@@ -562,7 +513,23 @@ bool Server::parseHeader(Session &S, bool &Progress) {
   } else if (resumeEnabled()) {
     pushCheckpoint(S);
   }
-  return true;
+}
+
+/// Ends a session whose stream the decoder refused, with the decoder's
+/// positioned diagnostic: an interface mismatch is a typed Reject, a
+/// stream that ended early a disconnect (so it parks for resume), and
+/// anything else a protocol error. Returns false when torn down.
+bool Server::refuseStream(Session &S) {
+  const TraceError &E = S.Dec.error();
+  std::fprintf(stderr, "session %u: %s\n", S.Id, E.str().c_str());
+  if (E.Kind == TraceErrorKind::InterfaceMismatch) {
+    queueReject(S, ServeRejectReason::InterfaceMismatch, E.str(),
+                "interface mismatch");
+    return true;
+  }
+  teardown(S, E.Kind == TraceErrorKind::Truncated ? "disconnected"
+                                                   : "protocol error");
+  return false;
 }
 
 void Server::pushCheckpoint(Session &S) {
@@ -572,69 +539,34 @@ void Server::pushCheckpoint(Session &S) {
 }
 
 bool Server::parseSession(Session &S) {
-  bool Progress = false;
-  if (!S.PreambleDone && !parsePreamble(S, Progress))
+  if (!S.PreambleDone && !parsePreamble(S))
     return false;
-  if (!S.PreambleDone || S.Finished)
-    return true;
-  if (!S.HeaderDone && !parseHeader(S, Progress))
-    return false;
-  if (!S.HeaderDone || S.Finished)
-    return true;
   // Inbound flow control: stop decoding (leaving bytes buffered and, via
   // the poll loop, unread in the kernel) once the resident window is far
   // enough ahead of execution; the scheduler resumes parsing after each
   // batch it executes.
-  while (!S.TrailerSeen && !windowFull(S)) {
-    TraceFrame F = S.Env->takeRecycledFrame();
+  while (S.PreambleDone && !S.Finished && !S.Dec.finished() &&
+         !windowFull(S)) {
+    TraceFrame F = S.Env ? S.Env->takeRecycledFrame() : TraceFrame();
     size_t Consumed = 0;
-    TraceError Err;
     TraceFrameStatus St =
-        decodeTraceFrame(S.Env->streamSpec(), S.In.data() + S.InPos,
-                         S.In.size() - S.InPos, S.InOffset, F, Consumed,
-                         S.Total, Err);
-    if (St == TraceFrameStatus::NeedMore) {
-      if (S.InEof) {
-        // The stream ended mid-frame with no trailer: a disconnect.
-        std::fprintf(stderr, "session %u: %s\n", S.Id, Err.str().c_str());
-        teardown(S, "disconnected");
-        return false;
-      }
+        S.Dec.next(S.In.data() + S.InPos, S.In.size() - S.InPos, S.InEof, F,
+                   Consumed);
+    if (St == TraceFrameStatus::NeedMore)
       return true;
-    }
-    if (St == TraceFrameStatus::Error) {
-      std::fprintf(stderr, "session %u: %s\n", S.Id, Err.str().c_str());
-      teardown(S, "protocol error");
-      return false;
-    }
+    if (St == TraceFrameStatus::Error)
+      return refuseStream(S);
     S.InPos += Consumed;
-    S.InOffset += Consumed;
-    if (St == TraceFrameStatus::End) {
-      if (S.Total != S.Env->residentEnd()) {
-        std::fprintf(stderr,
-                     "session %u: trailer declares %u instants but frames "
-                     "covered %u\n",
-                     S.Id, S.Total, S.Env->residentEnd());
-        teardown(S, "protocol error");
-        return false;
-      }
-      S.TrailerSeen = true;
-      return true;
-    }
-    if (F.Start != S.Env->residentEnd()) {
-      std::fprintf(stderr,
-                   "session %u: frame starts at instant %u, expected %u\n",
-                   S.Id, F.Start, S.Env->residentEnd());
-      teardown(S, "protocol error");
-      return false;
-    }
-    S.Env->pushFrame(std::move(F));
+    if (St == TraceFrameStatus::Header)
+      startSession(S);
+    else if (St == TraceFrameStatus::Frame)
+      S.Env->pushFrame(std::move(F));
   }
   return true;
 }
 
 bool Server::stepSession(Session &S) {
-  if (!S.HeaderDone || S.Finished)
+  if (!S.Env || S.Finished)
     return false;
   unsigned Resident = S.Env->residentEnd();
   if (S.Executed < Resident && S.queuedBytes() <= Opts.MaxQueuedBytes) {
@@ -660,8 +592,8 @@ bool Server::stepSession(Session &S) {
       pushCheckpoint(S);
     return true;
   }
-  if (S.TrailerSeen && S.Executed == S.Total) {
-    S.Echo->finish(S.Total);
+  if (S.Dec.finished() && S.Executed == Resident) {
+    S.Echo->finish(Resident);
     S.Finished = true;
     return true;
   }
@@ -721,8 +653,8 @@ void Server::checkDeadlines(int64_t Now) {
     }
     // Idle: the session is waiting on stimulus it is not receiving.
     bool AwaitingInbound =
-        !S->InEof && !S->TrailerSeen && !windowFull(*S) &&
-        (!S->HeaderDone || S->Executed == S->Env->residentEnd());
+        !S->InEof && !S->Dec.finished() && !windowFull(*S) &&
+        (!S->Env || S->Executed == S->Env->residentEnd());
     if (Opts.IdleTimeoutMs && !Draining && AwaitingInbound &&
         Now - S->LastInMs >= static_cast<int64_t>(Opts.IdleTimeoutMs)) {
       std::fprintf(stderr, "session %u: no stimulus for %u ms\n", S->Id,
@@ -747,8 +679,8 @@ int Server::pollTimeout(bool Runnable, int64_t Now) const {
     if (Opts.WriteTimeoutMs && S->queuedBytes() > 0)
       Consider(S->LastOutMs + Opts.WriteTimeoutMs);
     bool AwaitingInbound =
-        !S->InEof && !S->TrailerSeen && !windowFull(*S) &&
-        (!S->HeaderDone || S->Executed == S->Env->residentEnd());
+        !S->InEof && !S->Dec.finished() && !windowFull(*S) &&
+        (!S->Env || S->Executed == S->Env->residentEnd());
     if (Opts.IdleTimeoutMs && !Draining && AwaitingInbound)
       Consider(S->LastInMs + Opts.IdleTimeoutMs);
   }
@@ -829,7 +761,7 @@ int Server::run() {
                    Active);
       // Sessions that never completed a header have nothing to flush.
       for (auto &Slot : Slots)
-        if (Slot && !Slot->HeaderDone)
+        if (Slot && !Slot->Env)
           teardown(*Slot, "drained");
     }
     if (Draining) {
@@ -870,16 +802,16 @@ int Server::run() {
       // stream already ended, or the server is draining), leave arriving
       // bytes in the kernel buffer so the client blocks in send instead
       // of growing our memory.
-      if (!S->TrailerSeen && !S->InEof && !windowFull(*S) && !Draining)
+      if (!S->Dec.finished() && !S->InEof && !windowFull(*S) && !Draining)
         Ev |= POLLIN;
       if (S->queuedBytes() > 0)
         Ev |= POLLOUT;
       Polls.push_back({S->Fd, Ev, 0});
       PollSlot.push_back(L);
-      if (S->HeaderDone && !S->Finished &&
+      if (S->Env && !S->Finished &&
           ((S->Executed < S->Env->residentEnd() &&
             S->queuedBytes() <= Opts.MaxQueuedBytes) ||
-           (S->TrailerSeen && S->Executed == S->Total) ||
+           (S->Dec.finished() && S->Executed == S->Env->residentEnd()) ||
            (Draining && S->Executed == S->Env->residentEnd())))
         Runnable = true;
     }
@@ -932,7 +864,7 @@ int Server::run() {
         Progress = true;
         // stepSession never tears down, so S is still live here;
         // parseSession may.
-        if (!S->TrailerSeen && S->In.size() > S->InPos)
+        if (!S->Dec.finished() && S->In.size() > S->InPos)
           parseSession(*S);
       }
     }

@@ -16,6 +16,14 @@
 ///                      (at-capacity / draining / interface-mismatch /
 ///                      bad-resume) when the connection is refused.
 ///
+/// Each session feeds the bytes it has received to its own TraceDecoder,
+/// the decoder `--replay` uses, so a stream passes exactly the checks a
+/// replay of the same bytes does and fails with the same positioned
+/// diagnostic: an interface mismatch ends as a typed Reject carrying it,
+/// a stream that ends early as a disconnect, anything else as a protocol
+/// error. The server itself keeps only session logic: admission and
+/// Reject, Hello, resume, and flow control.
+///
 /// Fault tolerance is part of the protocol. A session that disconnects
 /// (or stalls past a deadline) mid-stream is parked: its trace spec and
 /// a ring of delay-state checkpoints, one per executed frame boundary,

@@ -2,6 +2,8 @@
 
 #include "io/TraceEnvironment.h"
 
+#include "interp/VmExecutor.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -9,15 +11,13 @@ using namespace sigc;
 
 namespace {
 
-constexpr unsigned NoSpec = ~0u;
-
-/// Index of \p Name in a name list; NoSpec when absent.
+/// Index of \p Name in a name list; TraceUnrecorded when absent.
 template <typename List, typename NameOf>
 unsigned specIndex(const List &Names, std::string_view Name, NameOf GetName) {
   for (size_t I = 0; I < Names.size(); ++I)
     if (GetName(Names[I]) == Name)
       return static_cast<unsigned>(I);
-  return NoSpec;
+  return TraceUnrecorded;
 }
 
 unsigned clockSpecIndex(const TraceSpec &Spec, std::string_view Name) {
@@ -74,14 +74,14 @@ EnvOutputId RecordingEnvironment::resolveOutput(std::string_view Name,
 void RecordingEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
                                       unsigned Count, unsigned char *Out) {
   Inner.clockTicks(InnerClock[Clock], Start, Count, Out);
-  if (ClockSpec[Clock] != NoSpec)
+  if (ClockSpec[Clock] != TraceUnrecorded)
     Writer.putClockTicks(ClockSpec[Clock], Start, Count, Out);
 }
 
 void RecordingEnvironment::inputValues(EnvInputId Input, unsigned Start,
                                        unsigned Count, VmSlot *Out) {
   Inner.inputValues(InnerIn[Input], Start, Count, Out);
-  if (InSpec[Input] != NoSpec)
+  if (InSpec[Input] != TraceUnrecorded)
     Writer.putInputValues(InSpec[Input], Start, Count, Out);
 }
 
@@ -91,18 +91,14 @@ void RecordingEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
                                            const unsigned char *Present,
                                            const VmSlot *Vals) {
   InnerIdScratch.resize(NumOutputs);
-  for (unsigned C = 0; C < NumOutputs; ++C)
+  ColSpec.resize(NumOutputs);
+  for (unsigned C = 0; C < NumOutputs; ++C) {
     InnerIdScratch[C] = InnerOut[Ids[C]];
+    ColSpec[C] = OutSpec[Ids[C]];
+  }
   Inner.exchangeOutputs(Start, Count, NumOutputs, InnerIdScratch.data(),
                         Present, Vals);
-  for (unsigned I = 0; I < Count; ++I)
-    for (unsigned C = 0; C < NumOutputs; ++C)
-      if (Present[static_cast<size_t>(I) * NumOutputs + C]) {
-        unsigned S = OutSpec[Ids[C]];
-        if (S != NoSpec)
-          Writer.putOutput(S, Start + I,
-                           Vals[static_cast<size_t>(I) * NumOutputs + C]);
-      }
+  Writer.putOutputs(Start, Count, NumOutputs, ColSpec.data(), Present, Vals);
   // The executor exchanges outputs once per window, after the window's
   // stimulus queries: the window below Start+Count is complete and its
   // full frames can flush.
@@ -183,35 +179,51 @@ EnvOutputId StreamEnvironment::resolveOutput(std::string_view Name,
   return Id;
 }
 
-void StreamEnvironment::checkOutput(EnvOutputId Id, unsigned S,
-                                    unsigned Instant, bool Produced,
-                                    VmSlot V) {
-  if (Produced && Echo)
-    Echo->putOutput(S, Instant, V);
-  if (!VerifyOutputs || !Divergence.empty())
-    return;
-  const TraceFrame &F = frameAt(Instant);
-  size_t FAt = static_cast<size_t>(S) * F.Cap + (Instant - F.Start);
-  bool Recorded = F.OutPresent[FAt] != 0;
-  const TypeKind T = Spec.Outputs[S].Type;
-  if (Recorded != Produced) {
-    Divergence = "instant " + std::to_string(Instant) + ": output " +
-                 outputBindingName(Id) +
-                 (Produced ? " produced but absent in the trace"
-                           : " recorded in the trace but not produced");
-  } else if (Produced && !sameTraceValue(T, F.OutVals[FAt], V)) {
-    Divergence = "instant " + std::to_string(Instant) + ": output " +
-                 outputBindingName(Id) + " = ";
-    appendSlotText(Divergence, V, T);
-    Divergence += ", trace recorded ";
-    appendSlotText(Divergence, F.OutVals[FAt], T);
+void StreamEnvironment::verifyOutputs(unsigned Start, unsigned Count,
+                                      unsigned NumOutputs,
+                                      const EnvOutputId *Ids,
+                                      const unsigned char *Present,
+                                      const VmSlot *Vals) {
+  unsigned I = 0;
+  while (I < Count) {
+    const TraceFrame &F = frameAt(Start + I);
+    unsigned Off = (Start + I) - F.Start;
+    unsigned Take = std::min(Count - I, F.Count - Off);
+    for (unsigned J = 0; J < Take; ++J) {
+      const size_t Row = static_cast<size_t>(I + J) * NumOutputs;
+      for (unsigned C = 0; C < NumOutputs; ++C) {
+        unsigned S = ColSpec[C];
+        if (S == TraceUnrecorded)
+          continue;
+        size_t FAt = static_cast<size_t>(S) * F.Cap + Off + J;
+        bool Produced = Present[Row + C] != 0;
+        bool Recorded = F.OutPresent[FAt] != 0;
+        const TypeKind T = Spec.Outputs[S].Type;
+        if (Produced == Recorded &&
+            (!Produced || sameTraceValue(T, F.OutVals[FAt], Vals[Row + C])))
+          continue;
+        Divergence = "instant " + std::to_string(Start + I + J) +
+                     ": output " + outputBindingName(Ids[C]);
+        if (Produced != Recorded) {
+          Divergence += Produced ? " produced but absent in the trace"
+                                 : " recorded in the trace but not produced";
+        } else {
+          Divergence += " = ";
+          appendSlotText(Divergence, Vals[Row + C], T);
+          Divergence += ", trace recorded ";
+          appendSlotText(Divergence, F.OutVals[FAt], T);
+        }
+        return;
+      }
+    }
+    I += Take;
   }
 }
 
 void StreamEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
                                    unsigned Count, unsigned char *Out) {
   unsigned S = ClockSpec[Clock];
-  assert(S != NoSpec && "clock not in the trace interface");
+  assert(S != TraceUnrecorded && "clock not in the trace interface");
   unsigned I = 0;
   while (I < Count) {
     const TraceFrame &F = frameAt(Start + I);
@@ -228,7 +240,7 @@ void StreamEnvironment::clockTicks(EnvClockId Clock, unsigned Start,
 void StreamEnvironment::inputValues(EnvInputId Input, unsigned Start,
                                     unsigned Count, VmSlot *Out) {
   unsigned S = InSpec[Input];
-  assert(S != NoSpec && "input not in the trace interface");
+  assert(S != TraceUnrecorded && "input not in the trace interface");
   unsigned I = 0;
   while (I < Count) {
     const TraceFrame &F = frameAt(Start + I);
@@ -249,44 +261,44 @@ void StreamEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
                                         const VmSlot *Vals) {
   if (CollectEvents)
     Environment::exchangeOutputs(Start, Count, NumOutputs, Ids, Present, Vals);
-  for (unsigned I = 0; I < Count; ++I) {
-    for (unsigned C = 0; C < NumOutputs; ++C) {
-      size_t At = static_cast<size_t>(I) * NumOutputs + C;
-      bool Produced = Present[At] != 0;
-      OutputCount += Produced;
-      unsigned S = OutSpec[Ids[C]];
-      if (S != NoSpec)
-        checkOutput(Ids[C], S, Start + I, Produced, Vals[At]);
-    }
-  }
-  if (Echo)
+  const size_t Cells = static_cast<size_t>(Count) * NumOutputs;
+  for (size_t At = 0; At < Cells; ++At)
+    OutputCount += Present[At] != 0;
+  ColSpec.resize(NumOutputs);
+  for (unsigned C = 0; C < NumOutputs; ++C)
+    ColSpec[C] = OutSpec[Ids[C]];
+  if (Echo) {
+    Echo->putOutputs(Start, Count, NumOutputs, ColSpec.data(), Present, Vals);
     Echo->completeThrough(Start + Count);
+  }
+  if (VerifyOutputs && Divergence.empty())
+    verifyOutputs(Start, Count, NumOutputs, Ids, Present, Vals);
 }
 
 //===----------------------------------------------------------------------===//
-// TraceEnvironment
+// replayTrace
 //===----------------------------------------------------------------------===//
 
-TraceEnvironment::TraceEnvironment(TraceReader &Reader)
-    : StreamEnvironment(Reader.spec()), Reader(Reader) {}
-
-unsigned TraceEnvironment::prepare(unsigned Start, unsigned Want) {
-  release(Start);
-  while (!AtEnd && residentEnd() < Start + Want) {
-    TraceFrame F = takeRecycledFrame();
-    TraceFrameStatus St = Reader.nextFrame(F);
-    if (St == TraceFrameStatus::Frame) {
-      pushFrame(std::move(F));
-      continue;
+unsigned sigc::replayTrace(TraceInput &In, TraceDecoder &Dec,
+                           StreamEnvironment &Env, VmExecutor &Exec,
+                           unsigned Window) {
+  const unsigned W = std::max(Window, 1u);
+  unsigned At = Env.residentEnd();
+  for (;;) {
+    while (!Dec.finished() && Env.residentEnd() < At + W) {
+      TraceFrame F = Env.takeRecycledFrame();
+      TraceFrameStatus St = In.next(Dec, F);
+      if (St == TraceFrameStatus::Frame)
+        Env.pushFrame(std::move(F));
+      else if (St != TraceFrameStatus::End)
+        return At; // Dec.error() is positioned.
     }
-    if (St == TraceFrameStatus::End)
-      AtEnd = true;
-    else
-      return 0; // Reader.error() is positioned.
-    break;
+    unsigned N = std::min(W, Env.residentEnd() - At);
+    if (N == 0)
+      return At;
+    At += Exec.stepN(Env, At, N);
+    Env.release(At);
+    if (Exec.checkFailure())
+      return At;
   }
-  unsigned End = residentEnd();
-  if (Start >= End)
-    return 0;
-  return std::min(Want, End - Start);
 }

@@ -10,10 +10,11 @@
 ///     (it still answers queries and records its own events), so a
 ///     recorded run is observationally identical to an unrecorded one.
 ///   * StreamEnvironment answers queries out of a window of decoded
-///     trace frames pushed into it — the serve loop's shape, where
-///     frames arrive incrementally from a socket.
-///   * TraceEnvironment pulls those frames from a TraceReader on demand
-///     — the `--replay` shape, mmap- or read(2)-backed.
+///     trace frames pushed into it, in instant order. Two callers push:
+///     each `--serve` session, as frames arrive on its socket, and
+///     replayTrace — `--replay`, the oracle's trace leg, the benches and
+///     the tests — which decodes a TraceInput and steps the executor
+///     window by window.
 ///
 /// Replay can additionally echo everything it serves (and the outputs
 /// the re-execution produces) into a second TraceWriter: with the same
@@ -21,9 +22,11 @@
 /// byte-identical to the original file, which is exactly what the
 /// differential trace leg pins. It can also verify the produced outputs
 /// against the ones recorded in the trace, diagnosing the first
-/// divergence by instant and signal.
+/// divergence by instant and signal. Both take a window's output rows
+/// whole: the echo in one TraceWriter::putOutputs call, verification in
+/// one loop over each frame the window spans.
 ///
-/// All three are allocation-free per instant once warm: frame buffers
+/// Both are allocation-free per instant once warm: frame buffers
 /// recycle through a free list, and every query is slot-ID based. The
 /// exchange moves VmSlot columns between the executor and the frames by
 /// copy — frames hold the same declared-type slots — and a divergence
@@ -35,12 +38,14 @@
 #define SIGNALC_IO_TRACEENVIRONMENT_H
 
 #include "interp/Environment.h"
-#include "io/TraceReader.h"
+#include "io/TraceDecoder.h"
 #include "io/TraceWriter.h"
 
 #include <deque>
 
 namespace sigc {
+
+class VmExecutor;
 
 /// Mirrors the traffic of an inner environment into a TraceWriter.
 ///
@@ -76,9 +81,10 @@ private:
   std::vector<EnvClockId> InnerClock;
   std::vector<EnvInputId> InnerIn;
   std::vector<EnvOutputId> InnerOut;
-  /// Our id -> index in the writer's spec (NoSpec when unrecorded).
+  /// Our id -> index in the writer's spec (TraceUnrecorded when unrecorded).
   std::vector<unsigned> ClockSpec, InSpec, OutSpec;
   std::vector<EnvOutputId> InnerIdScratch; ///< Translated flush ids.
+  std::vector<unsigned> ColSpec; ///< Spec index of each flushed column.
 };
 
 /// Replays a trace out of a window of resident frames pushed by the
@@ -106,10 +112,6 @@ public:
   void pushFrame(TraceFrame &&F);
   /// First instant not yet resident.
   unsigned residentEnd() const { return NextPush; }
-  /// First resident instant (0 until anything is released).
-  unsigned residentBegin() const {
-    return Window.empty() ? NextPush : Window.front().Start;
-  }
   /// Retires frames wholly below \p Instant into the free list.
   void release(unsigned Instant);
 
@@ -150,19 +152,20 @@ private:
   /// The resident frame containing \p Instant (asserts residency).
   const TraceFrame &frameAt(unsigned Instant) const;
 
-  /// Echoes and verifies one output cell of spec output \p S, bound as
-  /// \p Id: \p Produced says whether the step emitted it, \p V its
-  /// value. The first mismatch against the trace is latched.
-  void checkOutput(EnvOutputId Id, unsigned S, unsigned Instant,
-                   bool Produced, VmSlot V);
+  /// Compares the window's outputs with the ones the trace recorded,
+  /// frame by frame, and latches the first divergence in instant order.
+  void verifyOutputs(unsigned Start, unsigned Count, unsigned NumOutputs,
+                     const EnvOutputId *Ids, const unsigned char *Present,
+                     const VmSlot *Vals);
 
   TraceSpec Spec;
   std::deque<TraceFrame> Window;
   std::vector<TraceFrame> Free;
   unsigned NextPush = 0;
 
-  /// Our id -> index in the spec (NoSpec for unknown names).
+  /// Our id -> index in the spec (TraceUnrecorded for unknown names).
   std::vector<unsigned> ClockSpec, InSpec, OutSpec;
+  std::vector<unsigned> ColSpec; ///< Spec index of each exchanged column.
 
   TraceWriter *Echo = nullptr;
   bool EchoStimulus = false; ///< Echo spec carries clocks/inputs too.
@@ -172,32 +175,14 @@ private:
   std::string Divergence;
 };
 
-/// Replays a trace by pulling frames from a TraceReader — `--replay`.
-class TraceEnvironment : public StreamEnvironment {
-public:
-  /// \p Reader must have readHeader() already done (its spec shapes the
-  /// window) and must outlive the environment.
-  explicit TraceEnvironment(TraceReader &Reader);
-
-  /// Makes up to \p Want instants from \p Start resident, pulling frames
-  /// as needed, and retires everything below \p Start. \returns how many
-  /// instants [Start, ...) are servable: less than Want only at the end
-  /// of the trace, 0 at the end itself or on a decode error (check
-  /// failed()).
-  unsigned prepare(unsigned Start, unsigned Want);
-
-  /// True once the trailer was reached cleanly.
-  bool atEnd() const { return AtEnd; }
-  /// Total instants declared by the trailer (valid once atEnd()).
-  unsigned totalInstants() const { return Reader.totalInstants(); }
-
-  bool failed() const { return !Reader.error().ok(); }
-  const TraceError &error() const { return Reader.error(); }
-
-private:
-  TraceReader &Reader;
-  bool AtEnd = false;
-};
+/// Replays a trace on \p Exec: decodes the frames of \p In through
+/// \p Dec, whose header is already decoded (readHeader) and whose spec
+/// \p Env was built from, pushes them into \p Env, and steps windows of
+/// up to \p Window instants as soon as they are resident. Stops at the
+/// trailer (Dec.finished()), at a decode error (Dec.error()) or at a
+/// failed clock check (Exec.checkFailure()). \returns the instants run.
+unsigned replayTrace(TraceInput &In, TraceDecoder &Dec, StreamEnvironment &Env,
+                     VmExecutor &Exec, unsigned Window);
 
 } // namespace sigc
 

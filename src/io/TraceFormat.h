@@ -82,6 +82,10 @@ constexpr unsigned TraceDefaultFrameInstants = 64;
 /// Sanity limits a malformed header may not exceed.
 constexpr unsigned TraceMaxNameLen = 4096;
 constexpr unsigned TraceMaxDescriptors = 65535;
+/// A stream whose header is still incomplete after this many bytes is
+/// refused: the bound a hostile stream sees before the header bounds
+/// its frames.
+constexpr size_t TraceMaxHeaderBytes = 16u << 20;
 
 /// What went wrong while decoding (TraceErrorKind::None means nothing).
 enum class TraceErrorKind {
@@ -104,7 +108,7 @@ struct TraceError {
 
   bool ok() const { return Kind == TraceErrorKind::None; }
   /// True when the only problem is that the byte stream ended: an
-  /// incremental consumer (the serve loop) waits for more data instead
+  /// incremental consumer (TraceDecoder) waits for more data instead
   /// of failing.
   bool needMoreData() const { return Kind == TraceErrorKind::Truncated; }
   /// "offset 123: message" (the CLI's diagnostic body).
@@ -173,8 +177,7 @@ struct TraceFrame {
 };
 
 //===----------------------------------------------------------------------===//
-// Wire codec — shared by TraceWriter, TraceReader and the serve loop's
-// incremental parser.
+// Wire codec — shared by TraceWriter and TraceDecoder.
 //===----------------------------------------------------------------------===//
 
 /// Encodes the header (magic through interface hash) of \p Spec.
@@ -197,8 +200,9 @@ void encodeTraceFrame(const TraceSpec &Spec, const TraceFrame &F,
 /// Appends the end-of-stream trailer for a trace of \p TotalInstants.
 void encodeTraceTrailer(unsigned TotalInstants, std::vector<uint8_t> &Out);
 
-/// Result of pulling one frame out of a byte stream.
+/// Result of pulling one item out of a byte stream.
 enum class TraceFrameStatus {
+  Header,  ///< The stream header was decoded (TraceDecoder).
   Frame,   ///< \p F holds the next instant-batch.
   End,     ///< The trailer was reached (clean end of stream).
   NeedMore,///< Incremental source: the frame is not fully buffered yet.

@@ -128,11 +128,30 @@ void TraceWriter::putInputValues(unsigned InputIdx, unsigned Start,
   }
 }
 
-void TraceWriter::putOutput(unsigned OutputIdx, unsigned Instant, VmSlot V) {
-  TraceFrame &F = frameFor(Instant);
-  size_t At = OutputIdx * static_cast<size_t>(F.Cap) + (Instant - F.Start);
-  F.OutPresent[At] = 1;
-  F.OutVals[At] = V;
+void TraceWriter::putOutputs(unsigned Start, unsigned Count, unsigned NumCols,
+                             const unsigned *SpecIdx,
+                             const unsigned char *Present,
+                             const VmSlot *Vals) {
+  const unsigned W = Spec.FrameInstants;
+  unsigned I = 0;
+  while (I < Count) {
+    TraceFrame &F = frameFor(Start + I);
+    unsigned Off = (Start + I) - F.Start;
+    unsigned Take = std::min(Count - I, W - Off);
+    for (unsigned C = 0; C < NumCols; ++C) {
+      if (SpecIdx[C] == TraceUnrecorded)
+        continue;
+      size_t Row = SpecIdx[C] * static_cast<size_t>(F.Cap) + Off;
+      for (unsigned J = 0; J < Take; ++J) {
+        size_t At = static_cast<size_t>(I + J) * NumCols + C;
+        if (Present[At]) {
+          F.OutPresent[Row + J] = 1;
+          F.OutVals[Row + J] = Vals[At];
+        }
+      }
+    }
+    I += Take;
+  }
 }
 
 void TraceWriter::flushFrame(TraceFrame &F) {

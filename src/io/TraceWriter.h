@@ -11,7 +11,7 @@
 ///
 /// Data arrives column-wise over arbitrary instant windows (the shape of
 /// the bulk Environment exchange): putClockTicks/putInputValues for the
-/// dense input side, putOutput for sparse output events. Values are
+/// dense input side, putOutputs for a window's output rows. Values are
 /// VmSlots of each descriptor's declared type, stored as they come. A window is
 /// sealed with completeThrough(end), after which every fully covered
 /// frame is encoded and flushed to the sink; finish() flushes the last
@@ -30,6 +30,9 @@
 namespace sigc {
 
 class IoSyscalls;
+
+/// The spec index of a column the writer does not record.
+constexpr unsigned TraceUnrecorded = ~0u;
 
 /// Destination of encoded trace bytes.
 class TraceSink {
@@ -110,8 +113,13 @@ public:
   /// Records the values of input \p InputIdx over [Start, Start+Count).
   void putInputValues(unsigned InputIdx, unsigned Start, unsigned Count,
                       const VmSlot *Vals);
-  /// Records one output occurrence.
-  void putOutput(unsigned OutputIdx, unsigned Instant, VmSlot V);
+  /// Records the outputs of the window [Start, Start+Count), given
+  /// row-major like the bulk exchange: \p Present and \p Vals hold
+  /// NumCols cells per instant, and column C records as spec output
+  /// SpecIdx[C] (TraceUnrecorded skips it). Only present cells record.
+  void putOutputs(unsigned Start, unsigned Count, unsigned NumCols,
+                  const unsigned *SpecIdx, const unsigned char *Present,
+                  const VmSlot *Vals);
 
   /// Declares every instant below \p End final: full frames ending at or
   /// before \p End are encoded and flushed.

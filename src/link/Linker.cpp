@@ -118,10 +118,6 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
     U.Iface = extractInterface(*U.Comp);
     if (U.Name.empty())
       U.Name = U.Iface.ProcessName;
-    if (U.Comp->Optimized)
-      return fail("process '" + U.Name +
-                  "' was compiled optimized; link units compile with "
-                  "CompileOptions::Optimize off");
   }
   for (size_t I = 0; I < Units.size(); ++I)
     for (size_t J = I + 1; J < Units.size(); ++J)
@@ -379,7 +375,6 @@ std::vector<LinkUnit> compileUnits(
     CompileOptions CO;
     CO.Limits = Options.Limits;
     CO.ProcessName = Process;
-    CO.Optimize = false; // Fusion reads the units' layouts.
     Units[I].Name = Process;
     Units[I].Comp = compileSource(Buffer, Source, CO);
   };

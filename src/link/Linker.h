@@ -164,8 +164,7 @@ LinkResult compileAndLink(const std::string &BufferName,
 LinkResult compileAndLinkSources(const std::vector<LinkInput> &Inputs,
                                  const LinkOptions &Options = {});
 
-/// Links already-compiled units (each must be Ok, compiled with
-/// CompileOptions::Optimize off). Extracts interfaces,
+/// Links already-compiled units (each must be Ok). Extracts interfaces,
 /// matches channels, verifies clock compatibility (joint BDD space for
 /// cross-producer obligations, bounded by \p Options.Limits), and fuses
 /// the units' bytecode into LinkedSystem::Fused.

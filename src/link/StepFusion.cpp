@@ -53,9 +53,9 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
   CompiledStep &F = R.Fused;
   const size_t NU = Sys.Units.size();
 
-  // The units' unoptimized layouts (see the header).
-  auto unitStep = [&](size_t U) -> const CompiledStep & {
-    return Sys.Units[U].Comp->Compiled;
+  // The units' guard-tagged step programs (see the header).
+  auto unitStep = [&](size_t U) -> const StepProgram & {
+    return Sys.Units[U].Comp->Step;
   };
 
   // --- Slot rebasing -----------------------------------------------------
@@ -68,7 +68,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
       StateBase(NU, 0);
   uint32_t TotalClocks = 0, TotalValues = 0, TotalTemps = 0, TotalStates = 0;
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = unitStep(U);
+    const StepProgram &CS = unitStep(U);
     ClockBase[U] = static_cast<int32_t>(TotalClocks);
     TotalClocks += CS.NumClockSlots;
     ValueBase[U] = static_cast<int32_t>(TotalValues);
@@ -80,14 +80,15 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
   }
   auto mapClock = [&](size_t U, int32_t C) { return ClockBase[U] + C; };
   auto mapValue = [&](size_t U, int32_t V) {
-    const CompiledStep &CS = unitStep(U);
-    if (V < static_cast<int32_t>(CS.NumValueSlots))
+    const StepProgram &CS = unitStep(U);
+    const int32_t Values = static_cast<int32_t>(CS.NumValueSlots);
+    const int32_t End = Values + static_cast<int32_t>(CS.NumTempSlots);
+    if (V < Values)
       return ValueBase[U] + V;
-    if (V < CS.valueEnd())
-      return static_cast<int32_t>(TotalValues) + TempBase[U] +
-             (V - static_cast<int32_t>(CS.NumValueSlots));
+    if (V < End)
+      return static_cast<int32_t>(TotalValues) + TempBase[U] + (V - Values);
     return static_cast<int32_t>(TotalValues + TotalTemps) + StateBase[U] +
-           (V - CS.valueEnd());
+           (V - End);
   };
 
   F.NumClockSlots = TotalClocks;
@@ -96,14 +97,14 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
   // Slot types follow the same layout: every unit's values, then every
   // unit's temps.
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = unitStep(U);
+    const StepProgram &CS = unitStep(U);
     F.StateInit.insert(F.StateInit.end(), CS.StateInit.begin(),
                        CS.StateInit.end());
     F.SlotType.insert(F.SlotType.end(), CS.SlotType.begin(),
                       CS.SlotType.begin() + CS.NumValueSlots);
   }
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = unitStep(U);
+    const StepProgram &CS = unitStep(U);
     F.SlotType.insert(F.SlotType.end(), CS.SlotType.begin() + CS.NumValueSlots,
                       CS.SlotType.end());
   }
@@ -130,7 +131,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
   std::map<std::string, int> ClockDescByName, InDescByName;
   std::vector<std::map<int, int>> CIMap(NU), InMap(NU), OutMap(NU);
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = unitStep(U);
+    const StepProgram &CS = unitStep(U);
     for (size_t CI = 0; CI < CS.ClockInputs.size(); ++CI) {
       if (BoundCI[U].count(static_cast<int>(CI)))
         continue;
@@ -158,7 +159,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
     }
   }
   for (const LinkedExternal &E : Sys.ExternalOutputs) {
-    const CompiledStep &CS = unitStep(E.Unit);
+    const StepProgram &CS = unitStep(E.Unit);
     for (size_t OI = 0; OI < CS.Outputs.size(); ++OI)
       if (CS.Outputs[OI].Sig == E.Sig) {
         StepProgram::SignalIODesc ND = CS.Outputs[OI];
@@ -178,7 +179,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
   for (const LinkChannel &Ch : Sys.Channels) {
     if (Ch.ConsumerClockInput >= 0)
       continue;
-    const CompiledStep &PCS = unitStep(Ch.Producer);
+    const StepProgram &PCS = unitStep(Ch.Producer);
     const StepProgram::SignalIODesc &OD = PCS.Outputs[Ch.ProducerOutput];
     if (OD.ValueSlot < 0)
       continue;
@@ -193,7 +194,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
   }
 
   for (size_t U = 0; U < NU; ++U) {
-    const CompiledStep &CS = unitStep(U);
+    const StepProgram &SP = unitStep(U);
     // Rebases one field into the fused spaces, by its operand space.
     auto rebase = [&](OperandSpace S, int32_t &V) {
       switch (S) {
@@ -204,7 +205,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
         V = mapValue(U, V);
         break;
       case OperandSpace::Const:
-        V = internConst(F.Consts, CS.Consts[V]);
+        V = internConst(F.Consts, SP.Consts[V]);
         break;
       case OperandSpace::ClockInput:
         V = CIMap[U].at(V);
@@ -219,26 +220,20 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
         break; // Not an index into a per-unit space.
       }
     };
-    std::vector<std::pair<int32_t, int32_t>> GuardStack; // (slot, end idx)
-    for (size_t I = 0; I < CS.Code.size(); ++I) {
-      while (!GuardStack.empty() &&
-             GuardStack.back().second <= static_cast<int32_t>(I))
-        GuardStack.pop_back();
-      const VmInstr &In = CS.Code[I];
-      if (In.Op == VmOp::SkipIfAbsent) {
-        // Skips are properly nested; remember the guard path instead of
-        // the jump (layOutGuards places the skips after interleaving).
-        GuardStack.emplace_back(mapClock(U, In.A), In.Aux);
-        continue;
-      }
+    // Each instruction keeps its group's guard path (layOutGuards places
+    // the skips after interleaving).
+    size_t Group = 0;
+    for (size_t I = 0; I < SP.Code.size(); ++I) {
+      while (SP.Groups[Group].End <= I)
+        ++Group;
+      const VmInstr &In = SP.Code[I];
       // A channel-consumed output is dropped: consumers copy the slot.
       if (In.Op == VmOp::WriteOutput && ConsumedOut[U].count(In.Aux))
         continue;
       FInstr FI;
       FI.In = In;
-      FI.Guards.reserve(GuardStack.size());
-      for (const auto &G : GuardStack)
-        FI.Guards.push_back(G.first);
+      for (int32_t G : SP.Groups[Group].Guards)
+        FI.Guards.push_back(mapClock(U, G));
       // A channel-bound clock or input read becomes a copy of the
       // producer's export slot; everything else rebases field by field.
       int Bound = -1;
@@ -495,8 +490,8 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys) {
     const LinkChannel &Ch = Sys.Channels[C];
     if (Ch.ConsumerClockInput >= 0)
       continue;
-    const CompiledStep &CCS = unitStep(Ch.Consumer);
-    const CompiledStep &PCS = unitStep(Ch.Producer);
+    const StepProgram &CCS = unitStep(Ch.Consumer);
+    const StepProgram &PCS = unitStep(Ch.Producer);
     int CSlot = CCS.SignalClockSlot[Ch.ConsumerSig];
     int PSlot = PCS.Outputs[Ch.ProducerOutput].ClockSlot;
     VmInstr Check;

@@ -26,18 +26,18 @@
 /// slot). Units take turns emitting their maximal ready prefix, so a
 /// feedback pair legally interleaves whenever the instruction-level
 /// graph is acyclic — a true cycle is diagnosed with the channel path
-/// around it. Each instruction keeps the guard path its unit's skips put
-/// it under, and the interleaved stream is laid out by layOutGuards, the
-/// function that lays out every unit's nested step, so the fused skips
-/// are properly nested and chain-free like any other.
+/// around it. Each instruction keeps the guard path of its group in its
+/// unit's StepProgram, and the interleaved stream is laid out by
+/// layOutGuards, the function that lays out every unit's nested step, so
+/// the fused skips are properly nested and chain-free like any other.
 ///
 /// Rebasing and the dependence order read the operand table
 /// (vmOperands): a field is rebased and ordered by the space it indexes.
 ///
-/// Fusion reads each unit's unoptimized layout (its Compilation's
-/// Compiled, built by CompiledStep::layOut under CompileOptions::Optimize
-/// off): alone, a unit's exports look dead or forwardable to the
-/// optimizer. The fused step is optimized once, whole (optimize).
+/// Fusion reads each unit's guard-tagged StepProgram (its Code, and the
+/// guard path of each instruction's group), never its optimized step:
+/// alone, a unit's exports look dead or forwardable to the optimizer.
+/// The fused step is optimized once, whole (optimize).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -407,33 +407,27 @@ OracleReport sigc::checkDifferential(const std::string &Name,
       return R;
     }
 
-    MemoryTraceSource SrcT(Sink.bytes());
-    TraceReader Reader(SrcT);
-    if (!Reader.readHeader() || !Reader.matchesStep(C->Compiled)) {
+    TraceInput InT(Sink.bytes());
+    TraceDecoder Dec(&C->Compiled);
+    if (!InT.readHeader(Dec)) {
       R.Error = failure(Name, "recorded trace does not read back",
-                        Reader.error().str() + "\n", Source);
+                        Dec.error().str() + "\n", Source);
       return R;
     }
-    TraceEnvironment EnvTr(Reader);
+    StreamEnvironment EnvTr(Dec.spec());
     EnvTr.setVerifyOutputs(true);
     EnvTr.setCollectOutputs(true);
     MemorySink EchoSink;
-    TraceWriter Echo(EchoSink, Reader.spec());
+    TraceWriter Echo(EchoSink, Dec.spec());
     EnvTr.setEcho(&Echo);
     VmExecutor ExecTr(C->Compiled);
-    unsigned At = 0;
-    for (;;) {
-      unsigned N = EnvTr.prepare(At, B + 3); // Deliberately different window.
-      if (N == 0)
-        break;
-      ExecTr.stepN(EnvTr, At, N);
-      At += N;
-    }
-    if (EnvTr.failed() || At != Options.Instants) {
+    // Deliberately a different window from the recording's batches.
+    unsigned At = replayTrace(InT, Dec, EnvTr, ExecTr, B + 3);
+    if (!Dec.error().ok() || At != Options.Instants) {
       R.Error = failure(Name, "trace replay stopped early",
                         "replayed " + std::to_string(At) + " of " +
                             std::to_string(Options.Instants) + " instants: " +
-                            EnvTr.error().str() + "\n",
+                            Dec.error().str() + "\n",
                         Source);
       return R;
     }

@@ -123,8 +123,8 @@ TEST(CliParse, TableIsConsistent) {
       for (const std::string &W : words(Column))
         EXPECT_EQ(row(W).Name, W) << F.Name;
   }
-  // 37 long flags and -h.
-  EXPECT_EQ(cliFlags().size(), 38u);
+  // 36 long flags and -h.
+  EXPECT_EQ(cliFlags().size(), 37u);
 }
 
 TEST(CliParse, EveryRowSetsItsFieldInBothOperandForms) {

@@ -40,10 +40,13 @@ struct CliResult {
 };
 
 /// Runs `signalc <Args>` and captures exit code plus combined output
-/// (stdout only when \p StdoutOnly).
-CliResult runSignalc(const std::string &Args, bool StdoutOnly = false) {
+/// (stdout only when \p StdoutOnly). A nonempty \p PipeFrom is piped
+/// into signalc's stdin, so `--replay /dev/stdin` reads a pipe.
+CliResult runSignalc(const std::string &Args, bool StdoutOnly = false,
+                     const std::string &PipeFrom = "") {
   CliResult R;
-  std::string Cmd = std::string(SIGNALC_BIN) + " " + Args +
+  std::string Cmd = (PipeFrom.empty() ? "" : "cat '" + PipeFrom + "' | ") +
+                    std::string(SIGNALC_BIN) + " " + Args +
                     (StdoutOnly ? " 2>/dev/null" : " 2>&1");
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
@@ -160,7 +163,6 @@ TEST(Cli, QualifierWithoutItsFlagIsAUsageError) {
   const std::pair<const char *, const char *> Cases[] = {
       {"--with-driver", "--emit-c"},
       {"--simulate 3 --frame 4", "--record"},
-      {"--simulate 3 --replay-buffered", "--replay"},
       {"--simulate 3 --tier-after 5", "--native"},
       {"--simulate 3 --tier-after=5", "--native"},
       {"--simulate 3 --cache-dir /nonexistent", "--native"},
@@ -248,7 +250,7 @@ TEST(Cli, StatsReportsGuardShape) {
   CliResult R =
       runSignalc("--builtin FIG5_ALARM --simulate 16 --seed 9 --stats");
   ASSERT_EQ(R.Exit, 0) << R.Output;
-  EXPECT_NE(R.Output.find("stats: compile step_instrs=33 guards=7 "
+  EXPECT_NE(R.Output.find("stats: compile step_instrs=17 guards=7 "
                           "distinct_guards=6 max_guard_depth=3\n"),
             std::string::npos)
       << R.Output;
@@ -484,8 +486,8 @@ TEST(Cli, RecordThenReplayRoundTripsFromTheCli) {
   EXPECT_NE(Rec.Output.find("recorded 50 instant(s) to"), std::string::npos)
       << Rec.Output;
 
-  // Replay through both sources: the mmap fast path and the buffered
-  // read(2) path must agree.
+  // Replay through both inputs: a regular file is mapped, a pipe is read
+  // in chunks, and both must agree. No flag picks between them.
   CliResult Mmap =
       runSignalc("--builtin FIG5_ALARM --replay " + Path);
   EXPECT_EQ(Mmap.Exit, 0) << Mmap.Output;
@@ -495,12 +497,19 @@ TEST(Cli, RecordThenReplayRoundTripsFromTheCli) {
   EXPECT_NE(Mmap.Output.find("match the trace"), std::string::npos)
       << Mmap.Output;
 
-  CliResult Buf = runSignalc("--builtin FIG5_ALARM --replay " + Path +
-                             " --replay-buffered");
+  CliResult Buf = runSignalc("--builtin FIG5_ALARM --replay /dev/stdin",
+                             false, Path);
   EXPECT_EQ(Buf.Exit, 0) << Buf.Output;
   EXPECT_NE(Buf.Output.find("replay (50 instants, buffered):"),
             std::string::npos)
       << Buf.Output;
+
+  CliResult Gone = runSignalc("--builtin FIG5_ALARM --replay " + Path +
+                              " --replay-buffered");
+  EXPECT_EQ(Gone.Exit, 2) << Gone.Output;
+  EXPECT_NE(Gone.Output.find("unknown option '--replay-buffered'"),
+            std::string::npos)
+      << Gone.Output;
   std::remove(Path.c_str());
 }
 
@@ -534,8 +543,10 @@ TEST(Cli, ReplayOfTruncatedRecordingIsAPositionedExitTwo) {
   fclose(F);
   ASSERT_EQ(truncate(Path.c_str(), Size - 20), 0);
 
-  for (const char *Extra : {"", " --replay-buffered"}) {
-    CliResult R = runSignalc("--builtin FIG5_ALARM --replay " + Path + Extra);
+  for (bool Piped : {false, true}) {
+    CliResult R = runSignalc("--builtin FIG5_ALARM --replay " +
+                                 (Piped ? std::string("/dev/stdin") : Path),
+                             false, Piped ? Path : "");
     EXPECT_EQ(R.Exit, 2) << R.Output;
     EXPECT_NE(R.Output.find("offset"), std::string::npos) << R.Output;
     EXPECT_NE(R.Output.find("stream ends inside"), std::string::npos)
@@ -570,8 +581,10 @@ TEST(Cli, RealOutputCarryingIntegersRecordsAndReplays) {
   CliResult Rec =
       runSignalc(Src + " --simulate 5 --seed 2 --record " + Path);
   ASSERT_EQ(Rec.Exit, 0) << Rec.Output;
-  for (const char *Extra : {"", " --replay-buffered"}) {
-    CliResult R = runSignalc(Src + " --replay " + Path + Extra);
+  for (bool Piped : {false, true}) {
+    CliResult R = runSignalc(
+        Src + " --replay " + (Piped ? std::string("/dev/stdin") : Path),
+        false, Piped ? Path : "");
     EXPECT_EQ(R.Exit, 0) << R.Output;
     EXPECT_NE(R.Output.find("replay (5 instants"), std::string::npos)
         << R.Output;

@@ -1,8 +1,8 @@
 //===--- fault_injection_test.cpp - Scripted I/O failure classes ----------===//
 ///
-/// The deterministic fault harness exercised end to end: FdTraceSource
-/// and FdSink run over real descriptors whose read(2)/write(2) layer is
-/// a FaultSyscalls executing a scripted FaultPlan. Each test pins one
+/// The deterministic fault harness exercised end to end: a streamed
+/// TraceInput and FdSink run over real descriptors whose read(2)/write(2)
+/// layer is a FaultSyscalls executing a scripted FaultPlan. Each test pins one
 /// failure class with exact diagnostics and counters — no sleeps, no
 /// signals, no timing:
 ///
@@ -15,9 +15,9 @@
 ///   * EINTR storms on both directions: retried transparently, counted
 ///     exactly, and invisible in the bytes;
 ///   * mid-payload truncation: the positioned Truncated diagnostic is
-///     character-identical across Fd, Memory and Mmap sources;
+///     character-identical across streamed, in-memory and mapped inputs;
 ///   * in-flight byte corruption: the checksum diagnostic is
-///     character-identical across sources;
+///     character-identical across inputs;
 ///   * ENOSPC / EPIPE at an exact byte: the sink latches "at byte N:"
 ///     with everything below N written for real, and the writer reports
 ///     the failure instead of truncating silently.
@@ -28,7 +28,6 @@
 #include "interp/VmExecutor.h"
 #include "io/FaultInjection.h"
 #include "io/TraceEnvironment.h"
-#include "io/TraceReader.h"
 #include "io/TraceWriter.h"
 
 #include <gtest/gtest.h>
@@ -36,6 +35,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
 #include <unistd.h>
 
 using namespace sigc;
@@ -114,54 +114,42 @@ std::vector<uint8_t> readFile(const std::string &Path) {
   return Out;
 }
 
-/// Fully replays \p Src against \p C with output verification on and
+/// Fully replays \p In against \p C with output verification on and
 /// returns the replayed events; any decode or divergence failure is a
 /// test failure.
-std::vector<OutputEvent> replayVerified(const Compilation &C,
-                                        TraceSource &Src) {
-  TraceReader Reader(Src);
-  EXPECT_TRUE(Reader.readHeader()) << Reader.error().str();
-  EXPECT_TRUE(Reader.matchesStep(C.Compiled)) << Reader.error().str();
-  TraceEnvironment Env(Reader);
+std::vector<OutputEvent> replayVerified(const Compilation &C, TraceInput &In) {
+  TraceDecoder Dec(&C.Compiled);
+  EXPECT_TRUE(In.readHeader(Dec)) << Dec.error().str();
+  StreamEnvironment Env(Dec.spec());
   Env.setVerifyOutputs(true);
   Env.setCollectOutputs(true);
   VmExecutor Vm(C.Compiled);
-  unsigned At = 0;
-  for (;;) {
-    unsigned N = Env.prepare(At, Env.streamSpec().FrameInstants);
-    if (N == 0)
-      break;
-    Vm.stepN(Env, At, N);
-    At += N;
-  }
-  EXPECT_FALSE(Env.failed()) << Env.error().str();
-  EXPECT_TRUE(Env.atEnd());
+  replayTrace(In, Dec, Env, Vm, Dec.spec().FrameInstants);
+  EXPECT_TRUE(Dec.error().ok()) << Dec.error().str();
+  EXPECT_TRUE(Dec.finished());
   EXPECT_EQ(Env.divergence(), "");
   return Env.outputs();
 }
 
-/// Walks \p Src to the first decode failure and returns the positioned
+/// Walks \p In to the first decode failure and returns the positioned
 /// error. EXPECTs that a failure happens.
-TraceError walkToError(TraceSource &Src) {
-  TraceReader Reader(Src);
-  if (!Reader.readHeader())
-    return Reader.error();
+TraceError walkToError(TraceInput &In) {
+  TraceDecoder Dec;
   TraceFrame F;
   TraceFrameStatus St;
-  while ((St = Reader.nextFrame(F)) == TraceFrameStatus::Frame)
+  while ((St = In.next(Dec, F)) == TraceFrameStatus::Frame ||
+         St == TraceFrameStatus::Header)
     ;
   EXPECT_EQ(static_cast<int>(St), static_cast<int>(TraceFrameStatus::Error));
-  return Reader.error();
+  return Dec.error();
 }
 
-/// Opens \p Path as an FdTraceSource routed through \p Sys.
-std::unique_ptr<FdTraceSource> openFaulty(const std::string &Path,
-                                          IoSyscalls *Sys,
-                                          size_t BufSize = 1 << 16) {
-  std::string Error;
-  int Fd = FdTraceSource::openFile(Path, Error);
-  EXPECT_GE(Fd, 0) << Error;
-  return std::make_unique<FdTraceSource>(Fd, /*OwnsFd=*/true, BufSize, Sys);
+/// Opens \p Path as a streamed TraceInput reading through \p Sys.
+std::unique_ptr<TraceInput> openFaulty(const std::string &Path,
+                                       IoSyscalls *Sys) {
+  int Fd = ::open(Path.c_str(), O_RDONLY);
+  EXPECT_GE(Fd, 0) << Path;
+  return std::make_unique<TraceInput>(Fd, /*OwnsFd=*/true, Sys);
 }
 
 } // namespace
@@ -203,7 +191,7 @@ TEST(FaultInjection, ByteAtATimeReadsDecodeTheSameReplayAsMmap) {
   std::vector<uint8_t> Ref = recordBytes(*C, 24, 8);
   std::string Path = writeTempTrace(Ref);
 
-  MmapTraceSource Mmap;
+  TraceInput Mmap;
   std::string Error;
   ASSERT_TRUE(Mmap.open(Path, Error)) << Error;
   std::vector<OutputEvent> Expected = replayVerified(*C, Mmap);
@@ -225,7 +213,7 @@ TEST(FaultInjection, FrameHeaderSplitAcrossReadsDecodesIdentically) {
   std::vector<uint8_t> Ref = recordBytes(*C, 24, 8);
   std::string Path = writeTempTrace(Ref);
 
-  MmapTraceSource Mmap;
+  TraceInput Mmap;
   std::string Error;
   ASSERT_TRUE(Mmap.open(Path, Error)) << Error;
   std::vector<OutputEvent> Expected = replayVerified(*C, Mmap);
@@ -317,12 +305,12 @@ TEST(FaultInjection, MidPayloadTruncationDiagnosticMatchesAllSources) {
   // Memory source over the same prefix.
   std::vector<uint8_t> Prefix(Ref.begin(),
                               Ref.begin() + static_cast<long>(Cut));
-  MemoryTraceSource Mem(Prefix);
+  TraceInput Mem(Prefix);
   TraceError MemErr = walkToError(Mem);
 
   // Mmap source over a truncated file on disk.
   std::string CutPath = writeTempTrace(Prefix);
-  MmapTraceSource Mmap;
+  TraceInput Mmap;
   std::string Error;
   ASSERT_TRUE(Mmap.open(CutPath, Error)) << Error;
   TraceError MmapErr = walkToError(Mmap);
@@ -361,10 +349,10 @@ TEST(FaultInjection, InFlightCorruptionDiagnosticMatchesAllSources) {
   // The same damage applied at rest, decoded from memory and mmap.
   std::vector<uint8_t> Damaged = Ref;
   Damaged[At] ^= 0x40;
-  MemoryTraceSource Mem(Damaged);
+  TraceInput Mem(Damaged);
   TraceError MemErr = walkToError(Mem);
   std::string DamagedPath = writeTempTrace(Damaged);
-  MmapTraceSource Mmap;
+  TraceInput Mmap;
   std::string Error;
   ASSERT_TRUE(Mmap.open(DamagedPath, Error)) << Error;
   TraceError MmapErr = walkToError(Mmap);

@@ -299,10 +299,8 @@ LinkResult linkUnderNodeLimit(const std::vector<LinkInput> &Inputs,
                               unsigned Nodes) {
   std::vector<LinkUnit> Units(Inputs.size());
   for (size_t K = 0; K < Inputs.size(); ++K) {
-    CompileOptions CO;
-    CO.Optimize = false; // What the linker compiles its units with.
     Units[K].Name = Inputs[K].Name;
-    Units[K].Comp = compileSource(Inputs[K].Name, Inputs[K].Source, CO);
+    Units[K].Comp = compileSource(Inputs[K].Name, Inputs[K].Source);
     if (!Units[K].Comp) {
       ADD_FAILURE() << Inputs[K].Name << " did not compile";
       return {};
@@ -368,27 +366,21 @@ TEST(Linker, UncompilableUnitReportsItsDiagnostics) {
   EXPECT_NE(R.Error.find("did not compile"), std::string::npos) << R.Error;
 }
 
-TEST(Linker, UnitsAreLinkedFromTheirUnoptimizedLayout) {
-  LinkResult R = linkSensorMonitor();
-  ASSERT_TRUE(R.Sys) << R.Error;
-  for (const LinkUnit &U : R.Sys->Units) {
-    EXPECT_FALSE(U.Comp->Optimized) << U.Name;
-    EXPECT_EQ(U.Comp->Compiled.dump(),
-              CompiledStep::layOut(U.Comp->Step).dump())
-        << U.Name;
-  }
+TEST(Linker, DefaultCompiledUnitsLinkToTheSameFusedStep) {
+  // Fusion reads each unit's guard-tagged StepProgram, not its optimized
+  // step, so units compiled with the default options link to exactly the
+  // fused step compileAndLinkSources builds: the optimizer never sees a
+  // unit's exports alone.
+  LinkResult Ref = linkSensorMonitor();
+  ASSERT_TRUE(Ref.Sys) << Ref.Error;
 
-  // A unit compiled optimized would lose its exports to the optimizer.
   std::vector<LinkUnit> Units(2);
   Units[0].Comp = compileOk(SensorSource);
-  CompileOptions Layout;
-  Layout.Optimize = false;
-  Units[1].Comp = compileSource("MONITOR", MonitorSource, Layout);
-  LinkResult Bad = linkCompiled(std::move(Units));
-  ASSERT_FALSE(Bad.Sys);
-  EXPECT_NE(Bad.Error.find("process 'SENSOR' was compiled optimized"),
-            std::string::npos)
-      << Bad.Error;
+  Units[1].Comp = compileOk(MonitorSource);
+  LinkResult R = linkCompiled(std::move(Units));
+  ASSERT_TRUE(R.Sys) << R.Error;
+  EXPECT_EQ(R.Sys->Fused.dump(), Ref.Sys->Fused.dump());
+  EXPECT_EQ(R.Sys->Fused.Dropped, Ref.Sys->Fused.Dropped);
 }
 
 TEST(Linker, SingleFileLinkByProcessNames) {

@@ -10,7 +10,9 @@
 ///     "disconnected" while a full session on the same server completes
 ///     cleanly,
 ///   * a stimulus recorded against a different interface is rejected as
-///     an interface mismatch, not executed.
+///     an interface mismatch, not executed,
+///   * every corrupt stream ends with the positioned diagnostic
+///     `--replay` prints for the same bytes, beside a clean session.
 ///
 /// Requests are built in-process with TraceWriter against the same
 /// compiled interface the server loads (--builtin FIG5_ALARM).
@@ -21,7 +23,6 @@
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
 #include "io/TraceFormat.h"
-#include "io/TraceReader.h"
 #include "io/TraceWriter.h"
 #include "programs/Programs.h"
 #include "native/NativeCache.h"
@@ -318,24 +319,16 @@ Stimulus recordStimulus(const Compilation &C, unsigned Instants,
 /// (Hello stripped) are compared against byte for byte.
 std::vector<uint8_t> expectedResponse(const Compilation &C,
                                       const Stimulus &St) {
-  MemoryTraceSource Src(St.Bytes);
-  TraceReader Reader(Src);
-  EXPECT_TRUE(Reader.readHeader()) << Reader.error().str();
-  TraceEnvironment Env(Reader);
+  TraceInput In(St.Bytes);
+  TraceDecoder Dec;
+  EXPECT_TRUE(In.readHeader(Dec)) << Dec.error().str();
+  StreamEnvironment Env(Dec.spec());
   MemorySink Sink;
-  TraceWriter Echo(Sink, Reader.spec().outputsOnly());
+  TraceWriter Echo(Sink, Dec.spec().outputsOnly());
   Env.setEcho(&Echo);
   VmExecutor Vm(C.Compiled);
-  unsigned W = Reader.spec().FrameInstants;
-  unsigned At = 0;
-  for (;;) {
-    unsigned N = Env.prepare(At, W);
-    if (N == 0)
-      break;
-    Vm.stepN(Env, At, N);
-    At += N;
-  }
-  EXPECT_TRUE(Env.atEnd()) << Reader.error().str();
+  unsigned At = replayTrace(In, Dec, Env, Vm, Dec.spec().FrameInstants);
+  EXPECT_TRUE(Dec.finished()) << Dec.error().str();
   EXPECT_TRUE(Echo.finish(At));
   return Sink.takeBytes();
 }
@@ -372,22 +365,22 @@ size_t prefixLenThrough(const std::vector<uint8_t> &Stream, unsigned K) {
 /// Decodes an outputs-only response stream into output events.
 std::vector<OutputEvent> parseResponse(const std::vector<uint8_t> &Bytes) {
   std::vector<OutputEvent> Events;
-  MemoryTraceSource Src(Bytes);
-  TraceReader Reader(Src);
-  EXPECT_TRUE(Reader.readHeader()) << Reader.error().str();
-  if (!Reader.error().ok())
+  TraceInput In(Bytes);
+  TraceDecoder Dec;
+  EXPECT_TRUE(In.readHeader(Dec)) << Dec.error().str();
+  if (!Dec.error().ok())
     return Events;
-  const TraceSpec &Spec = Reader.spec();
+  const TraceSpec &Spec = Dec.spec();
   EXPECT_TRUE(Spec.Clocks.empty()) << "response must be outputs-only";
   EXPECT_TRUE(Spec.Inputs.empty()) << "response must be outputs-only";
   TraceFrame F;
   for (;;) {
-    TraceFrameStatus StFr = Reader.nextFrame(F);
+    TraceFrameStatus StFr = In.next(Dec, F);
     if (StFr == TraceFrameStatus::End)
       break;
     EXPECT_EQ(static_cast<int>(StFr),
               static_cast<int>(TraceFrameStatus::Frame))
-        << Reader.error().str();
+        << Dec.error().str();
     if (StFr != TraceFrameStatus::Frame)
       break;
     for (unsigned I = 0; I < F.Count; ++I)
@@ -608,6 +601,171 @@ TEST(Serve, WrongInterfaceIsRejectedNotExecuted) {
   EXPECT_NE(Log.find("does not match the served process"), std::string::npos)
       << Log;
   EXPECT_NE(Log.find("(interface mismatch)"), std::string::npos) << Log;
+}
+
+//===----------------------------------------------------------------------===//
+// Corrupt streams: the decoder's diagnostics, served
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The positioned diagnostic `signalc --replay` prints for \p Bytes
+/// against FIG5_ALARM (its "signalc: FILE: " prefix removed); empty when
+/// the replay succeeds.
+std::string replayDiagnostic(const std::vector<uint8_t> &Bytes,
+                             const std::string &Path) {
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out.write(reinterpret_cast<const char *>(Bytes.data()),
+              static_cast<std::streamsize>(Bytes.size()));
+  }
+  std::string Cmd = std::string(SIGNALC_BIN) +
+                    " --builtin FIG5_ALARM --replay " + Path + " 2>&1";
+  FILE *P = ::popen(Cmd.c_str(), "r");
+  std::string Output;
+  char Buf[4096];
+  size_t N;
+  while (P && (N = std::fread(Buf, 1, sizeof Buf, P)) > 0)
+    Output.append(Buf, N);
+  if (P)
+    ::pclose(P);
+  ::unlink(Path.c_str());
+  std::string Prefix = "signalc: " + Path + ": ";
+  size_t At = Output.find(Prefix);
+  if (At == std::string::npos)
+    return "";
+  At += Prefix.size();
+  return Output.substr(At, Output.find('\n', At) - At);
+}
+
+} // namespace
+
+TEST(ServeCorruption, CorruptStreamsEndWithTheReplayDiagnostic) {
+  // Each corrupt stream the TraceCorruption suite builds, plus the
+  // decoder's own contiguity and trailer checks, sent to a live server
+  // next to a clean session. Each ends with exactly the positioned
+  // diagnostic `--replay` prints for the same bytes: a damaged header as
+  // a typed interface-mismatch Reject carrying it, a stream that ends
+  // before its trailer as a disconnect (that is what a lost client looks
+  // like, and it stays resumable), everything else as a protocol error.
+  // The clean session's response stays byte-identical.
+  auto C = compileOk(alarmFigure5Source());
+  Stimulus Clean = recordStimulus(*C, 320, 61);
+  const std::vector<uint8_t> CleanRef = expectedResponse(*C, Clean);
+  const std::vector<uint8_t> Base = recordStimulus(*C, 16, 62).Bytes;
+  TraceSpec Spec;
+  size_t H = 0;
+  TraceError Err;
+  ASSERT_TRUE(parseTraceHeader(Base.data(), Base.size(), Spec, H, Err))
+      << Err.str();
+  const size_t H2 = H + TraceFrameHeaderBytes + readU32(Base, H);
+  const size_t Trailer = Base.size() - TraceFrameHeaderBytes;
+
+  struct Case {
+    const char *Name;
+    const char *How; ///< Expected teardown kind.
+    std::vector<uint8_t> Bytes;
+  };
+  std::vector<Case> Cases;
+  auto Damage = [&](const char *Name, const char *How, auto Fn) {
+    std::vector<uint8_t> B = Base;
+    Fn(B);
+    Cases.push_back({Name, How, std::move(B)});
+  };
+  Damage("bad magic", "protocol error", [](auto &B) { B[0] ^= 0xFF; });
+  Damage("bad version", "protocol error", [](auto &B) { B[4] = 0x63; });
+  Damage("byteswapped endian mark", "protocol error",
+         [](auto &B) { std::swap(B[6], B[7]); });
+  Damage("damaged header", "interface mismatch",
+         [](auto &B) { B[12] ^= 0x01; });
+  Damage("oversized frame length", "protocol error", [&](auto &B) {
+    B[H] = B[H + 1] = B[H + 2] = 0xFF;
+    B[H + 3] = 0x7F;
+  });
+  Damage("flipped payload byte", "protocol error",
+         [&](auto &B) { B[H + TraceFrameHeaderBytes] ^= 0x40; });
+  Damage("overcounted instants", "protocol error",
+         [&](auto &B) { B[H + 8] = 9; });
+  Damage("unaligned frame start", "protocol error",
+         [&](auto &B) { B[H + 4] = 3; });
+  Damage("skipped frame", "protocol error",
+         [&](auto &B) { B[H2 + 4] = 16; });
+  Damage("trailer miscount", "protocol error",
+         [&](auto &B) { B[Trailer + 4] = 24; });
+  Damage("missing trailer", "disconnected",
+         [&](auto &B) { B.resize(Trailer); });
+  {
+    // Two self-consistent 5-instant frames in a capacity-8 stream.
+    std::vector<uint8_t> B = encodeTraceHeader(Spec);
+    TraceFrame F;
+    F.shape(Spec);
+    F.Count = 5;
+    encodeTraceFrame(Spec, F, B);
+    F.Start = 5;
+    encodeTraceFrame(Spec, F, B);
+    encodeTraceTrailer(10, B);
+    Cases.push_back({"mid-stream partial frame", "protocol error", B});
+  }
+
+  std::vector<std::string> Want;
+  for (const Case &K : Cases) {
+    Want.push_back(replayDiagnostic(
+        K.Bytes, ::testing::TempDir() + "sigc_corrupt_" +
+                     std::to_string(::getpid()) + ".sgtr"));
+    EXPECT_NE(Want.back().find("offset "), std::string::npos)
+        << K.Name << ": replay printed no positioned diagnostic";
+  }
+
+  const unsigned Sessions = static_cast<unsigned>(Cases.size()) + 1;
+  ScopedServer Server;
+  Server.spawn(Sessions, Sessions);
+  ASSERT_GT(Server.Pid, 0);
+  std::vector<std::vector<uint8_t>> Resp(Sessions);
+  std::vector<std::thread> Clients;
+  for (unsigned I = 0; I < Sessions; ++I)
+    Clients.emplace_back([&, I] {
+      const std::vector<uint8_t> &B =
+          I < Cases.size() ? Cases[I].Bytes : Clean.Bytes;
+      int Fd = connectClient(Server.Sock);
+      ASSERT_GE(Fd, 0);
+      // A refused stream may be closed on mid-send; only the response
+      // and the log are checked.
+      sendAll(Fd, B.data(), B.size());
+      ::shutdown(Fd, SHUT_WR);
+      Resp[I] = recvAll(Fd);
+      ::close(Fd);
+    });
+  for (std::thread &T : Clients)
+    T.join();
+  EXPECT_EQ(Server.wait(), 0);
+  EXPECT_EQ(stripHello(Resp.back()), CleanRef);
+
+  std::string Log = Server.log();
+  EXPECT_NE(Log.find("served " + std::to_string(Sessions) + " session(s)"),
+            std::string::npos)
+      << Log;
+  for (size_t I = 0; I < Cases.size(); ++I) {
+    SCOPED_TRACE(Cases[I].Name);
+    // "session N: <diagnostic>", then N's teardown line.
+    size_t At = Log.find(": " + Want[I] + "\n");
+    ASSERT_NE(At, std::string::npos) << Want[I] << "\n" << Log;
+    unsigned Id = 0;
+    ASSERT_EQ(std::sscanf(Log.c_str() + Log.rfind('\n', At) + 1,
+                          "session %u:", &Id),
+              1);
+    size_t Line = Log.find("session " + std::to_string(Id) + ": instants=");
+    ASSERT_NE(Line, std::string::npos) << Log;
+    std::string Teardown = Log.substr(Line, Log.find('\n', Line) - Line);
+    EXPECT_NE(Teardown.find(std::string("(") + Cases[I].How + ")"),
+              std::string::npos)
+        << Teardown;
+    if (std::string(Cases[I].How) == "interface mismatch") {
+      ServeCtrl Reject = decodeReject(Resp[I]);
+      EXPECT_EQ(static_cast<int>(Reject.Reason),
+                static_cast<int>(ServeRejectReason::InterfaceMismatch));
+      EXPECT_EQ(Reject.Message, Want[I]);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,8 +7,9 @@
 ///   * the framing invariant: the bytes a recording produces do not
 ///     depend on the delivery batch size, and a verified replay echoed
 ///     through a writer with the same frame capacity is byte-identical,
-///   * source equivalence: mmap-backed and buffered-read replay of the
-///     same file decode the same trace,
+///   * input equivalence: a mapped file and the same file read(2) in
+///     chunks decode the same trace, and a non-regular file is read as a
+///     stream,
 ///   * the corrupt-input regression suite: truncated header, bad magic,
 ///     unsupported version, byteswapped endian mark, header-hash damage,
 ///     interface mismatch, mid-frame EOF, oversized frame lengths and
@@ -20,11 +21,11 @@
 #include "TestUtil.h"
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
-#include "io/TraceReader.h"
 #include "io/TraceWriter.h"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -70,27 +71,18 @@ Recording record(const Compilation &C, unsigned Instants, unsigned FrameCap,
   return R;
 }
 
-/// Replays \p Bytes against \p C through the given source, verifying the
-/// recorded outputs, and returns the replayed events.
-std::vector<OutputEvent> replayVerified(const Compilation &C,
-                                        TraceSource &Src) {
-  TraceReader Reader(Src);
-  EXPECT_TRUE(Reader.readHeader()) << Reader.error().str();
-  EXPECT_TRUE(Reader.matchesStep(C.Compiled)) << Reader.error().str();
-  TraceEnvironment Env(Reader);
+/// Replays \p In against \p C, verifying the recorded outputs, and
+/// returns the replayed events.
+std::vector<OutputEvent> replayVerified(const Compilation &C, TraceInput &In) {
+  TraceDecoder Dec(&C.Compiled);
+  EXPECT_TRUE(In.readHeader(Dec)) << Dec.error().str();
+  StreamEnvironment Env(Dec.spec());
   Env.setVerifyOutputs(true);
   Env.setCollectOutputs(true);
   VmExecutor Vm(C.Compiled);
-  unsigned At = 0;
-  for (;;) {
-    unsigned N = Env.prepare(At, Env.streamSpec().FrameInstants);
-    if (N == 0)
-      break;
-    Vm.stepN(Env, At, N);
-    At += N;
-  }
-  EXPECT_FALSE(Env.failed()) << Env.error().str();
-  EXPECT_TRUE(Env.atEnd());
+  replayTrace(In, Dec, Env, Vm, Dec.spec().FrameInstants);
+  EXPECT_TRUE(Dec.error().ok()) << Dec.error().str();
+  EXPECT_TRUE(Dec.finished());
   EXPECT_EQ(Env.divergence(), "");
   return Env.outputs();
 }
@@ -134,8 +126,8 @@ TEST(TraceRoundTrip, AllValueTypesSurviveRecordAndReplay) {
   Recording R = record(*C, 40, 8, 8);
   ASSERT_FALSE(R.Events.empty());
 
-  MemoryTraceSource Src(R.Bytes);
-  std::vector<OutputEvent> Replayed = replayVerified(*C, Src);
+  TraceInput In(R.Bytes);
+  std::vector<OutputEvent> Replayed = replayVerified(*C, In);
   EXPECT_EQ(Replayed, R.Events);
 }
 
@@ -145,25 +137,25 @@ TEST(TraceRoundTrip, PartialLastFrameAndTrailerAccounting) {
   // partial, then the trailer.
   Recording R = record(*C, 21, 8, 4);
 
-  MemoryTraceSource Src(R.Bytes);
-  TraceReader Reader(Src);
-  ASSERT_TRUE(Reader.readHeader()) << Reader.error().str();
-  EXPECT_EQ(Reader.spec().FrameInstants, 8u);
+  TraceInput In(R.Bytes);
+  TraceDecoder Dec;
+  ASSERT_TRUE(In.readHeader(Dec)) << Dec.error().str();
+  EXPECT_EQ(Dec.spec().FrameInstants, 8u);
 
   TraceFrame F;
   std::vector<std::pair<unsigned, unsigned>> Seen;
   for (;;) {
-    TraceFrameStatus St = Reader.nextFrame(F);
+    TraceFrameStatus St = In.next(Dec, F);
     if (St == TraceFrameStatus::End)
       break;
-    ASSERT_EQ(St, TraceFrameStatus::Frame) << Reader.error().str();
+    ASSERT_EQ(St, TraceFrameStatus::Frame) << Dec.error().str();
     Seen.push_back({F.Start, F.Count});
   }
   std::vector<std::pair<unsigned, unsigned>> Expected = {
       {0, 8}, {8, 8}, {16, 5}};
   EXPECT_EQ(Seen, Expected);
-  EXPECT_EQ(Reader.totalInstants(), 21u);
-  EXPECT_EQ(Reader.offset(), R.Bytes.size()) << "trailer ends the stream";
+  EXPECT_EQ(Dec.nextInstant(), 21u);
+  EXPECT_EQ(Dec.offset(), R.Bytes.size()) << "trailer ends the stream";
 }
 
 TEST(TraceRoundTrip, ZeroInstantTraceIsHeaderPlusTrailer) {
@@ -171,13 +163,12 @@ TEST(TraceRoundTrip, ZeroInstantTraceIsHeaderPlusTrailer) {
   Recording R = record(*C, 0, 8, 0);
   EXPECT_TRUE(R.Events.empty());
 
-  MemoryTraceSource Src(R.Bytes);
-  TraceReader Reader(Src);
-  ASSERT_TRUE(Reader.readHeader()) << Reader.error().str();
+  TraceInput In(R.Bytes);
+  TraceDecoder Dec;
+  ASSERT_TRUE(In.readHeader(Dec)) << Dec.error().str();
   TraceFrame F;
-  EXPECT_EQ(Reader.nextFrame(F), TraceFrameStatus::End)
-      << Reader.error().str();
-  EXPECT_EQ(Reader.totalInstants(), 0u);
+  EXPECT_EQ(In.next(Dec, F), TraceFrameStatus::End) << Dec.error().str();
+  EXPECT_EQ(Dec.nextInstant(), 0u);
 }
 
 TEST(TraceRoundTrip, RecordedBytesAreIndependentOfBatchSize) {
@@ -200,8 +191,8 @@ TEST(TraceRoundTrip, UnbatchedRunStillReplaysCorrectly) {
   // verifies and replays to the same events.
   auto C = compileMixed();
   Recording R = record(*C, 30, 8, 0);
-  MemoryTraceSource Src(R.Bytes);
-  std::vector<OutputEvent> Replayed = replayVerified(*C, Src);
+  TraceInput In(R.Bytes);
+  std::vector<OutputEvent> Replayed = replayVerified(*C, In);
   EXPECT_EQ(Replayed, R.Events);
 }
 
@@ -209,28 +200,20 @@ TEST(TraceRoundTrip, VerifiedReplayEchoesByteIdenticalTrace) {
   auto C = compileMixed();
   Recording R = record(*C, 50, 8, 8);
 
-  MemoryTraceSource Src(R.Bytes);
-  TraceReader Reader(Src);
-  ASSERT_TRUE(Reader.readHeader()) << Reader.error().str();
-  ASSERT_TRUE(Reader.matchesStep(C->Compiled)) << Reader.error().str();
+  TraceInput In(R.Bytes);
+  TraceDecoder Dec(&C->Compiled);
+  ASSERT_TRUE(In.readHeader(Dec)) << Dec.error().str();
 
   MemorySink EchoSink;
-  TraceWriter Echo(EchoSink, Reader.spec());
-  TraceEnvironment Env(Reader);
+  TraceWriter Echo(EchoSink, Dec.spec());
+  StreamEnvironment Env(Dec.spec());
   Env.setVerifyOutputs(true);
   Env.setEcho(&Echo);
   VmExecutor Vm(C->Compiled);
-  unsigned At = 0;
   // A replay window coprime with the frame capacity: every frame seam is
   // crossed mid-window at least once.
-  for (;;) {
-    unsigned N = Env.prepare(At, 7);
-    if (N == 0)
-      break;
-    Vm.stepN(Env, At, N);
-    At += N;
-  }
-  ASSERT_FALSE(Env.failed()) << Env.error().str();
+  unsigned At = replayTrace(In, Dec, Env, Vm, 7);
+  ASSERT_TRUE(Dec.error().ok()) << Dec.error().str();
   EXPECT_EQ(Env.divergence(), "");
   EXPECT_TRUE(Echo.finish(At));
   EXPECT_EQ(EchoSink.bytes(), R.Bytes)
@@ -238,28 +221,26 @@ TEST(TraceRoundTrip, VerifiedReplayEchoesByteIdenticalTrace) {
 }
 
 TEST(TraceRoundTrip, PerInstantReplayEchoesAUsableStream) {
-  // A replay driven by the unbatched executor (run(): windows of
-  // UnbatchedWindow, which neither the recording's batches of 5 nor the
-  // 27-instant end align with) mirrors
-  // what it serves into the echo writer byte for byte, and replaying the
-  // echoed stream reproduces the original events. Regression for an echo
-  // that only hooked some exchange paths and emitted an empty stimulus
-  // stream.
+  // A replay in the unbatched executor's windows (UnbatchedWindow, which
+  // neither the recording's batches of 5 nor the 27-instant end align
+  // with) mirrors what it serves into the echo writer byte for byte, and
+  // replaying the echoed stream reproduces the original events.
+  // Regression for an echo that only hooked some exchange paths and
+  // emitted an empty stimulus stream.
   auto C = compileMixed();
   Recording R = record(*C, 27, 8, 5);
 
-  MemoryTraceSource Src(R.Bytes);
-  TraceReader Reader(Src);
-  ASSERT_TRUE(Reader.readHeader()) << Reader.error().str();
-  ASSERT_TRUE(Reader.matchesStep(C->Compiled)) << Reader.error().str();
+  TraceInput In(R.Bytes);
+  TraceDecoder Dec(&C->Compiled);
+  ASSERT_TRUE(In.readHeader(Dec)) << Dec.error().str();
   MemorySink EchoSink;
-  TraceWriter Echo(EchoSink, Reader.spec());
-  TraceEnvironment Env(Reader);
+  TraceWriter Echo(EchoSink, Dec.spec());
+  StreamEnvironment Env(Dec.spec());
   Env.setVerifyOutputs(true);
   Env.setEcho(&Echo);
-  ASSERT_EQ(Env.prepare(0, 27), 27u) << Env.error().str();
   VmExecutor Vm(C->Compiled);
-  Vm.run(Env, 27);
+  ASSERT_EQ(replayTrace(In, Dec, Env, Vm, UnbatchedWindow), 27u)
+      << Dec.error().str();
   EXPECT_EQ(Env.divergence(), "");
   EXPECT_EQ(Env.outputCount(), R.Events.size());
   ASSERT_TRUE(Echo.finish(27));
@@ -268,8 +249,8 @@ TEST(TraceRoundTrip, PerInstantReplayEchoesAUsableStream) {
   EXPECT_EQ(EchoSink.bytes(), R.Bytes)
       << "re-recorded replay must be byte-identical to the original";
 
-  MemoryTraceSource EchoSrc(EchoSink.bytes());
-  std::vector<OutputEvent> Replayed = replayVerified(*C, EchoSrc);
+  TraceInput EchoIn(EchoSink.bytes());
+  std::vector<OutputEvent> Replayed = replayVerified(*C, EchoIn);
   EXPECT_EQ(Replayed, R.Events);
 }
 
@@ -278,16 +259,17 @@ TEST(TraceRoundTrip, MmapAndBufferedSourcesDecodeTheSameFile) {
   Recording R = record(*C, 33, 8, 8);
   std::string Path = writeTempTrace(R.Bytes);
 
-  MmapTraceSource Mapped;
+  TraceInput Mapped;
   std::string Error;
   ASSERT_TRUE(Mapped.open(Path, Error)) << Error;
+  EXPECT_FALSE(Mapped.streamed()) << "a regular file is mapped";
   std::vector<OutputEvent> ViaMmap = replayVerified(*C, Mapped);
 
-  // A deliberately tiny buffer forces the buffered source through its
-  // compaction and refill paths many times per trace.
-  int Fd = FdTraceSource::openFile(Path, Error);
-  ASSERT_GE(Fd, 0) << Error;
-  FdTraceSource Buffered(Fd, /*OwnsFd=*/true, /*BufSize=*/1);
+  // The same file through the read(2) path pipes take (the fault
+  // injection suite drives it a byte at a time).
+  int Fd = ::open(Path.c_str(), O_RDONLY);
+  ASSERT_GE(Fd, 0) << Path;
+  TraceInput Buffered(Fd, /*OwnsFd=*/true);
   std::vector<OutputEvent> ViaRead = replayVerified(*C, Buffered);
 
   EXPECT_EQ(ViaMmap, R.Events);
@@ -295,11 +277,19 @@ TEST(TraceRoundTrip, MmapAndBufferedSourcesDecodeTheSameFile) {
   ::unlink(Path.c_str());
 }
 
-TEST(TraceRoundTrip, MmapSourceRejectsNonRegularFiles) {
-  MmapTraceSource Src;
+TEST(TraceRoundTrip, NonRegularFilesAreReadAsStreams) {
+  // fstat, not a flag, picks the input: a character device (like a pipe)
+  // is read in chunks, and its empty stream is a positioned truncation.
+  TraceInput In;
   std::string Error;
-  EXPECT_FALSE(Src.open("/dev/null", Error));
-  EXPECT_NE(Error.find("not a regular file"), std::string::npos) << Error;
+  ASSERT_TRUE(In.open("/dev/null", Error)) << Error;
+  EXPECT_TRUE(In.streamed());
+  TraceDecoder Dec;
+  EXPECT_FALSE(In.readHeader(Dec));
+  EXPECT_EQ(static_cast<int>(Dec.error().Kind),
+            static_cast<int>(TraceErrorKind::Truncated))
+      << Dec.error().str();
+  EXPECT_EQ(Dec.error().Offset, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -312,29 +302,29 @@ namespace {
 /// Reads the header of \p Bytes and expects it to fail with \p Kind.
 TraceError expectHeaderError(const std::vector<uint8_t> &Bytes,
                              TraceErrorKind Kind) {
-  MemoryTraceSource Src(Bytes);
-  TraceReader Reader(Src);
-  EXPECT_FALSE(Reader.readHeader());
-  EXPECT_EQ(static_cast<int>(Reader.error().Kind), static_cast<int>(Kind))
-      << Reader.error().str();
-  return Reader.error();
+  TraceInput In(Bytes);
+  TraceDecoder Dec;
+  EXPECT_FALSE(In.readHeader(Dec));
+  EXPECT_EQ(static_cast<int>(Dec.error().Kind), static_cast<int>(Kind))
+      << Dec.error().str();
+  return Dec.error();
 }
 
-/// Reads the header (expecting success), then expects the first
-/// nextFrame walk to fail with \p Kind.
+/// Reads the header (expecting success), then expects the frame walk to
+/// fail with \p Kind.
 TraceError expectFrameError(const std::vector<uint8_t> &Bytes,
                             TraceErrorKind Kind) {
-  MemoryTraceSource Src(Bytes);
-  TraceReader Reader(Src);
-  EXPECT_TRUE(Reader.readHeader()) << Reader.error().str();
+  TraceInput In(Bytes);
+  TraceDecoder Dec;
+  EXPECT_TRUE(In.readHeader(Dec)) << Dec.error().str();
   TraceFrame F;
   TraceFrameStatus St;
-  while ((St = Reader.nextFrame(F)) == TraceFrameStatus::Frame)
+  while ((St = In.next(Dec, F)) == TraceFrameStatus::Frame)
     ;
   EXPECT_EQ(static_cast<int>(St), static_cast<int>(TraceFrameStatus::Error));
-  EXPECT_EQ(static_cast<int>(Reader.error().Kind), static_cast<int>(Kind))
-      << Reader.error().str();
-  return Reader.error();
+  EXPECT_EQ(static_cast<int>(Dec.error().Kind), static_cast<int>(Kind))
+      << Dec.error().str();
+  return Dec.error();
 }
 
 } // namespace
@@ -391,14 +381,13 @@ TEST(TraceCorruption, InterfaceMismatchNamesTheFirstDifference) {
   auto C = compileMixed();
   Recording R = record(*C, 8, 8, 8);
   auto Other = compileOk(proc("? integer A; ! integer Y;", "   Y := A + 1"));
-  MemoryTraceSource Src(R.Bytes);
-  TraceReader Reader(Src);
-  ASSERT_TRUE(Reader.readHeader()) << Reader.error().str();
-  EXPECT_FALSE(Reader.matchesStep(Other->Compiled));
-  EXPECT_EQ(static_cast<int>(Reader.error().Kind),
+  TraceInput In(R.Bytes);
+  TraceDecoder Dec(&Other->Compiled);
+  EXPECT_FALSE(In.readHeader(Dec));
+  EXPECT_EQ(static_cast<int>(Dec.error().Kind),
             static_cast<int>(TraceErrorKind::InterfaceMismatch));
-  EXPECT_NE(Reader.error().Message.find("does not match"), std::string::npos)
-      << Reader.error().str();
+  EXPECT_NE(Dec.error().Message.find("does not match"), std::string::npos)
+      << Dec.error().str();
 }
 
 TEST(TraceCorruption, MidFrameEofIsATruncationPastTheHeader) {
@@ -503,8 +492,8 @@ TEST(TraceCorruption, NonContiguousFrameStartIsMalformed) {
 TEST(TraceReplay, DivergenceNamesInstantSignalAndBothValuesByDeclaredType) {
   // X is declared real and carries the integers of I + 1. Replaying the
   // recording against I + 2 diverges at X's first occurrence, and the
-  // diagnostic renders both values by X's declared type, through the bulk
-  // exchange and the per-instant adapter alike.
+  // diagnostic renders both values by X's declared type, in one 16-instant
+  // window and one instant at a time alike.
   auto Rec = compileOk(proc("? integer I; ! real X;", "   X := I + 1"));
   auto Other = compileOk(proc("? integer I; ! real X;", "   X := I + 2"));
   Recording R = record(*Rec, 16, 8, 8);
@@ -516,19 +505,15 @@ TEST(TraceReplay, DivergenceNamesInstantSignalAndBothValuesByDeclaredType) {
       Value::makeReal(First.Val.Real).str();
   EXPECT_NE(Want.find(".000000, trace recorded "), std::string::npos) << Want;
 
-  for (bool Bulk : {true, false}) {
-    MemoryTraceSource Src(R.Bytes);
-    TraceReader Reader(Src);
-    ASSERT_TRUE(Reader.readHeader()) << Reader.error().str();
-    ASSERT_TRUE(Reader.matchesStep(Other->Compiled)) << Reader.error().str();
-    TraceEnvironment Env(Reader);
+  for (unsigned Window : {16u, 1u}) {
+    TraceInput In(R.Bytes);
+    TraceDecoder Dec(&Other->Compiled);
+    ASSERT_TRUE(In.readHeader(Dec)) << Dec.error().str();
+    StreamEnvironment Env(Dec.spec());
     Env.setVerifyOutputs(true);
-    ASSERT_EQ(Env.prepare(0, 16), 16u) << Env.error().str();
     VmExecutor Vm(Other->Compiled);
-    if (Bulk)
-      Vm.stepN(Env, 0, 16);
-    else
-      Vm.run(Env, 16);
-    EXPECT_EQ(Env.divergence(), Want) << (Bulk ? "stepN" : "step");
+    ASSERT_EQ(replayTrace(In, Dec, Env, Vm, Window), 16u)
+        << Dec.error().str();
+    EXPECT_EQ(Env.divergence(), Want) << "window " << Window;
   }
 }
