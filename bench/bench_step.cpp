@@ -210,7 +210,7 @@ Row benchProgram(const std::string &Name, const std::string &Source,
     R.VmBatchPerSec =
         throughput(Exec, TickPermille, Instants,
                    [Batch](VmExecutor &E, Environment &Env, unsigned N) {
-                     E.runBatched(Env, N, Batch);
+                     runWindows(E, Env, 0, N, Batch);
                    });
   }
   if (WithCEmit)

@@ -74,7 +74,7 @@ std::vector<uint8_t> recordTrace(const CompiledStep &CS, unsigned Instants,
     VmExecutor Vm(CS);
     unsigned N = Pass == 0 ? Instants / 8 + 1 : Instants;
     auto T0 = std::chrono::steady_clock::now();
-    Vm.runBatched(Rec, N, 64);
+    runWindows(Vm, Rec, 0, N, 64);
     W.finish(N);
     double S = secondsSince(T0);
     if (Pass == 1) {

@@ -83,12 +83,12 @@ double throughput(const CompiledStep &CS, const NativeModule *M,
   DiscardEnvironment Env(Seed, TickPermille);
   VmExecutor Vm(CS);
   Vm.setNative(M);
-  Vm.runBatched(Env, Instants / 8 + 1, 64); // Bind + warm.
+  runWindows(Vm, Env, 0, Instants / 8 + 1, 64); // Bind + warm.
   double Best = 0;
   for (unsigned R = 0; R < Reps; ++R) {
     Vm.reset();
     auto T0 = std::chrono::steady_clock::now();
-    Vm.runBatched(Env, Instants, 64);
+    runWindows(Vm, Env, 0, Instants, 64);
     double S = secondsSince(T0);
     if (S > 0 && Instants / S > Best)
       Best = Instants / S;

@@ -61,13 +61,9 @@
     "run N instants against a random environment")                             \
   X("--seed", Seed, 0, UINT64_MAX, "--simulate", "", "S",                      \
     "seed of the random environment")                                          \
-  X("--batch", Batch, 0, UINT32_MAX, "--simulate --replay --serve", "", "B",   \
+  X("--batch", Batch, 1, UINT32_MAX, "--simulate --replay --serve", "", "B",   \
     "instants per stepN window; the output is the same")                       \
-  X("--fleet", Fleet, 1, UINT32_MAX, "--simulate", "", "N",                    \
-    "simulate N instances, instance j on seed S + j")                          \
-  X("--threads", Threads, 1, UINT32_MAX, "--fleet", "", "T",                   \
-    "shard the fleet's instances over T threads")                              \
-  X("--record", RecordFile, 0, 0, "--simulate", "--fleet", "FILE",             \
+  X("--record", RecordFile, 0, 0, "--simulate", "", "FILE",                    \
     "record the simulated trace to FILE")                                      \
   X("--frame", FrameInstants, 1, 65535, "--record", "", "W",                   \
     "instants per recorded trace frame")                                       \
@@ -91,7 +87,8 @@
     "force exit MS ms into a SIGTERM/SIGINT drain")                            \
   X("--sndbuf", Serve.SendBufBytes, 0, UINT32_MAX, "--serve", "", "BYTES",     \
     "SO_SNDBUF of accepted connections")                                       \
-  X("--native", Tier.Mode, 0, 0, "--simulate --serve", "", "off|auto|force",                     \
+  X("--native", Tier.Mode, 0, 0, "--simulate --replay --serve", "",           \
+    "off|auto|force",                                                          \
     "native tier: off, auto (background compile), force")                      \
   X("--cache-dir", Tier.CacheDir, 0, 0, "--native", "", "DIR",                 \
     "native cache (default $XDG_CACHE_HOME/signalc)")                          \
@@ -136,7 +133,11 @@ struct CliOptions {
   bool DumpInterface = false, DumpLink = false, EmitC = false;
   bool WithDriver = false, Stats = false;
   bool Help = false;
-  unsigned Simulate = 0, Batch = 0, Fleet = 0, Threads = 1;
+  unsigned Simulate = 0;
+  /// The stepN window; 0 (no --batch) picks the mode's default:
+  /// UnbatchedWindow for --simulate, the trace's frame for --replay,
+  /// ServeOptions::BatchInstants for --serve.
+  unsigned Batch = 0;
   unsigned FrameInstants = TraceDefaultFrameInstants;
   uint64_t Seed = 1;
   EngineMode Mode = EngineMode::Vm;

@@ -259,13 +259,12 @@ int main(int Argc, char **Argv) {
   // Only a linked system's fused step carries clock checks; a run that a
   // failed check stopped is reported and exits 1.
   const char *RunKind = Linked ? "linked " : "";
-  auto stopped = [&](const SimulationTotals &T) {
-    for (const auto &[J, F] : T.Stops)
-      std::fprintf(stderr, "signalc: linked simulation stopped: %s%s\n",
-                   O.Fleet ? ("instance " + std::to_string(J) + ": ").c_str()
-                           : "",
+  auto stopped = [&](const VmExecutor &Exec) {
+    const ClockCheckFailure &F = Exec.checkFailure();
+    if (F)
+      std::fprintf(stderr, "signalc: linked simulation stopped: %s\n",
                    Linked->mismatchMessage(F).c_str());
-    return !T.Stops.empty();
+    return static_cast<bool>(F);
   };
 
   if (O.EmitC) {
@@ -279,9 +278,24 @@ int main(int Argc, char **Argv) {
     // session on its own scalar executor.
     ServeOptions SO = O.Serve;
     SO.Tier = O.Tier;
-    if (O.Batch > 0)
+    if (O.Batch)
       SO.BatchInstants = O.Batch;
     return runTraceServer(Step, ProcName, SO);
+  }
+
+  // --simulate and --replay run tiered under --native auto|force: each
+  // starts on the VM and runWindows attaches the native step at a window
+  // boundary once the cache hit or background compile is ready. Nothing
+  // is copied: the native step runs on the VM's own state block and
+  // maintains the counters VM-exactly.
+  std::unique_ptr<TierController> TC;
+  if (O.Tier.Mode != NativeMode::Off) {
+    TC = std::make_unique<TierController>(*Nested, O.Tier);
+    if (!TC->start()) {
+      std::fprintf(stderr, "signalc: --native force failed: %s\n",
+                   TC->error().c_str());
+      return 1;
+    }
   }
 
   if (!O.ReplayFile.empty()) {
@@ -303,9 +317,9 @@ int main(int Argc, char **Argv) {
     StreamEnvironment Env(Dec.spec());
     Env.setVerifyOutputs(true);
     VmExecutor Exec(Step);
-    unsigned At = replayTrace(In, Dec, Env, Exec,
-                              O.Batch > 1 ? O.Batch
-                                          : Dec.spec().FrameInstants);
+    unsigned At =
+        replayTrace(In, Dec, Env, Exec,
+                    O.Batch ? O.Batch : Dec.spec().FrameInstants, TC.get());
     if (!Dec.error().ok()) {
       std::fprintf(stderr, "signalc: %s: %s\n", O.ReplayFile.c_str(),
                    Dec.error().str().c_str());
@@ -316,19 +330,21 @@ int main(int Argc, char **Argv) {
                    Env.divergence().c_str());
       return 1;
     }
-    if (const ClockCheckFailure &F = Exec.checkFailure()) {
-      std::fprintf(stderr, "signalc: linked simulation stopped: %s\n",
-                   Linked->mismatchMessage(F).c_str());
+    if (stopped(Exec))
       return 1;
-    }
     std::printf("replay (%u instants, %s): %llu output(s) match the trace\n",
                 At, In.streamed() ? "buffered" : "mmap",
                 static_cast<unsigned long long>(Env.outputCount()));
+    if (TC && O.Stats)
+      printTierStats(*TC);
     if (O.Stats && At)
       printStats(ModeName, At, Exec.executed(), Exec.guardTests());
     return 0;
   }
 
+  // A --simulate or --record run steps windows of --batch instants
+  // (UnbatchedWindow without it); the text does not depend on it.
+  const unsigned Window = O.Batch ? O.Batch : UnbatchedWindow;
   if (!O.RecordFile.empty()) {
     // Record: a normal random simulation whose exchanged windows are
     // mirrored into a trace file (the same trace under either lowering).
@@ -344,10 +360,8 @@ int main(int Argc, char **Argv) {
                        TraceSpec::fromStep(Step, ProcName, O.FrameInstants));
     TextEnvironment Rnd(O.Seed);
     RecordingEnvironment Env(Rnd, Writer);
-    SimulationTotals T =
-        simulateFleet(Step, {&Env}, O.Simulate, O.Batch, /*Threads=*/1);
-    const unsigned Ran =
-        T.Stops.empty() ? O.Simulate : T.Stops[0].second.Instant + 1;
+    VmExecutor Exec(Step);
+    const unsigned Ran = runWindows(Exec, Env, 0, O.Simulate, Window);
     if (!Writer.finish(Ran)) {
       // The sink latched the first failure with its byte position.
       std::fprintf(stderr, "signalc: write failed on '%s' %s\n",
@@ -359,70 +373,26 @@ int main(int Argc, char **Argv) {
     std::printf("%ssimulation (%u instants, seed %llu):\n", RunKind,
                 O.Simulate, static_cast<unsigned long long>(O.Seed));
     putText(Rnd.text());
-    if (stopped(T))
+    if (stopped(Exec))
       return 1;
     if (O.Stats)
-      printStats(ModeName, O.Simulate, T.Executed, T.GuardTests);
+      printStats(ModeName, O.Simulate, Exec.executed(), Exec.guardTests());
     return 0;
   }
 
   if (O.Simulate) {
-    // A fleet simulation is N instances of the compiled process, each
-    // with its own deterministic environment (seed S + j) and each run
-    // exactly like a scalar simulation of that seed, sharded over
-    // --threads workers. Traces print per instance in instance order;
-    // counters are sums over the instances.
-    unsigned Instances = O.Fleet ? O.Fleet : 1;
-    std::vector<std::unique_ptr<TextEnvironment>> Owned;
-    std::vector<Environment *> Envs;
-    for (unsigned J = 0; J < Instances; ++J) {
-      Owned.push_back(std::make_unique<TextEnvironment>(O.Seed + J));
-      Envs.push_back(Owned.back().get());
-    }
-    // Tiered run: each instance starts on the VM and attaches the native
-    // step at a batch boundary once the cache hit or background compile
-    // is ready. Nothing is copied: the native step runs on the VM's own
-    // state block and maintains the counters VM-exactly.
-    std::unique_ptr<TierController> TC;
-    if (O.Tier.Mode != NativeMode::Off) {
-      TC = std::make_unique<TierController>(*Nested, O.Tier);
-      if (!TC->start()) {
-        std::fprintf(stderr, "signalc: --native force failed: %s\n",
-                     TC->error().c_str());
-        return 1;
-      }
-    }
-    SimulationTotals T =
-        simulateFleet(Step, Envs, O.Simulate, O.Batch, O.Threads, TC.get());
-    if (TC) {
-      TC->noteVmInstants(T.VmInstants);
-      TC->noteNativeInstants(T.NativeInstants);
-      if (O.Stats)
-        printTierStats(*TC);
-    }
-    if (!O.Fleet) {
-      std::printf("%ssimulation (%u instants, seed %llu):\n", RunKind,
-                  O.Simulate, static_cast<unsigned long long>(O.Seed));
-      putText(Owned[0]->text());
-      if (stopped(T))
-        return 1;
-      if (O.Stats)
-        printStats(ModeName, O.Simulate, T.Executed, T.GuardTests);
-      return 0;
-    }
-    std::printf("%sfleet simulation (%u instances, %u instants, seed %llu, "
-                "%u thread(s)):\n",
-                RunKind, O.Fleet, O.Simulate,
-                static_cast<unsigned long long>(O.Seed),
-                fleetShards(O.Threads, O.Fleet));
-    for (unsigned J = 0; J < O.Fleet; ++J) {
-      std::printf("instance %u:\n", J);
-      putText(Owned[J]->text());
-    }
-    if (stopped(T))
+    TextEnvironment Env(O.Seed);
+    VmExecutor Exec(Step);
+    runWindows(Exec, Env, 0, O.Simulate, Window, TC.get());
+    if (TC && O.Stats)
+      printTierStats(*TC);
+    std::printf("%ssimulation (%u instants, seed %llu):\n", RunKind,
+                O.Simulate, static_cast<unsigned long long>(O.Seed));
+    putText(Env.text());
+    if (stopped(Exec))
       return 1;
     if (O.Stats)
-      printStats("fleet", O.Simulate * O.Fleet, T.Executed, T.GuardTests);
+      printStats(ModeName, O.Simulate, Exec.executed(), Exec.guardTests());
   }
   return 0;
 }

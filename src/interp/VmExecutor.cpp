@@ -27,6 +27,7 @@
 #include "interp/VmExecutor.h"
 
 #include "native/NativeModule.h"
+#include "native/TierController.h"
 #include "sema/Kernel.h"
 
 #include <algorithm>
@@ -558,17 +559,27 @@ unsigned VmExecutor::stepN(Environment &Env, unsigned Start,
 }
 
 unsigned VmExecutor::run(Environment &Env, unsigned Count) {
-  return runBatched(Env, Count, UnbatchedWindow);
+  return runWindows(*this, Env, 0, Count, UnbatchedWindow);
 }
 
-unsigned VmExecutor::runBatched(Environment &Env, unsigned Count,
-                                unsigned BatchSize) {
-  if (BatchSize == 0)
-    BatchSize = 1;
-  for (unsigned Start = 0; Start < Count;) {
-    Start += stepN(Env, Start, std::min(BatchSize, Count - Start));
-    if (Failure)
-      return Start;
+unsigned sigc::runWindows(VmExecutor &Exec, Environment &Env, unsigned At,
+                          unsigned Count, unsigned Window,
+                          TierController *Tier) {
+  Window = std::max(Window, 1u);
+  unsigned Ran = 0;
+  while (Ran < Count) {
+    if (Tier && !Exec.native() && Tier->shouldPromote())
+      Exec.setNative(Tier->module());
+    unsigned N = Exec.stepN(Env, At + Ran, std::min(Window, Count - Ran));
+    Ran += N;
+    if (Tier) {
+      if (Exec.native())
+        Tier->noteNativeInstants(N);
+      else
+        Tier->noteVmInstants(N);
+    }
+    if (Exec.checkFailure())
+      break;
   }
-  return Count;
+  return Ran;
 }

@@ -48,7 +48,9 @@
 /// (tick and input columns, presence and value rows), outputs are
 /// buffered and flushed once at window end, instant by instant in code
 /// order. It is the only way into the interpreter: step() is a window of
-/// one instant, run() runs windows of UnbatchedWindow. Traces and
+/// one instant, and runWindows() (below) is the one loop that drives a
+/// run window by window — every --simulate, --record, --replay and serve
+/// batch, and run(), which is its windows of UnbatchedWindow. Traces and
 /// counters do not depend on how a run is cut into windows.
 ///
 /// Clock checks. A CheckClockEq that fails (a linked system's dynamic
@@ -72,7 +74,8 @@
 /// buffer pair and the environment receives the same declared-type slots
 /// from either. Traces and counters are the
 /// interpreter's, so attaching or detaching at any batch boundary is
-/// invisible, down to the text of every output.
+/// invisible, down to the text of every output. runWindows attaches the
+/// module at a window boundary when its TierController says so.
 ///
 /// Dispatch is direct-threaded: computed goto over GNU labels-as-values,
 /// which every supported compiler (gcc, clang) has.
@@ -90,9 +93,10 @@
 namespace sigc {
 
 class NativeModule;
+class TierController;
 
 /// The stepN window of a run that names no batch size (VmExecutor::run,
-/// an unbatched --simulate). A window amortizes the environment
+/// a --simulate without --batch). A window amortizes the environment
 /// crossing of a one-instant stepN; 8 instants keep it near the cost of
 /// one instant's PC walk without holding outputs back noticeably.
 constexpr unsigned UnbatchedWindow = 8;
@@ -161,14 +165,10 @@ public:
   /// clock check failed (see the file comment).
   unsigned stepN(Environment &Env, unsigned Start, unsigned Count);
 
-  /// Runs \p Count reactions starting at instant 0 in stepN windows of
-  /// UnbatchedWindow. \returns the instants run (fewer than \p Count
-  /// after a failed clock check).
+  /// Runs \p Count reactions starting at instant 0: runWindows in
+  /// windows of UnbatchedWindow, untiered. \returns the instants run
+  /// (fewer than \p Count after a failed clock check).
   unsigned run(Environment &Env, unsigned Count);
-
-  /// Runs \p Count reactions starting at instant 0, stepN-batched in
-  /// windows of \p BatchSize. \returns the instants run.
-  unsigned runBatched(Environment &Env, unsigned Count, unsigned BatchSize);
 
   /// The clock check that failed in the last step() or stepN(); false
   /// when none did.
@@ -257,6 +257,18 @@ private:
   std::vector<int32_t> FlushPos;       ///< Output desc -> flush position.
   std::vector<EnvOutputId> FlushIds;   ///< Flush position -> bound env id.
 };
+
+/// Runs instants [\p At, \p At + \p Count) of \p Exec against \p Env in
+/// stepN windows of \p Window instants (0 counts as 1), stopping after a
+/// failed clock check (Exec.checkFailure()). With a \p Tier, this is
+/// where promotion happens: before each window, an executor without a
+/// native module gets the controller's module attached once
+/// Tier->shouldPromote() holds, and each window's instants are counted
+/// into the controller under the tier that ran them. \returns the
+/// instants run.
+unsigned runWindows(VmExecutor &Exec, Environment &Env, unsigned At,
+                    unsigned Count, unsigned Window,
+                    TierController *Tier = nullptr);
 
 } // namespace sigc
 

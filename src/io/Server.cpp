@@ -128,7 +128,6 @@ public:
   int run();
 
 private:
-  void promoteTier();
   void acceptClients();
   void rejectConnection(int Fd, ServeRejectReason Reason,
                         const std::string &Message);
@@ -196,32 +195,17 @@ private:
   std::vector<uint8_t> CtrlBuf; ///< Reused control-frame encode buffer.
   size_t RR = 0; ///< Round-robin scan start.
   // Tiered native execution: the controller compiles/loads off the
-  // serving thread; the swap lands between batches, so every session
-  // crosses tiers at a batch boundary and checkpoints stay
-  // tier-agnostic.
+  // serving thread and counts every lane's instants per tier; runWindows
+  // swaps a lane between batches once the lanes' VM instants reach
+  // --tier-after, so every session crosses tiers at a batch boundary and
+  // checkpoints stay tier-agnostic.
   std::unique_ptr<TierController> Tier;
-  bool TierSwapped = false;
-  uint64_t TierVm = 0, TierNative = 0; ///< Instants stepped per tier.
+  bool NativeLogged = false; ///< The `tier: sessions now run native` line.
   // Serve-layer counters, printed at exit: ppoll returns, stepN calls,
   // recv and send syscalls, and the bytes they moved.
   uint64_t Wakeups = 0, Batches = 0, Recvs = 0, Sends = 0, BytesIn = 0,
            BytesOut = 0;
 };
-
-void Server::promoteTier() {
-  // Every session is between batches here, so attaching the module to
-  // every lane is a batch-boundary handoff for each of them, and the
-  // lanes' state blocks (and the checkpoints copied from them) carry on
-  // unchanged.
-  if (!Tier || TierSwapped || !Tier->shouldPromote(TierVm))
-    return;
-  for (VmExecutor &L : Lanes)
-    L.setNative(Tier->module());
-  TierSwapped = true;
-  std::fprintf(stderr, "tier: sessions now run native (%s, hash %s)\n",
-               Tier->cacheHit() ? "cache hit" : "background compile",
-               Tier->hash().c_str());
-}
 
 void Server::teardown(Session &S, const char *How) {
   // Always printed: scripted drivers (and the CI smoke test) sum these.
@@ -579,12 +563,16 @@ bool Server::stepSession(Session &S) {
       N = std::min(N, W - S.Executed % W);
     }
     VmExecutor &L = Lanes[S.Lane];
-    L.stepN(*S.Env, S.Executed, N);
+    runWindows(L, *S.Env, S.Executed, N, N, Tier.get());
     ++Batches;
+    if (L.native() && !NativeLogged) {
+      NativeLogged = true;
+      std::fprintf(stderr, "tier: sessions now run native (%s, hash %s)\n",
+                   Tier->cacheHit() ? "cache hit" : "background compile",
+                   Tier->hash().c_str());
+    }
     S.GuardTests = L.guardTests();
     S.Instrs = L.executed();
-    if (Tier)
-      (TierSwapped ? TierNative : TierVm) += N;
     S.Executed += N;
     S.Env->release(S.Executed);
     if (resumeEnabled() &&
@@ -858,7 +846,6 @@ int Server::run() {
         Session *S = sessionAt((RR + Scan) % NumSlots);
         if (!S)
           continue;
-        promoteTier();
         if (!stepSession(*S))
           continue;
         Progress = true;
@@ -881,14 +868,15 @@ int Server::run() {
     std::fprintf(stderr,
                  "rejected %u connection(s) (at capacity %u, draining %u)\n",
                  Rejected, RejectedCapacity, RejectedDraining);
-  if (Tier)
+  if (Tier) {
+    TierStats T = Tier->stats();
     std::fprintf(stderr,
                  "tier: vm_instants=%llu native_instants=%llu cache=%s%s%s\n",
-                 static_cast<unsigned long long>(TierVm),
-                 static_cast<unsigned long long>(TierNative),
-                 Tier->cacheHit() ? "hit" : "miss",
-                 Tier->error().empty() ? "" : " error=",
-                 Tier->error().c_str());
+                 static_cast<unsigned long long>(T.VmInstants),
+                 static_cast<unsigned long long>(T.NativeInstants),
+                 T.CacheHit ? "hit" : "miss", T.Error.empty() ? "" : " error=",
+                 T.Error.c_str());
+  }
   std::fprintf(stderr, "served %u session(s)%s\n", Ended,
                Draining ? " (drained)" : "");
   std::fprintf(stderr,

@@ -45,11 +45,13 @@
 /// scheduler wakeup runs round-robin passes, one stepN batch per
 /// runnable session per pass, until no session can advance on the bytes
 /// already read (or its output queue is over its bound), and then sends
-/// each session's queue once. A lane is one VmExecutor:
-/// it interprets the bytecode until the native tier is ready, then every
-/// lane gets the native module attached and runs the compiled step on
-/// the same state block. A checkpoint is a copy of the lane's delay
-/// slots, whichever tier took it.
+/// each session's queue once. A lane is one VmExecutor, and each batch
+/// is one runWindows call (interp/VmExecutor.h), the loop every run goes
+/// through: a lane interprets the bytecode until the native tier is
+/// ready and the lanes' VM instants together reach --tier-after, then
+/// gets the native module attached before its next batch and runs the
+/// compiled step on the same state block. A checkpoint is a copy of the
+/// lane's delay slots, whichever tier took it.
 ///
 /// Flow control is explicit in both directions: a session whose
 /// un-drained response bytes exceed the queue bound stops being stepped
@@ -125,8 +127,8 @@ struct ServeOptions {
   /// it makes outbound backpressure — and therefore the write deadline
   /// — reachable with small streams; an ops/testing knob.
   unsigned SendBufBytes = 0;
-  /// Tiered native execution (--native/--cache-dir/--tier-after). When
-  /// the module is ready every lane swaps before the next batch, so
+  /// Tiered native execution (--native/--cache-dir/--tier-after). Once
+  /// the module may run, each lane swaps before its next batch, so
   /// every session sees the handoff at a batch boundary and checkpoints
   /// keep resuming identically.
   TierOptions Tier;

@@ -281,7 +281,7 @@ void StreamEnvironment::exchangeOutputs(unsigned Start, unsigned Count,
 
 unsigned sigc::replayTrace(TraceInput &In, TraceDecoder &Dec,
                            StreamEnvironment &Env, VmExecutor &Exec,
-                           unsigned Window) {
+                           unsigned Window, TierController *Tier) {
   const unsigned W = std::max(Window, 1u);
   unsigned At = Env.residentEnd();
   for (;;) {
@@ -296,7 +296,7 @@ unsigned sigc::replayTrace(TraceInput &In, TraceDecoder &Dec,
     unsigned N = std::min(W, Env.residentEnd() - At);
     if (N == 0)
       return At;
-    At += Exec.stepN(Env, At, N);
+    At += runWindows(Exec, Env, At, N, N, Tier);
     Env.release(At);
     if (Exec.checkFailure())
       return At;

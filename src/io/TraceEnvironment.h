@@ -45,6 +45,7 @@
 
 namespace sigc {
 
+class TierController;
 class VmExecutor;
 
 /// Mirrors the traffic of an inner environment into a TraceWriter.
@@ -178,11 +179,13 @@ private:
 /// Replays a trace on \p Exec: decodes the frames of \p In through
 /// \p Dec, whose header is already decoded (readHeader) and whose spec
 /// \p Env was built from, pushes them into \p Env, and steps windows of
-/// up to \p Window instants as soon as they are resident. Stops at the
-/// trailer (Dec.finished()), at a decode error (Dec.error()) or at a
-/// failed clock check (Exec.checkFailure()). \returns the instants run.
+/// up to \p Window instants as soon as they are resident, each through
+/// runWindows on \p Tier (null: the VM alone). Stops at the trailer
+/// (Dec.finished()), at a decode error (Dec.error()) or at a failed clock
+/// check (Exec.checkFailure()). \returns the instants run.
 unsigned replayTrace(TraceInput &In, TraceDecoder &Dec, StreamEnvironment &Env,
-                     VmExecutor &Exec, unsigned Window);
+                     VmExecutor &Exec, unsigned Window,
+                     TierController *Tier = nullptr);
 
 } // namespace sigc
 

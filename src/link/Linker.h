@@ -31,8 +31,8 @@
 ///
 /// The linked system is its fused CompiledStep: every engine that runs a
 /// single process runs it (the VM, its native twin, the C emitter, the
-/// record/replay and fleet paths), under the name `linked_sys` in the
-/// CLI. A channel the linker could not bind statically is checked in
+/// --simulate, --record and --replay runs), under the name `linked_sys`
+/// in the CLI. A channel the linker could not bind statically is checked in
 /// the bytecode itself (a CheckClockEq at the end of the fused step),
 /// and mismatchMessage() renders a failed check.
 ///

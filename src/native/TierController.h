@@ -9,16 +9,22 @@
 ///     native from instant 0;
 ///   * on a miss in Auto mode, execution stays on the VM while a
 ///     background thread emits the C, runs the host cc, publishes the
-///     artifact, and loads it; the session polls shouldPromote() at
-///     batch boundaries and swaps when the module is ready and the
-///     warm-up threshold (--tier-after) has passed;
+///     artifact, and loads it;
 ///   * Force mode compiles synchronously before the first instant and
 ///     fails hard if it cannot go native; Off never leaves the VM.
 ///
-/// The controller also aggregates the per-tier instant counters that
-/// --stats reports. It is safe to poll from the execution thread while
-/// the worker compiles: the loaded module is published through an
-/// acquire/release flag.
+/// The promotion itself lives in one loop, runWindows
+/// (interp/VmExecutor.h), which every tiered run goes through: a
+/// --simulate, a --replay and each serve batch. Before each window it
+/// asks shouldPromote() — the module is ready and the VM instants
+/// counted so far reach the warm-up threshold (--tier-after) — and
+/// attaches the module to an executor that has none; after it, it counts
+/// the window's instants here under the tier that ran them, the split
+/// --stats and the server's exit line report. A run's VM instants are
+/// its instants before the swap; a server's are summed over its lanes.
+/// It is safe to poll from the execution thread while the worker
+/// compiles: the loaded module is published through an acquire/release
+/// flag.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +79,6 @@ public:
   bool start();
 
   NativeMode mode() const { return Opts.Mode; }
-  /// The warm-up threshold (--tier-after) shouldPromote applies.
-  unsigned tierAfter() const { return Opts.TierAfter; }
   const std::string &hash() const { return Hash; }
 
   /// True once a validated module is loaded (cache hit or compile done).
@@ -84,11 +88,11 @@ public:
     return nativeReady() ? Mod.get() : nullptr;
   }
 
-  /// Promotion gate for Auto mode: module ready and the warm-up
-  /// threshold reached after \p VmInstantsSoFar interpreted instants.
-  bool shouldPromote(uint64_t VmInstantsSoFar) const {
+  /// Promotion gate: module ready and the warm-up threshold reached by
+  /// the VM instants noted so far.
+  bool shouldPromote() const {
     return Opts.Mode != NativeMode::Off && nativeReady() &&
-           VmInstantsSoFar >= Opts.TierAfter;
+           VmInstants >= Opts.TierAfter;
   }
 
   bool cacheHit() const { return Hit; }

@@ -354,8 +354,7 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   // counters included.
   RandomEnvironment EnvVmB(Options.EnvSeed, Options.TickPermille);
   VmExecutor ExecVmB(C->Compiled);
-  ExecVmB.runBatched(EnvVmB, Options.Instants,
-                     Options.BatchSize ? Options.BatchSize : 1);
+  runWindows(ExecVmB, EnvVmB, 0, Options.Instants, Options.BatchSize);
   if (formatEvents(EnvVmB.outputs()) != formatEvents(EnvVm.outputs())) {
     TraceDiff BD = compareTraces("step-vm", EnvVm.outputs(), "step-vm-batch",
                                  EnvVmB.outputs());
@@ -393,7 +392,7 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     RandomEnvironment RndRec(Options.EnvSeed, Options.TickPermille);
     RecordingEnvironment EnvRec(RndRec, Writer);
     VmExecutor ExecRec(C->Compiled);
-    ExecRec.runBatched(EnvRec, Options.Instants, B);
+    runWindows(ExecRec, EnvRec, 0, Options.Instants, B);
     if (!Writer.finish(Options.Instants)) {
       R.Error = failure(Name, "trace writer failed", "", Source);
       return R;
@@ -829,9 +828,8 @@ OracleReport sigc::checkLinkedDifferential(
   // unbatched linked run bit for bit, counters included.
   RandomEnvironment EnvLinkedB(Options.EnvSeed, Options.TickPermille);
   VmExecutor LinkedB(Sys.Fused);
-  if (LinkedB.runBatched(EnvLinkedB, Options.Instants,
-                         Options.BatchSize ? Options.BatchSize : 1) !=
-      Options.Instants) {
+  if (runWindows(LinkedB, EnvLinkedB, 0, Options.Instants,
+                 Options.BatchSize) != Options.Instants) {
     R.Error = failure(Name, "batched linked execution stopped",
                       Sys.mismatchMessage(LinkedB.checkFailure()) + "\n",
                       AllSources);

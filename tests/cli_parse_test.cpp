@@ -78,7 +78,7 @@ std::string sample(const CliFlag &F) {
 }
 
 /// \p F with operand \p Value, after the first flag of each needs
-/// column on the way (so --threads comes after --fleet and --simulate).
+/// column on the way (so --frame comes after --record and --simulate).
 std::vector<std::string> given(const CliFlag &F, const std::string &Value) {
   std::vector<std::string> Args;
   std::vector<std::string> Needs = words(F.Needs);
@@ -123,8 +123,8 @@ TEST(CliParse, TableIsConsistent) {
       for (const std::string &W : words(Column))
         EXPECT_EQ(row(W).Name, W) << F.Name;
   }
-  // 36 long flags and -h.
-  EXPECT_EQ(cliFlags().size(), 37u);
+  // 34 long flags and -h.
+  EXPECT_EQ(cliFlags().size(), 35u);
 }
 
 TEST(CliParse, EveryRowSetsItsFieldInBothOperandForms) {
@@ -261,9 +261,9 @@ TEST(CliParse, EveryExclusionIsAUsageError) {
                                       " cannot be combined with " + E + "\n");
       ++Pairs;
     }
-  // --process and the six per-stage dumps under --link, --record with
-  // --fleet, and any two of --simulate, --replay and --serve.
-  EXPECT_EQ(Pairs, 11u);
+  // --process and the six per-stage dumps under --link, and any two of
+  // --simulate, --replay and --serve.
+  EXPECT_EQ(Pairs, 10u);
 }
 
 TEST(CliParse, ValueDependentCombinations) {
@@ -282,12 +282,16 @@ TEST(CliParse, ValueDependentCombinations) {
                           "t"}),
               Head + "--record (the recorder runs the vm)\n");
   }
-  // --native off runs on the VM anyway, and a replay never runs native.
+  // --native off runs on the VM anyway, and a replay runs tiered too.
   EXPECT_FALSE(parse({"--native", "off", "--simulate", "3", "--mode", "flat",
                       "--record", "t"})
                    .stops());
-  EXPECT_EQ(usageError({"--native", "force", "--replay", "t"}),
-            "signalc: --native requires --simulate or --serve\n");
+  EXPECT_FALSE(parse({"--native", "force", "--replay", "t"}).stops());
+  EXPECT_EQ(usageError({"--native", "force", "--emit-c"}),
+            "signalc: --native requires --simulate, --replay or --serve\n");
+  // --batch is the stepN window of every mode, so it is at least 1.
+  EXPECT_EQ(usageError({"--simulate", "3", "--batch", "0"}),
+            "signalc: value '0' for --batch is out of range (min 1)\n");
   // The tier's qualifiers need the tier on: --native off does not count.
   for (const char *Flag : {"--tier-after", "--cache-dir"}) {
     EXPECT_EQ(usageError({"--simulate", "2", "--native", "off", Flag, "5"}),
@@ -326,6 +330,13 @@ TEST(CliParse, UnknownOptionSuggestsItsNeighbour) {
                 cliUsage());
   EXPECT_EQ(usageError({"--zzqxj"}),
             "signalc: unknown option '--zzqxj'\n" + cliUsage());
+  // The fleet flags are gone: a run is one scalar instance.
+  for (const char *Gone : {"--fleet", "--threads"})
+    EXPECT_EQ(usageError({"--simulate", "3", Gone, "2"})
+                  .rfind("signalc: unknown option '" + std::string(Gone) + "'",
+                         0),
+              0u)
+        << Gone;
 }
 
 TEST(CliParse, MutatedArgvRunsOrStopsWithADiagnostic) {

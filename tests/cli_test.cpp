@@ -61,8 +61,7 @@ CliResult runSignalc(const std::string &Args, bool StdoutOnly = false,
   return R;
 }
 
-const char *numericFlags[] = {"--simulate", "--batch", "--seed", "--fleet",
-                              "--threads"};
+const char *numericFlags[] = {"--simulate", "--batch", "--seed"};
 
 } // namespace
 
@@ -96,8 +95,8 @@ TEST(Cli, OutOfRangeSeedIsDiagnosedNotThrown) {
 }
 
 TEST(Cli, OutOfRangeUnsignedFlagIsDiagnosed) {
-  // Fits in 64 bits but not in the 32-bit instant/instance counts.
-  for (const char *Flag : {"--simulate", "--fleet"}) {
+  // Fits in 64 bits but not in the 32-bit instant and window counts.
+  for (const char *Flag : {"--simulate", "--batch"}) {
     CliResult R = runSignalc("--builtin FIG5_ALARM " + std::string(Flag) +
                              " 99999999999");
     EXPECT_EQ(R.Exit, 2) << Flag << ": " << R.Output;
@@ -167,7 +166,6 @@ TEST(Cli, QualifierWithoutItsFlagIsAUsageError) {
       {"--simulate 3 --tier-after=5", "--native"},
       {"--simulate 3 --cache-dir /nonexistent", "--native"},
       {"--simulate 3 --cache-dir=/nonexistent", "--native"},
-      {"--simulate 3 --threads 2", "--fleet"},
       {"--max-sessions 2", "--serve"},
       {"--serve-limit 1", "--serve"},
       {"--resume 2", "--serve"},
@@ -184,8 +182,7 @@ TEST(Cli, QualifierWithoutItsFlagIsAUsageError) {
         << Args << ": " << R.Output;
   }
   // With the flag they qualify they run.
-  CliResult Ok =
-      runSignalc("--builtin FIG5_ALARM --simulate 3 --fleet 2 --threads 2");
+  CliResult Ok = runSignalc("--builtin FIG5_ALARM --emit-c --with-driver");
   EXPECT_EQ(Ok.Exit, 0) << Ok.Output;
   // --native off does not count: the tier's qualifiers need the tier on.
   for (const char *Args : {"--simulate 3 --native off --tier-after 5",
@@ -204,46 +201,6 @@ TEST(Cli, ValidNumericFlagsStillRun) {
   EXPECT_NE(R.Output.find("simulation (4 instants, seed 3)"),
             std::string::npos)
       << R.Output;
-}
-
-TEST(Cli, FleetSimulationRunsFromTheCli) {
-  CliResult R = runSignalc(
-      "--builtin FIG5_ALARM --simulate 16 --fleet 3 --threads 2 --seed 5");
-  EXPECT_EQ(R.Exit, 0) << R.Output;
-  EXPECT_NE(R.Output.find("fleet simulation (3 instances, 16 instants, "
-                          "seed 5"),
-            std::string::npos)
-      << R.Output;
-  // Every instance's trace prints, in instance order.
-  size_t I0 = R.Output.find("instance 0:");
-  size_t I1 = R.Output.find("instance 1:");
-  size_t I2 = R.Output.find("instance 2:");
-  EXPECT_NE(I0, std::string::npos) << R.Output;
-  EXPECT_LT(I0, I1);
-  EXPECT_LT(I1, I2);
-}
-
-TEST(Cli, FleetInstanceReplaysTheScalarSeed) {
-  // Fleet instance j draws from seed S + j: instance 1 of a seed-5 fleet
-  // must print exactly the trace of a scalar run with seed 6.
-  CliResult F = runSignalc(
-      "--builtin FIG5_ALARM --simulate 24 --fleet 3 --seed 5");
-  ASSERT_EQ(F.Exit, 0) << F.Output;
-  size_t Beg = F.Output.find("instance 1:\n");
-  size_t End = F.Output.find("instance 2:\n");
-  ASSERT_NE(Beg, std::string::npos) << F.Output;
-  ASSERT_NE(End, std::string::npos) << F.Output;
-  std::string FleetTrace =
-      F.Output.substr(Beg + 12, End - (Beg + 12));
-
-  CliResult S = runSignalc("--builtin FIG5_ALARM --simulate 24 --seed 6");
-  ASSERT_EQ(S.Exit, 0) << S.Output;
-  size_t Hdr = S.Output.find("simulation (24 instants, seed 6):\n");
-  ASSERT_NE(Hdr, std::string::npos) << S.Output;
-  std::string ScalarTrace =
-      S.Output.substr(S.Output.find('\n', Hdr) + 1);
-
-  EXPECT_EQ(FleetTrace, ScalarTrace);
 }
 
 TEST(Cli, StatsReportsGuardShape) {
@@ -282,21 +239,6 @@ TEST(Cli, StatsReportsGuardShape) {
                            "guard_tests=[0-9]+ instrs_per_instant="
                            "[0-9]+\\.[0-9]{2}\n")))
       << R.Output;
-}
-
-TEST(Cli, FleetStatsSumCountersAcrossInstances) {
-  CliResult One = runSignalc(
-      "--builtin FIG5_ALARM --simulate 16 --fleet 1 --seed 9 --stats");
-  CliResult Two = runSignalc(
-      "--builtin FIG5_ALARM --simulate 16 --fleet 2 --seed 9 --stats");
-  ASSERT_EQ(One.Exit, 0) << One.Output;
-  ASSERT_EQ(Two.Exit, 0) << Two.Output;
-  EXPECT_NE(One.Output.find("stats: mode=fleet instants=16"),
-            std::string::npos)
-      << One.Output;
-  EXPECT_NE(Two.Output.find("stats: mode=fleet instants=32"),
-            std::string::npos)
-      << Two.Output;
 }
 
 TEST(Cli, FlatModeBatchesLikeUnbatchedFlat) {
@@ -834,66 +776,32 @@ TEST(Cli, AutoModeWarmHitPromotesAtTierAfter) {
       << R.Output;
 }
 
-TEST(Cli, FleetNativeMatchesInterpretedFleet) {
+TEST(Cli, NativeReplayMatchesTheVmReplay) {
+  // --replay runs tiered like --simulate: under --native force the whole
+  // replay runs native and prints the VM replay's stdout.
   if (!cliHostCcAvailable())
     GTEST_SKIP() << "no host C compiler";
   TempCacheDirCli Cache;
-  CliResult Off =
-      runSignalc("--builtin FIG5_ALARM --simulate 32 --seed 5 --fleet 3");
-  ASSERT_EQ(Off.Exit, 0) << Off.Output;
-  CliResult Nat =
-      runSignalc("--builtin FIG5_ALARM --simulate 32 --seed 5 --fleet 3 "
-                 "--native force --cache-dir " +
-                 Cache.Path);
+  std::string Path = tempTracePath("native_replay");
+  CliResult Rec = runSignalc(
+      "--builtin FIG5_ALARM --simulate 300 --seed 3 --record " + Path);
+  ASSERT_EQ(Rec.Exit, 0) << Rec.Output;
+  const std::string Run = "--builtin FIG5_ALARM --replay " + Path;
+  CliResult Vm = runSignalc(Run, /*StdoutOnly=*/true);
+  ASSERT_EQ(Vm.Exit, 0) << Vm.Output;
+  EXPECT_NE(Vm.Output.find("replay (300 instants, mmap): "), std::string::npos)
+      << Vm.Output;
+  const std::string Native = " --native force --cache-dir " + Cache.Path;
+  CliResult Nat = runSignalc(Run + Native, /*StdoutOnly=*/true);
   ASSERT_EQ(Nat.Exit, 0) << Nat.Output;
-  EXPECT_EQ(Off.Output, Nat.Output);
-}
-
-TEST(Cli, FleetThreadCountDoesNotChangeStdout) {
-  // Instances shard over the threads, each run exactly as a scalar run:
-  // every instance's trace is the same for any thread count. Only the
-  // header line names the thread count.
-  auto Body = [](const CliResult &R) {
-    return R.Output.substr(R.Output.find('\n') + 1);
-  };
-  std::string Run = "--builtin STOPWATCH --simulate 64 --seed 3 --fleet 4";
-  CliResult One = runSignalc(Run + " --threads 1", /*StdoutOnly=*/true);
-  CliResult Two = runSignalc(Run + " --threads 2", /*StdoutOnly=*/true);
-  ASSERT_EQ(One.Exit, 0) << One.Output;
-  ASSERT_EQ(Two.Exit, 0) << Two.Output;
-  EXPECT_EQ(One.Output.rfind("fleet simulation (4 instances, 64 instants, "
-                             "seed 3, 1 thread(s)):\n",
-                             0),
-            0u)
-      << One.Output;
-  EXPECT_EQ(Two.Output.rfind("fleet simulation (4 instances, 64 instants, "
-                             "seed 3, 2 thread(s)):\n",
-                             0),
-            0u)
-      << Two.Output;
-  EXPECT_EQ(Body(One), Body(Two));
-  // The header counts the threads that run: one per instance at most.
-  CliResult Clamped =
-      runSignalc("--builtin FIG5_ALARM --simulate 2 --fleet 2 --threads 8",
-                 /*StdoutOnly=*/true);
-  ASSERT_EQ(Clamped.Exit, 0) << Clamped.Output;
-  EXPECT_EQ(Clamped.Output.rfind("fleet simulation (2 instances, 2 instants, "
-                                 "seed 1, 2 thread(s)):\n",
-                                 0),
-            0u)
-      << Clamped.Output;
-  if (!cliHostCcAvailable())
-    GTEST_SKIP() << "no host C compiler";
-  TempCacheDirCli Cache;
-  std::string Native = " --native force --cache-dir " + Cache.Path;
-  CliResult NatOne =
-      runSignalc(Run + " --threads 1" + Native, /*StdoutOnly=*/true);
-  CliResult NatTwo =
-      runSignalc(Run + " --threads 2" + Native, /*StdoutOnly=*/true);
-  ASSERT_EQ(NatOne.Exit, 0) << NatOne.Output;
-  ASSERT_EQ(NatTwo.Exit, 0) << NatTwo.Output;
-  EXPECT_EQ(NatOne.Output, One.Output);
-  EXPECT_EQ(NatTwo.Output, Two.Output);
+  EXPECT_EQ(Nat.Output, Vm.Output);
+  CliResult Stats = runSignalc(Run + Native + " --stats");
+  ASSERT_EQ(Stats.Exit, 0) << Stats.Output;
+  EXPECT_NE(Stats.Output.find("stats: tier native=force cache=hit "
+                              "vm_instants=0 native_instants=300"),
+            std::string::npos)
+      << Stats.Output;
+  std::remove(Path.c_str());
 }
 
 TEST(Cli, NativeCacheMissReportsEmittedCSizeAndCcTime) {
@@ -1033,12 +941,6 @@ TEST(Cli, StreamedSimulateTextEqualsFormatEventsOnEveryBuiltin) {
     EXPECT_EQ(Stdout(" --mode vm"), Nested) << Name;
     EXPECT_EQ(Stdout(" --mode flat"), Head + Events(Flat, Seed)) << Name;
     EXPECT_EQ(Stdout(" --batch 64"), Nested) << Name;
-    std::string Fleet =
-        "fleet simulation (3 instances, 200 instants, seed 5, 2 thread(s)):\n";
-    for (unsigned J = 0; J < 3; ++J)
-      Fleet += "instance " + std::to_string(J) + ":\n" +
-               Events(C->Compiled, Seed + J);
-    EXPECT_EQ(Stdout(" --fleet 3 --threads 2"), Fleet) << Name;
     if (Cc) {
       EXPECT_EQ(Stdout(" --native force --cache-dir " + Cache.Path), Nested)
           << Name;
@@ -1131,27 +1033,6 @@ TEST(Cli, LinkedSimulationIsTheSameOnEveryEngine) {
   std::remove(Src.c_str());
 }
 
-TEST(Cli, LinkedFleetInstanceZeroIsTheScalarRun) {
-  std::string Src = writeLinkSource("fleet", test::linkedPipelineInputs());
-  const std::string Run = "--link SENSOR,MONITOR " + Src +
-                          " --simulate 200 --seed 5";
-  CliResult Scalar = runSignalc(Run, /*StdoutOnly=*/true);
-  CliResult Fleet =
-      runSignalc(Run + " --fleet 3 --threads 2", /*StdoutOnly=*/true);
-  ASSERT_EQ(Scalar.Exit, 0) << Scalar.Output;
-  ASSERT_EQ(Fleet.Exit, 0) << Fleet.Output;
-  const std::string Head = "linked simulation (200 instants, seed 5):\n";
-  ASSERT_EQ(Scalar.Output.compare(0, Head.size(), Head), 0) << Scalar.Output;
-  size_t From = Fleet.Output.find("instance 0:\n");
-  size_t To = Fleet.Output.find("instance 1:\n");
-  ASSERT_NE(From, std::string::npos) << Fleet.Output;
-  ASSERT_NE(To, std::string::npos) << Fleet.Output;
-  From += std::string("instance 0:\n").size();
-  EXPECT_EQ(Fleet.Output.substr(From, To - From),
-            Scalar.Output.substr(Head.size()));
-  std::remove(Src.c_str());
-}
-
 TEST(Cli, LinkedMismatchStopsEveryEngineWithOneDiagnostic) {
   std::string Src = writeLinkSource("prodcons", test::linkedDynamicCheckInputs());
   TempCacheDirCli Cache;
@@ -1177,15 +1058,6 @@ TEST(Cli, LinkedMismatchStopsEveryEngineWithOneDiagnostic) {
     EXPECT_EQ(Out.Output, "linked simulation (20 instants, seed 1):\n" + Text)
         << Engine;
   }
-  // A fleet names each stopped instance; instance 0 is the scalar run.
-  CliResult Fleet = runSignalc(Run + " --fleet 3 --threads 2");
-  EXPECT_EQ(Fleet.Exit, 1) << Fleet.Output;
-  std::string Instance0 = "signalc: linked simulation stopped: instance 0: " +
-                          Diag.substr(std::string("signalc: linked "
-                                                  "simulation stopped: ")
-                                          .size());
-  EXPECT_NE(Fleet.Output.find(Instance0 + "\n"), std::string::npos)
-      << Fleet.Output;
   std::remove(Src.c_str());
 }
 

@@ -60,7 +60,7 @@ void recordInto(const Compilation &C, unsigned Instants, unsigned FrameCap,
   RandomEnvironment Rnd(Seed);
   RecordingEnvironment Rec(Rnd, W);
   VmExecutor Vm(C.Compiled);
-  Vm.runBatched(Rec, Instants, FrameCap);
+  runWindows(Vm, Rec, 0, Instants, FrameCap);
   EXPECT_TRUE(W.finish(Instants));
 }
 
@@ -391,7 +391,7 @@ TEST(FaultInjection, WriteFailureLatchesExactByteOffsetDiagnostic) {
       RandomEnvironment Rnd(11);
       RecordingEnvironment Rec(Rnd, W);
       VmExecutor Vm(C->Compiled);
-      Vm.runBatched(Rec, 24, 8);
+      runWindows(Vm, Rec, 0, 24, 8);
       EXPECT_FALSE(W.finish(24)) << "the failed flush must be reported";
       EXPECT_FALSE(W.ok());
       // Everything below the failing byte reached the file for real, so

@@ -472,7 +472,7 @@ TEST(LinkedExecutor, BatchedMismatchCutsTheTraceWhereUnbatchedStops) {
   scriptMismatchAtThree(Batch);
   VmExecutor ExecOne(R.Sys->Fused), ExecBatch(R.Sys->Fused);
   EXPECT_EQ(ExecOne.run(One, 8), 4u);
-  EXPECT_EQ(ExecBatch.runBatched(Batch, 8, 8), 4u);
+  EXPECT_EQ(runWindows(ExecBatch, Batch, 0, 8, 8), 4u);
   EXPECT_EQ(formatEvents(One.outputs()), "0 Y=1\n1 Y=11\n2 Y=21\n");
   EXPECT_EQ(formatEvents(Batch.outputs()), formatEvents(One.outputs()));
   ASSERT_TRUE(ExecOne.checkFailure());
@@ -576,7 +576,7 @@ TEST(LinkEmitter, EmittedCHonoursTheDynamicCheck) {
   ScriptedEnvironment Env;
   scriptMismatchAtThree(Env);
   VmExecutor Vm(F);
-  ASSERT_EQ(Vm.runBatched(Env, 8, 8), 4u);
+  ASSERT_EQ(runWindows(Vm, Env, 0, 8, 8), 4u);
   std::string C = emitC(F, "sys", CEmitOptions());
   C += "\n#include <stdio.h>\nint main(void) {\n"
        "  sys_state_t st;\n  sys_in_t in[8];\n  sys_out_t out[8];\n"

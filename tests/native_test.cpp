@@ -2,14 +2,16 @@
 ///
 /// Tests of the native tier: content hashing, the persistent artifact
 /// cache (hit/miss, corruption classes, concurrent publication, failed
-/// compiles), native-vs-VM trace and counter identity, and attaching or
-/// detaching the native module at every batch boundary. Everything that
+/// compiles), native-vs-VM trace and counter identity, attaching or
+/// detaching the native module at every batch boundary, and runWindows'
+/// promotion rule on random runs and replays. Everything that
 /// needs the host C compiler skips (not fails) when none is on PATH.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "interp/VmExecutor.h"
+#include "io/TraceEnvironment.h"
 #include "native/CcRunner.h"
 #include "native/NativeCache.h"
 #include "native/StepHash.h"
@@ -83,7 +85,7 @@ TraceRun runVm(const CompiledStep &CS, uint64_t Seed, unsigned Instants,
   RandomEnvironment Env(Seed);
   VmExecutor Vm(CS);
   Vm.setNative(M);
-  Vm.runBatched(Env, Instants, Batch);
+  runWindows(Vm, Env, 0, Instants, Batch);
   return {Env.outputs(), Vm.guardTests(), Vm.executed()};
 }
 
@@ -440,55 +442,57 @@ TEST(NativeCache, ConcurrentPublishersRaceSafely) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fleet native path
+// Promotion in runWindows
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void expectSameFleet(const FleetRun &A, const FleetRun &B,
-                     const std::string &What) {
-  for (size_t J = 0; J < A.Owned.size(); ++J) {
-    TraceDiff D = compareTraces("interp", A.Owned[J]->outputs(), "native",
-                                B.Owned[J]->outputs());
-    EXPECT_TRUE(D.Equal) << What << ", instance " << J << "\n" << D.Report;
+/// The trace of \p Total instants of \p CS against RandomEnvironment
+/// \p Seed, in frames of 8.
+std::vector<uint8_t> recordTrace(const CompiledStep &CS, uint64_t Seed,
+                                 unsigned Total) {
+  MemorySink Sink;
+  TraceWriter W(Sink, TraceSpec::fromStep(CS, "P", 8));
+  RandomEnvironment Rnd(Seed);
+  RecordingEnvironment Rec(Rnd, W);
+  VmExecutor Vm(CS);
+  runWindows(Vm, Rec, 0, Total, 8);
+  EXPECT_TRUE(W.finish(Total));
+  return Sink.takeBytes();
+}
+
+/// \p Total instants of \p CS in windows of \p Window on \p TC: through
+/// runWindows against RandomEnvironment \p Seed or, given \p Trace,
+/// through a replayTrace of it that verifies every output.
+TraceRun windowedRun(const CompiledStep &CS, uint64_t Seed, unsigned Total,
+                     unsigned Window, TierController &TC,
+                     const std::vector<uint8_t> *Trace) {
+  VmExecutor Vm(CS);
+  if (!Trace) {
+    RandomEnvironment Env(Seed);
+    EXPECT_EQ(runWindows(Vm, Env, 0, Total, Window, &TC), Total);
+    return {Env.outputs(), Vm.guardTests(), Vm.executed()};
   }
-  EXPECT_EQ(A.Totals.GuardTests, B.Totals.GuardTests) << What;
-  EXPECT_EQ(A.Totals.Executed, B.Totals.Executed) << What;
+  TraceInput In(*Trace);
+  TraceDecoder Dec(&CS);
+  EXPECT_TRUE(In.readHeader(Dec)) << Dec.error().str();
+  StreamEnvironment Env(Dec.spec());
+  Env.setVerifyOutputs(true);
+  Env.setCollectOutputs(true);
+  EXPECT_EQ(replayTrace(In, Dec, Env, Vm, Window, &TC), Total)
+      << Dec.error().str();
+  EXPECT_EQ(Env.divergence(), "");
+  return {Env.outputs(), Vm.guardTests(), Vm.executed()};
 }
 
 } // namespace
 
-TEST(FleetNative, MatchesInterpretedFleetAcrossShapes) {
-  if (!nativeCompileAvailable())
-    GTEST_SKIP() << "no host C compiler";
-  auto C = compileOk(sampleSource());
-  TempCacheDir Dir;
-  TierOptions Opts;
-  Opts.Mode = NativeMode::Force;
-  Opts.CacheDir = Dir.Path;
-  TierController TC(C->Compiled, Opts);
-  ASSERT_TRUE(TC.start()) << TC.error();
-
-  const unsigned Instances = 7, Instants = 48;
-  struct {
-    unsigned Threads, Batch;
-  } Shapes[] = {{1, 48}, {1, 8}, {2, 16}, {3, 7}, {3, 0}};
-  for (auto Sh : Shapes) {
-    std::string What = "threads " + std::to_string(Sh.Threads) +
-                       ", batch " + std::to_string(Sh.Batch);
-    FleetRun Interp(C->Compiled, Instances, 0xF1EE7, Instants, Sh.Batch,
-                    Sh.Threads);
-    FleetRun Nat(C->Compiled, Instances, 0xF1EE7, Instants, Sh.Batch,
-                 Sh.Threads, &TC);
-    expectSameFleet(Interp, Nat, What);
-    // Force mode: every instance ran native from instant 0.
-    EXPECT_EQ(Nat.Totals.VmInstants, 0u) << What;
-    EXPECT_EQ(Nat.Totals.NativeInstants, uint64_t{Instances} * Instants)
-        << What;
-  }
-}
-
-TEST(FleetNative, SwapAtWindowBoundaryIsInvisible) {
+TEST(Tier, RunWindowsPromotesAtEveryWindowBoundary) {
+  // The one promotion rule, on a random run and on a replay of the same
+  // stimulus: a warm hit with --tier-after K interprets exactly K
+  // instants and runs the rest natively, Force runs every instant
+  // natively in any window, and neither the outputs nor the counters
+  // show the handoff.
   if (!nativeCompileAvailable())
     GTEST_SKIP() << "no host C compiler";
   auto C = compileOk(sampleSource());
@@ -498,28 +502,40 @@ TEST(FleetNative, SwapAtWindowBoundaryIsInvisible) {
       C->Compiled, hashCompiledStep(C->Compiled), Err))
       << Err;
 
-  const unsigned Instances = 5, Total = 48, Window = 8;
-  FleetRun Ref(C->Compiled, Instances, 0x5A4B, Total, Window, 2);
-
-  // A warm hit with --tier-after K: every instance interprets K instants,
-  // then swaps onto the native step at that window boundary. Neither the
-  // traces nor the counters may show the handoff.
-  for (unsigned K = Window; K < Total; K += Window) {
+  const unsigned Total = 48, Window = 8;
+  const uint64_t Seed = 0x5A4B;
+  const TraceRun Ref = runVm(C->Compiled, Seed, Total, Window);
+  const std::vector<uint8_t> Trace = recordTrace(C->Compiled, Seed, Total);
+  auto check = [&](NativeMode Mode, unsigned TierAfter, unsigned W,
+                   const std::vector<uint8_t> *Replay, uint64_t VmInstants) {
+    SCOPED_TRACE(std::string(Replay ? "replay" : "random") + ", " +
+                 (Mode == NativeMode::Force ? "force" : "auto") +
+                 ", tier-after " +
+                 std::to_string(TierAfter) + ", window " + std::to_string(W));
     TierOptions Opts;
-    Opts.Mode = NativeMode::Auto;
+    Opts.Mode = Mode;
     Opts.CacheDir = Dir.Path;
-    Opts.TierAfter = K;
+    Opts.TierAfter = TierAfter;
     TierController TC(C->Compiled, Opts);
     ASSERT_TRUE(TC.start()) << TC.error();
     ASSERT_TRUE(TC.cacheHit());
-    FleetRun F(C->Compiled, Instances, 0x5A4B, Total, Window, 2, &TC);
-    expectSameFleet(Ref, F, "swap at " + std::to_string(K));
-    EXPECT_EQ(F.Totals.VmInstants, uint64_t{Instances} * K);
-    EXPECT_EQ(F.Totals.NativeInstants, uint64_t{Instances} * (Total - K));
+    expectSameRun(Ref, "vm", windowedRun(C->Compiled, Seed, Total, W, TC,
+                                         Replay),
+                  "tiered");
+    TierStats S = TC.stats();
+    EXPECT_EQ(S.VmInstants, VmInstants);
+    EXPECT_EQ(S.NativeInstants, Total - VmInstants);
+  };
+  const std::vector<uint8_t> *Legs[] = {nullptr, &Trace};
+  for (const std::vector<uint8_t> *Replay : Legs) {
+    for (unsigned K = 0; K <= Total; K += Window)
+      check(NativeMode::Auto, K, Window, Replay, K);
+    for (unsigned W : {1u, 7u, 8u, Total})
+      check(NativeMode::Force, 0, W, Replay, 0);
   }
 }
 
-TEST(FleetNative, LaneCheckpointsSurviveNativeWindows) {
+TEST(TierSwap, LaneCheckpointsSurviveNativeWindows) {
   // A serve lane's checkpoint is a copy of its delay slots, whichever
   // tier took it: restoring a native checkpoint into a fresh
   // interpreting VM, or a VM checkpoint into a fresh VM with the module
@@ -542,7 +558,7 @@ TEST(FleetNative, LaneCheckpointsSurviveNativeWindows) {
     RandomEnvironment Env(0xC4EC);
     VmExecutor Head(C->Compiled);
     Head.setNative(HeadNative ? M.get() : nullptr);
-    Head.runBatched(Env, Cut, Batch);
+    runWindows(Head, Env, 0, Cut, Batch);
     VmExecutor Tail(C->Compiled);
     Tail.setNative(HeadNative ? nullptr : M.get());
     Tail.setStateSlots(Head.stateSlots());

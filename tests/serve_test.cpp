@@ -304,7 +304,7 @@ Stimulus recordStimulus(const Compilation &C, unsigned Instants,
   RandomEnvironment Rnd(Seed);
   RecordingEnvironment Rec(Rnd, W);
   VmExecutor Vm(C.Compiled);
-  Vm.runBatched(Rec, Instants, 8);
+  runWindows(Vm, Rec, 0, Instants, 8);
   EXPECT_TRUE(W.finish(Instants));
   St.Bytes = Sink.takeBytes();
   St.Events = Rnd.outputs();

@@ -64,7 +64,7 @@ Recording record(const Compilation &C, unsigned Instants, unsigned FrameCap,
   if (Batch == 0)
     Vm.run(Rec, Instants);
   else
-    Vm.runBatched(Rec, Instants, Batch);
+    runWindows(Vm, Rec, 0, Instants, Batch);
   EXPECT_TRUE(W.finish(Instants));
   R.Bytes = Sink.takeBytes();
   R.Events = Rnd.outputs();

@@ -143,11 +143,11 @@ TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
   DiscardEnvironment Env(42, 800);
 
   // Warm up: binding, batch-buffer growth and lazy setup happen here.
-  Exec.runBatched(Env, 64, 32);
+  runWindows(Exec, Env, 0, 64, 32);
 
   uint64_t Allocs = allocsDuring([&] {
     for (unsigned Round = 0; Round < 8; ++Round)
-      Exec.runBatched(Env, 512, 32);
+      runWindows(Exec, Env, 0, 512, 32);
   });
   EXPECT_EQ(Allocs, 0u)
       << "stepN allocated on the hot path; batch buffers must be "
@@ -165,7 +165,7 @@ TEST(VmAllocation, StepNStoppedByAClockCheckIsZeroAllocInSteadyState) {
   DiscardEnvironment Env(42, 800);
 
   // Warm up: binding and batch-buffer growth happen here.
-  Exec.runBatched(Env, 64, 32);
+  runWindows(Exec, Env, 0, 64, 32);
 
   // The random stimulus trips the check in about half the instants, so
   // one-instant windows, which mostly run through, alternate with long
@@ -204,20 +204,20 @@ TEST(VmAllocation, AttachedModuleStepNAndSwapsAreZeroAllocInSteadyState) {
     VmExecutor Exec(C->Compiled);
     DiscardEnvironment Env(42, 800);
     // Warm up both tiers: binding and batch-buffer growth happen here.
-    Exec.runBatched(Env, 64, 32);
+    runWindows(Exec, Env, 0, 64, 32);
     Exec.setNative(Mod.get());
-    Exec.runBatched(Env, 64, 32);
+    runWindows(Exec, Env, 0, 64, 32);
 
     uint64_t Steady = allocsDuring([&] {
       for (unsigned Round = 0; Round < 8; ++Round)
-        Exec.runBatched(Env, 512, 32);
+        runWindows(Exec, Env, 0, 512, 32);
     });
     EXPECT_EQ(Steady, 0u) << "stepN with a native module attached allocated";
 
     uint64_t Swapping = allocsDuring([&] {
       for (unsigned Round = 0; Round < 8; ++Round) {
         Exec.setNative(Round % 2 ? Mod.get() : nullptr);
-        Exec.runBatched(Env, 64, 32);
+        runWindows(Exec, Env, 0, 64, 32);
       }
     });
     EXPECT_EQ(Swapping, 0u) << "a tier swap allocated";

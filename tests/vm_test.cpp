@@ -237,7 +237,7 @@ TEST(VmExecutor, BatchedMatchesSteppedOnBuiltinSuite) {
     for (unsigned Batch : {1u, 2u, 7u, 64u}) {
       RandomEnvironment EnvBatch(23);
       VmExecutor Batched(C->Compiled);
-      Batched.runBatched(EnvBatch, Instants, Batch);
+      runWindows(Batched, EnvBatch, 0, Instants, Batch);
       EXPECT_EQ(formatEvents(EnvBatch.outputs()),
                 formatEvents(EnvStep.outputs()))
           << P.Name << " batch=" << Batch;
@@ -257,7 +257,7 @@ TEST(VmExecutor, BatchedDelayStateCarriesAcrossWindows) {
   RandomEnvironment E1(5, 1000), E2(5, 1000);
   VmExecutor Stepped(C->Compiled), Batched(C->Compiled);
   Stepped.run(E1, 20);
-  Batched.runBatched(E2, 20, 7);
+  runWindows(Batched, E2, 0, 20, 7);
   EXPECT_EQ(formatEvents(E2.outputs()), formatEvents(E1.outputs()));
 }
 
@@ -659,7 +659,7 @@ void expectCountersUnderBatchWindows(const Compilation &C,
   for (unsigned Window : {1u, 3u, 7u, 64u, 300u}) {
     RandomEnvironment Env(23);
     VmExecutor Batched(CS);
-    Batched.runBatched(Env, Instants, Window);
+    runWindows(Batched, Env, 0, Instants, Window);
     EXPECT_EQ(Batched.guardTests(), Stepped.guardTests()) << What << Window;
     EXPECT_EQ(Batched.executed(), Stepped.executed()) << What << Window;
     EXPECT_EQ(formatEvents(Env.outputs()), formatEvents(EnvStepped.outputs()))
